@@ -58,10 +58,12 @@ faults:
 # and the introspection handlers under the race detector, then an explicit
 # strict run of the fault cascade — a violation fails the command. The shard
 # determinism suite rides along: byte-identical artifacts at any GOMAXPROCS
-# is an invariant of the partitioned engine.
+# is an invariant of the partitioned engine. The behaviour golden pins every
+# tiny preset's event stream, RunReport and checksum, so a pure performance
+# change must leave testdata/behaviour.golden.json untouched.
 invariants:
 	$(GO) test -race ./internal/lineage/ ./internal/introspect/
-	$(GO) test -race -run 'TestShardDeterminism' ./internal/cluster/
+	$(GO) test -race -run 'TestShardDeterminism|TestBehaviourGolden' ./internal/cluster/
 	$(GO) run ./cmd/nvmcp-sim -preset faults -scale tiny -invariants
 	$(GO) run ./cmd/nvmcp-sim -scenario docs/scenarios/zone-outage.json -invariants
 
