@@ -91,6 +91,7 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	c.stagedSum = checksum(data, c.Size)
 	c.cleanSeq = seqAtStart
 	c.stagePending = true
+	s.notifyStage(c)
 	attrs := map[string]string{"seq": u64str(seqAtStart)}
 	if invalidated {
 		// Single-version overwrite: the previously committed local copy is
@@ -139,7 +140,7 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 	s.rec.Emit(obs.EvCheckpointBegin, "", 0,
 		map[string]string{"round": fmt.Sprintf("%d", round)})
 	var st CkptStats
-	for _, c := range s.Chunks() {
+	for _, c := range s.order {
 		if !c.Persistent {
 			continue
 		}
@@ -189,7 +190,7 @@ func (s *Store) ChkptID(p *sim.Proc, id uint64) (CkptStats, error) {
 // metadata lock shared with the checkpoint helper.
 func (s *Store) commit(p *sim.Proc) int {
 	n := 0
-	for _, c := range s.Chunks() {
+	for _, c := range s.order {
 		n += s.commitChunk(p, c)
 	}
 	return n
@@ -352,10 +353,9 @@ func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data []byte, version uint64) 
 // named variable without allocating a chunk — used by restart logic to
 // decide between local recovery and remote fetch.
 func (s *Store) HasCommitted(p *sim.Proc, name string) bool {
-	id := GenID(name)
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
-	v, ok := s.kproc.GetMeta(p, fmt.Sprintf("cmeta/%d", id))
+	v, ok := s.kproc.GetMeta(p, metaKeyOf(GenID(name)))
 	k.MetaLock.Unlock(p)
 	if !ok || v == nil {
 		return false
@@ -386,21 +386,10 @@ func (s *Store) Snapshot(p *sim.Proc) []ChunkState {
 	k.MetaLock.Lock(p)
 	defer k.MetaLock.Unlock(p)
 	out := make([]ChunkState, 0, len(s.order))
-	for _, id := range s.order {
-		c := s.chunks[id]
-		if !c.Persistent {
-			continue
+	for _, c := range s.order {
+		if c.Persistent {
+			out = append(out, c.State())
 		}
-		out = append(out, ChunkState{
-			ID:           c.ID,
-			Name:         c.Name,
-			Size:         c.Size,
-			ModSeq:       c.modSeq,
-			CleanSeq:     c.cleanSeq,
-			StagePending: c.stagePending,
-			Version:      c.Version,
-			Checksum:     c.stagedSum,
-		})
 	}
 	return out
 }
@@ -438,8 +427,7 @@ func (s *Store) StagedData(p *sim.Proc, id uint64) ([]byte, bool) {
 func (s *Store) ContentChecksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, id := range s.order {
-		c := s.chunks[id]
+	for _, c := range s.order {
 		if !c.Persistent {
 			continue
 		}

@@ -37,6 +37,15 @@ type Chunk struct {
 	nvmExtent [2]nvmalloc.Extent
 	committed int // committed slot index, -1 before first commit
 
+	// allocSeq is the chunk's place in its store's allocation order (see
+	// AllocSeq).
+	allocSeq int
+	// metaK and dataK cache the chunk's kernel metadata keys, formatted once
+	// at creation: every stage, commit and ship looks them up, and they
+	// never change.
+	metaK string
+	dataK [2]string
+
 	modSeq       uint64
 	cleanSeq     uint64
 	stagePending bool   // staged data awaiting the next commit flip
@@ -64,9 +73,40 @@ func (c *Chunk) targetSlot() int {
 	return 0
 }
 
+// Kernel metadata keys: a chunk's commit record lives under "cmeta/<id>" and
+// its version slots under "cdata/<id>/<slot>", with <id> in decimal. These
+// helpers are the one definition of both formats.
+const metaKeyPrefix = "cmeta/"
+
+func metaKeyOf(id uint64) string { return metaKeyPrefix + strconv.FormatUint(id, 10) }
+
+func dataKeyOf(id uint64, slot int) string {
+	return "cdata/" + strconv.FormatUint(id, 10) + "/" + strconv.Itoa(slot)
+}
+
 func (c *Chunk) dramID() string          { return fmt.Sprintf("work/%d", c.ID) }
-func (c *Chunk) metaKey() string         { return fmt.Sprintf("cmeta/%d", c.ID) }
-func (c *Chunk) dataKey(slot int) string { return fmt.Sprintf("cdata/%d/%d", c.ID, slot) }
+func (c *Chunk) metaKey() string         { return c.metaK }
+func (c *Chunk) dataKey(slot int) string { return c.dataK[slot] }
+
+// AllocSeq returns the chunk's place in its store's allocation order: 1 for
+// the first chunk the store ever held, rising with each allocation and never
+// reused. It is 0 before the chunk joins the store and after NVDelete.
+func (c *Chunk) AllocSeq() int { return c.allocSeq }
+
+// State returns the chunk's helper-visible checkpoint state. Callers that
+// race the checkpoint path read it under the node's metadata lock.
+func (c *Chunk) State() ChunkState {
+	return ChunkState{
+		ID:           c.ID,
+		Name:         c.Name,
+		Size:         c.Size,
+		ModSeq:       c.modSeq,
+		CleanSeq:     c.cleanSeq,
+		StagePending: c.stagePending,
+		Version:      c.Version,
+		Checksum:     c.stagedSum,
+	}
+}
 
 // needsStage reports whether the chunk was modified (or never staged) since
 // its last staging or restore.

@@ -90,9 +90,11 @@ type Store struct {
 	opts  Options
 
 	chunks map[uint64]*Chunk
-	order  []uint64 // allocation order, for deterministic iteration
+	order  []*Chunk // allocation order, for deterministic iteration
+	allocs int      // chunks ever added; the last AllocSeq handed out
 
 	onModify []func(*Chunk)
+	onStage  []func(*Chunk)
 
 	// rec publishes events and registry metrics; nil outside instrumented
 	// runs (every method on a nil recorder is a no-op).
@@ -158,14 +160,24 @@ func (s *Store) Alloc() *nvmalloc.Allocator { return s.alloc }
 // to maintain dirty sets and prediction counters.
 func (s *Store) OnModify(fn func(*Chunk)) { s.onModify = append(s.onModify, fn) }
 
+// OnStage registers a callback fired whenever a chunk's staged sequence
+// (StagedSeq) is assigned: at each stage to NVM, and when a restored chunk
+// joins the store. The remote helper uses it to queue ship candidates
+// instead of rescanning every chunk. Callbacks run in the staging process and
+// must not block.
+func (s *Store) OnStage(fn func(*Chunk)) { s.onStage = append(s.onStage, fn) }
+
 // Chunks returns all chunks in allocation order.
 func (s *Store) Chunks() []*Chunk {
-	out := make([]*Chunk, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.chunks[id])
-	}
-	return out
+	return append([]*Chunk(nil), s.order...)
 }
+
+// NumChunks returns how many chunks the store holds.
+func (s *Store) NumChunks() int { return len(s.order) }
+
+// ChunkAt returns the i-th chunk in allocation order, 0 <= i < NumChunks().
+// Together with NumChunks it walks the store without the copy Chunks makes.
+func (s *Store) ChunkAt(i int) *Chunk { return s.order[i] }
 
 // Chunk returns the chunk with the given id, or nil.
 func (s *Store) Chunk(id uint64) *Chunk { return s.chunks[id] }
@@ -177,8 +189,8 @@ func (s *Store) ChunkByName(name string) *Chunk { return s.chunks[GenID(name)] }
 // (pre-copy or checkpoint), in allocation order.
 func (s *Store) DirtyLocal() []*Chunk {
 	var out []*Chunk
-	for _, id := range s.order {
-		if c := s.chunks[id]; c.Persistent && c.needsStage() {
+	for _, c := range s.order {
+		if c.Persistent && c.needsStage() {
 			out = append(out, c)
 		}
 	}
@@ -189,8 +201,8 @@ func (s *Store) DirtyLocal() []*Chunk {
 // per-process checkpoint data size D of the performance model.
 func (s *Store) CheckpointSize() int64 {
 	var total int64
-	for _, id := range s.order {
-		if c := s.chunks[id]; c.Persistent {
+	for _, c := range s.order {
+		if c.Persistent {
 			total += c.Size
 		}
 	}
@@ -219,9 +231,21 @@ func (s *Store) NVAlloc(p *sim.Proc, name string, size int64, persist bool) (*Ch
 			return nil, err
 		}
 	}
-	s.chunks[id] = c
-	s.order = append(s.order, id)
+	s.insert(c)
+	if c.Restored {
+		// Announced only now: the restore assigned the staged sequence, but
+		// the chunk was not yet visible to anyone walking the store.
+		s.notifyStage(c)
+	}
 	return c, nil
+}
+
+// insert appends a chunk to the store's allocation order.
+func (s *Store) insert(c *Chunk) {
+	s.allocs++
+	c.allocSeq = s.allocs
+	s.chunks[c.ID] = c
+	s.order = append(s.order, c)
 }
 
 // NV2DAlloc is the Fortran-style 2D allocation wrapper: a dim1 x dim2 array
@@ -245,8 +269,7 @@ func (s *Store) NVAttach(p *sim.Proc, name string, size int64) (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.chunks[id] = c
-	s.order = append(s.order, id)
+	s.insert(c)
 	return c, nil
 }
 
@@ -295,12 +318,13 @@ func (s *Store) NVDelete(p *sim.Proc, c *Chunk) error {
 		return fmt.Errorf("%w: %s", ErrNoChunk, c.Name)
 	}
 	delete(s.chunks, c.ID)
-	for i, id := range s.order {
-		if id == c.ID {
+	for i, oc := range s.order {
+		if oc == c {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
 	}
+	c.allocSeq = 0
 	if err := s.kproc.DRAMFree(c.dramID()); err != nil {
 		return err
 	}
@@ -332,6 +356,10 @@ func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persis
 		Attached:   attached,
 		store:      s,
 		committed:  -1,
+		metaK:      metaKeyOf(id),
+	}
+	for i := 0; i < c.slots(); i++ {
+		c.dataK[i] = dataKeyOf(id, i)
 	}
 	dram, err := s.kproc.DRAMAlloc(c.dramID(), size, s.payloadLen(size))
 	if err != nil {
@@ -368,6 +396,13 @@ func (s *Store) payloadLen(size int64) int {
 // notifyModify runs registered modification callbacks.
 func (s *Store) notifyModify(c *Chunk) {
 	for _, fn := range s.onModify {
+		fn(c)
+	}
+}
+
+// notifyStage runs registered stage callbacks.
+func (s *Store) notifyStage(c *Chunk) {
+	for _, fn := range s.onStage {
 		fn(c)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -741,6 +742,57 @@ func TestOnModifyCallbackFires(t *testing.T) {
 			t.Fatalf("modify events = %d, want 1 (chunk was unprotected at first write)", events)
 		}
 	})
+}
+
+// The stage hook fires wherever StagedSeq is assigned — each stage, and a
+// restored chunk once it is in the store — and AllocSeq orders chunks by
+// allocation without reuse, reading 0 once a chunk is deleted.
+func TestOnStageAndAllocSeq(t *testing.T) {
+	r := newRig()
+	r.env.Go("life1", func(p *sim.Proc) {
+		s := NewStore(r.k.Attach("rank0"), Options{})
+		var staged []string
+		s.OnStage(func(c *Chunk) {
+			if c.AllocSeq() == 0 || s.Chunk(c.ID) != c {
+				t.Errorf("hook saw %s outside the store", c.Name)
+			}
+			staged = append(staged, c.Name)
+		})
+		a, _ := s.NVAlloc(p, "a", mem.MB, true)
+		b, _ := s.NVAlloc(p, "b", mem.MB, true)
+		if a.AllocSeq() != 1 || b.AllocSeq() != 2 {
+			t.Errorf("AllocSeq a=%d b=%d, want 1 2", a.AllocSeq(), b.AllocSeq())
+		}
+		a.WriteAll(p)
+		b.WriteAll(p)
+		s.PreCopyChunk(p, b, 0)
+		s.ChkptAll(p)
+		if got := strings.Join(staged, ","); got != "b,a" {
+			t.Errorf("stage hook order %q, want b,a", got)
+		}
+		if err := s.NVDelete(p, a); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := s.NVAlloc(p, "a", mem.MB, true)
+		if a.AllocSeq() != 0 || c.AllocSeq() != 3 {
+			t.Errorf("after delete and re-alloc: old AllocSeq %d, new %d; want 0 and 3",
+				a.AllocSeq(), c.AllocSeq())
+		}
+		s.Proc().Exit()
+		r.k.SoftReset()
+	})
+	r.env.Run()
+	r.env.Go("life2", func(p *sim.Proc) {
+		s := NewStore(r.k.Attach("rank0"), Options{})
+		var restored []string
+		s.OnStage(func(c *Chunk) { restored = append(restored, c.Name) })
+		b, _ := s.NVAlloc(p, "b", mem.MB, true)
+		s.NVAlloc(p, "fresh", mem.MB, true)
+		if !b.Restored || len(restored) != 1 || restored[0] != "b" {
+			t.Errorf("restore hook calls %v, want [b]", restored)
+		}
+	})
+	r.env.Run()
 }
 
 func TestStagedDataChecksumRoundTrip(t *testing.T) {

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nvmcp/internal/nvmkernel"
@@ -48,8 +48,12 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 	sort.Strings(procs)
 	for _, proc := range procs {
 		for _, key := range k.MetaKeys(proc) {
-			id, ok := strings.CutPrefix(key, "cmeta/")
+			id, ok := strings.CutPrefix(key, metaKeyPrefix)
 			if !ok {
+				continue
+			}
+			chunkID, err := strconv.ParseUint(id, 10, 64)
+			if err != nil {
 				continue
 			}
 			v, ok := k.QueryMeta(nil, proc, key)
@@ -60,7 +64,7 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 			if !ok {
 				continue
 			}
-			dv, ok := k.QueryMeta(nil, proc, fmt.Sprintf("cdata/%s/%d", id, rec.Slot))
+			dv, ok := k.QueryMeta(nil, proc, dataKeyOf(chunkID, rec.Slot))
 			if !ok || dv == nil {
 				continue
 			}

@@ -176,8 +176,8 @@ func (e *Engine) BeginInterval(p *sim.Proc) {
 	if e.cfg.Scheme != NoPreCopy {
 		// Arm modification tracking on chunks that are not yet protected
 		// (fresh allocations; staged chunks are already protected).
-		for _, c := range e.store.Chunks() {
-			if c.Persistent && !c.Protected() {
+		for i := 0; i < e.store.NumChunks(); i++ {
+			if c := e.store.ChunkAt(i); c.Persistent && !c.Protected() {
 				c.Protect(p)
 			}
 		}
@@ -300,7 +300,11 @@ func (e *Engine) nextCandidate() *core.Chunk {
 	default:
 		return nil
 	}
-	for _, c := range e.store.DirtyLocal() {
+	for i := 0; i < e.store.NumChunks(); i++ {
+		c := e.store.ChunkAt(i)
+		if !c.Persistent || !c.Dirty() {
+			continue
+		}
 		if e.cfg.Scheme == DCPCP {
 			if e.modsNow[c.ID] < e.predicted[c.ID] {
 				continue // still expected to change; leave it alone
