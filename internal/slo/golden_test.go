@@ -14,16 +14,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden report artifacts")
 
-// goldenRun executes the deterministic tiny slo-paper preset and renders its
-// report. The simulation is byte-deterministic at any GOMAXPROCS, so the
-// JSON and HTML artifacts must match the checked-in goldens exactly; a diff
-// here means either the scenario's behavior changed or the report format did
-// — both deserve a deliberate `go test ./internal/slo -run Golden -update`.
-func goldenRun(t *testing.T) slo.Report {
+// goldenRun executes a deterministic tiny SLO preset and renders its report.
+// The simulation is byte-deterministic at any GOMAXPROCS, so the JSON and
+// HTML artifacts must match the checked-in goldens exactly; a diff here
+// means either the scenario's behavior changed or the report format did —
+// both deserve a deliberate `go test ./internal/slo -run Golden -update`.
+func goldenRun(t *testing.T, id string) slo.Report {
 	t.Helper()
-	p, ok := scenario.PresetByID("slo-paper")
+	p, ok := scenario.PresetByID(id)
 	if !ok {
-		t.Fatal("slo-paper preset not registered")
+		t.Fatalf("%s preset not registered", id)
 	}
 	sc := p.Build(scenario.ScaleTiny)
 	_, c, err := cluster.RunScenario(sc)
@@ -55,7 +55,7 @@ func checkGolden(t *testing.T, path string, got []byte) {
 }
 
 func TestGoldenJSONReport(t *testing.T) {
-	rep := goldenRun(t)
+	rep := goldenRun(t, "slo-paper")
 	var buf bytes.Buffer
 	if err := slo.WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestGoldenJSONReport(t *testing.T) {
 }
 
 func TestGoldenHTMLReport(t *testing.T) {
-	rep := goldenRun(t)
+	rep := goldenRun(t, "slo-paper")
 	var buf bytes.Buffer
 	if err := slo.WriteHTML(&buf, rep); err != nil {
 		t.Fatal(err)
@@ -96,6 +96,26 @@ func TestGoldenHTMLReport(t *testing.T) {
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "slo-paper-tiny.golden.html"), buf.Bytes())
+}
+
+// TestGoldenFaultsReport pins the fault-cascade side of the recorder, which
+// the fault-free slo-paper golden never reaches: degraded intervals, MTTR,
+// per-tier recovery counts and the burn-rate objective over them.
+func TestGoldenFaultsReport(t *testing.T) {
+	rep := goldenRun(t, "slo-faults")
+	if rep.Summary.MTTRSeconds == 0 || rep.Summary.DegradedSeconds == 0 {
+		t.Fatalf("slo-faults golden run saw no repair (mttr %g, degraded %g) — it no longer covers the fault path",
+			rep.Summary.MTTRSeconds, rep.Summary.DegradedSeconds)
+	}
+	var js, page bytes.Buffer
+	if err := slo.WriteJSON(&js, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := slo.WriteHTML(&page, rep); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "slo-faults-tiny.golden.json"), js.Bytes())
+	checkGolden(t, filepath.Join("testdata", "slo-faults-tiny.golden.html"), page.Bytes())
 }
 
 func TestSchemaVersionMismatchRejected(t *testing.T) {
