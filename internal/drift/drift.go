@@ -92,9 +92,6 @@ const (
 	DefaultPhaseFactor = 2.0
 	DefaultPhaseWarmup = 3
 
-	defaultMaxWindows    = 512
-	defaultMaxViolations = 64
-
 	// phaseAbsGuard is the minimum absolute re-dirty-rate change that can
 	// register as a regime shift, so near-zero regimes don't fire on noise.
 	phaseAbsGuard = 0.05
@@ -167,20 +164,6 @@ type Config struct {
 	MaxWindows int
 	// MaxViolations bounds the retained violation log (default 64).
 	MaxViolations int
-}
-
-func (c Config) maxWindows() int {
-	if c.MaxWindows <= 0 {
-		return defaultMaxWindows
-	}
-	return c.MaxWindows
-}
-
-func (c Config) maxViolations() int {
-	if c.MaxViolations <= 0 {
-		return defaultMaxViolations
-	}
-	return c.MaxViolations
 }
 
 // Violation records one drift-limit breach episode.

@@ -44,14 +44,14 @@ type Report struct {
 // Finalize for complete coverage.
 func BuildReport(d *Observatory, m Meta) Report {
 	d.mu.Lock()
-	endUS := d.endUS
+	windowUS, endUS := d.fold.Width().Microseconds(), d.fold.End().Microseconds()
 	d.mu.Unlock()
 	rep := Report{
 		SchemaVersion: SchemaVersion,
 		Tool:          m.Tool,
 		Scenario:      m.Scenario,
 		Seed:          m.Seed,
-		WindowUS:      d.windowUS,
+		WindowUS:      windowUS,
 		VirtualEndUS:  endUS,
 		Baseline:      d.Baseline(),
 		Windows:       d.Windows(),

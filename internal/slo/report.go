@@ -48,10 +48,7 @@ type Report struct {
 // Finalize so final objectives and the tail window are present.
 func BuildReport(r *Recorder, meta Meta) Report {
 	r.mu.Lock()
-	endUS := r.endTime.Microseconds()
-	if !r.finalized {
-		endUS = r.curStart.Microseconds()
-	}
+	endUS := r.fold.End().Microseconds()
 	r.mu.Unlock()
 	sum := r.Summary()
 	rep := Report{

@@ -187,14 +187,9 @@ type Config struct {
 	MaxViolations int `json:"max_violations,omitempty"`
 }
 
-const (
-	// DefaultWindow is the flight-recorder window width when the spec does
-	// not set one — the Figure 10 peak-traffic bucket.
-	DefaultWindow = 5 * time.Second
-
-	defaultMaxWindows    = 512
-	defaultMaxViolations = 64
-)
+// DefaultWindow is the flight-recorder window width when the spec does not
+// set one — the Figure 10 peak-traffic bucket.
+const DefaultWindow = 5 * time.Second
 
 // Violation is one objective breach episode.
 type Violation struct {
