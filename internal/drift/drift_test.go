@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -465,5 +466,41 @@ func TestBaselineMatchesModel(t *testing.T) {
 	}
 	if b.Efficiency <= 0 || b.Efficiency >= 1 {
 		t.Errorf("Efficiency = %g, want in (0, 1)", b.Efficiency)
+	}
+}
+
+// TestFinalizeTailOnlyWhenActive pins the observatory's tail rule: the
+// partial window left open at Finalize closes only when it saw activity,
+// and a window opened exactly at the finish time closes one microsecond
+// wide, which then sets the report's virtual end.
+func TestFinalizeTailOnlyWhenActive(t *testing.T) {
+	cfg := Config{Enabled: true, Spec: Spec{WindowSecs: 5}}
+	for _, tc := range []struct {
+		name       string
+		events     []obs.Event
+		now        time.Duration
+		wantEndsUS []int64
+		wantEndUS  int64
+	}{
+		{"idle tail", []obs.Event{{TUS: 1e6, Type: obs.EvIteration}}, 7 * time.Second,
+			[]int64{5e6}, 7e6},
+		{"active tail", []obs.Event{{TUS: 6e6, Type: obs.EvIteration}}, 7 * time.Second,
+			[]int64{5e6, 7e6}, 7e6},
+		{"activity at the finish time", []obs.Event{{TUS: 5e6, Type: obs.EvIteration}}, 5 * time.Second,
+			[]int64{5e6, 5e6 + 1}, 5e6 + 1},
+	} {
+		d := New(cfg, testInputs(), nil)
+		d.Replay(tc.events)
+		d.Finalize(tc.now)
+		var ends []int64
+		for _, w := range d.Windows() {
+			ends = append(ends, w.EndUS)
+		}
+		if !reflect.DeepEqual(ends, tc.wantEndsUS) {
+			t.Errorf("%s: window ends %v, want %v", tc.name, ends, tc.wantEndsUS)
+		}
+		if got := BuildReport(d, Meta{}).VirtualEndUS; got != tc.wantEndUS {
+			t.Errorf("%s: virtual end %dus, want %dus", tc.name, got, tc.wantEndUS)
+		}
 	}
 }
