@@ -189,11 +189,10 @@ type Config struct {
 	PayloadCap    int
 	SingleVersion bool
 
-	// Tracer, when set, redirects the run's Chrome-trace span output —
-	// compute iterations, quiesce, coordinated checkpoints per rank,
-	// remote-checkpoint triggers, helper ship spans, and failures — into an
-	// externally owned recorder. Without it the same spans accumulate in the
-	// cluster's Observer, whose sinks render them on demand.
+	// Tracer, when set, records the run's Chrome-trace spans — compute
+	// iterations, quiesce, coordinated checkpoints per rank,
+	// remote-checkpoint triggers, helper ship spans, and failures. It is the
+	// only switch for span recording: without it no spans are recorded.
 	Tracer *trace.SpanRecorder
 
 	// Lineage, when set and enabled, attaches the per-chunk causal tracer
@@ -679,11 +678,8 @@ func New(cfg Config) (*Cluster, error) {
 				cfg.Shards, cfg.shardFallback),
 		}})
 	}
-	if cfg.Tracer == nil {
-		// No trace sink will read spans from this run; turning recording
-		// off also lets hot sites skip per-span name formatting.
-		o.SetSpansEnabled(false)
-	}
+	// Spans are recorded only into an attached Tracer; without one, hot
+	// sites skip per-span name formatting too.
 	o.UseSpanRecorder(cfg.Tracer)
 	fabric.SetRecorder(o.Recorder(cfg.nodeOffset, "fabric"))
 

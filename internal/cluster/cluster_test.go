@@ -108,7 +108,7 @@ func TestRemoteCheckpointsTriggerEveryK(t *testing.T) {
 	if res.RemoteCkpts != 2 {
 		t.Fatalf("RemoteCkpts = %d, want 2", res.RemoteCkpts)
 	}
-	if got := c.Mesh().Counters.Get("ships"); got == 0 {
+	if got := c.Obs.Registry().Counter("helper_ships", nil).Get(); got == 0 {
 		t.Fatal("no chunks shipped to buddies")
 	}
 	if len(res.HelperUtil) != cfg.Nodes {
@@ -131,7 +131,7 @@ func TestRemotePreCopyMovesDataBeforeTrigger(t *testing.T) {
 	if res.RemoteCkpts != 1 {
 		t.Fatalf("RemoteCkpts = %d, want 1", res.RemoteCkpts)
 	}
-	if got := c.Mesh().Counters.Get("ships"); got == 0 {
+	if got := c.Obs.Registry().Counter("helper_ships", nil).Get(); got == 0 {
 		t.Fatal("pre-copy helper shipped nothing")
 	}
 }

@@ -186,7 +186,6 @@ func newSharded(cfg Config) (*Cluster, error) {
 		Obs:     obs.New(env),
 		sharded: &shardEngine{subs: subs, group: group, barrier: cb},
 	}
-	c.Obs.SetSpansEnabled(false)
 	return c, nil
 }
 

@@ -99,8 +99,8 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 		attrs["inval"] = "1"
 	}
 	s.rec.Emit(obs.EvChunkStaged, c.Name, c.Size, attrs)
-	s.count("staged_bytes", c.Size)
-	s.count("staged_chunks", 1)
+	s.Counters[cStagedBytes].Add(c.Size)
+	s.Counters[cStagedChunks].Add(1)
 	// Protection stays armed from the start of the stage; if a mid-copy
 	// store faulted, the chunk is already unprotected and dirty, and the
 	// next stage re-arms.
@@ -115,8 +115,8 @@ func (s *Store) PreCopyChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 		return 0
 	}
 	n := s.stageChunk(p, c, rateCap)
-	s.count("precopy_bytes", n)
-	s.count("chunks_precopied", 1)
+	s.Counters[cPrecopyBytes].Add(n)
+	s.Counters[cChunksPrecopied].Add(1)
 	return n
 }
 
@@ -153,10 +153,10 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 	}
 	st.Committed = s.commit(p)
 	st.Duration = p.Now() - start
-	s.count("ckpt_bytes", st.BytesCopied)
-	s.count("chunks_copied", int64(st.ChunksCopied))
-	s.count("chunks_skipped", int64(st.ChunksSkipped))
-	s.count("commits", 1)
+	s.Counters[cCkptBytes].Add(st.BytesCopied)
+	s.Counters[cChunksCopied].Add(int64(st.ChunksCopied))
+	s.Counters[cChunksSkipped].Add(int64(st.ChunksSkipped))
+	s.Counters[cCommits].Add(1)
 	s.rec.Emit(obs.EvCheckpointCommit, "", st.BytesCopied, map[string]string{
 		"round":   fmt.Sprintf("%d", round),
 		"copied":  fmt.Sprintf("%d", st.ChunksCopied),
@@ -182,7 +182,7 @@ func (s *Store) ChkptID(p *sim.Proc, id uint64) (CkptStats, error) {
 	}
 	st.Committed = s.commitChunk(p, c)
 	st.Duration = p.Now() - start
-	s.count("ckpt_bytes", st.BytesCopied)
+	s.Counters[cCkptBytes].Add(st.BytesCopied)
 	return st, nil
 }
 
@@ -261,7 +261,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 				k.MetaLock.Lock(p)
 				s.kproc.SetMeta(p, c.metaKey(), nil)
 				k.MetaLock.Unlock(p)
-				s.count("restore_checksum_errors", 1)
+				s.Counters[cRestoreChecksumErrors].Add(1)
 				s.rec.Emit(obs.EvChecksumError, c.Name, c.Size,
 					map[string]string{"action": "salvage", "seq": u64str(rec.Seq)})
 				return nil
@@ -274,7 +274,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	c.Restored = true
 	c.cleanSeq = c.modSeq
 	c.Protect(p)
-	s.count("restores", 1)
+	s.Counters[cRestores].Add(1)
 	source := "local"
 	if s.opts.LazyRestore {
 		source = "lazy"
@@ -306,7 +306,7 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 	pr := c.pending
 	c.pending = nil
 	if pr == nil || overwrite {
-		s.count("lazy_restores_skipped", 1)
+		s.Counters[cLazyRestoresSkipped].Add(1)
 		return nil
 	}
 	mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
@@ -314,14 +314,14 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 	if !s.opts.NoChecksum && checksum(pr.data, c.Size) != pr.sum {
 		return fmt.Errorf("%w: %s (lazy)", ErrChecksum, c.Name)
 	}
-	s.count("lazy_restores", 1)
+	s.Counters[cLazyRestores].Add(1)
 	return nil
 }
 
 // adopt installs externally fetched checkpoint data as the chunk's working
 // contents. The chunk is left dirty so the next local checkpoint
 // re-establishes a local NVM copy.
-func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source, counter string) error {
+func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source string, counter int) error {
 	if int64(len(data)) > c.Size {
 		return fmt.Errorf("core: adopt %s: %d payload bytes exceed chunk size %d",
 			c.Name, len(data), c.Size)
@@ -331,7 +331,7 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source
 	c.Restored = true
 	c.Version = version
 	c.markDirty(p)
-	s.count(counter, 1)
+	s.Counters[counter].Add(1)
 	s.rec.Emit(obs.EvRestore, c.Name, c.Size, map[string]string{"source": source})
 	return nil
 }
@@ -339,14 +339,14 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source
 // AdoptRemote installs checkpoint data fetched from a remote node — the
 // hard-failure recovery path, when the local NVM was lost with the node.
 func (s *Store) AdoptRemote(p *sim.Proc, c *Chunk, data []byte, version uint64) error {
-	return s.adopt(p, c, data, version, "remote", "remote_restores")
+	return s.adopt(p, c, data, version, "remote", cRemoteRestores)
 }
 
 // AdoptBottom installs checkpoint data read back from the bottom (PFS)
 // tier — the cascade's last rung, when both the local version and the
 // remote copy of a chunk are gone.
 func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data []byte, version uint64) error {
-	return s.adopt(p, c, data, version, "bottom", "bottom_restores")
+	return s.adopt(p, c, data, version, "bottom", cBottomRestores)
 }
 
 // HasCommitted reports whether a committed local checkpoint exists for the

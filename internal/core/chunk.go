@@ -146,7 +146,7 @@ func (c *Chunk) markDirty(p *sim.Proc) {
 		if c.stagePending {
 			c.store.rec.Emit(obs.EvChunkReDirtied, c.Name, c.Size,
 				map[string]string{"seq": u64str(c.modSeq + 1)})
-			c.store.count("redirtied_chunks", 1)
+			c.store.Counters[cRedirtied].Add(1)
 		} else {
 			c.store.rec.Emit(obs.EvChunkDirty, c.Name, c.Size,
 				map[string]string{"seq": u64str(c.modSeq + 1)})

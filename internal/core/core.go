@@ -27,7 +27,6 @@ import (
 	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Library errors.
@@ -103,23 +102,54 @@ type Store struct {
 	// stream's per-round grouping.
 	ckptRound int
 
-	// Counters: "precopy_bytes", "ckpt_bytes", "chunks_copied",
-	// "chunks_skipped", "commits", "restores". The obs metrics registry
-	// (when a Recorder is attached) supersedes these for machine-readable
-	// output; they remain the zero-dependency in-process view.
-	Counters trace.Counters
+	// Counters are the store's counts (storeCounters), readable by name and
+	// booked under the same names into the attached recorder's registry.
+	Counters obs.Counters
 }
+
+// Store counters, indexing Store.Counters.
+const (
+	cStagedBytes = iota
+	cStagedChunks
+	cPrecopyBytes
+	cChunksPrecopied
+	cCkptBytes
+	cChunksCopied
+	cChunksSkipped
+	cCommits
+	cRedirtied
+	cRestores
+	cRestoreChecksumErrors
+	cLazyRestores
+	cLazyRestoresSkipped
+	cRemoteRestores
+	cBottomRestores
+)
+
+var storeCounters = obs.NewCounterSet("", []string{
+	cStagedBytes:           "staged_bytes",
+	cStagedChunks:          "staged_chunks",
+	cPrecopyBytes:          "precopy_bytes",
+	cChunksPrecopied:       "chunks_precopied",
+	cCkptBytes:             "ckpt_bytes",
+	cChunksCopied:          "chunks_copied",
+	cChunksSkipped:         "chunks_skipped",
+	cCommits:               "commits",
+	cRedirtied:             "redirtied_chunks",
+	cRestores:              "restores",
+	cRestoreChecksumErrors: "restore_checksum_errors",
+	cLazyRestores:          "lazy_restores",
+	cLazyRestoresSkipped:   "lazy_restores_skipped",
+	cRemoteRestores:        "remote_restores",
+	cBottomRestores:        "bottom_restores",
+}...)
 
 // SetRecorder attaches the observability handle this store publishes
 // checkpoint events and metrics through. Call it before allocations so
 // restore events are captured.
-func (s *Store) SetRecorder(r *obs.Recorder) { s.rec = r }
-
-// count bumps a named counter in both the legacy in-process set and the
-// attached metrics registry.
-func (s *Store) count(name string, delta int64) {
-	s.Counters.Add(name, delta)
-	s.rec.Add(name, delta)
+func (s *Store) SetRecorder(r *obs.Recorder) {
+	s.rec = r
+	s.Counters.SetRecorder(r)
 }
 
 // NewStore builds a checkpoint library instance for the attached kernel
@@ -138,11 +168,12 @@ func NewStore(kproc *nvmkernel.Process, opts Options) *Store {
 		}
 	}
 	return &Store{
-		env:    kproc.Kernel().Env(),
-		kproc:  kproc,
-		alloc:  nvmalloc.New(kproc, "ckpt-heap"),
-		opts:   opts,
-		chunks: make(map[uint64]*Chunk),
+		env:      kproc.Kernel().Env(),
+		kproc:    kproc,
+		alloc:    nvmalloc.New(kproc, "ckpt-heap"),
+		opts:     opts,
+		chunks:   make(map[uint64]*Chunk),
+		Counters: storeCounters.New(),
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"nvmcp/internal/obs"
 	"nvmcp/internal/resource"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // LinkBW is the default per-node link bandwidth: 40 Gbps InfiniBand QDR
@@ -61,11 +60,9 @@ type Fabric struct {
 	// assume sender-side charging.
 	ModelIngress bool
 
-	cumBytes [numClasses]float64
-	series   [numClasses]*trace.Timeline
-	// obsSeries are pre-resolved registry timeline handles (per class), so
-	// per-segment accounting skips label canonicalization.
-	obsSeries [numClasses]*obs.TimelineRef
+	// series is the cumulative-bytes timeline per class: the fabric's own
+	// until a recorder is attached, then the registry's "fabric_bytes".
+	series [numClasses]*obs.Timeline
 
 	// linkFactor is each node's residual link-bandwidth fraction: 1 is
 	// healthy, (0,1) degraded, 0 fully down. Fault injection flips it;
@@ -74,19 +71,42 @@ type Fabric struct {
 	// linkWake releases transfers stalled on a down link when it recovers.
 	linkWake *sim.Signal
 
-	// Counters: "transfers", "segments", "bytes_app", "bytes_ckpt".
-	Counters trace.Counters
-
-	rec *obs.Recorder
+	// Counters are the fabric's counts (fabricCounters), readable by short
+	// name. The byte counts book into the registry with a fabric_ prefix;
+	// the transfer, segment, stall and congestion counts stay in-process.
+	Counters obs.Counters
 }
 
-// SetRecorder attaches the fabric to the run's observability bus: byte
-// counters are mirrored and the per-class cumulative series is published as
-// the "fabric_bytes" timeline, labeled by class (nil-safe).
+// Fabric counters, indexing Fabric.Counters.
+const (
+	cBytesApp = iota
+	cBytesCkpt
+	cTransfers
+	cSegments
+	cLinkStalls
+	cCongestionEvents
+)
+
+var fabricCounters = obs.NewCounterSet("fabric_", []string{
+	cBytesApp:         "bytes_app",
+	cBytesCkpt:        "bytes_ckpt",
+	cTransfers:        "transfers",
+	cSegments:         "segments",
+	cLinkStalls:       "link_stalls",
+	cCongestionEvents: "congestion_events",
+}...).Private(cTransfers, cSegments, cLinkStalls, cCongestionEvents)
+
+// SetRecorder attaches the fabric to the run's observability bus: the byte
+// counters book into its registry and the per-class cumulative series
+// becomes the registry's "fabric_bytes" timeline, labeled by class. Attach
+// before any traffic moves; a nil recorder keeps everything private.
 func (f *Fabric) SetRecorder(r *obs.Recorder) {
-	f.rec = r
+	f.Counters.SetRecorder(r)
+	if r == nil {
+		return
+	}
 	for c := Class(0); c < numClasses; c++ {
-		f.obsSeries[c] = r.TimelineHandle("fabric_bytes", obs.Labels{"class": c.String()})
+		f.series[c] = r.Observer().Registry().Timeline("fabric_bytes", obs.Labels{"class": c.String()})
 	}
 }
 
@@ -104,6 +124,7 @@ func New(env *sim.Env, n int, linkBW float64) *Fabric {
 		Latency:    DefaultLatency,
 		linkFactor: make([]float64, n),
 		linkWake:   sim.NewSignal(env),
+		Counters:   fabricCounters.New(),
 	}
 	for i := range f.linkFactor {
 		f.linkFactor[i] = 1
@@ -113,7 +134,7 @@ func New(env *sim.Env, n int, linkBW float64) *Fabric {
 		f.ingress[i] = resource.NewPipe(env, fmt.Sprintf("node%d-ingress", i), linkBW, resource.FlatScaling())
 	}
 	for c := range f.series {
-		f.series[c] = &trace.Timeline{}
+		f.series[c] = &obs.Timeline{}
 	}
 	return f
 }
@@ -129,7 +150,7 @@ func (f *Fabric) Ingress(node int) *resource.Pipe { return f.ingress[node] }
 
 // Series returns the cumulative-bytes timeline for a traffic class; use
 // DiffBuckets on it for per-window transferred volume (Figure 10).
-func (f *Fabric) Series(c Class) *trace.Timeline { return f.series[c] }
+func (f *Fabric) Series(c Class) *obs.Timeline { return f.series[c] }
 
 // SetLinkFactor sets a node's residual link-bandwidth fraction: 1 restores
 // full health, a value in (0,1) degrades both directions, 0 takes the node's
@@ -212,7 +233,7 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64, class Class, ra
 	if size <= 0 || from == to {
 		return
 	}
-	f.Counters.Add("transfers", 1)
+	f.Counters[cTransfers].Add(1)
 	pipe := f.egress[from]
 
 	var rxQueue *sim.Queue[int64]
@@ -254,7 +275,7 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64, class Class, ra
 		// A down endpoint stalls the transfer until the link recovers; a
 		// degraded one stretches the segment by the residual fraction.
 		for f.pathFactor(from, to) <= 0 {
-			f.Counters.Add("link_stalls", 1)
+			f.Counters[cLinkStalls].Add(1)
 			f.linkWake.Wait(p)
 		}
 		phi := f.pathFactor(from, to)
@@ -275,7 +296,7 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64, class Class, ra
 		remaining -= seg
 		segments++
 		f.account(class, seg)
-		f.Counters.Add("segments", 1)
+		f.Counters[cSegments].Add(1)
 	}
 	if rxQueue != nil {
 		rxQueue.Put(-1)
@@ -290,7 +311,7 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64, class Class, ra
 			if max := congestionPenaltyCap * ideal.Seconds(); penalty > max {
 				penalty = max
 			}
-			f.Counters.Add("congestion_events", 1)
+			f.Counters[cCongestionEvents].Add(1)
 			p.Sleep(time.Duration(penalty * float64(time.Second)))
 		}
 	}
@@ -315,21 +336,22 @@ func (f *Fabric) Send(p *sim.Proc, from, to int, size int64) {
 	f.Transfer(p, from, to, size, ClassApp, 0)
 }
 
-func (f *Fabric) account(class Class, n int64) {
-	f.cumBytes[class] += float64(n)
-	f.series[class].Set(f.env.Now(), f.cumBytes[class])
-	f.obsSeries[class].Set(f.cumBytes[class])
-	if class == ClassApp {
-		f.Counters.Add("bytes_app", n)
-		f.rec.Add("fabric_bytes_app", n)
-	} else {
-		f.Counters.Add("bytes_ckpt", n)
-		f.rec.Add("fabric_bytes_ckpt", n)
+// byteCount returns a traffic class's byte counter.
+func (f *Fabric) byteCount(c Class) *obs.Count {
+	if c == ClassCkpt {
+		return &f.Counters[cBytesCkpt]
 	}
+	return &f.Counters[cBytesApp]
+}
+
+func (f *Fabric) account(class Class, n int64) {
+	bc := f.byteCount(class)
+	bc.Add(n)
+	f.series[class].Set(f.env.Now(), float64(bc.Get()))
 }
 
 // Bytes returns total bytes moved for a class.
-func (f *Fabric) Bytes(c Class) float64 { return f.cumBytes[c] }
+func (f *Fabric) Bytes(c Class) float64 { return float64(f.byteCount(c).Get()) }
 
 // PeakCkptWindow returns the peak checkpoint bytes moved in any window of
 // the given width up to end — the Figure 10 metric.

@@ -2,9 +2,11 @@ package interconnect
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
 )
 
@@ -287,5 +289,41 @@ func TestZeroAndNegativeSizesNoop(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Fatal("zero-size transfer consumed time")
+	}
+}
+
+// TestRecorderBooksBytesOnly attaches a recorder: the byte counts book into
+// the registry under the fabric_ prefix, the per-class series is the
+// registry's fabric_bytes timeline, and the transfer and segment counts stay
+// in-process while by-name reads still return them (the 20 MiB write
+// crosses as two 16 MiB segments).
+func TestRecorderBooksBytesOnly(t *testing.T) {
+	e := sim.NewEnv()
+	f := New(e, 2, 100*mb)
+	o := obs.New(e)
+	f.SetRecorder(o.Recorder(0, "fabric"))
+	e.Go("w", func(p *sim.Proc) {
+		f.Send(p, 0, 1, 10*mb)
+		f.RDMAWrite(p, 0, 1, 20*mb, 0)
+	})
+	e.Run()
+	reg := o.Registry()
+	scope := `{actor="fabric",node="0"}`
+	want := map[string]float64{
+		"fabric_bytes_app": 10 * mb, "fabric_bytes_app" + scope: 10 * mb,
+		"fabric_bytes_ckpt": 20 * mb, "fabric_bytes_ckpt" + scope: 20 * mb,
+	}
+	if got := reg.Flatten(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry = %v, want %v", got, want)
+	}
+	if f.Series(ClassCkpt) != reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}) {
+		t.Fatal("ckpt series is not the registry's fabric_bytes timeline")
+	}
+	if got := f.Series(ClassCkpt).At(e.Now()); got != 20*mb {
+		t.Fatalf("cumulative ckpt bytes = %v, want 20MB", got)
+	}
+	if f.Counters.Get("transfers") != 2 || f.Counters.Get("segments") != 3 || f.Counters.Get("bytes_app") != 10*mb {
+		t.Fatalf("by-name reads: transfers=%d segments=%d bytes_app=%d",
+			f.Counters.Get("transfers"), f.Counters.Get("segments"), f.Counters.Get("bytes_app"))
 	}
 }

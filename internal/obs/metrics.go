@@ -288,24 +288,6 @@ func (r *Registry) Timeline(name string, labels Labels) *Timeline {
 	return t
 }
 
-// CounterTotal sums a counter across every label set it was published under —
-// the cluster-level rollup of a per-node/per-rank counter.
-func (r *Registry) CounterTotal(name string) int64 {
-	r.mu.Lock()
-	var cs []*Counter
-	for key, c := range r.counters {
-		if key.name == name {
-			cs = append(cs, c)
-		}
-	}
-	r.mu.Unlock()
-	var total int64
-	for _, c := range cs {
-		total += c.Get()
-	}
-	return total
-}
-
 // sortedKeys returns the keys of any metric map in deterministic order.
 func sortedKeys[V any](m map[metricKey]V) []metricKey {
 	keys := make([]metricKey, 0, len(m))

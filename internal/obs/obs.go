@@ -10,9 +10,9 @@ import (
 )
 
 // Observer is one run's instrumentation hub: the event bus, the metrics
-// registry, and the Chrome span recorder, all stamped with the simulation's
-// virtual clock. Create one per sim.Env; concurrent publication from
-// different host goroutines is safe — the bus and the span recorder are
+// registry, and an optional Chrome span recorder, all stamped with the
+// simulation's virtual clock. Create one per sim.Env; concurrent publication
+// from different host goroutines is safe — the bus and the span recorder are
 // serialized by the observer's mutex, the registry by its own.
 type Observer struct {
 	env *sim.Env
@@ -21,7 +21,6 @@ type Observer struct {
 	mu      sync.Mutex
 	events  []Event
 	spans   *trace.SpanRecorder
-	spansOn bool
 	taps    []func(Event)
 	lastTUS int64
 }
@@ -30,12 +29,7 @@ type Observer struct {
 // engine's warn hook, so rare engine warnings (negative-delay clamps) land
 // on the event bus as EvEngineWarn.
 func New(env *sim.Env) *Observer {
-	o := &Observer{
-		env:     env,
-		reg:     NewRegistry(),
-		spans:   trace.NewSpanRecorder(),
-		spansOn: true,
-	}
+	o := &Observer{env: env, reg: NewRegistry()}
 	env.SetWarnFunc(func(code, msg string) {
 		o.Emit(Event{Type: EvEngineWarn, Actor: "sim",
 			Attrs: map[string]string{"code": code, "msg": msg}})
@@ -43,37 +37,24 @@ func New(env *sim.Env) *Observer {
 	return o
 }
 
-// SetSpansEnabled turns span/instant recording on or off. Runs that never
-// render a Chrome trace disable it so the hot path skips both the recording
-// and the per-span label formatting (see Recorder.SpansActive).
-func (o *Observer) SetSpansEnabled(on bool) {
-	o.mu.Lock()
-	o.spansOn = on
-	o.mu.Unlock()
-}
-
 // Registry returns the metrics registry.
 func (o *Observer) Registry() *Registry { return o.reg }
 
-// Spans returns the Chrome/Perfetto span recorder. Callers must not write
-// to it concurrently with live Recorders; read it after the run.
+// Spans returns the attached Chrome/Perfetto span recorder, nil when none
+// is. Callers must not write to it concurrently with live Recorders; read it
+// after the run.
 func (o *Observer) Spans() *trace.SpanRecorder {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.spans
 }
 
-// UseSpanRecorder redirects span emission into an externally owned recorder
-// (cmd/nvmcp-trace passes its own so pre-existing callers keep working).
-// Attaching a recorder implies the caller wants spans, so it re-enables
-// recording if a prior SetSpansEnabled(false) turned it off.
+// UseSpanRecorder attaches the recorder that spans, instants and process
+// names are written to. Until one is attached nothing is recorded; nil
+// detaches it again.
 func (o *Observer) UseSpanRecorder(r *trace.SpanRecorder) {
-	if r == nil {
-		return
-	}
 	o.mu.Lock()
 	o.spans = r
-	o.spansOn = true
 	o.mu.Unlock()
 }
 
@@ -233,13 +214,21 @@ func (r *Recorder) Emit(t Type, chunk string, bytes int64, attrs map[string]stri
 
 // Add increments the named counter in both the recorder's (node, actor)
 // scope and the cluster scope, so per-node breakdowns and rollups are always
-// both available.
+// both available. Components that count the same names over and over hold
+// Count handles instead, which resolve both series once.
 func (r *Recorder) Add(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.o.reg.counterCanon(name, r.scopeCanon, r.scopeLabels).Add(delta)
-	r.o.reg.counterCanon(name, "", nil).Add(delta)
+	scoped, total := r.series(name)
+	scoped.Add(delta)
+	total.Add(delta)
+}
+
+// series resolves the two counters Add books name into: the recorder's
+// (node, actor) series and the cluster rollup. Both are created here.
+func (r *Recorder) series(name string) (scoped, total *Counter) {
+	return r.o.reg.counterCanon(name, r.scopeCanon, r.scopeLabels), r.o.reg.counterCanon(name, "", nil)
 }
 
 // SetGauge sets the named gauge in the recorder's scope.
@@ -261,7 +250,8 @@ func (r *Recorder) Observe(name string, edges []float64, v float64) {
 
 // TimelineSet appends a step to a labeled cluster-scope timeline (e.g. the
 // fabric's cumulative checkpoint bytes; labeled by class, not node, so the
-// figure code reads one series). Hot callers should prefer TimelineHandle.
+// figure code reads one series). Hot callers should hold the registry's
+// Timeline instead of re-resolving it per step.
 func (r *Recorder) TimelineSet(name string, labels Labels, v float64) {
 	if r == nil {
 		return
@@ -269,40 +259,16 @@ func (r *Recorder) TimelineSet(name string, labels Labels, v float64) {
 	r.o.reg.Timeline(name, labels).Set(r.o.env.Now(), v)
 }
 
-// TimelineHandle resolves a labeled timeline once so per-step publication
-// skips label canonicalization; SetAt stamps with the observer's clock.
-// Returns nil on a nil recorder — TimelineRef is nil-safe in turn.
-func (r *Recorder) TimelineHandle(name string, labels Labels) *TimelineRef {
-	if r == nil {
-		return nil
-	}
-	return &TimelineRef{o: r.o, tl: r.o.reg.Timeline(name, labels)}
-}
-
-// TimelineRef is a pre-resolved, nil-safe timeline publication handle.
-type TimelineRef struct {
-	o  *Observer
-	tl *Timeline
-}
-
-// Set appends a step at the current virtual time.
-func (t *TimelineRef) Set(v float64) {
-	if t == nil {
-		return
-	}
-	t.tl.Set(t.o.env.Now(), v)
-}
-
-// SpansActive reports whether span recording is on — callers formatting
-// span names (Sprintf per iteration) should guard on it so a traceless run
-// pays nothing.
+// SpansActive reports whether a span recorder is attached — callers
+// formatting span names (Sprintf per iteration) should guard on it so a
+// traceless run pays nothing.
 func (r *Recorder) SpansActive() bool {
 	if r == nil {
 		return false
 	}
 	r.o.mu.Lock()
 	defer r.o.mu.Unlock()
-	return r.o.spansOn
+	return r.o.spans != nil
 }
 
 // Span records a completed interval on the recorder's node, in lane tid —
@@ -313,7 +279,7 @@ func (r *Recorder) Span(name, cat string, lane int, start, dur time.Duration, ar
 		return
 	}
 	r.o.mu.Lock()
-	if r.o.spansOn {
+	if r.o.spans != nil {
 		r.o.spans.Span(name, cat, r.node, lane, start, dur, args)
 	}
 	r.o.mu.Unlock()
@@ -325,7 +291,7 @@ func (r *Recorder) Instant(name, cat string, lane int, at time.Duration, args ma
 		return
 	}
 	r.o.mu.Lock()
-	if r.o.spansOn {
+	if r.o.spans != nil {
 		r.o.spans.Instant(name, cat, r.node, lane, at, args)
 	}
 	r.o.mu.Unlock()
@@ -337,7 +303,7 @@ func (r *Recorder) NameProcess(name string) {
 		return
 	}
 	r.o.mu.Lock()
-	if r.o.spansOn {
+	if r.o.spans != nil {
 		r.o.spans.NameProcess(r.node, name)
 	}
 	r.o.mu.Unlock()

@@ -102,11 +102,26 @@ type Engine struct {
 
 	// Meter tracks worker busy time (pre-copy CPU usage).
 	Meter trace.Meter
-	// Counters: "mod_events", "precopy_copies", "precopy_bytes", and
-	// "raced_copies" (chunks modified again while their pre-copy was in
-	// flight — work the checkpoint must redo).
-	Counters trace.Counters
+	// Counters are the engine's counts (engineCounters), readable by name
+	// and booked under the same names into cfg.Rec's registry. The bytes a
+	// pre-copy moves are counted once, by core.Store.PreCopyChunk.
+	Counters obs.Counters
 }
+
+// Engine counters, indexing Engine.Counters. Raced copies are chunks
+// modified again while their pre-copy was in flight — work the checkpoint
+// must redo.
+const (
+	cModEvents = iota
+	cCopies
+	cRacedCopies
+)
+
+var engineCounters = obs.NewCounterSet("", []string{
+	cModEvents:   "mod_events",
+	cCopies:      "precopy_copies",
+	cRacedCopies: "raced_copies",
+}...)
 
 // New attaches an engine to a store and starts its background worker.
 func New(store *core.Store, cfg Config) *Engine {
@@ -122,7 +137,9 @@ func New(store *core.Store, cfg Config) *Engine {
 		copyDone:  sim.NewCompletion(env),
 		predicted: make(map[uint64]int64),
 		modsNow:   make(map[uint64]int64),
+		Counters:  engineCounters.New(),
 	}
+	e.Counters.SetRecorder(cfg.Rec)
 	e.copyDone.Complete() // not copying initially
 	store.OnModify(e.onModify)
 	if cfg.Scheme != NoPreCopy {
@@ -148,7 +165,7 @@ func (e *Engine) onModify(c *core.Chunk) {
 		return
 	}
 	e.modsNow[c.ID]++
-	e.count("mod_events", 1)
+	e.Counters[cModEvents].Add(1)
 	switch e.cfg.Scheme {
 	case DCPCP:
 		// Keep counting episodes until the prediction is met (or while
@@ -255,12 +272,9 @@ func (e *Engine) run(p *sim.Proc) {
 		e.copyDone.Complete()
 		if n > 0 {
 			raced := c.ModSeq() != seqBefore
-			e.count("precopy_copies", 1)
-			// precopy_bytes is already published by core.Store.PreCopyChunk;
-			// mirroring it here would double the cluster rollup.
-			e.Counters.Add("precopy_bytes", n)
+			e.Counters[cCopies].Add(1)
 			if raced {
-				e.count("raced_copies", 1)
+				e.Counters[cRacedCopies].Add(1)
 			}
 			e.cfg.Rec.Emit(obs.EvPrecopyCopy, c.Name, n, map[string]string{
 				"raced": strconv.FormatBool(raced),
@@ -272,13 +286,6 @@ func (e *Engine) run(p *sim.Proc) {
 			}
 		}
 	}
-}
-
-// count mirrors a legacy counter onto the obs registry. precopy_bytes is the
-// exception (core already publishes it) and keeps the raw Counters path.
-func (e *Engine) count(name string, delta int64) {
-	e.Counters.Add(name, delta)
-	e.cfg.Rec.Add(name, delta)
 }
 
 // nextCandidate picks the next chunk eligible for background staging, in

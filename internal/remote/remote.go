@@ -130,15 +130,26 @@ type Mesh struct {
 	// copy the holder keeps.
 	inflight [][]chunkKey
 
-	// Counters: "ships", "ship_bytes", "remote_commits", "fetches".
-	Counters trace.Counters
-
-	rec *obs.Recorder
+	// Counters are the mesh's counts (meshCounters), readable by short name
+	// and booked into the registry with a remote_ prefix. Ships are counted
+	// once, per agent.
+	Counters obs.Counters
 }
 
-// SetRecorder attaches the mesh to the run's observability bus; mesh-level
-// counters are mirrored as "remote_fetches" / "remote_commits".
-func (m *Mesh) SetRecorder(r *obs.Recorder) { m.rec = r }
+// Mesh counters, indexing Mesh.Counters.
+const (
+	cFetches = iota
+	cRemoteCommits
+)
+
+var meshCounters = obs.NewCounterSet("remote_", []string{
+	cFetches:       "fetches",
+	cRemoteCommits: "commits",
+}...)
+
+// SetRecorder attaches the mesh's counters to the run's observability bus,
+// as "remote_fetches" / "remote_commits".
+func (m *Mesh) SetRecorder(r *obs.Recorder) { m.Counters.SetRecorder(r) }
 
 // NewMesh builds a remote-checkpoint mesh over a fabric; nvm[i] is node i's
 // NVM device.
@@ -155,6 +166,7 @@ func NewMesh(env *sim.Env, fabric *interconnect.Fabric, nvm []*mem.Device) *Mesh
 		down:   make([]bool, fabric.Nodes()),
 
 		inflight: make([][]chunkKey, fabric.Nodes()),
+		Counters: meshCounters.New(),
 	}
 	for i := range m.data {
 		m.data[i] = make(map[chunkKey]*remoteChunk)
@@ -193,7 +205,9 @@ func (m *Mesh) AddAgent(node, buddy int, cfg Config) *Agent {
 		idle:    sim.NewCompletion(m.env),
 
 		burstTarget: make(map[chunkKey]uint64),
+		Counters:    agentCounters.New(),
 	}
+	a.Counters.SetRecorder(cfg.Rec)
 	a.idle.Complete()
 	a.intervalStart = m.env.Now()
 	a.proc = m.env.Go(fmt.Sprintf("helper/node%d", node), a.run)
@@ -240,8 +254,7 @@ func (m *Mesh) Fetch(p *sim.Proc, srcNode int, procName string, id uint64) ([]by
 	if !ok || rc.committed < 0 {
 		return nil, 0, 0, false
 	}
-	m.Counters.Add("fetches", 1)
-	m.rec.Add("remote_fetches", 1)
+	m.Counters[cFetches].Add(1)
 	m.fabric.RDMARead(p, a.buddy, srcNode, rc.size)
 	m.nvm[srcNode].WriteBytes(p, rc.size)
 	return rc.versions[rc.committed], rc.size, rc.seqs[rc.committed], true
@@ -316,9 +329,32 @@ type Agent struct {
 
 	// Meter tracks helper busy time — Table V's helper-core utilization.
 	Meter trace.Meter
-	// Counters: "ships", "ship_bytes", "commits", "scan_rounds".
-	Counters trace.Counters
+	// Counters are the helper's counts (agentCounters), readable by short
+	// name and booked into cfg.Rec's registry with a helper_ prefix, which
+	// keeps them apart from the per-store checkpoint counters.
+	Counters obs.Counters
 }
+
+// Agent counters, indexing Agent.Counters.
+const (
+	cShips = iota
+	cShipBytes
+	cCommits
+	cScanRounds
+	cShipRetries
+	cShipsDropped
+	cBuddyFailovers
+)
+
+var agentCounters = obs.NewCounterSet("helper_", []string{
+	cShips:          "ships",
+	cShipBytes:      "ship_bytes",
+	cCommits:        "commits",
+	cScanRounds:     "scan_rounds",
+	cShipRetries:    "ship_retries",
+	cShipsDropped:   "ships_dropped",
+	cBuddyFailovers: "buddy_failovers",
+}...)
 
 // Register adds a local rank's store to the helper's scan set, seeding its
 // ship queue with the chunks it already holds.
@@ -447,7 +483,7 @@ func (a *Agent) shipWithRetry(p *sim.Proc, st core.ChunkState, store *core.Store
 			return
 		}
 		if attempt < a.cfg.MaxShipRetries {
-			a.count("helper_ship_retries", 1)
+			a.Counters[cShipRetries].Add(1)
 			a.cfg.Rec.Emit(obs.EvShipRetry, store.Proc().Name()+"/"+st.Name,
 				st.Size, map[string]string{"reason": reason, "attempt": fmt.Sprintf("%d", attempt)})
 			backoff := a.cfg.RetryBackoff << uint(attempt)
@@ -462,7 +498,7 @@ func (a *Agent) shipWithRetry(p *sim.Proc, st core.ChunkState, store *core.Store
 			attempt = 0
 			continue
 		}
-		a.count("helper_ships_dropped", 1)
+		a.Counters[cShipsDropped].Add(1)
 		return
 	}
 }
@@ -484,7 +520,7 @@ func (a *Agent) failover() bool {
 		for _, q := range a.queues {
 			q.seed()
 		}
-		a.count("helper_buddy_failovers", 1)
+		a.Counters[cBuddyFailovers].Add(1)
 		a.cfg.Rec.Emit(obs.EvBuddyFailover, "", 0, map[string]string{
 			"from": fmt.Sprintf("%d", old), "to": fmt.Sprintf("%d", cand),
 		})
@@ -506,7 +542,7 @@ func (a *Agent) nextToShip(p *sim.Proc) (core.ChunkState, *core.Store) {
 			return core.ChunkState{}, nil
 		}
 	}
-	a.count("helper_scan_rounds", 1)
+	a.Counters[cScanRounds].Add(1)
 	for _, q := range a.queues {
 		k := q.store.Kernel()
 		k.MetaLock.Lock(p)
@@ -594,15 +630,6 @@ func (a *Agent) pick(q *shipQueue) *core.Chunk {
 	return nil
 }
 
-// count bumps a helper counter. metric is its obs registry name, which
-// carries a helper_ prefix to keep it distinct from the per-store checkpoint
-// counters; the in-process Counters key drops the prefix. Passing the full
-// name keeps the per-call path free of string building.
-func (a *Agent) count(metric string, delta int64) {
-	a.Counters.Add(strings.TrimPrefix(metric, "helper_"), delta)
-	a.cfg.Rec.Add(metric, delta)
-}
-
 // HelperCPURate is the helper core's effective processing rate for
 // checkpoint data (metadata walk, chunk read, work-request posting, buffer
 // management): the CPU side of shipping a chunk, as distinct from the wire
@@ -675,12 +702,8 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 	}
 	a.shipped[key] = st.CleanSeq
 
-	a.count("helper_ships", 1)
-	a.count("helper_ship_bytes", st.Size)
-	// Mesh totals stay on the legacy counters only: the agent mirror above
-	// already feeds the cluster rollup once.
-	m.Counters.Add("ships", 1)
-	m.Counters.Add("ship_bytes", st.Size)
+	a.Counters[cShips].Add(1)
+	a.Counters[cShipBytes].Add(st.Size)
 }
 
 // commitRemote flips the committed version of every chunk of this agent's
@@ -725,9 +748,8 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 			"buddy": strconv.Itoa(a.buddy),
 		})
 	}
-	a.count("helper_commits", 1)
-	a.mesh.Counters.Add("remote_commits", 1)
-	a.mesh.rec.Add("remote_commits", 1)
+	a.Counters[cCommits].Add(1)
+	m.Counters[cRemoteCommits].Add(1)
 	a.cfg.Rec.Emit(obs.EvRemoteCommit, "", 0, map[string]string{
 		"buddy": fmt.Sprintf("%d", a.buddy),
 	})

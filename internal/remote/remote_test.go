@@ -9,6 +9,7 @@ import (
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/nvmkernel"
+	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
 )
 
@@ -350,5 +351,82 @@ func TestPreCopyReducesPeakInterconnectVsBurst(t *testing.T) {
 	}
 	if precopyPeak > 0.6*burstPeak {
 		t.Fatalf("pre-copy peak %v vs burst %v: want roughly half or less", precopyPeak, burstPeak)
+	}
+}
+
+// TestCountersReadByShortName ships, commits and fetches one chunk with and
+// without a recorder: by-name reads return the short-name counts either way,
+// and with a recorder each count lands once in the registry, under its
+// component's prefix.
+func TestCountersReadByShortName(t *testing.T) {
+	for _, recorded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recorder=%v", recorded), func(t *testing.T) {
+			e := sim.NewEnv()
+			fabric := interconnect.New(e, 2, 0)
+			nvms := []*mem.Device{mem.NewPCM(e, 16*mem.GB), mem.NewPCM(e, 16*mem.GB)}
+			k0 := nvmkernel.New(e, mem.NewDRAM(e, 16*mem.GB), nvms[0])
+			mesh := NewMesh(e, fabric, nvms)
+			cfg := Config{Scheme: AsyncBurst}
+			var o *obs.Observer
+			if recorded {
+				o = obs.New(e)
+				fabric.SetRecorder(o.Recorder(0, "fabric"))
+				mesh.SetRecorder(o.Recorder(0, "mesh"))
+				cfg.Rec = o.Recorder(0, "helper")
+			}
+			agent := mesh.AddAgent(0, 1, cfg)
+			store := core.NewStore(k0.Attach("rank0"), core.Options{})
+			agent.Register(store)
+			e.Go("app", func(p *sim.Proc) {
+				c, _ := store.NVAlloc(p, "field", 10*mem.MB, true)
+				c.WriteAll(p)
+				store.ChkptAll(p)
+				agent.TriggerRemote(p).Await(p)
+				if _, _, _, ok := mesh.Fetch(p, 0, "rank0", c.ID); !ok {
+					t.Error("remote fetch failed")
+				}
+				agent.Stop()
+			})
+			e.Run()
+
+			for _, tc := range []struct {
+				what string
+				got  int64
+				want int64
+			}{
+				{"agent ships", agent.Counters.Get("ships"), 1},
+				{"agent ship_bytes", agent.Counters.Get("ship_bytes"), 10 * mem.MB},
+				{"agent commits", agent.Counters.Get("commits"), 1},
+				{"mesh fetches", mesh.Counters.Get("fetches"), 1},
+				{"mesh commits", mesh.Counters.Get("commits"), 1},
+				{"fabric bytes_ckpt", fabric.Counters.Get("bytes_ckpt"), 20 * mem.MB},
+				{"fabric transfers", fabric.Counters.Get("transfers"), 2},
+			} {
+				if tc.got != tc.want {
+					t.Errorf("%s = %d, want %d", tc.what, tc.got, tc.want)
+				}
+			}
+			if !recorded {
+				return
+			}
+			flat := o.Registry().Flatten()
+			for name, want := range map[string]float64{
+				"helper_ships":      1,
+				"helper_ship_bytes": float64(10 * mem.MB),
+				"helper_commits":    1,
+				"remote_fetches":    1,
+				"remote_commits":    1,
+				"fabric_bytes_ckpt": float64(20 * mem.MB),
+			} {
+				if got := flat[name]; got != want {
+					t.Errorf("registry rollup %s = %v, want %v", name, got, want)
+				}
+			}
+			for _, name := range []string{"ships", "remote_ships", "ship_bytes", "fabric_transfers", "transfers"} {
+				if _, ok := flat[name]; ok {
+					t.Errorf("registry holds %s; it must be booked once or stay in-process", name)
+				}
+			}
+		})
 	}
 }
