@@ -25,6 +25,7 @@ import (
 	"nvmcp/internal/drift"
 	"nvmcp/internal/experiments"
 	"nvmcp/internal/model"
+	"nvmcp/internal/report"
 	"nvmcp/internal/slo"
 	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
@@ -116,12 +117,12 @@ func runDiff(args []string, tolerance float64, asJSON bool) int {
 		fmt.Fprintln(os.Stderr, "usage: nvmcp-analyze -diff baseline.json new.json [-tolerance 0.05]")
 		return 2
 	}
-	a, err := slo.ReadReportFile(args[0])
+	a, err := report.ReadFile[slo.Report]("slo", args[0], slo.SchemaVersion)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-analyze: baseline: %v\n", err)
 		return 2
 	}
-	b, err := slo.ReadReportFile(args[1])
+	b, err := report.ReadFile[slo.Report]("slo", args[1], slo.SchemaVersion)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-analyze: new report: %v\n", err)
 		return 2

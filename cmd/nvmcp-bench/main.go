@@ -24,6 +24,7 @@ import (
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/experiments"
 	"nvmcp/internal/introspect"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/stress"
 	"nvmcp/internal/workload"
@@ -317,7 +318,7 @@ func writeStressReport(path string, rep stress.Report) error {
 	if err != nil {
 		return err
 	}
-	if err := stress.WriteJSON(jf, rep); err != nil {
+	if err := report.WriteJSON(jf, "stress", rep); err != nil {
 		_ = jf.Close() // the write error is the one worth reporting
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"nvmcp/internal/drift"
 	"nvmcp/internal/lineage"
 	"nvmcp/internal/obs"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 )
 
@@ -121,7 +122,7 @@ func driftArtifacts(t *testing.T, cfg Config) []byte {
 		t.Fatal("drift observatory not attached")
 	}
 	var buf bytes.Buffer
-	if err := drift.WriteJSON(&buf, drift.BuildReport(c.Drift, drift.Meta{Tool: "shard-test"})); err != nil {
+	if err := report.WriteJSON(&buf, "drift", drift.BuildReport(c.Drift, drift.Meta{Tool: "shard-test"})); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&buf, "violations=%d\n", res.DriftViolations)

@@ -11,6 +11,7 @@ import (
 
 	"nvmcp/internal/model"
 	"nvmcp/internal/obs"
+	"nvmcp/internal/report"
 )
 
 func testInputs() Inputs {
@@ -396,10 +397,10 @@ func TestReplayMatchesObserve(t *testing.T) {
 
 	meta := Meta{Tool: "test", Scenario: "replay", Seed: 7}
 	var a, b bytes.Buffer
-	if err := WriteJSON(&a, BuildReport(live, meta)); err != nil {
+	if err := report.WriteJSON(&a, "drift", BuildReport(live, meta)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&b, BuildReport(replayed, meta)); err != nil {
+	if err := report.WriteJSON(&b, "drift", BuildReport(replayed, meta)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -420,11 +421,11 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(f, rep); err != nil {
+	if err := report.WriteJSON(f, "drift", rep); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, err := ReadReportFile(path)
+	got, err := report.ReadFile[Report]("drift", path, SchemaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/drift"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 )
 
@@ -46,7 +47,7 @@ func TestGoldenReports(t *testing.T) {
 			}
 			rep := drift.BuildReport(c.Drift, drift.Meta{Tool: "test", Scenario: tc.sc.Name, Seed: tc.sc.FaultSeed})
 			var js, page bytes.Buffer
-			if err := drift.WriteJSON(&js, rep); err != nil {
+			if err := report.WriteJSON(&js, "drift", rep); err != nil {
 				t.Fatal(err)
 			}
 			if err := drift.WriteHTML(&page, rep); err != nil {

@@ -1,11 +1,9 @@
 package drift
 
 import (
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -80,33 +78,6 @@ func BuildReport(d *Observatory, m Meta) Report {
 		rep.Violations = []Violation{}
 	}
 	return rep
-}
-
-// WriteJSON writes the indented, byte-stable JSON form.
-func WriteJSON(w io.Writer, rep Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("drift: encode report: %w", err)
-	}
-	return nil
-}
-
-// ReadReportFile loads and schema-checks a report written by WriteJSON.
-func ReadReportFile(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, fmt.Errorf("drift: read report: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return Report{}, fmt.Errorf("drift: parse report %s: %w", path, err)
-	}
-	if rep.SchemaVersion != SchemaVersion {
-		return Report{}, fmt.Errorf("drift: report %s has schema_version %d, want %d",
-			path, rep.SchemaVersion, SchemaVersion)
-	}
-	return rep, nil
 }
 
 // WriteHTML renders the standalone drift page (the same section the SLO

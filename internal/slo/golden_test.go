@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/slo"
 )
@@ -57,7 +58,7 @@ func checkGolden(t *testing.T, path string, got []byte) {
 func TestGoldenJSONReport(t *testing.T) {
 	rep := goldenRun(t, "slo-paper")
 	var buf bytes.Buffer
-	if err := slo.WriteJSON(&buf, rep); err != nil {
+	if err := report.WriteJSON(&buf, "slo", rep); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, filepath.Join("testdata", "slo-paper-tiny.golden.json"), buf.Bytes())
@@ -68,7 +69,7 @@ func TestGoldenJSONReport(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := slo.ReadReportFile(path)
+	back, err := report.ReadFile[slo.Report]("slo", path, slo.SchemaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestGoldenFaultsReport(t *testing.T) {
 			rep.Summary.MTTRSeconds, rep.Summary.DegradedSeconds)
 	}
 	var js, page bytes.Buffer
-	if err := slo.WriteJSON(&js, rep); err != nil {
+	if err := report.WriteJSON(&js, "slo", rep); err != nil {
 		t.Fatal(err)
 	}
 	if err := slo.WriteHTML(&page, rep); err != nil {
@@ -124,7 +125,7 @@ func TestSchemaVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema_version": 99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slo.ReadReportFile(path); err == nil {
+	if _, err := report.ReadFile[slo.Report]("slo", path, slo.SchemaVersion); err == nil {
 		t.Fatal("schema version 99 accepted")
 	}
 }

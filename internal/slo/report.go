@@ -1,13 +1,6 @@
 package slo
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-
-	"nvmcp/internal/drift"
-)
+import "nvmcp/internal/drift"
 
 // SchemaVersion identifies the run-report JSON layout. Bump on incompatible
 // change; the diff refuses to compare mismatched versions.
@@ -70,32 +63,4 @@ func BuildReport(r *Recorder, meta Meta) Report {
 		rep.Violations = []Violation{}
 	}
 	return rep
-}
-
-// WriteJSON renders the report as indented, key-sorted (Go maps marshal
-// sorted), byte-stable JSON.
-func WriteJSON(w io.Writer, rep Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("slo: encode report: %w", err)
-	}
-	return nil
-}
-
-// ReadReportFile loads a report artifact, checking the schema version.
-func ReadReportFile(path string) (Report, error) {
-	var rep Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("slo: read report: %w", err)
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("slo: parse report %s: %w", path, err)
-	}
-	if rep.SchemaVersion != SchemaVersion {
-		return rep, fmt.Errorf("slo: report %s has schema version %d, this build understands %d",
-			path, rep.SchemaVersion, SchemaVersion)
-	}
-	return rep, nil
 }

@@ -1,11 +1,7 @@
 package stress
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -103,31 +99,4 @@ func Round6(v float64) float64 {
 		return 0
 	}
 	return math.Round(v*1e6) / 1e6
-}
-
-// WriteJSON renders the report as indented, byte-stable JSON.
-func WriteJSON(w io.Writer, rep Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("stress: encode report: %w", err)
-	}
-	return nil
-}
-
-// ReadReportFile loads a report artifact, checking the schema version.
-func ReadReportFile(path string) (Report, error) {
-	var rep Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, fmt.Errorf("stress: read report: %w", err)
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("stress: parse report %s: %w", path, err)
-	}
-	if rep.SchemaVersion != SchemaVersion {
-		return rep, fmt.Errorf("stress: report %s has schema version %d, this build understands %d",
-			path, rep.SchemaVersion, SchemaVersion)
-	}
-	return rep, nil
 }

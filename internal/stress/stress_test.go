@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nvmcp/internal/report"
 	"nvmcp/internal/topo"
 
 	"os"
@@ -143,10 +144,10 @@ func TestBuildReportSortsCells(t *testing.T) {
 func TestJSONRoundTripByteStable(t *testing.T) {
 	rep := sampleReport()
 	var a, b bytes.Buffer
-	if err := WriteJSON(&a, rep); err != nil {
+	if err := report.WriteJSON(&a, "stress", rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&b, rep); err != nil {
+	if err := report.WriteJSON(&b, "stress", rep); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -156,7 +157,7 @@ func TestJSONRoundTripByteStable(t *testing.T) {
 	if err := os.WriteFile(path, a.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReportFile(path)
+	back, err := report.ReadFile[Report]("stress", path, SchemaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestReadReportRejectsWrongSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema_version": 99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadReportFile(path); err == nil {
+	if _, err := report.ReadFile[Report]("stress", path, SchemaVersion); err == nil {
 		t.Fatal("wrong schema accepted")
 	}
 }
