@@ -27,7 +27,6 @@ import (
 	"nvmcp/internal/model"
 	"nvmcp/internal/report"
 	"nvmcp/internal/slo"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -138,7 +137,7 @@ func runDiff(args []string, tolerance float64, asJSON bool) int {
 	} else {
 		fmt.Printf("slo diff: %s (%s seed %d) -> %s (%s seed %d), tolerance %.0f%%\n",
 			args[0], a.Scenario, a.Seed, args[1], b.Scenario, b.Seed, tolerance*100)
-		tb := &trace.Table{Header: []string{"objective", "verdict", "baseline", "new", "detail"}}
+		tb := &report.Table{Header: []string{"objective", "verdict", "baseline", "new", "detail"}}
 		for _, e := range res.Entries {
 			tb.AddRow(e.Objective, e.Verdict, fmtPtr(e.AValue), fmtPtr(e.BValue), e.Detail)
 		}
@@ -226,8 +225,8 @@ func hotChunks(spec workload.AppSpec, interval, tp time.Duration) int {
 
 func analyze(w io.Writer, spec workload.AppSpec, bw float64, interval time.Duration) {
 	fmt.Fprintf(w, "== %s: %d chunks, %s checkpoint data per rank ==\n",
-		spec.Name, len(spec.Chunks), trace.FmtBytes(float64(spec.CheckpointSize())))
-	tb := &trace.Table{Header: []string{"chunk", "size", "modifications per iteration"}}
+		spec.Name, len(spec.Chunks), report.FmtBytes(float64(spec.CheckpointSize())))
+	tb := &report.Table{Header: []string{"chunk", "size", "modifications per iteration"}}
 	for _, c := range spec.Chunks {
 		sched := "init only"
 		if !c.InitOnly {
@@ -237,13 +236,13 @@ func analyze(w io.Writer, spec workload.AppSpec, bw float64, interval time.Durat
 			}
 			sched = fmt.Sprintf("%dx at %s of interval", len(c.ModPhases), strings.Join(parts, ", "))
 		}
-		tb.AddRow(c.Name, trace.FmtBytes(float64(c.Size)), sched)
+		tb.AddRow(c.Name, report.FmtBytes(float64(c.Size)), sched)
 	}
 	tb.Write(w)
 
 	tp := model.PreCopyThreshold(interval, spec.CheckpointSize(), bw)
 	fmt.Fprintf(w, "pre-copy parameters at %s/core, I=%v: T_c=%v, threshold T_p=%v (%.0f%% of interval)\n",
-		trace.FmtRate(bw), interval,
+		report.FmtRate(bw), interval,
 		(interval - tp).Round(time.Millisecond), tp.Round(time.Millisecond),
 		float64(tp)/float64(interval)*100)
 	fmt.Fprintf(w, "chunks modified after the threshold (hot, DCPCP holds them): %d\n",

@@ -47,7 +47,6 @@ import (
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/slo"
 	"nvmcp/internal/stress"
-	"nvmcp/internal/trace"
 )
 
 func main() {
@@ -201,7 +200,7 @@ func main() {
 	}
 	if *traceOut != "" && cfg.Tracer == nil {
 		// Only runs that render a timeline pay for span recording.
-		cfg.Tracer = trace.NewSpanRecorder()
+		cfg.Tracer = obs.NewSpanRecorder()
 	}
 	queried := *chunkKey != "" || *tierName != "" || *violations || *whyQuery != ""
 	if *lineageOn || *invariants || queried {
@@ -270,29 +269,29 @@ func main() {
 	remoteOn := c.RemoteTier() != nil
 	fmt.Printf("nvmcp-sim: %s (%s) on %dx%d ranks, %s/rank, local=%s remote=%s bottom=%s\n",
 		cfg.App.Name, sc.Name, cfg.Nodes, cfg.CoresPerNode,
-		trace.FmtBytes(float64(cfg.App.CheckpointSize())),
+		report.FmtBytes(float64(cfg.App.CheckpointSize())),
 		policyName(cfg.Local), policyName(cfg.Remote), policyName(cfg.Bottom))
-	tb := &trace.Table{Header: []string{"metric", "value"}}
+	tb := &report.Table{Header: []string{"metric", "value"}}
 	tb.AddRow("execution time", res.ExecTime.Round(time.Millisecond).String())
 	tb.AddRow("local checkpoints", fmt.Sprintf("%d", res.LocalCkpts))
 	tb.AddRow("remote checkpoints", fmt.Sprintf("%d", res.RemoteCkpts))
 	tb.AddRow("ckpt blocking per rank", res.CkptTimePerRank.Round(time.Millisecond).String())
-	tb.AddRow("data to NVM per rank", trace.FmtBytes(res.DataToNVMPerRank))
-	tb.AddRow("  via pre-copy", trace.FmtBytes(float64(res.PreCopyBytes)/float64(res.Ranks)))
-	tb.AddRow("  at checkpoints", trace.FmtBytes(float64(res.CkptBytes)/float64(res.Ranks)))
-	tb.AddRow("pre-copy hit rate", trace.FmtPct(res.PreCopyHitRate))
-	tb.AddRow("re-dirty rate", trace.FmtPct(res.ReDirtyRate))
+	tb.AddRow("data to NVM per rank", report.FmtBytes(res.DataToNVMPerRank))
+	tb.AddRow("  via pre-copy", report.FmtBytes(float64(res.PreCopyBytes)/float64(res.Ranks)))
+	tb.AddRow("  at checkpoints", report.FmtBytes(float64(res.CkptBytes)/float64(res.Ranks)))
+	tb.AddRow("pre-copy hit rate", report.FmtPctFixed(res.PreCopyHitRate))
+	tb.AddRow("re-dirty rate", report.FmtPctFixed(res.ReDirtyRate))
 	if remoteOn {
-		tb.AddRow("ckpt bytes on fabric", trace.FmtBytes(c.CkptFabricBytes()))
+		tb.AddRow("ckpt bytes on fabric", report.FmtBytes(c.CkptFabricBytes()))
 		tb.AddRow(fmt.Sprintf("peak fabric ckpt/%v", cluster.PeakWindow),
-			trace.FmtBytes(res.PeakCkptWindowBytes))
+			report.FmtBytes(res.PeakCkptWindowBytes))
 		for i, u := range res.HelperUtil {
-			tb.AddRow(fmt.Sprintf("helper util %d", i), trace.FmtPct(u))
+			tb.AddRow(fmt.Sprintf("helper util %d", i), report.FmtPctFixed(u))
 		}
 	}
 	if res.BottomObjects > 0 {
 		tb.AddRow("bottom-tier objects", fmt.Sprintf("%d", res.BottomObjects))
-		tb.AddRow("bottom-tier bytes", trace.FmtBytes(float64(res.BottomBytes)))
+		tb.AddRow("bottom-tier bytes", report.FmtBytes(float64(res.BottomBytes)))
 		tb.AddRow("bottom-tier drain time", res.BottomDrainTime.Round(time.Millisecond).String())
 	}
 	if res.FailuresInjected > 0 {
@@ -348,7 +347,7 @@ func main() {
 			}
 			tb.AddRow("slo objectives", fmt.Sprintf("%d/%d pass", pass, n))
 		}
-		tb.AddRow("slo availability", trace.FmtPct(sum.Availability))
+		tb.AddRow("slo availability", report.FmtPctFixed(sum.Availability))
 		tb.AddRow("slo violations", fmt.Sprintf("%d", res.SLOViolations))
 	}
 	if c.Drift != nil {
@@ -360,7 +359,7 @@ func main() {
 				worst = q.MaxRelErr
 			}
 		}
-		tb.AddRow("drift worst rel err", trace.FmtPct(worst))
+		tb.AddRow("drift worst rel err", report.FmtPctFixed(worst))
 		tb.AddRow("drift phase shifts", fmt.Sprintf("%d", sum.PhaseShifts))
 		tb.AddRow("drift violations", fmt.Sprintf("%d", res.DriftViolations))
 	}
@@ -526,7 +525,7 @@ func printPresets(w io.Writer, scaleName string) {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
 		os.Exit(2)
 	}
-	tb := &trace.Table{Header: []string{"preset", "runs via", "fleet", "description"}}
+	tb := &report.Table{Header: []string{"preset", "runs via", "fleet", "description"}}
 	for _, p := range scenario.Presets() {
 		via := "nvmcp-sim -preset " + p.ID
 		fleet := "-"

@@ -16,8 +16,8 @@ import (
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -38,7 +38,7 @@ func main() {
 	}
 
 	fmt.Printf("GTC: %d ranks, %s checkpoint data per rank, local checkpoint every %v, remote every %d-th\n\n",
-		base.Nodes*base.CoresPerNode, trace.FmtBytes(float64(app.CheckpointSize())),
+		base.Nodes*base.CoresPerNode, report.FmtBytes(float64(app.CheckpointSize())),
 		app.IterTime, base.RemoteEvery)
 
 	ideal := base
@@ -58,16 +58,16 @@ func main() {
 		app.CheckpointSize(), base.CoresPerNode, app.IterTime, base.RemoteEvery)
 	tunedRes, tunedC := cluster.MustRun(tuned)
 
-	tb := &trace.Table{Header: []string{"configuration", "exec time", "overhead", "ckpt block/rank", "data->NVM/rank", "peak link (5s)"}}
+	tb := &report.Table{Header: []string{"configuration", "exec time", "overhead", "ckpt block/rank", "data->NVM/rank", "peak link (5s)"}}
 	row := func(name string, res cluster.Result, c *cluster.Cluster) {
 		ovh := float64(res.ExecTime-idealRes.ExecTime) / float64(idealRes.ExecTime)
 		peak, _ := c.Fabric.PeakCkptWindow(res.ExecTime, 5*time.Second)
 		tb.AddRow(name,
 			res.ExecTime.Round(time.Millisecond).String(),
-			trace.FmtPct(ovh),
+			report.FmtPctFixed(ovh),
 			res.CkptTimePerRank.Round(time.Millisecond).String(),
-			trace.FmtBytes(res.DataToNVMPerRank),
-			trace.FmtBytes(peak),
+			report.FmtBytes(res.DataToNVMPerRank),
+			report.FmtBytes(peak),
 		)
 	}
 	tb.AddRow("ideal (no checkpoints)", idealRes.ExecTime.Round(time.Millisecond).String(), "-", "-", "-", "-")
@@ -77,8 +77,8 @@ func main() {
 
 	fmt.Printf("\nGTC detail: dirty tracking skipped the init-only grid after the first checkpoint\n")
 	fmt.Printf("  baseline data to NVM per rank: %s; tuned: %s\n",
-		trace.FmtBytes(baseRes.DataToNVMPerRank), trace.FmtBytes(tunedRes.DataToNVMPerRank))
+		report.FmtBytes(baseRes.DataToNVMPerRank), report.FmtBytes(tunedRes.DataToNVMPerRank))
 	fmt.Printf("  checkpoint traffic shipped to buddies: baseline %s, tuned %s\n",
-		trace.FmtBytes(baseC.Fabric.Bytes(interconnect.ClassCkpt)),
-		trace.FmtBytes(tunedC.Fabric.Bytes(interconnect.ClassCkpt)))
+		report.FmtBytes(baseC.Fabric.Bytes(interconnect.ClassCkpt)),
+		report.FmtBytes(tunedC.Fabric.Bytes(interconnect.ClassCkpt)))
 }

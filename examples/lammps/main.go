@@ -15,7 +15,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/mem"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/report"
 	"nvmcp/internal/workload"
 )
 
@@ -32,8 +32,8 @@ func main() {
 	}
 
 	fmt.Printf("LAMMPS Rhodo: %d ranks, %s/rank, NVM %s per core\n",
-		base.Nodes*base.CoresPerNode, trace.FmtBytes(float64(app.CheckpointSize())),
-		trace.FmtRate(base.NVMPerCoreBW))
+		base.Nodes*base.CoresPerNode, report.FmtBytes(float64(app.CheckpointSize())),
+		report.FmtRate(base.NVMPerCoreBW))
 	fmt.Println("hot chunk x-positions is modified 3x per iteration, last at 95% of the interval")
 	fmt.Println()
 
@@ -53,7 +53,7 @@ func main() {
 		{"DCPCP (delayed + prediction)", "dcpcp", false},
 	}
 
-	tb := &trace.Table{Header: []string{"scheme", "exec time", "overhead", "ckpt block/rank", "data->NVM/rank"}}
+	tb := &report.Table{Header: []string{"scheme", "exec time", "overhead", "ckpt block/rank", "data->NVM/rank"}}
 	tb.AddRow("ideal (no checkpoints)", idealRes.ExecTime.Round(time.Millisecond).String(), "-", "-", "-")
 	for _, r := range runs {
 		cfg := base
@@ -63,9 +63,9 @@ func main() {
 		ovh := float64(res.ExecTime-idealRes.ExecTime) / float64(idealRes.ExecTime)
 		tb.AddRow(r.name,
 			res.ExecTime.Round(time.Millisecond).String(),
-			trace.FmtPct(ovh),
+			report.FmtPctFixed(ovh),
 			res.CkptTimePerRank.Round(time.Millisecond).String(),
-			trace.FmtBytes(res.DataToNVMPerRank),
+			report.FmtBytes(res.DataToNVMPerRank),
 		)
 	}
 	tb.Write(os.Stdout)

@@ -36,7 +36,6 @@ import (
 	"nvmcp/internal/sim"
 	"nvmcp/internal/slo"
 	"nvmcp/internal/topo"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -193,7 +192,7 @@ type Config struct {
 	// iterations, quiesce, coordinated checkpoints per rank,
 	// remote-checkpoint triggers, helper ship spans, and failures. It is the
 	// only switch for span recording: without it no spans are recorded.
-	Tracer *trace.SpanRecorder
+	Tracer *obs.SpanRecorder
 
 	// Lineage, when set and enabled, attaches the per-chunk causal tracer
 	// and online invariant checker to the run's event bus. Strict mode makes

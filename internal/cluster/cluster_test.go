@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"nvmcp/internal/mem"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/obs"
 	"nvmcp/internal/workload"
 )
 
@@ -208,7 +208,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	cfg.Remote = "buddy-burst"
 	cfg.RemoteEvery = 1
 	cfg.Failures = []FailureEvent{{After: 3 * time.Second, Node: 0}}
-	rec := trace.NewSpanRecorder()
+	rec := obs.NewSpanRecorder()
 	cfg.Tracer = rec
 	MustRun(cfg)
 	if rec.Len() == 0 {

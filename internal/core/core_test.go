@@ -178,7 +178,7 @@ func TestChunkLevelFaultCostOncePerInterval(t *testing.T) {
 			c.Write(p, int64(i*1000), 1000)
 		}
 	})
-	if got := r.k.Counters.Get("protection_faults"); got != 1 {
+	if got := r.k.ProtectionFaults; got != 1 {
 		t.Fatalf("protection_faults = %d, want 1", got)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Errors.
@@ -58,9 +57,9 @@ type Group struct {
 	parity map[chunkKey]*parityChunk
 	round  uint64
 
-	// Counters: "parity_rounds", "ship_bytes", "reconstructions",
-	// "reconstruct_bytes".
-	Counters trace.Counters
+	// ShipBytes counts bytes shipped to the parity node; Reconstructions
+	// counts rebuilt members.
+	ShipBytes, Reconstructions int64
 }
 
 // NewGroup builds a parity group. members and parityNode index into the
@@ -161,13 +160,12 @@ func (g *Group) CommitParity(p *sim.Proc) error {
 				g.nvm[g.parityNode].WriteBytes(p, st.Size)
 				pc.data = xorInto(pc.data, data)
 				pc.seqs[mi] = st.CleanSeq
-				g.Counters.Add("ship_bytes", st.Size)
+				g.ShipBytes += st.Size
 			}
 		}
 	}
 	g.parity = next
 	g.round++
-	g.Counters.Add("parity_rounds", 1)
 	return nil
 }
 
@@ -226,7 +224,6 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 				ss.Kernel().NVM.ReadBytes(p, pc.size)
 				g.fabric.RDMARead(p, member, failed, pc.size)
 				acc = xorInto(acc, data)
-				g.Counters.Add("reconstruct_bytes", pc.size)
 			}
 			if err := s.AdoptRemote(p, c, acc, 0); err != nil {
 				return err
@@ -235,7 +232,7 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 	}
 	// The replacement stores take the failed member's place.
 	g.stores[failed] = replacement
-	g.Counters.Add("reconstructions", 1)
+	g.Reconstructions++
 	return nil
 }
 
@@ -291,10 +288,9 @@ func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) ([]byte, in
 		ss.Kernel().NVM.ReadBytes(p, pc.size)
 		g.fabric.RDMARead(p, member, failed, pc.size)
 		acc = xorInto(acc, data)
-		g.Counters.Add("reconstruct_bytes", pc.size)
 	}
 	g.nvm[failed].WriteBytes(p, pc.size)
-	g.Counters.Add("reconstructions", 1)
+	g.Reconstructions++
 	return acc, pc.size, nil
 }
 

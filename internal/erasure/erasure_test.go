@@ -89,7 +89,7 @@ func TestParityCommitAndFootprint(t *testing.T) {
 		t.Fatalf("parity node NVM used = %d", r.nvms[3].Used)
 	}
 	// Ship volume: every member sent its 25MB once.
-	if got := r.group.Counters.Get("ship_bytes"); got != 75*mem.MB {
+	if got := r.group.ShipBytes; got != 75*mem.MB {
 		t.Fatalf("ship_bytes = %d, want 75MB", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestReconstructRecoversExactBytes(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if r.group.Counters.Get("reconstructions") != 1 {
+	if r.group.Reconstructions != 1 {
 		t.Fatal("reconstruction not counted")
 	}
 }

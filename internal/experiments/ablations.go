@@ -7,8 +7,8 @@ import (
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/nvmkernel"
+	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -86,10 +86,10 @@ func protectionRewriteCost(size int64, pageLevel bool) time.Duration {
 // PrintPageAblation renders the comparison.
 func PrintPageAblation(w io.Writer, rows []PageAblationRow) {
 	fmt.Fprintln(w, "== Ablation: page-level vs chunk-level pre-copy protection ==")
-	tb := &trace.Table{Header: []string{"data", "page faults", "page-level cost", "chunk faults", "chunk-level cost"}}
+	tb := &report.Table{Header: []string{"data", "page faults", "page-level cost", "chunk faults", "chunk-level cost"}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtBytes(float64(r.DataSize)),
+			report.FmtBytes(float64(r.DataSize)),
 			fmt.Sprintf("%d", r.PageFaults),
 			r.PageTime.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d", r.ChunkFaults),
@@ -180,15 +180,15 @@ func RunDirectAblation() []DirectAblationRow {
 // PrintDirectAblation renders the comparison.
 func PrintDirectAblation(w io.Writer, rows []DirectAblationRow) {
 	fmt.Fprintln(w, "== Ablation: direct NVM heap vs shadow buffering ==")
-	tb := &trace.Table{Header: []string{"write ratio", "direct", "shadow", "ideal", "direct slowdown", "shadow slowdown"}}
+	tb := &report.Table{Header: []string{"write ratio", "direct", "shadow", "ideal", "direct slowdown", "shadow slowdown"}}
 	for _, r := range rows {
 		tb.AddRow(
 			fmt.Sprintf("%dx", r.WriteRatio),
 			r.DirectT.Round(time.Millisecond).String(),
 			r.ShadowT.Round(time.Millisecond).String(),
 			r.IdealT.Round(time.Millisecond).String(),
-			trace.FmtPct(r.DirectSlowdown),
-			trace.FmtPct(r.ShadowSlowdown),
+			report.FmtPctFixed(r.DirectSlowdown),
+			report.FmtPctFixed(r.ShadowSlowdown),
 		)
 	}
 	tb.Write(w)
@@ -256,13 +256,13 @@ func RunSerialAblation() []SerialAblationRow {
 // PrintSerialAblation renders the comparison.
 func PrintSerialAblation(w io.Writer, rows []SerialAblationRow) {
 	fmt.Fprintln(w, "== Ablation: dedicated-core serialized copy vs parallel copies (12 cores) ==")
-	tb := &trace.Table{Header: []string{"data/core", "serialized", "parallel", "serialization penalty"}}
+	tb := &report.Table{Header: []string{"data/core", "serialized", "parallel", "serialization penalty"}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtBytes(float64(r.DataPerCore)),
+			report.FmtBytes(float64(r.DataPerCore)),
 			r.SerialT.Round(time.Microsecond).String(),
 			r.ParallelT.Round(time.Microsecond).String(),
-			trace.FmtPct(r.SerialPenalty),
+			report.FmtPctFixed(r.SerialPenalty),
 		)
 	}
 	tb.Write(w)

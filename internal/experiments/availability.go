@@ -7,8 +7,8 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/model"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ func RunAvailability(scale Scale) []AvailabilityRow {
 // PrintAvailability renders the MTTR comparison.
 func PrintAvailability(w io.Writer, rows []AvailabilityRow) {
 	fmt.Fprintln(w, "== Availability: measured MTTR per recovery tier vs §III restart model ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"path", "fault", "MTTR", "model", "local", "remote", "bottom", "degraded",
 	}}
 	for _, r := range rows {

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"nvmcp/internal/cluster"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/report"
 	"nvmcp/internal/workload"
 )
 
@@ -74,14 +74,14 @@ func RunEndurance(scale Scale) []EnduranceRow {
 // PrintEndurance renders the wear/energy projection.
 func PrintEndurance(w io.Writer, rows []EnduranceRow) {
 	fmt.Fprintln(w, "== NVM endurance & write energy by checkpoint scheme (LAMMPS, Table I device) ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"scheme", "NVM writes/ckpt/node", "sustained rate", "projected lifetime", "write energy/node-hour",
 	}}
 	for _, r := range rows {
 		tb.AddRow(
 			r.Scheme,
-			trace.FmtBytes(r.BytesPerCkpt),
-			trace.FmtRate(r.WriteRate),
+			report.FmtBytes(r.BytesPerCkpt),
+			report.FmtRate(r.WriteRate),
 			fmtYears(r.LifetimeYears),
 			fmt.Sprintf("%.1f J", r.EnergyPerHour),
 		)

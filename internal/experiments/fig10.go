@@ -9,8 +9,8 @@ import (
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/obs"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -95,7 +95,7 @@ func PrintFig10(w io.Writer, r Fig10Result) {
 	if len(r.PreSeries) > n {
 		n = len(r.PreSeries)
 	}
-	tb := &trace.Table{Header: []string{"t", "burst", "", "pre-copy", ""}}
+	tb := &report.Table{Header: []string{"t", "burst", "", "pre-copy", ""}}
 	for i := 0; i < n; i++ {
 		var b, p float64
 		if i < len(r.BurstSeries) {
@@ -106,13 +106,13 @@ func PrintFig10(w io.Writer, r Fig10Result) {
 		}
 		tb.AddRow(
 			(time.Duration(i) * r.Window).String(),
-			trace.FmtBytes(b), bar(b, max),
-			trace.FmtBytes(p), bar(p, max),
+			report.FmtBytes(b), bar(b, max),
+			report.FmtBytes(p), bar(p, max),
 		)
 	}
 	tb.Write(w)
 	fmt.Fprintf(w, "peak: burst %s, pre-copy %s — reduction %s (paper: up to 46%%, peak roughly halved)\n",
-		trace.FmtBytes(r.BurstPeak), trace.FmtBytes(r.PrePeak), trace.FmtPct(r.PeakReduction))
+		report.FmtBytes(r.BurstPeak), report.FmtBytes(r.PrePeak), report.FmtPctFixed(r.PeakReduction))
 }
 
 func bar(v, max float64) string {

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"nvmcp/internal/mem"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/report"
 	"nvmcp/internal/workload"
 )
 
@@ -36,13 +36,13 @@ func PrintFig4(w io.Writer, r Fig4Result) {
 	fmt.Fprintln(w, "== Parallel memcpy bandwidth per core (LANL benchmark, Figure 4) ==")
 	header := []string{"procs"}
 	for _, s := range r.Sizes {
-		header = append(header, trace.FmtBytes(float64(s)))
+		header = append(header, report.FmtBytes(float64(s)))
 	}
-	tb := &trace.Table{Header: header}
+	tb := &report.Table{Header: header}
 	for i, n := range r.Procs {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range r.Sizes {
-			row = append(row, trace.FmtRate(r.Points[s][i].PerCoreBW))
+			row = append(row, report.FmtRate(r.Points[s][i].PerCoreBW))
 		}
 		tb.AddRow(row...)
 	}
@@ -51,6 +51,6 @@ func PrintFig4(w io.Writer, r Fig4Result) {
 		pts := r.Points[s]
 		drop := 1 - pts[len(pts)-1].PerCoreBW/pts[0].PerCoreBW
 		fmt.Fprintf(w, "per-core drop at 12 procs (%s): %s (paper: ~67%% at 33 MB)\n",
-			trace.FmtBytes(float64(s)), trace.FmtPct(drop))
+			report.FmtBytes(float64(s)), report.FmtPctFixed(drop))
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -141,24 +141,24 @@ func fig9LinkBW(scale Scale) float64 {
 // PrintFig9 renders the efficiency sweep.
 func PrintFig9(w io.Writer, r Fig9Result) {
 	fmt.Fprintf(w, "== Remote checkpoint efficiency, %s (%s scale): async pre-copy vs async burst ==\n", r.App, r.Scale)
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"NVM BW/core", "K", "remote interval", "eff no-pre", "eff pre", "ovh no-pre", "ovh pre",
 		"hit rate", "re-dirty",
 	}}
 	for _, pt := range r.Points {
 		tb.AddRow(
-			trace.FmtRate(pt.BWPerCore),
+			report.FmtRate(pt.BWPerCore),
 			fmt.Sprintf("%d", pt.RemoteEvery),
 			pt.RemoteInterval.String(),
 			fmt.Sprintf("%.3f", pt.EffNoPre),
 			fmt.Sprintf("%.3f", pt.EffPre),
-			trace.FmtPct(pt.OvhNoPre),
-			trace.FmtPct(pt.OvhPre),
-			trace.FmtPct(pt.PreHitRate),
-			trace.FmtPct(pt.ReDirtyRate),
+			report.FmtPctFixed(pt.OvhNoPre),
+			report.FmtPctFixed(pt.OvhPre),
+			report.FmtPctFixed(pt.PreHitRate),
+			report.FmtPctFixed(pt.ReDirtyRate),
 		)
 	}
 	tb.Write(w)
 	fmt.Fprintf(w, "average overhead: no-pre %s, pre %s (paper: 10.6%% vs 6.2%%, ~40%% reduction)\n",
-		trace.FmtPct(r.AvgOvhNoPre), trace.FmtPct(r.AvgOvhPre))
+		report.FmtPctFixed(r.AvgOvhNoPre), report.FmtPctFixed(r.AvgOvhPre))
 }

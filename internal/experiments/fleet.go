@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/stress"
-	"nvmcp/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ func RunFleet(scale Scale) FleetResult {
 // PrintFleet renders the matrix and the survivability verdicts.
 func PrintFleet(w io.Writer, r FleetResult) {
 	fmt.Fprintln(w, "== Fleet-scale chaos: domain losses vs placement ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"cell", "topology", "severity", "placement", "shards",
 		"exec", "MTTR", "avail", "lost", "checksum",
 	}}
@@ -176,7 +176,7 @@ func PrintFleet(w io.Writer, r FleetResult) {
 			fmt.Sprintf("%d", c.Shards),
 			(time.Duration(c.ExecSecs * float64(time.Second))).Round(time.Millisecond).String(),
 			(time.Duration(c.MTTRSecs * float64(time.Second))).Round(time.Millisecond).String(),
-			trace.FmtPct(c.AvailabilityPct/100),
+			report.FmtPctFixed(c.AvailabilityPct/100),
 			fmt.Sprintf("%d", c.RecoveryLost),
 			sum,
 		)

@@ -7,9 +7,9 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/pfs"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -105,10 +105,10 @@ func pfsDirect(cfg cluster.Config) time.Duration {
 // PrintHierarchy renders the comparison.
 func PrintHierarchy(w io.Writer, r HierarchyResult) {
 	fmt.Fprintln(w, "== Storage hierarchy: PFS-direct vs multilevel (local NVM -> buddy -> PFS) ==")
-	tb := &trace.Table{Header: []string{"scheme", "exec time", "overhead"}}
+	tb := &report.Table{Header: []string{"scheme", "exec time", "overhead"}}
 	tb.AddRow("ideal (no checkpoints)", r.Ideal.Round(time.Millisecond).String(), "-")
-	tb.AddRow("PFS-direct (blocking)", r.PFSDirectExec.Round(time.Millisecond).String(), trace.FmtPct(r.PFSDirectOvh))
-	tb.AddRow("multilevel (NVM-checkpoints)", r.MultiExec.Round(time.Millisecond).String(), trace.FmtPct(r.MultiOvh))
+	tb.AddRow("PFS-direct (blocking)", r.PFSDirectExec.Round(time.Millisecond).String(), report.FmtPctFixed(r.PFSDirectOvh))
+	tb.AddRow("multilevel (NVM-checkpoints)", r.MultiExec.Round(time.Millisecond).String(), report.FmtPctFixed(r.MultiOvh))
 	tb.Write(w)
 	fmt.Fprintf(w, "multilevel durability ladder: local %v (blocking) -> buddy ~%v (async) -> PFS +%v (lazy drain, %d objects)\n",
 		r.LocalLatency.Round(time.Millisecond),

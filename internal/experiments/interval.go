@@ -8,7 +8,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/model"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/report"
 	"nvmcp/internal/workload"
 )
 
@@ -100,12 +100,12 @@ func RunInterval(scale Scale) IntervalResult {
 func PrintInterval(w io.Writer, r IntervalResult) {
 	fmt.Fprintf(w, "== Checkpoint interval under failures (CM1, MTBF %v, ideal %v) ==\n",
 		r.MTBF, r.Ideal.Round(time.Second))
-	tb := &trace.Table{Header: []string{"interval", "exec time", "overhead vs ideal", "failures hit"}}
+	tb := &report.Table{Header: []string{"interval", "exec time", "overhead vs ideal", "failures hit"}}
 	for _, row := range r.Rows {
 		tb.AddRow(
 			row.Interval.String(),
 			row.ExecTime.Round(time.Millisecond).String(),
-			trace.FmtPct(overhead(row.ExecTime, r.Ideal)),
+			report.FmtPctFixed(overhead(row.ExecTime, r.Ideal)),
 			fmt.Sprintf("%d", row.Failures),
 		)
 	}

@@ -8,8 +8,8 @@ import (
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/ramdisk"
+	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -137,21 +137,21 @@ func ramdiskLocal(cfg cluster.Config, ideal time.Duration) time.Duration {
 // PrintLocal renders a LocalResult in the paper's two-axis form.
 func PrintLocal(w io.Writer, r LocalResult) {
 	fmt.Fprintf(w, "== Local checkpoint, %s (%s scale): pre-copy (DCPCP) vs no pre-copy vs ramdisk ==\n", r.App, r.Scale)
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"NVM BW/core", "ideal", "no-pre exec", "pre exec", "ramdisk exec",
 		"no-pre ovh", "pre ovh", "no-pre data/rank", "pre data/rank",
 	}}
 	for _, pt := range r.Points {
 		tb.AddRow(
-			trace.FmtRate(pt.BWPerCore),
+			report.FmtRate(pt.BWPerCore),
 			pt.IdealExec.Round(time.Millisecond).String(),
 			pt.NoPreExec.Round(time.Millisecond).String(),
 			pt.PreExec.Round(time.Millisecond).String(),
 			pt.RamdiskExec.Round(time.Millisecond).String(),
-			trace.FmtPct(pt.NoPreOverhead),
-			trace.FmtPct(pt.PreOverhead),
-			trace.FmtBytes(pt.NoPreData),
-			trace.FmtBytes(pt.PreData),
+			report.FmtPctFixed(pt.NoPreOverhead),
+			report.FmtPctFixed(pt.PreOverhead),
+			report.FmtBytes(pt.NoPreData),
+			report.FmtBytes(pt.PreData),
 		)
 	}
 	tb.Write(w)

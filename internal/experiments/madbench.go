@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"nvmcp/internal/mem"
+	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -55,15 +55,15 @@ func RunMADBench() []MADBenchRow {
 // PrintMADBench renders the comparison.
 func PrintMADBench(w io.Writer, rows []MADBenchRow) {
 	fmt.Fprintln(w, "== MADBench2: ramdisk vs in-memory checkpoint, 12 cores (Section IV) ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"size/core", "ramdisk", "memory", "slowdown", "sync-call ratio", "lock wait (rd)", "lock wait (mem)",
 	}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtBytes(float64(r.SizePerCore)),
+			report.FmtBytes(float64(r.SizePerCore)),
 			r.RamdiskT.Round(time.Microsecond).String(),
 			r.MemoryT.Round(time.Microsecond).String(),
-			trace.FmtPct(r.Slowdown),
+			report.FmtPctFixed(r.Slowdown),
 			fmt.Sprintf("%.1fx", r.SyncRatio),
 			r.LockWaitRamdisk.Round(time.Microsecond).String(),
 			r.LockWaitMemory.Round(time.Microsecond).String(),

@@ -7,7 +7,7 @@ import (
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/model"
-	"nvmcp/internal/trace"
+	"nvmcp/internal/report"
 )
 
 // ModelRow is one analytic-model evaluation point.
@@ -51,10 +51,10 @@ func RunModel() []ModelRow {
 // PrintModel renders the analytic sweep.
 func PrintModel(w io.Writer, rows []ModelRow) {
 	fmt.Fprintln(w, "== Section III analytic model: 410MB/core, I=40s, MTBF 500s/5000s ==")
-	tb := &trace.Table{Header: []string{"NVM BW/core", "T_lcl total", "efficiency", "pre-copy T_p"}}
+	tb := &report.Table{Header: []string{"NVM BW/core", "T_lcl total", "efficiency", "pre-copy T_p"}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtRate(r.BWPerCore),
+			report.FmtRate(r.BWPerCore),
 			r.TLocal.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.4f", r.Efficiency),
 			r.PreCopyTp.Round(time.Millisecond).String(),

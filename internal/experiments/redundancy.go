@@ -11,8 +11,8 @@ import (
 	"nvmcp/internal/mem"
 	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/remote"
+	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
@@ -129,7 +129,7 @@ func RunRedundancy() RedundancyResult {
 		e.Run()
 		// Footprint per protected node: the parity total divided by G.
 		out.ParityFootprint = g.RemoteFootprint() / int64(members) * 1 // per node share
-		out.ParityShip = g.Counters.Get("ship_bytes") / int64(members)
+		out.ParityShip = g.ShipBytes / int64(members)
 
 		kernels[0].HardFail()
 		e.Go("recover", func(p *sim.Proc) {
@@ -151,16 +151,16 @@ func RunRedundancy() RedundancyResult {
 // PrintRedundancy renders the comparison.
 func PrintRedundancy(w io.Writer, r RedundancyResult) {
 	fmt.Fprintf(w, "== Remote redundancy: buddy replication vs %d-member XOR parity ==\n", r.Members)
-	fmt.Fprintf(w, "checkpoint data per node: %s\n", trace.FmtBytes(float64(r.CkptPerND)))
-	tb := &trace.Table{Header: []string{"scheme", "remote NVM / protected node", "fabric bytes / round / node", "hard-failure recovery"}}
+	fmt.Fprintf(w, "checkpoint data per node: %s\n", report.FmtBytes(float64(r.CkptPerND)))
+	tb := &report.Table{Header: []string{"scheme", "remote NVM / protected node", "fabric bytes / round / node", "hard-failure recovery"}}
 	tb.AddRow("buddy replication",
-		trace.FmtBytes(float64(r.BuddyFootprint)),
-		trace.FmtBytes(float64(r.BuddyShip)),
+		report.FmtBytes(float64(r.BuddyFootprint)),
+		report.FmtBytes(float64(r.BuddyShip)),
 		r.BuddyRecover.Round(time.Millisecond).String(),
 	)
 	tb.AddRow(fmt.Sprintf("XOR parity (G=%d)", r.Members),
-		trace.FmtBytes(float64(r.ParityFootprint)),
-		trace.FmtBytes(float64(r.ParityShip)),
+		report.FmtBytes(float64(r.ParityFootprint)),
+		report.FmtBytes(float64(r.ParityShip)),
 		r.ParityRecover.Round(time.Millisecond).String(),
 	)
 	tb.Write(w)

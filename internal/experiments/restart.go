@@ -13,8 +13,8 @@ import (
 	"nvmcp/internal/model"
 	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/remote"
+	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/transparent"
 	"nvmcp/internal/workload"
 )
@@ -157,12 +157,12 @@ func restartPoint(size int64) RestartRow {
 // PrintRestart renders the recovery-path comparison.
 func PrintRestart(w io.Writer, rows []RestartRow) {
 	fmt.Fprintln(w, "== Restart paths: eager local vs lazy restore vs remote fetch (GTC profile) ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"ckpt size", "eager local", "lazy resume", "eager+1 iter", "lazy+1 iter", "remote fetch",
 	}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtBytes(float64(r.CkptSize)),
+			report.FmtBytes(float64(r.CkptSize)),
 			r.EagerLocal.Round(time.Millisecond).String(),
 			r.LazyResume.Round(time.Microsecond).String(),
 			r.EagerFirstIter.Round(time.Millisecond).String(),
@@ -239,7 +239,7 @@ func RunTransparent() TransparentRow {
 			}
 			c.SetMode(mode)
 			c.Checkpoint(p) // baseline round
-			before := k.Counters.Get("protection_faults")
+			before := k.ProtectionFaults
 			if err := c.Touch(p, 0, dirtied); err != nil {
 				panic(err)
 			}
@@ -247,7 +247,7 @@ func RunTransparent() TransparentRow {
 			st := c.Checkpoint(p)
 			dur = p.Now() - start
 			bytes = st.BytesCopied
-			faults = k.Counters.Get("protection_faults") - before
+			faults = k.ProtectionFaults - before
 		})
 		e.Run()
 		return dur, bytes, faults
@@ -261,14 +261,14 @@ func RunTransparent() TransparentRow {
 func PrintTransparent(w io.Writer, r TransparentRow) {
 	fmt.Fprintln(w, "== Transparent vs application-initiated checkpointing ==")
 	fmt.Fprintf(w, "process image %s, live checkpoint state %s, half the image dirtied per iteration\n",
-		trace.FmtBytes(float64(r.Footprint)), trace.FmtBytes(float64(r.CkptState)))
-	tb := &trace.Table{Header: []string{"model", "ckpt time", "bytes moved", "faults"}}
+		report.FmtBytes(float64(r.Footprint)), report.FmtBytes(float64(r.CkptState)))
+	tb := &report.Table{Header: []string{"model", "ckpt time", "bytes moved", "faults"}}
 	tb.AddRow("application-initiated (chunks)", r.AppT.Round(time.Millisecond).String(),
-		trace.FmtBytes(float64(r.AppBytes)), "per chunk")
+		report.FmtBytes(float64(r.AppBytes)), "per chunk")
 	tb.AddRow("transparent full copy", r.FullT.Round(time.Millisecond).String(),
-		trace.FmtBytes(float64(r.FullBytes)), "0")
+		report.FmtBytes(float64(r.FullBytes)), "0")
 	tb.AddRow("transparent incremental (page)", r.IncrT.Round(time.Millisecond).String(),
-		trace.FmtBytes(float64(r.IncrBytes)), fmt.Sprintf("%d", r.IncrFaults))
+		report.FmtBytes(float64(r.IncrBytes)), fmt.Sprintf("%d", r.IncrFaults))
 	tb.Write(w)
 	fmt.Fprintln(w, "(Section II: transparent checkpoints move the whole footprint or pay per-page faults;")
 	fmt.Fprintln(w, " application-initiated checkpoints move only the marked state at chunk-fault cost)")
@@ -352,7 +352,7 @@ func failurePoint(mtbf time.Duration, scale Scale) FailureRow {
 // PrintFailureModel renders the validation table.
 func PrintFailureModel(w io.Writer, rows []FailureRow) {
 	fmt.Fprintln(w, "== Failure injection: simulated efficiency vs Section III model ==")
-	tb := &trace.Table{Header: []string{"MTBF", "failures hit", "chunks restored", "sim efficiency", "model efficiency"}}
+	tb := &report.Table{Header: []string{"MTBF", "failures hit", "chunks restored", "sim efficiency", "model efficiency"}}
 	for _, r := range rows {
 		tb.AddRow(
 			r.MTBF.String(),

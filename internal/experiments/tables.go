@@ -7,16 +7,16 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/mem"
+	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/trace"
 	"nvmcp/internal/workload"
 )
 
 // PrintTable1 renders the Table I device parameters the mem package encodes.
 func PrintTable1(w io.Writer) {
 	fmt.Fprintln(w, "== Table I: NVM vs DRAM hardware parameters (model constants) ==")
-	tb := &trace.Table{Header: []string{"attribute", "DRAM", "PCM"}}
-	tb.AddRow("write bandwidth", trace.FmtRate(mem.DRAMWriteBW), trace.FmtRate(mem.PCMWriteBW))
+	tb := &report.Table{Header: []string{"attribute", "DRAM", "PCM"}}
+	tb.AddRow("write bandwidth", report.FmtRate(mem.DRAMWriteBW), report.FmtRate(mem.PCMWriteBW))
 	tb.AddRow("page write latency", mem.DRAMPageLatency.String(), mem.PCMPageWriteLatency.String())
 	tb.AddRow("page read latency", mem.DRAMPageLatency.String(), mem.PCMPageReadLatency.String())
 	tb.Write(w)
@@ -54,18 +54,18 @@ func RunTable4() []Table4Row {
 // PrintTable4 renders the distribution in the paper's bucket layout.
 func PrintTable4(w io.Writer, rows []Table4Row) {
 	fmt.Fprintln(w, "== Table IV: chunk size distribution by count (%) ==")
-	tb := &trace.Table{Header: []string{
+	tb := &report.Table{Header: []string{
 		"application", "chunks", "ckpt size", "500K-1MB", "10-20MB", "50-100MB", "above 100MB",
 	}}
 	for _, r := range rows {
 		tb.AddRow(
 			r.App,
 			fmt.Sprintf("%d", r.ChunkCount),
-			trace.FmtBytes(float64(r.TotalSize)),
-			trace.FmtPct(r.SubMB),
-			trace.FmtPct(r.Mid10to20),
-			trace.FmtPct(r.Mid50to100),
-			trace.FmtPct(r.Over100),
+			report.FmtBytes(float64(r.TotalSize)),
+			report.FmtPctFixed(r.SubMB),
+			report.FmtPctFixed(r.Mid10to20),
+			report.FmtPctFixed(r.Mid50to100),
+			report.FmtPctFixed(r.Over100),
 		)
 	}
 	tb.Write(w)
@@ -124,12 +124,12 @@ func RunTable5(scale Scale) []Table5Row {
 // PrintTable5 renders helper utilization.
 func PrintTable5(w io.Writer, rows []Table5Row) {
 	fmt.Fprintln(w, "== Table V: checkpoint helper core average CPU utilization ==")
-	tb := &trace.Table{Header: []string{"data/core", "no pre-copy util", "pre-copy util"}}
+	tb := &report.Table{Header: []string{"data/core", "no pre-copy util", "pre-copy util"}}
 	for _, r := range rows {
 		tb.AddRow(
-			trace.FmtBytes(float64(r.DataPerCore)),
-			trace.FmtPct(r.UtilNoPre),
-			trace.FmtPct(r.UtilPre),
+			report.FmtBytes(float64(r.DataPerCore)),
+			report.FmtPctFixed(r.UtilNoPre),
+			report.FmtPctFixed(r.UtilPre),
 		)
 	}
 	tb.Write(w)

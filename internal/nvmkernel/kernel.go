@@ -21,7 +21,6 @@ import (
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Control-path cost defaults. The fault cost is the paper's "6-12 usec" per
@@ -78,8 +77,9 @@ type Kernel struct {
 	SyscallCost time.Duration
 	ProtectCost time.Duration
 
-	// Counters tracks faults, syscalls, flushes, and mprotect calls.
-	Counters trace.Counters
+	// Counts of system calls, protection faults, cache flushes and hard
+	// failures.
+	Syscalls, ProtectionFaults, CacheFlushes, HardFailures int64
 
 	store map[string]*procStore // persistent per-process state, by name
 	procs map[string]*Process   // currently attached processes
@@ -110,7 +110,7 @@ func New(env *sim.Env, dram, nvm *mem.Device) *Kernel {
 func (k *Kernel) Env() *sim.Env { return k.env }
 
 func (k *Kernel) syscall(p *sim.Proc) {
-	k.Counters.Add("syscalls", 1)
+	k.Syscalls++
 	if p != nil {
 		p.Sleep(k.SyscallCost)
 	}
@@ -143,14 +143,13 @@ func (k *Kernel) HardFail() {
 	}
 	k.store = make(map[string]*procStore)
 	k.detachAll()
-	k.Counters.Add("hard_failures", 1)
+	k.HardFailures++
 }
 
 // SoftReset models a node reboot or process-group crash: DRAM contents are
 // lost, NVM survives. Attached processes are detached and must re-Attach.
 func (k *Kernel) SoftReset() {
 	k.detachAll()
-	k.Counters.Add("soft_resets", 1)
 }
 
 func (k *Kernel) detachAll() {
@@ -205,7 +204,6 @@ func (pr *Process) NVMMap(p *sim.Proc, id string, virtualSize int64, payloadSize
 	}
 	r := newRegion(pr, id, NVMRegion, virtualSize, payloadSize)
 	pr.store.regions[id] = r
-	pr.k.Counters.Add("nvmmap", 1)
 	return r, false, nil
 }
 

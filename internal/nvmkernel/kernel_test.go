@@ -59,8 +59,8 @@ func TestNVMMapChargesSyscall(t *testing.T) {
 	if took != DefaultSyscallCost {
 		t.Fatalf("nvmmap took %v, want %v", took, DefaultSyscallCost)
 	}
-	if k.Counters.Get("syscalls") != 1 {
-		t.Fatalf("syscalls = %d, want 1", k.Counters.Get("syscalls"))
+	if k.Syscalls != 1 {
+		t.Fatalf("syscalls = %d, want 1", k.Syscalls)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestHardFailWipesNVM(t *testing.T) {
 		}
 	})
 	e.Run()
-	if got := k.Counters.Get("hard_failures"); got != 1 {
+	if got := k.HardFailures; got != 1 {
 		t.Fatalf("hard_failures = %d", got)
 	}
 }
@@ -189,8 +189,8 @@ func TestProtectionFaultChargesCostAndRunsHandler(t *testing.T) {
 		}
 	})
 	e.Run()
-	if k.Counters.Get("protection_faults") != 1 {
-		t.Fatalf("protection_faults = %d, want 1", k.Counters.Get("protection_faults"))
+	if k.ProtectionFaults != 1 {
+		t.Fatalf("protection_faults = %d, want 1", k.ProtectionFaults)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestChunkLevelHandlerFaultsOncePerChunk(t *testing.T) {
 		}
 	})
 	e.Run()
-	if got := k.Counters.Get("protection_faults"); got != 1 {
+	if got := k.ProtectionFaults; got != 1 {
 		t.Fatalf("protection_faults = %d, want 1 (chunk-level)", got)
 	}
 }
@@ -229,7 +229,7 @@ func TestPageLevelHandlerFaultsPerPage(t *testing.T) {
 		}
 	})
 	e.Run()
-	if got := k.Counters.Get("protection_faults"); got != 10 {
+	if got := k.ProtectionFaults; got != 10 {
 		t.Fatalf("protection_faults = %d, want 10 (page-level)", got)
 	}
 }
@@ -337,7 +337,7 @@ func TestFlushCostCharged(t *testing.T) {
 	if took <= 0 {
 		t.Fatal("flush charged no time")
 	}
-	if k.Counters.Get("cache_flushes") != 1 {
+	if k.CacheFlushes != 1 {
 		t.Fatal("flush not counted")
 	}
 }

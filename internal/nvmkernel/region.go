@@ -144,7 +144,6 @@ func (r *Region) SetFaultHandler(h FaultHandler) { r.handler = h }
 
 // Protect write-protects every page of the region (one mprotect call).
 func (r *Region) Protect(p *sim.Proc) {
-	r.owner.k.Counters.Add("mprotect", 1)
 	if p != nil {
 		p.Sleep(r.owner.k.ProtectCost)
 	}
@@ -153,7 +152,6 @@ func (r *Region) Protect(p *sim.Proc) {
 
 // Unprotect clears write protection on every page (one mprotect call).
 func (r *Region) Unprotect(p *sim.Proc) {
-	r.owner.k.Counters.Add("mprotect", 1)
 	if p != nil {
 		p.Sleep(r.owner.k.ProtectCost)
 	}
@@ -163,7 +161,6 @@ func (r *Region) Unprotect(p *sim.Proc) {
 // UnprotectPage clears write protection on a single page — the page-level
 // pre-copy ablation's fault handler, which pays one fault per page.
 func (r *Region) UnprotectPage(p *sim.Proc, page int) {
-	r.owner.k.Counters.Add("mprotect", 1)
 	if p != nil {
 		p.Sleep(r.owner.k.ProtectCost)
 	}
@@ -172,7 +169,6 @@ func (r *Region) UnprotectPage(p *sim.Proc, page int) {
 
 // ProtectPage write-protects a single page (page-level pre-copy ablation).
 func (r *Region) ProtectPage(p *sim.Proc, page int) {
-	r.owner.k.Counters.Add("mprotect", 1)
 	if p != nil {
 		p.Sleep(r.owner.k.ProtectCost)
 	}
@@ -220,7 +216,7 @@ func (r *Region) TouchWrite(p *sim.Proc, off, n int64) (bool, error) {
 		if r.handler == nil {
 			return false, fmt.Errorf("%w: %s/%s page %d", ErrNoHandler, r.owner.name, r.ID, pg)
 		}
-		r.owner.k.Counters.Add("protection_faults", 1)
+		r.owner.k.ProtectionFaults++
 		if p != nil {
 			p.Sleep(r.owner.k.FaultCost)
 		}
@@ -296,7 +292,7 @@ func (r *Region) Flush(p *sim.Proc, size int64) {
 	if r.Kind == NVMRegion {
 		dev = r.owner.k.NVM
 	}
-	r.owner.k.Counters.Add("cache_flushes", 1)
+	r.owner.k.CacheFlushes++
 	if p != nil {
 		p.Sleep(dev.FlushCost(size))
 	}

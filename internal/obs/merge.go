@@ -116,7 +116,7 @@ func (dst *Registry) mergeFrom(srcs []*Registry) {
 	}
 
 	// Timelines need every source at once: the merged series is the sum of
-	// step functions, rebuilt monotonically (trace.Timeline only appends).
+	// step functions, rebuilt monotonically (Timeline.Set only appends).
 	seen := make(map[metricKey]Labels)
 	var keys []metricKey
 	for _, src := range srcs {

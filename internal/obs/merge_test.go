@@ -71,7 +71,7 @@ func TestMergeShardsSumsTimelines(t *testing.T) {
 		for at := range points {
 			ts = append(ts, at)
 		}
-		// insert in ascending order (trace timelines only append)
+		// insert in ascending order (timelines only append)
 		for i := 0; i < len(ts); i++ {
 			for j := i + 1; j < len(ts); j++ {
 				if ts[j] < ts[i] {

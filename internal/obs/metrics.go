@@ -8,10 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"nvmcp/internal/stats"
-	"nvmcp/internal/trace"
 )
 
 // Labels is a metric's label set. The empty (or nil) set is the cluster
@@ -123,64 +121,6 @@ func (h *Histogram) Snapshot() (stats.Histogram, float64) {
 	cp.Edges = append([]float64(nil), h.h.Edges...)
 	cp.Counts = append([]int64(nil), h.h.Counts...)
 	return cp, h.sum
-}
-
-// Timeline is a mutex-guarded step-function series over virtual time — the
-// registry's bandwidth-timeline metric, wrapping trace.Timeline.
-type Timeline struct {
-	mu sync.Mutex
-	tl trace.Timeline
-}
-
-// Set appends a step (see trace.Timeline.Set).
-func (t *Timeline) Set(at time.Duration, v float64) {
-	t.mu.Lock()
-	t.tl.Set(at, v)
-	t.mu.Unlock()
-}
-
-// Last returns the most recent step value (0 when empty).
-func (t *Timeline) Last() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.At(1<<62 - 1)
-}
-
-// DiffBuckets returns per-window increments of the (cumulative) series.
-func (t *Timeline) DiffBuckets(end, width time.Duration) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.DiffBuckets(end, width)
-}
-
-// PeakDiffBucket returns the largest per-window increment and its index.
-func (t *Timeline) PeakDiffBucket(end, width time.Duration) (float64, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.PeakDiffBucket(end, width)
-}
-
-// At returns the value in effect at virtual time at.
-func (t *Timeline) At(at time.Duration) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.At(at)
-}
-
-// Window returns the step function restricted to [start, end): the value in
-// effect at start, then every step strictly inside the range (see
-// trace.Timeline.Window).
-func (t *Timeline) Window(start, end time.Duration) ([]time.Duration, []float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.Window(start, end)
-}
-
-// Len returns the number of recorded steps.
-func (t *Timeline) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tl.Len()
 }
 
 // metricKey identifies one metric instance.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Observer is one run's instrumentation hub: the event bus, the metrics
@@ -20,7 +19,7 @@ type Observer struct {
 
 	mu      sync.Mutex
 	events  []Event
-	spans   *trace.SpanRecorder
+	spans   *SpanRecorder
 	taps    []func(Event)
 	lastTUS int64
 }
@@ -43,7 +42,7 @@ func (o *Observer) Registry() *Registry { return o.reg }
 // Spans returns the attached Chrome/Perfetto span recorder, nil when none
 // is. Callers must not write to it concurrently with live Recorders; read it
 // after the run.
-func (o *Observer) Spans() *trace.SpanRecorder {
+func (o *Observer) Spans() *SpanRecorder {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.spans
@@ -52,7 +51,7 @@ func (o *Observer) Spans() *trace.SpanRecorder {
 // UseSpanRecorder attaches the recorder that spans, instants and process
 // names are written to. Until one is attached nothing is recorded; nil
 // detaches it again.
-func (o *Observer) UseSpanRecorder(r *trace.SpanRecorder) {
+func (o *Observer) UseSpanRecorder(r *SpanRecorder) {
 	o.mu.Lock()
 	o.spans = r
 	o.mu.Unlock()

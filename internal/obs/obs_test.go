@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 func TestRecorderScopesAndRollup(t *testing.T) {
@@ -217,7 +216,7 @@ func TestBuildReport(t *testing.T) {
 // registry, and span recorder must be race-clean (run with -race).
 func TestConcurrentPublication(t *testing.T) {
 	o := New(sim.NewEnv())
-	o.UseSpanRecorder(trace.NewSpanRecorder())
+	o.UseSpanRecorder(NewSpanRecorder())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

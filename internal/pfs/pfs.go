@@ -17,7 +17,6 @@ import (
 	"nvmcp/internal/obs"
 	"nvmcp/internal/resource"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // DefaultAggregateBW is the cluster-wide PFS ingest bandwidth. Petascale
@@ -49,9 +48,6 @@ type FS struct {
 
 	stripeBW float64
 	objects  map[string]*object
-
-	// Counters: "writes", "reads", "bytes_in", "bytes_out".
-	Counters trace.Counters
 
 	rec *obs.Recorder
 }
@@ -92,8 +88,6 @@ func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data []
 		version: version,
 		data:    append([]byte(nil), data...),
 	}
-	f.Counters.Add("writes", 1)
-	f.Counters.Add("bytes_in", size)
 }
 
 // Read fetches a checkpoint object's payload, blocking p for the transfer.
@@ -103,8 +97,6 @@ func (f *FS) Read(p *sim.Proc, name string) ([]byte, int64, uint64, error) {
 		return nil, 0, 0, fmt.Errorf("%w: %s", ErrNoObject, name)
 	}
 	f.egress.TransferCapped(p, obj.size, f.stripeBW)
-	f.Counters.Add("reads", 1)
-	f.Counters.Add("bytes_out", obj.size)
 	return obj.data, obj.size, obj.version, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/topo"
-	"nvmcp/internal/trace"
 )
 
 func init() {
@@ -276,7 +275,7 @@ func (erasurePolicy) NewTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, err
 		}
 	}
 	t.active = make([]*sim.Completion, len(t.groups))
-	t.meters = make([]trace.Meter, len(t.groups))
+	t.meters = make([]obs.Meter, len(t.groups))
 	return t, nil
 }
 
@@ -301,7 +300,7 @@ type erasureTier struct {
 	active []*sim.Completion
 
 	// meters track per-group parity-build busy time (helper utilization).
-	meters []trace.Meter
+	meters []obs.Meter
 }
 
 func (t *erasureTier) BeginEpoch() {

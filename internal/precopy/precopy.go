@@ -28,7 +28,6 @@ import (
 	"nvmcp/internal/model"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Scheme selects the pre-copy policy.
@@ -101,7 +100,7 @@ type Engine struct {
 	stopped  bool
 
 	// Meter tracks worker busy time (pre-copy CPU usage).
-	Meter trace.Meter
+	Meter obs.Meter
 	// Counters are the engine's counts (engineCounters), readable by name
 	// and booked under the same names into cfg.Rec's registry. The bytes a
 	// pre-copy moves are counted once, by core.Store.PreCopyChunk.

@@ -15,7 +15,6 @@ import (
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Cost defaults, calibrated against the paper's MADBench2 observations.
@@ -68,9 +67,10 @@ type FS struct {
 
 	files map[string]*inode
 
-	// Counters: "syscalls", "kernel_sync_calls", "bytes_written",
-	// "bytes_read".
-	Counters trace.Counters
+	// KernelSyncCalls counts kernel synchronization points (each write
+	// takes the inode, allocation and mapping locks); BytesWritten counts
+	// bytes written.
+	KernelSyncCalls, BytesWritten int64
 }
 
 type inode struct {
@@ -120,7 +120,6 @@ type File struct {
 }
 
 func (fs *FS) syscall(p *sim.Proc) {
-	fs.Counters.Add("syscalls", 1)
 	p.Sleep(fs.SyscallCost)
 }
 
@@ -166,10 +165,10 @@ func (f *File) Write(p *sim.Proc, n int64) error {
 	}
 	fs := f.fs
 	fs.syscall(p)
-	fs.Counters.Add("bytes_written", n)
+	fs.BytesWritten += n
 
 	// Inode lock: writes to one descriptor are serialized. Sync call 1.
-	fs.Counters.Add("kernel_sync_calls", 1)
+	fs.KernelSyncCalls++
 	f.ownLock.Lock(p)
 	defer f.ownLock.Unlock(p)
 
@@ -189,13 +188,13 @@ func (f *File) Write(p *sim.Proc, n int64) error {
 	p.Sleep(time.Duration(pages) * (fs.AllocPerPage + fs.InsertPerPage))
 
 	// Residual work under the shared allocation lock. Sync call 2.
-	fs.Counters.Add("kernel_sync_calls", 1)
+	fs.KernelSyncCalls++
 	fs.allocLock.Lock(p)
 	p.Sleep(time.Duration(pages) * fs.LockedPerPage)
 	fs.allocLock.Unlock(p)
 
 	// Residual work under the shared mapping lock. Sync call 3.
-	fs.Counters.Add("kernel_sync_calls", 1)
+	fs.KernelSyncCalls++
 	fs.mapLock.Lock(p)
 	p.Sleep(time.Duration(pages) * fs.LockedPerPage)
 	fs.mapLock.Unlock(p)
@@ -223,7 +222,6 @@ func (f *File) Read(p *sim.Proc, n int64) error {
 	}
 	fs := f.fs
 	fs.syscall(p)
-	fs.Counters.Add("bytes_read", n)
 	fs.dram.ReadBytes(p, n)
 	f.pos += n
 	return nil

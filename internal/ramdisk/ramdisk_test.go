@@ -61,7 +61,7 @@ func TestWriteChargesKernelPath(t *testing.T) {
 	if took < 150*time.Microsecond || took > 350*time.Microsecond {
 		t.Fatalf("1MB write took %v, want ~210us", took)
 	}
-	if got := fs.Counters.Get("kernel_sync_calls"); got != 3 {
+	if got := fs.KernelSyncCalls; got != 3 {
 		t.Fatalf("kernel_sync_calls = %d, want 3 per write", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestConcurrentWritersContendOnKernelLocks(t *testing.T) {
 		t.Fatal("12 concurrent writers produced no lock contention")
 	}
 	wantSync := int64(writers * 4 * 3)
-	if got := fs.Counters.Get("kernel_sync_calls"); got != wantSync {
+	if got := fs.KernelSyncCalls; got != wantSync {
 		t.Fatalf("kernel_sync_calls = %d, want %d", got, wantSync)
 	}
 }

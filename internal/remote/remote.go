@@ -28,7 +28,6 @@ import (
 	"nvmcp/internal/mem"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Scheme selects the helper policy.
@@ -328,7 +327,7 @@ type Agent struct {
 	stopped       bool
 
 	// Meter tracks helper busy time — Table V's helper-core utilization.
-	Meter trace.Meter
+	Meter obs.Meter
 	// Counters are the helper's counts (agentCounters), readable by short
 	// name and booked into cfg.Rec's registry with a helper_ prefix, which
 	// keeps them apart from the per-store checkpoint counters.

@@ -342,7 +342,8 @@ func colorSlot(c int) int {
 	return c
 }
 
-// FmtBytes renders a byte quantity in IEC units.
+// FmtBytes renders a byte quantity with binary divisors and the matching
+// IEC unit names, e.g. "410.0 MiB".
 func FmtBytes(v float64) string {
 	const (
 		kib = 1 << 10
@@ -360,7 +361,11 @@ func FmtBytes(v float64) string {
 	return fmt.Sprintf("%.0f B", v)
 }
 
-// FmtPct renders a 0-1 fraction as a percentage.
+// FmtRate renders a bytes/sec rate, e.g. "412.5 MiB/s".
+func FmtRate(r float64) string { return FmtBytes(r) + "/s" }
+
+// FmtPct renders a 0-1 fraction as a percentage, dropping a zero decimal
+// ("50%", "46.2%") — the HTML reports' form.
 func FmtPct(v float64) string {
 	p := v * 100
 	if p == math.Trunc(p) {
@@ -368,6 +373,11 @@ func FmtPct(v float64) string {
 	}
 	return fmt.Sprintf("%.1f%%", p)
 }
+
+// FmtPctFixed renders a 0-1 fraction with exactly one decimal ("50.0%",
+// "46.2%") — the text tables' form, which keeps a column's digits aligned.
+// Both forms are pinned by their outputs' goldens, so both exist.
+func FmtPctFixed(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // FmtSecs renders a duration in seconds.
 func FmtSecs(v float64) string {

@@ -19,7 +19,6 @@ import (
 	"nvmcp/internal/mem"
 	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/trace"
 )
 
 // Mode selects how checkpoints find the bytes to move.
@@ -70,9 +69,6 @@ type Checkpointer struct {
 	committed int // committed slot, -1 before first commit
 	version   uint64
 	dirty     map[int]bool // page index -> dirtied since last checkpoint
-
-	// Counters: "checkpoints", "pages_copied", "bytes_copied", "restores".
-	Counters trace.Counters
 }
 
 // New builds a checkpointer for a process whose image (heap, globals,
@@ -170,9 +166,6 @@ func (c *Checkpointer) Checkpoint(p *sim.Proc) Stats {
 			delete(c.dirty, pg)
 		}
 	}
-	c.Counters.Add("checkpoints", 1)
-	c.Counters.Add("pages_copied", int64(pages))
-	c.Counters.Add("bytes_copied", bytes)
 	return Stats{BytesCopied: bytes, PagesCopied: pages, Duration: p.Now() - start}
 }
 
@@ -192,7 +185,6 @@ func (c *Checkpointer) Restore(p *sim.Proc) error {
 	mem.Copy(p, k.NVM, k.DRAM, c.size)
 	c.committed = rec.Slot
 	c.version = rec.Version
-	c.Counters.Add("restores", 1)
 	return nil
 }
 

@@ -77,13 +77,13 @@ func TestIncrementalPaysPerPageFaults(t *testing.T) {
 		c, _ := New(p, k.Attach("proc"), 64*mem.MB)
 		c.SetMode(Incremental)
 		c.Checkpoint(p)
-		before := k.Counters.Get("protection_faults")
+		before := k.ProtectionFaults
 		// Rewrite everything: one fault per page — the cost the paper's
 		// chunk-level design exists to avoid.
 		if err := c.Touch(p, 0, 64*mem.MB); err != nil {
 			t.Error(err)
 		}
-		faults := k.Counters.Get("protection_faults") - before
+		faults := k.ProtectionFaults - before
 		if faults != 64*mem.MB/mem.PageSize {
 			t.Errorf("faults = %d, want one per page (%d)", faults, 64*mem.MB/mem.PageSize)
 		}

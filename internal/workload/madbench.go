@@ -50,9 +50,9 @@ func MADBenchRamdisk(env *sim.Env, dram *mem.Device, cores int, sizePerCore int6
 		Cores:        cores,
 		SizePerCore:  sizePerCore,
 		CheckpointT:  env.Now(),
-		SyncCalls:    fs.Counters.Get("kernel_sync_calls"),
+		SyncCalls:    fs.KernelSyncCalls,
 		LockWait:     fs.LockWaitTime(),
-		BytesWritten: fs.Counters.Get("bytes_written"),
+		BytesWritten: fs.BytesWritten,
 	}
 }
 
