@@ -60,12 +60,21 @@ faults:
 # determinism suite rides along: byte-identical artifacts at any GOMAXPROCS
 # is an invariant of the partitioned engine. The behaviour golden pins every
 # tiny preset's event stream, RunReport and checksum, so a pure performance
-# change must leave testdata/behaviour.golden.json untouched.
+# change must leave testdata/behaviour.golden.json untouched. Last, every
+# paper experiment runs at GOMAXPROCS 1 and 4: the host's width must not
+# change a printed figure (wall-clock "completed in" lines aside).
 invariants:
 	$(GO) test -race ./internal/lineage/ ./internal/introspect/
 	$(GO) test -race -run 'TestShardDeterminism|TestBehaviourGolden' ./internal/cluster/
 	$(GO) run ./cmd/nvmcp-sim -preset faults -scale tiny -invariants
 	$(GO) run ./cmd/nvmcp-sim -scenario docs/scenarios/zone-outage.json -invariants
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/nvmcp-bench" ./cmd/nvmcp-bench && \
+	for p in 1 4; do \
+		GOMAXPROCS=$$p "$$tmp/nvmcp-bench" -scale quick > "$$tmp/raw$$p" 2>/dev/null || exit 1; \
+		grep -v 'completed in' "$$tmp/raw$$p" > "$$tmp/out$$p"; \
+	done && \
+	cmp "$$tmp/out1" "$$tmp/out4" && echo "nvmcp-bench -scale quick: identical at GOMAXPROCS 1 and 4"
 
 # fleet is the fleet-scale chaos gate: the topology / placement /
 # survivability test suites under the race detector, the fleet end-to-end

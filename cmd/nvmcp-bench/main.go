@@ -16,12 +16,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"nvmcp/internal/cluster"
 	"nvmcp/internal/experiments"
 	"nvmcp/internal/introspect"
 	"nvmcp/internal/report"
@@ -170,23 +168,8 @@ func main() {
 	reportOut := flag.String("report-out", "", "write an aggregate report JSON of every scenario run to this file")
 	stressOut := flag.String("stress-out", "", "write the fleet experiment's stress report to <path>.html and <path>.json")
 	httpAddr := flag.String("http", "", "serve live introspection (/healthz /progress, pprof) on this address, e.g. :8080")
-	shards := flag.String("shards", "auto", "event-engine shards for every run: auto = min(GOMAXPROCS, topology), or a count (1 = serial engine)")
 	flag.Usage = usage
 	flag.Parse()
-
-	// Experiments build cluster configs internally, so the shard policy is
-	// applied process-wide; ineligible runs quietly keep the serial engine.
-	switch *shards {
-	case "", "auto":
-		cluster.DefaultShards = cluster.ShardsAuto
-	default:
-		n, err := strconv.Atoi(*shards)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "nvmcp-bench: -shards must be \"auto\" or a count >= 1, got %q\n", *shards)
-			os.Exit(2)
-		}
-		cluster.DefaultShards = n
-	}
 
 	// The bench drives many short-lived simulations, so the introspection
 	// server carries no single observer — it reports which experiment is

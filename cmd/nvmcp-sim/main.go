@@ -94,7 +94,7 @@ func main() {
 		driftStrict  = flag.Bool("drift-strict", false, "fail the run on the first drift limit breach (implies -drift)")
 		driftOut     = flag.String("drift-report-out", "", "write the model-drift report to <path>.html and <path>.json (implies -drift)")
 		stressOut    = flag.String("stress-report-out", "", "write the run's stress report (survivability + MTTR/availability cell) to <path>.html and <path>.json")
-		shardsFlag   = flag.String("shards", "auto", "event-engine shards: auto = min(GOMAXPROCS, topology), or a count (1 = serial engine)")
+		shardsFlag   = flag.Int("shards", 0, "event-engine shards, capped by the topology (0 = as the scenario says, serial by default; 1 = serial engine)")
 		sweepPath    = flag.String("sweep", "", "run every cell of a sweep JSON file sequentially")
 		serveMode    = flag.Bool("serve", false, "resident control-plane mode: serve the job API on -http and run submitted scenarios")
 		serveRunning = flag.Int("serve-max-running", 2, "serve: max concurrently running jobs")
@@ -194,9 +194,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
 		os.Exit(2)
 	}
-	if err := applyShards(&cfg, *shardsFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
-		os.Exit(2)
+	if *shardsFlag != 0 {
+		cfg.Shards = *shardsFlag
 	}
 	if *traceOut != "" && cfg.Tracer == nil {
 		// Only runs that render a timeline pay for span recording.
@@ -539,24 +538,6 @@ func printPresets(w io.Writer, scaleName string) {
 		tb.AddRow(p.ID, via, fleet, p.Description)
 	}
 	tb.Write(w)
-}
-
-// applyShards lowers the -shards flag onto the run config. "auto" arms the
-// process-wide auto policy but defers to a scenario's explicit shards field;
-// a numeric flag pins the count outright (1 = the serial engine).
-func applyShards(cfg *cluster.Config, flagVal string) error {
-	switch flagVal {
-	case "", "auto":
-		cluster.DefaultShards = cluster.ShardsAuto
-		return nil
-	default:
-		n, err := strconv.Atoi(flagVal)
-		if err != nil || n < 1 {
-			return fmt.Errorf("-shards must be \"auto\" or a count >= 1, got %q", flagVal)
-		}
-		cfg.Shards = n
-		return nil
-	}
 }
 
 // policyName renders a policy field for the summary line ("" means none).

@@ -1,11 +1,47 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
+	"nvmcp/internal/cluster"
 	"nvmcp/internal/scenario"
 )
+
+// TestOutputIndependentOfHostWidth runs a default preset at GOMAXPROCS 1
+// and 4: the host's width must not choose the simulated machine, so both
+// runs print the same bytes and the library's checksum for the preset.
+func TestOutputIndependentOfHostWidth(t *testing.T) {
+	run := func(procs int) []byte {
+		cmd := exec.Command(simBinary(t), "-preset", "fig7", "-scale", "tiny")
+		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", procs))
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return out
+	}
+	narrow, wide := run(1), run(4)
+	if string(narrow) != string(wide) {
+		t.Fatalf("output differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", narrow, wide)
+	}
+	m := regexp.MustCompile(`workload checksum\s+([0-9a-f]{16})`).FindSubmatch(narrow)
+	if m == nil {
+		t.Fatalf("no checksum in output:\n%s", narrow)
+	}
+	p, _ := scenario.PresetByID("fig7")
+	res, _, err := cluster.RunScenario(p.Build(scenario.ScaleTiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", res.WorkloadChecksum); string(m[1]) != want {
+		t.Fatalf("CLI checksum %s != library checksum %s", m[1], want)
+	}
+}
 
 // TestPresetListingFleetColumn pins the -list-presets contract: fleet-backed
 // presets show their generated topology, everything else shows "-", and the

@@ -229,13 +229,11 @@ type Config struct {
 	Control *Control
 
 	// Shards partitions the node set onto N independent event engines run in
-	// conservative lockstep (see DESIGN.md §12). 0 leaves the choice to the
-	// process-wide DefaultShards (which itself defaults to the classic serial
-	// engine), 1 pins the serial engine, ShardsAuto resolves
-	// min(GOMAXPROCS, topology limit) at build time. Requests the topology
-	// cannot honor are capped; configurations with global coupling (failures,
-	// a bottom tier, a non-shard-local remote policy, lineage/SLO/tracing)
-	// fall back to the serial engine with an EvEngineWarn on the bus.
+	// conservative lockstep (see DESIGN.md §12). 0 and 1 run the classic
+	// serial engine. Requests the topology cannot honor are capped;
+	// configurations with global coupling (failures, a bottom tier, a
+	// non-shard-local remote policy, lineage/SLO/tracing) fall back to the
+	// serial engine with an EvEngineWarn on the bus.
 	Shards int
 
 	// nodeOffset / rankOffset shift this instance's node and rank numbering
@@ -244,8 +242,9 @@ type Config struct {
 	// observability streams read like one cluster's.
 	nodeOffset int
 	rankOffset int
-	// shardFallback records why a requested sharded run fell back to the
-	// serial engine, surfaced as an EvEngineWarn once the bus exists.
+	// shardFallback is the warning text for a requested sharded run that
+	// fell back to the serial engine, emitted as an EvEngineWarn once the
+	// bus exists.
 	shardFallback string
 }
 
@@ -338,8 +337,8 @@ func (cfg *Config) Validate() error {
 	if cfg.PayloadCap < 1 {
 		return fmt.Errorf("cluster: payload cap must be >= 1, got %d", cfg.PayloadCap)
 	}
-	if cfg.Shards < ShardsAuto {
-		return fmt.Errorf("cluster: shards must be >= 0 (or ShardsAuto), got %d", cfg.Shards)
+	if cfg.Shards < 0 {
+		return fmt.Errorf("cluster: shards must be >= 0, got %d", cfg.Shards)
 	}
 	if len(cfg.Shapes) != 0 && len(cfg.Shapes) != cfg.Nodes {
 		return fmt.Errorf("cluster: %d node shapes for %d nodes", len(cfg.Shapes), cfg.Nodes)
@@ -595,31 +594,19 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if want := cfg.Shards; want == 0 {
-		want = DefaultShards
-		if want > 1 || want == ShardsAuto {
-			// Policy-driven sharding (the cmds' -shards flag): quietly keep
-			// the serial engine when the config cannot shard, so ambient
-			// defaults never change a run's event stream.
-			if shardBlocker(&cfg) == "" {
-				if n := resolveShardCount(&cfg, want); n > 1 {
-					cfg.Shards = n
-					return newSharded(cfg)
-				}
-			}
-		}
-	} else if want > 1 || want == ShardsAuto {
-		// Explicit request in the Config: shard if possible, and say why not
-		// when it is not.
-		if reason := shardBlocker(&cfg); reason == "" {
-			if n := resolveShardCount(&cfg, want); n > 1 {
+	if cfg.Shards > 1 {
+		// Shard if possible, and say why not when it is not. A fallen-back
+		// run records the engine it actually ran on.
+		reason := shardBlocker(&cfg)
+		if reason == "" {
+			if n := min(cfg.Shards, maxShardCount(&cfg)); n > 1 {
 				cfg.Shards = n
 				return newSharded(cfg)
 			}
-			cfg.shardFallback = "topology supports only one shard"
-		} else {
-			cfg.shardFallback = reason
+			reason = "topology supports only one shard"
 		}
+		cfg.shardFallback = fmt.Sprintf("shards=%d requested but running serial: %s", cfg.Shards, reason)
+		cfg.Shards = 1
 	}
 	localEntry, _ := policy.Parse(policy.KindLocal, cfg.Local)
 	remoteEntry, _ := policy.Parse(policy.KindRemote, cfg.Remote)
@@ -673,8 +660,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.shardFallback != "" {
 		o.Emit(obs.Event{Type: obs.EvEngineWarn, Actor: "cluster", Attrs: map[string]string{
 			"code": "shard-fallback",
-			"msg": fmt.Sprintf("shards=%d requested but running serial: %s",
-				cfg.Shards, cfg.shardFallback),
+			"msg":  cfg.shardFallback,
 		}})
 	}
 	// Spans are recorded only into an attached Tracer; without one, hot
@@ -1470,28 +1456,11 @@ func (c *Cluster) collect() Result {
 	res.BottomBytes = c.bottomStats.Bytes
 	res.BottomDrainTime = c.bottomStats.Duration
 
-	// Derived figures from the obs registry's cluster-scope rollups: the
-	// Figure 9 pre-copy hit and re-dirty rates and the Figure 10 peak
-	// per-window checkpoint traffic. Published back as gauges so the report
-	// sinks pick them up.
+	c.deriveFromRegistry(&res)
 	reg := c.Obs.Registry()
-	pre := float64(reg.Counter("precopy_bytes", nil).Get())
-	ck := float64(reg.Counter("ckpt_bytes", nil).Get())
-	if pre+ck > 0 {
-		res.PreCopyHitRate = pre / (pre + ck)
-	}
-	precopied := float64(reg.Counter("chunks_precopied", nil).Get())
-	if precopied > 0 {
-		res.ReDirtyRate = float64(reg.Counter("redirtied_chunks", nil).Get()) / precopied
-	}
-	res.PeakCkptWindowBytes, _ = reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).
-		PeakDiffBucket(c.Env.Now(), PeakWindow)
-	reg.Gauge("precopy_hit_rate", nil).Set(res.PreCopyHitRate)
-	reg.Gauge("redirty_rate", nil).Set(res.ReDirtyRate)
-	reg.Gauge("peak_ckpt_window_bytes", nil).Set(res.PeakCkptWindowBytes)
 
 	// Degraded-mode accounting: which cascade tier served each recovered
-	// chunk, helper retry/failover effort, and repair-time gauges.
+	// chunk, and repair-time gauges.
 	res.FailuresSkipped = c.skipCount
 	res.Corruptions = c.corruptCount
 	res.LinkFlaps = c.flapCount
@@ -1499,8 +1468,6 @@ func (c *Cluster) collect() Result {
 	res.RecoveryRemote = reg.Counter("recovery_path", obs.Labels{"tier": "remote"}).Get()
 	res.RecoveryBottom = reg.Counter("recovery_path", obs.Labels{"tier": "bottom"}).Get()
 	res.RecoveryLost = reg.Counter("recovery_path", obs.Labels{"tier": "lost"}).Get()
-	res.ShipRetries = reg.Counter("helper_ship_retries", nil).Get()
-	res.BuddyFailovers = reg.Counter("helper_buddy_failovers", nil).Get()
 	if c.mttrN > 0 {
 		res.MTTR = c.mttrTotal / time.Duration(c.mttrN)
 	}
@@ -1530,6 +1497,31 @@ func (c *Cluster) collect() Result {
 	}
 	res.Replans = c.replanCount
 	return res
+}
+
+// deriveFromRegistry fills the figures both engines derive from the
+// cluster-scope rollups of c's registry — the Figure 9 pre-copy hit and
+// re-dirty rates, the Figure 10 peak per-window checkpoint traffic, and the
+// helper ship-retry and buddy-failover counts — and publishes the three
+// rates back as gauges so the report sinks pick them up.
+func (c *Cluster) deriveFromRegistry(res *Result) {
+	reg := c.Obs.Registry()
+	pre := float64(reg.Counter("precopy_bytes", nil).Get())
+	ck := float64(reg.Counter("ckpt_bytes", nil).Get())
+	if pre+ck > 0 {
+		res.PreCopyHitRate = pre / (pre + ck)
+	}
+	precopied := float64(reg.Counter("chunks_precopied", nil).Get())
+	if precopied > 0 {
+		res.ReDirtyRate = float64(reg.Counter("redirtied_chunks", nil).Get()) / precopied
+	}
+	res.PeakCkptWindowBytes, _ = reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).
+		PeakDiffBucket(c.Env.Now(), PeakWindow)
+	reg.Gauge("precopy_hit_rate", nil).Set(res.PreCopyHitRate)
+	reg.Gauge("redirty_rate", nil).Set(res.ReDirtyRate)
+	reg.Gauge("peak_ckpt_window_bytes", nil).Set(res.PeakCkptWindowBytes)
+	res.ShipRetries = reg.Counter("helper_ship_retries", nil).Get()
+	res.BuddyFailovers = reg.Counter("helper_buddy_failovers", nil).Get()
 }
 
 // PeakWindow is the window width used for the peak-interconnect-usage figure

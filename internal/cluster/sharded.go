@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"time"
 
 	"nvmcp/internal/drift"
@@ -22,17 +21,6 @@ import (
 // fixed shard count is by construction: shards share no mutable state, and
 // every cross-shard reduction (the release time, the merged observability
 // streams, the folded checksum) is ordered by shard index.
-
-// ShardsAuto, set as Config.Shards or DefaultShards, resolves the shard
-// count to min(GOMAXPROCS, topology limit) at cluster build time.
-const ShardsAuto = -1
-
-// DefaultShards is the process-wide shard policy applied when a Config
-// leaves Shards at zero: 0 keeps the classic serial engine, ShardsAuto
-// resolves per run, a positive count is used directly (capped by the
-// topology). The cmds' -shards flag sets it; the library default stays
-// serial so embedded runs and the existing test corpus are untouched.
-var DefaultShards = 0
 
 // shardEngine is the coordinator state hung off a partitioned Cluster.
 type shardEngine struct {
@@ -97,36 +85,6 @@ func maxShardCount(cfg *Config) int {
 		}
 	}
 	return cfg.Nodes / min
-}
-
-// resolveShardCount lowers a shard request (a count, or ShardsAuto) to the
-// effective count, capped by the topology.
-func resolveShardCount(cfg *Config, req int) int {
-	n := req
-	if n == ShardsAuto {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if max := maxShardCount(cfg); n > max {
-		n = max
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// AutoShards reports the shard count a configuration resolves to under
-// ShardsAuto on this host: min(GOMAXPROCS, topology limit), or 1 when the
-// configuration cannot shard at all.
-func AutoShards(cfg Config) int {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return 1
-	}
-	if shardBlocker(&cfg) != "" {
-		return 1
-	}
-	return resolveShardCount(&cfg, ShardsAuto)
 }
 
 // newSharded builds the coordinator cluster: one sub-cluster per contiguous
@@ -280,28 +238,13 @@ func (c *Cluster) collectSharded() Result {
 	res.DataToNVMPerRank = float64(res.PreCopyBytes+res.CkptBytes) / float64(ranks)
 	res.WorkloadChecksum = h.Sum64()
 
-	// Cluster-level rates and the Figure 10 peak re-derive from the merged
-	// registry (the per-shard gauge values absorbed by the merge are only
-	// the last shard's; overwrite them with the global figures).
+	// Cluster-level figures re-derive from the merged registry (the
+	// per-shard gauge values absorbed by the merge are only the last
+	// shard's; overwrite them with the global figures).
+	c.deriveFromRegistry(&res)
 	reg := c.Obs.Registry()
-	pre := float64(reg.Counter("precopy_bytes", nil).Get())
-	ck := float64(reg.Counter("ckpt_bytes", nil).Get())
-	if pre+ck > 0 {
-		res.PreCopyHitRate = pre / (pre + ck)
-	}
-	precopied := float64(reg.Counter("chunks_precopied", nil).Get())
-	if precopied > 0 {
-		res.ReDirtyRate = float64(reg.Counter("redirtied_chunks", nil).Get()) / precopied
-	}
-	res.PeakCkptWindowBytes, _ = reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).
-		PeakDiffBucket(c.Env.Now(), PeakWindow)
-	reg.Gauge("precopy_hit_rate", nil).Set(res.PreCopyHitRate)
-	reg.Gauge("redirty_rate", nil).Set(res.ReDirtyRate)
-	reg.Gauge("peak_ckpt_window_bytes", nil).Set(res.PeakCkptWindowBytes)
 	reg.Gauge("mttr_seconds", nil).Set(0)
 	reg.Gauge("degraded_seconds_total", nil).Set(0)
-	res.ShipRetries = reg.Counter("helper_ship_retries", nil).Get()
-	res.BuddyFailovers = reg.Counter("helper_buddy_failovers", nil).Get()
 
 	// The drift observatory folds from events alone, so the sharded path
 	// replays the deterministic merged stream through the same fold the

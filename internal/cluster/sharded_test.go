@@ -254,32 +254,36 @@ func TestShardedRunMatchesSerialInvariants(t *testing.T) {
 	}
 }
 
-// TestAutoShardsRespectsTopology pins the auto resolution rule:
-// min(GOMAXPROCS, topology limit), where a buddy ring needs two nodes per
-// shard and ineligible configs resolve to one.
-func TestAutoShardsRespectsTopology(t *testing.T) {
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	runtime.GOMAXPROCS(8)
-
-	buddy := shardCfg(0)
-	if got := AutoShards(buddy); got != 2 {
-		t.Fatalf("buddy over 4 nodes: auto = %d, want 2 (ring needs 2 nodes/shard)", got)
+// TestShardCountRespectsTopology pins the shard-count rule: a request is
+// capped by the topology, where a buddy ring needs two nodes per shard, and
+// an ineligible config runs serial and records one shard.
+func TestShardCountRespectsTopology(t *testing.T) {
+	shards := func(cfg Config) int {
+		t.Helper()
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.sharded == nil {
+			return c.Cfg.Shards
+		}
+		return len(c.sharded.subs)
 	}
-	none := shardCfg(0)
+	if got := shards(shardCfg(8)); got != 2 {
+		t.Fatalf("buddy over 4 nodes: %d shards, want 2 (ring needs 2 nodes/shard)", got)
+	}
+	none := shardCfg(8)
 	none.Remote = "none"
-	if got := AutoShards(none); got != 4 {
-		t.Fatalf("remote=none over 4 nodes: auto = %d, want 4", got)
+	if got := shards(none); got != 4 {
+		t.Fatalf("remote=none over 4 nodes: %d shards, want 4", got)
 	}
-	blocked := shardCfg(0)
+	blocked := shardCfg(8)
 	blocked.Bottom = "pfs-drain"
-	if got := AutoShards(blocked); got != 1 {
-		t.Fatalf("bottom-tier config: auto = %d, want 1", got)
+	if got := shards(blocked); got != 1 {
+		t.Fatalf("bottom-tier config: %d shards, want 1", got)
 	}
-
-	runtime.GOMAXPROCS(1)
-	if got := AutoShards(none); got != 1 {
-		t.Fatalf("GOMAXPROCS=1: auto = %d, want 1", got)
+	if _, err := New(shardCfg(-1)); err == nil {
+		t.Fatal("negative shard count accepted")
 	}
 }
 

@@ -11,7 +11,7 @@
 // touch a live run directly, they queue commands (inject a failure, abort)
 // that the tick applies in scheduler context. Because control hooks pin the
 // serial engine and ticks mutate nothing, a served run's workload checksum
-// is byte-identical to the same scenario run in batch mode with -shards 1.
+// is byte-identical to the same scenario run in batch mode.
 package controlplane
 
 import (
@@ -258,7 +258,7 @@ func (pl *Plane) Submit(sc *scenario.Scenario, opts SubmitOptions) (JobStatus, e
 	}
 	// The control hooks pin the serial engine anyway; pinning explicitly
 	// keeps the event stream free of fallback warnings and byte-identical
-	// to a `-shards 1` batch run of the same scenario.
+	// to a plain batch run of the same scenario.
 	cfg.Shards = 1
 	if pl.cfg.admission() == AdmissionBurnRate && cfg.Drift == nil {
 		// Burn-rate admission steers on each run's drift-corrected window

@@ -103,7 +103,7 @@ func RunFleet(scale Scale) FleetResult {
 		sharded.Name += "-sharded"
 		cellsIn := []fleetCell{
 			{sc: FleetChaosScenario(nodes, scale, "spread", "none"), shards: 1, twin: true},
-			{sc: sharded, shards: cluster.ShardsAuto},
+			{sc: sharded, shards: 2},
 			{sc: FleetChaosScenario(nodes, scale, "spread", "rack"), shards: 1},
 			{sc: FleetChaosScenario(nodes, scale, "spread", "zone"), shards: 1},
 			{sc: FleetChaosScenario(nodes, scale, "naive", "zone"), shards: 1},

@@ -1,6 +1,6 @@
 // Package obs is the unified instrumentation layer: a typed, virtual-time-
-// stamped event bus, a metrics registry (counters, gauges, histograms,
-// bandwidth timelines) with per-node and cluster-level scopes, and sinks
+// stamped event bus, a metrics registry (counters, gauges, bandwidth
+// timelines) with per-node and cluster-level scopes, and sinks
 // that render a run as structured JSONL events, a Prometheus-style text
 // exposition, a Chrome/Perfetto trace, and an end-of-run RunReport.
 //

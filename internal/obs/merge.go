@@ -3,8 +3,6 @@ package obs
 import (
 	"sort"
 	"time"
-
-	"nvmcp/internal/stats"
 )
 
 // MergeShards folds per-shard observers into dst in a deterministic order —
@@ -19,7 +17,6 @@ import (
 //   - counters: summed.
 //   - gauges: taken in shard order (last shard wins a conflict); callers
 //     re-derive cluster-level gauges from the merged registry afterwards.
-//   - histograms: bucket-wise pooled.
 //   - timelines: summed as step functions — the merged series at any instant
 //     is the sum of the shard series, which keeps window-diff readings
 //     (e.g. the Figure 10 peak) exact.
@@ -66,20 +63,6 @@ func MergeShards(dst *Observer, shards []*Observer) {
 	dst.reg.mergeFrom(regs)
 }
 
-// merge pools a snapshotted histogram into h (same edges assumed — both
-// sides were created by the same instrumentation site).
-func (h *Histogram) merge(cp stats.Histogram, sum float64) {
-	h.mu.Lock()
-	for i := range cp.Counts {
-		h.h.Counts[i] += cp.Counts[i]
-	}
-	h.h.Under += cp.Under
-	h.h.Over += cp.Over
-	h.h.Total += cp.Total
-	h.sum += sum
-	h.mu.Unlock()
-}
-
 // mergeFrom absorbs the source registries into dst, iterating every metric
 // map in sorted-key order so the merged registry's creation order — and
 // with it every downstream rendering — is deterministic.
@@ -94,10 +77,6 @@ func (dst *Registry) mergeFrom(srcs []*Registry) {
 		for k, v := range src.gauges {
 			gauges[k] = v
 		}
-		hists := make(map[metricKey]*Histogram, len(src.hists))
-		for k, v := range src.hists {
-			hists[k] = v
-		}
 		labels := make(map[metricKey]Labels, len(src.labels))
 		for k, v := range src.labels {
 			labels[k] = v
@@ -108,10 +87,6 @@ func (dst *Registry) mergeFrom(srcs []*Registry) {
 		}
 		for _, k := range sortedKeys(gauges) {
 			dst.gaugeCanon(k.name, k.labels, labels[k]).Set(gauges[k].Get())
-		}
-		for _, k := range sortedKeys(hists) {
-			cp, sum := hists[k].Snapshot()
-			dst.histogramCanon(k.name, k.labels, labels[k], cp.Edges).merge(cp, sum)
 		}
 	}
 

@@ -3,13 +3,10 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-
-	"nvmcp/internal/stats"
 )
 
 // Labels is a metric's label set. The empty (or nil) set is the cluster
@@ -95,34 +92,6 @@ func (g *Gauge) Get() float64 {
 	return g.v
 }
 
-// Histogram is a mutex-guarded wrapper over stats.Histogram that also tracks
-// the observation sum, for Prometheus-style exposition.
-type Histogram struct {
-	mu  sync.Mutex
-	h   *stats.Histogram
-	sum float64
-}
-
-// Observe counts one observation.
-func (h *Histogram) Observe(x float64) {
-	h.mu.Lock()
-	h.h.Add(x)
-	if !math.IsNaN(x) {
-		h.sum += x
-	}
-	h.mu.Unlock()
-}
-
-// Snapshot returns a copy of the underlying histogram and the running sum.
-func (h *Histogram) Snapshot() (stats.Histogram, float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cp := *h.h
-	cp.Edges = append([]float64(nil), h.h.Edges...)
-	cp.Counts = append([]int64(nil), h.h.Counts...)
-	return cp, h.sum
-}
-
 // metricKey identifies one metric instance.
 type metricKey struct {
 	name   string
@@ -136,7 +105,6 @@ type Registry struct {
 	mu        sync.Mutex
 	counters  map[metricKey]*Counter
 	gauges    map[metricKey]*Gauge
-	hists     map[metricKey]*Histogram
 	timelines map[metricKey]*Timeline
 	labels    map[metricKey]Labels
 }
@@ -146,7 +114,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[metricKey]*Counter),
 		gauges:    make(map[metricKey]*Gauge),
-		hists:     make(map[metricKey]*Histogram),
 		timelines: make(map[metricKey]*Timeline),
 		labels:    make(map[metricKey]Labels),
 	}
@@ -188,28 +155,6 @@ func (r *Registry) gaugeCanon(name, canon string, labels Labels) *Gauge {
 		r.labels[key] = labels.clone()
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it over the given edges if
-// needed. Edges are fixed at creation; later calls may pass nil.
-func (r *Registry) Histogram(name string, labels Labels, edges []float64) *Histogram {
-	return r.histogramCanon(name, labels.canon(), labels, edges)
-}
-
-func (r *Registry) histogramCanon(name, canon string, labels Labels, edges []float64) *Histogram {
-	key := metricKey{name, canon}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[key]
-	if !ok {
-		if len(edges) < 2 {
-			panic(fmt.Sprintf("obs: histogram %s created without edges", name))
-		}
-		h = &Histogram{h: stats.NewHistogram(edges)}
-		r.hists[key] = h
-		r.labels[key] = labels.clone()
-	}
-	return h
 }
 
 // Timeline returns the named timeline, creating it if needed. Hot callers
@@ -257,10 +202,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[metricKey]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	timelines := make(map[metricKey]*Timeline, len(r.timelines))
 	for k, v := range r.timelines {
 		timelines[k] = v
@@ -283,18 +224,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		header(key.name, "gauge")
 		fmt.Fprintf(w, "%s%s %g\n", key.name, key.labels, gauges[key].Get())
 	}
-	for _, key := range sortedKeys(hists) {
-		header(key.name, "histogram")
-		h, sum := hists[key].Snapshot()
-		cum := h.Under
-		for i, c := range h.Counts {
-			cum += c
-			fmt.Fprintf(w, "%s_bucket%s %d\n", key.name, mergeLabels(key.labels, fmt.Sprintf("le=%q", formatEdge(h.Edges[i+1]))), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", key.name, mergeLabels(key.labels, `le="+Inf"`), h.Total)
-		fmt.Fprintf(w, "%s_sum%s %g\n", key.name, key.labels, sum)
-		fmt.Fprintf(w, "%s_count%s %d\n", key.name, key.labels, h.Total)
-	}
 	for _, key := range sortedKeys(timelines) {
 		tl := timelines[key]
 		cumName := key.name + "_cum"
@@ -305,17 +234,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		fmt.Fprintf(w, "%s%s %d\n", stepsName, key.labels, tl.Len())
 	}
 	return nil
-}
-
-// formatEdge renders a histogram edge for the le label.
-func formatEdge(e float64) string { return fmt.Sprintf("%g", e) }
-
-// mergeLabels splices an extra label into a canonical label string.
-func mergeLabels(canon, extra string) string {
-	if canon == "" {
-		return "{" + extra + "}"
-	}
-	return strings.TrimSuffix(canon, "}") + "," + extra + "}"
 }
 
 // MetricPoint is one scalar metric sample from Snapshot: the metric name,

@@ -238,15 +238,6 @@ func (r *Recorder) SetGauge(name string, v float64) {
 	r.o.reg.gaugeCanon(name, r.scopeCanon, r.scopeLabels).Set(v)
 }
 
-// Observe counts one observation into the named histogram (edges fix the
-// bins on first use).
-func (r *Recorder) Observe(name string, edges []float64, v float64) {
-	if r == nil {
-		return
-	}
-	r.o.reg.histogramCanon(name, r.scopeCanon, r.scopeLabels, edges).Observe(v)
-}
-
 // TimelineSet appends a step to a labeled cluster-scope timeline (e.g. the
 // fabric's cumulative checkpoint bytes; labeled by class, not node, so the
 // figure code reads one series). Hot callers should hold the registry's

@@ -34,7 +34,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.Emit(EvCheckpointBegin, "", 0, nil)
 	r.Add("c", 1)
 	r.SetGauge("g", 1)
-	r.Observe("h", []float64{0, 1}, 0.5)
 	r.TimelineSet("t", nil, 1)
 	r.Span("s", "c", 0, 0, time.Second, nil)
 	r.Instant("i", "c", 0, 0, nil)
@@ -98,8 +97,6 @@ func TestWritePromFormat(t *testing.T) {
 	r := o.Recorder(0, "rank0")
 	r.Add("commits", 2)
 	r.SetGauge("precopy_hit_rate", 0.5)
-	r.Observe("stage_secs", []float64{0, 1, 2}, 0.5)
-	r.Observe("stage_secs", []float64{0, 1, 2}, 1.5)
 	r.TimelineSet("fabric_bytes", Labels{"class": "ckpt"}, 100)
 
 	var buf bytes.Buffer
@@ -112,10 +109,6 @@ func TestWritePromFormat(t *testing.T) {
 		"commits_total 2\n",
 		`commits_total{actor="rank0",node="0"} 2`,
 		"# TYPE precopy_hit_rate gauge",
-		`stage_secs_bucket{actor="rank0",node="0",le="1"} 1`,
-		`stage_secs_bucket{actor="rank0",node="0",le="+Inf"} 2`,
-		`stage_secs_sum{actor="rank0",node="0"} 2`,
-		`stage_secs_count{actor="rank0",node="0"} 2`,
 		`fabric_bytes_cum{class="ckpt"} 100`,
 		`fabric_bytes_steps{class="ckpt"} 1`,
 	} {
@@ -227,7 +220,6 @@ func TestConcurrentPublication(t *testing.T) {
 				r.Emit(EvChunkStaged, "c", 1, nil)
 				r.Add("staged_chunks", 1)
 				r.SetGauge("gauge", float64(i))
-				r.Observe("hist", []float64{0, 100, 200}, float64(i))
 				r.TimelineSet("tl", Labels{"g": "x"}, float64(i))
 				r.Span("s", "c", 0, 0, time.Microsecond, nil)
 			}
@@ -243,16 +235,6 @@ func TestConcurrentPublication(t *testing.T) {
 	if got := o.Spans().Len(); got != 1600 {
 		t.Fatalf("spans = %d, want 1600", got)
 	}
-}
-
-func TestHistogramCreationPanicsWithoutEdges(t *testing.T) {
-	reg := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("histogram without edges did not panic")
-		}
-	}()
-	reg.Histogram("h", nil, nil)
 }
 
 func TestRecorderChildCachesAndScopes(t *testing.T) {

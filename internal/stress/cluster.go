@@ -50,19 +50,13 @@ func SeverityOf(sc *scenario.Scenario) string {
 // the run's Result.
 func CellFromRun(sc *scenario.Scenario, c *cluster.Cluster, res cluster.Result) Cell {
 	cfg := c.Cfg
-	// A sharded run carries its resolved shard count; a serial run may still
-	// hold the ShardsAuto sentinel (or 0) it fell back from.
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	cell := Cell{
 		Name:       sc.Name,
 		FleetNodes: cfg.Nodes,
 		Ranks:      res.Ranks,
 		Severity:   SeverityOf(sc),
 		Policy:     cfg.Remote,
-		Shards:     shards,
+		Shards:     max(cfg.Shards, 1),
 
 		ExecSecs:     Round6(res.ExecTime.Seconds()),
 		MTTRSecs:     Round6(res.MTTR.Seconds()),

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"nvmcp/internal/report"
-	"nvmcp/internal/topo"
-
 	"os"
+
+	"nvmcp/internal/cluster"
+	"nvmcp/internal/report"
+	"nvmcp/internal/scenario"
+	"nvmcp/internal/topo"
 )
 
 // fleet8 is 8 nodes over 2 zones × 2 racks (2 nodes per rack).
@@ -106,6 +108,33 @@ func TestAnalyzeNilInputs(t *testing.T) {
 	var s *Survivability
 	if !strings.Contains(s.Verdict(), "not analyzed") {
 		t.Error("nil verdict should say not analyzed")
+	}
+}
+
+// TestFallenBackRunReportsSerial asks for four shards on a zone-outage
+// fleet, whose failure injection pins the serial engine: the cell must
+// record the one shard the run used, and the survivability analysis of a
+// serial run must still be made.
+func TestFallenBackRunReportsSerial(t *testing.T) {
+	p, ok := scenario.PresetByID("fleet-zone")
+	if !ok {
+		t.Fatal("fleet-zone preset missing")
+	}
+	sc := p.Build(scenario.ScaleTiny)
+	cfg, err := cluster.FromScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 4
+	res, c, err := cluster.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CellFromRun(sc, c, res).Shards; got != 1 {
+		t.Errorf("fallen-back run reports %d shards, want 1", got)
+	}
+	if AnalyzeRun(c) == nil {
+		t.Error("fallen-back serial run skipped the survivability analysis")
 	}
 }
 
