@@ -102,7 +102,7 @@ func main() {
 		}
 		return
 	}
-	if err := writeFile(*out, render); err != nil {
+	if err := report.WriteFile(*out, render); err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-analyze: write %s: %v\n", *out, err)
 		os.Exit(1)
 	}
@@ -155,21 +155,6 @@ func fmtPtr(v *float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%g", *v)
-}
-
-// writeFile streams render into path, surfacing the Close error (a full disk
-// shows up there). No os.Exit here, so the deferred Close always runs.
-func writeFile(path string, render func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return render(f)
 }
 
 // appAnalysis is the machine-readable form of one workload's analysis: the

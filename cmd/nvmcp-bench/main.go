@@ -296,49 +296,19 @@ func main() {
 // writeStressReport writes the fleet stress-report pair: <base>.json (the
 // stable schema) and <base>.html (self-contained MTTR/availability curves).
 func writeStressReport(path string, rep stress.Report) error {
+	err := report.WritePair(path, "stress", rep, func(w io.Writer) error { return stress.WriteHTML(w, rep) }, nil)
+	if err != nil {
+		return err
+	}
 	base := strings.TrimSuffix(path, filepath.Ext(path))
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(jf, "stress", rep); err != nil {
-		_ = jf.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	hf, err := os.Create(base + ".html")
-	if err != nil {
-		return err
-	}
-	if err := stress.WriteHTML(hf, rep); err != nil {
-		_ = hf.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := hf.Close(); err != nil {
-		return err
-	}
 	fmt.Printf("wrote stress report -> %s.json, %s.html\n", base, base)
 	return nil
 }
 
-// writeJSONFile renders v as indented JSON at path. The file is closed (and
-// its Close error surfaced — that is where a full disk shows up) before the
-// caller decides how loudly to fail; no os.Exit here, so no defer is skipped.
-func writeJSONFile(path string, v any) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+// writeJSONFile renders v as indented JSON at path, surfacing the Close
+// error before the caller decides how loudly to fail.
+func writeJSONFile(path string, v any) error {
+	return report.WriteFile(path, func(w io.Writer) error { return report.WriteJSON(w, "nvmcp-bench", v) })
 }
 
 func usage() {

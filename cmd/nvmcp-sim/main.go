@@ -555,65 +555,59 @@ func writeArtifact(path, what string, write func(io.Writer) error) {
 	if path == "" {
 		return
 	}
-	if err := writeFile(path, write); err != nil {
+	if err := report.WriteFile(path, write); err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: write %s: %v\n", what, err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s -> %s\n", what, path)
 }
 
-// writeSLOReport renders the flight recorder as the report pair: the path's
-// extension is replaced, yielding <base>.html (self-contained charts) and
-// <base>.json (the stable schema nvmcp-analyze -diff consumes).
+// writeReportPair renders a report as the pair report.WritePair writes:
+// <base>.html (self-contained charts) and <base>.json (the stable schema),
+// announcing each file as "<what> (html|json)".
+func writeReportPair(path, what, pkg string, rep any, page func(io.Writer) error) {
+	err := report.WritePair(path, pkg, rep, page, func(p string) {
+		fmt.Printf("wrote %s (%s) -> %s\n", what, strings.TrimPrefix(filepath.Ext(p), "."), p)
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nvmcp-sim: write %s: %v\n", what, err)
+		os.Exit(1)
+	}
+}
+
+// runMeta is the report identity of a run of sc.
+func runMeta(sc *scenario.Scenario) report.Meta {
+	return report.Meta{Tool: "nvmcp-sim", Scenario: sc.Name, Seed: sc.FaultSeed}
+}
+
+// writeSLOReport renders the flight recorder as the report pair; its JSON is
+// the schema nvmcp-analyze -diff consumes.
 func writeSLOReport(path string, c *cluster.Cluster, sc *scenario.Scenario) {
 	if path == "" || c.SLO == nil {
 		return
 	}
-	rep := slo.BuildReport(c.SLO, slo.Meta{
-		Tool:     "nvmcp-sim",
-		Scenario: sc.Name,
-		Seed:     sc.FaultSeed,
-	})
+	meta := runMeta(sc)
+	rep := slo.BuildReport(c.SLO, meta)
 	if c.Drift != nil {
 		// A run recording both gets one combined artifact: the drift section
 		// rides in the SLO report (JSON field + an HTML section).
-		dr := drift.BuildReport(c.Drift, drift.Meta{
-			Tool: "nvmcp-sim", Scenario: sc.Name, Seed: sc.FaultSeed,
-		})
+		dr := drift.BuildReport(c.Drift, meta)
 		rep.Drift = &dr
 	}
-	base := strings.TrimSuffix(path, filepath.Ext(path))
-	writeArtifact(base+".html", "slo report (html)", func(w io.Writer) error {
-		return slo.WriteHTML(w, rep)
-	})
-	writeArtifact(base+".json", "slo report (json)", func(w io.Writer) error {
-		return report.WriteJSON(w, "slo", rep)
-	})
+	writeReportPair(path, "slo report", "slo", rep, func(w io.Writer) error { return slo.WriteHTML(w, rep) })
 }
 
-// writeDriftReport renders the model-drift observatory as the same report
-// pair convention: <base>.html and <base>.json.
+// writeDriftReport renders the model-drift observatory as the report pair.
 func writeDriftReport(path string, c *cluster.Cluster, sc *scenario.Scenario) {
 	if path == "" || c.Drift == nil {
 		return
 	}
-	rep := drift.BuildReport(c.Drift, drift.Meta{
-		Tool:     "nvmcp-sim",
-		Scenario: sc.Name,
-		Seed:     sc.FaultSeed,
-	})
-	base := strings.TrimSuffix(path, filepath.Ext(path))
-	writeArtifact(base+".html", "drift report (html)", func(w io.Writer) error {
-		return drift.WriteHTML(w, rep)
-	})
-	writeArtifact(base+".json", "drift report (json)", func(w io.Writer) error {
-		return report.WriteJSON(w, "drift", rep)
-	})
+	rep := drift.BuildReport(c.Drift, runMeta(sc))
+	writeReportPair(path, "drift report", "drift", rep, func(w io.Writer) error { return drift.WriteHTML(w, rep) })
 }
 
-// writeStressReport renders the run as a one-cell stress report pair:
-// <base>.json (the stable schema, diffable) and <base>.html (self-contained
-// survivability verdict plus MTTR/availability cell).
+// writeStressReport renders the run as a one-cell stress report pair: the
+// survivability verdict plus the MTTR/availability cell.
 func writeStressReport(path string, sc *scenario.Scenario, c *cluster.Cluster, res cluster.Result, surv *stress.Survivability) {
 	if path == "" {
 		return
@@ -622,16 +616,8 @@ func writeStressReport(path string, sc *scenario.Scenario, c *cluster.Cluster, r
 	if surv != nil {
 		survs = append(survs, surv)
 	}
-	rep := stress.BuildReport(
-		stress.Meta{Tool: "nvmcp-sim", Scenario: sc.Name, Seed: sc.FaultSeed},
-		survs, []stress.Cell{stress.CellFromRun(sc, c, res)})
-	base := strings.TrimSuffix(path, filepath.Ext(path))
-	writeArtifact(base+".html", "stress report (html)", func(w io.Writer) error {
-		return stress.WriteHTML(w, rep)
-	})
-	writeArtifact(base+".json", "stress report (json)", func(w io.Writer) error {
-		return report.WriteJSON(w, "stress", rep)
-	})
+	rep := stress.BuildReport(runMeta(sc), survs, []stress.Cell{stress.CellFromRun(sc, c, res)})
+	writeReportPair(path, "stress report", "stress", rep, func(w io.Writer) error { return stress.WriteHTML(w, rep) })
 }
 
 // runSweep expands a sweep file and runs every cell sequentially, printing a
@@ -645,7 +631,7 @@ func runSweep(path string, sloStrict bool, sloReportOut string) int {
 		return 2
 	}
 	sw, err := scenario.LoadSweep(f)
-	// Same Close-error-propagation convention as writeFile below: a failed
+	// Same Close-error-propagation convention as report.WriteFile: a failed
 	// Close is the sweep's problem unless the load already failed louder.
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -710,19 +696,4 @@ func cellSlug(name string) string {
 		}
 		return '-'
 	}, name)
-}
-
-// writeFile streams write into path, surfacing the Close error. No os.Exit
-// here, so the deferred Close always runs.
-func writeFile(path string, write func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return write(f)
 }

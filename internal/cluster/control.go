@@ -56,23 +56,22 @@ func (c *Cluster) startControl() {
 	}
 }
 
-// Inject schedules one failure event into the live run at ev.After on the
+// Inject schedules one failure event into the live run at ev.At on the
 // *absolute* virtual clock (past instants are clamped to now). Scheduler-
 // context only — control hooks call it; HTTP handlers must queue instead.
 // Faults landing while no epoch is live are counted as skipped, exactly like
 // pre-scheduled ones.
-func (c *Cluster) Inject(ev FailureEvent) error {
+func (c *Cluster) Inject(ev fault.Event) error {
 	if c.injector == nil {
 		return fmt.Errorf("cluster: live injection needs a Control-enabled run")
 	}
-	f := ev.toFault()
-	if err := f.Validate(c.Cfg.Nodes, c.Cfg.Topo); err != nil {
+	if err := ev.Validate(c.Cfg.Nodes, c.Cfg.Topo); err != nil {
 		return fmt.Errorf("cluster: inject: %w", err)
 	}
-	if now := c.Env.Now(); f.At < now {
-		f.At = now
+	if now := c.Env.Now(); ev.At < now {
+		ev.At = now
 	}
-	c.injector.ScheduleAll([]fault.Event{f})
+	c.injector.ScheduleAll([]fault.Event{ev})
 	return nil
 }
 
@@ -104,8 +103,8 @@ func (c *Cluster) Aborted() string { return c.aborted }
 // queuing a command, so a malformed injection fails the request instead of
 // surfacing as a note at the next tick. Host-safe: only immutable
 // configuration is read.
-func (c *Cluster) ValidateFailure(ev FailureEvent) error {
-	return ev.toFault().Validate(c.Cfg.Nodes, c.Cfg.Topo)
+func (c *Cluster) ValidateFailure(ev fault.Event) error {
+	return ev.Validate(c.Cfg.Nodes, c.Cfg.Topo)
 }
 
 // triggerRemote starts node's remote checkpoint. Without a stagger gate it

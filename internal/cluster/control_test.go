@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmcp/internal/fault"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/scenario"
 )
@@ -120,7 +121,7 @@ func TestControlTickLiveInjection(t *testing.T) {
 				return
 			}
 			injected = true
-			if err := c.Inject(FailureEvent{After: now + 500*time.Millisecond, Node: 0}); err != nil {
+			if err := c.Inject(fault.Event{At: now + 500*time.Millisecond, Node: 0, Kind: fault.Soft}); err != nil {
 				t.Errorf("live inject: %v", err)
 			}
 		},
@@ -184,7 +185,7 @@ func TestInjectNeedsControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Inject(FailureEvent{After: time.Second}); err == nil {
+	if err := c.Inject(fault.Event{At: time.Second, Kind: fault.Soft}); err == nil {
 		t.Fatal("Inject on a Control-less cluster: want error")
 	}
 }

@@ -88,7 +88,7 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 		}
 	}
 	for _, f := range sc.Failures {
-		cfg.Failures = append(cfg.Failures, FailureFromSpec(f))
+		cfg.Failures = append(cfg.Failures, failureFromSpec(f))
 	}
 	if m := sc.FaultModel; m != nil {
 		cfg.FaultModel = &fault.Model{
@@ -116,11 +116,11 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 	return cfg, nil
 }
 
-// FailureFromSpec lowers one declarative failure into the cluster's event
-// form — shared by scenario lowering above and the control plane's live
-// injection API, so a fault described over HTTP means exactly what the same
-// JSON means in a scenario file.
-func FailureFromSpec(f scenario.FailureSpec) FailureEvent {
+// failureFromSpec lowers one declarative failure into the cluster's event
+// form. The control plane's live injection lowers through
+// scenario.FailureSpec.Event instead, which refuses the same specs a
+// scenario file's Validate does.
+func failureFromSpec(f scenario.FailureSpec) FailureEvent {
 	return FailureEvent{
 		After:     time.Duration(f.AtSecs * float64(time.Second)),
 		Node:      f.Node,

@@ -122,7 +122,7 @@ func driftArtifacts(t *testing.T, cfg Config) []byte {
 		t.Fatal("drift observatory not attached")
 	}
 	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf, "drift", drift.BuildReport(c.Drift, drift.Meta{Tool: "shard-test"})); err != nil {
+	if err := report.WriteJSON(&buf, "drift", drift.BuildReport(c.Drift, report.Meta{Tool: "shard-test"})); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&buf, "violations=%d\n", res.DriftViolations)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,22 @@ func TestAPIHeldInjectionThenStart(t *testing.T) {
 	}
 	if st.State != StateDone || st.Result.FailuresInjected != 1 || st.Result.RecoveryLost != 0 {
 		t.Fatalf("finished = %s, result = %+v; want done with 1 injected failure, 0 lost", st.State, st.Result)
+	}
+}
+
+// TestAPIInjectRejectsHardKindConflict holds live injection to the rule a
+// scenario file obeys: a failure that sets hard but names another kind is
+// refused, not run as that other kind.
+func TestAPIInjectRejectsHardKindConflict(t *testing.T) {
+	_, srv := apiRig(t, Config{})
+
+	var st JobStatus
+	doJSON(t, "POST", srv.URL+"/api/jobs", SubmitRequest{Preset: "quick", Scale: "tiny", Hold: true}, &st)
+	var apiErr apiError
+	code := doJSON(t, "POST", fmt.Sprintf("%s/api/jobs/%d/events", srv.URL, st.ID),
+		map[string]any{"at_secs": 1, "node": 0, "hard": true, "kind": "soft"}, &apiErr)
+	if code != http.StatusBadRequest || !strings.Contains(apiErr.Error, "sets hard but kind") {
+		t.Fatalf("hard+soft inject: code=%d body=%+v, want 400 naming the conflict", code, apiErr)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/drift"
+	"nvmcp/internal/fault"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/scenario"
 )
@@ -152,7 +153,7 @@ func (e *RejectError) Error() string {
 // command is one queued control action, applied to the live run by the
 // cluster.Control tick in scheduler context.
 type command struct {
-	inject *cluster.FailureEvent
+	inject *fault.Event
 	abort  string
 }
 
@@ -593,7 +594,10 @@ func (pl *Plane) Inject(id int, spec scenario.FailureSpec) error {
 	if j.state.Terminal() {
 		return ErrFinished
 	}
-	ev := cluster.FailureFromSpec(spec)
+	ev, err := spec.Event()
+	if err != nil {
+		return err
+	}
 	if err := j.cluster.ValidateFailure(ev); err != nil {
 		return err
 	}

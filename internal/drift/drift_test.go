@@ -395,7 +395,7 @@ func TestReplayMatchesObserve(t *testing.T) {
 	replayed.Replay(events)
 	replayed.Finalize(60 * time.Second)
 
-	meta := Meta{Tool: "test", Scenario: "replay", Seed: 7}
+	meta := report.Meta{Tool: "test", Scenario: "replay", Seed: 7}
 	var a, b bytes.Buffer
 	if err := report.WriteJSON(&a, "drift", BuildReport(live, meta)); err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestReportRoundTrip(t *testing.T) {
 		Attrs: map[string]string{"dur_us": "1200000", "copied": "8"}})
 	d.Observe(obs.Event{TUS: 2e6, Type: obs.EvIteration})
 	d.Finalize(10 * time.Second)
-	rep := BuildReport(d, Meta{Tool: "test", Scenario: "roundtrip", Seed: 3})
+	rep := BuildReport(d, report.Meta{Tool: "test", Scenario: "roundtrip", Seed: 3})
 
 	path := filepath.Join(t.TempDir(), "drift.json")
 	f, err := os.Create(path)
@@ -500,7 +500,7 @@ func TestFinalizeTailOnlyWhenActive(t *testing.T) {
 		if !reflect.DeepEqual(ends, tc.wantEndsUS) {
 			t.Errorf("%s: window ends %v, want %v", tc.name, ends, tc.wantEndsUS)
 		}
-		if got := BuildReport(d, Meta{}).VirtualEndUS; got != tc.wantEndUS {
+		if got := BuildReport(d, report.Meta{}).VirtualEndUS; got != tc.wantEndUS {
 			t.Errorf("%s: virtual end %dus, want %dus", tc.name, got, tc.wantEndUS)
 		}
 	}

@@ -45,7 +45,7 @@ func TestGoldenReports(t *testing.T) {
 			if c.Drift == nil {
 				t.Fatal("scenario with a drift block did not attach the observatory")
 			}
-			rep := drift.BuildReport(c.Drift, drift.Meta{Tool: "test", Scenario: tc.sc.Name, Seed: tc.sc.FaultSeed})
+			rep := drift.BuildReport(c.Drift, report.Meta{Tool: "test", Scenario: tc.sc.Name, Seed: tc.sc.FaultSeed})
 			var js, page bytes.Buffer
 			if err := report.WriteJSON(&js, "drift", rep); err != nil {
 				t.Fatal(err)

@@ -13,42 +13,31 @@ import (
 // SchemaVersion marks the drift report layout.
 const SchemaVersion = 1
 
-// Meta carries the run identity stamped into reports.
-type Meta struct {
-	Tool     string
-	Scenario string
-	Seed     int64
-}
-
 // Report is the byte-stable JSON artifact: declared-model baseline,
 // per-window estimator/prediction rows, detected phase shifts, limit
 // violations, and the run rollup.
 type Report struct {
-	SchemaVersion int          `json:"schema_version"`
-	Tool          string       `json:"tool"`
-	Scenario      string       `json:"scenario,omitempty"`
-	Seed          int64        `json:"seed,omitempty"`
-	WindowUS      int64        `json:"window_us"`
-	VirtualEndUS  int64        `json:"virtual_end_us"`
-	Baseline      Baseline     `json:"baseline"`
-	Series        []string     `json:"series"`
-	Windows       []Window     `json:"windows"`
-	PhaseShifts   []PhaseShift `json:"phase_shifts"`
-	Violations    []Violation  `json:"violations"`
-	Summary       Summary      `json:"summary"`
+	SchemaVersion int `json:"schema_version"`
+	report.Meta
+	WindowUS     int64        `json:"window_us"`
+	VirtualEndUS int64        `json:"virtual_end_us"`
+	Baseline     Baseline     `json:"baseline"`
+	Series       []string     `json:"series"`
+	Windows      []Window     `json:"windows"`
+	PhaseShifts  []PhaseShift `json:"phase_shifts"`
+	Violations   []Violation  `json:"violations"`
+	Summary      Summary      `json:"summary"`
 }
 
 // BuildReport snapshots the observatory into a report. Call after
 // Finalize for complete coverage.
-func BuildReport(d *Observatory, m Meta) Report {
+func BuildReport(d *Observatory, m report.Meta) Report {
 	d.mu.Lock()
 	windowUS, endUS := d.fold.Width().Microseconds(), d.fold.End().Microseconds()
 	d.mu.Unlock()
 	rep := Report{
 		SchemaVersion: SchemaVersion,
-		Tool:          m.Tool,
-		Scenario:      m.Scenario,
-		Seed:          m.Seed,
+		Meta:          m,
 		WindowUS:      windowUS,
 		VirtualEndUS:  endUS,
 		Baseline:      d.Baseline(),
@@ -83,23 +72,11 @@ func BuildReport(d *Observatory, m Meta) Report {
 // WriteHTML renders the standalone drift page (the same section the SLO
 // report embeds, with its own chrome).
 func WriteHTML(w io.Writer, rep Report) error {
-	var b strings.Builder
-	report.WriteHead(&b, "Model drift report")
-	fmt.Fprintf(&b, "<h1>Model drift report</h1>\n<div class=\"meta\">%s", html.EscapeString(rep.Tool))
-	if rep.Scenario != "" {
-		fmt.Fprintf(&b, " · scenario %s", html.EscapeString(rep.Scenario))
-	}
-	if rep.Seed != 0 {
-		fmt.Fprintf(&b, " · seed %d", rep.Seed)
-	}
-	fmt.Fprintf(&b, " · window %s · virtual end %s</div>\n",
-		report.FmtSecs(float64(rep.WindowUS)/1e6), report.FmtSecs(float64(rep.VirtualEndUS)/1e6))
-	rep.WriteHTMLSection(&b)
-	report.WriteTail(&b)
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("drift: write html report: %w", err)
-	}
-	return nil
+	return report.WritePage(w, "drift", "Model drift report", func(b *strings.Builder) {
+		rep.WriteTitle(b, "Model drift report", fmt.Sprintf(" · window %s · virtual end %s",
+			report.FmtSecs(float64(rep.WindowUS)/1e6), report.FmtSecs(float64(rep.VirtualEndUS)/1e6)))
+		rep.WriteHTMLSection(b)
+	})
 }
 
 // quantityView names the window-value keys and formatting of one drift

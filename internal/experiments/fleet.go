@@ -151,7 +151,7 @@ func RunFleet(scale Scale) FleetResult {
 			}
 		}
 	}
-	meta := stress.Meta{Tool: "nvmcp-bench", Scenario: "fleet", Seed: 42}
+	meta := report.Meta{Tool: "nvmcp-bench", Scenario: "fleet", Seed: 42}
 	return FleetResult{Report: stress.BuildReport(meta, survs, allCells)}
 }
 

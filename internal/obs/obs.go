@@ -57,26 +57,13 @@ func (o *Observer) UseSpanRecorder(r *SpanRecorder) {
 	o.mu.Unlock()
 }
 
-// SetEventTap replaces every installed tap with one callback invoked
-// synchronously for every event, in publication order, after the virtual
-// timestamp is stamped. The tap runs under the observer's mutex — it must be
-// fast and must never publish back into this observer (Registry updates are
-// fine; the registry has its own lock). Pass nil to detach everything.
-// Consumers that should coexist (the lineage tracer, the SLO flight
-// recorder) attach through AddEventTap instead.
-func (o *Observer) SetEventTap(tap func(Event)) {
-	o.mu.Lock()
-	o.taps = o.taps[:0]
-	if tap != nil {
-		o.taps = append(o.taps, tap)
-	}
-	o.mu.Unlock()
-}
-
-// AddEventTap installs an additional tap alongside any already attached,
-// invoked in attach order after the timestamp is stamped. The same contract
-// as SetEventTap applies: taps run under the observer's mutex, must be fast,
-// and must never publish events back. A nil tap is ignored.
+// AddEventTap installs a tap alongside any already attached: a callback
+// invoked synchronously for every event, in publication order and attach
+// order, after the virtual timestamp is stamped. Taps run under the
+// observer's mutex — they must be fast and must never publish back into
+// this observer (Registry updates are fine; the registry has its own lock).
+// Every consumer (the lineage tracer, the SLO flight recorder, the drift
+// observatory) attaches here. A nil tap is ignored.
 func (o *Observer) AddEventTap(tap func(Event)) {
 	if tap == nil {
 		return
@@ -228,25 +215,6 @@ func (r *Recorder) Add(name string, delta int64) {
 // (node, actor) series and the cluster rollup. Both are created here.
 func (r *Recorder) series(name string) (scoped, total *Counter) {
 	return r.o.reg.counterCanon(name, r.scopeCanon, r.scopeLabels), r.o.reg.counterCanon(name, "", nil)
-}
-
-// SetGauge sets the named gauge in the recorder's scope.
-func (r *Recorder) SetGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.o.reg.gaugeCanon(name, r.scopeCanon, r.scopeLabels).Set(v)
-}
-
-// TimelineSet appends a step to a labeled cluster-scope timeline (e.g. the
-// fabric's cumulative checkpoint bytes; labeled by class, not node, so the
-// figure code reads one series). Hot callers should hold the registry's
-// Timeline instead of re-resolving it per step.
-func (r *Recorder) TimelineSet(name string, labels Labels, v float64) {
-	if r == nil {
-		return
-	}
-	r.o.reg.Timeline(name, labels).Set(r.o.env.Now(), v)
 }
 
 // SpansActive reports whether a span recorder is attached — callers

@@ -33,8 +33,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(EvCheckpointBegin, "", 0, nil)
 	r.Add("c", 1)
-	r.SetGauge("g", 1)
-	r.TimelineSet("t", nil, 1)
 	r.Span("s", "c", 0, 0, time.Second, nil)
 	r.Instant("i", "c", 0, 0, nil)
 	r.NameProcess("n")
@@ -96,8 +94,8 @@ func TestWritePromFormat(t *testing.T) {
 	o := New(sim.NewEnv())
 	r := o.Recorder(0, "rank0")
 	r.Add("commits", 2)
-	r.SetGauge("precopy_hit_rate", 0.5)
-	r.TimelineSet("fabric_bytes", Labels{"class": "ckpt"}, 100)
+	o.Registry().Gauge("precopy_hit_rate", Labels{"node": "0", "actor": "rank0"}).Set(0.5)
+	o.Registry().Timeline("fabric_bytes", Labels{"class": "ckpt"}).Set(0, 100)
 
 	var buf bytes.Buffer
 	if err := o.Registry().WriteProm(&buf); err != nil {
@@ -122,7 +120,7 @@ func TestFlatten(t *testing.T) {
 	o := New(sim.NewEnv())
 	r := o.Recorder(1, "rank1")
 	r.Add("restores", 3)
-	r.SetGauge("redirty_rate", 0.25)
+	o.Registry().Gauge("redirty_rate", Labels{"node": "1", "actor": "rank1"}).Set(0.25)
 	flat := o.Registry().Flatten()
 	if flat["restores"] != 3 {
 		t.Fatalf("cluster restores = %v", flat["restores"])
@@ -219,8 +217,8 @@ func TestConcurrentPublication(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.Emit(EvChunkStaged, "c", 1, nil)
 				r.Add("staged_chunks", 1)
-				r.SetGauge("gauge", float64(i))
-				r.TimelineSet("tl", Labels{"g": "x"}, float64(i))
+				o.Registry().Gauge("gauge", nil).Set(float64(i))
+				o.Registry().Timeline("tl", Labels{"g": "x"}).Set(0, float64(i))
 				r.Span("s", "c", 0, 0, time.Microsecond, nil)
 			}
 		}(g)
@@ -268,7 +266,7 @@ func TestEventTapSeesPublicationOrderAndProgress(t *testing.T) {
 	env := sim.NewEnv()
 	o := New(env)
 	var tapped []Event
-	o.SetEventTap(func(ev Event) { tapped = append(tapped, ev) })
+	o.AddEventTap(func(ev Event) { tapped = append(tapped, ev) })
 	r := o.Recorder(0, "rank0")
 	env.Go("emitter", func(p *sim.Proc) {
 		r.Emit(EvChunkStaged, "a", 1, nil)
@@ -299,19 +297,10 @@ func TestAddEventTapCoexistsAndSetReplaces(t *testing.T) {
 	if a != 1 || b != 1 {
 		t.Fatalf("additive taps saw (%d, %d) events, want (1, 1)", a, b)
 	}
-	// SetEventTap replaces everything previously attached.
-	var c int
-	o.SetEventTap(func(Event) { c++ })
-	r.Emit(EvChunkCommit, "x", 1, nil)
-	if a != 1 || b != 1 || c != 1 {
-		t.Fatalf("after SetEventTap: (%d, %d, %d), want (1, 1, 1)", a, b, c)
-	}
-	// And nil detaches everything.
-	o.SetEventTap(nil)
 	o.AddEventTap(nil) // ignored
 	r.Emit(EvChunkStaged, "y", 1, nil)
-	if c != 1 {
-		t.Fatalf("nil SetEventTap left a tap attached (c=%d)", c)
+	if a != 2 || b != 2 {
+		t.Fatalf("after a nil AddEventTap: (%d, %d) events, want (2, 2)", a, b)
 	}
 }
 

@@ -1,24 +1,64 @@
-// Package report holds the shared inline-SVG/HTML rendering helpers used by
-// the self-contained run reports (SLO, drift, fleet stress). Every renderer
-// emits byte-stable output for a deterministic run: no external assets, no
-// wall-clock content, all styling via the shared design-token palette with
-// light/dark steps.
+// Package report owns the artifact format of the self-contained run reports
+// (SLO, drift, fleet stress): the run identity, the page frame and title
+// line, the inline-SVG/HTML rendering helpers, and the HTML/JSON file pair.
+// Every renderer emits byte-stable output for a deterministic run: no
+// external assets, no wall-clock content, all styling via the shared
+// design-token palette with light/dark steps.
 package report
 
 import (
 	"fmt"
 	"html"
+	"io"
 	"math"
 	"sort"
 	"strings"
 )
 
-// WriteHead opens a self-contained page: doctype, the design-token palette
+// Meta is the run identity stamped into every report. Everything here is
+// deterministic — no wall-clock timestamps — so golden files and checked-in
+// baselines stay byte-stable. Reports embed it right after their schema
+// version, which promotes its fields into the report's JSON in place.
+type Meta struct {
+	Tool     string `json:"tool"`
+	Scenario string `json:"scenario,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
+}
+
+// WritePage renders one self-contained report page: the head, body, and the
+// tail. pkg names the report's package in the error.
+func WritePage(w io.Writer, pkg, title string, body func(b *strings.Builder)) error {
+	var b strings.Builder
+	writeHead(&b, title)
+	body(&b)
+	writeTail(&b)
+	if _, err := io.WriteString(w, b.String()); err != nil {
+		return fmt.Errorf("%s: write html report: %w", pkg, err)
+	}
+	return nil
+}
+
+// WriteTitle writes the page's <h1> and its identity line: the tool, then
+// the scenario and seed when set, then tail (already-escaped HTML, each
+// item led by " · ").
+func (m Meta) WriteTitle(b *strings.Builder, title, tail string) {
+	fmt.Fprintf(b, "<h1>%s</h1>\n<div class=\"meta\">%s", html.EscapeString(title), html.EscapeString(m.Tool))
+	if m.Scenario != "" {
+		fmt.Fprintf(b, " · scenario %s", html.EscapeString(m.Scenario))
+	}
+	if m.Seed != 0 {
+		fmt.Fprintf(b, " · seed %d", m.Seed)
+	}
+	b.WriteString(tail)
+	b.WriteString("</div>\n")
+}
+
+// writeHead opens a self-contained page: doctype, the design-token palette
 // (chart surfaces, ink hierarchy, hairline grid, six categorical series
 // slots, reserved status colors), and the shared card/table/tooltip CSS.
 // Dark steps are declared under both the media query and an explicit
 // data-theme scope.
-func WriteHead(b *strings.Builder, title string) {
+func writeHead(b *strings.Builder, title string) {
 	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n<title>")
 	b.WriteString(html.EscapeString(title))
 	b.WriteString("</title>\n<style>\n")
@@ -120,11 +160,11 @@ details summary { cursor: pointer; color: var(--text-secondary); font-size: 13px
 svg text { font-family: inherit; }
 `
 
-// WriteTail closes the page, installing the nearest-point hover tooltip:
+// writeTail closes the page, installing the nearest-point hover tooltip:
 // each chart point carries its label in data-l; the crosshair picks the
 // closest point by x within the plot. Charts without data-l points (or
 // without a tooltip div) are skipped, so the script is safe on every page.
-func WriteTail(b *strings.Builder) {
+func writeTail(b *strings.Builder) {
 	b.WriteString(`<script>
 document.querySelectorAll('.chart-card').forEach(function (card) {
   var svg = card.querySelector('svg');

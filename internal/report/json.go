@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 )
 
 // WriteJSON renders a report artifact as indented, byte-stable JSON (Go
@@ -40,4 +42,43 @@ func ReadFile[T any](pkg, path string, version int) (T, error) {
 		return rep, fmt.Errorf("%s: parse report %s: %w", pkg, path, err)
 	}
 	return rep, nil
+}
+
+// WriteFile streams write into path, surfacing the Close error (a full disk
+// shows up there). No os.Exit here, so the deferred Close always runs.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
+}
+
+// WritePair writes rep as the report pair: <base>.html, rendered by page,
+// then <base>.json, rendered by WriteJSON under pkg, where base is path
+// without its extension. wrote, when non-nil, is handed each file's path
+// once that file is closed; the first error stops the pair.
+func WritePair(path, pkg string, rep any, page func(io.Writer) error, wrote func(path string)) error {
+	base := strings.TrimSuffix(path, filepath.Ext(path))
+	files := []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{base + ".html", page},
+		{base + ".json", func(w io.Writer) error { return WriteJSON(w, pkg, rep) }},
+	}
+	for _, f := range files {
+		if err := WriteFile(f.path, f.write); err != nil {
+			return err
+		}
+		if wrote != nil {
+			wrote(f.path)
+		}
+	}
+	return nil
 }

@@ -197,12 +197,15 @@ type FailureSpec struct {
 	WaveDelaySecs float64 `json:"wave_delay_secs,omitempty"`
 }
 
-// Event lowers the spec to a fault.Event (validation and injection share
-// this mapping).
+// Event lowers the spec to a fault.Event (validation and live injection
+// share this mapping, so both refuse the same specs).
 func (f FailureSpec) Event() (fault.Event, error) {
 	kind, err := fault.ParseKind(f.Kind)
 	if err != nil {
 		return fault.Event{}, err
+	}
+	if f.Hard && f.Kind != "" && kind != fault.Hard {
+		return fault.Event{}, fmt.Errorf("sets hard but kind %q", f.Kind)
 	}
 	if f.Kind == "" && f.Hard {
 		kind = fault.Hard
@@ -410,9 +413,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if f.AtSecs <= 0 {
 			return fmt.Errorf("scenario %s: failure %d at %gs; must be after t=0", sc.label(), i, f.AtSecs)
-		}
-		if f.Hard && f.Kind != "" && kind != fault.Hard {
-			return fmt.Errorf("scenario %s: failure %d sets hard but kind %q", sc.label(), i, f.Kind)
 		}
 		if f.Chunks < 0 {
 			return fmt.Errorf("scenario %s: failure %d: chunks must be >= 0, got %d", sc.label(), i, f.Chunks)

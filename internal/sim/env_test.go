@@ -251,7 +251,7 @@ func TestYieldRunsOtherEventsAtSameInstant(t *testing.T) {
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) { order = append(order, "b") })

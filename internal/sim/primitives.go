@@ -45,23 +45,6 @@ func (c *Completion) Await(p *Proc) {
 	p.park()
 }
 
-// AwaitTimeout blocks p until the latch completes or d elapses, reporting
-// whether the latch completed.
-func (c *Completion) AwaitTimeout(p *Proc, d time.Duration) bool {
-	if c.done {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	seq := p.prepark()
-	c.ws = append(c.ws, waiter{p, seq})
-	defer c.removeWaiter(p, seq)
-	timer, gen := c.env.scheduleWake(d, p, seq, wakeTimer)
-	defer c.env.cancelWake(timer, gen)
-	return p.park() == wakeSignal || c.done
-}
-
 func (c *Completion) removeWaiter(p *Proc, seq uint64) {
 	for i, w := range c.ws {
 		if w.p == p && w.seq == seq {
@@ -204,78 +187,6 @@ func (m *Mutex) handoff() {
 }
 
 // ---------------------------------------------------------------------------
-// Semaphore — counting semaphore with FIFO wakeups.
-
-// Semaphore is a counting semaphore with FIFO wakeups. Tokens released while
-// processes wait are handed directly to the head waiter.
-type Semaphore struct {
-	env    *Env
-	tokens int
-	q      []waiter
-	// granted marks waiters whose token was handed off while parked, so a
-	// kill unwind can return it.
-	granted map[*Proc]bool
-}
-
-// NewSemaphore returns a semaphore holding tokens initial permits.
-func NewSemaphore(e *Env, tokens int) *Semaphore {
-	return &Semaphore{env: e, tokens: tokens, granted: make(map[*Proc]bool)}
-}
-
-// Tokens returns the number of free permits.
-func (s *Semaphore) Tokens() int { return s.tokens }
-
-// Acquire blocks p until a permit is available and takes it.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.tokens > 0 && len(s.q) == 0 {
-		s.tokens--
-		return
-	}
-	seq := p.prepark()
-	s.q = append(s.q, waiter{p, seq})
-	acquired := false
-	defer func() {
-		if acquired {
-			return
-		}
-		for i, w := range s.q {
-			if w.p == p {
-				s.q = append(s.q[:i], s.q[i+1:]...)
-				break
-			}
-		}
-		if s.granted[p] {
-			delete(s.granted, p)
-			s.Release()
-		}
-	}()
-	p.park()
-	delete(s.granted, p)
-	acquired = true
-}
-
-// TryAcquire takes a permit if one is immediately available.
-func (s *Semaphore) TryAcquire() bool {
-	if s.tokens > 0 && len(s.q) == 0 {
-		s.tokens--
-		return true
-	}
-	return false
-}
-
-// Release returns a permit, waking the head waiter if any.
-func (s *Semaphore) Release() {
-	if len(s.q) > 0 {
-		next := s.q[0]
-		s.q = s.q[1:]
-		s.granted[next.p] = true
-		s.env.wakeLater(next.p, next.seq, wakeSignal)
-		return
-	}
-	s.tokens++
-}
-
-// ---------------------------------------------------------------------------
 // Barrier — cyclic rendezvous for n parties.
 
 // Barrier is a cyclic barrier for a fixed number of parties, used to model
@@ -390,36 +301,6 @@ func (q *Queue[T]) Get(p *Proc) T {
 			defer q.removeWaiter(p, seq)
 			p.park()
 		}()
-	}
-}
-
-// GetTimeout blocks p until an item is available or d elapses.
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	var zero T
-	deadline := q.env.now + d
-	for {
-		if v, ok := q.TryGet(); ok {
-			return v, true
-		}
-		remain := deadline - q.env.now
-		if remain <= 0 {
-			return zero, false
-		}
-		seq := p.prepark()
-		q.ws = append(q.ws, waiter{p, seq})
-		var kind wakeKind
-		func() {
-			defer q.removeWaiter(p, seq)
-			timer, gen := q.env.scheduleWake(remain, p, seq, wakeTimer)
-			defer q.env.cancelWake(timer, gen)
-			kind = p.park()
-		}()
-		if kind == wakeTimer {
-			if v, ok := q.TryGet(); ok {
-				return v, true
-			}
-			return zero, false
-		}
 	}
 }
 

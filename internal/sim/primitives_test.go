@@ -46,25 +46,6 @@ func TestCompletionAwaitAfterComplete(t *testing.T) {
 	}
 }
 
-func TestCompletionAwaitTimeout(t *testing.T) {
-	e := NewEnv()
-	c := NewCompletion(e)
-	var hit, miss bool
-	e.Go("miss", func(p *Proc) { miss = c.AwaitTimeout(p, 10*time.Millisecond) })
-	e.Go("hit", func(p *Proc) { hit = c.AwaitTimeout(p, 100*time.Millisecond) })
-	e.Go("completer", func(p *Proc) {
-		p.Sleep(20 * time.Millisecond)
-		c.Complete()
-	})
-	e.Run()
-	if miss {
-		t.Fatal("10ms waiter reported completion before Complete")
-	}
-	if !hit {
-		t.Fatal("100ms waiter missed the completion")
-	}
-}
-
 func TestSignalBroadcastIsNotLatched(t *testing.T) {
 	e := NewEnv()
 	s := NewSignal(e)
@@ -210,74 +191,6 @@ func TestMutexKilledWaiterReleases(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEnv()
-	s := NewSemaphore(e, 2)
-	inside, peak := 0, 0
-	for i := 0; i < 5; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(10 * time.Millisecond)
-			inside--
-			s.Release()
-		})
-	}
-	e.Run()
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if s.Tokens() != 2 {
-		t.Fatalf("tokens = %d after Run, want 2", s.Tokens())
-	}
-	// 5 workers, 2 at a time, 10ms each => 30ms.
-	if e.Now() != 30*time.Millisecond {
-		t.Fatalf("finished at %v, want 30ms", e.Now())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEnv()
-	s := NewSemaphore(e, 1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire failed with a free token")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire succeeded with no token")
-	}
-	s.Release()
-	if s.Tokens() != 1 {
-		t.Fatalf("tokens = %d, want 1", s.Tokens())
-	}
-}
-
-func TestSemaphoreKilledWaiterReturnsGrantedToken(t *testing.T) {
-	e := NewEnv()
-	s := NewSemaphore(e, 1)
-	e.Go("holder", func(p *Proc) {
-		s.Acquire(p)
-		p.Sleep(10 * time.Millisecond)
-		s.Release()
-	})
-	victim := e.Go("victim", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		s.Acquire(p)
-		t.Error("victim acquired")
-	})
-	// Kill the victim at the same instant its token is handed over.
-	e.Go("killer", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
-		victim.Kill()
-	})
-	e.Run()
-	if s.Tokens() != 1 {
-		t.Fatalf("token lost on kill: tokens = %d, want 1", s.Tokens())
-	}
-}
-
 func TestBarrierReleasesTogetherAndCycles(t *testing.T) {
 	e := NewEnv()
 	b := NewBarrier(e, 3)
@@ -356,28 +269,6 @@ func TestQueueFIFOAndBlocking(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[string](e)
-	var ok1, ok2 bool
-	var v2 string
-	e.Go("c", func(p *Proc) {
-		_, ok1 = q.GetTimeout(p, 5*time.Millisecond)
-		v2, ok2 = q.GetTimeout(p, time.Hour)
-	})
-	e.Go("producer", func(p *Proc) {
-		p.Sleep(20 * time.Millisecond)
-		q.Put("late")
-	})
-	e.Run()
-	if ok1 {
-		t.Fatal("GetTimeout returned a value from an empty queue")
-	}
-	if !ok2 || v2 != "late" {
-		t.Fatalf("second GetTimeout = (%q,%v), want (late,true)", v2, ok2)
 	}
 }
 

@@ -151,10 +151,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield lets all other events scheduled at the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Kill requests asynchronous termination of the process. The process unwinds
 // (running deferred cleanup inside primitives) the next time it is parked, or
 // immediately at its next park if it is currently running. Killing a done

@@ -34,7 +34,7 @@ func goldenRun(t *testing.T, id string) slo.Report {
 	if c.SLO == nil {
 		t.Fatal("scenario with an slo block did not attach the flight recorder")
 	}
-	return slo.BuildReport(c.SLO, slo.Meta{Tool: "test", Scenario: sc.Name, Seed: sc.FaultSeed})
+	return slo.BuildReport(c.SLO, report.Meta{Tool: "test", Scenario: sc.Name, Seed: sc.FaultSeed})
 }
 
 func checkGolden(t *testing.T, path string, got []byte) {

@@ -19,35 +19,18 @@ import (
 // wall-clock content — the output is byte-stable for a deterministic run.
 // The palette, chart geometry and tooltip script come from internal/report.
 func WriteHTML(w io.Writer, rep Report) error {
-	var b strings.Builder
-	report.WriteHead(&b, "SLO run report")
-	writeHeader(&b, rep)
-	writeTiles(&b, rep)
-	writeObjectiveTable(&b, rep)
-	writeCharts(&b, rep)
-	writeViolations(&b, rep)
-	writeWindowTable(&b, rep)
-	if rep.Drift != nil {
-		rep.Drift.WriteHTMLSection(&b)
-	}
-	report.WriteTail(&b)
-	_, err := io.WriteString(w, b.String())
-	if err != nil {
-		return fmt.Errorf("slo: write html report: %w", err)
-	}
-	return nil
-}
-
-func writeHeader(b *strings.Builder, rep Report) {
-	fmt.Fprintf(b, "<h1>SLO run report</h1>\n<div class=\"meta\">%s", html.EscapeString(rep.Tool))
-	if rep.Scenario != "" {
-		fmt.Fprintf(b, " · scenario %s", html.EscapeString(rep.Scenario))
-	}
-	if rep.Seed != 0 {
-		fmt.Fprintf(b, " · seed %d", rep.Seed)
-	}
-	fmt.Fprintf(b, " · window %s · virtual end %s · %d windows</div>\n",
-		report.FmtSecs(float64(rep.WindowUS)/1e6), report.FmtSecs(float64(rep.VirtualEndUS)/1e6), rep.Summary.Windows)
+	return report.WritePage(w, "slo", "SLO run report", func(b *strings.Builder) {
+		rep.WriteTitle(b, "SLO run report", fmt.Sprintf(" · window %s · virtual end %s · %d windows",
+			report.FmtSecs(float64(rep.WindowUS)/1e6), report.FmtSecs(float64(rep.VirtualEndUS)/1e6), rep.Summary.Windows))
+		writeTiles(b, rep)
+		writeObjectiveTable(b, rep)
+		writeCharts(b, rep)
+		writeViolations(b, rep)
+		writeWindowTable(b, rep)
+		if rep.Drift != nil {
+			rep.Drift.WriteHTMLSection(b)
+		}
+	})
 }
 
 func writeTiles(b *strings.Builder, rep Report) {

@@ -1,30 +1,22 @@
 package slo
 
-import "nvmcp/internal/drift"
+import (
+	"nvmcp/internal/drift"
+	"nvmcp/internal/report"
+)
 
 // SchemaVersion identifies the run-report JSON layout. Bump on incompatible
 // change; the diff refuses to compare mismatched versions.
 const SchemaVersion = 1
 
-// Meta is the run identity stamped into a report. Everything here is
-// deterministic — no wall-clock timestamps — so golden files and checked-in
-// baselines stay byte-stable.
-type Meta struct {
-	Tool     string `json:"tool"`
-	Scenario string `json:"scenario,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-}
-
 // Report is the stable JSON artifact one run emits: identity, the windowed
 // time series, the objective verdicts, the violations, and the rollup. The
 // same struct feeds the HTML renderer and the cross-run diff.
 type Report struct {
-	SchemaVersion int    `json:"schema_version"`
-	Tool          string `json:"tool"`
-	Scenario      string `json:"scenario,omitempty"`
-	Seed          int64  `json:"seed,omitempty"`
-	WindowUS      int64  `json:"window_us"`
-	VirtualEndUS  int64  `json:"virtual_end_us"`
+	SchemaVersion int `json:"schema_version"`
+	report.Meta
+	WindowUS     int64 `json:"window_us"`
+	VirtualEndUS int64 `json:"virtual_end_us"`
 	// Series lists the windowed series catalog, sorted.
 	Series []string `json:"series"`
 	// Windows are the retained closed windows, oldest first.
@@ -39,16 +31,14 @@ type Report struct {
 
 // BuildReport renders the recorder into the artifact form. Call after
 // Finalize so final objectives and the tail window are present.
-func BuildReport(r *Recorder, meta Meta) Report {
+func BuildReport(r *Recorder, meta report.Meta) Report {
 	r.mu.Lock()
 	endUS := r.fold.End().Microseconds()
 	r.mu.Unlock()
 	sum := r.Summary()
 	rep := Report{
 		SchemaVersion: SchemaVersion,
-		Tool:          meta.Tool,
-		Scenario:      meta.Scenario,
-		Seed:          meta.Seed,
+		Meta:          meta,
 		WindowUS:      sum.WindowUS,
 		VirtualEndUS:  endUS,
 		Series:        SeriesNames(),

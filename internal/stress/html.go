@@ -17,30 +17,14 @@ import (
 // byte-stable for a deterministic run. The palette and page chrome come
 // from internal/report.
 func WriteHTML(w io.Writer, rep Report) error {
-	var b strings.Builder
-	report.WriteHead(&b, "Fleet stress report")
-	writeStressHeader(&b, rep)
-	writeSurvivability(&b, rep)
-	writeCurves(&b, rep)
-	writeCellTable(&b, rep)
-	report.WriteTail(&b)
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("stress: write html report: %w", err)
-	}
-	return nil
-}
-
-func writeStressHeader(b *strings.Builder, rep Report) {
-	b.WriteString("<h1>Fleet stress report</h1>\n<div class=\"meta\">")
-	fmt.Fprintf(b, "tool %s", html.EscapeString(rep.Tool))
-	if rep.Scenario != "" {
-		fmt.Fprintf(b, " · scenario %s", html.EscapeString(rep.Scenario))
-	}
-	if rep.Seed != 0 {
-		fmt.Fprintf(b, " · seed %d", rep.Seed)
-	}
-	fmt.Fprintf(b, " · %d cell(s)", len(rep.Cells))
-	b.WriteString("</div>\n")
+	return report.WritePage(w, "stress", "Fleet stress report", func(b *strings.Builder) {
+		id := rep.Meta
+		id.Tool = "tool " + id.Tool
+		id.WriteTitle(b, "Fleet stress report", fmt.Sprintf(" · %d cell(s)", len(rep.Cells)))
+		writeSurvivability(b, rep)
+		writeCurves(b, rep)
+		writeCellTable(b, rep)
+	})
 }
 
 func writeSurvivability(b *strings.Builder, rep Report) {

@@ -3,20 +3,13 @@ package stress
 import (
 	"math"
 	"sort"
+
+	"nvmcp/internal/report"
 )
 
 // SchemaVersion identifies the stress-report JSON layout. Bump on
 // incompatible change.
 const SchemaVersion = 1
-
-// Meta is the run identity stamped into a report. Everything here is
-// deterministic — no wall-clock timestamps — so checked-in artifacts stay
-// byte-stable.
-type Meta struct {
-	Tool     string `json:"tool"`
-	Scenario string `json:"scenario,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-}
 
 // Cell is one run of the stress matrix: a fleet size × failure severity ×
 // placement point with its measured recovery behaviour.
@@ -51,10 +44,8 @@ type Cell struct {
 
 // Report is the stable JSON artifact a stress run (or sweep) emits.
 type Report struct {
-	SchemaVersion int    `json:"schema_version"`
-	Tool          string `json:"tool"`
-	Scenario      string `json:"scenario,omitempty"`
-	Seed          int64  `json:"seed,omitempty"`
+	SchemaVersion int `json:"schema_version"`
+	report.Meta
 	// Survivability is the static placement analysis of the (last) run's
 	// topology; sweeps that mix placements carry one entry per placement.
 	Survivability []*Survivability `json:"survivability,omitempty"`
@@ -64,7 +55,7 @@ type Report struct {
 // BuildReport assembles the artifact, sorting cells into the canonical
 // (fleet size, severity, placement, name) order so the output is stable
 // regardless of run order.
-func BuildReport(meta Meta, survivability []*Survivability, cells []Cell) Report {
+func BuildReport(meta report.Meta, survivability []*Survivability, cells []Cell) Report {
 	sorted := append([]Cell(nil), cells...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		a, b := sorted[i], sorted[j]
@@ -84,9 +75,7 @@ func BuildReport(meta Meta, survivability []*Survivability, cells []Cell) Report
 	}
 	return Report{
 		SchemaVersion: SchemaVersion,
-		Tool:          meta.Tool,
-		Scenario:      meta.Scenario,
-		Seed:          meta.Seed,
+		Meta:          meta,
 		Survivability: survivability,
 		Cells:         sorted,
 	}

@@ -156,7 +156,7 @@ func sampleReport() Report {
 		{Name: "fleet-16/none", FleetNodes: 16, Severity: "none",
 			MTTRSecs: 0, AvailabilityPct: 100},
 	}
-	return BuildReport(Meta{Tool: "test", Scenario: "fleet", Seed: 7},
+	return BuildReport(report.Meta{Tool: "test", Scenario: "fleet", Seed: 7},
 		[]*Survivability{Analyze(tp, sets, "spread", true)}, cells)
 }
 
