@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check ci presets faults invariants slo fleet serve clean bench bench-check bench-shards
+.PHONY: all build test race vet fmt lint check ci e2e presets faults invariants slo fleet serve clean bench bench-check bench-shards
 
 all: build
 
@@ -35,9 +35,16 @@ lint: fmt vet
 
 check: lint test
 
+# e2e vets and tests the benchmark harness. bench/e2e is its own module, so
+# the root ./... patterns never compile it, although it imports cluster,
+# core, remote, scenario and obs.
+e2e:
+	$(GO) -C bench/e2e vet ./...
+	$(GO) -C bench/e2e test ./...
+
 # presets smoke-runs every cluster-shaped preset at tiny scale under the
 # race detector — the fast end-to-end gate that the scenario layer, policy
-# registry and cluster composition still agree.
+# name tables and cluster composition still agree.
 presets:
 	$(GO) run -race ./cmd/nvmcp-sim -list-presets
 	@for p in $$($(GO) run ./cmd/nvmcp-sim -list-presets | awk '$$3 == "-preset" {print $$1}'); do \
@@ -127,9 +134,9 @@ drift:
 # test suite under the race detector (obs publication crosses host
 # goroutines), the preset and fault-cascade smoke sweeps, the lineage
 # invariant gate, the SLO gate, the model-drift gate, the fleet-scale chaos
-# gate, the control-plane serve gate, and the perf regression check against
-# the checked-in baseline.
-ci: lint race presets faults invariants slo drift fleet serve bench-check
+# gate, the control-plane serve gate, the benchmark harness module, and the
+# perf regression check against the checked-in baseline.
+ci: lint race presets faults invariants slo drift fleet serve e2e bench-check
 
 # bench refreshes the perf records: the testing.B suites (sim kernel,
 # resource layer, paper end-to-end) plus the nvmcp-perf probes, which write

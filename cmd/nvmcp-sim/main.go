@@ -4,9 +4,9 @@
 // (local pre-copy, remote tier, bottom storage), and optional failure
 // injection — and get the run's timing, data-movement, and recovery summary.
 //
-// Every policy is named, not hard-coded: the -local/-remote/-bottom flags
-// and the corresponding scenario fields resolve through the policy registry,
-// so a scheme registered in internal/policy is immediately runnable here.
+// Every policy is named: the -local/-remote/-bottom flags and the
+// corresponding scenario fields resolve through the internal/policy name
+// tables, so flags and scenario files share one set of names.
 //
 // With lineage tracing on, the finished run answers causal queries: which
 // tiers a chunk moved through (-chunk), everything a tier touched (-tier),

@@ -1,15 +1,17 @@
 // Package cluster assembles the full system: nodes with DRAM + NVM and a
 // kernel each, an RDMA fabric between them, MPI-rank-like application
 // processes running a workload spec, per-rank local checkpoint engines,
-// a pluggable remote checkpoint tier (buddy replication or erasure parity),
+// a remote checkpoint tier (buddy replication or erasure parity),
 // an optional bottom storage tier (PFS drain), coordinated local checkpoints
 // at iteration boundaries, asynchronous remote checkpoints every K-th local
 // one, and failure injection with multilevel recovery (local NVM restore for
 // soft failures, remote-tier fetch for hard ones).
 //
-// Policies are composed by name through internal/policy — the cluster holds
-// no scheme-specific branches. This is the harness behind Figures 7, 8, 9
-// and 10 and Table V.
+// Policies are named in internal/policy's tables: a local row gives the
+// pre-copy scheme the cluster builds each rank's *precopy.Engine with, a
+// remote row builds the remote tier, and a bottom row other than none
+// attaches a *pfs.FS. This is the harness behind Figures 7, 8, 9 and 10 and
+// Table V.
 package cluster
 
 import (
@@ -32,7 +34,9 @@ import (
 	"nvmcp/internal/obs"
 	"nvmcp/internal/pfs"
 	"nvmcp/internal/policy"
+	"nvmcp/internal/precopy"
 	"nvmcp/internal/remote"
+	"nvmcp/internal/scenario"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/slo"
 	"nvmcp/internal/topo"
@@ -265,10 +269,10 @@ func (cfg *Config) setDefaults() {
 		cfg.Iterations = 5
 	}
 	if cfg.LocalEvery == 0 {
-		cfg.LocalEvery = 1
+		cfg.LocalEvery = scenario.DefaultLocalEvery
 	}
 	if cfg.RemoteEvery == 0 {
-		cfg.RemoteEvery = 4
+		cfg.RemoteEvery = scenario.DefaultRemoteEvery
 	}
 	if cfg.PayloadCap == 0 {
 		cfg.PayloadCap = 4096
@@ -330,6 +334,9 @@ func (cfg *Config) Validate() error {
 	if cfg.LocalEvery < 1 || cfg.RemoteEvery < 1 {
 		return fmt.Errorf("cluster: checkpoint intervals must be >= 1 (local %d, remote %d)",
 			cfg.LocalEvery, cfg.RemoteEvery)
+	}
+	if cfg.RemoteGroup < 0 {
+		return fmt.Errorf("cluster: remote group must be >= 0, got %d", cfg.RemoteGroup)
 	}
 	if len(cfg.App.Chunks) == 0 {
 		return fmt.Errorf("cluster: workload %q has no chunks", cfg.App.Name)
@@ -520,13 +527,13 @@ type Cluster struct {
 	// sharded is non-nil on the coordinator cluster of a partitioned run.
 	sharded *shardEngine
 
-	localPol   policy.LocalPolicy
-	remoteTier policy.RemoteTier
-	bottomTier policy.BottomTier
+	localScheme precopy.Scheme
+	remoteTier  policy.RemoteTier
+	bottom      *pfs.FS
 
 	// epoch state
 	rankProcs []*sim.Proc
-	engines   []policy.LocalEngine
+	engines   []*precopy.Engine
 	allStores []*core.Store
 	// epochStores holds only the live epoch's stores (allStores accumulates
 	// across recovery epochs) — the set the final content checksum walks.
@@ -581,7 +588,7 @@ type rendezvous interface {
 
 // New builds a cluster (devices, kernels, fabric, policy tiers) without
 // running it. The configuration is validated; policy names resolve through
-// the registry.
+// the policy name tables.
 func New(cfg Config) (*Cluster, error) {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -623,7 +630,7 @@ func New(cfg Config) (*Cluster, error) {
 	// The remote tier may ask for extra non-compute fabric nodes (e.g.
 	// erasure parity holders); those get NVM but no kernel or ranks, and —
 	// being provisioned outside the fleet — no failure-domain coordinate.
-	extra := remoteEntry.Remote().ExtraNodes(cfg.Nodes, remoteOpts)
+	extra := remoteEntry.ExtraNodes(cfg.Nodes, remoteOpts)
 	totalNodes := cfg.Nodes + extra
 	fabric := interconnect.New(env, totalNodes, cfg.LinkBW)
 	kernels := make([]*nvmkernel.Kernel, cfg.Nodes)
@@ -668,7 +675,7 @@ func New(cfg Config) (*Cluster, error) {
 	o.UseSpanRecorder(cfg.Tracer)
 	fabric.SetRecorder(o.Recorder(cfg.nodeOffset, "fabric"))
 
-	remoteTier, err := remoteEntry.Remote().NewTier(policy.RemoteRuntime{
+	remoteTier, err := remoteEntry.NewTier(policy.RemoteRuntime{
 		Env:          env,
 		Fabric:       fabric,
 		NVMs:         nvms,
@@ -679,20 +686,15 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remote policy %q: %w", remoteEntry.Name, err)
 	}
-	bottomTier, err := bottomEntry.Bottom().NewTier(env, policy.BottomOptions{
-		AggregateBW: cfg.BottomAggregateBW,
-		StripeBW:    cfg.BottomStripeBW,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bottom policy %q: %w", bottomEntry.Name, err)
-	}
-	if bottomTier != nil && remoteTier == nil {
-		return nil, fmt.Errorf("cluster: bottom policy %q needs a remote tier to drain from", bottomEntry.Name)
-	}
-	// The PFS mirrors its drain writes onto the event bus so the lineage
-	// tracer (and trace sinks) see bottom-tier copies land.
-	if fs := policy.PFSOf(bottomTier); fs != nil {
-		fs.SetRecorder(o.Recorder(0, "pfs"))
+	var bottom *pfs.FS
+	if bottomEntry.Name != "none" {
+		if remoteTier == nil {
+			return nil, fmt.Errorf("cluster: bottom policy %q needs a remote tier to drain from", bottomEntry.Name)
+		}
+		bottom = pfs.New(env, cfg.BottomAggregateBW, cfg.BottomStripeBW)
+		// The PFS mirrors its drain writes onto the event bus so the lineage
+		// tracer (and trace sinks) see bottom-tier copies land.
+		bottom.SetRecorder(o.Recorder(0, "pfs"))
 	}
 	var tracer *lineage.Tracer
 	if cfg.Lineage != nil && cfg.Lineage.Enabled {
@@ -712,22 +714,22 @@ func New(cfg Config) (*Cluster, error) {
 
 	rankBase := cfg.rankBases()
 	return &Cluster{
-		Cfg:        cfg,
-		Env:        env,
-		Fabric:     fabric,
-		Obs:        o,
-		Lineage:    tracer,
-		SLO:        recorder,
-		Drift:      observatory,
-		kernels:    kernels,
-		rankBase:   rankBase,
-		localPol:   localEntry.Local(),
-		remoteTier: remoteTier,
-		bottomTier: bottomTier,
-		lastRemote: make(map[int]*sim.Completion),
-		lastDrain:  make(map[int]*sim.Completion),
-		ckptTime:   make([]time.Duration, rankBase[cfg.Nodes]),
-		drainGate:  policy.NewDrainGate(env, cfg.Stagger),
+		Cfg:         cfg,
+		Env:         env,
+		Fabric:      fabric,
+		Obs:         o,
+		Lineage:     tracer,
+		SLO:         recorder,
+		Drift:       observatory,
+		kernels:     kernels,
+		rankBase:    rankBase,
+		localScheme: localEntry.Scheme,
+		remoteTier:  remoteTier,
+		bottom:      bottom,
+		lastRemote:  make(map[int]*sim.Completion),
+		lastDrain:   make(map[int]*sim.Completion),
+		ckptTime:    make([]time.Duration, rankBase[cfg.Nodes]),
+		drainGate:   policy.NewDrainGate(env, cfg.Stagger),
 	}, nil
 }
 
@@ -945,7 +947,7 @@ func (c *Cluster) drive(p *sim.Proc) {
 // tier, one concurrent drain per holder (the hierarchy experiment's final
 // stage). No-op without a bottom tier.
 func (c *Cluster) drainBottom(p *sim.Proc) {
-	if c.bottomTier == nil || c.remoteTier == nil {
+	if c.bottom == nil || c.remoteTier == nil {
 		return
 	}
 	// Mid-run drains chained off remote bursts must settle first so the final
@@ -963,7 +965,7 @@ func (c *Cluster) drainBottom(p *sim.Proc) {
 			continue
 		}
 		procs = append(procs, c.Env.Go(fmt.Sprintf("drain/node%d", n), func(dp *sim.Proc) {
-			st := c.bottomTier.Drain(dp, src)
+			st := c.bottom.Drain(dp, src)
 			c.bottomStats.Objects += st.Objects
 			c.bottomStats.Bytes += st.Bytes
 		}))
@@ -1085,8 +1087,8 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 						tier, fetchSeq = "remote", seq
 					}
 				}
-				if tier == "lost" && c.bottomTier != nil {
-					if data, _, seq, ok := c.bottomTier.Fetch(p, name+"/"+ch.Name); ok {
+				if tier == "lost" && c.bottom != nil {
+					if data, _, seq, err := c.bottom.Read(p, name+"/"+ch.Name); err == nil {
 						if err := store.AdoptBottom(p, ch, data, 0); err != nil {
 							panic(err)
 						}
@@ -1119,9 +1121,10 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 		c.Fabric.Send(p, node, (node+1)%cfg.Nodes, bytes)
 	}
 
-	var engine policy.LocalEngine
+	var engine *precopy.Engine
 	if !cfg.NoCheckpoint {
-		engine = c.localPol.NewEngine(store, policy.LocalOptions{
+		engine = precopy.New(store, precopy.Config{
+			Scheme:    c.localScheme,
 			RateCap:   cfg.LocalRateCap,
 			BWPerCore: kernel.NVM.PerCoreWriteBW(cores),
 			Rec:       rec,
@@ -1192,7 +1195,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 			rec.Instant("remote trigger", "remote", lane, p.Now(), nil)
 			rec.Emit(obs.EvRemoteTrigger, "", 0,
 				map[string]string{"iter": fmt.Sprintf("%d", iter)})
-			if c.bottomTier != nil {
+			if c.bottom != nil {
 				c.scheduleDrain(node, c.lastRemote[node])
 			}
 			if rank == 0 {
@@ -1338,7 +1341,7 @@ func (c *Cluster) scheduleDrain(node int, done *sim.Completion) {
 			prev.Await(p)
 		}
 		done.Await(p)
-		st := c.bottomTier.Drain(p, src)
+		st := c.bottom.Drain(p, src)
 		c.bottomStats.Objects += st.Objects
 		c.bottomStats.Bytes += st.Bytes
 		comp.Complete()

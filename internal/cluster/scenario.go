@@ -11,9 +11,8 @@ import (
 )
 
 // FromScenario lowers a declarative scenario into a runnable Config. The
-// scenario is validated; policy names pass through to the registry untouched,
-// so a scheme registered in internal/policy is reachable from a JSON file
-// with no cluster changes.
+// scenario is validated; policy names pass through untouched and resolve
+// against the internal/policy name tables when the cluster is built.
 func FromScenario(sc *scenario.Scenario) (Config, error) {
 	if err := sc.Validate(); err != nil {
 		return Config{}, err

@@ -87,6 +87,15 @@ func TestFromScenarioErrors(t *testing.T) {
 	if _, err := FromScenario(bad); err == nil || !strings.Contains(err.Error(), `unknown remote policy "carrier-pigeon"`) {
 		t.Errorf("unknown policy: %v", err)
 	}
+	// A config built without a scenario is held to the same group bound.
+	cfg, err := FromScenario(base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Remote, cfg.RemoteGroup = "erasure", -3
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "remote group must be >= 0, got -3") {
+		t.Errorf("negative remote group: %v", err)
+	}
 	// A bottom tier with nothing to drain from is a build-time error.
 	orphan := base()
 	orphan.Local.Policy = "dcpcp"

@@ -53,8 +53,7 @@ func shardBlocker(cfg *Config) string {
 	if e, _ := policy.Parse(policy.KindBottom, cfg.Bottom); e != nil && e.Name != "none" {
 		return fmt.Sprintf("bottom tier %q drains to one shared store", e.Name)
 	}
-	re, _ := policy.Parse(policy.KindRemote, cfg.Remote)
-	if sl, ok := re.Remote().(policy.ShardLocalPolicy); !ok || !sl.ShardLocal() {
+	if re, _ := policy.Parse(policy.KindRemote, cfg.Remote); re.MinShardNodes == 0 {
 		return fmt.Sprintf("remote policy %q spans node groups", re.Name)
 	}
 	if cfg.Lineage != nil && cfg.Lineage.Enabled {
@@ -78,13 +77,8 @@ func shardBlocker(cfg *Config) string {
 // maxShardCount is the topology's shard ceiling: every shard needs enough
 // nodes for its remote-tier instance to function (two for a buddy ring).
 func maxShardCount(cfg *Config) int {
-	min := 1
-	if e, _ := policy.Parse(policy.KindRemote, cfg.Remote); e != nil {
-		if sl, ok := e.Remote().(policy.ShardLocalPolicy); ok && sl.MinShardNodes() > min {
-			min = sl.MinShardNodes()
-		}
-	}
-	return cfg.Nodes / min
+	re, _ := policy.Parse(policy.KindRemote, cfg.Remote)
+	return cfg.Nodes / max(re.MinShardNodes, 1)
 }
 
 // newSharded builds the coordinator cluster: one sub-cluster per contiguous

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"nvmcp/internal/drift"
@@ -281,6 +282,30 @@ func TestShardCountRespectsTopology(t *testing.T) {
 	blocked.Bottom = "pfs-drain"
 	if got := shards(blocked); got != 1 {
 		t.Fatalf("bottom-tier config: %d shards, want 1", got)
+	}
+	// Erasure parity groups span node groups (MinShardNodes 0): the run
+	// falls back to the serial engine, records one shard and says why.
+	erasure := shardCfg(8)
+	erasure.Remote = "erasure"
+	c, err := New(erasure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	if c.sharded != nil || c.Cfg.Shards != 1 {
+		t.Fatalf("erasure run: sharded=%v, recorded %d shards; want serial, 1", c.sharded != nil, c.Cfg.Shards)
+	}
+	warned := false
+	for _, ev := range c.Obs.Events() {
+		if ev.Type == obs.EvEngineWarn && ev.Attrs["code"] == "shard-fallback" &&
+			strings.Contains(ev.Attrs["msg"], `remote policy "erasure" spans node groups`) {
+			warned = true
+		}
+	}
+	if !warned {
+		t.Fatal("erasure fallback left no spans-node-groups warning on the bus")
 	}
 	if _, err := New(shardCfg(-1)); err == nil {
 		t.Fatal("negative shard count accepted")

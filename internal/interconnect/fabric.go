@@ -145,9 +145,6 @@ func (f *Fabric) Nodes() int { return len(f.egress) }
 // Egress returns node i's egress pipe (for utilization inspection).
 func (f *Fabric) Egress(node int) *resource.Pipe { return f.egress[node] }
 
-// Ingress returns node i's ingress pipe (active only with ModelIngress).
-func (f *Fabric) Ingress(node int) *resource.Pipe { return f.ingress[node] }
-
 // Series returns the cumulative-bytes timeline for a traffic class; use
 // DiffBuckets on it for per-window transferred volume (Figure 10).
 func (f *Fabric) Series(c Class) *obs.Timeline { return f.series[c] }
@@ -170,12 +167,6 @@ func (f *Fabric) SetLinkFactor(node int, factor float64) {
 
 // RestoreLink returns a node's links to full bandwidth.
 func (f *Fabric) RestoreLink(node int) { f.SetLinkFactor(node, 1) }
-
-// LinkFactor returns a node's current residual bandwidth fraction.
-func (f *Fabric) LinkFactor(node int) float64 { return f.linkFactor[node] }
-
-// LinkUp reports whether a node's links carry any traffic at all.
-func (f *Fabric) LinkUp(node int) bool { return f.linkFactor[node] > 0 }
 
 // pathFactor is the residual fraction of the slower endpoint on a path.
 func (f *Fabric) pathFactor(from, to int) float64 {

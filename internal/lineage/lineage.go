@@ -798,13 +798,6 @@ func (t *Tracer) Epoch() int {
 	return t.epoch
 }
 
-// FaultLog returns the bounded cluster-wide fault log.
-func (t *Tracer) FaultLog() []Record {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Record(nil), t.faultLog...)
-}
-
 // Err returns nil when no invariant broke, else an error carrying the first
 // violation and the offending chunk's full lineage — the loud failure
 // strict mode surfaces.

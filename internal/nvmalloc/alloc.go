@@ -89,9 +89,6 @@ func New(proc *nvmkernel.Process, prefix string) *Allocator {
 // Stats returns a snapshot of allocator statistics.
 func (a *Allocator) Stats() Stats { return a.stats }
 
-// Classes returns the small size-class table (for tests and tooling).
-func (a *Allocator) Classes() []int64 { return append([]int64(nil), a.classes...) }
-
 // Alloc reserves size bytes and returns its extent. The returned address is
 // at least Quantum-aligned.
 func (a *Allocator) Alloc(p *sim.Proc, size int64) (Extent, error) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 
 	"nvmcp/internal/stats"
 )
@@ -139,7 +138,3 @@ func WriteReport(w io.Writer, r RunReport) error {
 	}
 	return nil
 }
-
-// DurationSeconds is a tiny helper for report builders: a time.Duration in
-// float seconds.
-func DurationSeconds(d time.Duration) float64 { return d.Seconds() }

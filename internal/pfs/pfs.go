@@ -75,9 +75,6 @@ func New(env *sim.Env, aggregateBW, stripeBW float64) *FS {
 	}
 }
 
-// Ingest exposes the ingest pipe (for utilization inspection).
-func (f *FS) Ingest() *resource.Pipe { return f.ingest }
-
 // Write stores (or replaces) a checkpoint object of the given virtual size
 // with the given payload bytes, blocking p while the data drains through the
 // shared ingest bandwidth under the per-client stripe cap.

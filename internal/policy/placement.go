@@ -30,23 +30,6 @@ func ParsePlacement(s string) (string, error) {
 	return "", fmt.Errorf("policy: unknown placement %q (want %s or %s)", s, PlacementSpread, PlacementNaive)
 }
 
-// PlacementInfo is an optional capability a RemoteTier implements so the
-// survivability analysis can reason about where replicas live. SupportSets
-// describes the *planned* placement of the current topology (failover may
-// re-home copies mid-run; the analysis is about the design point).
-type PlacementInfo interface {
-	// SupportSets returns, per compute node, the fabric nodes its remote
-	// recovery depends on: the buddy for replication, the other group
-	// members plus the parity holder for erasure. Nodes at or beyond the
-	// topology size (parity holders, the PFS) belong to no failure domain.
-	SupportSets() [][]int
-	// PlacementHonored reports whether the anti-affinity goal (every
-	// support node outside the primary's zone) was satisfiable.
-	PlacementHonored() bool
-	// PlacementDesc names the effective placement, e.g. "buddy/spread".
-	PlacementDesc() string
-}
-
 // Replanner is an optional capability a RemoteTier implements so the
 // cluster (or a control plane) can re-home replica placement after a
 // correlated failure: Replan recomputes the tier's plan so that none of the

@@ -1,9 +1,9 @@
-// Package policy is the registry behind the scenario layer: local pre-copy
-// engines, remote checkpoint tiers (buddy replication, erasure parity) and
-// bottom storage tiers (PFS drain) register small constructors under stable
-// names, and the cluster composes a run by looking policies up instead of
-// branching on scheme enums. New schemes plug in by registering here — no
-// cluster, cmd, or experiment edits required.
+// Package policy names the paper's checkpoint design space: the local
+// pre-copy schemes (none, cpc, dcpc, dcpcp), the remote checkpoint tiers
+// (buddy replication, erasure parity) and the bottom storage tiers (PFS
+// drain). Each kind is one static table of rows; the scenario layer
+// validates names against it and the cluster reads a row's data to build
+// the pre-copy engine, the remote tier and the PFS.
 package policy
 
 import (
@@ -16,6 +16,8 @@ import (
 	"nvmcp/internal/mem"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/pfs"
+	"nvmcp/internal/precopy"
+	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/topo"
 )
@@ -42,39 +44,6 @@ func (k Kind) String() string {
 	default:
 		return "bottom"
 	}
-}
-
-// LocalOptions carries the per-rank knobs a local policy needs to build its
-// engine.
-type LocalOptions struct {
-	// RateCap throttles background pre-copy in bytes/sec (0 = uncapped).
-	RateCap float64
-	// BWPerCore is the rank's effective NVM write bandwidth, used by the
-	// DCPC threshold computation.
-	BWPerCore float64
-	// Rec publishes engine activity onto the run's observability bus.
-	Rec *obs.Recorder
-	// TraceLane is the rank's lane in trace timelines.
-	TraceLane int
-}
-
-// LocalEngine is the per-rank local checkpoint engine contract the cluster
-// drives; *precopy.Engine satisfies it.
-type LocalEngine interface {
-	// BeginInterval (re)arms the engine at the start of a checkpoint interval.
-	BeginInterval(p *sim.Proc)
-	// OnCheckpoint informs the engine a coordinated checkpoint committed.
-	OnCheckpoint(ckptStart time.Duration)
-	// Quiesce blocks until in-flight background work settles before the
-	// coordinated checkpoint entry.
-	Quiesce(p *sim.Proc)
-	// Stop terminates background activity.
-	Stop()
-}
-
-// LocalPolicy builds one engine per rank store.
-type LocalPolicy interface {
-	NewEngine(s *core.Store, o LocalOptions) LocalEngine
 }
 
 // RemoteRuntime is the machine surface a remote tier builds on.
@@ -144,100 +113,85 @@ type RemoteTier interface {
 	NodeRecovered(node int)
 	// Shutdown stops tier processes so the event queue can drain.
 	Shutdown()
+
+	// SupportSets returns, per compute node, the fabric nodes its remote
+	// recovery depends on: the buddy for replication, the other group
+	// members plus the parity holder for erasure. Nodes at or beyond the
+	// topology size (parity holders, the PFS) belong to no failure domain.
+	// It describes the *planned* placement (failover may re-home copies
+	// mid-run; the survivability analysis is about the design point).
+	SupportSets() [][]int
+	// PlacementHonored reports whether the anti-affinity goal (every
+	// support node outside the primary's zone) was satisfiable.
+	PlacementHonored() bool
+	// PlacementDesc names the effective placement, e.g. "buddy/spread".
+	PlacementDesc() string
 }
 
-// RemotePolicy builds a remote tier for a run.
-type RemotePolicy interface {
-	// ExtraNodes is how many non-compute fabric nodes the tier needs (e.g.
-	// one parity holder per erasure group); it may depend on the options
-	// (the erasure group size sets the group count).
-	ExtraNodes(computeNodes int, o RemoteOptions) int
-	// NewTier builds the tier; a nil tier (with nil error) disables the
-	// remote level entirely (the "none" policy).
-	NewTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error)
-}
-
-// ShardLocalPolicy is an optional capability a RemotePolicy implements to
-// declare that its tier's data flows stay inside any contiguous node group a
-// partitioned cluster builds it over (each group instantiates its own tier,
-// so e.g. the buddy ring is re-rung within the group). The sharded engine
-// only partitions runs whose remote policy advertises this; everything else
-// falls back to the serial engine.
-type ShardLocalPolicy interface {
-	// ShardLocal reports whether per-group tier instances are equivalent to
-	// one global instance for this policy.
-	ShardLocal() bool
-	// MinShardNodes is the smallest node group the tier still functions in
-	// (a buddy ring needs two nodes; a disabled tier runs with one).
-	MinShardNodes() int
-}
-
-// BottomOptions tunes the bottom storage tier.
-type BottomOptions struct {
-	AggregateBW float64
-	StripeBW    float64
-}
-
-// BottomTier drains committed remote objects to the hierarchy's bottom level
-// and serves them back during recovery.
-type BottomTier interface {
-	Drain(p *sim.Proc, src pfs.Source) pfs.DrainStats
-	// Fetch reads a drained object ("<proc>/<chunkName>") back — the last
-	// rung of the per-chunk recovery cascade, used when both the local
-	// version and the remote copy are gone. seq is the object's stored
-	// version (the staged generation the drain captured).
-	Fetch(p *sim.Proc, name string) (data []byte, size int64, seq uint64, ok bool)
-}
-
-// BottomPolicy builds a bottom tier; a nil tier disables the level.
-type BottomPolicy interface {
-	NewTier(env *sim.Env, o BottomOptions) (BottomTier, error)
-}
-
-// Entry is one registered policy.
+// Entry is one named policy: a row of its kind's table.
 type Entry struct {
 	Kind        Kind
 	Name        string
 	Description string
-	impl        any
+
+	// Scheme is a local row's pre-copy scheme.
+	Scheme precopy.Scheme
+	// MinShardNodes is the smallest node group a remote row's tier still
+	// functions in when a partitioned cluster builds one tier per group (a
+	// buddy ring needs two nodes; a disabled tier runs with one). 0 means
+	// the tier's data flows span node groups, which pins the serial engine.
+	MinShardNodes int
+
+	extraNodes func(computeNodes int, o RemoteOptions) int
+	newTier    func(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error)
 }
 
-// Local returns the entry's LocalPolicy (panics on kind mismatch).
-func (e *Entry) Local() LocalPolicy { return e.impl.(LocalPolicy) }
-
-// Remote returns the entry's RemotePolicy (panics on kind mismatch).
-func (e *Entry) Remote() RemotePolicy { return e.impl.(RemotePolicy) }
-
-// Bottom returns the entry's BottomPolicy (panics on kind mismatch).
-func (e *Entry) Bottom() BottomPolicy { return e.impl.(BottomPolicy) }
-
-var (
-	registry = map[Kind]map[string]*Entry{}
-	ordered  = map[Kind][]*Entry{}
-)
-
-// Register adds a policy under a kind and name; duplicate names panic at init
-// time. impl must implement the kind's policy interface.
-func Register(kind Kind, name, description string, impl any) {
-	switch kind {
-	case KindLocal:
-		impl = impl.(LocalPolicy)
-	case KindRemote:
-		impl = impl.(RemotePolicy)
-	case KindBottom:
-		impl = impl.(BottomPolicy)
-	default:
-		panic(fmt.Sprintf("policy: unknown kind %d", kind))
+// ExtraNodes is how many non-compute fabric nodes a remote row's tier needs
+// (one parity holder per erasure group); it may depend on the options.
+func (e *Entry) ExtraNodes(computeNodes int, o RemoteOptions) int {
+	if e.extraNodes == nil {
+		return 0
 	}
-	if registry[kind] == nil {
-		registry[kind] = map[string]*Entry{}
+	return e.extraNodes(computeNodes, o)
+}
+
+// NewTier builds a remote row's tier; a nil tier (with nil error) disables
+// the remote level entirely (the "none" row).
+func (e *Entry) NewTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
+	if e.newTier == nil {
+		return nil, nil
 	}
-	if _, dup := registry[kind][name]; dup {
-		panic(fmt.Sprintf("policy: duplicate %s policy %q", kind, name))
-	}
-	e := &Entry{Kind: kind, Name: name, Description: description, impl: impl}
-	registry[kind][name] = e
-	ordered[kind] = append(ordered[kind], e)
+	return e.newTier(rt, o)
+}
+
+// tables holds every kind's rows in listing order.
+var tables = [...][]Entry{
+	KindLocal: {
+		{Kind: KindLocal, Name: "none", Scheme: precopy.NoPreCopy,
+			Description: "no background pre-copy; the blocking checkpoint copies everything"},
+		{Kind: KindLocal, Name: "cpc", Scheme: precopy.CPC,
+			Description: "continuous pre-copy: chunks copied as soon as they are modified"},
+		{Kind: KindLocal, Name: "dcpc", Scheme: precopy.DCPC,
+			Description: "delayed pre-copy: copies start at the adaptive threshold T_p"},
+		{Kind: KindLocal, Name: "dcpcp", Scheme: precopy.DCPCP,
+			Description: "delayed pre-copy plus per-chunk modification prediction (the paper's best)"},
+	},
+	KindRemote: {
+		{Kind: KindRemote, Name: "none", MinShardNodes: 1,
+			Description: "no remote checkpoint level"},
+		{Kind: KindRemote, Name: "buddy-burst", MinShardNodes: 2, newTier: newBuddyTier(remote.AsyncBurst),
+			Description: "buddy replication, shipping everything at the remote checkpoint point"},
+		{Kind: KindRemote, Name: "buddy-precopy", MinShardNodes: 2, newTier: newBuddyTier(remote.PreCopy),
+			Description: "buddy replication with incremental pre-copy shipping ahead of the trigger"},
+		{Kind: KindRemote, Name: "erasure", extraNodes: erasureExtraNodes, newTier: newErasureTier,
+			Description: "XOR parity group on a dedicated parity node instead of full buddy copies"},
+	},
+	KindBottom: {
+		{Kind: KindBottom, Name: "none",
+			Description: "no bottom storage level"},
+		{Kind: KindBottom, Name: "pfs-drain",
+			Description: "drain committed remote copies to a parallel file system"},
+	},
 }
 
 // Parse resolves a policy name within a kind. The empty string means "none".
@@ -246,24 +200,20 @@ func Parse(kind Kind, name string) (*Entry, error) {
 	if name == "" {
 		name = "none"
 	}
-	e, ok := registry[kind][name]
-	if !ok {
-		return nil, fmt.Errorf("unknown %s policy %q (valid: %s)",
-			kind, name, strings.Join(Names(kind), ", "))
+	for i := range tables[kind] {
+		if e := &tables[kind][i]; e.Name == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	return nil, fmt.Errorf("unknown %s policy %q (valid: %s)",
+		kind, name, strings.Join(Names(kind), ", "))
 }
 
-// Names lists a kind's policy names in registration order.
+// Names lists a kind's policy names in table order.
 func Names(kind Kind) []string {
-	out := make([]string, 0, len(ordered[kind]))
-	for _, e := range ordered[kind] {
+	out := make([]string, 0, len(tables[kind]))
+	for _, e := range tables[kind] {
 		out = append(out, e.Name)
 	}
 	return out
-}
-
-// Entries lists a kind's registered policies in registration order.
-func Entries(kind Kind) []*Entry {
-	return append([]*Entry(nil), ordered[kind]...)
 }

@@ -4,14 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"nvmcp/internal/core"
 	"nvmcp/internal/policy"
 )
-
-// fakeLocal is a minimal LocalPolicy used to exercise Register itself.
-type fakeLocal struct{}
-
-func (fakeLocal) NewEngine(s *core.Store, o policy.LocalOptions) policy.LocalEngine { return nil }
 
 func TestParseBuiltinNames(t *testing.T) {
 	want := map[policy.Kind][]string{
@@ -65,72 +59,15 @@ func TestParseUnknownListsValidNames(t *testing.T) {
 }
 
 func TestNamesRegistrationOrder(t *testing.T) {
-	// Builtins register at init, before any test registrations, so they are
-	// a prefix of the listing in their registration order.
-	want := map[policy.Kind][]string{
-		policy.KindLocal:  {"none", "cpc", "dcpc", "dcpcp"},
-		policy.KindRemote: {"none", "buddy-burst", "buddy-precopy", "erasure"},
-		policy.KindBottom: {"none", "pfs-drain"},
+	// Names lists each kind's table, exactly, in row order.
+	want := map[policy.Kind]string{
+		policy.KindLocal:  "none cpc dcpc dcpcp",
+		policy.KindRemote: "none buddy-burst buddy-precopy erasure",
+		policy.KindBottom: "none pfs-drain",
 	}
-	for kind, prefix := range want {
-		got := policy.Names(kind)
-		if len(got) < len(prefix) {
-			t.Fatalf("Names(%s) = %v, want at least %v", kind, got, prefix)
-		}
-		for i, name := range prefix {
-			if got[i] != name {
-				t.Fatalf("Names(%s) = %v, want prefix %v", kind, got, prefix)
-			}
+	for kind, names := range want {
+		if got := strings.Join(policy.Names(kind), " "); got != names {
+			t.Fatalf("Names(%s) = %q, want %q", kind, got, names)
 		}
 	}
-}
-
-func TestEntriesMatchNames(t *testing.T) {
-	for _, kind := range []policy.Kind{policy.KindLocal, policy.KindRemote, policy.KindBottom} {
-		names := policy.Names(kind)
-		entries := policy.Entries(kind)
-		if len(names) != len(entries) {
-			t.Fatalf("Names(%s) has %d entries, Entries has %d", kind, len(names), len(entries))
-		}
-		for i, e := range entries {
-			if e.Name != names[i] {
-				t.Fatalf("Entries(%s)[%d] = %q, Names = %q", kind, i, e.Name, names[i])
-			}
-		}
-	}
-}
-
-func TestTypedAccessors(t *testing.T) {
-	if e, _ := policy.Parse(policy.KindLocal, "dcpcp"); e.Local() == nil {
-		t.Error("local entry's Local() is nil")
-	}
-	if e, _ := policy.Parse(policy.KindRemote, "buddy-precopy"); e.Remote() == nil {
-		t.Error("remote entry's Remote() is nil")
-	}
-	if e, _ := policy.Parse(policy.KindBottom, "pfs-drain"); e.Bottom() == nil {
-		t.Error("bottom entry's Bottom() is nil")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	policy.Register(policy.KindLocal, "test-dup", "first registration", fakeLocal{})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-		if msg, _ := r.(string); !strings.Contains(msg, "test-dup") {
-			t.Fatalf("panic %v does not name the duplicate", r)
-		}
-	}()
-	policy.Register(policy.KindLocal, "test-dup", "second registration", fakeLocal{})
-}
-
-func TestRegisterWrongInterfacePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Register accepted a LocalPolicy under KindRemote")
-		}
-	}()
-	policy.Register(policy.KindRemote, "test-wrong-kind", "", fakeLocal{})
 }

@@ -2,108 +2,38 @@ package policy
 
 import (
 	"fmt"
-
 	"time"
 
 	"nvmcp/internal/core"
 	"nvmcp/internal/erasure"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/pfs"
-	"nvmcp/internal/precopy"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/topo"
 )
 
-func init() {
-	Register(KindLocal, "none",
-		"no background pre-copy; the blocking checkpoint copies everything",
-		localPolicy{precopy.NoPreCopy})
-	Register(KindLocal, "cpc",
-		"continuous pre-copy: chunks copied as soon as they are modified",
-		localPolicy{precopy.CPC})
-	Register(KindLocal, "dcpc",
-		"delayed pre-copy: copies start at the adaptive threshold T_p",
-		localPolicy{precopy.DCPC})
-	Register(KindLocal, "dcpcp",
-		"delayed pre-copy plus per-chunk modification prediction (the paper's best)",
-		localPolicy{precopy.DCPCP})
-
-	Register(KindRemote, "none",
-		"no remote checkpoint level",
-		noneRemote{})
-	Register(KindRemote, "buddy-burst",
-		"buddy replication, shipping everything at the remote checkpoint point",
-		buddyPolicy{remote.AsyncBurst})
-	Register(KindRemote, "buddy-precopy",
-		"buddy replication with incremental pre-copy shipping ahead of the trigger",
-		buddyPolicy{remote.PreCopy})
-	Register(KindRemote, "erasure",
-		"XOR parity group on a dedicated parity node instead of full buddy copies",
-		erasurePolicy{})
-
-	Register(KindBottom, "none",
-		"no bottom storage level",
-		noneBottom{})
-	Register(KindBottom, "pfs-drain",
-		"drain committed remote copies to a parallel file system",
-		pfsDrainPolicy{})
-}
-
-// localPolicy adapts precopy.New to the LocalPolicy interface.
-type localPolicy struct{ scheme precopy.Scheme }
-
-func (lp localPolicy) NewEngine(s *core.Store, o LocalOptions) LocalEngine {
-	return precopy.New(s, precopy.Config{
-		Scheme:    lp.scheme,
-		RateCap:   o.RateCap,
-		BWPerCore: o.BWPerCore,
-		Rec:       o.Rec,
-		TraceLane: o.TraceLane,
-	})
-}
-
-// noneRemote disables the remote level by building a nil tier.
-type noneRemote struct{}
-
-func (noneRemote) ExtraNodes(int, RemoteOptions) int                        { return 0 }
-func (noneRemote) NewTier(RemoteRuntime, RemoteOptions) (RemoteTier, error) { return nil, nil }
-
-// A disabled remote level trivially stays inside any node group.
-func (noneRemote) ShardLocal() bool   { return true }
-func (noneRemote) MinShardNodes() int { return 1 }
-
-// noneBottom disables the bottom level by building a nil tier.
-type noneBottom struct{}
-
-func (noneBottom) NewTier(*sim.Env, BottomOptions) (BottomTier, error) { return nil, nil }
-
-// buddyPolicy is the paper's remote level: each node's helper ships chunks to
-// a buddy node holding a two-version copy (remote.Mesh + per-node Agents).
-type buddyPolicy struct{ scheme remote.Scheme }
-
-func (buddyPolicy) ExtraNodes(int, RemoteOptions) int { return 0 }
-
-// The buddy ring is rung over whatever node set the tier is built with
-// (spread placement rings over the group's own sub-topology), so a
+// newBuddyTier builds the paper's remote level: each node's helper ships
+// chunks to a buddy node holding a two-version copy (remote.Mesh + per-node
+// Agents). The buddy ring is rung over whatever node set the tier is built
+// with (spread placement rings over the group's own sub-topology), so a
 // partitioned cluster that builds one tier per node group keeps every ship
-// intra-group; a ring needs at least two nodes to have a buddy.
-func (buddyPolicy) ShardLocal() bool   { return true }
-func (buddyPolicy) MinShardNodes() int { return 2 }
-
-func (bp buddyPolicy) NewTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
-	if o.Group != 0 {
-		return nil, fmt.Errorf("buddy policies take no redundancy group size (got %d)", o.Group)
+// intra-group.
+func newBuddyTier(scheme remote.Scheme) func(RemoteRuntime, RemoteOptions) (RemoteTier, error) {
+	return func(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
+		if o.Group != 0 {
+			return nil, fmt.Errorf("buddy policies take no redundancy group size (got %d)", o.Group)
+		}
+		placement, err := ParsePlacement(o.Placement)
+		if err != nil {
+			return nil, err
+		}
+		plan, honored := BuddyPlan(rt.Topo, rt.ComputeNodes, placement)
+		mesh := remote.NewMesh(rt.Env, rt.Fabric, rt.NVMs)
+		mesh.SetRecorder(rt.Recorder(0, "mesh"))
+		return &buddyTier{rt: rt, o: o, scheme: scheme, mesh: mesh,
+			placement: placement, plan: plan, honored: honored}, nil
 	}
-	placement, err := ParsePlacement(o.Placement)
-	if err != nil {
-		return nil, err
-	}
-	plan, honored := BuddyPlan(rt.Topo, rt.ComputeNodes, placement)
-	mesh := remote.NewMesh(rt.Env, rt.Fabric, rt.NVMs)
-	mesh.SetRecorder(rt.Recorder(0, "mesh"))
-	return &buddyTier{rt: rt, o: o, scheme: bp.scheme, mesh: mesh,
-		placement: placement, plan: plan, honored: honored}, nil
 }
 
 type buddyTier struct {
@@ -239,18 +169,17 @@ func (t *buddyTier) Shutdown() {
 	}
 }
 
-// erasurePolicy composes the erasure package as a remote tier: XOR parity
+// erasureExtraNodes requests one parity-holder fabric node per group.
+func erasureExtraNodes(computeNodes int, o RemoteOptions) int {
+	return ErasureGroupCount(computeNodes, o.Group)
+}
+
+// newErasureTier composes the erasure package as a remote tier: XOR parity
 // groups over the compute nodes, each group's parity held on its own extra
 // fabric node. Group 0 keeps the legacy single group over everything;
 // spread placement deals group members across zones so a zone loss costs
 // at most one member per group — the single loss XOR parity tolerates.
-type erasurePolicy struct{}
-
-func (erasurePolicy) ExtraNodes(computeNodes int, o RemoteOptions) int {
-	return ErasureGroupCount(computeNodes, o.Group)
-}
-
-func (erasurePolicy) NewTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
+func newErasureTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
 	placement, err := ParsePlacement(o.Placement)
 	if err != nil {
 		return nil, err
@@ -417,32 +346,3 @@ func (t *erasureTier) SupportSets() [][]int {
 
 func (t *erasureTier) PlacementHonored() bool { return t.honored }
 func (t *erasureTier) PlacementDesc() string  { return "erasure/" + t.placement }
-
-// pfsDrainPolicy builds the PFS bottom tier.
-type pfsDrainPolicy struct{}
-
-func (pfsDrainPolicy) NewTier(env *sim.Env, o BottomOptions) (BottomTier, error) {
-	return &pfsTier{fs: pfs.New(env, o.AggregateBW, o.StripeBW)}, nil
-}
-
-type pfsTier struct{ fs *pfs.FS }
-
-func (t *pfsTier) Drain(p *sim.Proc, src pfs.Source) pfs.DrainStats {
-	return t.fs.Drain(p, src)
-}
-
-func (t *pfsTier) Fetch(p *sim.Proc, name string) ([]byte, int64, uint64, bool) {
-	data, size, version, err := t.fs.Read(p, name)
-	if err != nil {
-		return nil, 0, 0, false
-	}
-	return data, size, version, true
-}
-
-// PFSOf unwraps a pfs tier's file system for result shaping; nil otherwise.
-func PFSOf(t BottomTier) *pfs.FS {
-	if pt, ok := t.(*pfsTier); ok {
-		return pt.fs
-	}
-	return nil
-}

@@ -753,8 +753,3 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 		"buddy": fmt.Sprintf("%d", a.buddy),
 	})
 }
-
-// Shipped reports the last shipped sequence for a chunk (testing aid).
-func (a *Agent) Shipped(procName string, id uint64) uint64 {
-	return a.shipped[chunkKey{procName, id}]
-}

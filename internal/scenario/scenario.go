@@ -389,6 +389,9 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: checkpoint intervals must be >= 0 (local %d, remote %d)",
 			sc.label(), sc.Local.Every, sc.Remote.Every)
 	}
+	if sc.Remote.Group < 0 {
+		return fmt.Errorf("scenario %s: remote.group must be >= 0, got %d", sc.label(), sc.Remote.Group)
+	}
 	if sc.Local.RateCap < 0 || sc.Remote.RateCap < 0 {
 		return fmt.Errorf("scenario %s: rate caps must be >= 0 (local %g, remote %g)",
 			sc.label(), sc.Local.RateCap, sc.Remote.RateCap)
@@ -524,9 +527,17 @@ func (sc *Scenario) AppSpec() (workload.AppSpec, error) {
 	return app, nil
 }
 
+// The checkpoint intervals an omitted every runs at: a local checkpoint every
+// iteration, a remote one every fourth local one. The cluster defaults its
+// Config from these too.
+const (
+	DefaultLocalEvery  = 1
+	DefaultRemoteEvery = 4
+)
+
 // AutoRemoteRateCap is the paper's remote pre-copy shipping cap: two full
 // checkpoint volumes per node (both remote versions) spread over one remote
-// checkpoint interval — 2·D·cores / (every·iterTime).
+// checkpoint interval of every iterations — 2·D·cores / (every·iterTime).
 func AutoRemoteRateCap(ckptSize int64, ranksPerNode int, iterTime time.Duration, every int) float64 {
 	if every < 1 {
 		every = 1
@@ -558,7 +569,15 @@ func (sc *Scenario) ResolvedRemoteRateCap() (float64, error) {
 			}
 		}
 	}
-	return AutoRemoteRateCap(app.CheckpointSize(), cores, app.IterTime, sc.Remote.Every), nil
+	local, remote := sc.Local.Every, sc.Remote.Every
+	if local == 0 {
+		local = DefaultLocalEvery
+	}
+	if remote == 0 {
+		remote = DefaultRemoteEvery
+	}
+	// Remote checkpoints run every local.every × remote.every iterations.
+	return AutoRemoteRateCap(app.CheckpointSize(), cores, app.IterTime, local*remote), nil
 }
 
 // Base returns the canonical scenario skeleton for an app at a scale and

@@ -112,6 +112,8 @@ func TestValidateErrors(t *testing.T) {
 		{"failure off-cluster", mod(func(sc *scenario.Scenario) { sc.Failures[0].Node = 4 }), "cluster has nodes 0..3"},
 		{"failure at t=0", mod(func(sc *scenario.Scenario) { sc.Failures[0].AtSecs = 0 }), "must be after t=0"},
 		{"negative rate cap", mod(func(sc *scenario.Scenario) { sc.Local.RateCap = -5 }), "rate caps must be >= 0"},
+		{"negative group", mod(func(sc *scenario.Scenario) { sc.Remote = scenario.RemoteSpec{Policy: "erasure", Group: -3} }),
+			"remote.group must be >= 0, got -3"},
 		{"bad failure kind", mod(func(sc *scenario.Scenario) { sc.Failures[0].Kind = "meteor" }), "unknown kind"},
 		{"hard vs kind conflict", mod(func(sc *scenario.Scenario) { sc.Failures[0].Kind = "soft" }), "sets hard but kind"},
 		{"negative chunks", mod(func(sc *scenario.Scenario) { sc.Failures[0].Chunks = -1 }), "chunks must be >= 0"},
@@ -273,5 +275,29 @@ func TestAutoRemoteRateCap(t *testing.T) {
 	// every < 1 clamps to 1.
 	if scenario.AutoRemoteRateCap(100, 4, 5e9, 0) != 160 {
 		t.Fatal("every=0 should behave like every=1")
+	}
+}
+
+// TestResolvedRemoteRateCapUsesRunInterval checks the auto cap spreads over
+// the remote interval the cluster actually runs: local.every × remote.every
+// iterations, with an omitted every taking the cluster's default.
+func TestResolvedRemoteRateCapUsesRunInterval(t *testing.T) {
+	capOf := func(localEvery, remoteEvery int) float64 {
+		t.Helper()
+		sc := scenario.Base("gtc", scenario.ScaleTiny, 400e6)
+		sc.Local.Every = localEvery
+		sc.Remote = scenario.RemoteSpec{Policy: "buddy-precopy", AutoRateCap: true, Every: remoteEvery}
+		got, err := sc.ResolvedRemoteRateCap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	explicit := capOf(0, 4)
+	if omitted := capOf(0, 0); omitted != explicit || explicit <= 0 {
+		t.Fatalf("omitted every resolves to %g B/s, explicit every 4 to %g B/s", omitted, explicit)
+	}
+	if halved := capOf(2, 0); halved != explicit/2 {
+		t.Fatalf("local.every 2 resolves to %g B/s, want %g", halved, explicit/2)
 	}
 }

@@ -283,10 +283,6 @@ func (e *Env) Idle() bool { return e.pending() == 0 }
 // not yet finished or been killed.
 func (e *Env) LiveProcs() int { return e.nprocs }
 
-// Cur returns the currently executing process, or nil when called from
-// scheduler (event callback) context.
-func (e *Env) Cur() *Proc { return e.cur }
-
 // switchTo transfers control to p, delivering wake kind k, and blocks until p
 // parks again or exits. It must only be called from scheduler context.
 func (e *Env) switchTo(p *Proc, k wakeKind) {

@@ -210,12 +210,6 @@ func NewBarrier(e *Env, parties int) *Barrier {
 	return &Barrier{env: e, parties: parties}
 }
 
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
-
-// Arrived returns how many parties are waiting in the current generation.
-func (b *Barrier) Arrived() int { return b.arrived }
-
 // Await blocks p until all parties of the current generation have arrived.
 func (b *Barrier) Await(p *Proc) {
 	b.arrived++

@@ -92,9 +92,9 @@ func AnalyzeRun(c *cluster.Cluster) *Survivability {
 	if c == nil || c.Cfg.Topo == nil || c.Cfg.Shards > 1 {
 		return nil
 	}
-	pi, ok := c.RemoteTier().(policy.PlacementInfo)
-	if !ok {
+	t := c.RemoteTier()
+	if t == nil {
 		return nil
 	}
-	return Analyze(c.Cfg.Topo, pi.SupportSets(), pi.PlacementDesc(), pi.PlacementHonored())
+	return Analyze(c.Cfg.Topo, t.SupportSets(), t.PlacementDesc(), t.PlacementHonored())
 }
