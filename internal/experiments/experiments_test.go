@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"nvmcp/internal/workload"
 )
 
 func TestFig4ShapeAndCalibration(t *testing.T) {
@@ -48,7 +46,7 @@ func TestMADBenchHeadline(t *testing.T) {
 }
 
 func TestLocalExperimentShape(t *testing.T) {
-	r := RunLocal(workload.LAMMPSRhodo(), Quick)
+	r := quick[LocalResult]("fig7")
 	if len(r.Points) != len(BWSweepPerCore) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -77,7 +75,7 @@ func TestLocalExperimentShape(t *testing.T) {
 }
 
 func TestLocalGTCCopiesLessDataWithTracking(t *testing.T) {
-	r := RunLocal(workload.GTC(), Quick)
+	r := quick[LocalResult]("fig8")
 	for _, pt := range r.Points {
 		// GTC's init-only chunk: dirty tracking copies strictly less data.
 		if pt.PreData >= pt.NoPreData {
@@ -88,8 +86,8 @@ func TestLocalGTCCopiesLessDataWithTracking(t *testing.T) {
 }
 
 func TestCM1BenefitsLessThanLAMMPS(t *testing.T) {
-	lammps := RunLocal(workload.LAMMPSRhodo(), Quick)
-	cm1 := RunLocal(workload.CM1(), Quick)
+	lammps := quick[LocalResult]("fig7")
+	cm1 := quick[LocalResult]("cm1")
 	// Compare the benefit at the most constrained bandwidth point.
 	lb := lammps.Points[len(lammps.Points)-1]
 	cb := cm1.Points[len(cm1.Points)-1]
@@ -106,7 +104,7 @@ func TestCM1BenefitsLessThanLAMMPS(t *testing.T) {
 }
 
 func TestFig9PreCopyBeatsBurst(t *testing.T) {
-	r := RunFig9(workload.GTC(), Quick)
+	r := quick[Fig9Result]("fig9")
 	if len(r.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -129,7 +127,7 @@ func TestFig9PreCopyBeatsBurst(t *testing.T) {
 }
 
 func TestFig10PeakReduction(t *testing.T) {
-	r := RunFig10(workload.LAMMPSRhodo(), Quick)
+	r := quick[Fig10Result]("fig10")
 	if r.BurstPeak <= 0 || r.PrePeak <= 0 {
 		t.Fatalf("degenerate peaks: %+v", r)
 	}
@@ -153,7 +151,7 @@ func TestTable4RowsCoverAllApps(t *testing.T) {
 }
 
 func TestTable5PreCopyRoughlyDoublesHelperUtil(t *testing.T) {
-	rows := RunTable5(Quick)
+	rows := quick[[]Table5Row]("tab5")
 	for _, r := range rows {
 		if r.UtilPre <= r.UtilNoPre {
 			t.Fatalf("at %d: pre-copy util %.3f not above burst %.3f",

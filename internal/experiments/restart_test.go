@@ -60,7 +60,7 @@ func TestTransparentComparisonShape(t *testing.T) {
 }
 
 func TestFailureModelShape(t *testing.T) {
-	rows := RunFailureModel(Quick)
+	rows := quick[[]FailureRow]("failures")
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -84,7 +84,7 @@ func TestFailureModelShape(t *testing.T) {
 }
 
 func TestEnduranceEagerSchemeWearsFaster(t *testing.T) {
-	rows := RunEndurance(Quick)
+	rows := quick[[]EnduranceRow]("endurance")
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -109,7 +109,7 @@ func TestEnduranceEagerSchemeWearsFaster(t *testing.T) {
 }
 
 func TestIntervalUCurve(t *testing.T) {
-	r := RunInterval(Quick)
+	r := quick[IntervalResult]("interval")
 	if len(r.Rows) < 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -157,7 +157,7 @@ func TestRedundancyTradeoff(t *testing.T) {
 }
 
 func TestHierarchyMultilevelBeatsPFSDirect(t *testing.T) {
-	r := RunHierarchy(Quick)
+	r := quick[HierarchyResult]("hierarchy")
 	if r.MultiOvh >= r.PFSDirectOvh/3 {
 		t.Fatalf("multilevel overhead %.3f not clearly below PFS-direct %.3f",
 			r.MultiOvh, r.PFSDirectOvh)
@@ -176,9 +176,9 @@ func TestNewExperimentPrinters(t *testing.T) {
 	var sb strings.Builder
 	PrintRestart(&sb, RunRestart())
 	PrintTransparent(&sb, RunTransparent())
-	PrintFailureModel(&sb, RunFailureModel(Quick))
-	PrintEndurance(&sb, RunEndurance(Quick))
-	PrintInterval(&sb, RunInterval(Quick))
+	PrintFailureModel(&sb, quick[[]FailureRow]("failures"))
+	PrintEndurance(&sb, quick[[]EnduranceRow]("endurance"))
+	PrintInterval(&sb, quick[IntervalResult]("interval"))
 	out := sb.String()
 	for _, want := range []string{"Restart paths", "Transparent vs", "Failure injection", "endurance", "Checkpoint interval"} {
 		if !strings.Contains(out, want) {
