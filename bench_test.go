@@ -58,7 +58,7 @@ func BenchmarkTable4ChunkDistribution(b *testing.B) {
 // no-pre-copy vs 6.5% pre-copy).
 func BenchmarkFig7LammpsLocal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunLocal(workload.LAMMPSRhodo(), experiments.Quick)
+		r := experiments.RunLocal("fig7", experiments.Quick)
 		last := r.Points[len(r.Points)-1]
 		b.ReportMetric(last.NoPreOverhead*100, "%overhead-nopre")
 		b.ReportMetric(last.PreOverhead*100, "%overhead-pre")
@@ -70,7 +70,7 @@ func BenchmarkFig7LammpsLocal(b *testing.B) {
 // chunks the pre-copy path skips).
 func BenchmarkFig8GTCLocal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunLocal(workload.GTC(), experiments.Quick)
+		r := experiments.RunLocal("fig8", experiments.Quick)
 		last := r.Points[len(r.Points)-1]
 		b.ReportMetric(last.NoPreOverhead*100, "%overhead-nopre")
 		b.ReportMetric(last.PreOverhead*100, "%overhead-pre")
@@ -82,7 +82,7 @@ func BenchmarkFig8GTCLocal(b *testing.B) {
 // pre-copy benefit).
 func BenchmarkCM1Local(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunLocal(workload.CM1(), experiments.Quick)
+		r := experiments.RunLocal("cm1", experiments.Quick)
 		last := r.Points[len(r.Points)-1]
 		b.ReportMetric((last.NoPreOverhead-last.PreOverhead)*100, "%benefit")
 	}
@@ -93,7 +93,7 @@ func BenchmarkCM1Local(b *testing.B) {
 // pre-copy, a ~40% reduction).
 func BenchmarkFig9RemoteEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig9(workload.GTC(), experiments.Quick)
+		r := experiments.RunFig9(experiments.Quick)
 		b.ReportMetric(r.AvgOvhNoPre*100, "%avg-overhead-burst")
 		b.ReportMetric(r.AvgOvhPre*100, "%avg-overhead-pre")
 		if r.AvgOvhNoPre > 0 {
@@ -106,7 +106,7 @@ func BenchmarkFig9RemoteEfficiency(b *testing.B) {
 // timeline (paper: pre-copy peak about half the burst peak).
 func BenchmarkFig10PeakInterconnect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig10(workload.LAMMPSRhodo(), experiments.Quick)
+		r := experiments.RunFig10(experiments.Quick)
 		b.ReportMetric(r.PeakReduction*100, "%peak-reduction")
 	}
 }

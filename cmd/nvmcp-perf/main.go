@@ -33,7 +33,6 @@ import (
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/slo"
-	"nvmcp/internal/workload"
 )
 
 // perfRecord is one probe's measurement, serialized to BENCH_<id>.json.
@@ -280,7 +279,7 @@ var probes = []probe{
 		// the optimization work is held to.
 		id: "fig9-paper", reps: 1,
 		run: func() uint64 {
-			experiments.RunFig9(workload.GTC(), experiments.Paper)
+			experiments.RunFig9(experiments.Paper)
 			return 0
 		},
 	},

@@ -6,7 +6,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/report"
-	"nvmcp/internal/workload"
+	"nvmcp/internal/scenario"
 )
 
 // EnduranceRow projects NVM wear and write energy for one checkpoint scheme.
@@ -29,7 +29,7 @@ type EnduranceRow struct {
 // mean checkpoint schemes that move *more* data (CPC's repeated hot-chunk
 // copies; forced full checkpoints) age the device faster and burn more
 // energy. The run measures each scheme's sustained NVM write rate on the
-// LAMMPS workload and projects lifetime and energy.
+// endurance preset's LAMMPS workload and projects lifetime and energy.
 func RunEndurance(scale Scale) []EnduranceRow {
 	type schemeDef struct {
 		name      string
@@ -45,10 +45,9 @@ func RunEndurance(scale Scale) []EnduranceRow {
 	rows := make([]EnduranceRow, len(schemes))
 	sweep(len(schemes), func(i int) {
 		sd := schemes[i]
-		cfg := baseConfig(workload.LAMMPSRhodo(), scale, 400e6)
-		cfg.App.CommPerIter = 0
-		cfg.Local = sd.policy
-		cfg.ForceFull = sd.forceFull
+		sc := preset("endurance", scale)
+		sc.Local = scenario.LocalSpec{Policy: sd.policy, ForceFull: sd.forceFull}
+		cfg := lower(sc)
 		res, c := cluster.MustRun(cfg)
 
 		// Sum NVM write traffic over all nodes and normalize per node.

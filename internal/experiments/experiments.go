@@ -19,7 +19,6 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/workload"
 )
 
 // Scale selects experiment size: Quick for CI-friendly runs, Paper for the
@@ -55,15 +54,26 @@ func (s Scale) Scenario() scenario.Scale {
 // overheads reach ~15%).
 var BWSweepPerCore = []float64{1600e6, 800e6, 400e6, 200e6, 100e6}
 
-// baseConfig assembles the common cluster configuration for an app at a
-// scale and per-core NVM bandwidth by lowering the scenario layer's base
-// shape (quick runs re-scale volumes so contention shape survives at speed).
-func baseConfig(app workload.AppSpec, scale Scale, bwPerCore float64) cluster.Config {
-	cfg, err := cluster.FromScenario(scenario.Base(app.Name, scale.Scenario(), bwPerCore))
+// lower turns a scenario an experiment derived from its preset into a cluster
+// configuration. The presets are fixed and the experiments only re-point
+// validated fields, so an error here is a programming error.
+func lower(sc *scenario.Scenario) cluster.Config {
+	cfg, err := cluster.FromScenario(sc)
 	if err != nil {
 		panic(err)
 	}
 	return cfg
+}
+
+// preset builds preset id's scenario at the experiment scale: the one
+// definition of an experiment's machine and policy shape, which nvmcp-sim
+// -preset runs too. Experiments change only the fields they sweep.
+func preset(id string, scale Scale) *scenario.Scenario {
+	sc, err := scenario.BuildPreset(id, scale.Scenario())
+	if err != nil {
+		panic(err)
+	}
+	return sc
 }
 
 // idealTime runs the no-checkpoint, no-failure configuration — the

@@ -11,7 +11,6 @@ import (
 	"nvmcp/internal/obs"
 	"nvmcp/internal/report"
 	"nvmcp/internal/scenario"
-	"nvmcp/internal/workload"
 )
 
 // Fig10Result is the peak-interconnect-usage experiment: per-window
@@ -31,32 +30,22 @@ type Fig10Result struct {
 	PeakReduction float64
 }
 
-// RunFig10 reproduces Figure 10: LAMMPS with remote checkpoints, comparing
-// the interconnect usage timeline of the asynchronous burst and the pre-copy
-// helper. The series are checkpoint bytes transferred per window.
-func RunFig10(app workload.AppSpec, scale Scale) Fig10Result {
-	nodesIters := func(base *cluster.Config) {
-		base.RemoteEvery = 2
-		base.Local = "dcpcp"
-		if base.Iterations < 4 {
-			base.Iterations = 4
-		}
-	}
+// RunFig10 reproduces Figure 10 from the fig10 preset: LAMMPS with remote
+// checkpoints, comparing the interconnect usage timeline of the asynchronous
+// burst and the pre-copy helper. The series are checkpoint bytes transferred
+// per window.
+func RunFig10(scale Scale) Fig10Result {
 	window := 10 * time.Second
 	if scale == Quick {
 		window = 5 * time.Second
 	}
+	sc := preset("fig10", scale)
+	pre := lower(sc)
+	sc.Remote = scenario.RemoteSpec{Policy: "buddy-burst", Every: sc.Remote.Every}
+	burst := lower(sc)
 
-	run := func(policy string) (series []float64, peak float64) {
-		base := baseConfig(app, scale, 800e6)
-		nodesIters(&base)
-		base.Remote = policy
-		base.LinkBW = fig9LinkBW(scale)
-		if policy == "buddy-precopy" {
-			base.RemoteRateCap = scenario.AutoRemoteRateCap(
-				base.App.CheckpointSize(), base.CoresPerNode, base.App.IterTime, base.RemoteEvery)
-		}
-		res, c := cluster.MustRun(base)
+	run := func(cfg cluster.Config) (series []float64, peak float64) {
+		res, c := cluster.MustRun(cfg)
 		end := res.ExecTime
 		// Read the fabric's cumulative checkpoint series through the obs
 		// registry — the same timeline every other sink sees.
@@ -66,14 +55,14 @@ func RunFig10(app workload.AppSpec, scale Scale) Fig10Result {
 		return series, peak
 	}
 
-	burstSeries, burstPeak := run("buddy-burst")
-	preSeries, prePeak := run("buddy-precopy")
+	burstSeries, burstPeak := run(burst)
+	preSeries, prePeak := run(pre)
 	red := 0.0
 	if burstPeak > 0 {
 		red = 1 - prePeak/burstPeak
 	}
 	return Fig10Result{
-		App:           app.Name,
+		App:           sc.Workload.App,
 		Scale:         scale,
 		Window:        window,
 		BurstSeries:   burstSeries,

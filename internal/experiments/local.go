@@ -9,6 +9,7 @@ import (
 	"nvmcp/internal/mem"
 	"nvmcp/internal/ramdisk"
 	"nvmcp/internal/report"
+	"nvmcp/internal/scenario"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/workload"
 )
@@ -41,27 +42,24 @@ type LocalResult struct {
 	Points []LocalPoint
 }
 
-// RunLocal reproduces the local-checkpoint experiments (Figure 7 for
-// LAMMPS, Figure 8 for GTC, the in-text CM1 result): 48 ranks checkpoint
-// every iteration; 'no pre-copy' is the classic full coordinated checkpoint,
-// 'pre-copy' is DCPCP with dirty tracking; a ramdisk baseline writes the same
-// volume through the VFS path.
-func RunLocal(app workload.AppSpec, scale Scale) LocalResult {
-	out := LocalResult{App: app.Name, Scale: scale}
+// RunLocal reproduces the local-checkpoint experiments from their presets
+// (id fig7: Figure 7, LAMMPS; fig8: Figure 8, GTC; cm1: the in-text CM1
+// result): 48 ranks checkpoint every iteration; 'no pre-copy' is the classic
+// full coordinated checkpoint, 'pre-copy' is DCPCP with dirty tracking; a
+// ramdisk baseline writes the same volume through the VFS path.
+func RunLocal(id string, scale Scale) LocalResult {
+	out := LocalResult{App: preset(id, scale).Workload.App, Scale: scale}
 	out.Points = make([]LocalPoint, len(BWSweepPerCore))
 	sweep(len(BWSweepPerCore), func(i int) {
 		bw := BWSweepPerCore[i]
-		base := baseConfig(app, scale, bw)
+		sc := preset(id, scale)
+		sc.NVMPerCoreBW = bw
+		pre := lower(sc)
+		sc.Local = scenario.LocalSpec{Policy: "none", ForceFull: true}
+		noPre := lower(sc)
 
-		ideal := idealTime(base)
-
-		noPre := base
-		noPre.ForceFull = true
-		noPre.Local = "none"
+		ideal := idealTime(pre)
 		noPreRes, _ := cluster.MustRun(noPre)
-
-		pre := base
-		pre.Local = "dcpcp"
 		preRes, _ := cluster.MustRun(pre)
 
 		out.Points[i] = LocalPoint{
@@ -69,7 +67,7 @@ func RunLocal(app workload.AppSpec, scale Scale) LocalResult {
 			IdealExec:     ideal,
 			NoPreExec:     noPreRes.ExecTime,
 			PreExec:       preRes.ExecTime,
-			RamdiskExec:   ramdiskLocal(base, ideal),
+			RamdiskExec:   ramdiskLocal(pre, ideal),
 			NoPreData:     noPreRes.DataToNVMPerRank,
 			PreData:       preRes.DataToNVMPerRank,
 			NoPreOverhead: overhead(noPreRes.ExecTime, ideal),
