@@ -97,8 +97,8 @@ var probes = []probe{
 		},
 	},
 	{
-		// Coroutine park/wake round trips — the process-switch cost the
-		// channel-handoff scheduler pays on every blocking primitive.
+		// Coroutine park/wake round trips — the process-switch cost
+		// every blocking primitive pays.
 		id: "sim-procswitch", reps: 3,
 		run: func() uint64 {
 			const n = 1_000_000

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/obs"
+	"nvmcp/internal/scenario"
 	"nvmcp/internal/workload"
 )
 
@@ -259,5 +261,28 @@ func TestCommunicationContendWithRemoteCheckpoint(t *testing.T) {
 	if noisyRes.ExecTime <= quietRes.ExecTime {
 		t.Fatalf("remote checkpoint traffic added no noise: %v vs %v",
 			noisyRes.ExecTime, quietRes.ExecTime)
+	}
+}
+
+// TestExecuteLeavesNoGoroutines: a finished run leaves no simulated process
+// suspended on a host goroutine, so a resident control plane running job
+// after job does not accumulate them.
+func TestExecuteLeavesNoGoroutines(t *testing.T) {
+	for _, id := range []string{"slo-paper", "faults", "fig9", "erasure"} {
+		sc, err := scenario.BuildPreset(id, scenario.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := FromScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := runtime.NumGoroutine()
+		if _, _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if n := runtime.NumGoroutine(); n > start {
+			t.Errorf("%s: NumGoroutine = %d after Execute, want at most %d", id, n, start)
+		}
 	}
 }

@@ -10,10 +10,9 @@
 // library code can instrument unconditionally and pay nothing when a test or
 // experiment runs without an Observer.
 //
-// All Observer and Registry state is mutex-guarded: the simulated remote
-// helper and application processes are separate host goroutines (the sim
-// scheduler interleaves them, but the race detector rightly demands explicit
-// synchronization), and experiment sweeps run many simulations concurrently.
+// All Observer and Registry state is mutex-guarded: the introspection server
+// and the control plane read a run's metrics from HTTP goroutines while it
+// publishes, and experiment sweeps run many simulations concurrently.
 package obs
 
 import (

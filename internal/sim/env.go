@@ -2,11 +2,12 @@
 //
 // An Env owns a virtual clock and an event queue. Simulated activities are
 // either bare events (callbacks scheduled at a virtual time) or processes
-// (Proc), which are goroutines that run one at a time under the scheduler's
-// control, in the style of coroutine-based simulators such as SimPy. Because
-// at most one goroutine — the scheduler or exactly one process — is runnable
-// at any instant, simulations are fully deterministic: two runs with the same
-// seeds produce identical event orders and identical virtual timings.
+// (Proc), which are coroutines (iter.Pull) in the style of SimPy: the
+// scheduler resumes a process with a direct coroutine switch, and the process
+// runs until it parks and switches back. Because control is only ever in the
+// scheduler or exactly one process, simulations are fully deterministic: two
+// runs with the same seeds produce identical event orders and identical
+// virtual timings.
 //
 // Virtual time is expressed as time.Duration since the start of the
 // simulation. It has no relation to wall-clock time; a simulated hour costs
@@ -34,11 +35,10 @@ type Env struct {
 	now    time.Duration
 	queue  ladder
 	seq    uint64 // tie-breaker for events scheduled at the same instant
-	parked chan struct{}
-	cur    *Proc // process currently executing, nil in scheduler context
-	fatal  any   // panic value captured from a process, re-raised by Run
-	nprocs int   // live (started, not yet finished) processes
-	brk    bool  // Break() requested: pause the run loop after this dispatch
+	cur    *Proc  // process currently executing, nil in scheduler context
+	fatal  any    // panic value captured from a process, re-raised by Run
+	nprocs int    // live (started, not yet finished) processes
+	brk    bool   // Break() requested: pause the run loop after this dispatch
 
 	nowq     []*Event // FIFO of events due at the current instant
 	nowqHead int
@@ -59,7 +59,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{parked: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -283,13 +283,13 @@ func (e *Env) Idle() bool { return e.pending() == 0 }
 // not yet finished or been killed.
 func (e *Env) LiveProcs() int { return e.nprocs }
 
-// switchTo transfers control to p, delivering wake kind k, and blocks until p
+// switchTo transfers control to p, delivering wake kind k, and returns when p
 // parks again or exits. It must only be called from scheduler context.
 func (e *Env) switchTo(p *Proc, k wakeKind) {
 	prev := e.cur
 	e.cur = p
-	p.resume <- k
-	<-e.parked
+	p.wakeK = k
+	p.next()
 	e.cur = prev
 }
 
@@ -305,8 +305,8 @@ func (e *Env) wake(p *Proc, seq uint64, k wakeKind) {
 }
 
 // wakeLater schedules a wake of p for wait seq at the current instant. Use
-// this from process context, where a direct switchTo would deadlock the
-// scheduler handoff.
+// this from process context, where a direct switchTo would run p nested
+// inside the calling process, out of event-queue order.
 func (e *Env) wakeLater(p *Proc, seq uint64, k wakeKind) {
 	e.scheduleWake(0, p, seq, k)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -123,16 +124,52 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// TestProcPanicPropagates: a process panic surfaces from Run with its
+// original value, whether the process panics on its first dispatch or when
+// resumed from the event queue, and the process is no longer counted live.
 func TestProcPanicPropagates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(*Proc)
+	}{
+		{"first-dispatch", func(p *Proc) { panic("boom") }},
+		{"after-park", func(p *Proc) { p.Sleep(time.Millisecond); panic("boom") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv()
+			e.Go("bad", tc.body)
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want boom", r)
+				}
+				if n := e.LiveProcs(); n != 0 {
+					t.Fatalf("LiveProcs = %d after the panic, want 0", n)
+				}
+			}()
+			e.Run()
+			t.Fatal("Run returned without panicking")
+		})
+	}
+}
+
+// TestRunLeavesNoGoroutines: once Run drains, no process is left suspended
+// on a host goroutine, however it ended.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
 	e := NewEnv()
-	e.Go("bad", func(p *Proc) { panic("boom") })
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
+	e.Go("finished", func(p *Proc) { p.Sleep(time.Millisecond) })
+	never := NewSignal(e)
+	victim := e.Go("killed", func(p *Proc) { never.Wait(p) })
+	e.Go("killer", func(p *Proc) { p.Sleep(time.Second); victim.Kill() })
+	e.Go("never", func(p *Proc) {}).Kill()
+	e.Go("suicidal", func(p *Proc) { p.Sleep(time.Millisecond); p.KillSelf() })
 	e.Run()
-	t.Fatal("Run returned without panicking")
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after Run, want 0", n)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("NumGoroutine = %d after Run, want at most %d", n, start)
+	}
 }
 
 func TestKillUnwindsParkedProc(t *testing.T) {

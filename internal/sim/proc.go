@@ -1,7 +1,11 @@
+// go1.23 for iter.Pull: go.mod stays at go 1.22 until bench/e2e/go.mod rises with it.
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -32,14 +36,18 @@ type killedPanic struct{ p *Proc }
 
 func (k killedPanic) String() string { return "sim: process " + k.p.name + " killed" }
 
-// Proc is a simulated process. All blocking methods (Sleep, primitive waits,
-// resource transfers) consume virtual time only; the hosting goroutine is
-// parked while other events run. Methods on Proc must only be called from
-// the process's own body unless documented otherwise.
+// Proc is a simulated process: a coroutine (iter.Pull) that the scheduler
+// resumes with next and that suspends itself with yield at every park. All
+// blocking methods (Sleep, primitive waits, resource transfers) consume
+// virtual time only; the process is suspended while other events run.
+// Methods on Proc must only be called from the process's own body unless
+// documented otherwise.
 type Proc struct {
 	env     *Env
 	name    string
-	resume  chan wakeKind
+	next    func() (struct{}, bool) // resumes the body until it parks or exits
+	yield   func(struct{}) bool     // suspends the body back to next's caller
+	wakeK   wakeKind                // why the last switchTo resumed the body
 	state   procState
 	waitSeq uint64
 	killed  bool
@@ -57,7 +65,7 @@ type waiter struct {
 // current virtual time (after already-queued events at this instant). Go may
 // be called from scheduler or process context.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan wakeKind)}
+	p := &Proc{env: e, name: name}
 	e.nprocs++
 	e.Schedule(0, func() { e.startProc(p, fn) })
 	return p
@@ -70,31 +78,31 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 		e.nprocs--
 		return
 	}
-	go func() {
+	// The body recovers every panic and returns normally, so next never
+	// re-raises one: a kill ends here, and any other panic waits in e.fatal
+	// for Run to re-raise on the scheduler's stack.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
 					p.env.fatal = r
 				}
 			}
 			p.finish()
 			p.env.nprocs--
-			p.env.parked <- struct{}{}
 		}()
-		if k := <-p.resume; k == wakeKill {
-			panic(killedPanic{p})
-		}
 		fn(p)
-	}()
+	})
 	p.state = procRunning
 	e.switchTo(p, wakeRun)
 }
 
 // finish marks the process done and wakes any joiners. Runs in the process's
-// goroutine just before it returns control to the scheduler.
+// coroutine just before it returns control to the scheduler.
 func (p *Proc) finish() {
 	p.state = procDone
+	p.next, p.yield = nil, nil // never resumed again: let the coroutine's state go
 	ws := p.exitWs
 	p.exitWs = nil
 	for _, w := range ws {
@@ -131,8 +139,8 @@ func (p *Proc) prepark() uint64 {
 // primitives use deferred cleanup to stay consistent under that unwind.
 func (p *Proc) park() wakeKind {
 	p.state = procParked
-	p.env.parked <- struct{}{}
-	k := <-p.resume
+	p.yield(struct{}{})
+	k := p.wakeK
 	if k == wakeKill || p.killed {
 		panic(killedPanic{p})
 	}
