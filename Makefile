@@ -25,11 +25,18 @@ fmt:
 
 # lint is fmt + vet plus grep-enforced idioms the toolchain doesn't check:
 # the module is go 1.22, where loop variables are per-iteration, so `x := x`
-# shadow copies are dead weight and must not come back.
+# shadow copies are dead weight and must not come back. The sim kernel has
+# one wait path: only internal/sim/proc.go (Proc.wait) may yield a process
+# or list a waiter, so every park obeys the same kill rule.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "redundant loop-variable copies (go 1.22 scopes per iteration):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude='proc.go' -E 'yield\(|waiter\{' internal/sim || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "park outside Proc.wait (only internal/sim/proc.go may yield or build a waiter):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -6,8 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"nvmcp/internal/stats"
 )
 
 // CheckpointRound aggregates one coordinated checkpoint round across ranks,
@@ -23,7 +21,7 @@ type CheckpointRound struct {
 	ChunksCopied  int64 `json:"chunks_copied"`
 	ChunksSkipped int64 `json:"chunks_skipped"`
 	// DurSecs summarizes per-rank blocking time in seconds.
-	DurSecs stats.Summary `json:"dur_secs"`
+	DurSecs Summary `json:"dur_secs"`
 	// StartUS is the earliest commit-event timestamp of the round.
 	StartUS int64 `json:"start_us"`
 }
@@ -64,7 +62,7 @@ func CheckpointRounds(events []Event) []CheckpointRound {
 	}
 	out := make([]CheckpointRound, 0, len(byRound))
 	for _, a := range byRound {
-		a.round.DurSecs = stats.Summarize(a.durs)
+		a.round.DurSecs = Summarize(a.durs)
 		out = append(out, a.round)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Round < out[j].Round })
@@ -87,8 +85,8 @@ type RunReport struct {
 	Checkpoints []CheckpointRound `json:"checkpoints"`
 	// Metrics flattens every counter and gauge as "name{labels}" → value.
 	Metrics map[string]float64 `json:"metrics"`
-	// Summaries holds stats.Summary rollups of interesting per-round series.
-	Summaries map[string]stats.Summary `json:"summaries"`
+	// Summaries holds Summary rollups of interesting per-round series.
+	Summaries map[string]Summary `json:"summaries"`
 	// Lineage is the lineage tracer's summary (per-tier transition counts,
 	// deepest recovery path, violation count) when tracing was on. Typed
 	// `any` so obs does not import the lineage package; the cmds set it.
@@ -120,9 +118,9 @@ func (o *Observer) BuildReport(tool string, config, result any) RunReport {
 		Result:      result,
 		Checkpoints: rounds,
 		Metrics:     o.reg.Flatten(),
-		Summaries: map[string]stats.Summary{
-			"ckpt_bytes_per_round":    stats.Summarize(bytesPerRound),
-			"ckpt_mean_dur_per_round": stats.Summarize(durMeanPerRound),
+		Summaries: map[string]Summary{
+			"ckpt_bytes_per_round":    Summarize(bytesPerRound),
+			"ckpt_mean_dur_per_round": Summarize(durMeanPerRound),
 		},
 		EventCount:   len(events),
 		VirtualEndUS: o.env.Now().Microseconds(),

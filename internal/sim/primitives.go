@@ -11,7 +11,7 @@ import "time"
 type Completion struct {
 	env  *Env
 	done bool
-	ws   []waiter
+	ws   waitq
 }
 
 // NewCompletion returns an incomplete latch bound to e.
@@ -27,30 +27,13 @@ func (c *Completion) Complete() {
 		return
 	}
 	c.done = true
-	ws := c.ws
-	c.ws = nil
-	for _, w := range ws {
-		c.env.wakeLater(w.p, w.seq, wakeSignal)
-	}
+	c.ws.wakeAll(c.env)
 }
 
 // Await blocks p until the latch completes.
 func (c *Completion) Await(p *Proc) {
-	if c.done {
-		return
-	}
-	seq := p.prepark()
-	c.ws = append(c.ws, waiter{p, seq})
-	defer c.removeWaiter(p, seq) // no-op if Complete already cleared the list
-	p.park()
-}
-
-func (c *Completion) removeWaiter(p *Proc, seq uint64) {
-	for i, w := range c.ws {
-		if w.p == p && w.seq == seq {
-			c.ws = append(c.ws[:i], c.ws[i+1:]...)
-			return
-		}
+	if !c.done {
+		p.wait(&c.ws, -1)
 	}
 }
 
@@ -62,7 +45,7 @@ func (c *Completion) removeWaiter(p *Proc, seq uint64) {
 // the following one.
 type Signal struct {
 	env *Env
-	ws  []waiter
+	ws  waitq
 }
 
 // NewSignal returns a Signal bound to e.
@@ -72,21 +55,10 @@ func NewSignal(e *Env) *Signal { return &Signal{env: e} }
 func (s *Signal) Waiters() int { return len(s.ws) }
 
 // Broadcast wakes every process currently waiting.
-func (s *Signal) Broadcast() {
-	ws := s.ws
-	s.ws = nil
-	for _, w := range ws {
-		s.env.wakeLater(w.p, w.seq, wakeSignal)
-	}
-}
+func (s *Signal) Broadcast() { s.ws.wakeAll(s.env) }
 
 // Wait parks p until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	seq := p.prepark()
-	s.ws = append(s.ws, waiter{p, seq})
-	defer s.removeWaiter(p, seq)
-	p.park()
-}
+func (s *Signal) Wait(p *Proc) { p.wait(&s.ws, -1) }
 
 // WaitTimeout parks p until the next Broadcast or until d elapses, reporting
 // whether a Broadcast arrived.
@@ -94,21 +66,7 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	seq := p.prepark()
-	s.ws = append(s.ws, waiter{p, seq})
-	defer s.removeWaiter(p, seq)
-	timer, gen := s.env.scheduleWake(d, p, seq, wakeTimer)
-	defer s.env.cancelWake(timer, gen)
-	return p.park() == wakeSignal
-}
-
-func (s *Signal) removeWaiter(p *Proc, seq uint64) {
-	for i, w := range s.ws {
-		if w.p == p && w.seq == seq {
-			s.ws = append(s.ws[:i], s.ws[i+1:]...)
-			return
-		}
-	}
+	return p.wait(&s.ws, d) == wakeSignal
 }
 
 // ---------------------------------------------------------------------------
@@ -116,12 +74,12 @@ func (s *Signal) removeWaiter(p *Proc, seq uint64) {
 
 // Mutex provides FIFO mutual exclusion between processes. Unlock hands the
 // lock directly to the longest-waiting process, so no barging is possible.
-// A process killed while queued (or just after being handed the lock)
-// releases cleanly via deferred cleanup.
+// A process killed while queued leaves the queue; one killed just after being
+// handed the lock passes it on.
 type Mutex struct {
 	env   *Env
 	owner *Proc
-	q     []waiter
+	q     waitq
 	// holds and waitTime feed contention accounting (e.g. the ramdisk
 	// baseline's kernel-lock statistics).
 	Holds    int64
@@ -142,28 +100,13 @@ func (m *Mutex) Lock(p *Proc) {
 		return
 	}
 	start := m.env.now
-	seq := p.prepark()
-	m.q = append(m.q, waiter{p, seq})
-	acquired := false
 	defer func() {
 		m.WaitTime += m.env.now - start
-		if acquired {
-			return
-		}
-		// Unwinding under kill: leave the queue, and if the lock was
-		// already handed to us, pass it on.
-		for i, w := range m.q {
-			if w.p == p {
-				m.q = append(m.q[:i], m.q[i+1:]...)
-				break
-			}
-		}
-		if m.owner == p {
-			m.handoff()
+		if p.killed && m.owner == p {
+			m.handoff() // killed after the handoff, before resuming
 		}
 	}()
-	p.park()
-	acquired = true
+	p.wait(&m.q, -1)
 }
 
 // Unlock releases the mutex, handing it to the next queued process if any.
@@ -175,16 +118,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.handoff()
 }
 
-func (m *Mutex) handoff() {
-	if len(m.q) == 0 {
-		m.owner = nil
-		return
-	}
-	next := m.q[0]
-	m.q = m.q[1:]
-	m.owner = next.p
-	m.env.wakeLater(next.p, next.seq, wakeSignal)
-}
+func (m *Mutex) handoff() { m.owner = m.q.wakeOne(m.env) }
 
 // ---------------------------------------------------------------------------
 // Barrier — cyclic rendezvous for n parties.
@@ -197,7 +131,7 @@ type Barrier struct {
 	parties int
 	arrived int
 	gen     uint64
-	ws      []waiter
+	ws      waitq
 	// Cycles counts completed generations.
 	Cycles int64
 }
@@ -217,31 +151,16 @@ func (b *Barrier) Await(p *Proc) {
 		b.arrived = 0
 		b.gen++
 		b.Cycles++
-		ws := b.ws
-		b.ws = nil
-		for _, w := range ws {
-			b.env.wakeLater(w.p, w.seq, wakeSignal)
-		}
+		b.ws.wakeAll(b.env)
 		return
 	}
-	seq := p.prepark()
-	b.ws = append(b.ws, waiter{p, seq})
-	released := false
+	gen := b.gen
 	defer func() {
-		if released {
-			return
-		}
-		// Kill unwind: retract our arrival so the cycle can still complete.
-		b.arrived--
-		for i, w := range b.ws {
-			if w.p == p {
-				b.ws = append(b.ws[:i], b.ws[i+1:]...)
-				return
-			}
+		if p.killed && b.gen == gen {
+			b.arrived-- // killed before the release: retract the arrival
 		}
 	}()
-	p.park()
-	released = true
+	p.wait(&b.ws, -1)
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +171,7 @@ func (b *Barrier) Await(p *Proc) {
 type Queue[T any] struct {
 	env   *Env
 	items []T
-	ws    []waiter
+	ws    waitq
 }
 
 // NewQueue returns an empty queue bound to e.
@@ -265,11 +184,7 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // process or scheduler context.
 func (q *Queue[T]) Put(v T) {
 	q.items = append(q.items, v)
-	if len(q.ws) > 0 {
-		next := q.ws[0]
-		q.ws = q.ws[1:]
-		q.env.wakeLater(next.p, next.seq, wakeSignal)
-	}
+	q.ws.wakeOne(q.env)
 }
 
 // TryGet pops the head item if one is buffered.
@@ -285,24 +200,15 @@ func (q *Queue[T]) TryGet() (T, bool) {
 
 // Get blocks p until an item is available and pops it.
 func (q *Queue[T]) Get(p *Proc) T {
+	defer func() {
+		if p.killed && len(q.items) > 0 {
+			q.ws.wakeOne(q.env) // killed after Put woke it: pass the wake on
+		}
+	}()
 	for {
 		if v, ok := q.TryGet(); ok {
 			return v
 		}
-		seq := p.prepark()
-		q.ws = append(q.ws, waiter{p, seq})
-		func() {
-			defer q.removeWaiter(p, seq)
-			p.park()
-		}()
-	}
-}
-
-func (q *Queue[T]) removeWaiter(p *Proc, seq uint64) {
-	for i, w := range q.ws {
-		if w.p == p && w.seq == seq {
-			q.ws = append(q.ws[:i], q.ws[i+1:]...)
-			return
-		}
+		p.wait(&q.ws, -1)
 	}
 }

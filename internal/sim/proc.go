@@ -29,19 +29,21 @@ const (
 	procDone
 )
 
-// killedPanic is the sentinel used to unwind a killed process. Primitive
-// wait functions install deferred cleanup so that an unwinding process
-// removes itself from wait queues and releases held resources.
+// killedPanic is the sentinel used to unwind a killed process. Proc.wait
+// raises it after taking the process off its wait list; the three primitives
+// that hand a process something on wake (Mutex, Barrier, Queue) defer a
+// few-line unwind that gives it back.
 type killedPanic struct{ p *Proc }
 
 func (k killedPanic) String() string { return "sim: process " + k.p.name + " killed" }
 
 // Proc is a simulated process: a coroutine (iter.Pull) that the scheduler
-// resumes with next and that suspends itself with yield at every park. All
-// blocking methods (Sleep, primitive waits, resource transfers) consume
-// virtual time only; the process is suspended while other events run.
-// Methods on Proc must only be called from the process's own body unless
-// documented otherwise.
+// resumes with next and that suspends itself with yield. Every blocking call
+// (Sleep, Join, each primitive's wait, and resource transfers built on them)
+// parks through the one wait method, so a kill delivered at any of them
+// unwinds under the same rule. Blocking consumes virtual time only; the
+// process is suspended while other events run. Methods on Proc must only be
+// called from the process's own body unless documented otherwise.
 type Proc struct {
 	env     *Env
 	name    string
@@ -51,7 +53,7 @@ type Proc struct {
 	state   procState
 	waitSeq uint64
 	killed  bool
-	exitWs  []waiter // processes joined on this one
+	exitWs  waitq // processes joined on this one
 }
 
 // waiter pairs a parked process with the wait sequence that identifies the
@@ -59,6 +61,42 @@ type Proc struct {
 type waiter struct {
 	p   *Proc
 	seq uint64
+}
+
+// waitq is a FIFO of parked processes. Only Proc.wait adds to it; a waker
+// takes its waiters off with wakeAll or wakeOne.
+type waitq []waiter
+
+// wakeAll wakes every listed process at the current instant, in arrival
+// order, and empties the list.
+func (q *waitq) wakeAll(e *Env) {
+	ws := *q
+	*q = nil
+	for _, w := range ws {
+		e.wakeLater(w.p, w.seq, wakeSignal)
+	}
+}
+
+// wakeOne wakes the longest-listed process at the current instant and
+// returns it, or returns nil if the list is empty.
+func (q *waitq) wakeOne(e *Env) *Proc {
+	if len(*q) == 0 {
+		return nil
+	}
+	w := (*q)[0]
+	*q = (*q)[1:]
+	e.wakeLater(w.p, w.seq, wakeSignal)
+	return w.p
+}
+
+// remove takes p off the list if it is still listed.
+func (q *waitq) remove(p *Proc) {
+	for i, w := range *q {
+		if w.p == p {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			return
+		}
+	}
 }
 
 // Go spawns a new simulated process running fn. The process starts at the
@@ -103,11 +141,7 @@ func (e *Env) startProc(p *Proc, fn func(*Proc)) {
 func (p *Proc) finish() {
 	p.state = procDone
 	p.next, p.yield = nil, nil // never resumed again: let the coroutine's state go
-	ws := p.exitWs
-	p.exitWs = nil
-	for _, w := range ws {
-		p.env.wakeLater(w.p, w.seq, wakeSignal)
-	}
+	p.exitWs.wakeAll(p.env)
 }
 
 // Env returns the environment the process belongs to.
@@ -126,21 +160,31 @@ func (p *Proc) Killed() bool { return p.killed }
 // Now returns the current virtual time (shorthand for p.Env().Now()).
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-// prepark reserves a wait slot and returns its identifying sequence number.
-// The caller must enqueue a waiter carrying this sequence (if a primitive
-// will wake it) and then call park without yielding in between.
-func (p *Proc) prepark() uint64 {
+// wait parks the process until a wake for this park arrives and returns its
+// kind. If q is non-nil the process is listed on it; a timeout >= 0 also arms
+// a timer that wakes it with wakeTimer. A process that leaves by the timer or
+// a kill, rather than by the list's own wake, is taken off the list. A kill
+// then unwinds the process with killedPanic, including one delivered after
+// the list woke it but before it resumed.
+func (p *Proc) wait(q *waitq, timeout time.Duration) wakeKind {
 	p.waitSeq++
-	return p.waitSeq
-}
-
-// park blocks the process until a matching wake arrives, returning the wake
-// kind. A kill delivered at any park unwinds the process via panic; wait
-// primitives use deferred cleanup to stay consistent under that unwind.
-func (p *Proc) park() wakeKind {
+	if q != nil {
+		*q = append(*q, waiter{p, p.waitSeq})
+	}
+	var timer *Event
+	var gen uint64
+	if timeout >= 0 {
+		timer, gen = p.env.scheduleWake(timeout, p, p.waitSeq, wakeTimer)
+	}
 	p.state = procParked
 	p.yield(struct{}{})
 	k := p.wakeK
+	if timer != nil {
+		p.env.cancelWake(timer, gen)
+	}
+	if q != nil && k != wakeSignal {
+		q.remove(p)
+	}
 	if k == wakeKill || p.killed {
 		panic(killedPanic{p})
 	}
@@ -149,15 +193,7 @@ func (p *Proc) park() wakeKind {
 
 // Sleep advances the process by d of virtual time. A non-positive d yields
 // the processor for the current instant (other due events run) and returns.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	seq := p.prepark()
-	ev, gen := p.env.scheduleWake(d, p, seq, wakeTimer)
-	defer p.env.cancelWake(ev, gen) // drop the stale timer if a kill unwinds the sleep
-	p.park()
-}
+func (p *Proc) Sleep(d time.Duration) { p.wait(nil, max(d, 0)) }
 
 // Kill requests asynchronous termination of the process. The process unwinds
 // (running deferred cleanup inside primitives) the next time it is parked, or
@@ -196,9 +232,7 @@ func (p *Proc) Join(q *Proc) {
 	if q == p {
 		panic("sim: process joining itself")
 	}
-	seq := p.prepark()
-	q.exitWs = append(q.exitWs, waiter{p, seq})
-	p.park()
+	p.wait(&q.exitWs, -1)
 }
 
 // String implements fmt.Stringer.

@@ -83,7 +83,7 @@ func (g *ShardGroup) RunRound() {
 type Gate struct {
 	env     *Env
 	parties int
-	ws      []waiter
+	ws      waitq
 	arrival time.Duration
 	full    bool
 }
@@ -95,14 +95,12 @@ func (g *Gate) Await(p *Proc) {
 	if p == nil || p.env != g.env {
 		panic("sim: Gate.Await from a foreign or nil process")
 	}
-	seq := p.prepark()
-	g.ws = append(g.ws, waiter{p: p, seq: seq})
-	if len(g.ws) == g.parties {
+	if len(g.ws)+1 == g.parties {
 		g.full = true
 		g.arrival = g.env.now
 		g.env.Break()
 	}
-	p.park()
+	p.wait(&g.ws, -1)
 }
 
 // CrossBarrier is the group's rendezvous coordinator: one Gate per shard.
@@ -188,11 +186,7 @@ func (b *CrossBarrier) Release() {
 		g.full = false
 		g.arrival = 0
 		env := g.env
-		env.At(t, func() {
-			for _, w := range ws {
-				env.wakeLater(w.p, w.seq, wakeSignal)
-			}
-		})
+		env.At(t, func() { ws.wakeAll(env) })
 	}
 	b.Cycles++
 }

@@ -1,4 +1,4 @@
-package stats
+package workload
 
 import (
 	"math"
@@ -6,59 +6,8 @@ import (
 	"testing/quick"
 )
 
-func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almost(m, 5) {
-		t.Fatalf("Mean = %v, want 5", m)
-	}
-	if s := StdDev(xs); !almost(s, 2) {
-		t.Fatalf("StdDev = %v, want 2", s)
-	}
-}
-
-func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 || Sum(nil) != 0 {
-		t.Fatal("empty-slice helpers must return 0")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile(nil) must return 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-5, 1}, {110, 5}, {62.5, 3.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want) {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || !almost(s.Mean, 2.5) || !almost(s.Min, 1) || !almost(s.Max, 4) || !almost(s.Sum, 10) {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if !almost(s.P50, 2.5) {
-		t.Fatalf("P50 = %v, want 2.5", s.P50)
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]float64{0, 10, 100, 1000})
+	h := newHistogram([]float64{0, 10, 100, 1000})
 	for _, x := range []float64{-1, 0, 5, 10, 99, 100, 999, 1000, 5000} {
 		h.Add(x)
 	}
@@ -78,9 +27,6 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Total != 9 {
 		t.Fatalf("Total = %d, want 9", h.Total)
 	}
-	if f := h.Fraction(0); !almost(f, 2.0/9) {
-		t.Fatalf("Fraction(0) = %v", f)
-	}
 }
 
 func TestHistogramPanicsOnBadEdges(t *testing.T) {
@@ -88,56 +34,17 @@ func TestHistogramPanicsOnBadEdges(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", edges)
+					t.Errorf("newHistogram(%v) did not panic", edges)
 				}
 			}()
-			NewHistogram(edges)
+			newHistogram(edges)
 		}()
-	}
-}
-
-func TestPercentileWithinBoundsProperty(t *testing.T) {
-	f := func(xs []float64, p float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		p = math.Mod(math.Abs(p), 100)
-		v := Percentile(clean, p)
-		return v >= Min(clean)-1e-9 && v <= Max(clean)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanBetweenMinAndMaxProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		m := Mean(clean)
-		return m >= Min(clean)-1e-6 && m <= Max(clean)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestHistogramTotalProperty(t *testing.T) {
 	f := func(xs []float64) bool {
-		h := NewHistogram([]float64{0, 1, 2, 4, 8})
+		h := newHistogram([]float64{0, 1, 2, 4, 8})
 		n := 0
 		for _, x := range xs {
 			if math.IsNaN(x) {
@@ -184,7 +91,7 @@ func TestHistogramAddEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := NewHistogram([]float64{0, 10, 20})
+			h := newHistogram([]float64{0, 10, 20})
 			h.Add(c.x)
 			if h.Total != c.total {
 				t.Fatalf("Total = %d, want %d", h.Total, c.total)

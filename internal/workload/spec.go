@@ -20,7 +20,6 @@ import (
 	"nvmcp/internal/core"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/sim"
-	"nvmcp/internal/stats"
 )
 
 // ChunkSpec describes one checkpoint variable of an application.
@@ -241,7 +240,7 @@ var TableIVBuckets = []float64{
 // chunks falling into the paper's Table IV ranges: 500K-1MB, 10-20MB,
 // 50-100MB, and above 100MB.
 func SizeDistribution(spec AppSpec) (subMB, mid10to20, mid50to100, over100 float64) {
-	h := stats.NewHistogram(TableIVBuckets)
+	h := newHistogram(TableIVBuckets)
 	for _, c := range spec.Chunks {
 		h.Add(float64(c.Size))
 	}
