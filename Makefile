@@ -76,7 +76,7 @@ faults:
 # tiny preset's event stream, RunReport and checksum, so a pure performance
 # change must leave testdata/behaviour.golden.json untouched; the experiments
 # golden does the same for the quick-scale result of every paper experiment
-# that runs through the cluster. Last, every paper experiment runs at
+# in the experiments.All table but fleet. Last, every paper experiment runs at
 # GOMAXPROCS 1 and 4: the host's width must not change a printed figure
 # (wall-clock "completed in" lines aside).
 invariants:

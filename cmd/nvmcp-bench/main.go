@@ -27,120 +27,6 @@ import (
 	"nvmcp/internal/stress"
 )
 
-// experimentDef couples an experiment's runner with its text printer. The
-// runner's result is what -json serializes.
-type experimentDef struct {
-	run   func(scale experiments.Scale) any
-	print func(w io.Writer, result any)
-}
-
-var runners = map[string]experimentDef{
-	"tab1": {
-		run:   func(experiments.Scale) any { return "device constants; see text output" },
-		print: func(w io.Writer, _ any) { experiments.PrintTable1(w) },
-	},
-	"tab4": {
-		run:   func(experiments.Scale) any { return experiments.RunTable4() },
-		print: func(w io.Writer, r any) { experiments.PrintTable4(w, r.([]experiments.Table4Row)) },
-	},
-	"tab5": {
-		run:   func(s experiments.Scale) any { return experiments.RunTable5(s) },
-		print: func(w io.Writer, r any) { experiments.PrintTable5(w, r.([]experiments.Table5Row)) },
-	},
-	"fig4": {
-		run:   func(experiments.Scale) any { return experiments.RunFig4() },
-		print: func(w io.Writer, r any) { experiments.PrintFig4(w, r.(experiments.Fig4Result)) },
-	},
-	"fig7": {
-		run:   func(s experiments.Scale) any { return experiments.RunLocal("fig7", s) },
-		print: func(w io.Writer, r any) { experiments.PrintLocal(w, r.(experiments.LocalResult)) },
-	},
-	"fig8": {
-		run:   func(s experiments.Scale) any { return experiments.RunLocal("fig8", s) },
-		print: func(w io.Writer, r any) { experiments.PrintLocal(w, r.(experiments.LocalResult)) },
-	},
-	"cm1": {
-		run:   func(s experiments.Scale) any { return experiments.RunLocal("cm1", s) },
-		print: func(w io.Writer, r any) { experiments.PrintLocal(w, r.(experiments.LocalResult)) },
-	},
-	"fig9": {
-		run:   func(s experiments.Scale) any { return experiments.RunFig9(s) },
-		print: func(w io.Writer, r any) { experiments.PrintFig9(w, r.(experiments.Fig9Result)) },
-	},
-	"fig10": {
-		run:   func(s experiments.Scale) any { return experiments.RunFig10(s) },
-		print: func(w io.Writer, r any) { experiments.PrintFig10(w, r.(experiments.Fig10Result)) },
-	},
-	"madbench": {
-		run:   func(experiments.Scale) any { return experiments.RunMADBench() },
-		print: func(w io.Writer, r any) { experiments.PrintMADBench(w, r.([]experiments.MADBenchRow)) },
-	},
-	"model": {
-		run:   func(experiments.Scale) any { return experiments.RunModel() },
-		print: func(w io.Writer, r any) { experiments.PrintModel(w, r.([]experiments.ModelRow)) },
-	},
-	"ablation-page": {
-		run:   func(experiments.Scale) any { return experiments.RunPageAblation() },
-		print: func(w io.Writer, r any) { experiments.PrintPageAblation(w, r.([]experiments.PageAblationRow)) },
-	},
-	"ablation-direct": {
-		run:   func(experiments.Scale) any { return experiments.RunDirectAblation() },
-		print: func(w io.Writer, r any) { experiments.PrintDirectAblation(w, r.([]experiments.DirectAblationRow)) },
-	},
-	"ablation-serial": {
-		run:   func(experiments.Scale) any { return experiments.RunSerialAblation() },
-		print: func(w io.Writer, r any) { experiments.PrintSerialAblation(w, r.([]experiments.SerialAblationRow)) },
-	},
-	"restart": {
-		run:   func(experiments.Scale) any { return experiments.RunRestart() },
-		print: func(w io.Writer, r any) { experiments.PrintRestart(w, r.([]experiments.RestartRow)) },
-	},
-	"transparent": {
-		run:   func(experiments.Scale) any { return experiments.RunTransparent() },
-		print: func(w io.Writer, r any) { experiments.PrintTransparent(w, r.(experiments.TransparentRow)) },
-	},
-	"failures": {
-		run:   func(s experiments.Scale) any { return experiments.RunFailureModel(s) },
-		print: func(w io.Writer, r any) { experiments.PrintFailureModel(w, r.([]experiments.FailureRow)) },
-	},
-	"endurance": {
-		run:   func(s experiments.Scale) any { return experiments.RunEndurance(s) },
-		print: func(w io.Writer, r any) { experiments.PrintEndurance(w, r.([]experiments.EnduranceRow)) },
-	},
-	"interval": {
-		run:   func(s experiments.Scale) any { return experiments.RunInterval(s) },
-		print: func(w io.Writer, r any) { experiments.PrintInterval(w, r.(experiments.IntervalResult)) },
-	},
-	"redundancy": {
-		run:   func(experiments.Scale) any { return experiments.RunRedundancy() },
-		print: func(w io.Writer, r any) { experiments.PrintRedundancy(w, r.(experiments.RedundancyResult)) },
-	},
-	"hierarchy": {
-		run:   func(s experiments.Scale) any { return experiments.RunHierarchy(s) },
-		print: func(w io.Writer, r any) { experiments.PrintHierarchy(w, r.(experiments.HierarchyResult)) },
-	},
-	"availability": {
-		run:   func(s experiments.Scale) any { return experiments.RunAvailability(s) },
-		print: func(w io.Writer, r any) { experiments.PrintAvailability(w, r.([]experiments.AvailabilityRow)) },
-	},
-	"fleet": {
-		run:   func(s experiments.Scale) any { return experiments.RunFleet(s) },
-		print: func(w io.Writer, r any) { experiments.PrintFleet(w, r.(experiments.FleetResult)) },
-	},
-}
-
-// order fixes the presentation sequence of `all`: the preset table's
-// DESIGN.md §4 order, restricted to ids that have a bench runner.
-func order() []string {
-	var ids []string
-	for _, p := range scenario.Presets() {
-		if _, ok := runners[p.ID]; ok {
-			ids = append(ids, p.ID)
-		}
-	}
-	return ids
-}
-
 // benchRecord is the per-scenario machine-readable envelope written to
 // BENCH_<scenario>.json: which experiment ran, at what scale, how long the
 // host took, and the experiment's full result struct (which carries the
@@ -212,32 +98,30 @@ func main() {
 	if len(targets) == 0 {
 		targets = []string{"all"}
 	}
-	var expanded []string
+	var expanded []experiments.Experiment
 	for _, t := range targets {
 		if t == "all" {
-			expanded = append(expanded, order()...)
+			expanded = append(expanded, experiments.All...)
 			continue
 		}
-		expanded = append(expanded, t)
+		// Experiment ids are preset ids, so bench and sim share one
+		// namespace; DESIGN.md ids (e.g. F7) are accepted too.
+		e, ok := experiments.Lookup(t)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %v); use -list\n",
+				t, scenario.PresetIDs())
+			os.Exit(2)
+		}
+		expanded = append(expanded, e)
 	}
 
 	jsonOut := make(map[string]benchRecord, len(expanded))
 	records := make([]benchRecord, 0, len(expanded))
-	for _, name := range expanded {
-		// Experiment ids resolve through the preset table, so bench and sim
-		// share one namespace; DESIGN.md ids (e.g. F7) are accepted too.
-		if p, ok := scenario.PresetByDesignID(name); ok {
-			name = p.ID
-		}
-		def, ok := runners[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %v); use -list\n",
-				name, scenario.PresetIDs())
-			os.Exit(2)
-		}
+	for _, e := range expanded {
+		name := e.ID
 		status.Store(name)
 		start := time.Now()
-		result := def.run(scale)
+		result := e.Run(scale)
 		wall := time.Since(start)
 		status.Store("idle")
 		rec := benchRecord{
@@ -263,7 +147,7 @@ func main() {
 			}
 			continue
 		}
-		def.print(os.Stdout, result)
+		e.Print(os.Stdout, result)
 		fmt.Printf("[%s completed in %v]\n\n", name, wall.Round(time.Millisecond))
 	}
 	if *asJSON {
@@ -308,8 +192,8 @@ func writeJSONFile(path string, v any) error {
 // listExperiments writes one line per runnable experiment, in `all` order,
 // from the preset table's ids and descriptions.
 func listExperiments(w io.Writer, indent string) {
-	for _, id := range order() {
-		p, _ := scenario.PresetByID(id)
+	for _, e := range experiments.All {
+		p, _ := scenario.PresetByID(e.ID)
 		fmt.Fprintf(w, "%s%-16s %s\n", indent, p.ID, p.Description)
 	}
 }

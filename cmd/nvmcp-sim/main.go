@@ -116,7 +116,7 @@ func main() {
 		return
 	}
 	if *sweepPath != "" {
-		os.Exit(runSweep(*sweepPath, *sloStrict, *sloReportOut))
+		os.Exit(runSweep(*sweepPath, *sloStrict, *driftStrict, *sloReportOut))
 	}
 	if *serveMode {
 		admission, err := controlplane.ParseAdmission(*serveAdmit)
@@ -623,8 +623,9 @@ func writeStressReport(path string, sc *scenario.Scenario, c *cluster.Cluster, r
 // runSweep expands a sweep file and runs every cell sequentially, printing a
 // one-line summary per cell. When -slo-report-out is set, each cell writes
 // its own report pair under a sanitized cell suffix. The exit code is
-// non-zero if any cell fails (including -slo-strict breaches).
-func runSweep(path string, sloStrict bool, sloReportOut string) int {
+// non-zero if any cell fails (including -slo-strict and -drift-strict
+// breaches).
+func runSweep(path string, sloStrict, driftStrict bool, sloReportOut string) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
@@ -656,6 +657,9 @@ func runSweep(path string, sloStrict bool, sloReportOut string) int {
 		}
 		if cfg.SLO != nil && sloStrict {
 			cfg.SLO.Strict = true
+		}
+		if cfg.Drift != nil && driftStrict {
+			cfg.Drift.Strict = true
 		}
 		c, err := cluster.New(cfg)
 		if err != nil {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -90,5 +92,30 @@ func TestPresetListingFleetColumn(t *testing.T) {
 	// The concrete shape the docs promise for a generated fleet.
 	if line := rows["fleet-zone"]; !strings.Contains(line, "96n 1p/4z/8r") {
 		t.Errorf("fleet-zone@quick topology column = %q, want 96n 1p/4z/8r", line)
+	}
+}
+
+// TestSweepHonoursDriftStrict holds -sweep to the single-run strict rule: a
+// one-cell sweep over the drift-breach scenario passes without -drift-strict
+// and fails with it, as `-scenario drift-breach.json -drift-strict` does.
+func TestSweepHonoursDriftStrict(t *testing.T) {
+	base, err := os.ReadFile("../../docs/scenarios/drift-breach.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte(`{"base": `+string(base)+`, "axes": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(simBinary(t), "-sweep", path).CombinedOutput(); err != nil {
+		t.Fatalf("lenient sweep failed: %v\n%s", err, out)
+	}
+	out, err := exec.Command(simBinary(t), "-sweep", path, "-drift-strict").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("strict sweep over a drift breach: err = %v, want exit 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "FAIL") {
+		t.Errorf("strict sweep did not mark the cell FAIL:\n%s", out)
 	}
 }

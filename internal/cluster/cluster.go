@@ -374,13 +374,8 @@ func (cfg *Config) Validate() error {
 			cfg.Stagger.MaxConcurrent, cfg.Stagger.Slot)
 	}
 	for i, f := range cfg.Failures {
-		if !f.EffectiveKind().Correlated() && (f.Node < 0 || f.Node >= cfg.Nodes) {
-			return fmt.Errorf("cluster: failure %d targets node %d, cluster has nodes 0..%d",
-				i, f.Node, cfg.Nodes-1)
-		}
-		if f.After <= 0 {
-			return fmt.Errorf("cluster: failure %d scheduled at %v; must be after t=0", i, f.After)
-		}
+		// fault.Event.Validate checks the node range and the time; the
+		// hard/kind conflict is lost once toFault resolves the kind.
 		if f.Hard && f.Kind != "" && f.Kind != fault.Hard {
 			return fmt.Errorf("cluster: failure %d sets hard but kind %q", i, f.Kind)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -137,5 +138,31 @@ func TestEffectiveKindBackCompat(t *testing.T) {
 		if got := tc.ev.EffectiveKind(); got != tc.want {
 			t.Errorf("case %d: EffectiveKind = %q, want %q", i, got, tc.want)
 		}
+	}
+}
+
+// TestNewRejectsBadFailures: cluster.New refuses a failure schedule that
+// cannot run, whether fault.Event.Validate or the cluster's own hard/kind
+// rule catches it.
+func TestNewRejectsBadFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    FailureEvent
+		want string
+	}{
+		{"node out of range", FailureEvent{After: time.Second, Node: 2}, "node 2 outside cluster"},
+		{"negative node", FailureEvent{After: time.Second, Node: -1}, "node -1 outside cluster"},
+		{"time zero", FailureEvent{After: 0}, "not positive"},
+		{"hard with soft kind", FailureEvent{After: time.Second, Hard: true, Kind: fault.Soft}, `sets hard but kind "soft"`},
+		{"zone outage without topology", FailureEvent{After: time.Second, Kind: fault.ZoneOutage}, "needs a fleet topology"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg()
+			cfg.Failures = []FailureEvent{tc.f}
+			_, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: err = %v, want it to mention %q", err, tc.want)
+			}
+		})
 	}
 }

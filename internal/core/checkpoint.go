@@ -254,7 +254,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 		// Timed NVM→DRAM fetch (reads run near DRAM speed, Table I).
 		mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
 		copy(c.dram.Data, data)
-		if !s.opts.NoChecksum && checksum(data, c.Size) != rec.Checksum {
+		if checksum(data, c.Size) != rec.Checksum {
 			if s.opts.SalvageCorrupt {
 				// Clear the damaged version's commit record and leave the
 				// chunk un-restored; the caller's cascade takes it from here.
@@ -311,7 +311,7 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 	}
 	mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
 	copy(c.dram.Data, pr.data)
-	if !s.opts.NoChecksum && checksum(pr.data, c.Size) != pr.sum {
+	if checksum(pr.data, c.Size) != pr.sum {
 		return fmt.Errorf("%w: %s (lazy)", ErrChecksum, c.Name)
 	}
 	s.Counters[cLazyRestores].Add(1)

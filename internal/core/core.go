@@ -61,9 +61,6 @@ type Options struct {
 	// checkpointing then loses the local copy and recovery must fall back
 	// to the remote node.
 	SingleVersion bool
-	// NoChecksum disables the optional per-chunk checksum verified on
-	// restart (it is on by default).
-	NoChecksum bool
 	// LazyRestore defers the NVM→DRAM copy of restored chunks until first
 	// access — the recovery optimization the paper leaves as future work
 	// ("read speeds of NVMs are comparable to DRAM"): the application

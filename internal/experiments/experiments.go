@@ -2,8 +2,8 @@
 // paper's evaluation (plus the Section IV motivation experiment and three
 // ablations), producing the same rows and series the paper reports. Each
 // experiment has a Run function returning typed results and a Print function
-// rendering them; cmd/nvmcp-bench and the top-level benchmarks are thin
-// wrappers over these.
+// rendering them; All binds every one to its nvmcp-bench id, so
+// cmd/nvmcp-bench and the quick golden read one table.
 //
 // Absolute numbers come from the simulation substrate, not the authors'
 // testbed; the quantities to compare against the paper are the shapes —
@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,75 @@ func (s Scale) Scenario() scenario.Scale {
 		return scenario.ScalePaper
 	}
 	return scenario.ScaleQuick
+}
+
+// Experiment binds one nvmcp-bench id (a preset id) to its runner and text
+// printer. Run's result is what `nvmcp-bench -json` serializes; Print renders
+// that same result.
+type Experiment struct {
+	ID    string
+	Run   func(Scale) any
+	Print func(w io.Writer, result any)
+}
+
+// bind builds an Experiment from a typed runner and printer, so the result
+// type assertion lives in one place and always matches the runner.
+func bind[T any](id string, run func(Scale) T, print func(io.Writer, T)) Experiment {
+	return Experiment{
+		ID:    id,
+		Run:   func(s Scale) any { return run(s) },
+		Print: func(w io.Writer, r any) { print(w, r.(T)) },
+	}
+}
+
+// fixed adapts the runner of an experiment whose size does not scale.
+func fixed[T any](run func() T) func(Scale) T { return func(Scale) T { return run() } }
+
+// local binds one of RunLocal's preset ids.
+func local(id string) Experiment {
+	return bind(id, func(s Scale) LocalResult { return RunLocal(id, s) }, PrintLocal)
+}
+
+// All is every nvmcp-bench experiment in the preset table's DESIGN.md §4
+// order, the order `nvmcp-bench all` runs and -list prints.
+var All = []Experiment{
+	bind("tab1", fixed(func() string { return "device constants; see text output" }),
+		func(w io.Writer, _ string) { PrintTable1(w) }),
+	bind("madbench", fixed(RunMADBench), PrintMADBench),
+	bind("fig4", fixed(RunFig4), PrintFig4),
+	bind("tab4", fixed(RunTable4), PrintTable4),
+	local("fig7"),
+	local("fig8"),
+	local("cm1"),
+	bind("fig9", RunFig9, PrintFig9),
+	bind("fig10", RunFig10, PrintFig10),
+	bind("tab5", RunTable5, PrintTable5),
+	bind("model", fixed(RunModel), PrintModel),
+	bind("ablation-page", fixed(RunPageAblation), PrintPageAblation),
+	bind("ablation-direct", fixed(RunDirectAblation), PrintDirectAblation),
+	bind("ablation-serial", fixed(RunSerialAblation), PrintSerialAblation),
+	bind("restart", fixed(RunRestart), PrintRestart),
+	bind("transparent", fixed(RunTransparent), PrintTransparent),
+	bind("failures", RunFailureModel, PrintFailureModel),
+	bind("endurance", RunEndurance, PrintEndurance),
+	bind("interval", RunInterval, PrintInterval),
+	bind("redundancy", fixed(RunRedundancy), PrintRedundancy),
+	bind("availability", RunAvailability, PrintAvailability),
+	bind("fleet", RunFleet, PrintFleet),
+	bind("hierarchy", RunHierarchy, PrintHierarchy),
+}
+
+// Lookup resolves an experiment by its id or its DESIGN.md id (e.g. F7).
+func Lookup(name string) (Experiment, bool) {
+	if p, ok := scenario.PresetByDesignID(name); ok {
+		name = p.ID
+	}
+	for _, e := range All {
+		if e.ID == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // BWSweepPerCore is the Figures 7/8 x-axis: effective NVM write bandwidth

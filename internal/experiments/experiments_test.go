@@ -2,15 +2,18 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nvmcp/internal/scenario"
 )
 
 func TestFig4ShapeAndCalibration(t *testing.T) {
-	r := RunFig4()
+	r := quick[Fig4Result]("fig4")
 	pts := r.Points[33<<20]
 	if pts[0].Procs != 1 || pts[len(pts)-1].Procs != 12 {
 		t.Fatalf("proc axis wrong: %+v", pts)
@@ -28,7 +31,7 @@ func TestFig4ShapeAndCalibration(t *testing.T) {
 }
 
 func TestMADBenchHeadline(t *testing.T) {
-	rows := RunMADBench()
+	rows := quick[[]MADBenchRow]("madbench")
 	last := rows[len(rows)-1]
 	if last.SizePerCore != 300<<20 {
 		t.Fatalf("last row size = %d", last.SizePerCore)
@@ -168,7 +171,7 @@ func TestTable5PreCopyRoughlyDoublesHelperUtil(t *testing.T) {
 }
 
 func TestPageAblationScalesPerGB(t *testing.T) {
-	rows := RunPageAblation()
+	rows := quick[[]PageAblationRow]("ablation-page")
 	for _, r := range rows {
 		if r.PageTime <= r.ChunkTime {
 			t.Fatalf("page-level (%v) not costlier than chunk-level (%v)", r.PageTime, r.ChunkTime)
@@ -182,7 +185,7 @@ func TestPageAblationScalesPerGB(t *testing.T) {
 }
 
 func TestDirectAblationWriteIntensityHurts(t *testing.T) {
-	rows := RunDirectAblation()
+	rows := quick[[]DirectAblationRow]("ablation-direct")
 	for i := 1; i < len(rows); i++ {
 		if rows[i].DirectSlowdown < rows[i-1].DirectSlowdown-0.01 {
 			t.Fatal("direct-NVM slowdown did not grow with write intensity")
@@ -198,7 +201,7 @@ func TestDirectAblationWriteIntensityHurts(t *testing.T) {
 }
 
 func TestSerialAblationPenaltyShrinksWithSize(t *testing.T) {
-	rows := RunSerialAblation()
+	rows := quick[[]SerialAblationRow]("ablation-serial")
 	if rows[0].SerialPenalty <= rows[len(rows)-1].SerialPenalty {
 		t.Fatal("serialization penalty did not shrink with per-core data size")
 	}
@@ -208,7 +211,7 @@ func TestSerialAblationPenaltyShrinksWithSize(t *testing.T) {
 }
 
 func TestModelRowsMonotone(t *testing.T) {
-	rows := RunModel()
+	rows := quick[[]ModelRow]("model")
 	for i := 1; i < len(rows); i++ {
 		if rows[i].TLocal < rows[i-1].TLocal {
 			t.Fatal("T_lcl shrank as bandwidth fell")
@@ -225,10 +228,10 @@ func TestModelRowsMonotone(t *testing.T) {
 func TestPrintersProduceOutput(t *testing.T) {
 	var sb strings.Builder
 	PrintTable1(&sb)
-	PrintTable4(&sb, RunTable4())
-	PrintModel(&sb, RunModel())
-	PrintFig4(&sb, RunFig4())
-	PrintMADBench(&sb, RunMADBench())
+	PrintTable4(&sb, quick[[]Table4Row]("tab4"))
+	PrintModel(&sb, quick[[]ModelRow]("model"))
+	PrintFig4(&sb, quick[Fig4Result]("fig4"))
+	PrintMADBench(&sb, quick[[]MADBenchRow]("madbench"))
 	out := sb.String()
 	for _, want := range []string{"Table I", "Table IV", "analytic model", "memcpy", "MADBench"} {
 		if !strings.Contains(out, want) {
@@ -267,5 +270,46 @@ func TestSweepBoundsConcurrency(t *testing.T) {
 	}
 	if len(seen) != 1000 {
 		t.Fatalf("sweep visited %d distinct points, want 1000", len(seen))
+	}
+}
+
+// TestRunnersArePresets holds bench and sim to one namespace: every table id
+// is a preset id, so -list, DESIGN.md ids and `all` ordering resolve it.
+func TestRunnersArePresets(t *testing.T) {
+	for _, e := range All {
+		if _, ok := scenario.PresetByID(e.ID); !ok {
+			t.Errorf("experiment %q has no preset", e.ID)
+		}
+	}
+}
+
+// TestBenchOnlyPresetsHaveRunners backs scenario.BuildPreset's advice for a
+// bench-only preset ("run it with `nvmcp-bench <id>`"): that command must
+// exist.
+func TestBenchOnlyPresetsHaveRunners(t *testing.T) {
+	for _, p := range scenario.Presets() {
+		if p.ClusterShaped() {
+			continue
+		}
+		if _, ok := Lookup(p.ID); !ok {
+			t.Errorf("bench-only preset %q has no nvmcp-bench runner", p.ID)
+		}
+	}
+}
+
+// TestAllFollowsPresetOrder keeps `nvmcp-bench all` in DESIGN.md §4 order:
+// the table lists its ids in the preset table's order, each once.
+func TestAllFollowsPresetOrder(t *testing.T) {
+	var got, want []string
+	for _, e := range All {
+		got = append(got, e.ID)
+	}
+	for _, p := range scenario.Presets() {
+		if _, ok := Lookup(p.ID); ok {
+			want = append(want, p.ID)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("All order\n got: %v\nwant: %v", got, want)
 	}
 }

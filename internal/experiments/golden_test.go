@@ -15,27 +15,25 @@ var updateQuick = flag.Bool("update", false, "rewrite testdata/quick.golden.json
 
 const quickGolden = "testdata/quick.golden.json"
 
-// quickResults holds the quick-scale result of every experiment that runs
-// through the cluster, keyed by its nvmcp-bench id. Each is computed once per
-// test binary and shared by the shape tests and TestQuickGolden.
-var quickResults = map[string]func() any{
-	"fig7":         sync.OnceValue(func() any { return RunLocal("fig7", Quick) }),
-	"fig8":         sync.OnceValue(func() any { return RunLocal("fig8", Quick) }),
-	"cm1":          sync.OnceValue(func() any { return RunLocal("cm1", Quick) }),
-	"fig9":         sync.OnceValue(func() any { return RunFig9(Quick) }),
-	"fig10":        sync.OnceValue(func() any { return RunFig10(Quick) }),
-	"tab5":         sync.OnceValue(func() any { return RunTable5(Quick) }),
-	"failures":     sync.OnceValue(func() any { return RunFailureModel(Quick) }),
-	"endurance":    sync.OnceValue(func() any { return RunEndurance(Quick) }),
-	"interval":     sync.OnceValue(func() any { return RunInterval(Quick) }),
-	"hierarchy":    sync.OnceValue(func() any { return RunHierarchy(Quick) }),
-	"availability": sync.OnceValue(func() any { return RunAvailability(Quick) }),
-}
+// quickResults holds the quick-scale result of every experiment in All but
+// fleet, keyed by its nvmcp-bench id. Each is computed once per test binary
+// and shared by the shape tests and TestQuickGolden. Fleet is left out: its
+// quick chaos matrix alone takes ~22 s under -race, which would double this
+// package's test time.
+var quickResults = func() map[string]func() any {
+	m := make(map[string]func() any, len(All))
+	for _, e := range All {
+		if e.ID != "fleet" {
+			m[e.ID] = sync.OnceValue(func() any { return e.Run(Quick) })
+		}
+	}
+	return m
+}()
 
 // quick returns the shared quick-scale result of experiment id.
 func quick[T any](id string) T { return quickResults[id]().(T) }
 
-// TestQuickGolden holds every cluster-run experiment's quick-scale result
+// TestQuickGolden holds every quickResults experiment's quick-scale result
 // byte-identical (as JSON, the form `nvmcp-bench -json` prints) to the
 // checked-in golden. A change that means to alter a figure regenerates the
 // file with

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRestartPathsOrdering(t *testing.T) {
-	rows := RunRestart()
+	rows := quick[[]RestartRow]("restart")
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -40,7 +40,7 @@ func TestRestartPathsOrdering(t *testing.T) {
 }
 
 func TestTransparentComparisonShape(t *testing.T) {
-	r := RunTransparent()
+	r := quick[TransparentRow]("transparent")
 	// Within scaling round-off of the live state.
 	if diff := r.AppBytes - r.CkptState; diff < -1024 || diff > 1024 {
 		t.Fatalf("app-initiated moved %d, want ~the live state %d", r.AppBytes, r.CkptState)
@@ -140,7 +140,7 @@ func TestIntervalUCurve(t *testing.T) {
 }
 
 func TestRedundancyTradeoff(t *testing.T) {
-	r := RunRedundancy()
+	r := quick[RedundancyResult]("redundancy")
 	// Parity holds a fraction of buddy's remote memory...
 	if r.ParityFootprint*2 >= r.BuddyFootprint {
 		t.Fatalf("parity footprint %d not clearly below buddy %d", r.ParityFootprint, r.BuddyFootprint)
@@ -174,8 +174,8 @@ func TestHierarchyMultilevelBeatsPFSDirect(t *testing.T) {
 
 func TestNewExperimentPrinters(t *testing.T) {
 	var sb strings.Builder
-	PrintRestart(&sb, RunRestart())
-	PrintTransparent(&sb, RunTransparent())
+	PrintRestart(&sb, quick[[]RestartRow]("restart"))
+	PrintTransparent(&sb, quick[TransparentRow]("transparent"))
 	PrintFailureModel(&sb, quick[[]FailureRow]("failures"))
 	PrintEndurance(&sb, quick[[]EnduranceRow]("endurance"))
 	PrintInterval(&sb, quick[IntervalResult]("interval"))
