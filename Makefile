@@ -27,7 +27,11 @@ fmt:
 # the module is go 1.22, where loop variables are per-iteration, so `x := x`
 # shadow copies are dead weight and must not come back. The sim kernel has
 # one wait path: only internal/sim/proc.go (Proc.wait) may yield a process
-# or list a waiter, so every park obeys the same kill rule.
+# or list a waiter, so every park obeys the same kill rule. The event bus has
+# one internal publication path: emitters call Recorder.Log with typed
+# attributes, never the map-form Emit (or Observer.Emit with a built Event);
+# bench/e2e, a separate module pinned to the old surface, is the one
+# map-form caller left.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -37,6 +41,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude='proc.go' -E 'yield\(|waiter\{' internal/sim || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "park outside Proc.wait (only internal/sim/proc.go may yield or build a waiter):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\.Emit\(obs\.Ev' . | grep -v -e '^\./internal/obs/' -e '^\./bench/e2e/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "map-form event publication (use Recorder.Log with typed obs attributes):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -53,6 +53,8 @@ func main() {
 	reportOut := flag.String("report-out", "", "write an aggregate report JSON of every scenario run to this file")
 	stressOut := flag.String("stress-out", "", "write the fleet experiment's stress report to <path>.html and <path>.json")
 	httpAddr := flag.String("http", "", "serve live introspection (/healthz /progress, pprof) on this address, e.g. :8080")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the experiments, while their results are still reachable")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -115,6 +117,11 @@ func main() {
 		expanded = append(expanded, e)
 	}
 
+	prof, err := introspect.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nvmcp-bench: %v\n", err)
+		os.Exit(2)
+	}
 	jsonOut := make(map[string]benchRecord, len(expanded))
 	records := make([]benchRecord, 0, len(expanded))
 	for _, e := range expanded {
@@ -149,6 +156,10 @@ func main() {
 		}
 		e.Print(os.Stdout, result)
 		fmt.Printf("[%s completed in %v]\n\n", name, wall.Round(time.Millisecond))
+	}
+	if err := prof.Stop(records); err != nil {
+		fmt.Fprintf(os.Stderr, "nvmcp-bench: %v\n", err)
+		os.Exit(1)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

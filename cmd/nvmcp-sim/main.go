@@ -108,8 +108,15 @@ func main() {
 		metricsOut   = flag.String("metrics-out", "", "write metrics in Prometheus text format to this file")
 		traceOut     = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event timeline to this file")
 		reportOut    = flag.String("report-out", "", "write the end-of-run report JSON to this file")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run (cluster set-up through Execute) to this file")
+		memProfile   = flag.String("memprofile", "", "write a heap profile to this file after the run, while the finished cluster is still reachable")
 	)
 	flag.Parse()
+
+	if (*cpuProfile != "" || *memProfile != "") && (*sweepPath != "" || *serveMode) {
+		fmt.Fprintln(os.Stderr, "nvmcp-sim: -cpuprofile and -memprofile profile one run; not with -sweep or -serve")
+		os.Exit(2)
+	}
 
 	if *listPresets {
 		printPresets(os.Stdout, *scaleName)
@@ -226,6 +233,11 @@ func main() {
 		cfg.Drift.Strict = true
 	}
 
+	prof, err := introspect.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
+		os.Exit(2)
+	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
@@ -256,6 +268,10 @@ func main() {
 
 	res, err := c.Execute()
 	status.Store("done")
+	if perr := prof.Stop(c); perr != nil {
+		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", perr)
+		os.Exit(1)
+	}
 	if err != nil {
 		// A strict breach still leaves a sealed recorder behind — write the
 		// reports first so the failing run can be inspected, then fail.

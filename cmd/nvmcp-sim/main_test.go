@@ -1,8 +1,10 @@
 package main
 
 import (
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -117,5 +119,37 @@ func TestSweepHonoursDriftStrict(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "FAIL") {
 		t.Errorf("strict sweep did not mark the cell FAIL:\n%s", out)
+	}
+}
+
+// TestProfileFlags holds -cpuprofile and -memprofile to their promise: each
+// writes a non-empty gzip-compressed pprof profile of the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	out, err := exec.Command(simBinary(t), "-preset", "fig7", "-scale", "tiny",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+	if err != nil {
+		t.Fatalf("profiled run failed: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		checkGzipProfile(t, path)
+	}
+}
+
+func checkGzipProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not gzip: %v", filepath.Base(path), err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("%s: %d bytes after gunzip, err %v", filepath.Base(path), len(body), err)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"nvmcp/internal/core"
@@ -660,10 +659,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	o := obs.New(env)
 	if cfg.shardFallback != "" {
-		o.Emit(obs.Event{Type: obs.EvEngineWarn, Actor: "cluster", Attrs: map[string]string{
-			"code": "shard-fallback",
-			"msg":  cfg.shardFallback,
-		}})
+		o.Recorder(0, "cluster").Log(obs.EvEngineWarn, "", 0,
+			obs.Str("code", "shard-fallback"), obs.Str("msg", cfg.shardFallback))
 	}
 	// Spans are recorded only into an attached Tracer; without one, hot
 	// sites skip per-span name formatting too.
@@ -1090,11 +1087,8 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 						tier, fetchSeq = "bottom", seq
 					}
 				}
-				rec.Emit(obs.EvChunkRecovered, name+"/"+ch.Name,
-					ch.Size, map[string]string{
-						"tier": tier,
-						"seq":  strconv.FormatUint(fetchSeq, 10),
-					})
+				rec.Log(obs.EvChunkRecovered, name+"/"+ch.Name, ch.Size,
+					obs.Str("tier", tier), obs.Int("seq", int64(fetchSeq)))
 			}
 			reg.Counter("recovery_path", obs.Labels{"tier": tier}).Add(1)
 			rec.Child(tier).Add("recovery_chunks", 1)
@@ -1106,9 +1100,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 			c.mttrTotal += mttr
 			c.mttrN++
 			c.degradedTotal += mttr
-			rec.Emit(obs.EvRepairDone, "", 0, map[string]string{
-				"mttr_us": strconv.FormatInt(mttr.Microseconds(), 10),
-			})
+			rec.Log(obs.EvRepairDone, "", 0, obs.Int("mttr_us", mttr.Microseconds()))
 		}
 	}
 	app.SyncIteration(int64(startIter))
@@ -1146,8 +1138,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 			rec.Span(fmt.Sprintf("iter %d", iter), "compute", lane,
 				iterStart, p.Now()-iterStart, nil)
 		}
-		rec.Emit(obs.EvIteration, "", 0,
-			map[string]string{"iter": strconv.Itoa(iter)})
+		rec.Log(obs.EvIteration, "", 0, obs.Int("iter", int64(iter)))
 		if cfg.NoCheckpoint {
 			c.barrier.Await(p)
 			if rank == 0 {
@@ -1188,8 +1179,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 		if c.remoteTier != nil && leader && (iter+1)%cfg.RemoteEvery == 0 {
 			c.lastRemote[node] = c.triggerRemote(p, node)
 			rec.Instant("remote trigger", "remote", lane, p.Now(), nil)
-			rec.Emit(obs.EvRemoteTrigger, "", 0,
-				map[string]string{"iter": fmt.Sprintf("%d", iter)})
+			rec.Log(obs.EvRemoteTrigger, "", 0, obs.Int("iter", int64(iter)))
 			if c.bottom != nil {
 				c.scheduleDrain(node, c.lastRemote[node])
 			}
@@ -1215,8 +1205,8 @@ func (c *Cluster) injectFailure(ev fault.Event) {
 		c.skipCount++
 		srec := c.Obs.Recorder(ev.Node, "cluster")
 		srec.Add("failures_skipped", 1)
-		srec.Emit(obs.EvFailureSkipped, "", 0,
-			map[string]string{"kind": string(ev.Kind), "reason": reason})
+		srec.Log(obs.EvFailureSkipped, "", 0,
+			obs.Str("kind", string(ev.Kind)), obs.Str("reason", reason))
 		return
 	}
 	if ev.Kind == fault.BuddyLoss && c.remoteTier != nil {
@@ -1235,27 +1225,36 @@ func (c *Cluster) injectFailure(ev fault.Event) {
 	}
 	frec := c.Obs.Recorder(ev.Node, "cluster")
 	frec.Instant(string(ev.Kind)+" failure", "failure", 0, c.Env.Now(), nil)
-	attrs := map[string]string{
-		"kind":  string(ev.Kind),
-		"cause": ev.Label(),
-		"hard":  strconv.FormatBool(hard),
+	attrs := []obs.Attr{
+		obs.Str("kind", string(ev.Kind)),
+		obs.Str("cause", ev.Label()),
+		obs.Bool("hard", hard),
 	}
 	if ev.Kind.Correlated() {
 		// Domain outages fail many nodes at once; downstream consumers
 		// (the lineage invariant checker in particular) need the full
 		// victim set to invalidate every copy the outage takes with it.
-		ids := make([]string, len(victims))
-		for i, n := range victims {
-			ids[i] = strconv.Itoa(n)
-		}
-		attrs["victims"] = strings.Join(ids, ",")
+		attrs = append(attrs, obs.Str("victims", joinNodes(victims)))
 	}
-	frec.Emit(obs.EvFailure, "", 0, attrs)
+	frec.Log(obs.EvFailure, "", 0, attrs...)
 	for _, rp := range c.rankProcs {
 		if !rp.Done() {
 			rp.Kill()
 		}
 	}
+}
+
+// joinNodes renders node ids as the comma-separated list that event
+// attributes carry.
+func joinNodes(nodes []int) string {
+	b := make([]byte, 0, 4*len(nodes))
+	for i, n := range nodes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(b)
 }
 
 // failureEffect resolves an event's victim node set (domain kinds fail every
@@ -1283,15 +1282,11 @@ func (c *Cluster) corruptNVM(rng *rand.Rand, ev fault.Event) int {
 	c.corruptCount += len(victims)
 	rec := c.Obs.Recorder(ev.Node, "cluster")
 	rec.Add("nvm_corruptions", int64(len(victims)))
-	rec.Emit(obs.EvNVMCorrupt, fmt.Sprintf("%d chunks", len(victims)), 0,
-		map[string]string{"torn": fmt.Sprintf("%t", ev.Torn)})
+	rec.Log(obs.EvNVMCorrupt, fmt.Sprintf("%d chunks", len(victims)), 0, obs.Bool("torn", ev.Torn))
 	for _, v := range victims {
-		rec.Emit(obs.EvChunkCorrupt, v.Key(), v.Size, map[string]string{
-			"seq":     strconv.FormatUint(v.Seq, 10),
-			"version": strconv.FormatUint(v.Version, 10),
-			"torn":    fmt.Sprintf("%t", ev.Torn),
-			"cause":   ev.Label(),
-		})
+		rec.Log(obs.EvChunkCorrupt, v.Key(), v.Size,
+			obs.Int("seq", int64(v.Seq)), obs.Int("version", int64(v.Version)),
+			obs.Bool("torn", ev.Torn), obs.Str("cause", ev.Label()))
 	}
 	return len(victims)
 }
@@ -1304,16 +1299,14 @@ func (c *Cluster) flapLink(ev fault.Event) {
 	c.flapCount++
 	c.degradedTotal += ev.Duration
 	c.Fabric.SetLinkFactor(ev.Node, ev.Factor)
-	c.Obs.Recorder(ev.Node, "cluster").Emit(obs.EvLinkFlap, "", 0,
-		map[string]string{
-			"factor": fmt.Sprintf("%g", ev.Factor),
-			"secs":   fmt.Sprintf("%g", ev.Duration.Seconds()),
-			"cause":  ev.Label(),
-		})
+	c.Obs.Recorder(ev.Node, "cluster").Log(obs.EvLinkFlap, "", 0,
+		obs.Str("factor", fmt.Sprintf("%g", ev.Factor)),
+		obs.Str("secs", fmt.Sprintf("%g", ev.Duration.Seconds())),
+		obs.Str("cause", ev.Label()))
 	node := ev.Node
 	c.Env.Schedule(ev.Duration, func() {
 		c.Fabric.RestoreLink(node)
-		c.Obs.Recorder(node, "cluster").Emit(obs.EvLinkRestore, "", 0, nil)
+		c.Obs.Recorder(node, "cluster").Log(obs.EvLinkRestore, "", 0)
 	})
 }
 
@@ -1390,15 +1383,8 @@ func (c *Cluster) recover(p *sim.Proc, f fault.Event) {
 	if c.Cfg.ReplanOnFailure && c.remoteTier != nil && (hard || f.Kind.Correlated()) {
 		if rp, ok := c.remoteTier.(policy.Replanner); ok && rp.Replan(victims) {
 			c.replanCount++
-			ids := make([]string, len(victims))
-			for i, n := range victims {
-				ids[i] = strconv.Itoa(n)
-			}
-			c.Obs.Recorder(f.Node, "cluster").Emit(obs.EvReplan, "", 0,
-				map[string]string{
-					"kind":  string(f.Kind),
-					"avoid": strings.Join(ids, ","),
-				})
+			c.Obs.Recorder(f.Node, "cluster").Log(obs.EvReplan, "", 0,
+				obs.Str("kind", string(f.Kind)), obs.Str("avoid", joinNodes(victims)))
 		}
 	}
 	c.recoverWait = c.rankBase[c.Cfg.Nodes]
@@ -1408,12 +1394,9 @@ func (c *Cluster) recover(p *sim.Proc, f fault.Event) {
 			c.remoteTier.NodeRecovered(n)
 		}
 	}
-	c.Obs.Recorder(f.Node, "cluster").Emit(obs.EvRecovery, "", 0,
-		map[string]string{
-			"resume_iter": fmt.Sprintf("%d", c.committedIter),
-			"kind":        string(f.Kind),
-			"cause":       f.Label(),
-		})
+	c.Obs.Recorder(f.Node, "cluster").Log(obs.EvRecovery, "", 0,
+		obs.Int("resume_iter", int64(c.committedIter)),
+		obs.Str("kind", string(f.Kind)), obs.Str("cause", f.Label()))
 }
 
 // shutdown stops engines and the remote tier so the event queue drains.

@@ -84,10 +84,7 @@ func (c *Cluster) Abort(reason string) {
 		return
 	}
 	c.aborted = reason
-	c.Obs.Emit(obs.Event{
-		Type: obs.EvAbort, Actor: "control",
-		Attrs: map[string]string{"reason": reason},
-	})
+	c.Obs.Recorder(0, "control").Log(obs.EvAbort, "", 0, obs.Str("reason", reason))
 	for _, rp := range c.rankProcs {
 		if !rp.Done() {
 			rp.Kill()

@@ -185,7 +185,7 @@ func TestShardDeterminismFaultsFallback(t *testing.T) {
 	}
 	warned := false
 	for _, ev := range c.Obs.Events() {
-		if ev.Type == obs.EvEngineWarn && ev.Attrs["code"] == "shard-fallback" {
+		if ev.Type == obs.EvEngineWarn && ev.Attrs.Str("code") == "shard-fallback" {
 			warned = true
 		}
 	}
@@ -299,8 +299,8 @@ func TestShardCountRespectsTopology(t *testing.T) {
 	}
 	warned := false
 	for _, ev := range c.Obs.Events() {
-		if ev.Type == obs.EvEngineWarn && ev.Attrs["code"] == "shard-fallback" &&
-			strings.Contains(ev.Attrs["msg"], `remote policy "erasure" spans node groups`) {
+		if ev.Type == obs.EvEngineWarn && ev.Attrs.Str("code") == "shard-fallback" &&
+			strings.Contains(ev.Attrs.Str("msg"), `remote policy "erasure" spans node groups`) {
 			warned = true
 		}
 	}

@@ -92,13 +92,13 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	c.cleanSeq = seqAtStart
 	c.stagePending = true
 	s.notifyStage(c)
-	attrs := map[string]string{"seq": u64str(seqAtStart)}
 	if invalidated {
 		// Single-version overwrite: the previously committed local copy is
 		// gone until the next commit flip (lineage marks the tier invalid).
-		attrs["inval"] = "1"
+		s.rec.Log(obs.EvChunkStaged, c.Name, c.Size, obs.Int("seq", int64(seqAtStart)), obs.Int("inval", 1))
+	} else {
+		s.rec.Log(obs.EvChunkStaged, c.Name, c.Size, obs.Int("seq", int64(seqAtStart)))
 	}
-	s.rec.Emit(obs.EvChunkStaged, c.Name, c.Size, attrs)
 	s.Counters[cStagedBytes].Add(c.Size)
 	s.Counters[cStagedChunks].Add(1)
 	// Protection stays armed from the start of the stage; if a mid-copy
@@ -137,8 +137,7 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 	start := p.Now()
 	round := s.ckptRound
 	s.ckptRound++
-	s.rec.Emit(obs.EvCheckpointBegin, "", 0,
-		map[string]string{"round": fmt.Sprintf("%d", round)})
+	s.rec.Log(obs.EvCheckpointBegin, "", 0, obs.Int("round", int64(round)))
 	var st CkptStats
 	for _, c := range s.order {
 		if !c.Persistent {
@@ -157,12 +156,11 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 	s.Counters[cChunksCopied].Add(int64(st.ChunksCopied))
 	s.Counters[cChunksSkipped].Add(int64(st.ChunksSkipped))
 	s.Counters[cCommits].Add(1)
-	s.rec.Emit(obs.EvCheckpointCommit, "", st.BytesCopied, map[string]string{
-		"round":   fmt.Sprintf("%d", round),
-		"copied":  fmt.Sprintf("%d", st.ChunksCopied),
-		"skipped": fmt.Sprintf("%d", st.ChunksSkipped),
-		"dur_us":  fmt.Sprintf("%d", st.Duration.Microseconds()),
-	})
+	s.rec.Log(obs.EvCheckpointCommit, "", st.BytesCopied,
+		obs.Int("round", int64(round)),
+		obs.Int("copied", int64(st.ChunksCopied)),
+		obs.Int("skipped", int64(st.ChunksSkipped)),
+		obs.Int("dur_us", st.Duration.Microseconds()))
 	return st
 }
 
@@ -215,10 +213,8 @@ func (s *Store) commitChunk(p *sim.Proc, c *Chunk) int {
 	k.MetaLock.Unlock(p)
 	c.committed = target
 	c.stagePending = false
-	s.rec.Emit(obs.EvChunkCommit, c.Name, c.Size, map[string]string{
-		"seq":     u64str(c.cleanSeq),
-		"version": u64str(c.Version),
-	})
+	s.rec.Log(obs.EvChunkCommit, c.Name, c.Size,
+		obs.Int("seq", int64(c.cleanSeq)), obs.Int("version", int64(c.Version)))
 	return 1
 }
 
@@ -262,8 +258,8 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 				s.kproc.SetMeta(p, c.metaKey(), nil)
 				k.MetaLock.Unlock(p)
 				s.Counters[cRestoreChecksumErrors].Add(1)
-				s.rec.Emit(obs.EvChecksumError, c.Name, c.Size,
-					map[string]string{"action": "salvage", "seq": u64str(rec.Seq)})
+				s.rec.Log(obs.EvChecksumError, c.Name, c.Size,
+					obs.Str("action", "salvage"), obs.Int("seq", int64(rec.Seq)))
 				return nil
 			}
 			return fmt.Errorf("%w: %s", ErrChecksum, c.Name)
@@ -283,12 +279,9 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	// incarnation's sequence domain; "reseq" is the chunk's clean sequence in
 	// THIS incarnation's domain (sequence numbering restarts per process
 	// lifetime), which is what later ship events will reference.
-	s.rec.Emit(obs.EvRestore, c.Name, c.Size, map[string]string{
-		"source":  source,
-		"seq":     u64str(rec.Seq),
-		"version": u64str(rec.Version),
-		"reseq":   u64str(c.cleanSeq),
-	})
+	s.rec.Log(obs.EvRestore, c.Name, c.Size, obs.Str("source", source),
+		obs.Int("seq", int64(rec.Seq)), obs.Int("version", int64(rec.Version)),
+		obs.Int("reseq", int64(c.cleanSeq)))
 	return nil
 }
 
@@ -332,7 +325,7 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source
 	c.Version = version
 	c.markDirty(p)
 	s.Counters[counter].Add(1)
-	s.rec.Emit(obs.EvRestore, c.Name, c.Size, map[string]string{"source": source})
+	s.rec.Log(obs.EvRestore, c.Name, c.Size, obs.Str("source", source))
 	return nil
 }
 

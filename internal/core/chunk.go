@@ -144,12 +144,10 @@ func (c *Chunk) markDirty(p *sim.Proc) {
 	// silently — the next stage captures the latest sequence anyway.
 	if c.modSeq == c.cleanSeq {
 		if c.stagePending {
-			c.store.rec.Emit(obs.EvChunkReDirtied, c.Name, c.Size,
-				map[string]string{"seq": u64str(c.modSeq + 1)})
+			c.store.rec.Log(obs.EvChunkReDirtied, c.Name, c.Size, obs.Int("seq", int64(c.modSeq+1)))
 			c.store.Counters[cRedirtied].Add(1)
 		} else {
-			c.store.rec.Emit(obs.EvChunkDirty, c.Name, c.Size,
-				map[string]string{"seq": u64str(c.modSeq + 1)})
+			c.store.rec.Log(obs.EvChunkDirty, c.Name, c.Size, obs.Int("seq", int64(c.modSeq+1)))
 		}
 	}
 	c.modSeq++
@@ -268,9 +266,6 @@ func checksum(data []byte, size int64) uint64 {
 	h.Write(data)
 	return h.Sum64()
 }
-
-// u64str renders a sequence/version number for event attributes.
-func u64str(v uint64) string { return strconv.FormatUint(v, 10) }
 
 // String implements fmt.Stringer.
 func (c *Chunk) String() string {

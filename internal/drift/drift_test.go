@@ -121,7 +121,7 @@ func TestEstimators(t *testing.T) {
 	// One commit: 100 MB copied in 2 s -> nvm_bw 50 MB/s; the model predicts
 	// t_lcl = 100 MB / 100 MB/s = 1 s vs measured 2 s -> err 0.5.
 	d.Observe(obs.Event{TUS: sec(3), Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
-		Attrs: map[string]string{"dur_us": "2000000", "copied": "6", "skipped": "2"}})
+		Attrs: obs.Attrs{obs.Int("dur_us", 2000000), obs.Int("copied", 6), obs.Int("skipped", 2)}})
 	// Iterations for the efficiency estimator.
 	d.Observe(obs.Event{TUS: sec(4), Type: obs.EvIteration})
 	// Close window 0.
@@ -165,7 +165,7 @@ func TestEstimators(t *testing.T) {
 func TestZeroCopyCommitSkipsCkptTime(t *testing.T) {
 	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
 	d.Observe(obs.Event{TUS: 1e6, Type: obs.EvCheckpointCommit, Bytes: 0,
-		Attrs: map[string]string{"dur_us": "1500", "copied": "0", "skipped": "8"}})
+		Attrs: obs.Attrs{obs.Int("dur_us", 1500), obs.Int("copied", 0), obs.Int("skipped", 8)}})
 	d.Finalize(10 * time.Second)
 	v := d.Windows()[0].Values
 	for _, key := range []string{"err_" + QtyCkptTime, "err_" + QtyPrecopyTp, "nvm_bw"} {
@@ -233,16 +233,16 @@ func TestLimitEpisodes(t *testing.T) {
 	}}
 	d := New(cfg, in, nil)
 	// Predicted t_lcl is 1.049 s (100 MB at 100 MB/s). durUS sets measured.
-	commit := func(sec int64, durUS string) {
+	commit := func(sec int64, durUS int64) {
 		d.Observe(obs.Event{TUS: sec * 1e6, Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
-			Attrs: map[string]string{"dur_us": durUS, "copied": "8"}})
+			Attrs: obs.Attrs{obs.Int("dur_us", durUS), obs.Int("copied", 8)}})
 	}
-	commit(5, "5000000")  // w0 breach (err ~0.79), streak 1: no fire
-	commit(15, "5000000") // w1 breach, streak 2: fire
-	commit(25, "5000000") // w2 breach, streak 3: already fired, no refire
-	commit(35, "1100000") // w3 clean (err ~0.05): reset
-	commit(45, "5000000") // w4 breach, streak 1
-	commit(55, "5000000") // w5 breach, streak 2: second episode fires
+	commit(5, 5000000)  // w0 breach (err ~0.79), streak 1: no fire
+	commit(15, 5000000) // w1 breach, streak 2: fire
+	commit(25, 5000000) // w2 breach, streak 3: already fired, no refire
+	commit(35, 1100000) // w3 clean (err ~0.05): reset
+	commit(45, 5000000) // w4 breach, streak 1
+	commit(55, 5000000) // w5 breach, streak 2: second episode fires
 	d.Finalize(60 * time.Second)
 
 	vs := d.Violations()
@@ -340,10 +340,10 @@ func TestPhaseShiftAbsGuard(t *testing.T) {
 func TestMeasuredMTBF(t *testing.T) {
 	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
 	// Two soft failures at 20 s and 40 s -> measured local MTBF 20 s.
-	d.Observe(obs.Event{TUS: 20e6, Type: obs.EvFailure, Attrs: map[string]string{"kind": "soft"}})
-	d.Observe(obs.Event{TUS: 40e6, Type: obs.EvFailure, Attrs: map[string]string{"kind": "soft"}})
+	d.Observe(obs.Event{TUS: 20e6, Type: obs.EvFailure, Attrs: obs.Attrs{obs.Str("kind", "soft")}})
+	d.Observe(obs.Event{TUS: 40e6, Type: obs.EvFailure, Attrs: obs.Attrs{obs.Str("kind", "soft")}})
 	// One hard failure at 30 s -> measured remote MTBF 30 s.
-	d.Observe(obs.Event{TUS: 30e6, Type: obs.EvFailure, Attrs: map[string]string{"kind": "node-loss"}})
+	d.Observe(obs.Event{TUS: 30e6, Type: obs.EvFailure, Attrs: obs.Attrs{obs.Str("kind", "node-loss")}})
 	d.Observe(obs.Event{TUS: 45e6, Type: obs.EvIteration})
 	d.Finalize(50 * time.Second)
 
@@ -380,7 +380,7 @@ func TestReplayMatchesObserve(t *testing.T) {
 		events = append(events,
 			obs.Event{TUS: base + 1e6, Type: obs.EvChunkStaged, Bytes: 4 << 20},
 			obs.Event{TUS: base + 2e6, Type: obs.EvCheckpointCommit, Bytes: 16 << 20,
-				Attrs: map[string]string{"dur_us": "900000", "copied": "4", "skipped": "1"}},
+				Attrs: obs.Attrs{obs.Int("dur_us", 900000), obs.Int("copied", 4), obs.Int("skipped", 1)}},
 			obs.Event{TUS: base + 3e6, Type: obs.EvChunkShipped, Bytes: 8 << 20},
 			obs.Event{TUS: base + 4e6, Type: obs.EvIteration},
 		)
@@ -411,7 +411,7 @@ func TestReplayMatchesObserve(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
 	d.Observe(obs.Event{TUS: 1e6, Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
-		Attrs: map[string]string{"dur_us": "1200000", "copied": "8"}})
+		Attrs: obs.Attrs{obs.Int("dur_us", 1200000), obs.Int("copied", 8)}})
 	d.Observe(obs.Event{TUS: 2e6, Type: obs.EvIteration})
 	d.Finalize(10 * time.Second)
 	rep := BuildReport(d, report.Meta{Tool: "test", Scenario: "roundtrip", Seed: 3})

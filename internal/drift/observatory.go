@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -274,7 +273,7 @@ func (d *Observatory) Observe(ev obs.Event) {
 		d.cur.iters++
 		d.iterTotal++
 	case obs.EvFailure:
-		kind := ev.Attrs["kind"]
+		kind := ev.Attrs.Str("kind")
 		fa := d.fails[kind]
 		if fa == nil {
 			fa = &failAcc{}
@@ -299,11 +298,9 @@ func (d *Observatory) Replay(events []obs.Event) {
 	}
 }
 
+// attrInt reads an integer attribute, 0 when absent.
 func attrInt(ev obs.Event, key string) int64 {
-	v, err := strconv.ParseInt(ev.Attrs[key], 10, 64)
-	if err != nil {
-		return 0
-	}
+	v, _ := ev.Attrs.Int(key)
 	return v
 }
 

@@ -342,7 +342,7 @@ func (t *Tracer) Observe(ev obs.Event) {
 	case obs.EvPrecopyCopy:
 		st := t.state(coreKey(ev))
 		cause := ""
-		if ev.Attrs["raced"] == "true" {
+		if ev.Attrs.Str("raced") == "true" {
 			cause = "raced"
 		}
 		t.record(st, ev, OpPrecopy, TierLocal, attrU64(ev, "seq"), cause)
@@ -353,7 +353,7 @@ func (t *Tracer) Observe(ev obs.Event) {
 		st.stagedSeq = seq
 		st.node = ev.Node
 		cause := ""
-		if ev.Attrs["inval"] != "" {
+		if _, inval := ev.Attrs.Int("inval"); inval {
 			// Single-version overwrite: the committed copy is being
 			// clobbered in place — invalid until the next commit flip.
 			st.localValid = false
@@ -389,14 +389,14 @@ func (t *Tracer) Observe(ev obs.Event) {
 		}
 		st.shipPrev, st.shipLast = st.shipLast, seq
 		st.everShipped = true
-		if h, err := strconv.Atoi(ev.Attrs["buddy"]); err == nil {
-			st.remoteHolder = h
+		if h, ok := ev.Attrs.Int("buddy"); ok {
+			st.remoteHolder = int(h)
 		}
-		t.record(st, ev, OpShip, TierRemote, seq, "buddy "+ev.Attrs["buddy"])
+		t.record(st, ev, OpShip, TierRemote, seq, "buddy "+ev.Attrs.Str("buddy"))
 	case obs.EvShipRetry:
 		st := t.state(ev.Chunk)
 		t.record(st, ev, OpShipRetry, TierRemote, 0,
-			ev.Attrs["reason"]+" attempt "+ev.Attrs["attempt"])
+			ev.Attrs.Str("reason")+" attempt "+ev.Attrs.Str("attempt"))
 	case obs.EvRemoteChunkCommit:
 		st := t.state(ev.Chunk)
 		seq := attrU64(ev, "seq")
@@ -407,8 +407,8 @@ func (t *Tracer) Observe(ev obs.Event) {
 		}
 		st.remoteSeq = seq
 		st.remoteValid = true
-		if h, err := strconv.Atoi(ev.Attrs["buddy"]); err == nil {
-			st.remoteHolder = h
+		if h, ok := ev.Attrs.Int("buddy"); ok {
+			st.remoteHolder = int(h)
 		}
 		t.record(st, ev, OpRemoteCommit, TierRemote, seq, "")
 	case obs.EvPFSDrain:
@@ -423,29 +423,29 @@ func (t *Tracer) Observe(ev obs.Event) {
 		if st.localSeq == seq || st.localSeq == 0 {
 			st.localDamaged = true
 		}
-		t.record(st, ev, OpCorrupt, TierLocal, seq, ev.Attrs["cause"])
+		t.record(st, ev, OpCorrupt, TierLocal, seq, ev.Attrs.Str("cause"))
 	case obs.EvChecksumError:
 		st := t.state(coreKey(ev))
 		// Salvage clears the damaged commit record: the local copy is gone
 		// from the cascade's point of view.
 		st.localValid = false
-		t.record(st, ev, OpSalvage, TierLocal, attrU64(ev, "seq"), ev.Attrs["action"])
+		t.record(st, ev, OpSalvage, TierLocal, attrU64(ev, "seq"), ev.Attrs.Str("action"))
 	case obs.EvRestore:
 		t.observeRestore(ev)
 	case obs.EvChunkRecovered:
 		t.observeRecovered(ev)
 	case obs.EvFailure:
 		t.observeFailure(ev)
-		t.logFault(ev, string(ev.Type)+" "+ev.Attrs["kind"])
+		t.logFault(ev, string(ev.Type)+" "+ev.Attrs.Str("kind"))
 	case obs.EvRecovery:
 		t.advanceEpoch()
-		t.logFault(ev, "recovery kind="+ev.Attrs["kind"]+" resume_iter="+ev.Attrs["resume_iter"])
+		t.logFault(ev, "recovery kind="+ev.Attrs.Str("kind")+" resume_iter="+ev.Attrs.Str("resume_iter"))
 	case obs.EvLinkFlap:
-		t.logFault(ev, "link-flap factor="+ev.Attrs["factor"]+" secs="+ev.Attrs["secs"])
+		t.logFault(ev, "link-flap factor="+ev.Attrs.Str("factor")+" secs="+ev.Attrs.Str("secs"))
 	case obs.EvLinkRestore:
 		t.logFault(ev, "link-restore")
 	case obs.EvBuddyFailover:
-		t.logFault(ev, "buddy-failover "+ev.Attrs["from"]+"->"+ev.Attrs["to"])
+		t.logFault(ev, "buddy-failover "+ev.Attrs.Str("from")+"->"+ev.Attrs.Str("to"))
 	case obs.EvNVMCorrupt, obs.EvFailureSkipped:
 		t.logFault(ev, string(ev.Type))
 	}
@@ -455,7 +455,8 @@ func (t *Tracer) observeRestore(ev obs.Event) {
 	key := coreKey(ev)
 	st := t.state(key)
 	seq := attrU64(ev, "seq")
-	switch ev.Attrs["source"] {
+	source := ev.Attrs.Str("source")
+	switch source {
 	case "local", "lazy":
 		if st.localDamaged && st.localValid && seq != 0 && seq == st.localSeq {
 			t.violate(ev, key, "stale-recovery", fmt.Sprintf(
@@ -467,13 +468,13 @@ func (t *Tracer) observeRestore(ev obs.Event) {
 		// so later ships of the same bytes check out against it.
 		st.stagedSeq = attrU64(ev, "reseq")
 		st.node = ev.Node
-		t.record(st, ev, OpRestore, TierLocal, seq, ev.Attrs["source"])
+		t.record(st, ev, OpRestore, TierLocal, seq, source)
 	case "remote":
-		t.record(st, ev, OpRestore, TierRemote, seq, ev.Attrs["source"])
+		t.record(st, ev, OpRestore, TierRemote, seq, source)
 	case "bottom":
-		t.record(st, ev, OpRestore, TierBottom, seq, ev.Attrs["source"])
+		t.record(st, ev, OpRestore, TierBottom, seq, source)
 	default:
-		t.record(st, ev, OpRestore, TierLocal, seq, ev.Attrs["source"])
+		t.record(st, ev, OpRestore, TierLocal, seq, source)
 	}
 }
 
@@ -481,7 +482,7 @@ func (t *Tracer) observeRecovered(ev obs.Event) {
 	key := ev.Chunk
 	st := t.state(key)
 	seq := attrU64(ev, "seq")
-	tierName := ev.Attrs["tier"]
+	tierName := ev.Attrs.Str("tier")
 	tier, depth := TierLocal, 0
 	switch tierName {
 	case "remote":
@@ -534,9 +535,9 @@ func (t *Tracer) observeRecovered(ev obs.Event) {
 // full victim set in the event's "victims" attribute (the whole rack/zone
 // fails atomically) plus a "hard" flag (soft outages keep NVM intact).
 func (t *Tracer) observeFailure(ev obs.Event) {
-	kind := ev.Attrs["kind"]
+	kind := ev.Attrs.Str("kind")
 	hard := kind == "hard" || kind == "buddy-loss"
-	if h, ok := ev.Attrs["hard"]; ok {
+	if h := ev.Attrs.Str("hard"); h != "" {
 		hard = h == "true"
 	}
 	if !hard {
@@ -546,7 +547,7 @@ func (t *Tracer) observeFailure(ev obs.Event) {
 	// spec-mandated zero and must not be read as a victim. Point faults
 	// have no victims attribute — their single victim is ev.Node.
 	dead := map[int]bool{}
-	if vs := ev.Attrs["victims"]; vs != "" {
+	if vs := ev.Attrs.Str("victims"); vs != "" {
 		for _, s := range strings.Split(vs, ",") {
 			if n, err := strconv.Atoi(s); err == nil {
 				dead[n] = true
@@ -680,12 +681,10 @@ func coreKey(ev obs.Event) string {
 	return ev.Actor + "/" + ev.Chunk
 }
 
+// attrU64 reads a sequence attribute, 0 when absent.
 func attrU64(ev obs.Event, key string) uint64 {
-	v, err := strconv.ParseUint(ev.Attrs[key], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return v
+	v, _ := ev.Attrs.Int(key)
+	return uint64(v)
 }
 
 // --- read side -------------------------------------------------------------

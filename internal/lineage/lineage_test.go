@@ -9,28 +9,28 @@ import (
 
 // sev builds a synthetic bus event. Core-side events carry the proc in
 // Actor and the bare chunk name in Chunk; tier events carry the full key.
-func sev(typ obs.Type, actor, chunk string, node int, attrs map[string]string) obs.Event {
+func sev(typ obs.Type, actor, chunk string, node int, attrs ...obs.Attr) obs.Event {
 	return obs.Event{Type: typ, Node: node, Actor: actor, Chunk: chunk, Bytes: 64, Attrs: attrs}
 }
 
-func seq(s string) map[string]string { return map[string]string{"seq": s} }
+func seq(g int64) obs.Attr { return obs.Int("seq", g) }
 
 // feedHealthyCycle drives one chunk through a clean stage → commit → ship →
 // remote-commit cycle at generation g.
-func feedHealthyCycle(t *Tracer, g string) {
+func feedHealthyCycle(t *Tracer, g int64) {
 	t.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(g)))
 	t.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(g)))
 	t.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(g)))
 	t.Observe(sev(obs.EvChunkShipped, "", "rank0/field", 0,
-		map[string]string{"seq": g, "buddy": "1"}))
+		seq(g), obs.Int("buddy", 1)))
 	t.Observe(sev(obs.EvRemoteChunkCommit, "", "rank0/field", 1,
-		map[string]string{"seq": g, "buddy": "1"}))
+		seq(g), obs.Int("buddy", 1)))
 }
 
 func TestHealthyStreamHasNoViolations(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	feedHealthyCycle(tr, "1")
-	feedHealthyCycle(tr, "2")
+	feedHealthyCycle(tr, 1)
+	feedHealthyCycle(tr, 2)
 	if n := tr.ViolationCount(); n != 0 {
 		t.Fatalf("healthy stream produced %d violations: %v", n, tr.Violations())
 	}
@@ -47,29 +47,29 @@ func TestHealthyStreamHasNoViolations(t *testing.T) {
 // staged — must be flagged, not absorbed.
 func TestCommitWithoutStageIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("3")))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(3)))
 	mustViolate(t, tr, "commit-without-stage")
 }
 
 func TestCommitOfWrongGenerationIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("2")))
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("3")))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(2)))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(3)))
 	mustViolate(t, tr, "commit-without-stage")
 }
 
 func TestShipOfUnstagedGenerationIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("2")))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(2)))
 	tr.Observe(sev(obs.EvChunkShipped, "", "rank0/field", 0,
-		map[string]string{"seq": "5", "buddy": "1"}))
+		seq(5), obs.Int("buddy", 1)))
 	mustViolate(t, tr, "ship-unstaged")
 }
 
 func TestRemoteCommitWithoutShipIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
 	tr.Observe(sev(obs.EvRemoteChunkCommit, "", "rank0/field", 1,
-		map[string]string{"seq": "2", "buddy": "1"}))
+		seq(2), obs.Int("buddy", 1)))
 	mustViolate(t, tr, "remote-commit-without-ship")
 }
 
@@ -77,12 +77,12 @@ func TestRemoteCommitWithoutShipIsFlagged(t *testing.T) {
 // flips; committing the pre-copied (older) generation loses writes.
 func TestRedirtyAfterPrecopyWithoutRecopyIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq("5")))
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("5")))
+	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(5)))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(5)))
 	tr.Observe(sev(obs.EvPrecopyCopy, "rank0", "field", 0,
-		map[string]string{"seq": "5", "raced": "false"}))
-	tr.Observe(sev(obs.EvChunkReDirtied, "rank0", "field", 0, seq("6")))
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("5")))
+		seq(5), obs.Bool("raced", false)))
+	tr.Observe(sev(obs.EvChunkReDirtied, "rank0", "field", 0, seq(6)))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(5)))
 	mustViolate(t, tr, "redirty-not-recopied")
 }
 
@@ -90,44 +90,44 @@ func TestRedirtyAfterPrecopyWithoutRecopyIsFlagged(t *testing.T) {
 // bottom tier while a live remote copy exists is a stale recovery.
 func TestBottomRecoveryDespiteLiveRemoteCopyIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	feedHealthyCycle(tr, "1")
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "soft"}))
+	feedHealthyCycle(tr, 1)
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
-		map[string]string{"tier": "bottom", "seq": "1"}))
+		obs.Str("tier", "bottom"), seq(1)))
 	mustViolate(t, tr, "stale-recovery")
 }
 
 func TestLostDespiteSurvivingCopyIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	feedHealthyCycle(tr, "1")
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "soft"}))
+	feedHealthyCycle(tr, 1)
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
-		map[string]string{"tier": "lost", "seq": "0"}))
+		obs.Str("tier", "lost"), seq(0)))
 	mustViolate(t, tr, "stale-recovery")
 }
 
 func TestRecoveredFromTierThatNeverReceivedIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "hard"}))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "hard")))
 	// The remote tier claims to serve seq 1, but nothing was ever shipped
 	// (let alone remote-committed) for this chunk.
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
-		map[string]string{"tier": "remote", "seq": "1"}))
+		obs.Str("tier", "remote"), seq(1)))
 	mustViolate(t, tr, "commit-without-stage")
 }
 
 func TestRestoreOfDamagedGenerationIsFlagged(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("1")))
+	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvChunkCorrupt, "", "rank0/field", 0,
-		map[string]string{"seq": "1", "cause": "nvm-corrupt@1s/node0"}))
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "soft"}))
+		seq(1), obs.Str("cause", "nvm-corrupt@1s/node0")))
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvRestore, "rank0", "field", 0,
-		map[string]string{"source": "local", "seq": "1", "reseq": "1"}))
+		obs.Str("source", "local"), seq(1), obs.Int("reseq", 1)))
 	mustViolate(t, tr, "stale-recovery")
 }
 
@@ -135,11 +135,11 @@ func TestRestoreOfDamagedGenerationIsFlagged(t *testing.T) {
 // must skip, not misfire, its remote-tier validity comparisons.
 func TestUnknownSeqRecoverySkipsComparisons(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("1")))
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "hard"}))
+	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "hard")))
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
-		map[string]string{"tier": "remote", "seq": "0"}))
+		obs.Str("tier", "remote"), seq(0)))
 	if n := tr.ViolationCount(); n != 0 {
 		t.Fatalf("seq-0 recovery produced %d violations: %v", n, tr.Violations())
 	}
@@ -172,7 +172,7 @@ func mustViolate(t *testing.T, tr *Tracer, rule string) {
 func TestRingEvictsOldestIntoCompactedCounts(t *testing.T) {
 	tr := New(Config{Enabled: true, RingSize: 4})
 	for i := 0; i < 10; i++ {
-		tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq("1")))
+		tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(1)))
 	}
 	h, ok := tr.History("rank0/field")
 	if !ok {
@@ -191,11 +191,11 @@ func TestRingEvictsOldestIntoCompactedCounts(t *testing.T) {
 
 func TestEpochRolloverCompactsPrePreviousEpoch(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	feedHealthyCycle(tr, "1") // epoch 0: 5 records
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "soft"}))
+	feedHealthyCycle(tr, 1) // epoch 0: 5 records
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvRestore, "rank0", "field", 0,
-		map[string]string{"source": "local", "seq": "1", "reseq": "1"}))
-	tr.Observe(sev(obs.EvRecovery, "", "", 0, map[string]string{"kind": "soft"}))
+		obs.Str("source", "local"), seq(1), obs.Int("reseq", 1)))
+	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	// Now in epoch 2: epoch-0 records must have folded into counts.
 	h, _ := tr.History("rank0/field")
 	for _, r := range h.Records {
@@ -218,7 +218,7 @@ func TestEpochRolloverCompactsPrePreviousEpoch(t *testing.T) {
 func TestViolationDetailIsBoundedButCountIsNot(t *testing.T) {
 	tr := New(Config{Enabled: true, MaxViolations: 2})
 	for i := 0; i < 5; i++ {
-		tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq("9")))
+		tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(9)))
 	}
 	if got := len(tr.Violations()); got != 2 {
 		t.Fatalf("retained %d violation details, want 2", got)
@@ -230,8 +230,8 @@ func TestViolationDetailIsBoundedButCountIsNot(t *testing.T) {
 
 func TestTierRecordsFiltersAcrossChunks(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	feedHealthyCycle(tr, "1")
-	tr.Observe(sev(obs.EvChunkStaged, "rank1", "grid", 1, seq("1")))
+	feedHealthyCycle(tr, 1)
+	tr.Observe(sev(obs.EvChunkStaged, "rank1", "grid", 1, seq(1)))
 	hs := tr.TierRecords("remote")
 	if len(hs) != 1 || hs[0].Chunk != "rank0/field" || len(hs[0].Records) != 2 {
 		t.Fatalf("remote tier records = %+v", hs)

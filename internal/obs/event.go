@@ -15,12 +15,7 @@
 // publishes, and experiment sweeps run many simulations concurrently.
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // Type names one kind of event in the taxonomy. The set below covers the
 // checkpoint lifecycle end to end; sinks treat the type as an opaque label,
@@ -126,27 +121,18 @@ const (
 
 // Event is one structured occurrence on the bus. Times are virtual
 // (microseconds since simulation start), matching the Chrome trace
-// timestamps so the JSONL stream and the Perfetto view line up.
+// timestamps so the JSONL stream and the Perfetto view line up. The bus
+// keeps events as columns (see log.go); an Event is the view that taps,
+// Events and the sinks read.
 type Event struct {
-	TUS   int64             `json:"t_us"`
-	Type  Type              `json:"type"`
-	Node  int               `json:"node"`
-	Actor string            `json:"actor,omitempty"`
-	Chunk string            `json:"chunk,omitempty"`
-	Bytes int64             `json:"bytes,omitempty"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	TUS   int64  `json:"t_us"`
+	Type  Type   `json:"type"`
+	Node  int    `json:"node"`
+	Actor string `json:"actor,omitempty"`
+	Chunk string `json:"chunk,omitempty"`
+	Bytes int64  `json:"bytes,omitempty"`
+	Attrs Attrs  `json:"attrs,omitempty"`
 }
 
 // Time returns the event's virtual time.
 func (e Event) Time() time.Duration { return time.Duration(e.TUS) * time.Microsecond }
-
-// WriteJSONL streams events one JSON object per line.
-func WriteJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("obs: encode event: %w", err)
-		}
-	}
-	return nil
-}

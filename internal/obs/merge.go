@@ -25,15 +25,11 @@ import (
 // report builders read a consistent end time. No taps run on merged events.
 func MergeShards(dst *Observer, shards []*Observer) {
 	streams := make([][]Event, len(shards))
-	total := 0
 	for i, s := range shards {
 		streams[i] = s.Events()
-		total += len(streams[i])
 	}
 	idx := make([]int, len(streams))
 	dst.mu.Lock()
-	merged := make([]Event, 0, len(dst.events)+total)
-	merged = append(merged, dst.events...)
 	for {
 		best := -1
 		for i := range streams {
@@ -47,12 +43,10 @@ func MergeShards(dst *Observer, shards []*Observer) {
 		if best < 0 {
 			break
 		}
-		merged = append(merged, streams[best][idx[best]])
+		ev := streams[best][idx[best]]
+		dst.events.append(ev.TUS, ev.Type, ev.Node, ev.Actor, ev.Chunk, ev.Bytes, ev.Attrs)
+		dst.lastTUS = max(dst.lastTUS, ev.TUS)
 		idx[best]++
-	}
-	dst.events = merged
-	if n := len(merged); n > 0 && merged[n-1].TUS > dst.lastTUS {
-		dst.lastTUS = merged[n-1].TUS
 	}
 	dst.mu.Unlock()
 

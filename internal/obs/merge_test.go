@@ -16,7 +16,7 @@ func buildShardObs(t *testing.T, stamps []int64, counter int64) *Observer {
 	for _, us := range stamps {
 		at := time.Duration(us) * time.Microsecond
 		env.At(at, func() {
-			o.Emit(Event{Type: EvIteration, Attrs: map[string]string{"src": "x"}})
+			o.Emit(Event{Type: EvIteration, Attrs: Attrs{Str("src", "x")}})
 		})
 	}
 	env.Run()
@@ -112,7 +112,7 @@ func TestEngineWarnReachesBus(t *testing.T) {
 	}
 	evs := o.Events()
 	last := evs[len(evs)-1]
-	if last.Attrs["code"] != "negative-delay" {
-		t.Fatalf("warn code = %q", last.Attrs["code"])
+	if code := last.Attrs.Str("code"); code != "negative-delay" {
+		t.Fatalf("warn code = %q", code)
 	}
 }

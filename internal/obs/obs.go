@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -18,7 +20,8 @@ type Observer struct {
 	reg *Registry
 
 	mu      sync.Mutex
-	events  []Event
+	events  eventLog
+	tapView Attrs // the attributes taps see, reused for every event
 	spans   *SpanRecorder
 	taps    []func(Event)
 	lastTUS int64
@@ -30,8 +33,7 @@ type Observer struct {
 func New(env *sim.Env) *Observer {
 	o := &Observer{env: env, reg: NewRegistry()}
 	env.SetWarnFunc(func(code, msg string) {
-		o.Emit(Event{Type: EvEngineWarn, Actor: "sim",
-			Attrs: map[string]string{"code": code, "msg": msg}})
+		o.publish(0, "sim", EvEngineWarn, "", 0, []Attr{Str("code", code), Str("msg", msg)})
 	})
 	return o
 }
@@ -62,8 +64,9 @@ func (o *Observer) UseSpanRecorder(r *SpanRecorder) {
 // order, after the virtual timestamp is stamped. Taps run under the
 // observer's mutex — they must be fast and must never publish back into
 // this observer (Registry updates are fine; the registry has its own lock).
-// Every consumer (the lineage tracer, the SLO flight recorder, the drift
-// observatory) attaches here. A nil tap is ignored.
+// The event's Attrs are reused for the next event, so a tap that keeps them
+// must copy them. Every consumer (the lineage tracer, the SLO flight
+// recorder, the drift observatory) attaches here. A nil tap is ignored.
 func (o *Observer) AddEventTap(tap func(Event)) {
 	if tap == nil {
 		return
@@ -73,14 +76,28 @@ func (o *Observer) AddEventTap(tap func(Event)) {
 	o.mu.Unlock()
 }
 
-// Emit publishes one event, stamping it with the current virtual time.
+// Emit publishes one event, stamping it with the current virtual time. The
+// event's TUS is ignored.
 func (o *Observer) Emit(ev Event) {
+	o.publish(ev.Node, ev.Actor, ev.Type, ev.Chunk, ev.Bytes, ev.Attrs)
+}
+
+// publish appends one event to the log and hands it to the taps. attrs is
+// copied, never kept, so callers may pass a stack buffer.
+func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes int64, attrs []Attr) {
 	o.mu.Lock()
-	ev.TUS = o.env.Now().Microseconds()
-	o.events = append(o.events, ev)
-	o.lastTUS = ev.TUS
-	for _, tap := range o.taps {
-		tap(ev)
+	tus := o.env.Now().Microseconds()
+	o.events.append(tus, t, node, actor, chunk, bytes, attrs)
+	o.lastTUS = tus
+	if len(o.taps) > 0 {
+		ev := Event{TUS: tus, Type: t, Node: node, Actor: actor, Chunk: chunk, Bytes: bytes}
+		if len(attrs) > 0 {
+			o.tapView = append(o.tapView[:0], attrs...)
+			ev.Attrs = o.tapView[:len(attrs):len(attrs)]
+		}
+		for _, tap := range o.taps {
+			tap(ev)
+		}
 	}
 	o.mu.Unlock()
 }
@@ -92,36 +109,41 @@ func (o *Observer) Emit(ev Event) {
 func (o *Observer) Progress() (virtualUS int64, events int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lastTUS, len(o.events)
+	return o.lastTUS, o.events.n
 }
 
 // Events returns a copy of every event published so far, in publication
-// order (which is virtual-time order, since the bus stamps on arrival).
+// order (which is virtual-time order, since the bus stamps on arrival). The
+// copy costs two allocations however many events there are.
 func (o *Observer) Events() []Event {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]Event(nil), o.events...)
+	v := o.view()
+	return v.events("")
 }
 
 // EventCount returns how many events of a type were published ("" = all).
 func (o *Observer) EventCount(t Type) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if t == "" {
-		return len(o.events)
-	}
-	n := 0
-	for _, ev := range o.events {
-		if ev.Type == t {
-			n++
-		}
-	}
-	return n
+	return o.events.count(t)
 }
 
 // WriteEventsJSONL streams the event log, one JSON object per line.
 func (o *Observer) WriteEventsJSONL(w io.Writer) error {
-	return WriteJSONL(w, o.Events())
+	v := o.view()
+	enc := json.NewEncoder(w)
+	return v.each(func(ev Event) error {
+		if err := enc.Encode(ev); err != nil {
+			return fmt.Errorf("obs: encode event: %w", err)
+		}
+		return nil
+	})
+}
+
+// view snapshots the event log for reading outside the lock.
+func (o *Observer) view() logView {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.events.view()
 }
 
 // Recorder returns a publication handle scoped to (node, actor). Recorders
@@ -190,12 +212,27 @@ func (r *Recorder) Node() int {
 	return r.node
 }
 
-// Emit publishes an event carrying this recorder's scope.
+// Log publishes an event carrying this recorder's scope, with typed
+// attributes: rec.Log(EvChunkCommit, name, size, Int("seq", s)). It builds
+// no map and formats nothing.
+func (r *Recorder) Log(t Type, chunk string, bytes int64, attrs ...Attr) {
+	if r == nil {
+		return
+	}
+	r.o.publish(r.node, r.actor, t, chunk, bytes, attrs)
+}
+
+// Emit is the map-form adapter onto Log: canonical decimal values become
+// integer attributes, so typed readers and the JSON form see no difference.
+// Its one caller is bench/e2e, a separate module whose sources stay fixed
+// with the benchmark; the adapter goes when that harness is folded (ROADMAP
+// item 8). Internal emitters use Log, and make lint keeps it that way.
 func (r *Recorder) Emit(t Type, chunk string, bytes int64, attrs map[string]string) {
 	if r == nil {
 		return
 	}
-	r.o.Emit(Event{Type: t, Node: r.node, Actor: r.actor, Chunk: chunk, Bytes: bytes, Attrs: attrs})
+	var buf [8]Attr
+	r.o.publish(r.node, r.actor, t, chunk, bytes, appendMapAttrs(buf[:0], attrs))
 }
 
 // Add increments the named counter in both the recorder's (node, actor)

@@ -77,7 +77,7 @@ func TestEventStampingAndJSONL(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &decoded); err != nil {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
-		if decoded.Type != EvChunkStaged || decoded.Attrs["k"] != "v" {
+		if decoded.Type != EvChunkStaged || decoded.Attrs.Str("k") != "v" {
 			t.Fatalf("round trip mangled: %+v", decoded)
 		}
 		lines++
@@ -136,11 +136,11 @@ func TestFlatten(t *testing.T) {
 func TestCheckpointRounds(t *testing.T) {
 	events := []Event{
 		{TUS: 50, Type: EvCheckpointCommit, Node: 0, Actor: "rank0", Bytes: 100,
-			Attrs: map[string]string{"round": "0", "copied": "4", "skipped": "1", "dur_us": "2000000"}},
+			Attrs: Attrs{Int("round", 0), Int("copied", 4), Int("skipped", 1), Int("dur_us", 2000000)}},
 		{TUS: 40, Type: EvCheckpointCommit, Node: 0, Actor: "rank1", Bytes: 50,
-			Attrs: map[string]string{"round": "0", "copied": "2", "skipped": "3", "dur_us": "1000000"}},
+			Attrs: Attrs{Int("round", 0), Int("copied", 2), Int("skipped", 3), Int("dur_us", 1000000)}},
 		{TUS: 90, Type: EvCheckpointCommit, Node: 1, Actor: "rank0", Bytes: 10,
-			Attrs: map[string]string{"round": "1", "copied": "1", "skipped": "0", "dur_us": "500000"}},
+			Attrs: Attrs{Int("round", 1), Int("copied", 1), Int("skipped", 0), Int("dur_us", 500000)}},
 		{TUS: 95, Type: EvChunkStaged, Node: 1}, // ignored
 	}
 	rounds := CheckpointRounds(events)

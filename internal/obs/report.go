@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // CheckpointRound aggregates one coordinated checkpoint round across ranks,
@@ -39,7 +38,8 @@ func CheckpointRounds(events []Event) []CheckpointRound {
 		if ev.Type != EvCheckpointCommit {
 			continue
 		}
-		round, _ := strconv.Atoi(ev.Attrs["round"])
+		r, _ := ev.Attrs.Int("round")
+		round := int(r)
 		a := byRound[round]
 		if a == nil {
 			a = &acc{round: CheckpointRound{Round: round, StartUS: ev.TUS}}
@@ -47,13 +47,13 @@ func CheckpointRounds(events []Event) []CheckpointRound {
 		}
 		a.round.Ranks++
 		a.round.BytesCopied += ev.Bytes
-		if n, err := strconv.ParseInt(ev.Attrs["copied"], 10, 64); err == nil {
+		if n, ok := ev.Attrs.Int("copied"); ok {
 			a.round.ChunksCopied += n
 		}
-		if n, err := strconv.ParseInt(ev.Attrs["skipped"], 10, 64); err == nil {
+		if n, ok := ev.Attrs.Int("skipped"); ok {
 			a.round.ChunksSkipped += n
 		}
-		if us, err := strconv.ParseInt(ev.Attrs["dur_us"], 10, 64); err == nil {
+		if us, ok := ev.Attrs.Int("dur_us"); ok {
 			a.durs = append(a.durs, float64(us)/1e6)
 		}
 		if ev.TUS < a.round.StartUS {
@@ -104,8 +104,8 @@ type RunReport struct {
 // BuildReport assembles the RunReport for this observer. config and result
 // are echoed verbatim (pass nil to omit).
 func (o *Observer) BuildReport(tool string, config, result any) RunReport {
-	events := o.Events()
-	rounds := CheckpointRounds(events)
+	v := o.view()
+	rounds := CheckpointRounds(v.events(EvCheckpointCommit))
 	bytesPerRound := make([]float64, len(rounds))
 	durMeanPerRound := make([]float64, len(rounds))
 	for i, r := range rounds {
@@ -122,7 +122,7 @@ func (o *Observer) BuildReport(tool string, config, result any) RunReport {
 			"ckpt_bytes_per_round":    Summarize(bytesPerRound),
 			"ckpt_mean_dur_per_round": Summarize(durMeanPerRound),
 		},
-		EventCount:   len(events),
+		EventCount:   v.n,
 		VirtualEndUS: o.env.Now().Microseconds(),
 	}
 }

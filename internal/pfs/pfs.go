@@ -11,7 +11,6 @@ package pfs
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"nvmcp/internal/obs"
@@ -156,8 +155,7 @@ func (f *FS) Drain(p *sim.Proc, src Source) DrainStats {
 			continue
 		}
 		f.Write(p, obj.Name, obj.Size, obj.Version, data)
-		f.rec.Emit(obs.EvPFSDrain, obj.Name, obj.Size,
-			map[string]string{"seq": strconv.FormatUint(obj.Version, 10)})
+		f.rec.Log(obs.EvPFSDrain, obj.Name, obj.Size, obs.Int("seq", int64(obj.Version)))
 		st.Objects++
 		st.Bytes += obj.Size
 	}

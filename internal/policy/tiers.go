@@ -61,9 +61,9 @@ func BuddyMesh(t RemoteTier) *remote.Mesh {
 func (t *buddyTier) BeginEpoch() {
 	if !t.honored && !t.warned {
 		t.warned = true
-		t.rt.Recorder(0, "placement").Emit(obs.EvEngineWarn,
+		t.rt.Recorder(0, "placement").Log(obs.EvEngineWarn,
 			"zone anti-affinity not satisfiable for buddy ring; replicas spread at best effort", 0,
-			map[string]string{"placement": "buddy/" + t.placement, "fallback": "true"})
+			obs.Str("placement", "buddy/"+t.placement), obs.Bool("fallback", true))
 	}
 	for n := 0; n < t.rt.ComputeNodes; n++ {
 		t.mesh.RemoveAgent(n)
@@ -235,9 +235,9 @@ type erasureTier struct {
 func (t *erasureTier) BeginEpoch() {
 	if !t.honored && !t.warned {
 		t.warned = true
-		t.rt.Recorder(0, "placement").Emit(obs.EvEngineWarn,
+		t.rt.Recorder(0, "placement").Log(obs.EvEngineWarn,
 			"zone anti-affinity not satisfiable for erasure groups; members spread at best effort", 0,
-			map[string]string{"placement": "erasure/" + t.placement, "fallback": "true"})
+			obs.Str("placement", "erasure/"+t.placement), obs.Bool("fallback", true))
 	}
 	t.cur = make(map[int][]*core.Store)
 	t.flushed = false
@@ -280,11 +280,11 @@ func (t *erasureTier) Trigger(p *sim.Proc, node int) *sim.Completion {
 		if err != nil {
 			// A failure mid-round leaves stores unreadable; the round is
 			// simply lost, like an abandoned buddy burst.
-			t.rec.Emit(obs.EvHelperSleep, "parity round abandoned", 0,
-				map[string]string{"err": err.Error(), "group": fmt.Sprintf("%d", gi)})
+			t.rec.Log(obs.EvHelperSleep, "parity round abandoned", 0,
+				obs.Str("err", err.Error()), obs.Int("group", int64(gi)))
 		} else {
-			t.rec.Emit(obs.EvRemoteCommit, "", 0,
-				map[string]string{"round": fmt.Sprintf("%d", g.Round()), "group": fmt.Sprintf("%d", gi)})
+			t.rec.Log(obs.EvRemoteCommit, "", 0,
+				obs.Int("round", int64(g.Round())), obs.Int("group", int64(gi)))
 		}
 		done.Complete()
 	})

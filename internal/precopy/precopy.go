@@ -21,7 +21,6 @@
 package precopy
 
 import (
-	"strconv"
 	"time"
 
 	"nvmcp/internal/core"
@@ -275,10 +274,8 @@ func (e *Engine) run(p *sim.Proc) {
 			if raced {
 				e.Counters[cRacedCopies].Add(1)
 			}
-			e.cfg.Rec.Emit(obs.EvPrecopyCopy, c.Name, n, map[string]string{
-				"raced": strconv.FormatBool(raced),
-				"seq":   strconv.FormatUint(c.StagedSeq(), 10),
-			})
+			e.cfg.Rec.Log(obs.EvPrecopyCopy, c.Name, n,
+				obs.Bool("raced", raced), obs.Int("seq", int64(c.StagedSeq())))
 			if e.cfg.Rec.SpansActive() {
 				e.cfg.Rec.Span("precopy "+c.Name, "precopy", e.cfg.TraceLane,
 					start, p.Now()-start, nil)

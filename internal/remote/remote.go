@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -435,14 +434,14 @@ func (a *Agent) run(p *sim.Proc) {
 			}
 			if busy {
 				busy = false
-				a.cfg.Rec.Emit(obs.EvHelperSleep, "", 0, nil)
+				a.cfg.Rec.Log(obs.EvHelperSleep, "", 0)
 			}
 			a.wake.WaitTimeout(p, a.cfg.ScanTick)
 			continue
 		}
 		if !busy {
 			busy = true
-			a.cfg.Rec.Emit(obs.EvHelperWake, "", 0, nil)
+			a.cfg.Rec.Log(obs.EvHelperWake, "", 0)
 		}
 		a.idle = sim.NewCompletion(a.mesh.env)
 		a.shipWithRetry(p, st, store)
@@ -483,8 +482,8 @@ func (a *Agent) shipWithRetry(p *sim.Proc, st core.ChunkState, store *core.Store
 		}
 		if attempt < a.cfg.MaxShipRetries {
 			a.Counters[cShipRetries].Add(1)
-			a.cfg.Rec.Emit(obs.EvShipRetry, store.Proc().Name()+"/"+st.Name,
-				st.Size, map[string]string{"reason": reason, "attempt": fmt.Sprintf("%d", attempt)})
+			a.cfg.Rec.Log(obs.EvShipRetry, store.Proc().Name()+"/"+st.Name, st.Size,
+				obs.Str("reason", reason), obs.Int("attempt", int64(attempt)))
 			backoff := a.cfg.RetryBackoff << uint(attempt)
 			if backoff > maxRetryBackoff {
 				backoff = maxRetryBackoff
@@ -520,9 +519,8 @@ func (a *Agent) failover() bool {
 			q.seed()
 		}
 		a.Counters[cBuddyFailovers].Add(1)
-		a.cfg.Rec.Emit(obs.EvBuddyFailover, "", 0, map[string]string{
-			"from": fmt.Sprintf("%d", old), "to": fmt.Sprintf("%d", cand),
-		})
+		a.cfg.Rec.Log(obs.EvBuddyFailover, "", 0,
+			obs.Int("from", int64(old)), obs.Int("to", int64(cand)))
 		return true
 	}
 	return false
@@ -652,11 +650,8 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 				helperLane, shipStart, p.Now()-shipStart,
 				map[string]string{"bytes": fmt.Sprintf("%d", st.Size)})
 		}
-		a.cfg.Rec.Emit(obs.EvChunkShipped, key.proc+"/"+st.Name,
-			st.Size, map[string]string{
-				"buddy": strconv.Itoa(a.buddy),
-				"seq":   strconv.FormatUint(st.CleanSeq, 10),
-			})
+		a.cfg.Rec.Log(obs.EvChunkShipped, key.proc+"/"+st.Name, st.Size,
+			obs.Int("buddy", int64(a.buddy)), obs.Int("seq", int64(st.CleanSeq)))
 	}()
 	a.Meter.Start(p.Now())
 	cpuStart := p.Now()
@@ -742,14 +737,10 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 	// the chunks were shipped in.
 	slices.SortFunc(flips, func(x, y flipped) int { return strings.Compare(x.name, y.name) })
 	for _, f := range flips {
-		a.cfg.Rec.Emit(obs.EvRemoteChunkCommit, f.name, f.size, map[string]string{
-			"seq":   strconv.FormatUint(f.seq, 10),
-			"buddy": strconv.Itoa(a.buddy),
-		})
+		a.cfg.Rec.Log(obs.EvRemoteChunkCommit, f.name, f.size,
+			obs.Int("seq", int64(f.seq)), obs.Int("buddy", int64(a.buddy)))
 	}
 	a.Counters[cCommits].Add(1)
 	m.Counters[cRemoteCommits].Add(1)
-	a.cfg.Rec.Emit(obs.EvRemoteCommit, "", 0, map[string]string{
-		"buddy": fmt.Sprintf("%d", a.buddy),
-	})
+	a.cfg.Rec.Log(obs.EvRemoteCommit, "", 0, obs.Int("buddy", int64(a.buddy)))
 }

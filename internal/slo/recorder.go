@@ -185,7 +185,7 @@ func (r *Recorder) Observe(ev obs.Event) {
 		}
 	case obs.EvRepairDone:
 		r.closeInterval("fail:"+strconv.Itoa(ev.Node), t)
-		if us, err := strconv.ParseInt(ev.Attrs["mttr_us"], 10, 64); err == nil {
+		if us, ok := ev.Attrs.Int("mttr_us"); ok {
 			r.repairSumUS += us
 			r.repairN++
 			r.mttrSumUS += us

@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,7 +94,7 @@ func TestDegradedIntervalsAndMTTR(t *testing.T) {
 	r, _ := newTestRecorder(nil)
 	r.Observe(obs.Event{TUS: 1_000_000, Type: obs.EvFailure, Node: 3})
 	r.Observe(obs.Event{TUS: 3_000_000, Type: obs.EvRepairDone, Node: 3,
-		Attrs: map[string]string{"mttr_us": strconv.Itoa(2_000_000)}})
+		Attrs: obs.Attrs{obs.Int("mttr_us", 2_000_000)}})
 	tick(r, 5*time.Second)
 	w := r.Windows()[0]
 	if got := w.Values["degraded_seconds"]; got != 2 {
@@ -314,7 +313,7 @@ func TestSummaryAggregates(t *testing.T) {
 	reg.Counter("redirtied_chunks", nil).Add(5)
 	r.Observe(obs.Event{TUS: 1_000_000, Type: obs.EvFailure, Node: 0})
 	r.Observe(obs.Event{TUS: 2_000_000, Type: obs.EvRepairDone, Node: 0,
-		Attrs: map[string]string{"mttr_us": "1000000"}})
+		Attrs: obs.Attrs{obs.Int("mttr_us", 1000000)}})
 	r.Finalize(10 * time.Second)
 	sum := r.Summary()
 	if sum.PrecopyHitRate != 0.6 {
