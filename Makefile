@@ -31,7 +31,9 @@ fmt:
 # one internal publication path: emitters call Recorder.Log with typed
 # attributes, never the map-form Emit (or Observer.Emit with a built Event);
 # bench/e2e, a separate module pinned to the old surface, is the one
-# map-form caller left.
+# map-form caller left. A staged checkpoint payload is immutable and shared
+# by every tier, so the remote and PFS tiers hold it without copying: a
+# payload copy in their non-test code fails the lint.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -46,6 +48,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\.Emit\(obs\.Ev' . | grep -v -e '^\./internal/obs/' -e '^\./bench/e2e/' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "map-form event publication (use Recorder.Log with typed obs attributes):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'append\(\[\]byte\(nil\)|bytes\.Clone|slices\.Clone' internal/remote internal/pfs || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "payload copy in the remote or PFS tier (staged payloads are immutable; keep the slice):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -46,7 +46,9 @@ type CkptStats struct {
 // stageChunk copies one chunk's DRAM working data into its in-progress NVM
 // slot: a bandwidth-charged DRAM→NVM copy of the full virtual size, the real
 // payload stored durably, a cache flush, and re-arming of write protection.
-// rateCap > 0 throttles the copy (background pre-copy streams).
+// rateCap > 0 throttles the copy (background pre-copy streams). It is the one
+// place a version's payload bytes are created; the slice is never written
+// afterwards, so the buddy replica and the PFS hold it without copying.
 func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	target := c.targetSlot()
 	k := s.kproc.Kernel()
@@ -390,7 +392,9 @@ func (s *Store) Snapshot(p *sim.Proc) []ChunkState {
 // StagedData returns the payload most recently staged to NVM for a chunk
 // (the in-progress version if a stage is pending, otherwise the committed
 // one), for the remote helper to ship. ok is false when nothing was ever
-// staged.
+// staged. The slice is the stored payload itself, shared with every tier
+// that holds this version: callers read it or copy out of it, never write
+// it.
 func (s *Store) StagedData(p *sim.Proc, id uint64) ([]byte, bool) {
 	c, ok := s.chunks[id]
 	if !ok {

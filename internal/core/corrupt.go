@@ -31,17 +31,21 @@ func (v CorruptVictim) Key() string { return v.Proc + "/" + v.Chunk }
 // single byte of each victim gets a bit-flip (PCM media error); with
 // torn=true the payload's tail half is zeroed (a write torn by power loss).
 // Victims are chosen with rng over a sorted enumeration of processes and
-// metadata keys, so placement is reproducible under a fixed seed. Returns
-// the damaged chunks sorted by Key.
+// metadata keys, so placement is reproducible under a fixed seed. Damage is
+// copy-on-damage, never in place: each victim's payload is cloned, the clone
+// damaged and installed under the victim's slot key, so the buddy replica
+// and the PFS object sharing the original slice stay intact. Returns the
+// damaged chunks sorted by Key.
 func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) []CorruptVictim {
 	if max <= 0 {
 		max = 1
 	}
 	type victim struct {
-		proc string
-		id   string
-		rec  commitRecord
-		data []byte
+		proc    string
+		id      string
+		chunkID uint64
+		rec     commitRecord
+		data    []byte
 	}
 	var victims []victim
 	procs := k.ProcessNames()
@@ -72,7 +76,7 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 			if !ok || len(data) == 0 {
 				continue
 			}
-			victims = append(victims, victim{proc: proc, id: id, rec: rec, data: data})
+			victims = append(victims, victim{proc: proc, id: id, chunkID: chunkID, rec: rec, data: data})
 		}
 	}
 	// Sample without replacement: shuffle the candidate order, take max.
@@ -82,19 +86,23 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 	}
 	out := make([]CorruptVictim, 0, len(victims))
 	for _, v := range victims {
+		// Copy on damage: the stored payload is shared with the buddy
+		// replica and the PFS, which must keep the good bytes, so the
+		// damage goes into a clone installed under the same slot key.
+		data := append([]byte(nil), v.data...)
 		if torn {
-			for i := len(v.data) / 2; i < len(v.data); i++ {
-				v.data[i] = 0
+			for i := len(data) / 2; i < len(data); i++ {
+				data[i] = 0
 			}
 		} else {
-			v.data[rng.Intn(len(v.data))] ^= 1 << uint(rng.Intn(8))
+			data[rng.Intn(len(data))] ^= 1 << uint(rng.Intn(8))
 		}
-		// The mutation is in place, so a coincidental no-op (the pattern
-		// already held those bytes) would silently inject nothing; force a
-		// mismatch in that case.
-		if checksum(v.data, v.rec.Size) == v.rec.Checksum {
-			v.data[0] ^= 0xFF
+		// A coincidental no-op (the pattern already held those bytes) would
+		// silently inject nothing; force a mismatch in that case.
+		if checksum(data, v.rec.Size) == v.rec.Checksum {
+			data[0] ^= 0xFF
 		}
+		k.UpdateMeta(nil, v.proc, dataKeyOf(v.chunkID, v.rec.Slot), data)
 		name := v.rec.Name
 		if name == "" {
 			name = v.id

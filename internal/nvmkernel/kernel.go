@@ -284,6 +284,17 @@ func (k *Kernel) QueryMeta(p *sim.Proc, procName, key string) (any, bool) {
 	return v, ok
 }
 
+// UpdateMeta is QueryMeta's setter: it replaces a metadata value of a
+// process by name from outside that process (fault injection installs a
+// damaged payload this way). It is a no-op for a process with no persistent
+// state on this node.
+func (k *Kernel) UpdateMeta(p *sim.Proc, procName, key string, v any) {
+	k.syscall(p)
+	if ps, ok := k.store[procName]; ok {
+		ps.meta[key] = v
+	}
+}
+
 // ProcessNames lists processes with persistent state on this node.
 func (k *Kernel) ProcessNames() []string {
 	names := make([]string, 0, len(k.store))

@@ -305,6 +305,24 @@ func TestMetaSurvivesSoftResetSharedWithHelper(t *testing.T) {
 	e.Run()
 }
 
+func TestUpdateMetaReplacesValueOfKnownProcessOnly(t *testing.T) {
+	e := sim.NewEnv()
+	k := newTestKernel(e)
+	e.Go("app", func(p *sim.Proc) {
+		pr := k.Attach("rank0")
+		pr.SetMeta(p, "cdata/1/0", []byte{1})
+		k.UpdateMeta(p, "rank0", "cdata/1/0", []byte{2})
+		if v, _ := pr.GetMeta(p, "cdata/1/0"); v.([]byte)[0] != 2 {
+			t.Errorf("value after UpdateMeta = %v, want [2]", v)
+		}
+		k.UpdateMeta(p, "ghost", "cdata/1/0", []byte{3})
+		if names := k.ProcessNames(); len(names) != 1 {
+			t.Errorf("UpdateMeta on an unknown process created state: %v", names)
+		}
+	})
+	e.Run()
+}
+
 func TestRegionPagesRounding(t *testing.T) {
 	e := sim.NewEnv()
 	k := newTestKernel(e)

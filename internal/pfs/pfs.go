@@ -76,17 +76,20 @@ func New(env *sim.Env, aggregateBW, stripeBW float64) *FS {
 
 // Write stores (or replaces) a checkpoint object of the given virtual size
 // with the given payload bytes, blocking p while the data drains through the
-// shared ingest bandwidth under the per-client stripe cap.
+// shared ingest bandwidth under the per-client stripe cap. The object keeps
+// the caller's slice, not a copy: checkpoint payloads are immutable once
+// staged, so the caller must not write data afterwards.
 func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data []byte) {
 	f.ingest.TransferCapped(p, size, f.stripeBW)
 	f.objects[name] = &object{
 		size:    size,
 		version: version,
-		data:    append([]byte(nil), data...),
+		data:    data,
 	}
 }
 
 // Read fetches a checkpoint object's payload, blocking p for the transfer.
+// The returned slice is the stored one, shared and read-only.
 func (f *FS) Read(p *sim.Proc, name string) ([]byte, int64, uint64, error) {
 	obj, ok := f.objects[name]
 	if !ok {

@@ -94,9 +94,11 @@ type chunkKey struct {
 	id   uint64
 }
 
-// remoteChunk is the buddy-side two-version container.
+// remoteChunk is the buddy-side two-version container. Each version is the
+// staged payload slice itself, shared with the source node's NVM slot and
+// never written: a payload is immutable once core stages it.
 type remoteChunk struct {
-	name      string // chunk variable name, set at first ship
+	qname     string // "<proc>/<chunk>", set at first ship (see objName)
 	size      int64
 	versions  [2][]byte
 	seqs      [2]uint64
@@ -106,11 +108,12 @@ type remoteChunk struct {
 }
 
 // objName renders the cluster-wide object name, "<proc>/<chunk>", preferring
-// the variable name and falling back to the numeric id for copies that
-// predate naming.
-func objName(key chunkKey, rc *remoteChunk) string {
-	if rc.name != "" {
-		return key.proc + "/" + rc.name
+// the variable name and falling back to the numeric id for unnamed chunks.
+// It runs once per copy, at its first ship; every later use reads
+// remoteChunk.qname.
+func objName(key chunkKey, name string) string {
+	if name != "" {
+		return key.proc + "/" + name
 	}
 	return fmt.Sprintf("%s/%d", key.proc, key.id)
 }
@@ -242,7 +245,8 @@ func (m *Mesh) DropNode(node int) {
 // on srcNode, pulling it from the buddy across the fabric into srcNode's
 // NVM — the hard-failure recovery path. seq is the committed copy's staged
 // generation (for lineage); ok is false when the buddy holds no committed
-// version or is itself down.
+// version or is itself down. The returned slice is the shared, immutable
+// payload core staged: callers read it or copy out of it, never write it.
 func (m *Mesh) Fetch(p *sim.Proc, srcNode int, procName string, id uint64) ([]byte, int64, uint64, bool) {
 	a := m.agents[srcNode]
 	if a == nil || m.down[a.buddy] {
@@ -279,12 +283,12 @@ type CommittedObject struct {
 // deterministic (name) order.
 func (m *Mesh) CommittedList(holder int) []CommittedObject {
 	var out []CommittedObject
-	for key, rc := range m.data[holder] {
+	for _, rc := range m.data[holder] {
 		if rc.committed < 0 {
 			continue
 		}
 		out = append(out, CommittedObject{
-			Name:    objName(key, rc),
+			Name:    rc.qname,
 			Size:    rc.size,
 			Version: rc.seqs[rc.committed],
 		})
@@ -294,10 +298,11 @@ func (m *Mesh) CommittedList(holder int) []CommittedObject {
 }
 
 // CommittedData returns the committed payload of a named remote copy,
-// charging the holder's NVM read path.
+// charging the holder's NVM read path. Like Fetch, it returns the shared,
+// read-only staged slice.
 func (m *Mesh) CommittedData(p *sim.Proc, holder int, name string) ([]byte, bool) {
-	for key, rc := range m.data[holder] {
-		if rc.committed < 0 || objName(key, rc) != name {
+	for _, rc := range m.data[holder] {
+		if rc.committed < 0 || rc.qname != name {
 			continue
 		}
 		m.nvm[holder].ReadBytes(p, rc.size)
@@ -635,27 +640,16 @@ const HelperCPURate = 400e6 // bytes/sec
 
 // ship moves one chunk's staged payload to the buddy: local NVM read, RDMA
 // write across the fabric, buddy NVM write, and an in-progress version
-// update on the buddy. Only the helper's CPU work is metered — the RDMA
-// transfer itself is NIC DMA and costs wall time, not helper CPU.
+// update on the buddy. The transfer is charged in virtual time; the buddy's
+// version slot then holds the staged slice itself, not a copy of it. Only
+// the helper's CPU work is metered — the RDMA transfer itself is NIC DMA and
+// costs wall time, not helper CPU.
 func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 	key := chunkKey{store.Proc().Name(), st.ID}
 	data, ok := store.StagedData(p, st.ID)
 	if !ok {
 		return
 	}
-	shipStart := p.Now()
-	defer func() {
-		if a.cfg.Rec.SpansActive() {
-			a.cfg.Rec.Span("ship "+key.proc+"/"+st.Name, "remote",
-				helperLane, shipStart, p.Now()-shipStart,
-				map[string]string{"bytes": fmt.Sprintf("%d", st.Size)})
-		}
-		a.cfg.Rec.Log(obs.EvChunkShipped, key.proc+"/"+st.Name, st.Size,
-			obs.Int("buddy", int64(a.buddy)), obs.Int("seq", int64(st.CleanSeq)))
-	}()
-	a.Meter.Start(p.Now())
-	cpuStart := p.Now()
-
 	m := a.mesh
 	rc, exists := m.data[a.buddy][key]
 	if !exists {
@@ -664,9 +658,21 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 			panic(fmt.Sprintf("remote: buddy node %d NVM exhausted shipping %s/%d: %v",
 				a.buddy, key.proc, key.id, err))
 		}
-		rc = &remoteChunk{name: st.Name, size: st.Size, committed: -1}
+		rc = &remoteChunk{qname: objName(key, st.Name), size: st.Size, committed: -1}
 		m.data[a.buddy][key] = rc
 	}
+	shipStart := p.Now()
+	defer func() {
+		if a.cfg.Rec.SpansActive() {
+			a.cfg.Rec.Span("ship "+rc.qname, "remote",
+				helperLane, shipStart, p.Now()-shipStart,
+				map[string]string{"bytes": fmt.Sprintf("%d", st.Size)})
+		}
+		a.cfg.Rec.Log(obs.EvChunkShipped, rc.qname, st.Size,
+			obs.Int("buddy", int64(a.buddy)), obs.Int("seq", int64(st.CleanSeq)))
+	}()
+	a.Meter.Start(p.Now())
+	cpuStart := p.Now()
 
 	// Local NVM read of the staged chunk plus the helper's per-byte CPU
 	// work, padded up to the HelperCPURate budget.
@@ -687,7 +693,7 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 	if rc.committed == 0 {
 		slot = 1
 	}
-	rc.versions[slot] = append([]byte(nil), data...)
+	rc.versions[slot] = data
 	rc.seqs[slot] = st.CleanSeq
 	rc.sums[slot] = st.Checksum
 	if !rc.inflight {
@@ -730,7 +736,7 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 			rc.committed = 0
 		}
 		rc.inflight = false
-		flips = append(flips, flipped{objName(key, rc), rc.size, rc.seqs[rc.committed]})
+		flips = append(flips, flipped{rc.qname, rc.size, rc.seqs[rc.committed]})
 	}
 	m.inflight[a.buddy] = others
 	// Per-chunk commit events go out in name order, independent of the order
