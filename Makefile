@@ -33,7 +33,10 @@ fmt:
 # bench/e2e, a separate module pinned to the old surface, is the one
 # map-form caller left. A staged checkpoint payload is immutable and shared
 # by every tier, so the remote and PFS tiers hold it without copying: a
-# payload copy in their non-test code fails the lint.
+# payload copy in their non-test code fails the lint. core keeps its commit
+# records and version slots in the kernel's typed chunk table, keyed by chunk
+# ID: a named-metadata call or a "cmeta/"/"cdata/" key in its non-test code
+# fails the lint.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -53,6 +56,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'append\(\[\]byte\(nil\)|bytes\.Clone|slices\.Clone' internal/remote internal/pfs || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "payload copy in the remote or PFS tier (staged payloads are immutable; keep the slice):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'GetMeta|SetMeta|QueryMeta|UpdateMeta|MetaKeys|"c(meta|data)/' internal/core || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "string-keyed metadata in core (use the kernel's typed chunk table, Process.Chunks):"; \
 		echo "$$out"; exit 1; \
 	fi
 

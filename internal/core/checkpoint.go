@@ -1,32 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"time"
 
 	"nvmcp/internal/mem"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
 )
-
-// commitRecord is the per-chunk durable commit pointer kept in the kernel's
-// persistent metadata: which slot holds the committed version, its version
-// number, checksum, and size. The flip of this record is the atomic commit
-// point of a checkpoint.
-type commitRecord struct {
-	Slot     int
-	Version  uint64
-	Checksum uint64
-	Size     int64
-	// Seq is the modification-sequence generation the committed payload
-	// captured (the chunk's cleanSeq at commit) — the causal identity lineage
-	// tracing follows across tiers.
-	Seq uint64
-	// Name is the chunk's variable name, carried so post-mortem inspection
-	// (corruption injection, lineage) can name victims without a live Store.
-	Name string
-}
 
 // CkptStats summarizes one checkpoint operation.
 type CkptStats struct {
@@ -74,7 +58,7 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 		// commit record first so a crash mid-stage is detected rather
 		// than silently restoring torn data.
 		k.MetaLock.Lock(p)
-		s.kproc.SetMeta(p, c.metaKey(), nil)
+		s.kproc.Chunks().ClearCommit(p, c.ID)
 		k.MetaLock.Unlock(p)
 		c.committed = -1
 		invalidated = true
@@ -84,9 +68,10 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	} else {
 		mem.Copy(p, s.dramDevice(), s.nvmDevice(), c.Size)
 	}
-	data := append([]byte(nil), c.dram.Data...)
+	// Never nil, even for an empty payload: a nil slot reads as empty.
+	data := bytes.Clone(c.dram.Data)
 	k.MetaLock.Lock(p)
-	s.kproc.SetMeta(p, c.dataKey(target), data)
+	s.kproc.Chunks().SetSlot(p, c.ID, target, data)
 	k.MetaLock.Unlock(p)
 	// Flush processor caches before the data may be marked consistent.
 	p.Sleep(s.nvmDevice().FlushCost(c.Size))
@@ -204,7 +189,7 @@ func (s *Store) commitChunk(p *sim.Proc, c *Chunk) int {
 	k.MetaLock.Lock(p)
 	target := c.targetSlot()
 	c.Version++
-	s.kproc.SetMeta(p, c.metaKey(), commitRecord{
+	s.kproc.Chunks().SetCommit(p, c.ID, nvmkernel.CommitRecord{
 		Slot:     target,
 		Version:  c.Version,
 		Checksum: c.stagedSum,
@@ -228,22 +213,17 @@ func (s *Store) commitChunk(p *sim.Proc, c *Chunk) int {
 func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
-	v, ok := s.kproc.GetMeta(p, c.metaKey())
+	rec, ok := s.kproc.Chunks().Commit(p, c.ID)
 	k.MetaLock.Unlock(p)
-	if !ok || v == nil {
-		return nil
-	}
-	rec, ok := v.(commitRecord)
 	if !ok || rec.Size != c.Size {
 		return nil
 	}
 	k.MetaLock.Lock(p)
-	dv, ok := s.kproc.GetMeta(p, c.dataKey(rec.Slot))
+	data := s.kproc.Chunks().Slot(p, c.ID, rec.Slot)
 	k.MetaLock.Unlock(p)
-	if !ok || dv == nil {
+	if data == nil {
 		return fmt.Errorf("%w: %s has commit record but no data", ErrNoCommitted, c.Name)
 	}
-	data := dv.([]byte)
 	if s.opts.LazyRestore {
 		// Defer the data fetch: record where the committed bytes live and
 		// materialize on first access.
@@ -257,7 +237,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 				// Clear the damaged version's commit record and leave the
 				// chunk un-restored; the caller's cascade takes it from here.
 				k.MetaLock.Lock(p)
-				s.kproc.SetMeta(p, c.metaKey(), nil)
+				s.kproc.Chunks().ClearCommit(p, c.ID)
 				k.MetaLock.Unlock(p)
 				s.Counters[cRestoreChecksumErrors].Add(1)
 				s.rec.Log(obs.EvChecksumError, c.Name, c.Size,
@@ -350,13 +330,9 @@ func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data []byte, version uint64) 
 func (s *Store) HasCommitted(p *sim.Proc, name string) bool {
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
-	v, ok := s.kproc.GetMeta(p, metaKeyOf(GenID(name)))
+	_, ok := s.kproc.Chunks().Commit(p, GenID(name))
 	k.MetaLock.Unlock(p)
-	if !ok || v == nil {
-		return false
-	}
-	_, isRec := v.(commitRecord)
-	return isRec
+	return ok
 }
 
 // ChunkState is a helper-visible snapshot of one chunk's checkpoint state.
@@ -409,12 +385,9 @@ func (s *Store) StagedData(p *sim.Proc, id uint64) ([]byte, bool) {
 	}
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
-	v, ok := s.kproc.GetMeta(p, c.dataKey(slot))
+	data := s.kproc.Chunks().Slot(p, c.ID, slot)
 	k.MetaLock.Unlock(p)
-	if !ok || v == nil {
-		return nil, false
-	}
-	return v.([]byte), true
+	return data, data != nil
 }
 
 // ContentChecksum digests every persistent chunk's working payload in

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"strconv"
 
 	"nvmcp/internal/nvmalloc"
 	"nvmcp/internal/nvmkernel"
@@ -40,11 +39,6 @@ type Chunk struct {
 	// allocSeq is the chunk's place in its store's allocation order (see
 	// AllocSeq).
 	allocSeq int
-	// metaK and dataK cache the chunk's kernel metadata keys, formatted once
-	// at creation: every stage, commit and ship looks them up, and they
-	// never change.
-	metaK string
-	dataK [2]string
 
 	modSeq       uint64
 	cleanSeq     uint64
@@ -73,20 +67,7 @@ func (c *Chunk) targetSlot() int {
 	return 0
 }
 
-// Kernel metadata keys: a chunk's commit record lives under "cmeta/<id>" and
-// its version slots under "cdata/<id>/<slot>", with <id> in decimal. These
-// helpers are the one definition of both formats.
-const metaKeyPrefix = "cmeta/"
-
-func metaKeyOf(id uint64) string { return metaKeyPrefix + strconv.FormatUint(id, 10) }
-
-func dataKeyOf(id uint64, slot int) string {
-	return "cdata/" + strconv.FormatUint(id, 10) + "/" + strconv.Itoa(slot)
-}
-
-func (c *Chunk) dramID() string          { return fmt.Sprintf("work/%d", c.ID) }
-func (c *Chunk) metaKey() string         { return c.metaK }
-func (c *Chunk) dataKey(slot int) string { return c.dataK[slot] }
+func (c *Chunk) dramID() string { return fmt.Sprintf("work/%d", c.ID) }
 
 // AllocSeq returns the chunk's place in its store's allocation order: 1 for
 // the first chunk the store ever held, rising with each allocation and never

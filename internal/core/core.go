@@ -158,7 +158,7 @@ func NewStore(kproc *nvmkernel.Process, opts Options) *Store {
 	// A restarted process re-initializes its NVM heap: stale heap regions
 	// from the previous incarnation are unmapped (their capacity would
 	// otherwise leak), while checkpoint data and commit records live in the
-	// kernel's persistent metadata and survive untouched.
+	// kernel's persistent chunk table and survive untouched.
 	for _, id := range kproc.NVMRegions() {
 		if strings.HasPrefix(id, "ckpt-heap/") {
 			_ = kproc.NVMUnmap(nil, id)
@@ -365,9 +365,9 @@ func (s *Store) NVDelete(p *sim.Proc, c *Chunk) error {
 	}
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
-	s.kproc.SetMeta(p, c.metaKey(), nil)
+	s.kproc.Chunks().ClearCommit(p, c.ID)
 	for i := 0; i < c.slots(); i++ {
-		s.kproc.SetMeta(p, c.dataKey(i), nil)
+		s.kproc.Chunks().SetSlot(p, c.ID, i, nil)
 	}
 	k.MetaLock.Unlock(p)
 	return nil
@@ -384,10 +384,6 @@ func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persis
 		Attached:   attached,
 		store:      s,
 		committed:  -1,
-		metaK:      metaKeyOf(id),
-	}
-	for i := 0; i < c.slots(); i++ {
-		c.dataK[i] = dataKeyOf(id, i)
 	}
 	dram, err := s.kproc.DRAMAlloc(c.dramID(), size, s.payloadLen(size))
 	if err != nil {

@@ -4,14 +4,13 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
 	"nvmcp/internal/nvmkernel"
 )
 
 // CorruptVictim identifies one committed chunk payload damaged by
 // CorruptCommitted: which process held it, the chunk's variable name (falling
-// back to the numeric metadata id for records that predate names), and the
+// back to the decimal chunk id for records that predate names), and the
 // committed generation's sequence and version — enough for lineage tracing
 // to mark exactly which copy went bad.
 type CorruptVictim struct {
@@ -31,9 +30,9 @@ func (v CorruptVictim) Key() string { return v.Proc + "/" + v.Chunk }
 // single byte of each victim gets a bit-flip (PCM media error); with
 // torn=true the payload's tail half is zeroed (a write torn by power loss).
 // Victims are chosen with rng over a sorted enumeration of processes and
-// metadata keys, so placement is reproducible under a fixed seed. Damage is
+// chunk ids, so placement is reproducible under a fixed seed. Damage is
 // copy-on-damage, never in place: each victim's payload is cloned, the clone
-// damaged and installed under the victim's slot key, so the buddy replica
+// damaged and installed in the victim's version slot, so the buddy replica
 // and the PFS object sharing the original slice stay intact. Returns the
 // damaged chunks sorted by Key.
 func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) []CorruptVictim {
@@ -41,42 +40,31 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 		max = 1
 	}
 	type victim struct {
-		proc    string
-		id      string
-		chunkID uint64
-		rec     commitRecord
-		data    []byte
+		proc string
+		id   uint64
+		rec  nvmkernel.CommitRecord
+		data []byte
 	}
 	var victims []victim
 	procs := k.ProcessNames()
 	sort.Strings(procs)
 	for _, proc := range procs {
-		for _, key := range k.MetaKeys(proc) {
-			id, ok := strings.CutPrefix(key, metaKeyPrefix)
+		t := k.Chunks(proc)
+		// Chunk ids in decimal-string order, the order the seeded shuffle
+		// below is pinned to: numeric order would damage different chunks
+		// under the same seed.
+		ids := t.IDs()
+		sort.Slice(ids, func(i, j int) bool {
+			return strconv.FormatUint(ids[i], 10) < strconv.FormatUint(ids[j], 10)
+		})
+		for _, id := range ids {
+			rec, ok := t.Commit(nil, id)
 			if !ok {
 				continue
 			}
-			chunkID, err := strconv.ParseUint(id, 10, 64)
-			if err != nil {
-				continue
+			if data := t.Slot(nil, id, rec.Slot); len(data) > 0 {
+				victims = append(victims, victim{proc: proc, id: id, rec: rec, data: data})
 			}
-			v, ok := k.QueryMeta(nil, proc, key)
-			if !ok || v == nil {
-				continue
-			}
-			rec, ok := v.(commitRecord)
-			if !ok {
-				continue
-			}
-			dv, ok := k.QueryMeta(nil, proc, dataKeyOf(chunkID, rec.Slot))
-			if !ok || dv == nil {
-				continue
-			}
-			data, ok := dv.([]byte)
-			if !ok || len(data) == 0 {
-				continue
-			}
-			victims = append(victims, victim{proc: proc, id: id, chunkID: chunkID, rec: rec, data: data})
 		}
 	}
 	// Sample without replacement: shuffle the candidate order, take max.
@@ -88,7 +76,7 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 	for _, v := range victims {
 		// Copy on damage: the stored payload is shared with the buddy
 		// replica and the PFS, which must keep the good bytes, so the
-		// damage goes into a clone installed under the same slot key.
+		// damage goes into a clone installed in the same slot.
 		data := append([]byte(nil), v.data...)
 		if torn {
 			for i := len(data) / 2; i < len(data); i++ {
@@ -102,10 +90,10 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 		if checksum(data, v.rec.Size) == v.rec.Checksum {
 			data[0] ^= 0xFF
 		}
-		k.UpdateMeta(nil, v.proc, dataKeyOf(v.chunkID, v.rec.Slot), data)
+		k.Chunks(v.proc).SetSlot(nil, v.id, v.rec.Slot, data)
 		name := v.rec.Name
 		if name == "" {
-			name = v.id
+			name = strconv.FormatUint(v.id, 10)
 		}
 		out = append(out, CorruptVictim{
 			Proc:    v.proc,

@@ -4,7 +4,9 @@
 // with chunk-granularity write protection and fault delivery, per-page
 // 'nvdirty' bits (the paper's optimization that lets the remote-checkpoint
 // helper find dirty NVM pages without protection faults), cache-flush-before-
-// commit, and a persistent metadata store that survives process restarts and
+// commit, and the per-process persistent metadata of Section V: a ChunkTable
+// of typed chunk records keyed by chunk ID (a commit record and two version
+// slots each), beside a few named values. Both survive process restarts and
 // node reboots (soft failures) but not hard node failures.
 //
 // Cost accounting follows the paper's split: control-path costs (user↔kernel
@@ -16,7 +18,6 @@ package nvmkernel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"nvmcp/internal/mem"
@@ -89,6 +90,7 @@ type Kernel struct {
 type procStore struct {
 	regions map[string]*Region
 	meta    map[string]any
+	chunks  *ChunkTable
 }
 
 // New builds a kernel managing the given devices.
@@ -125,7 +127,8 @@ func (k *Kernel) Attach(name string) *Process {
 	}
 	ps, ok := k.store[name]
 	if !ok {
-		ps = &procStore{regions: make(map[string]*Region), meta: make(map[string]any)}
+		chunks := &ChunkTable{k: k, recs: make(map[uint64]chunkRecord)}
+		ps = &procStore{regions: make(map[string]*Region), meta: make(map[string]any), chunks: chunks}
 		k.store[name] = ps
 	}
 	proc := &Process{k: k, name: name, store: ps, dram: make(map[string]*Region)}
@@ -257,8 +260,8 @@ func (pr *Process) DRAMFree(id string) error {
 }
 
 // SetMeta stores a named metadata value in the process's persistent NVM
-// metadata area (the per-process metadata structure of Section V). Callers
-// must hold MetaLock when the helper may be reading concurrently.
+// metadata area. Callers must hold MetaLock when the helper may be reading
+// concurrently.
 func (pr *Process) SetMeta(p *sim.Proc, key string, v any) {
 	pr.k.syscall(p)
 	pr.store.meta[key] = v
@@ -271,28 +274,18 @@ func (pr *Process) GetMeta(p *sim.Proc, key string) (any, bool) {
 	return v, ok
 }
 
-// QueryMeta lets another process (the checkpoint helper) load a process's
-// metadata by name — the paper's "system interface which loads the entire
-// metadata structure to the [helper] process address space".
-func (k *Kernel) QueryMeta(p *sim.Proc, procName, key string) (any, bool) {
-	k.syscall(p)
-	ps, ok := k.store[procName]
-	if !ok {
-		return nil, false
-	}
-	v, ok := ps.meta[key]
-	return v, ok
-}
+// Chunks returns the process's persistent chunk table.
+func (pr *Process) Chunks() *ChunkTable { return pr.store.chunks }
 
-// UpdateMeta is QueryMeta's setter: it replaces a metadata value of a
-// process by name from outside that process (fault injection installs a
-// damaged payload this way). It is a no-op for a process with no persistent
-// state on this node.
-func (k *Kernel) UpdateMeta(p *sim.Proc, procName, key string, v any) {
-	k.syscall(p)
+// Chunks lets another process (the checkpoint helper, or fault injection)
+// reach a process's chunk table by name — the paper's "system interface
+// which loads the entire metadata structure to the [helper] process address
+// space". It is nil for a process with no persistent state on this node.
+func (k *Kernel) Chunks(procName string) *ChunkTable {
 	if ps, ok := k.store[procName]; ok {
-		ps.meta[key] = v
+		return ps.chunks
 	}
+	return nil
 }
 
 // ProcessNames lists processes with persistent state on this node.
@@ -304,18 +297,86 @@ func (k *Kernel) ProcessNames() []string {
 	return names
 }
 
-// MetaKeys returns a process's persistent metadata keys in sorted order —
-// the deterministic enumeration fault injection walks to pick victims.
-// Unknown processes yield nil.
-func (k *Kernel) MetaKeys(procName string) []string {
-	ps, ok := k.store[procName]
-	if !ok {
-		return nil
+// CommitRecord is a chunk's durable commit pointer: which version slot holds
+// the committed payload, its version number, checksum and size. Writing it is
+// the atomic commit point of a checkpoint.
+type CommitRecord struct {
+	Slot     int
+	Version  uint64
+	Checksum uint64
+	Size     int64
+	// Seq is the modification-sequence generation the committed payload
+	// captured — the causal identity lineage tracing follows across tiers.
+	Seq uint64
+	// Name is the chunk's variable name, carried so post-mortem inspection
+	// (corruption injection, lineage) can name victims without a live store.
+	Name string
+}
+
+// ChunkTable is a process's persistent per-chunk metadata, keyed by chunk ID
+// (Section V's metadata structure). Every access but IDs is one syscall;
+// callers hold MetaLock when the helper may be reading concurrently.
+type ChunkTable struct {
+	k    *Kernel
+	recs map[uint64]chunkRecord
+}
+
+type chunkRecord struct {
+	commit CommitRecord
+	// live is false before the first commit and after a clear; written
+	// stays true once the commit record was written or cleared at all.
+	live, written bool
+	slots         [2][]byte // version payloads; nil is an empty slot
+}
+
+// Commit loads chunk id's commit record; ok is false if none is live.
+func (t *ChunkTable) Commit(p *sim.Proc, id uint64) (CommitRecord, bool) {
+	t.k.syscall(p)
+	r := t.recs[id]
+	return r.commit, r.live
+}
+
+// SetCommit writes chunk id's commit record: the atomic commit flip.
+func (t *ChunkTable) SetCommit(p *sim.Proc, id uint64, rec CommitRecord) {
+	t.setCommit(p, id, rec, true)
+}
+
+// ClearCommit invalidates chunk id's commit record: no version of the chunk
+// restores until the next SetCommit.
+func (t *ChunkTable) ClearCommit(p *sim.Proc, id uint64) {
+	t.setCommit(p, id, CommitRecord{}, false)
+}
+
+func (t *ChunkTable) setCommit(p *sim.Proc, id uint64, rec CommitRecord, live bool) {
+	t.k.syscall(p)
+	r := t.recs[id]
+	r.commit, r.live, r.written = rec, live, true
+	t.recs[id] = r
+}
+
+// Slot loads the payload in a version slot of chunk id, nil if it is empty.
+func (t *ChunkTable) Slot(p *sim.Proc, id uint64, slot int) []byte {
+	t.k.syscall(p)
+	return t.recs[id].slots[slot]
+}
+
+// SetSlot stores data, not a copy of it, as the payload in a version slot of
+// chunk id; nil empties the slot.
+func (t *ChunkTable) SetSlot(p *sim.Proc, id uint64, slot int, data []byte) {
+	t.k.syscall(p)
+	r := t.recs[id]
+	r.slots[slot] = data
+	t.recs[id] = r
+}
+
+// IDs lists, in no particular order, the chunks whose commit record was
+// ever written, live or cleared.
+func (t *ChunkTable) IDs() []uint64 {
+	ids := make([]uint64, 0, len(t.recs))
+	for id, r := range t.recs {
+		if r.written {
+			ids = append(ids, id)
+		}
 	}
-	keys := make([]string, 0, len(ps.meta))
-	for key := range ps.meta {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
+	return ids
 }

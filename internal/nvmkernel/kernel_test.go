@@ -2,6 +2,7 @@ package nvmkernel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,10 +146,14 @@ func TestHardFailWipesNVM(t *testing.T) {
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
 		pr.NVMMap(p, "ckpt", 10*mem.MB, 32)
+		pr.Chunks().SetCommit(p, 7, CommitRecord{Version: 1})
 		k.HardFail()
 		pr2 := k.Attach("rank0")
 		if _, existed, _ := pr2.NVMMap(p, "ckpt", 10*mem.MB, 32); existed {
 			t.Error("NVM region survived hard failure")
+		}
+		if _, ok := pr2.Chunks().Commit(p, 7); ok || len(pr2.Chunks().IDs()) != 0 {
+			t.Error("chunk table survived hard failure")
 		}
 	})
 	e.Run()
@@ -270,57 +275,91 @@ func TestNVDirtyBitsCollectAndClear(t *testing.T) {
 	e.Run()
 }
 
-func TestMetaSurvivesSoftResetSharedWithHelper(t *testing.T) {
+func TestChunkTableSurvivesSoftResetSharedWithHelper(t *testing.T) {
 	e := sim.NewEnv()
 	k := newTestKernel(e)
+	want := CommitRecord{Slot: 1, Version: 3, Checksum: 9, Size: 64, Seq: 5, Name: "field"}
 	e.Go("app", func(p *sim.Proc) {
-		pr := k.Attach("rank0")
+		tab := k.Attach("rank0").Chunks()
 		k.MetaLock.Lock(p)
-		pr.SetMeta(p, "chunktable", []string{"a", "b"})
+		tab.SetSlot(p, 7, 1, []byte{0xAB})
+		tab.SetCommit(p, 7, want)
 		k.MetaLock.Unlock(p)
 	})
-	var helperSaw []string
 	e.Go("helper", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		k.MetaLock.Lock(p)
-		v, ok := k.QueryMeta(p, "rank0", "chunktable")
-		k.MetaLock.Unlock(p)
-		if !ok {
-			t.Error("helper could not load metadata")
-			return
+		defer k.MetaLock.Unlock(p)
+		tab := k.Chunks("rank0")
+		if rec, ok := tab.Commit(p, 7); !ok || rec != want {
+			t.Errorf("helper loaded commit record %+v (ok=%v), want %+v", rec, ok, want)
 		}
-		helperSaw = v.([]string)
+		if data := tab.Slot(p, 7, 1); len(data) != 1 || data[0] != 0xAB {
+			t.Errorf("helper loaded slot %v", data)
+		}
 	})
 	e.Run()
-	if len(helperSaw) != 2 || helperSaw[0] != "a" {
-		t.Fatalf("helper saw %v", helperSaw)
-	}
 	k.SoftReset()
 	e.Go("restarted", func(p *sim.Proc) {
-		pr := k.Attach("rank0")
-		if _, ok := pr.GetMeta(p, "chunktable"); !ok {
-			t.Error("metadata lost across soft reset")
+		tab := k.Attach("rank0").Chunks()
+		if rec, ok := tab.Commit(p, 7); !ok || rec != want {
+			t.Errorf("commit record after soft reset = %+v (ok=%v)", rec, ok)
+		}
+		if tab.Slot(p, 7, 1) == nil {
+			t.Error("version slot lost across soft reset")
 		}
 	})
 	e.Run()
 }
 
-func TestUpdateMetaReplacesValueOfKnownProcessOnly(t *testing.T) {
+func TestChunkTableOfUnknownProcessCreatesNoState(t *testing.T) {
 	e := sim.NewEnv()
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
-		pr := k.Attach("rank0")
-		pr.SetMeta(p, "cdata/1/0", []byte{1})
-		k.UpdateMeta(p, "rank0", "cdata/1/0", []byte{2})
-		if v, _ := pr.GetMeta(p, "cdata/1/0"); v.([]byte)[0] != 2 {
-			t.Errorf("value after UpdateMeta = %v, want [2]", v)
+		k.Attach("rank0").Chunks().SetSlot(p, 1, 0, []byte{1})
+		k.Chunks("rank0").SetSlot(p, 1, 0, []byte{2})
+		if data := k.Attach("rank1").Chunks().Slot(p, 1, 0); data != nil {
+			t.Errorf("rank1 sees rank0's slot: %v", data)
 		}
-		k.UpdateMeta(p, "ghost", "cdata/1/0", []byte{3})
-		if names := k.ProcessNames(); len(names) != 1 {
-			t.Errorf("UpdateMeta on an unknown process created state: %v", names)
+		if data := k.Chunks("rank0").Slot(p, 1, 0); data[0] != 2 {
+			t.Errorf("slot after an outside SetSlot = %v, want [2]", data)
 		}
 	})
 	e.Run()
+	if tab := k.Chunks("ghost"); tab != nil {
+		t.Error("an unknown process has a chunk table")
+	}
+	if names := k.ProcessNames(); len(names) != 2 {
+		t.Errorf("looking up an unknown process created state: %v", names)
+	}
+}
+
+func TestChunkTableIDsListWrittenCommitRecords(t *testing.T) {
+	e := sim.NewEnv()
+	k := newTestKernel(e)
+	e.Go("app", func(p *sim.Proc) {
+		tab := k.Attach("rank0").Chunks()
+		tab.SetSlot(p, 1, 0, []byte{1}) // staged only: no commit record
+		tab.SetCommit(p, 30, CommitRecord{Version: 1})
+		tab.SetCommit(p, 20, CommitRecord{Version: 1})
+		tab.ClearCommit(p, 20)
+		tab.ClearCommit(p, 10) // a cleared record is still a written one
+		if _, ok := tab.Commit(p, 20); ok {
+			t.Error("cleared commit record still live")
+		}
+		if tab.Slot(p, 1, 1) != nil {
+			t.Error("empty slot holds a payload")
+		}
+		ids := tab.IDs()
+		slices.Sort(ids)
+		if !slices.Equal(ids, []uint64{10, 20, 30}) {
+			t.Errorf("IDs = %v, want [10 20 30]", ids)
+		}
+	})
+	e.Run()
+	if k.Syscalls != 7 {
+		t.Errorf("syscalls = %d, want one per access (7)", k.Syscalls)
+	}
 }
 
 func TestRegionPagesRounding(t *testing.T) {
