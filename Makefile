@@ -98,14 +98,16 @@ faults:
 # determinism suite rides along: byte-identical artifacts at any GOMAXPROCS
 # is an invariant of the partitioned engine. The behaviour golden pins every
 # tiny preset's event stream, RunReport and checksum, so a pure performance
-# change must leave testdata/behaviour.golden.json untouched; the experiments
+# change must leave testdata/behaviour.golden.json untouched; the trace golden
+# pins the same presets' Chrome traces (plus one run with quiesce spans) in
+# testdata/trace.golden.json; the experiments
 # golden does the same for the quick-scale result of every paper experiment
 # in the experiments.All table but fleet. Last, every paper experiment runs at
 # GOMAXPROCS 1 and 4: the host's width must not change a printed figure
 # (wall-clock "completed in" lines aside).
 invariants:
 	$(GO) test -race ./internal/lineage/ ./internal/introspect/
-	$(GO) test -race -run 'TestShardDeterminism|TestBehaviourGolden' ./internal/cluster/
+	$(GO) test -race -run 'TestShardDeterminism|TestBehaviourGolden|TestTraceGolden' ./internal/cluster/
 	$(GO) test -race -run TestQuickGolden ./internal/experiments/
 	$(GO) run ./cmd/nvmcp-sim -preset faults -scale tiny -invariants
 	$(GO) run ./cmd/nvmcp-sim -scenario docs/scenarios/zone-outage.json -invariants

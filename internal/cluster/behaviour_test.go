@@ -14,7 +14,7 @@ import (
 	"nvmcp/internal/scenario"
 )
 
-var updateBehaviour = flag.Bool("update", false, "rewrite testdata/behaviour.golden.json")
+var updateBehaviour = flag.Bool("update", false, "rewrite the testdata golden files of the tests that run")
 
 // behaviourGolden is the checked-in fingerprint of what the simulator does,
 // one entry per preset run at tiny scale.
