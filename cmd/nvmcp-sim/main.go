@@ -204,10 +204,6 @@ func main() {
 	if *shardsFlag != 0 {
 		cfg.Shards = *shardsFlag
 	}
-	if *traceOut != "" && cfg.Tracer == nil {
-		// Only runs that render a timeline pay for span recording.
-		cfg.Tracer = obs.NewSpanRecorder()
-	}
 	queried := *chunkKey != "" || *tierName != "" || *violations || *whyQuery != ""
 	if *lineageOn || *invariants || queried {
 		cfg.Lineage = &lineage.Config{Enabled: true, Strict: *invariants}
@@ -242,6 +238,11 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
 		os.Exit(2)
+	}
+	// Only runs that render a timeline attach the trace tap.
+	var trace *cluster.ChromeTrace
+	if *traceOut != "" {
+		trace = c.ChromeTrace()
 	}
 	var status atomic.Value
 	status.Store("running")
@@ -390,7 +391,7 @@ func main() {
 
 	writeArtifact(*eventsOut, "events", c.Obs.WriteEventsJSONL)
 	writeArtifact(*metricsOut, "metrics", c.Obs.Registry().WriteProm)
-	writeArtifact(*traceOut, "trace", c.Obs.Spans().WriteChrome)
+	writeArtifact(*traceOut, "trace", trace.WriteChrome)
 	writeArtifact(*reportOut, "report", func(w io.Writer) error {
 		rep := c.Obs.BuildReport("nvmcp-sim", cfg, res)
 		if c.Lineage != nil {

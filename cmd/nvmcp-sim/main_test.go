@@ -122,6 +122,30 @@ func TestSweepHonoursDriftStrict(t *testing.T) {
 	}
 }
 
+// TestReportIndependentOfTrace: rendering the Chrome timeline is a sink,
+// not a setting, so -report-out writes the same bytes with and without
+// -trace-out.
+func TestReportIndependentOfTrace(t *testing.T) {
+	dir := t.TempDir()
+	report := func(args ...string) []byte {
+		path := filepath.Join(dir, fmt.Sprintf("report%d.json", len(args)))
+		args = append([]string{"-preset", "faults", "-scale", "tiny", "-report-out", path}, args...)
+		if out, err := exec.Command(simBinary(t), args...).CombinedOutput(); err != nil {
+			t.Fatalf("run %v: %v\n%s", args, err, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := report()
+	traced := report("-trace-out", filepath.Join(dir, "trace.json"))
+	if string(plain) != string(traced) {
+		t.Fatalf("-report-out differs with -trace-out (%d vs %d bytes)", len(plain), len(traced))
+	}
+}
+
 // TestProfileFlags holds -cpuprofile and -memprofile to their promise: each
 // writes a non-empty gzip-compressed pprof profile of the run.
 func TestProfileFlags(t *testing.T) {

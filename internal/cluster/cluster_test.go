@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nvmcp/internal/mem"
-	"nvmcp/internal/obs"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/workload"
 )
@@ -210,18 +209,8 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	cfg.Remote = "buddy-burst"
 	cfg.RemoteEvery = 1
 	cfg.Failures = []FailureEvent{{After: 3 * time.Second, Node: 0}}
-	rec := obs.NewSpanRecorder()
-	cfg.Tracer = rec
-	MustRun(cfg)
-	if rec.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	var sb strings.Builder
-	if err := rec.WriteChrome(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"iter 0"`, `"local ckpt"`, `"remote trigger"`, `"soft failure"`, `"ship `} {
+	out := string(chromeTrace(t, cfg))
+	for _, want := range []string{`"iter 0"`, `"local ckpt"`, `"remote trigger"`, `"soft failure"`, `"ship `, `"node1"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %s", want)
 		}

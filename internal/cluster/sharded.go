@@ -44,8 +44,10 @@ func (se *shardEngine) shardOf(n int) *Cluster {
 // so anything with global coupling pins the run to one engine: failure
 // injection (faults broadcast a kill to every rank), a bottom tier (one
 // shared file system), a remote policy whose data flows cross groups, and
-// the whole-run bus consumers (lineage, SLO, span tracing) that need one
-// globally ordered stream *during* the run rather than after the merge.
+// the whole-run bus consumers (lineage, SLO) that need one globally ordered
+// stream *during* the run rather than after the merge. The Chrome trace is
+// not one of them: its tap reads per-rank and per-helper intervals only, so
+// each shard's observer carries its own (Cluster.ChromeTrace).
 func shardBlocker(cfg *Config) string {
 	if len(cfg.Failures) > 0 || cfg.FaultModel != nil {
 		return "failure injection broadcasts across the whole cluster"
@@ -61,9 +63,6 @@ func shardBlocker(cfg *Config) string {
 	}
 	if cfg.SLO != nil && cfg.SLO.Enabled {
 		return "SLO recording needs one live globally-ordered event bus"
-	}
-	if cfg.Tracer != nil {
-		return "span tracing records into one externally-owned recorder"
 	}
 	if cfg.Control != nil {
 		return "external control hooks couple the whole cluster to one controller"

@@ -143,7 +143,7 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 	s.Counters[cChunksCopied].Add(int64(st.ChunksCopied))
 	s.Counters[cChunksSkipped].Add(int64(st.ChunksSkipped))
 	s.Counters[cCommits].Add(1)
-	s.rec.Log(obs.EvCheckpointCommit, "", st.BytesCopied,
+	s.rec.LogSpan(start, obs.EvCheckpointCommit, "", st.BytesCopied,
 		obs.Int("round", int64(round)),
 		obs.Int("copied", int64(st.ChunksCopied)),
 		obs.Int("skipped", int64(st.ChunksSkipped)),

@@ -5,18 +5,17 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // decodeChrome round-trips WriteChrome output through encoding/json.
-func decodeChrome(t *testing.T, r *SpanRecorder) []chromeEvent {
+func decodeChrome(t *testing.T, rows []ChromeEvent, names map[int]string) []ChromeEvent {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, rows, names); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		TraceEvents []ChromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
@@ -25,12 +24,12 @@ func decodeChrome(t *testing.T, r *SpanRecorder) []chromeEvent {
 }
 
 func TestWriteChromeRoundTrip(t *testing.T) {
-	r := NewSpanRecorder()
-	r.Span("iter 0", "compute", 1, 2, 30*time.Second, 10*time.Second,
-		map[string]string{"k": "v"})
-	r.Instant("remote trigger", "remote", 1, 2, 45*time.Second, nil)
-
-	events := decodeChrome(t, r)
+	rows := []ChromeEvent{
+		{Name: "iter 0", Cat: "compute", Phase: "X", TS: 30_000_000, Dur: 10_000_000,
+			PID: 1, TID: 2, Args: map[string]string{"k": "v"}},
+		{Name: "remote trigger", Cat: "remote", Phase: "i", TS: 45_000_000, PID: 1, TID: 2},
+	}
+	events := decodeChrome(t, rows, nil)
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2", len(events))
 	}
@@ -42,7 +41,7 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 		t.Fatalf("span pid/tid = %d/%d, want 1/2", span.PID, span.TID)
 	}
 	if span.TS != 30_000_000 || span.Dur != 10_000_000 {
-		t.Fatalf("span timestamps not in microseconds: ts=%d dur=%d", span.TS, span.Dur)
+		t.Fatalf("span timestamps mangled: ts=%d dur=%d", span.TS, span.Dur)
 	}
 	if span.Args["k"] != "v" {
 		t.Fatalf("span args lost: %v", span.Args)
@@ -54,13 +53,14 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 }
 
 func TestWriteChromeOrdering(t *testing.T) {
-	r := NewSpanRecorder()
-	// Record deliberately out of time order; the writer must sort by TS.
-	r.Span("late", "c", 0, 0, 20*time.Second, time.Second, nil)
-	r.Span("early", "c", 0, 0, 5*time.Second, time.Second, nil)
-	r.Instant("mid", "c", 0, 0, 10*time.Second, nil)
-
-	events := decodeChrome(t, r)
+	// Recorded deliberately out of time order; the writer must sort by TS
+	// and leave the caller's rows as they were.
+	rows := []ChromeEvent{
+		{Name: "late", Cat: "c", Phase: "X", TS: 20_000_000, Dur: 1_000_000},
+		{Name: "early", Cat: "c", Phase: "X", TS: 5_000_000, Dur: 1_000_000},
+		{Name: "mid", Cat: "c", Phase: "i", TS: 10_000_000},
+	}
+	events := decodeChrome(t, rows, nil)
 	var last int64 = -1
 	for _, ev := range events {
 		if ev.TS < last {
@@ -71,16 +71,15 @@ func TestWriteChromeOrdering(t *testing.T) {
 	if events[0].Name != "early" || events[2].Name != "late" {
 		t.Fatalf("unexpected order: %q, %q, %q", events[0].Name, events[1].Name, events[2].Name)
 	}
+	if rows[0].Name != "late" {
+		t.Fatal("WriteChrome reordered the caller's rows")
+	}
 }
 
 func TestWriteChromePIDNaming(t *testing.T) {
-	r := NewSpanRecorder()
-	r.NameProcess(3, "node3")
-	r.NameProcess(0, "node0")
-	r.Span("work", "c", 3, 1, time.Second, time.Second, nil)
-
-	events := decodeChrome(t, r)
-	var metas []chromeEvent
+	rows := []ChromeEvent{{Name: "work", Cat: "c", Phase: "X", TS: 1_000_000, Dur: 1_000_000, PID: 3, TID: 1}}
+	events := decodeChrome(t, rows, map[int]string{3: "node3", 0: "node0"})
+	var metas []ChromeEvent
 	for _, ev := range events {
 		if ev.Phase == "M" {
 			metas = append(metas, ev)
@@ -104,59 +103,32 @@ func TestWriteChromePIDNaming(t *testing.T) {
 }
 
 func TestWriteChromeEmpty(t *testing.T) {
-	events := decodeChrome(t, NewSpanRecorder())
+	events := decodeChrome(t, nil, nil)
 	if len(events) != 0 {
-		t.Fatalf("empty recorder produced %d events", len(events))
+		t.Fatalf("empty trace produced %d events", len(events))
 	}
 }
 
-func TestSpanRecorderChromeOutput(t *testing.T) {
-	r := NewSpanRecorder()
-	r.NameProcess(0, "node0")
-	r.Span("iter 0", "compute", 0, 1, 2*time.Second, time.Second, nil)
-	r.Instant("failure", "failure", 0, 0, 5*time.Second, map[string]string{"kind": "soft"})
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+// TestWriteChromeOutput pins the wire form: one object per row, span
+// timestamps and durations as JSON numbers, metadata rows last among equal
+// timestamps, and the whole array time-ordered.
+func TestWriteChromeOutput(t *testing.T) {
+	rows := []ChromeEvent{
+		{Name: "iter 0", Cat: "compute", Phase: "X", TS: 2_000_000, Dur: 1_000_000, PID: 0, TID: 1},
+		{Name: "failure", Cat: "failure", Phase: "i", TS: 5_000_000, Args: map[string]string{"kind": "soft"}},
+		{Name: "start", Cat: "c", Phase: "i", TS: 0, PID: 0, TID: 1},
 	}
 	var sb strings.Builder
-	if err := r.WriteChrome(&sb); err != nil {
+	if err := WriteChrome(&sb, rows, map[int]string{0: "node0"}); err != nil {
 		t.Fatal(err)
 	}
-	var decoded struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(decoded.TraceEvents) != 3 { // span + instant + process_name metadata
-		t.Fatalf("events = %d, want 3", len(decoded.TraceEvents))
-	}
-	var span map[string]any
-	for _, e := range decoded.TraceEvents {
-		if e["ph"] == "X" {
-			span = e
-		}
-	}
-	if span == nil || span["ts"] != float64(2_000_000) || span["dur"] != float64(1_000_000) {
-		t.Fatalf("span = %v", span)
-	}
-	// Events are time-ordered.
-	last := float64(-1)
-	for _, e := range decoded.TraceEvents {
-		ts, _ := e["ts"].(float64)
-		if ts < last {
-			t.Fatal("events not time-sorted")
-		}
-		last = ts
-	}
-}
-
-func TestSpanRecorderNilSafe(t *testing.T) {
-	var r *SpanRecorder
-	r.Span("x", "c", 0, 0, 0, time.Second, nil) // must not panic
-	r.Instant("y", "c", 0, 0, 0, nil)
-	r.NameProcess(0, "n")
-	if r.Len() != 0 {
-		t.Fatal("nil recorder recorded something")
+	const want = `{"traceEvents":[` +
+		`{"name":"start","cat":"c","ph":"i","ts":0,"pid":0,"tid":1},` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"node0"}},` +
+		`{"name":"iter 0","cat":"compute","ph":"X","ts":2000000,"dur":1000000,"pid":0,"tid":1},` +
+		`{"name":"failure","cat":"failure","ph":"i","ts":5000000,"pid":0,"tid":0,"args":{"kind":"soft"}}` +
+		"]}\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteChrome output\n got: %s\nwant: %s", got, want)
 	}
 }

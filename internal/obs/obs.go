@@ -10,11 +10,11 @@ import (
 	"nvmcp/internal/sim"
 )
 
-// Observer is one run's instrumentation hub: the event bus, the metrics
-// registry, and an optional Chrome span recorder, all stamped with the
-// simulation's virtual clock. Create one per sim.Env; concurrent publication
-// from different host goroutines is safe — the bus and the span recorder are
-// serialized by the observer's mutex, the registry by its own.
+// Observer is one run's instrumentation hub: the event bus with its taps and
+// the metrics registry, stamped with the simulation's virtual clock. Create
+// one per sim.Env; concurrent publication from different host goroutines is
+// safe — the bus is serialized by the observer's mutex, the registry by its
+// own.
 type Observer struct {
 	env *sim.Env
 	reg *Registry
@@ -22,7 +22,6 @@ type Observer struct {
 	mu      sync.Mutex
 	events  eventLog
 	tapView Attrs // the attributes taps see, reused for every event
-	spans   *SpanRecorder
 	taps    []func(Event)
 	lastTUS int64
 }
@@ -33,31 +32,13 @@ type Observer struct {
 func New(env *sim.Env) *Observer {
 	o := &Observer{env: env, reg: NewRegistry()}
 	env.SetWarnFunc(func(code, msg string) {
-		o.publish(0, "sim", EvEngineWarn, "", 0, []Attr{Str("code", code), Str("msg", msg)})
+		o.publish(0, "sim", EvEngineWarn, "", 0, 0, []Attr{Str("code", code), Str("msg", msg)})
 	})
 	return o
 }
 
 // Registry returns the metrics registry.
 func (o *Observer) Registry() *Registry { return o.reg }
-
-// Spans returns the attached Chrome/Perfetto span recorder, nil when none
-// is. Callers must not write to it concurrently with live Recorders; read it
-// after the run.
-func (o *Observer) Spans() *SpanRecorder {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.spans
-}
-
-// UseSpanRecorder attaches the recorder that spans, instants and process
-// names are written to. Until one is attached nothing is recorded; nil
-// detaches it again.
-func (o *Observer) UseSpanRecorder(r *SpanRecorder) {
-	o.mu.Lock()
-	o.spans = r
-	o.mu.Unlock()
-}
 
 // AddEventTap installs a tap alongside any already attached: a callback
 // invoked synchronously for every event, in publication order and attach
@@ -77,20 +58,23 @@ func (o *Observer) AddEventTap(tap func(Event)) {
 }
 
 // Emit publishes one event, stamping it with the current virtual time. The
-// event's TUS is ignored.
+// event's TUS and At are ignored.
 func (o *Observer) Emit(ev Event) {
-	o.publish(ev.Node, ev.Actor, ev.Type, ev.Chunk, ev.Bytes, ev.Attrs)
+	o.publish(ev.Node, ev.Actor, ev.Type, ev.Chunk, ev.Bytes, ev.Start, ev.Attrs)
 }
 
-// publish appends one event to the log and hands it to the taps. attrs is
-// copied, never kept, so callers may pass a stack buffer.
-func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes int64, attrs []Attr) {
+// publish appends one event to the log and hands it to the taps, which also
+// see the exact publish time and the interval start (zero for an event that
+// closes none). attrs is copied, never kept, so callers may pass a stack
+// buffer.
+func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes int64, start time.Duration, attrs []Attr) {
 	o.mu.Lock()
-	tus := o.env.Now().Microseconds()
+	at := o.env.Now()
+	tus := at.Microseconds()
 	o.events.append(tus, t, node, actor, chunk, bytes, attrs)
 	o.lastTUS = tus
 	if len(o.taps) > 0 {
-		ev := Event{TUS: tus, Type: t, Node: node, Actor: actor, Chunk: chunk, Bytes: bytes}
+		ev := Event{TUS: tus, Type: t, Node: node, Actor: actor, Chunk: chunk, Bytes: bytes, At: at, Start: start}
 		if len(attrs) > 0 {
 			o.tapView = append(o.tapView[:0], attrs...)
 			ev.Attrs = o.tapView[:len(attrs):len(attrs)]
@@ -219,7 +203,18 @@ func (r *Recorder) Log(t Type, chunk string, bytes int64, attrs ...Attr) {
 	if r == nil {
 		return
 	}
-	r.o.publish(r.node, r.actor, t, chunk, bytes, attrs)
+	r.o.publish(r.node, r.actor, t, chunk, bytes, 0, attrs)
+}
+
+// LogSpan is Log for an event that closes an interval begun at start (an
+// iteration, a checkpoint, a pre-copy, a ship): taps see start beside the
+// exact publish time, so a trace tap draws the span from the event alone.
+// The log and its JSONL form keep neither.
+func (r *Recorder) LogSpan(start time.Duration, t Type, chunk string, bytes int64, attrs ...Attr) {
+	if r == nil {
+		return
+	}
+	r.o.publish(r.node, r.actor, t, chunk, bytes, start, attrs)
 }
 
 // Emit is the map-form adapter onto Log: canonical decimal values become
@@ -232,7 +227,7 @@ func (r *Recorder) Emit(t Type, chunk string, bytes int64, attrs map[string]stri
 		return
 	}
 	var buf [8]Attr
-	r.o.publish(r.node, r.actor, t, chunk, bytes, appendMapAttrs(buf[:0], attrs))
+	r.o.publish(r.node, r.actor, t, chunk, bytes, 0, appendMapAttrs(buf[:0], attrs))
 }
 
 // Add increments the named counter in both the recorder's (node, actor)
@@ -252,56 +247,6 @@ func (r *Recorder) Add(name string, delta int64) {
 // (node, actor) series and the cluster rollup. Both are created here.
 func (r *Recorder) series(name string) (scoped, total *Counter) {
 	return r.o.reg.counterCanon(name, r.scopeCanon, r.scopeLabels), r.o.reg.counterCanon(name, "", nil)
-}
-
-// SpansActive reports whether a span recorder is attached — callers
-// formatting span names (Sprintf per iteration) should guard on it so a
-// traceless run pays nothing.
-func (r *Recorder) SpansActive() bool {
-	if r == nil {
-		return false
-	}
-	r.o.mu.Lock()
-	defer r.o.mu.Unlock()
-	return r.o.spans != nil
-}
-
-// Span records a completed interval on the recorder's node, in lane tid —
-// the auto-wired Perfetto view. Nothing is mirrored onto the event bus:
-// spans are the visual record, events the analytical one.
-func (r *Recorder) Span(name, cat string, lane int, start, dur time.Duration, args map[string]string) {
-	if r == nil {
-		return
-	}
-	r.o.mu.Lock()
-	if r.o.spans != nil {
-		r.o.spans.Span(name, cat, r.node, lane, start, dur, args)
-	}
-	r.o.mu.Unlock()
-}
-
-// Instant records a point event on the recorder's node and lane.
-func (r *Recorder) Instant(name, cat string, lane int, at time.Duration, args map[string]string) {
-	if r == nil {
-		return
-	}
-	r.o.mu.Lock()
-	if r.o.spans != nil {
-		r.o.spans.Instant(name, cat, r.node, lane, at, args)
-	}
-	r.o.mu.Unlock()
-}
-
-// NameProcess labels the recorder's node lane in the trace viewer.
-func (r *Recorder) NameProcess(name string) {
-	if r == nil {
-		return
-	}
-	r.o.mu.Lock()
-	if r.o.spans != nil {
-		r.o.spans.NameProcess(r.node, name)
-	}
-	r.o.mu.Unlock()
 }
 
 // itoa avoids strconv for the tiny node numbers in scope labels.

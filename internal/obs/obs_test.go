@@ -33,11 +33,50 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(EvCheckpointBegin, "", 0, nil)
 	r.Add("c", 1)
-	r.Span("s", "c", 0, 0, time.Second, nil)
-	r.Instant("i", "c", 0, 0, nil)
-	r.NameProcess("n")
+	r.Log(EvIteration, "", 0, Int("iter", 0))
+	r.LogSpan(time.Second, EvIteration, "", 0, Int("iter", 0))
 	if r.Observer() != nil || r.Node() != 0 {
 		t.Fatal("nil recorder leaked state")
+	}
+}
+
+// TestLogSpanReachesTapsOnly: an interval event's start and exact publish
+// time reach the taps, while the log, Events and the JSONL sink keep what
+// Log would have published, byte for byte.
+func TestLogSpanReachesTapsOnly(t *testing.T) {
+	publish := func(span bool) (tapped Event, events []Event, jsonl string) {
+		env := sim.NewEnv()
+		o := New(env)
+		o.AddEventTap(func(ev Event) { tapped = ev })
+		r := o.Recorder(1, "rank3")
+		env.Go("emitter", func(p *sim.Proc) {
+			p.Sleep(3500 * time.Nanosecond)
+			if span {
+				r.LogSpan(1200*time.Nanosecond, EvIteration, "", 0, Int("iter", 7))
+			} else {
+				r.Log(EvIteration, "", 0, Int("iter", 7))
+			}
+		})
+		env.Run()
+		var buf bytes.Buffer
+		if err := o.WriteEventsJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return tapped, o.Events(), buf.String()
+	}
+	tapped, events, jsonl := publish(true)
+	if tapped.At != 3500*time.Nanosecond || tapped.Start != 1200*time.Nanosecond || tapped.TUS != 3 {
+		t.Fatalf("tap saw At=%v Start=%v TUS=%d, want 3.5µs, 1.2µs, 3", tapped.At, tapped.Start, tapped.TUS)
+	}
+	if events[0].At != 0 || events[0].Start != 0 {
+		t.Fatalf("log kept tap-only times: %+v", events[0])
+	}
+	plainTap, _, plain := publish(false)
+	if jsonl != plain {
+		t.Fatalf("LogSpan JSONL %q differs from Log's %q", jsonl, plain)
+	}
+	if plainTap.At != 3500*time.Nanosecond || plainTap.Start != 0 {
+		t.Fatalf("Log's tap view: At=%v Start=%v, want 3.5µs and 0", plainTap.At, plainTap.Start)
 	}
 }
 
@@ -204,10 +243,15 @@ func TestBuildReport(t *testing.T) {
 
 // TestConcurrentPublication drives one observer from many host goroutines —
 // the experiments package runs whole simulations concurrently, so the bus,
-// registry, and span recorder must be race-clean (run with -race).
+// its taps and the registry must be race-clean (run with -race).
 func TestConcurrentPublication(t *testing.T) {
 	o := New(sim.NewEnv())
-	o.UseSpanRecorder(NewSpanRecorder())
+	spans := 0
+	o.AddEventTap(func(ev Event) {
+		if ev.Type == EvPrecopyCopy && ev.Start == time.Microsecond {
+			spans++
+		}
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -219,7 +263,7 @@ func TestConcurrentPublication(t *testing.T) {
 				r.Add("staged_chunks", 1)
 				o.Registry().Gauge("gauge", nil).Set(float64(i))
 				o.Registry().Timeline("tl", Labels{"g": "x"}).Set(0, float64(i))
-				r.Span("s", "c", 0, 0, time.Microsecond, nil)
+				r.LogSpan(time.Microsecond, EvPrecopyCopy, "c", 1)
 			}
 		}(g)
 	}
@@ -230,8 +274,8 @@ func TestConcurrentPublication(t *testing.T) {
 	if got := o.Registry().Counter("staged_chunks", nil).Get(); got != 1600 {
 		t.Fatalf("rollup = %d, want 1600", got)
 	}
-	if got := o.Spans().Len(); got != 1600 {
-		t.Fatalf("spans = %d, want 1600", got)
+	if spans != 1600 {
+		t.Fatalf("tap saw %d interval events, want 1600", spans)
 	}
 }
 

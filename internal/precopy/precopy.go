@@ -72,8 +72,6 @@ type Config struct {
 	// Rec publishes engine activity onto the run's observability bus
 	// (nil-safe; nil disables instrumentation).
 	Rec *obs.Recorder
-	// TraceLane is the tid spans are drawn in on the engine's node.
-	TraceLane int
 }
 
 // Engine is one rank's background pre-copy worker.
@@ -274,12 +272,8 @@ func (e *Engine) run(p *sim.Proc) {
 			if raced {
 				e.Counters[cRacedCopies].Add(1)
 			}
-			e.cfg.Rec.Log(obs.EvPrecopyCopy, c.Name, n,
+			e.cfg.Rec.LogSpan(start, obs.EvPrecopyCopy, c.Name, n,
 				obs.Bool("raced", raced), obs.Int("seq", int64(c.StagedSeq())))
-			if e.cfg.Rec.SpansActive() {
-				e.cfg.Rec.Span("precopy "+c.Name, "precopy", e.cfg.TraceLane,
-					start, p.Now()-start, nil)
-			}
 		}
 	}
 }
