@@ -153,3 +153,42 @@ func TestTransientBuddyOutageSelfHealsWithoutFailover(t *testing.T) {
 	})
 	e.Run()
 }
+
+// A drain reads each listed copy back by its key when it gets to it: the
+// committed slot as it is then, nothing once the holder's NVM is gone.
+func TestCommittedDataReadsListedCopyAtReadTime(t *testing.T) {
+	e := sim.NewEnv()
+	r, agent := newRig(e, Config{Scheme: AsyncBurst})
+	e.Go("app", func(p *sim.Proc) {
+		c, _ := r.store.NVAlloc(p, "field", 4*mem.MB, true)
+		c.WriteAll(p)
+		r.store.ChkptAll(p)
+		agent.TriggerRemote(p).Await(p)
+		listed := r.mesh.CommittedList(1)
+		if len(listed) != 1 || listed[0].Name != "rank0/field" {
+			t.Fatalf("listing = %+v, want rank0/field", listed)
+		}
+		v1, ok := r.mesh.CommittedData(p, 1, listed[0])
+		if !ok {
+			t.Fatal("listed copy unreadable")
+		}
+
+		// A newer remote commit after the listing: the read returns it.
+		c.WriteAll(p)
+		r.store.ChkptAll(p)
+		agent.TriggerRemote(p).Await(p)
+		v2, ok := r.mesh.CommittedData(p, 1, listed[0])
+		want, _, _, _ := r.mesh.Fetch(p, 0, "rank0", c.ID)
+		if !ok || &v2[0] != &want[0] || &v2[0] == &v1[0] {
+			t.Fatal("read did not return the copy committed at read time")
+		}
+
+		// The holder's NVM is lost: the stale listing entry reads as missing.
+		r.mesh.DropNode(1)
+		if _, ok := r.mesh.CommittedData(p, 1, listed[0]); ok {
+			t.Fatal("copy dropped with its holder still readable")
+		}
+		agent.Stop()
+	})
+	e.Run()
+}
