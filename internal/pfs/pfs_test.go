@@ -114,7 +114,7 @@ func TestDrainFlushesCommittedRemoteCopies(t *testing.T) {
 	e, mesh, fs, store := drainRig(t)
 	var st DrainStats
 	e.Go("drain", func(p *sim.Proc) {
-		st = fs.Drain(p, MeshSource{Mesh: mesh, Holder: 1})
+		st = fs.Drain(p, mesh, 1)
 	})
 	e.Run()
 	if st.Objects != 1 || st.Bytes != 50*mem.MB {
@@ -145,12 +145,12 @@ func TestDrainFlushesCommittedRemoteCopies(t *testing.T) {
 func TestDrainIsIncremental(t *testing.T) {
 	e, mesh, fs, _ := drainRig(t)
 	e.Go("drain", func(p *sim.Proc) {
-		first := fs.Drain(p, MeshSource{Mesh: mesh, Holder: 1})
+		first := fs.Drain(p, mesh, 1)
 		if first.Objects != 1 {
 			t.Errorf("first drain: %+v", first)
 		}
 		// Nothing new: the second drain moves nothing.
-		second := fs.Drain(p, MeshSource{Mesh: mesh, Holder: 1})
+		second := fs.Drain(p, mesh, 1)
 		if second.Objects != 0 || second.Bytes != 0 {
 			t.Errorf("second drain moved data: %+v", second)
 		}

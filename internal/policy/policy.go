@@ -15,7 +15,6 @@ import (
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/obs"
-	"nvmcp/internal/pfs"
 	"nvmcp/internal/precopy"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
@@ -98,9 +97,10 @@ type RemoteTier interface {
 	Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (data []byte, size int64, seq uint64, ok bool)
 	// Utilization reports the tier's helper busy fractions (Table V).
 	Utilization(now time.Duration) []float64
-	// DrainSource exposes a holder node's committed objects for the bottom
-	// tier, or nil when that node holds nothing drainable.
-	DrainSource(holder int) pfs.Source
+	// DrainMesh is the mesh whose committed copies node holder keeps for
+	// the bottom tier to drain, or nil when that node holds nothing
+	// drainable.
+	DrainMesh(holder int) *remote.Mesh
 	// HolderOf reports which fabric node physically holds a node's remote
 	// copies, or -1 when the tier has no single holder (erasure spreads
 	// data across the group).

@@ -7,7 +7,6 @@ import (
 	"nvmcp/internal/core"
 	"nvmcp/internal/erasure"
 	"nvmcp/internal/obs"
-	"nvmcp/internal/pfs"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/topo"
@@ -49,7 +48,7 @@ type buddyTier struct {
 }
 
 // BuddyMesh unwraps a buddy tier's remote.Mesh for callers that need the
-// lower-level surface (counters, drain sources, restart experiments); nil for
+// lower-level surface (counters, drains, restart experiments); nil for
 // any other tier.
 func BuddyMesh(t RemoteTier) *remote.Mesh {
 	if bt, ok := t.(*buddyTier); ok {
@@ -139,11 +138,11 @@ func (t *buddyTier) Utilization(now time.Duration) []float64 {
 	return out
 }
 
-func (t *buddyTier) DrainSource(holder int) pfs.Source {
+func (t *buddyTier) DrainMesh(holder int) *remote.Mesh {
 	if holder < 0 || holder >= t.rt.ComputeNodes {
 		return nil
 	}
-	return pfs.MeshSource{Mesh: t.mesh, Holder: holder}
+	return t.mesh
 }
 
 func (t *buddyTier) HolderOf(node int) int {
@@ -310,7 +309,7 @@ func (t *erasureTier) Utilization(now time.Duration) []float64 {
 	return out
 }
 
-func (t *erasureTier) DrainSource(int) pfs.Source { return nil }
+func (t *erasureTier) DrainMesh(int) *remote.Mesh { return nil }
 
 // HolderOf returns -1: parity fragments are spread over the group, so no
 // single fabric node holds a node's remote state.

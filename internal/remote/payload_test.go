@@ -46,7 +46,7 @@ func checkpointAllTiers(t *testing.T) *tiers {
 		c.WriteAll(p)
 		store.ChkptAll(p)
 		agent.TriggerRemote(p).Await(p)
-		if st := tr.fs.Drain(p, pfs.MeshSource{Mesh: tr.mesh, Holder: 1}); st.Objects != 1 {
+		if st := tr.fs.Drain(p, tr.mesh, 1); st.Objects != 1 {
 			t.Errorf("drain moved %d objects, want 1", st.Objects)
 		}
 		staged, ok := store.StagedData(p, c.ID)
