@@ -31,9 +31,12 @@ fmt:
 # one internal publication path: emitters call Recorder.Log with typed
 # attributes, never the map-form Emit (or Observer.Emit with a built Event);
 # bench/e2e, a separate module pinned to the old surface, is the one
-# map-form caller left. A staged checkpoint payload is immutable and shared
-# by every tier, so the remote and PFS tiers hold it without copying: a
-# payload copy in their non-test code fails the lint. core keeps its commit
+# map-form caller left. A checkpoint payload (nvmkernel.Payload) is immutable
+# and shared by the working copy, the version slots, the buddy replica and
+# the PFS, so core, the remote tier and the PFS hold it without copying: a
+# payload copy in their non-test code fails the lint. A whole-chunk version
+# is a recipe whose bytes one generator defines, so the pattern constant
+# 2654435761 may appear in exactly one non-test file. core keeps its commit
 # records and version slots in the kernel's typed chunk table, keyed by chunk
 # ID: a named-metadata call or a "cmeta/"/"cdata/" key in its non-test code
 # fails the lint.
@@ -53,9 +56,14 @@ lint: fmt vet
 		echo "map-form event publication (use Recorder.Log with typed obs attributes):"; \
 		echo "$$out"; exit 1; \
 	fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'append\(\[\]byte\(nil\)|bytes\.Clone|slices\.Clone' internal/remote internal/pfs || true)"; \
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'append\(\[\]byte\(nil\)|bytes\.Clone|slices\.Clone' internal/core internal/remote internal/pfs || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "payload copy in the remote or PFS tier (staged payloads are immutable; keep the slice):"; \
+		echo "payload copy in core, the remote or the PFS tier (payloads are immutable; keep the value):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' 2654435761 . || true)"; \
+	if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then \
+		echo "the payload pattern constant 2654435761 must appear in exactly one non-test file (the nvmkernel.Payload generator), found in:"; \
 		echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'GetMeta|SetMeta|QueryMeta|UpdateMeta|MetaKeys|"c(meta|data)/' internal/core || true)"; \

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"nvmcp/internal/mem"
@@ -30,9 +28,9 @@ type CkptStats struct {
 // stageChunk copies one chunk's DRAM working data into its in-progress NVM
 // slot: a bandwidth-charged DRAM→NVM copy of the full virtual size, the real
 // payload stored durably, a cache flush, and re-arming of write protection.
-// rateCap > 0 throttles the copy (background pre-copy streams). It is the one
-// place a version's payload bytes are created; the slice is never written
-// afterwards, so the buddy replica and the PFS hold it without copying.
+// rateCap > 0 throttles the copy (background pre-copy streams). The slot
+// takes the working payload itself: a Payload is immutable, so the working
+// copy, the slot, the buddy replica and the PFS share one value.
 func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	target := c.targetSlot()
 	k := s.kproc.Kernel()
@@ -68,14 +66,13 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	} else {
 		mem.Copy(p, s.dramDevice(), s.nvmDevice(), c.Size)
 	}
-	// Never nil, even for an empty payload: a nil slot reads as empty.
-	data := bytes.Clone(c.dram.Data)
+	data := c.payload
 	k.MetaLock.Lock(p)
 	s.kproc.Chunks().SetSlot(p, c.ID, target, data)
 	k.MetaLock.Unlock(p)
 	// Flush processor caches before the data may be marked consistent.
 	p.Sleep(s.nvmDevice().FlushCost(c.Size))
-	c.stagedSum = checksum(data, c.Size)
+	c.stagedSum = data.Checksum(c.Size)
 	c.cleanSeq = seqAtStart
 	c.stagePending = true
 	s.notifyStage(c)
@@ -221,7 +218,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	k.MetaLock.Lock(p)
 	data := s.kproc.Chunks().Slot(p, c.ID, rec.Slot)
 	k.MetaLock.Unlock(p)
-	if data == nil {
+	if !data.Valid() {
 		return fmt.Errorf("%w: %s has commit record but no data", ErrNoCommitted, c.Name)
 	}
 	if s.opts.LazyRestore {
@@ -231,8 +228,8 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	} else {
 		// Timed NVM→DRAM fetch (reads run near DRAM speed, Table I).
 		mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
-		copy(c.dram.Data, data)
-		if checksum(data, c.Size) != rec.Checksum {
+		c.payload = c.payload.Overlay(data)
+		if data.Checksum(c.Size) != rec.Checksum {
 			if s.opts.SalvageCorrupt {
 				// Clear the damaged version's commit record and leave the
 				// chunk un-restored; the caller's cascade takes it from here.
@@ -267,10 +264,10 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 	return nil
 }
 
-// pendingRestore holds a lazily-restored chunk's committed bytes until first
-// access.
+// pendingRestore holds a lazily-restored chunk's committed payload until
+// first access.
 type pendingRestore struct {
-	data []byte
+	data nvmkernel.Payload
 	sum  uint64
 }
 
@@ -285,8 +282,8 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 		return nil
 	}
 	mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
-	copy(c.dram.Data, pr.data)
-	if checksum(pr.data, c.Size) != pr.sum {
+	c.payload = c.payload.Overlay(pr.data)
+	if pr.data.Checksum(c.Size) != pr.sum {
 		return fmt.Errorf("%w: %s (lazy)", ErrChecksum, c.Name)
 	}
 	s.Counters[cLazyRestores].Add(1)
@@ -296,12 +293,12 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 // adopt installs externally fetched checkpoint data as the chunk's working
 // contents. The chunk is left dirty so the next local checkpoint
 // re-establishes a local NVM copy.
-func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source string, counter int) error {
-	if int64(len(data)) > c.Size {
+func (s *Store) adopt(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64, source string, counter int) error {
+	if int64(data.Len()) > c.Size {
 		return fmt.Errorf("core: adopt %s: %d payload bytes exceed chunk size %d",
-			c.Name, len(data), c.Size)
+			c.Name, data.Len(), c.Size)
 	}
-	copy(c.dram.Data, data)
+	c.payload = c.payload.Overlay(data)
 	c.pending = nil
 	c.Restored = true
 	c.Version = version
@@ -313,14 +310,14 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data []byte, version uint64, source
 
 // AdoptRemote installs checkpoint data fetched from a remote node — the
 // hard-failure recovery path, when the local NVM was lost with the node.
-func (s *Store) AdoptRemote(p *sim.Proc, c *Chunk, data []byte, version uint64) error {
+func (s *Store) AdoptRemote(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64) error {
 	return s.adopt(p, c, data, version, "remote", cRemoteRestores)
 }
 
 // AdoptBottom installs checkpoint data read back from the bottom (PFS)
 // tier — the cascade's last rung, when both the local version and the
 // remote copy of a chunk are gone.
-func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data []byte, version uint64) error {
+func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64) error {
 	return s.adopt(p, c, data, version, "bottom", cBottomRestores)
 }
 
@@ -368,26 +365,25 @@ func (s *Store) Snapshot(p *sim.Proc) []ChunkState {
 // StagedData returns the payload most recently staged to NVM for a chunk
 // (the in-progress version if a stage is pending, otherwise the committed
 // one), for the remote helper to ship. ok is false when nothing was ever
-// staged. The slice is the stored payload itself, shared with every tier
-// that holds this version: callers read it or copy out of it, never write
-// it.
-func (s *Store) StagedData(p *sim.Proc, id uint64) ([]byte, bool) {
+// staged. The payload is the stored version itself, shared with every tier
+// that holds it.
+func (s *Store) StagedData(p *sim.Proc, id uint64) (nvmkernel.Payload, bool) {
 	c, ok := s.chunks[id]
 	if !ok {
-		return nil, false
+		return nvmkernel.Payload{}, false
 	}
 	slot := c.committed
 	if c.stagePending {
 		slot = c.targetSlot()
 	}
 	if slot < 0 {
-		return nil, false
+		return nvmkernel.Payload{}, false
 	}
 	k := s.kproc.Kernel()
 	k.MetaLock.Lock(p)
 	data := s.kproc.Chunks().Slot(p, c.ID, slot)
 	k.MetaLock.Unlock(p)
-	return data, data != nil
+	return data, data.Valid()
 }
 
 // ContentChecksum digests every persistent chunk's working payload in
@@ -395,21 +391,16 @@ func (s *Store) StagedData(p *sim.Proc, id uint64) ([]byte, bool) {
 // against a fault-free twin to prove recovery reconstructed the exact
 // application state.
 func (s *Store) ContentChecksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := nvmkernel.NewDigest()
 	for _, c := range s.order {
 		if !c.Persistent {
 			continue
 		}
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(c.ID >> (8 * i))
-		}
-		h.Write(buf[:])
-		data := c.dram.Data
+		data := c.payload
 		if c.pending != nil {
 			data = c.pending.data
 		}
-		h.Write(data)
+		h = h.Uint64(c.ID).Payload(data)
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"nvmcp/internal/nvmalloc"
 	"nvmcp/internal/nvmkernel"
@@ -31,8 +30,12 @@ type Chunk struct {
 	// feeding the DCPCP prediction table.
 	ModCount int64
 
-	store     *Store
-	dram      *nvmkernel.Region
+	store *Store
+	dram  *nvmkernel.Region
+	// payload is the working copy's real bytes (possibly smaller than
+	// Size under payload scaling): a recipe after a whole-chunk write,
+	// materialized bytes otherwise. dram carries no payload of its own.
+	payload   nvmkernel.Payload
 	nvmExtent [2]nvmalloc.Extent
 	committed int // committed slot index, -1 before first commit
 
@@ -99,9 +102,9 @@ func (c *Chunk) Dirty() bool { return c.needsStage() }
 // Committed reports whether any checkpoint version has been committed.
 func (c *Chunk) Committed() bool { return c.committed >= 0 }
 
-// Data exposes the DRAM working payload (real bytes; possibly smaller than
-// Size under payload scaling).
-func (c *Chunk) Data() []byte { return c.dram.Data }
+// Payload returns the DRAM working payload (possibly smaller than Size
+// under payload scaling). It is immutable: a later write replaces it.
+func (c *Chunk) Payload() nvmkernel.Payload { return c.payload }
 
 // installFaultHandler arms chunk-level dirty tracking: the first store to a
 // protected chunk takes one fault, unprotects the entire chunk, and marks it
@@ -139,8 +142,10 @@ func (c *Chunk) markDirty(p *sim.Proc) {
 // Write models the application storing to [off, off+n) of the chunk during
 // computation. It costs nothing except a protection fault when the chunk was
 // clean (application stores run at DRAM speed as part of compute). The real
-// payload bytes covering the range are mutated deterministically so that
-// checkpoints and restores can be verified end to end.
+// payload bytes covering the range change deterministically so that
+// checkpoints and restores can be verified end to end: a whole-chunk write
+// leaves the recipe of its sequence, a partial one a fresh copy with the
+// range regenerated (nvmkernel.Payload.Write).
 func (c *Chunk) Write(p *sim.Proc, off, n int64) error {
 	if off < 0 || n < 0 || off+n > c.Size {
 		return fmt.Errorf("core: write [%d,%d) out of chunk %s size %d", off, off+n, c.Name, c.Size)
@@ -159,9 +164,8 @@ func (c *Chunk) Write(p *sim.Proc, off, n int64) error {
 		return err
 	}
 	c.writeSeq++
-	lo, ln := c.payloadRange(off, n)
-	for i := lo; i < lo+ln; i++ {
-		c.dram.Data[i] = byte(uint64(i)*2654435761 + c.writeSeq*97 + c.ID)
+	if lo, ln := c.payloadRange(off, n); ln > 0 {
+		c.payload = c.payload.Write(c.ID, c.writeSeq, lo, ln)
 	}
 	return nil
 }
@@ -217,7 +221,7 @@ func (c *Chunk) StagedSeq() uint64 { return c.cleanSeq }
 
 // payloadRange maps a virtual byte range onto the (possibly scaled) payload.
 func (c *Chunk) payloadRange(off, n int64) (int, int) {
-	l := int64(len(c.dram.Data))
+	l := int64(c.payload.Len())
 	if l == 0 {
 		return 0, 0
 	}
@@ -233,19 +237,6 @@ func (c *Chunk) payloadRange(off, n int64) (int, int) {
 		hi = l
 	}
 	return int(lo), int(hi - lo)
-}
-
-// checksum hashes a payload together with the chunk's virtual size, so a
-// size change never collides with a content change.
-func checksum(data []byte, size int64) uint64 {
-	h := fnv.New64a()
-	var sz [8]byte
-	for i := 0; i < 8; i++ {
-		sz[i] = byte(size >> (8 * i))
-	}
-	h.Write(sz[:])
-	h.Write(data)
-	return h.Sum64()
 }
 
 // String implements fmt.Stringer.

@@ -323,16 +323,15 @@ func (s *Store) NVRealloc(p *sim.Proc, c *Chunk, newSize int64) error {
 		}
 		c.nvmExtent[i] = ext
 	}
-	oldData := c.dram.Data
 	if err := s.kproc.DRAMFree(c.dramID()); err != nil {
 		return err
 	}
 	c.Size = newSize
-	dram, err := s.kproc.DRAMAlloc(c.dramID(), newSize, s.payloadLen(newSize))
+	dram, err := s.kproc.DRAMAlloc(c.dramID(), newSize, 0)
 	if err != nil {
 		return err
 	}
-	copy(dram.Data, oldData)
+	c.payload = nvmkernel.Zeros(s.payloadLen(newSize)).Overlay(c.payload)
 	c.dram = dram
 	c.installFaultHandler()
 	c.stagePending = false
@@ -367,14 +366,15 @@ func (s *Store) NVDelete(p *sim.Proc, c *Chunk) error {
 	k.MetaLock.Lock(p)
 	s.kproc.Chunks().ClearCommit(p, c.ID)
 	for i := 0; i < c.slots(); i++ {
-		s.kproc.Chunks().SetSlot(p, c.ID, i, nil)
+		s.kproc.Chunks().SetSlot(p, c.ID, i, nvmkernel.Payload{})
 	}
 	k.MetaLock.Unlock(p)
 	return nil
 }
 
 // newChunk builds a chunk: DRAM working region plus NVM heap extents for its
-// version slots.
+// version slots. The region carries no payload bytes; the chunk's all-zero
+// working payload is a shared read-only page until the first write.
 func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persist, attached bool) (*Chunk, error) {
 	c := &Chunk{
 		ID:         id,
@@ -384,8 +384,9 @@ func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persis
 		Attached:   attached,
 		store:      s,
 		committed:  -1,
+		payload:    nvmkernel.Zeros(s.payloadLen(size)),
 	}
-	dram, err := s.kproc.DRAMAlloc(c.dramID(), size, s.payloadLen(size))
+	dram, err := s.kproc.DRAMAlloc(c.dramID(), size, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,9 @@ func (r *rig) run(t *testing.T, fn func(p *sim.Proc, s *Store)) {
 	r.env.Run()
 }
 
+// working materializes a chunk's working payload.
+func working(c *Chunk) []byte { return c.Payload().AppendTo(nil) }
+
 func TestGenIDStableAndDistinct(t *testing.T) {
 	if GenID("electrons") != GenID("electrons") {
 		t.Fatal("GenID not deterministic")
@@ -51,8 +54,8 @@ func TestNVAllocBasics(t *testing.T) {
 		if c.Size != 10*mem.MB || !c.Persistent || c.Restored {
 			t.Fatalf("chunk state: %+v", c)
 		}
-		if len(c.Data()) != DefaultPayloadCap {
-			t.Fatalf("payload len = %d, want cap %d", len(c.Data()), DefaultPayloadCap)
+		if c.Payload().Len() != DefaultPayloadCap {
+			t.Fatalf("payload len = %d, want cap %d", c.Payload().Len(), DefaultPayloadCap)
 		}
 		if _, err := s.NVAlloc(p, "field", mem.MB, true); !errors.Is(err, ErrChunkExists) {
 			t.Fatalf("duplicate alloc err = %v", err)
@@ -84,8 +87,8 @@ func TestNV2DAlloc(t *testing.T) {
 func TestSmallChunkFullPayload(t *testing.T) {
 	newRig().run(t, func(p *sim.Proc, s *Store) {
 		c, _ := s.NVAlloc(p, "small", 1000, true)
-		if len(c.Data()) != 1000 {
-			t.Fatalf("small chunk payload = %d, want full 1000", len(c.Data()))
+		if c.Payload().Len() != 1000 {
+			t.Fatalf("small chunk payload = %d, want full 1000", c.Payload().Len())
 		}
 	})
 }
@@ -278,20 +281,20 @@ func TestForceFullCopiesCleanChunks(t *testing.T) {
 func TestAdoptRemoteInstallsDataAndRedirties(t *testing.T) {
 	newRig().run(t, func(p *sim.Proc, s *Store) {
 		c, _ := s.NVAlloc(p, "a", mem.MB, true)
-		data := make([]byte, len(c.Data()))
+		data := make([]byte, c.Payload().Len())
 		for i := range data {
 			data[i] = 0x5A
 		}
-		if err := s.AdoptRemote(p, c, data, 7); err != nil {
+		if err := s.AdoptRemote(p, c, nvmkernel.Bytes(data), 7); err != nil {
 			t.Fatal(err)
 		}
 		if !c.Restored || c.Version != 7 || !c.Dirty() {
 			t.Fatalf("adopt state: restored=%v v=%d dirty=%v", c.Restored, c.Version, c.Dirty())
 		}
-		if c.Data()[0] != 0x5A {
+		if working(c)[0] != 0x5A {
 			t.Fatal("adopted data not installed")
 		}
-		oversize := make([]byte, c.Size+1)
+		oversize := nvmkernel.Bytes(make([]byte, c.Size+1))
 		if err := s.AdoptRemote(p, c, oversize, 8); err == nil {
 			t.Fatal("oversized adoption succeeded")
 		}
@@ -341,14 +344,13 @@ func TestRestartRestoresCommittedData(t *testing.T) {
 		c.WriteAll(p)
 		s.ChkptAll(p)
 		c.Write(p, 0, mem.MB) // dirty again, NOT checkpointed
-		want = append([]byte(nil), nil...)
 		// The restore must produce the committed content, not the dirty one;
 		// grab the staged payload as ground truth.
 		data, ok := s.StagedData(p, c.ID)
 		if !ok {
 			t.Error("no staged data")
 		}
-		want = append([]byte(nil), data...)
+		want = data.AppendTo(nil)
 		s.Proc().Exit()
 		r.k.SoftReset()
 	})
@@ -363,9 +365,10 @@ func TestRestartRestoresCommittedData(t *testing.T) {
 		if !c.Restored || c.Version != 1 {
 			t.Errorf("restored=%v version=%d", c.Restored, c.Version)
 		}
+		got := working(c)
 		for i := range want {
-			if c.Data()[i] != want[i] {
-				t.Errorf("restored byte %d = %x, want %x", i, c.Data()[i], want[i])
+			if got[i] != want[i] {
+				t.Errorf("restored byte %d = %x, want %x", i, got[i], want[i])
 				return
 			}
 		}
@@ -429,7 +432,7 @@ func TestCrashMidCheckpointRevertsToPreviousVersion(t *testing.T) {
 		c.WriteAll(p)
 		s.ChkptAll(p)
 		data, _ := s.StagedData(p, c.ID)
-		v1 = append([]byte(nil), data...)
+		v1 = data.AppendTo(nil)
 		// Second checkpoint: stage the new data but crash before commit —
 		// PreCopyChunk stages without flipping the commit record.
 		c.WriteAll(p)
@@ -449,8 +452,9 @@ func TestCrashMidCheckpointRevertsToPreviousVersion(t *testing.T) {
 			t.Errorf("restored=%v version=%d, want v1", c.Restored, c.Version)
 			return
 		}
+		got := working(c)
 		for i := range v1 {
-			if c.Data()[i] != v1[i] {
+			if got[i] != v1[i] {
 				t.Error("recovered data is not the committed version")
 				return
 			}
@@ -501,7 +505,7 @@ func TestLazyRestoreDefersAndVerifiesOnRead(t *testing.T) {
 		c.WriteAll(p)
 		s.ChkptAll(p)
 		data, _ := s.StagedData(p, c.ID)
-		want = append([]byte(nil), data...)
+		want = data.AppendTo(nil)
 	})
 	r.env.Run()
 	r.k.SoftReset()
@@ -534,8 +538,9 @@ func TestLazyRestoreDefersAndVerifiesOnRead(t *testing.T) {
 		if c.RestorePending() {
 			t.Error("still pending after read")
 		}
+		got := working(c)
 		for i := range want {
-			if c.Data()[i] != want[i] {
+			if got[i] != want[i] {
 				t.Error("lazy-restored data differs from committed checkpoint")
 				return
 			}
@@ -589,7 +594,7 @@ func TestLazyRestorePartialWriteMaterializesFirst(t *testing.T) {
 		c.WriteAll(p)
 		s.ChkptAll(p)
 		data, _ := s.StagedData(p, c.ID)
-		want = append([]byte(nil), data...)
+		want = data.AppendTo(nil)
 	})
 	r.env.Run()
 	r.k.SoftReset()
@@ -603,8 +608,9 @@ func TestLazyRestorePartialWriteMaterializesFirst(t *testing.T) {
 		}
 		// Bytes far from the written range must be the checkpoint's.
 		lo, _ := c.payloadRange(5*mem.MB, 100)
+		got := working(c)
 		for i := lo; i < lo+100 && i < len(want); i++ {
-			if c.Data()[i] != want[i] {
+			if got[i] != want[i] {
 				t.Error("partial write lost restored bytes")
 				return
 			}
@@ -684,7 +690,7 @@ func TestNVReallocGrowPreservesDataAndRedirties(t *testing.T) {
 	newRig().run(t, func(p *sim.Proc, s *Store) {
 		c, _ := s.NVAlloc(p, "grow", 1000, true)
 		c.WriteAll(p)
-		first := append([]byte(nil), c.Data()...)
+		first := working(c)
 		s.ChkptAll(p)
 		if err := s.NVRealloc(p, c, 2000); err != nil {
 			t.Fatal(err)
@@ -692,8 +698,9 @@ func TestNVReallocGrowPreservesDataAndRedirties(t *testing.T) {
 		if c.Size != 2000 {
 			t.Fatalf("Size = %d", c.Size)
 		}
+		got := working(c)
 		for i := range first {
-			if c.Data()[i] != first[i] {
+			if got[i] != first[i] {
 				t.Fatal("realloc lost payload prefix")
 			}
 		}
@@ -805,7 +812,7 @@ func TestStagedDataChecksumRoundTrip(t *testing.T) {
 			t.Fatal("no staged data after checkpoint")
 		}
 		snap := s.Snapshot(p)
-		if checksum(data, c.Size) != snap[0].Checksum {
+		if data.Checksum(c.Size) != snap[0].Checksum {
 			t.Fatal("checksum mismatch between staged data and snapshot")
 		}
 	})

@@ -31,10 +31,10 @@ func (v CorruptVictim) Key() string { return v.Proc + "/" + v.Chunk }
 // torn=true the payload's tail half is zeroed (a write torn by power loss).
 // Victims are chosen with rng over a sorted enumeration of processes and
 // chunk ids, so placement is reproducible under a fixed seed. Damage is
-// copy-on-damage, never in place: each victim's payload is cloned, the clone
-// damaged and installed in the victim's version slot, so the buddy replica
-// and the PFS object sharing the original slice stay intact. Returns the
-// damaged chunks sorted by Key.
+// copy-on-damage, never in place: each victim's payload is materialized into
+// fresh bytes, damaged and installed in the victim's version slot, so the
+// buddy replica and the PFS object sharing the original payload stay
+// intact. Returns the damaged chunks sorted by Key.
 func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) []CorruptVictim {
 	if max <= 0 {
 		max = 1
@@ -43,7 +43,7 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 		proc string
 		id   uint64
 		rec  nvmkernel.CommitRecord
-		data []byte
+		data nvmkernel.Payload
 	}
 	var victims []victim
 	procs := k.ProcessNames()
@@ -62,7 +62,7 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 			if !ok {
 				continue
 			}
-			if data := t.Slot(nil, id, rec.Slot); len(data) > 0 {
+			if data := t.Slot(nil, id, rec.Slot); data.Len() > 0 {
 				victims = append(victims, victim{proc: proc, id: id, rec: rec, data: data})
 			}
 		}
@@ -76,8 +76,8 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 	for _, v := range victims {
 		// Copy on damage: the stored payload is shared with the buddy
 		// replica and the PFS, which must keep the good bytes, so the
-		// damage goes into a clone installed in the same slot.
-		data := append([]byte(nil), v.data...)
+		// damage goes into fresh bytes installed in the same slot.
+		data := v.data.AppendTo(nil)
 		if torn {
 			for i := len(data) / 2; i < len(data); i++ {
 				data[i] = 0
@@ -87,10 +87,10 @@ func CorruptCommitted(k *nvmkernel.Kernel, rng *rand.Rand, max int, torn bool) [
 		}
 		// A coincidental no-op (the pattern already held those bytes) would
 		// silently inject nothing; force a mismatch in that case.
-		if checksum(data, v.rec.Size) == v.rec.Checksum {
+		if nvmkernel.Bytes(data).Checksum(v.rec.Size) == v.rec.Checksum {
 			data[0] ^= 0xFF
 		}
-		k.Chunks(v.proc).SetSlot(nil, v.id, v.rec.Slot, data)
+		k.Chunks(v.proc).SetSlot(nil, v.id, v.rec.Slot, nvmkernel.Bytes(data))
 		name := v.rec.Name
 		if name == "" {
 			name = strconv.FormatUint(v.id, 10)

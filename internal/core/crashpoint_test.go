@@ -19,7 +19,7 @@ func twoCheckpoints(r *rig, names []string, kill time.Duration) (v1, v2 [][]byte
 		out := make([][]byte, len(cs))
 		for i, c := range cs {
 			data, _ := s.StagedData(p, c.ID)
-			out[i] = append([]byte(nil), data...)
+			out[i] = data.AppendTo(nil)
 		}
 		return out
 	}
@@ -85,8 +85,8 @@ func TestKillInsideCommitRestoresWholeChunks(t *testing.T) {
 				switch {
 				case !c.Restored:
 					t.Errorf("kill %d: %s not restored", i, n)
-				case c.Version == 1 && bytes.Equal(c.Data(), v1[j]),
-					c.Version == 2 && bytes.Equal(c.Data(), v2[j]):
+				case c.Version == 1 && bytes.Equal(working(c), v1[j]),
+					c.Version == 2 && bytes.Equal(working(c), v2[j]):
 					versions = append(versions, c.Version)
 				default:
 					t.Errorf("kill %d: %s restored v%d with neither committed payload", i, n, c.Version)

@@ -43,7 +43,7 @@ func FuzzChunkWriteCheckpointRestore(f *testing.F) {
 				case 2:
 					s.ChkptAll(p)
 					if d, ok := s.StagedData(p, c.ID); ok {
-						committed = append(committed[:0], d...)
+						committed = d.AppendTo(committed[:0])
 					}
 				}
 			}
@@ -62,8 +62,9 @@ func FuzzChunkWriteCheckpointRestore(f *testing.F) {
 			if !c.Restored {
 				t.Fatal("committed chunk did not restore")
 			}
+			got := working(c)
 			for i := range committed {
-				if c.Data()[i] != committed[i] {
+				if got[i] != committed[i] {
 					t.Fatalf("restored byte %d differs", i)
 				}
 			}

@@ -67,8 +67,9 @@ func runRandomOps(t *testing.T, seed int64) {
 						return
 					}
 					want := o.committed[n]
+					got := working(c)
 					for i := range want {
-						if c.Data()[i] != want[i] {
+						if got[i] != want[i] {
 							t.Errorf("life %d: %s restored content differs at byte %d", life, n, i)
 							break
 						}
@@ -118,7 +119,7 @@ func runRandomOps(t *testing.T, seed int64) {
 					for n2, c2 := range chunks {
 						data, ok := s.StagedData(p, c2.ID)
 						if c2.Committed() && ok {
-							o.committed[n2] = append([]byte(nil), data...)
+							o.committed[n2] = data.AppendTo(nil)
 							o.versions[n2] = c2.Version
 						}
 					}
@@ -128,7 +129,7 @@ func runRandomOps(t *testing.T, seed int64) {
 						return
 					}
 					if data, ok := s.StagedData(p, c.ID); ok {
-						o.committed[name] = append([]byte(nil), data...)
+						o.committed[name] = data.AppendTo(nil)
 						o.versions[name] = c.Version
 					}
 				}
@@ -155,7 +156,7 @@ func TestPayloadRangeProperty(t *testing.T) {
 		lo, ln := c.payloadRange(off, n)
 		// The mapped range is always within the payload and non-empty for
 		// non-empty writes.
-		return lo >= 0 && ln >= 1 && lo+ln <= len(c.Data())
+		return lo >= 0 && ln >= 1 && lo+ln <= c.Payload().Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -167,6 +168,7 @@ func TestChecksumProperties(t *testing.T) {
 	// overwhelming probability) different sum.
 	f := func(data []byte, size32 uint32) bool {
 		size := int64(size32)
+		checksum := func(b []byte, size int64) uint64 { return nvmkernel.Bytes(b).Checksum(size) }
 		a := checksum(data, size)
 		if checksum(data, size) != a {
 			return false

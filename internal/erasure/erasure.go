@@ -19,6 +19,7 @@ import (
 	"nvmcp/internal/core"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/sim"
 )
 
@@ -56,6 +57,9 @@ type Group struct {
 	stores map[int][]*core.Store // member node -> rank-ordered stores
 	parity map[chunkKey]*parityChunk
 	round  uint64
+	// scratch holds one member payload's materialized bytes while xorInto
+	// folds it into an accumulator.
+	scratch []byte
 
 	// ShipBytes counts bytes shipped to the parity node; Reconstructions
 	// counts rebuilt members.
@@ -158,7 +162,7 @@ func (g *Group) CommitParity(p *sim.Proc) error {
 				s.Kernel().NVM.ReadBytes(p, st.Size)
 				g.fabric.RDMAWrite(p, member, g.parityNode, st.Size, 0)
 				g.nvm[g.parityNode].WriteBytes(p, st.Size)
-				pc.data = xorInto(pc.data, data)
+				pc.data = g.xorInto(pc.data, data)
 				pc.seqs[mi] = st.CleanSeq
 				g.ShipBytes += st.Size
 			}
@@ -223,9 +227,9 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 				}
 				ss.Kernel().NVM.ReadBytes(p, pc.size)
 				g.fabric.RDMARead(p, member, failed, pc.size)
-				acc = xorInto(acc, data)
+				acc = g.xorInto(acc, data)
 			}
-			if err := s.AdoptRemote(p, c, acc, 0); err != nil {
+			if err := s.AdoptRemote(p, c, nvmkernel.Bytes(acc), 0); err != nil {
 				return err
 			}
 		}
@@ -241,9 +245,9 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 // it into a store (the caller delivers it). The transfer lands in the failed
 // node's NVM. Survivors must still hold the committed round's data, else
 // ErrStale.
-func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) ([]byte, int64, error) {
+func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) (nvmkernel.Payload, int64, error) {
 	if g.round == 0 {
-		return nil, 0, ErrNoParity
+		return nvmkernel.Payload{}, 0, ErrNoParity
 	}
 	fi := -1
 	for i, m := range g.members {
@@ -252,12 +256,12 @@ func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) ([]byte, in
 		}
 	}
 	if fi < 0 {
-		return nil, 0, fmt.Errorf("erasure: node %d is not a group member", failed)
+		return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: node %d is not a group member", failed)
 	}
 	key := chunkKey{slot, id}
 	pc, ok := g.parity[key]
 	if !ok {
-		return nil, 0, fmt.Errorf("erasure: no parity for slot %d chunk %d", slot, id)
+		return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: no parity for slot %d chunk %d", slot, id)
 	}
 	// Start from the parity, shipped from the parity node.
 	g.nvm[g.parityNode].ReadBytes(p, pc.size)
@@ -270,28 +274,28 @@ func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) ([]byte, in
 		}
 		stores := g.stores[member]
 		if slot >= len(stores) {
-			return nil, 0, fmt.Errorf("%w: survivor %d has no rank slot %d", ErrShape, member, slot)
+			return nvmkernel.Payload{}, 0, fmt.Errorf("%w: survivor %d has no rank slot %d", ErrShape, member, slot)
 		}
 		ss := stores[slot]
 		snap := findState(ss, id)
 		if snap == nil {
-			return nil, 0, fmt.Errorf("erasure: survivor %d missing chunk %d", member, id)
+			return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: survivor %d missing chunk %d", member, id)
 		}
 		if snap.CleanSeq != pc.seqs[mi] {
-			return nil, 0, fmt.Errorf("%w: survivor %d chunk %d at seq %d, parity at %d",
+			return nvmkernel.Payload{}, 0, fmt.Errorf("%w: survivor %d chunk %d at seq %d, parity at %d",
 				ErrStale, member, id, snap.CleanSeq, pc.seqs[mi])
 		}
 		data, ok := ss.StagedData(p, id)
 		if !ok {
-			return nil, 0, fmt.Errorf("erasure: survivor %d has no data for chunk %d", member, id)
+			return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: survivor %d has no data for chunk %d", member, id)
 		}
 		ss.Kernel().NVM.ReadBytes(p, pc.size)
 		g.fabric.RDMARead(p, member, failed, pc.size)
-		acc = xorInto(acc, data)
+		acc = g.xorInto(acc, data)
 	}
 	g.nvm[failed].WriteBytes(p, pc.size)
 	g.Reconstructions++
-	return acc, pc.size, nil
+	return nvmkernel.Bytes(acc), pc.size, nil
 }
 
 // shape validates rank alignment across members and returns the (slot,
@@ -336,15 +340,17 @@ func findState(s *core.Store, id uint64) *core.ChunkState {
 	}
 }
 
-// xorInto returns dst ^= src, growing dst to cover src.
-func xorInto(dst, src []byte) []byte {
-	if len(src) > len(dst) {
-		grown := make([]byte, len(src))
+// xorInto returns dst ^= src, growing dst to cover src. src is
+// materialized into the group's scratch buffer first.
+func (g *Group) xorInto(dst []byte, src nvmkernel.Payload) []byte {
+	g.scratch = src.AppendTo(g.scratch[:0])
+	if len(g.scratch) > len(dst) {
+		grown := make([]byte, len(g.scratch))
 		copy(grown, dst)
 		dst = grown
 	}
-	for i := range src {
-		dst[i] ^= src[i]
+	for i, b := range g.scratch {
+		dst[i] ^= b
 	}
 	return dst
 }

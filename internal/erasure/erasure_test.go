@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -104,8 +105,8 @@ func TestReconstructRecoversExactBytes(t *testing.T) {
 		s := r.stores[1]
 		da, _ := s.StagedData(p, core.GenID("a"))
 		db, _ := s.StagedData(p, core.GenID("b"))
-		wantA = append([]byte(nil), da...)
-		wantB = append([]byte(nil), db...)
+		wantA = da.AppendTo(nil)
+		wantB = db.AppendTo(nil)
 		if err := r.group.CommitParity(p); err != nil {
 			t.Error(err)
 		}
@@ -130,17 +131,13 @@ func TestReconstructRecoversExactBytes(t *testing.T) {
 		if took := p.Now() - start; took <= 0 {
 			t.Error("reconstruction was free")
 		}
-		for i := range wantA {
-			if a.Data()[i] != wantA[i] {
-				t.Error("chunk a reconstruction mismatch")
-				return
-			}
+		if !bytes.Equal(a.Payload().AppendTo(nil), wantA) {
+			t.Error("chunk a reconstruction mismatch")
+			return
 		}
-		for i := range wantB {
-			if b.Data()[i] != wantB[i] {
-				t.Error("chunk b reconstruction mismatch")
-				return
-			}
+		if !bytes.Equal(b.Payload().AppendTo(nil), wantB) {
+			t.Error("chunk b reconstruction mismatch")
+			return
 		}
 	})
 	r.env.Run()
@@ -284,14 +281,15 @@ func TestRemoteFootprintBeforeParityIsZero(t *testing.T) {
 }
 
 func TestXorIntoGrowsAndInverts(t *testing.T) {
+	var g Group
 	a := []byte{0x0F}
-	b := []byte{0xF0, 0xAA}
-	c := xorInto(append([]byte(nil), a...), b)
+	b := nvmkernel.Bytes([]byte{0xF0, 0xAA})
+	c := g.xorInto(append([]byte(nil), a...), b)
 	if len(c) != 2 || c[0] != 0xFF || c[1] != 0xAA {
 		t.Fatalf("xorInto = %v", c)
 	}
 	// XOR is its own inverse: folding b back yields a (zero-padded).
-	back := xorInto(append([]byte(nil), c...), b)
+	back := g.xorInto(append([]byte(nil), c...), b)
 	if back[0] != 0x0F || back[1] != 0 {
 		t.Fatalf("inverse = %v", back)
 	}

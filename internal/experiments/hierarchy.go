@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/pfs"
 	"nvmcp/internal/report"
 	"nvmcp/internal/sim"
@@ -81,7 +82,7 @@ func pfsDirect(cfg cluster.Config) time.Duration {
 			for iter := 0; iter < cfg.Iterations; iter++ {
 				p.Sleep(cfg.App.IterTime)
 				barrier.Await(p)
-				fs.Write(p, fmt.Sprintf("ckpt/%d", r), ckptSize, uint64(iter+1), nil)
+				fs.Write(p, fmt.Sprintf("ckpt/%d", r), ckptSize, uint64(iter+1), nvmkernel.Payload{})
 				barrier.Await(p)
 			}
 			if t := p.Now(); t > done {

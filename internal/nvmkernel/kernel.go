@@ -326,7 +326,7 @@ type chunkRecord struct {
 	// live is false before the first commit and after a clear; written
 	// stays true once the commit record was written or cleared at all.
 	live, written bool
-	slots         [2][]byte // version payloads; nil is an empty slot
+	slots         [2]Payload // version payloads; the zero Payload is an empty slot
 }
 
 // Commit loads chunk id's commit record; ok is false if none is live.
@@ -354,15 +354,16 @@ func (t *ChunkTable) setCommit(p *sim.Proc, id uint64, rec CommitRecord, live bo
 	t.recs[id] = r
 }
 
-// Slot loads the payload in a version slot of chunk id, nil if it is empty.
-func (t *ChunkTable) Slot(p *sim.Proc, id uint64, slot int) []byte {
+// Slot loads the payload in a version slot of chunk id, the zero Payload if
+// it is empty.
+func (t *ChunkTable) Slot(p *sim.Proc, id uint64, slot int) Payload {
 	t.k.syscall(p)
 	return t.recs[id].slots[slot]
 }
 
-// SetSlot stores data, not a copy of it, as the payload in a version slot of
-// chunk id; nil empties the slot.
-func (t *ChunkTable) SetSlot(p *sim.Proc, id uint64, slot int, data []byte) {
+// SetSlot stores data as the payload in a version slot of chunk id; the zero
+// Payload empties the slot.
+func (t *ChunkTable) SetSlot(p *sim.Proc, id uint64, slot int, data Payload) {
 	t.k.syscall(p)
 	r := t.recs[id]
 	r.slots[slot] = data

@@ -282,7 +282,7 @@ func TestChunkTableSurvivesSoftResetSharedWithHelper(t *testing.T) {
 	e.Go("app", func(p *sim.Proc) {
 		tab := k.Attach("rank0").Chunks()
 		k.MetaLock.Lock(p)
-		tab.SetSlot(p, 7, 1, []byte{0xAB})
+		tab.SetSlot(p, 7, 1, Bytes([]byte{0xAB}))
 		tab.SetCommit(p, 7, want)
 		k.MetaLock.Unlock(p)
 	})
@@ -294,7 +294,7 @@ func TestChunkTableSurvivesSoftResetSharedWithHelper(t *testing.T) {
 		if rec, ok := tab.Commit(p, 7); !ok || rec != want {
 			t.Errorf("helper loaded commit record %+v (ok=%v), want %+v", rec, ok, want)
 		}
-		if data := tab.Slot(p, 7, 1); len(data) != 1 || data[0] != 0xAB {
+		if data := tab.Slot(p, 7, 1).AppendTo(nil); len(data) != 1 || data[0] != 0xAB {
 			t.Errorf("helper loaded slot %v", data)
 		}
 	})
@@ -305,7 +305,7 @@ func TestChunkTableSurvivesSoftResetSharedWithHelper(t *testing.T) {
 		if rec, ok := tab.Commit(p, 7); !ok || rec != want {
 			t.Errorf("commit record after soft reset = %+v (ok=%v)", rec, ok)
 		}
-		if tab.Slot(p, 7, 1) == nil {
+		if !tab.Slot(p, 7, 1).Valid() {
 			t.Error("version slot lost across soft reset")
 		}
 	})
@@ -316,12 +316,12 @@ func TestChunkTableOfUnknownProcessCreatesNoState(t *testing.T) {
 	e := sim.NewEnv()
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
-		k.Attach("rank0").Chunks().SetSlot(p, 1, 0, []byte{1})
-		k.Chunks("rank0").SetSlot(p, 1, 0, []byte{2})
-		if data := k.Attach("rank1").Chunks().Slot(p, 1, 0); data != nil {
+		k.Attach("rank0").Chunks().SetSlot(p, 1, 0, Bytes([]byte{1}))
+		k.Chunks("rank0").SetSlot(p, 1, 0, Bytes([]byte{2}))
+		if data := k.Attach("rank1").Chunks().Slot(p, 1, 0); data.Valid() {
 			t.Errorf("rank1 sees rank0's slot: %v", data)
 		}
-		if data := k.Chunks("rank0").Slot(p, 1, 0); data[0] != 2 {
+		if data := k.Chunks("rank0").Slot(p, 1, 0).AppendTo(nil); data[0] != 2 {
 			t.Errorf("slot after an outside SetSlot = %v, want [2]", data)
 		}
 	})
@@ -339,7 +339,7 @@ func TestChunkTableIDsListWrittenCommitRecords(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		tab := k.Attach("rank0").Chunks()
-		tab.SetSlot(p, 1, 0, []byte{1}) // staged only: no commit record
+		tab.SetSlot(p, 1, 0, Bytes([]byte{1})) // staged only: no commit record
 		tab.SetCommit(p, 30, CommitRecord{Version: 1})
 		tab.SetCommit(p, 20, CommitRecord{Version: 1})
 		tab.ClearCommit(p, 20)
@@ -347,7 +347,7 @@ func TestChunkTableIDsListWrittenCommitRecords(t *testing.T) {
 		if _, ok := tab.Commit(p, 20); ok {
 			t.Error("cleared commit record still live")
 		}
-		if tab.Slot(p, 1, 1) != nil {
+		if tab.Slot(p, 1, 1).Valid() {
 			t.Error("empty slot holds a payload")
 		}
 		ids := tab.IDs()

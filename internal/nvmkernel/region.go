@@ -99,9 +99,10 @@ func (s pageSet) count() int {
 }
 
 // Region is a contiguous mapped range: a page table with protection and
-// nvdirty bits, plus a real data payload. VirtualSize drives all timing and
-// capacity accounting; Data holds the (possibly scaled-down) real bytes that
-// checksums and restore verification operate on.
+// nvdirty bits, plus an optional real data payload. VirtualSize drives all
+// timing and capacity accounting; Data holds payloadSize real bytes for
+// callers that store into the region directly. core's chunks keep their
+// payload as a Payload and map regions with payloadSize 0.
 type Region struct {
 	ID          string
 	Kind        RegionKind

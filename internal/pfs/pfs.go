@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/resource"
@@ -37,7 +38,7 @@ var (
 type object struct {
 	size    int64
 	version uint64
-	data    []byte
+	data    nvmkernel.Payload
 }
 
 // FS is the cluster-wide parallel file system.
@@ -76,11 +77,10 @@ func New(env *sim.Env, aggregateBW, stripeBW float64) *FS {
 }
 
 // Write stores (or replaces) a checkpoint object of the given virtual size
-// with the given payload bytes, blocking p while the data drains through the
+// with the given payload, blocking p while the data drains through the
 // shared ingest bandwidth under the per-client stripe cap. The object keeps
-// the caller's slice, not a copy: checkpoint payloads are immutable once
-// staged, so the caller must not write data afterwards.
-func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data []byte) {
+// the payload itself: checkpoint payloads are immutable.
+func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data nvmkernel.Payload) {
 	f.ingest.TransferCapped(p, size, f.stripeBW)
 	f.objects[name] = &object{
 		size:    size,
@@ -90,11 +90,11 @@ func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data []
 }
 
 // Read fetches a checkpoint object's payload, blocking p for the transfer.
-// The returned slice is the stored one, shared and read-only.
-func (f *FS) Read(p *sim.Proc, name string) ([]byte, int64, uint64, error) {
+// The returned payload is the stored one, shared.
+func (f *FS) Read(p *sim.Proc, name string) (nvmkernel.Payload, int64, uint64, error) {
 	obj, ok := f.objects[name]
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: %s", ErrNoObject, name)
+		return nvmkernel.Payload{}, 0, 0, fmt.Errorf("%w: %s", ErrNoObject, name)
 	}
 	f.egress.TransferCapped(p, obj.size, f.stripeBW)
 	return obj.data, obj.size, obj.version, nil

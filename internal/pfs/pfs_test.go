@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -17,9 +18,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	e := sim.NewEnv()
 	fs := New(e, 0, 0)
 	e.Go("w", func(p *sim.Proc) {
-		payload := []byte{1, 2, 3}
-		fs.Write(p, "ckpt/rank0", 100*mem.MB, 7, payload)
-		data, size, version, err := fs.Read(p, "ckpt/rank0")
+		fs.Write(p, "ckpt/rank0", 100*mem.MB, 7, nvmkernel.Bytes([]byte{1, 2, 3}))
+		got, size, version, err := fs.Read(p, "ckpt/rank0")
+		data := got.AppendTo(nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -43,7 +44,7 @@ func TestStripeCapLimitsOneClient(t *testing.T) {
 	var took time.Duration
 	e.Go("w", func(p *sim.Proc) {
 		start := p.Now()
-		fs.Write(p, "x", int64(500e6), 1, nil) // 500 MB at the 500 MB/s stripe cap
+		fs.Write(p, "x", int64(500e6), 1, nvmkernel.Payload{}) // 500 MB at the 500 MB/s stripe cap
 		took = p.Now() - start
 	})
 	e.Run()
@@ -59,7 +60,7 @@ func TestAggregateBandwidthShared(t *testing.T) {
 	for i := 0; i < writers; i++ {
 		name := string(rune('a' + i))
 		e.Go("w", func(p *sim.Proc) {
-			fs.Write(p, name, int64(250e6), 1, nil)
+			fs.Write(p, name, int64(250e6), 1, nvmkernel.Payload{})
 		})
 	}
 	e.Run()
@@ -74,8 +75,8 @@ func TestOverwriteKeepsSingleObject(t *testing.T) {
 	e := sim.NewEnv()
 	fs := New(e, 0, 0)
 	e.Go("w", func(p *sim.Proc) {
-		fs.Write(p, "x", mem.MB, 1, []byte{1})
-		fs.Write(p, "x", mem.MB, 2, []byte{2})
+		fs.Write(p, "x", mem.MB, 1, nvmkernel.Bytes([]byte{1}))
+		fs.Write(p, "x", mem.MB, 2, nvmkernel.Bytes([]byte{2}))
 	})
 	e.Run()
 	if fs.Objects() != 1 {
@@ -124,19 +125,15 @@ func TestDrainFlushesCommittedRemoteCopies(t *testing.T) {
 		t.Fatal("drain was free")
 	}
 	// Content matches the committed checkpoint.
-	var want []byte
 	e.Go("verify", func(p *sim.Proc) {
-		want, _ = store.StagedData(p, core.GenID("field"))
+		want, _ := store.StagedData(p, core.GenID("field"))
 		data, _, _, err := fs.Read(p, "rank0/field")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		for i := range want {
-			if data[i] != want[i] {
-				t.Error("PFS content differs from committed checkpoint")
-				return
-			}
+		if !bytes.Equal(data.AppendTo(nil), want.AppendTo(nil)) {
+			t.Error("PFS content differs from committed checkpoint")
 		}
 	})
 	e.Run()

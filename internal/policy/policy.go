@@ -14,6 +14,7 @@ import (
 	"nvmcp/internal/core"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/precopy"
 	"nvmcp/internal/remote"
@@ -94,7 +95,7 @@ type RemoteTier interface {
 	// position within its node). seq is the served copy's staged generation
 	// for lineage tracing — 0 when the tier cannot know it (erasure
 	// reconstruction). ok is false when the tier cannot serve the chunk.
-	Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (data []byte, size int64, seq uint64, ok bool)
+	Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (data nvmkernel.Payload, size int64, seq uint64, ok bool)
 	// Utilization reports the tier's helper busy fractions (Table V).
 	Utilization(now time.Duration) []float64
 	// DrainMesh is the mesh whose committed copies node holder keeps for

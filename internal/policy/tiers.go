@@ -6,6 +6,7 @@ import (
 
 	"nvmcp/internal/core"
 	"nvmcp/internal/erasure"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
@@ -124,7 +125,7 @@ func (t *buddyTier) Trigger(p *sim.Proc, node int) *sim.Completion {
 	return t.mesh.Agent(node).TriggerRemote(p)
 }
 
-func (t *buddyTier) Fetch(p *sim.Proc, node, slot int, procName string, id uint64) ([]byte, int64, uint64, bool) {
+func (t *buddyTier) Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (nvmkernel.Payload, int64, uint64, bool) {
 	return t.mesh.Fetch(p, node, procName, id)
 }
 
@@ -290,10 +291,10 @@ func (t *erasureTier) Trigger(p *sim.Proc, node int) *sim.Completion {
 	return done
 }
 
-func (t *erasureTier) Fetch(p *sim.Proc, node, slot int, procName string, id uint64) ([]byte, int64, uint64, bool) {
+func (t *erasureTier) Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (nvmkernel.Payload, int64, uint64, bool) {
 	data, size, err := t.groups[t.groupOf[node]].FetchChunk(p, node, slot, id)
 	if err != nil {
-		return nil, 0, 0, false
+		return nvmkernel.Payload{}, 0, 0, false
 	}
 	t.rec.Add("remote_fetches", 1)
 	// Parity reconstruction rebuilds bytes, not metadata: the staged

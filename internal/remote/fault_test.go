@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -50,11 +51,11 @@ func TestHardLossMidShipPreservesPriorCommittedVersion(t *testing.T) {
 		c.WriteAll(p)
 		r.store.ChkptAll(p)
 		agent.TriggerRemote(p).Await(p) // v1 remotely committed
-		v1, _, _, ok := r.mesh.Fetch(p, 0, "rank0", c.ID)
+		fetched, _, _, ok := r.mesh.Fetch(p, 0, "rank0", c.ID)
 		if !ok {
 			t.Fatal("v1 fetch failed")
 		}
-		v1 = append([]byte(nil), v1...)
+		v1 := fetched.AppendTo(nil)
 
 		c.WriteAll(p)
 		r.store.ChkptAll(p)
@@ -68,10 +69,8 @@ func TestHardLossMidShipPreservesPriorCommittedVersion(t *testing.T) {
 		if !ok {
 			t.Fatal("committed v1 unfetchable after mid-ship loss of v2")
 		}
-		for i := range v1 {
-			if got[i] != v1[i] {
-				t.Fatal("half-shipped v2 corrupted the committed v1 copy")
-			}
+		if !bytes.Equal(got.AppendTo(nil), v1) {
+			t.Fatal("half-shipped v2 corrupted the committed v1 copy")
 		}
 		agent2.Stop()
 	})
@@ -179,7 +178,8 @@ func TestCommittedDataReadsListedCopyAtReadTime(t *testing.T) {
 		agent.TriggerRemote(p).Await(p)
 		v2, ok := r.mesh.CommittedData(p, 1, listed[0])
 		want, _, _, _ := r.mesh.Fetch(p, 0, "rank0", c.ID)
-		if !ok || &v2[0] != &want[0] || &v2[0] == &v1[0] {
+		b1, b2, bw := v1.AppendTo(nil), v2.AppendTo(nil), want.AppendTo(nil)
+		if !ok || !bytes.Equal(b2, bw) || bytes.Equal(b2, b1) {
 			t.Fatal("read did not return the copy committed at read time")
 		}
 

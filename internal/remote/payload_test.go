@@ -15,20 +15,32 @@ import (
 	"nvmcp/internal/sim"
 )
 
+// payloadKinds are the two forms a staged payload takes: the recipe a
+// whole-chunk write leaves, and the materialized bytes of a partial write.
+var payloadKinds = []struct {
+	name  string
+	write func(p *sim.Proc, c *core.Chunk) error
+}{
+	{"recipe", func(p *sim.Proc, c *core.Chunk) error { return c.WriteAll(p) }},
+	{"bytes", func(p *sim.Proc, c *core.Chunk) error { return c.Write(p, c.Size/4, c.Size/3) }},
+}
+
 // tiers is node 0's chunk "field" checkpointed to all three tiers: locally
 // committed, shipped to and committed at buddy node 1, and drained from
-// there to the PFS. Every tier holds the one slice core staged.
+// there to the PFS. Every tier holds the one payload core staged.
 type tiers struct {
 	env  *sim.Env
 	k0   *nvmkernel.Kernel
 	mesh *remote.Mesh
 	fs   *pfs.FS
-	want []byte // a private copy of the staged payload
+	want []byte // the staged payload's bytes
 }
 
 const fieldObject = "rank0/field"
 
-func checkpointAllTiers(t *testing.T) *tiers {
+// checkpointAllTiers checkpoints "field" after one write, then writes it
+// again; write is one of payloadKinds.
+func checkpointAllTiers(t *testing.T, write func(*sim.Proc, *core.Chunk) error) *tiers {
 	t.Helper()
 	e := sim.NewEnv()
 	nvms := []*mem.Device{mem.NewPCM(e, 16*mem.GB), mem.NewPCM(e, 16*mem.GB)}
@@ -43,25 +55,30 @@ func checkpointAllTiers(t *testing.T) *tiers {
 	agent.Register(store)
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := store.NVAlloc(p, "field", 4*mem.MB, true)
-		c.WriteAll(p)
+		if err := write(p, c); err != nil {
+			t.Error(err)
+			return
+		}
 		store.ChkptAll(p)
 		agent.TriggerRemote(p).Await(p)
 		if st := tr.fs.Drain(p, tr.mesh, 1); st.Objects != 1 {
 			t.Errorf("drain moved %d objects, want 1", st.Objects)
 		}
 		staged, ok := store.StagedData(p, c.ID)
-		if !ok || len(staged) == 0 {
+		if !ok || staged.Len() == 0 {
 			t.Error("no staged payload after the checkpoint")
 			return
 		}
-		tr.want = append([]byte(nil), staged...)
+		tr.want = staged.AppendTo(nil)
 
 		// The application keeps computing: DRAM changes.
-		c.WriteAll(p)
-		if bytes.Equal(c.Data(), tr.want) {
+		if err := write(p, c); err != nil {
+			t.Error(err)
+		}
+		if bytes.Equal(c.Payload().AppendTo(nil), tr.want) {
 			t.Error("second write left the DRAM payload unchanged")
 		}
-		if got, _ := store.StagedData(p, c.ID); !bytes.Equal(got, tr.want) {
+		if got, _ := store.StagedData(p, c.ID); !bytes.Equal(got.AppendTo(nil), tr.want) {
 			t.Error("a DRAM write reached the staged payload")
 		}
 		agent.Stop()
@@ -78,24 +95,34 @@ func checkpointAllTiers(t *testing.T) *tiers {
 func (tr *tiers) assertShared(t *testing.T, p *sim.Proc) {
 	t.Helper()
 	data, _, _, ok := tr.mesh.Fetch(p, 0, "rank0", core.GenID("field"))
-	if !ok || !bytes.Equal(data, tr.want) {
-		t.Errorf("buddy replica changed: ok=%v equal=%v", ok, bytes.Equal(data, tr.want))
+	if equal := bytes.Equal(data.AppendTo(nil), tr.want); !ok || !equal {
+		t.Errorf("buddy replica changed: ok=%v equal=%v", ok, equal)
 	}
 	obj, _, _, err := tr.fs.Read(p, fieldObject)
-	if err != nil || !bytes.Equal(obj, tr.want) {
-		t.Errorf("PFS object changed: err=%v equal=%v", err, bytes.Equal(obj, tr.want))
+	if equal := bytes.Equal(obj.AppendTo(nil), tr.want); err != nil || !equal {
+		t.Errorf("PFS object changed: err=%v equal=%v", err, equal)
 	}
 }
 
 func TestSharedPayloadStaysIsolated(t *testing.T) {
-	tr := checkpointAllTiers(t)
-	tr.env.Go("check", func(p *sim.Proc) { tr.assertShared(t, p) })
-	tr.env.Run()
+	for _, kind := range payloadKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			tr := checkpointAllTiers(t, kind.write)
+			tr.env.Go("check", func(p *sim.Proc) { tr.assertShared(t, p) })
+			tr.env.Run()
+		})
+	}
 }
 
 func TestCorruptionDoesNotLeakIntoSharedCopies(t *testing.T) {
+	for _, kind := range payloadKinds {
+		t.Run(kind.name, func(t *testing.T) { corruptionStaysLocal(t, kind.write) })
+	}
+}
+
+func corruptionStaysLocal(t *testing.T, write func(*sim.Proc, *core.Chunk) error) {
 	for _, torn := range []bool{false, true} {
-		tr := checkpointAllTiers(t)
+		tr := checkpointAllTiers(t, write)
 		tr.k0.SoftReset()
 		victims := core.CorruptCommitted(tr.k0, rand.New(rand.NewSource(1)), 1, torn)
 		if len(victims) != 1 || victims[0].Key() != fieldObject {
@@ -125,7 +152,7 @@ func TestCorruptionDoesNotLeakIntoSharedCopies(t *testing.T) {
 			if err := s.AdoptRemote(p, c, data, 0); err != nil {
 				t.Errorf("torn=%v: AdoptRemote: %v", torn, err)
 			}
-			if !bytes.Equal(c.Data(), tr.want) {
+			if !bytes.Equal(c.Payload().AppendTo(nil), tr.want) {
 				t.Errorf("torn=%v: adopted contents differ from the checkpoint", torn)
 			}
 		})

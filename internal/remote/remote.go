@@ -25,6 +25,7 @@ import (
 	"nvmcp/internal/core"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/sim"
 )
@@ -92,12 +93,12 @@ type chunkKey struct {
 }
 
 // remoteChunk is the buddy-side two-version container. Each version is the
-// staged payload slice itself, shared with the source node's NVM slot and
-// never written: a payload is immutable once core stages it.
+// staged payload itself, shared with the source node's NVM slot: a payload
+// is immutable.
 type remoteChunk struct {
 	qname     string // "<proc>/<chunk>", set at first ship (see objName)
 	size      int64
-	versions  [2][]byte
+	versions  [2]nvmkernel.Payload
 	seqs      [2]uint64
 	sums      [2]uint64
 	committed int // -1 before first remote commit
@@ -242,16 +243,16 @@ func (m *Mesh) DropNode(node int) {
 // on srcNode, pulling it from the buddy across the fabric into srcNode's
 // NVM — the hard-failure recovery path. seq is the committed copy's staged
 // generation (for lineage); ok is false when the buddy holds no committed
-// version or is itself down. The returned slice is the shared, immutable
-// payload core staged: callers read it or copy out of it, never write it.
-func (m *Mesh) Fetch(p *sim.Proc, srcNode int, procName string, id uint64) ([]byte, int64, uint64, bool) {
+// version or is itself down. The returned payload is the one core staged,
+// shared and immutable.
+func (m *Mesh) Fetch(p *sim.Proc, srcNode int, procName string, id uint64) (nvmkernel.Payload, int64, uint64, bool) {
 	a := m.agents[srcNode]
 	if a == nil || m.down[a.buddy] {
-		return nil, 0, 0, false
+		return nvmkernel.Payload{}, 0, 0, false
 	}
 	rc, ok := m.data[a.buddy][chunkKey{procName, id}]
 	if !ok || rc.committed < 0 {
-		return nil, 0, 0, false
+		return nvmkernel.Payload{}, 0, 0, false
 	}
 	m.Counters[cFetches].Add(1)
 	m.fabric.RDMARead(p, a.buddy, srcNode, rc.size)
@@ -301,12 +302,12 @@ func (m *Mesh) CommittedList(holder int) []CommittedObject {
 // CommittedData returns the committed payload of a copy CommittedList
 // listed, charging the holder's NVM read path. It reads the committed slot
 // as it is now: a copy dropped with its holder's NVM (DropNode) or no
-// longer committed reads as missing. Like Fetch, it returns the shared,
-// read-only staged slice.
-func (m *Mesh) CommittedData(p *sim.Proc, holder int, obj CommittedObject) ([]byte, bool) {
+// longer committed reads as missing. Like Fetch, it returns the shared
+// staged payload.
+func (m *Mesh) CommittedData(p *sim.Proc, holder int, obj CommittedObject) (nvmkernel.Payload, bool) {
 	rc, ok := m.data[holder][obj.key]
 	if !ok || rc.committed < 0 {
-		return nil, false
+		return nvmkernel.Payload{}, false
 	}
 	m.nvm[holder].ReadBytes(p, rc.size)
 	return rc.versions[rc.committed], true
@@ -642,7 +643,7 @@ const HelperCPURate = 400e6 // bytes/sec
 // ship moves one chunk's staged payload to the buddy: local NVM read, RDMA
 // write across the fabric, buddy NVM write, and an in-progress version
 // update on the buddy. The transfer is charged in virtual time; the buddy's
-// version slot then holds the staged slice itself, not a copy of it. Only
+// version slot then holds the staged payload itself. Only
 // the helper's CPU work is metered — the RDMA transfer itself is NIC DMA and
 // costs wall time, not helper CPU.
 func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {

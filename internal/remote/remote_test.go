@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -126,13 +127,12 @@ func TestUnstagedChunkIsNotShipped(t *testing.T) {
 func TestFetchRecoversCommittedRemoteCopy(t *testing.T) {
 	e := sim.NewEnv()
 	r, agent := newRig(e, Config{Scheme: AsyncBurst})
-	var want []byte
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "field", 30*mem.MB, true)
 		c.WriteAll(p)
 		r.store.ChkptAll(p)
-		want, _ = r.store.StagedData(p, c.ID)
-		want = append([]byte(nil), want...)
+		staged, _ := r.store.StagedData(p, c.ID)
+		want := staged.AppendTo(nil)
 		agent.TriggerRemote(p).Await(p)
 
 		// Hard failure of node 0: local NVM gone; fetch from buddy.
@@ -145,11 +145,9 @@ func TestFetchRecoversCommittedRemoteCopy(t *testing.T) {
 		if size != 30*mem.MB {
 			t.Errorf("fetched size = %d", size)
 		}
-		for i := range want {
-			if data[i] != want[i] {
-				t.Error("fetched data differs from committed checkpoint")
-				return
-			}
+		if !bytes.Equal(data.AppendTo(nil), want) {
+			t.Error("fetched data differs from committed checkpoint")
+			return
 		}
 		agent.Stop()
 	})
@@ -183,8 +181,8 @@ func TestRemoteTwoVersionsSurviveNewShipment(t *testing.T) {
 		c.WriteAll(p)
 		r.store.ChkptAll(p)
 		agent.TriggerRemote(p).Await(p)
-		v1, _, _, _ := r.mesh.Fetch(p, 0, "rank0", c.ID)
-		v1 = append([]byte(nil), v1...)
+		fetched, _, _, _ := r.mesh.Fetch(p, 0, "rank0", c.ID)
+		v1 := fetched.AppendTo(nil)
 
 		// Second round: new data shipped but NOT remotely committed —
 		// fetch must still return version 1.
@@ -196,11 +194,9 @@ func TestRemoteTwoVersionsSurviveNewShipment(t *testing.T) {
 			t.Error("fetch failed")
 			return
 		}
-		for i := range v1 {
-			if got[i] != v1[i] {
-				t.Error("uncommitted shipment overwrote the committed remote version")
-				return
-			}
+		if !bytes.Equal(got.AppendTo(nil), v1) {
+			t.Error("uncommitted shipment overwrote the committed remote version")
+			return
 		}
 		agent.Stop()
 	})
