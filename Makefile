@@ -110,15 +110,24 @@ faults:
 # pins the same presets' Chrome traces (plus one run with quiesce spans) in
 # testdata/trace.golden.json; the experiments
 # golden does the same for the quick-scale result of every paper experiment
-# in the experiments.All table but fleet. Last, every paper experiment runs at
-# GOMAXPROCS 1 and 4: the host's width must not change a printed figure
-# (wall-clock "completed in" lines aside).
+# in the experiments.All table but fleet. The bus consumers fold the merged
+# stream of a sharded run: slo-paper at paper scale on two shards, with strict
+# lineage, SLO and drift, must pass and must not fall back to the serial
+# engine (no shard-fallback event on its bus). Last, every paper experiment
+# runs at GOMAXPROCS 1 and 4: the host's width must not change a printed
+# figure (wall-clock "completed in" lines aside).
 invariants:
 	$(GO) test -race ./internal/lineage/ ./internal/introspect/
 	$(GO) test -race -run 'TestShardDeterminism|TestBehaviourGolden|TestTraceGolden' ./internal/cluster/
 	$(GO) test -race -run TestQuickGolden ./internal/experiments/
 	$(GO) run ./cmd/nvmcp-sim -preset faults -scale tiny -invariants
 	$(GO) run ./cmd/nvmcp-sim -scenario docs/scenarios/zone-outage.json -invariants
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/nvmcp-sim -preset slo-paper -scale paper -shards 2 -invariants -slo-strict -drift-strict \
+		-events-out "$$tmp/events.jsonl" > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+	if grep -q shard-fallback "$$tmp/events.jsonl"; then \
+		echo "slo-paper -shards 2 fell back to the serial engine:"; grep shard-fallback "$$tmp/events.jsonl"; exit 1; \
+	fi; echo "slo-paper -shards 2: sharded, lineage/SLO/drift strict and clean"
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/nvmcp-bench" ./cmd/nvmcp-bench && \
 	for p in 1 4; do \

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"nvmcp/internal/drift"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/policy"
 	"nvmcp/internal/sim"
@@ -43,11 +42,13 @@ func (se *shardEngine) shardOf(n int) *Cluster {
 // topology partitions cleanly. Sharding models loosely-coupled node groups,
 // so anything with global coupling pins the run to one engine: failure
 // injection (faults broadcast a kill to every rank), a bottom tier (one
-// shared file system), a remote policy whose data flows cross groups, and
-// the whole-run bus consumers (lineage, SLO) that need one globally ordered
-// stream *during* the run rather than after the merge. The Chrome trace is
-// not one of them: its tap reads per-rank and per-helper intervals only, so
-// each shard's observer carries its own (Cluster.ChromeTrace).
+// shared file system), a remote policy whose data flows cross groups, an
+// external controller, and drain staggering. The bus consumers are not
+// among them: lineage, SLO and drift attach once, to the coordinator, and
+// fold the merged stream at collect time (obs.MergeShards publishes it
+// through their taps); the Chrome trace reads per-rank and per-helper
+// intervals only, so each shard's observer carries its own tap
+// (Cluster.ChromeTrace).
 func shardBlocker(cfg *Config) string {
 	if len(cfg.Failures) > 0 || cfg.FaultModel != nil {
 		return "failure injection broadcasts across the whole cluster"
@@ -57,12 +58,6 @@ func shardBlocker(cfg *Config) string {
 	}
 	if re, _ := policy.Parse(policy.KindRemote, cfg.Remote); re.MinShardNodes == 0 {
 		return fmt.Sprintf("remote policy %q spans node groups", re.Name)
-	}
-	if cfg.Lineage != nil && cfg.Lineage.Enabled {
-		return "lineage tracing needs one live globally-ordered event bus"
-	}
-	if cfg.SLO != nil && cfg.SLO.Enabled {
-		return "SLO recording needs one live globally-ordered event bus"
 	}
 	if cfg.Control != nil {
 		return "external control hooks couple the whole cluster to one controller"
@@ -83,8 +78,9 @@ func maxShardCount(cfg *Config) int {
 // newSharded builds the coordinator cluster: one sub-cluster per contiguous
 // node group, a CrossBarrier with one gate per shard injected as each sub's
 // checkpoint rendezvous, and a merge environment whose Observer receives the
-// deterministic flush-time merge of every shard's streams. cfg.Shards holds
-// the resolved count and cfg passed Validate.
+// deterministic flush-time merge of every shard's streams and carries the
+// run's bus consumers. cfg.Shards holds the resolved count and cfg passed
+// Validate.
 func newSharded(cfg Config) (*Cluster, error) {
 	n := cfg.Shards
 	base, rem := cfg.Nodes/n, cfg.Nodes%n
@@ -101,9 +97,6 @@ func newSharded(cfg Config) (*Cluster, error) {
 		sub := cfg
 		sub.Shards = 1
 		sub.Nodes = span
-		// One global observatory replays the merged stream at collect time;
-		// per-shard live taps would each see only a slice of the cluster.
-		sub.Drift = nil
 		sub.nodeOffset = off
 		sub.rankOffset = bases[off]
 		if len(cfg.Shapes) > 0 {
@@ -115,7 +108,7 @@ func newSharded(cfg Config) (*Cluster, error) {
 		if cfg.Topo != nil {
 			sub.Topo = cfg.Topo.Slice(off, off+span)
 		}
-		c, err := New(sub)
+		c, err := build(sub)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
@@ -137,6 +130,7 @@ func newSharded(cfg Config) (*Cluster, error) {
 		Obs:     obs.New(env),
 		sharded: &shardEngine{subs: subs, group: group, barrier: cb},
 	}
+	c.attachConsumers()
 	return c, nil
 }
 
@@ -165,19 +159,14 @@ func (c *Cluster) executeSharded() (Result, error) {
 	// Align the merge clock with the slowest shard so the merged report's
 	// virtual end time covers every shard's events.
 	c.Env.RunUntil(se.group.MaxNow())
-	res := c.collectSharded()
-	if c.Drift != nil && c.Drift.Strict() {
-		if err := c.Drift.Err(); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return c.collectSharded(), nil
 }
 
 // collectSharded folds the shards into one Result and merges their
-// observability streams into the coordinator's Observer. Every fold is
-// ordered by shard index, so the output at a fixed shard count is
-// byte-stable regardless of GOMAXPROCS.
+// observability streams into the coordinator's Observer, whose bus
+// consumers fold the merged stream as it lands. Every fold is ordered by
+// shard index, so the output at a fixed shard count is byte-stable
+// regardless of GOMAXPROCS.
 func (c *Cluster) collectSharded() Result {
 	se := c.sharded
 	shardObs := make([]*obs.Observer, len(se.subs))
@@ -239,16 +228,6 @@ func (c *Cluster) collectSharded() Result {
 	reg.Gauge("mttr_seconds", nil).Set(0)
 	reg.Gauge("degraded_seconds_total", nil).Set(0)
 
-	// The drift observatory folds from events alone, so the sharded path
-	// replays the deterministic merged stream through the same fold the
-	// serial path taps live — reports come out byte-identical at any
-	// GOMAXPROCS for a fixed shard count.
-	if cfg.Drift != nil && cfg.Drift.Enabled {
-		d := drift.New(*cfg.Drift, driftInputs(&cfg), reg)
-		d.Replay(c.Obs.Events())
-		d.Finalize(c.Env.Now())
-		c.Drift = d
-		res.DriftViolations = d.ViolationCount()
-	}
+	c.sealConsumers(&res)
 	return res
 }

@@ -9,11 +9,12 @@
 // regime.
 //
 // The observatory folds from the event stream alone (never from registry
-// polling), so the same fold serves two entry paths: a live AddEventTap on
-// serial runs, and a post-merge Replay over obs.MergeShards output on
-// sharded runs. Both paths accumulate window state in integers and convert
-// to floats only at window close, making every derived report byte-stable
-// at any GOMAXPROCS for a fixed shard count.
+// polling), so one event tap serves both engines: live on a serial run's
+// bus, and on a sharded run's coordinator, through which obs.MergeShards
+// publishes the merged stream after the run. The fold accumulates window
+// state in integers and converts to floats only at window close, making
+// every derived report byte-stable at any GOMAXPROCS for a fixed shard
+// count.
 package drift
 
 import (

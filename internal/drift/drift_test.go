@@ -12,6 +12,7 @@ import (
 	"nvmcp/internal/model"
 	"nvmcp/internal/obs"
 	"nvmcp/internal/report"
+	"nvmcp/internal/sim"
 )
 
 func testInputs() Inputs {
@@ -364,9 +365,11 @@ func TestMeasuredMTBF(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesObserve holds the single-fold invariant: the live tap
-// path and the post-merge replay path produce byte-identical reports.
-func TestReplayMatchesObserve(t *testing.T) {
+// TestMergedStreamMatchesLiveTap holds the single-fold invariant across
+// engines: an observatory tapping a serial run's bus and one tapping the
+// coordinator that obs.MergeShards publishes two shards' streams through
+// produce byte-identical reports.
+func TestMergedStreamMatchesLiveTap(t *testing.T) {
 	in := testInputs()
 	in.RemoteOn = true
 	in.Params.IntervalRemote = 20 * time.Second
@@ -374,37 +377,77 @@ func TestReplayMatchesObserve(t *testing.T) {
 		WindowSecs: 5,
 		Limits:     []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.3}},
 	}}
-	var events []obs.Event
-	for i := int64(0); i < 12; i++ {
-		base := i * 5e6
-		events = append(events,
-			obs.Event{TUS: base + 1e6, Type: obs.EvChunkStaged, Bytes: 4 << 20},
-			obs.Event{TUS: base + 2e6, Type: obs.EvCheckpointCommit, Bytes: 16 << 20,
-				Attrs: obs.Attrs{obs.Int("dur_us", 900000), obs.Int("copied", 4), obs.Int("skipped", 1)}},
-			obs.Event{TUS: base + 3e6, Type: obs.EvChunkShipped, Bytes: 8 << 20},
-			obs.Event{TUS: base + 4e6, Type: obs.EvIteration},
-		)
+	type pub struct {
+		at    time.Duration
+		node  int
+		typ   obs.Type
+		bytes int64
+		attrs []obs.Attr
 	}
-	live := New(cfg, in, nil)
-	for _, ev := range events {
-		live.Observe(ev)
+	// Two shards of two nodes; events tie across shards and nodes, and
+	// every node pairs its own remote trigger with its own commit.
+	var shards [2][]pub
+	for i := 0; i < 12; i++ {
+		base := time.Duration(i) * 5 * time.Second
+		for s := range shards {
+			for n := 2 * s; n < 2*s+2; n++ {
+				shards[s] = append(shards[s],
+					pub{base + time.Second, n, obs.EvChunkStaged, 4 << 20, nil},
+					pub{base + 2*time.Second, n, obs.EvCheckpointCommit, 16 << 20,
+						[]obs.Attr{obs.Int("dur_us", 900000), obs.Int("copied", 4), obs.Int("skipped", 1)}},
+					pub{base + 2*time.Second, n, obs.EvRemoteTrigger, 0, nil},
+					pub{base + 3*time.Second + time.Duration(n)*time.Millisecond, n, obs.EvChunkShipped, 8 << 20, nil},
+					pub{base + 4*time.Second + time.Duration(s)*time.Millisecond, n, obs.EvRemoteCommit, 0, nil},
+					pub{base + 4*time.Second, n, obs.EvIteration, 0, nil},
+				)
+			}
+		}
 	}
-	live.Finalize(60 * time.Second)
+	// schedule publishes pubs on o at their virtual times; ties keep their
+	// scheduling order.
+	schedule := func(env *sim.Env, o *obs.Observer, pubs []pub) {
+		for _, p := range pubs {
+			rec := o.Recorder(p.node, "rank")
+			env.At(p.at, func() { rec.Log(p.typ, "", p.bytes, p.attrs...) })
+		}
+	}
+	const end = 60 * time.Second
 
-	replayed := New(cfg, in, nil)
-	replayed.Replay(events)
-	replayed.Finalize(60 * time.Second)
+	env := sim.NewEnv()
+	serial := obs.New(env)
+	live := Attach(serial, cfg, in)
+	for _, pubs := range shards {
+		schedule(env, serial, pubs)
+	}
+	env.Run()
+	live.Finalize(end)
 
-	meta := report.Meta{Tool: "test", Scenario: "replay", Seed: 7}
+	var parts []*obs.Observer
+	for _, pubs := range shards {
+		env := sim.NewEnv()
+		o := obs.New(env)
+		schedule(env, o, pubs)
+		env.Run()
+		parts = append(parts, o)
+	}
+	coord := obs.New(sim.NewEnv())
+	merged := Attach(coord, cfg, in)
+	obs.MergeShards(coord, parts)
+	merged.Finalize(end)
+
+	meta := report.Meta{Tool: "test", Scenario: "merge", Seed: 7}
 	var a, b bytes.Buffer
 	if err := report.WriteJSON(&a, "drift", BuildReport(live, meta)); err != nil {
 		t.Fatal(err)
 	}
-	if err := report.WriteJSON(&b, "drift", BuildReport(replayed, meta)); err != nil {
+	if err := report.WriteJSON(&b, "drift", BuildReport(merged, meta)); err != nil {
 		t.Fatal(err)
 	}
+	if len(live.Windows()) == 0 {
+		t.Fatal("live observatory closed no windows")
+	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("live and replayed reports differ:\n%s\n---\n%s", a.String(), b.String())
+		t.Fatalf("live and merged reports differ:\n%s\n---\n%s", a.String(), b.String())
 	}
 }
 
@@ -491,7 +534,9 @@ func TestFinalizeTailOnlyWhenActive(t *testing.T) {
 			[]int64{5e6, 5e6 + 1}, 5e6 + 1},
 	} {
 		d := New(cfg, testInputs(), nil)
-		d.Replay(tc.events)
+		for _, ev := range tc.events {
+			d.Observe(ev)
+		}
 		d.Finalize(tc.now)
 		var ends []int64
 		for _, w := range d.Windows() {

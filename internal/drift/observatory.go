@@ -171,8 +171,8 @@ type Summary struct {
 	MTBF        []MTBFStatus     `json:"mtbf,omitempty"`
 }
 
-// Observatory is the drift recorder. Create with New (then feed Observe or
-// Replay) or Attach (live event tap). Its windows close through an
+// Observatory is the drift recorder. Create with New (then feed Observe)
+// or Attach (event tap). Its windows close through an
 // obs.WindowFold. All exported readers are safe for concurrent use with the
 // fold.
 type Observatory struct {
@@ -200,7 +200,7 @@ type Observatory struct {
 	quants map[string]*qAcc
 }
 
-// New builds an observatory; the caller feeds it via Observe or Replay.
+// New builds an observatory; the caller feeds it via Observe.
 // reg, when non-nil, receives the drift gauges (drift_rel_err{quantity},
 // drift_phase_shifts, drift_windows) at every window close.
 func New(cfg Config, in Inputs, reg *obs.Registry) *Observatory {
@@ -234,8 +234,9 @@ func Attach(o *obs.Observer, cfg Config, in Inputs) *Observatory {
 	return d
 }
 
-// Observe folds one event. It is the single fold path: the live tap calls
-// it under the observer's lock, Replay calls it over a merged stream.
+// Observe folds one event. It is the single fold path: the tap calls it
+// under the observer's lock, live on a serial run and as obs.MergeShards
+// publishes the merged stream on a sharded one.
 func (d *Observatory) Observe(ev obs.Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -284,17 +285,6 @@ func (d *Observatory) Observe(ev obs.Event) {
 	case obs.EvRepairDone:
 		d.mttrSumUS += attrInt(ev, "mttr_us")
 		d.mttrN++
-	}
-}
-
-// Replay folds an already-recorded event stream — the sharded path, run
-// over obs.MergeShards output after the run completes. The merge is
-// deterministic at a fixed shard count and the fold is order-insensitive
-// within a window, so replayed reports are byte-identical at any
-// GOMAXPROCS.
-func (d *Observatory) Replay(events []obs.Event) {
-	for _, ev := range events {
-		d.Observe(ev)
 	}
 }
 

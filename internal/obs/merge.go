@@ -10,26 +10,39 @@ import (
 // Observer during the run (so the hot path takes no cross-shard locks); when
 // every shard has stopped, the coordinator merges:
 //
-//   - events: a k-way merge ordered by (virtual time, shard index,
-//     per-shard publication order) — the cross-shard total order the
-//     determinism contract names. Within one shard the stream is already
-//     time-ordered, so the merge is linear.
 //   - counters: summed.
 //   - gauges: taken in shard order (last shard wins a conflict); callers
 //     re-derive cluster-level gauges from the merged registry afterwards.
 //   - timelines: summed as step functions — the merged series at any instant
 //     is the sum of the shard series, which keeps window-diff readings
 //     (e.g. the Figure 10 peak) exact.
+//   - events: a k-way merge ordered by (virtual time, shard index,
+//     per-shard publication order) — the cross-shard total order the
+//     determinism contract names. Within one shard the stream is already
+//     time-ordered, so the merge is linear.
+//
+// The registries merge first; then every merged event goes onto dst's bus
+// as if published at its own virtual time, so dst's taps (the lineage
+// tracer, the SLO recorder, the drift observatory) fold the whole cluster's
+// stream in that order and may read the merged registry as they go. A
+// merged event carries no interval start.
 //
 // dst's environment should already be advanced to the latest shard clock so
-// report builders read a consistent end time. No taps run on merged events.
+// report builders read a consistent end time.
 func MergeShards(dst *Observer, shards []*Observer) {
+	regs := make([]*Registry, len(shards))
+	for i, s := range shards {
+		regs[i] = s.reg
+	}
+	dst.reg.mergeFrom(regs)
+
 	streams := make([][]Event, len(shards))
 	for i, s := range shards {
 		streams[i] = s.Events()
 	}
 	idx := make([]int, len(streams))
 	dst.mu.Lock()
+	defer dst.mu.Unlock()
 	for {
 		best := -1
 		for i := range streams {
@@ -41,20 +54,12 @@ func MergeShards(dst *Observer, shards []*Observer) {
 			}
 		}
 		if best < 0 {
-			break
+			return
 		}
 		ev := streams[best][idx[best]]
-		dst.events.append(ev.TUS, ev.Type, ev.Node, ev.Actor, ev.Chunk, ev.Bytes, ev.Attrs)
-		dst.lastTUS = max(dst.lastTUS, ev.TUS)
+		dst.record(ev.Time(), ev.Node, ev.Actor, ev.Type, ev.Chunk, ev.Bytes, 0, ev.Attrs)
 		idx[best]++
 	}
-	dst.mu.Unlock()
-
-	regs := make([]*Registry, len(shards))
-	for i, s := range shards {
-		regs[i] = s.reg
-	}
-	dst.reg.mergeFrom(regs)
 }
 
 // mergeFrom absorbs the source registries into dst, iterating every metric

@@ -57,6 +57,46 @@ func TestMergeShardsEventOrderAndCounters(t *testing.T) {
 	}
 }
 
+// TestMergeShardsPublishesThroughTaps holds the merge to the bus contract:
+// a tap on the coordinator sees every merged event once, in the merged
+// order, stamped at its own virtual time with no interval start, and the
+// merged registry is already readable when the first event arrives.
+func TestMergeShardsPublishesThroughTaps(t *testing.T) {
+	a := buildShardObs(t, []int64{10, 30, 30}, 2)
+	b := buildShardObs(t, []int64{20, 30}, 5)
+	dst := New(sim.NewEnv())
+	type seen struct {
+		tus     int64
+		at      time.Duration
+		start   time.Duration
+		src     string
+		widgets int64
+	}
+	var got []seen
+	dst.AddEventTap(func(ev Event) {
+		got = append(got, seen{ev.TUS, ev.At, ev.Start, ev.Attrs.Str("src"),
+			dst.Registry().Counter("widgets", nil).Get()})
+	})
+	MergeShards(dst, []*Observer{a, b})
+
+	evs := dst.Events()
+	if len(got) != len(evs) {
+		t.Fatalf("tap saw %d events, the merged log holds %d", len(got), len(evs))
+	}
+	for i, ev := range evs {
+		g := got[i]
+		if g.tus != ev.TUS || g.at != ev.Time() || g.start != 0 || g.src != "x" {
+			t.Fatalf("tap event %d = %+v, want the log's event at %dus with its attrs and no start", i, g, ev.TUS)
+		}
+		if g.widgets != 7 {
+			t.Fatalf("tap event %d read widgets = %d, want the merged 7", i, g.widgets)
+		}
+	}
+	if tus, n := dst.Progress(); tus != 30 || n != 5 {
+		t.Fatalf("progress after merge = (%dus, %d events), want (30us, 5)", tus, n)
+	}
+}
+
 func TestMergeShardsSumsTimelines(t *testing.T) {
 	mk := func(points map[time.Duration]float64) *Observer {
 		env := sim.NewEnv()

@@ -236,31 +236,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// MetricPoint is one scalar metric sample from Snapshot: the metric name,
-// its labels in canonical (sorted, quoted) form, and the current value.
-type MetricPoint struct {
-	Name   string
-	Labels string
-	Value  float64
-}
-
-// Snapshot appends every scalar metric (counters and gauges) to buf and
-// returns it. Unlike Flatten it builds no map and concatenates no strings —
-// callers that poll repeatedly (the SLO flight recorder's window-close path)
-// reuse the buffer across polls and pay only the value reads. Order is
-// unspecified; match points by (Name, Labels).
-func (r *Registry) Snapshot(buf []MetricPoint) []MetricPoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for key, c := range r.counters {
-		buf = append(buf, MetricPoint{Name: key.name, Labels: key.labels, Value: float64(c.Get())})
-	}
-	for key, g := range r.gauges {
-		buf = append(buf, MetricPoint{Name: key.name, Labels: key.labels, Value: g.Get()})
-	}
-	return buf
-}
-
 // Flatten returns every scalar metric (counters and gauges) as a map of
 // "name{labels}" → value, for embedding into run reports.
 func (r *Registry) Flatten() map[string]float64 {

@@ -69,7 +69,14 @@ func (o *Observer) Emit(ev Event) {
 // buffer.
 func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes int64, start time.Duration, attrs []Attr) {
 	o.mu.Lock()
-	at := o.env.Now()
+	o.record(o.env.Now(), node, actor, t, chunk, bytes, start, attrs)
+	o.mu.Unlock()
+}
+
+// record appends one event stamped at to the log and hands it to the taps.
+// It is the one path onto the bus, shared by publish and MergeShards; the
+// caller holds o.mu.
+func (o *Observer) record(at time.Duration, node int, actor string, t Type, chunk string, bytes int64, start time.Duration, attrs []Attr) {
 	tus := at.Microseconds()
 	o.events.append(tus, t, node, actor, chunk, bytes, attrs)
 	o.lastTUS = tus
@@ -83,7 +90,6 @@ func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes i
 			tap(ev)
 		}
 	}
-	o.mu.Unlock()
 }
 
 // Progress returns the virtual timestamp of the most recent event and the

@@ -348,38 +348,6 @@ func TestAddEventTapCoexistsAndSetReplaces(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotMatchesFlatten(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("ckpt_bytes", nil).Add(100)
-	reg.Counter("recovery_path", Labels{"tier": "local"}).Add(2)
-	reg.Counter("recovery_path", Labels{"tier": "lost"}).Add(1)
-	reg.Gauge("inflight", Labels{"node": "3"}).Set(7)
-
-	flat := reg.Flatten()
-	buf := reg.Snapshot(nil)
-	got := make(map[string]float64, len(buf))
-	for _, p := range buf {
-		got[p.Name+p.Labels] = p.Value
-	}
-	if len(got) != len(flat) {
-		t.Fatalf("Snapshot has %d points, Flatten %d", len(got), len(flat))
-	}
-	for k, v := range flat {
-		if got[k] != v {
-			t.Fatalf("Snapshot[%s] = %g, Flatten = %g", k, got[k], v)
-		}
-	}
-
-	// The poll pattern: reuse the buffer, values update, no stale points.
-	reg.Counter("ckpt_bytes", nil).Add(50)
-	buf = reg.Snapshot(buf[:0])
-	for _, p := range buf {
-		if p.Name == "ckpt_bytes" && p.Value != 150 {
-			t.Fatalf("reused-buffer snapshot stale: ckpt_bytes = %g", p.Value)
-		}
-	}
-}
-
 func TestObsTimelineWindow(t *testing.T) {
 	reg := NewRegistry()
 	tl := reg.Timeline("fabric_bytes", Labels{"class": "ckpt"})
@@ -402,9 +370,7 @@ func TestObsTimelineWindow(t *testing.T) {
 	}
 }
 
-// BenchmarkRegistrySnapshot vs BenchmarkRegistryFlatten: the Snapshot path
-// exists so pollers (the SLO flight recorder) avoid Flatten's per-call map
-// build and string concatenation.
+// benchRegistry is a small registry of labeled and unlabeled scalars.
 func benchRegistry() *Registry {
 	reg := NewRegistry()
 	for i := 0; i < 8; i++ {
@@ -413,15 +379,6 @@ func benchRegistry() *Registry {
 		reg.Gauge("gauge_"+itoa(i), nil).Set(float64(i))
 	}
 	return reg
-}
-
-func BenchmarkRegistrySnapshot(b *testing.B) {
-	reg := benchRegistry()
-	var buf []MetricPoint
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = reg.Snapshot(buf[:0])
-	}
 }
 
 func BenchmarkRegistryFlatten(b *testing.B) {

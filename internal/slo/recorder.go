@@ -17,24 +17,63 @@ type interval struct {
 	start, end time.Duration
 }
 
-// scalars are the cumulative registry counters the windowed series
-// difference against.
-type scalars struct {
-	precopyBytes float64
-	ckptBytes    float64
-	precopied    float64
-	redirtied    float64
-	recovery     [4]float64 // local, remote, bottom, lost
-	fabric       float64    // cumulative fabric_bytes{class="ckpt"}
+// tally is the counter side of the flight series, folded from events: the
+// pre-copy and checkpoint bytes (Figure 9's hit rate), the chunks pre-copied
+// and re-dirtied (its re-dirty rate), and the chunks each recovery tier
+// served. The recorder keeps one for the open window and one for the run.
+type tally struct {
+	precopyBytes int64
+	ckptBytes    int64
+	precopied    int64
+	redirtied    int64
+	recovery     [4]int64 // indexed like tierNames
 }
 
-// tierIdx orders the recovery_path tiers in scalars.recovery.
+// tierNames orders the recovery tiers in tally.recovery.
 var tierNames = [4]string{"local", "remote", "bottom", "lost"}
 
-// tierLabels are the canonical label strings the registry keys the
-// recovery_path counters under (obs.Labels{"tier": name}.canon()).
-var tierLabels = [4]string{
-	`{tier="local"}`, `{tier="remote"}`, `{tier="bottom"}`, `{tier="lost"}`,
+// add folds one event into the tally.
+func (t *tally) add(ev obs.Event) {
+	switch ev.Type {
+	case obs.EvPrecopyCopy:
+		t.precopyBytes += ev.Bytes
+		t.precopied++
+	case obs.EvCheckpointCommit:
+		t.ckptBytes += ev.Bytes
+	case obs.EvChunkReDirtied:
+		t.redirtied++
+	case obs.EvRestore:
+		// A local restore, eager or lazy; adopted remote and bottom copies
+		// count through their chunk_recovered verdicts.
+		if src := ev.Attrs.Str("source"); src == "local" || src == "lazy" {
+			t.recovery[0]++
+		}
+	case obs.EvChunkRecovered:
+		tier := ev.Attrs.Str("tier")
+		for i := 1; i < len(tierNames); i++ {
+			if tierNames[i] == tier {
+				t.recovery[i]++
+			}
+		}
+	}
+}
+
+// hitRate is the pre-copy share of the bytes staged to NVM; ok=false when
+// nothing was staged.
+func (t *tally) hitRate() (float64, bool) {
+	if t.precopyBytes+t.ckptBytes <= 0 {
+		return 0, false
+	}
+	return float64(t.precopyBytes) / float64(t.precopyBytes+t.ckptBytes), true
+}
+
+// redirtyRate is the share of pre-copied chunks re-dirtied before their
+// checkpoint; ok=false when nothing was pre-copied.
+func (t *tally) redirtyRate() (float64, bool) {
+	if t.precopied <= 0 {
+		return 0, false
+	}
+	return float64(t.redirtied) / float64(t.precopied), true
 }
 
 // objState is the online evaluator state for one objective.
@@ -98,25 +137,27 @@ type Summary struct {
 
 // Recorder is the virtual-time flight recorder: an event tap whose
 // obs.WindowFold closes fixed-width windows lazily as the bus's virtual
-// clock crosses their boundaries, differencing the metrics registry (via
-// Snapshot) and the fabric timeline into windowed series, and evaluating
-// the SLO spec online.
+// clock crosses their boundaries, folding the events into windowed series
+// and evaluating the SLO spec online. The one series not folded from events
+// is the checkpoint traffic per window, read from the fabric timeline by
+// virtual time, which a shard merge sums exactly.
 //
 // All state is mutex-guarded so the introspection HTTP handlers can read
 // mid-run, exactly like the lineage tracer. The tap runs under the
-// observer's mutex and only reads the registry (observer.mu → registry.mu
-// is the established lock order); it never publishes events back.
+// observer's mutex and only reads the fabric timeline (observer.mu →
+// timeline.mu is the established lock order); it never publishes events
+// back.
 type Recorder struct {
 	mu   sync.Mutex
 	cfg  Config
 	fold *obs.WindowFold[Violation]
 
-	reg    *obs.Registry
-	fabric *obs.Timeline
-	buf    []obs.MetricPoint
+	// win and run fold the counter series for the open window and the run.
+	win, run tally
 
-	// prev is the cumulative scalars at the open window's start.
-	prev scalars
+	fabric *obs.Timeline
+	// fabricStart is the fabric timeline's value at the open window's start.
+	fabricStart float64
 
 	// degraded intervals: failures (keyed "fail:<node>" — at most one outage
 	// at a time in practice, but keyed defensively) and link flaps (keyed by
@@ -138,12 +179,12 @@ type Recorder struct {
 	objs []objState
 }
 
-// New builds a recorder over a registry. Tests drive it directly with
-// synthetic events; production code uses Attach.
+// New builds a recorder that reads checkpoint traffic from reg's fabric
+// timeline. Tests drive it directly with synthetic events; production code
+// uses Attach.
 func New(cfg Config, reg *obs.Registry) *Recorder {
 	r := &Recorder{
 		cfg:    cfg,
-		reg:    reg,
 		fabric: reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}),
 		open:   make(map[string]time.Duration),
 	}
@@ -198,6 +239,9 @@ func (r *Recorder) Observe(ev obs.Event) {
 		}
 	case obs.EvLinkRestore:
 		r.closeInterval("flap:"+strconv.Itoa(ev.Node), t)
+	default:
+		r.win.add(ev)
+		r.run.add(ev)
 	}
 }
 
@@ -242,63 +286,27 @@ func overlap(a0, a1, b0, b1 time.Duration) time.Duration {
 	return a1 - a0
 }
 
-// snapScalars reads the tracked cumulative counters via Registry.Snapshot —
-// the cheap no-map, no-concat poll path — plus the fabric timeline.
-func (r *Recorder) snapScalars(at time.Duration) scalars {
-	var s scalars
-	r.buf = r.reg.Snapshot(r.buf[:0])
-	for _, p := range r.buf {
-		switch p.Name {
-		case "precopy_bytes":
-			if p.Labels == "" {
-				s.precopyBytes = p.Value
-			}
-		case "ckpt_bytes":
-			if p.Labels == "" {
-				s.ckptBytes = p.Value
-			}
-		case "chunks_precopied":
-			if p.Labels == "" {
-				s.precopied = p.Value
-			}
-		case "redirtied_chunks":
-			if p.Labels == "" {
-				s.redirtied = p.Value
-			}
-		case "recovery_path":
-			for i, canon := range tierLabels {
-				if p.Labels == canon {
-					s.recovery[i] = p.Value
-				}
-			}
-		}
-	}
-	s.fabric = r.fabric.At(at)
-	return s
-}
-
 // closeWindow is the fold's close function for [start, end): it computes
 // the windowed series values, evaluates the per-window objectives, and
 // rolls the aggregates forward.
 //
-// Counter deltas are read at close time, so activity stamped exactly at a
-// boundary (or at the triggering event's time, which may sit past end)
-// attributes to the closing window. The fuzz is one event deep and the
-// simulation is deterministic, so reports are byte-stable run to run.
+// An event belongs to the window its virtual time falls in; the fold
+// closes a window before it folds the first event past its end. The fabric
+// reading is the timeline's value at end.
 func (r *Recorder) closeWindow(w *Window, start, end time.Duration) {
 	width := end - start
-	cur := r.snapScalars(end)
+	fabric := r.fabric.At(end)
 
 	vals := make(map[string]float64, 10)
-	vals["ckpt_window_bytes"] = cur.fabric - r.prev.fabric
-	if dPre, dCk := cur.precopyBytes-r.prev.precopyBytes, cur.ckptBytes-r.prev.ckptBytes; dPre+dCk > 0 {
-		vals["precopy_hit_rate"] = dPre / (dPre + dCk)
+	vals["ckpt_window_bytes"] = fabric - r.fabricStart
+	if v, ok := r.win.hitRate(); ok {
+		vals["precopy_hit_rate"] = v
 	}
-	if dCop := cur.precopied - r.prev.precopied; dCop > 0 {
-		vals["redirty_rate"] = (cur.redirtied - r.prev.redirtied) / dCop
+	if v, ok := r.win.redirtyRate(); ok {
+		vals["redirty_rate"] = v
 	}
 	for i, tier := range tierNames {
-		vals["recovery_"+tier] = cur.recovery[i] - r.prev.recovery[i]
+		vals["recovery_"+tier] = float64(r.win.recovery[i])
 	}
 	if r.repairN > 0 {
 		vals["mttr_seconds"] = float64(r.repairSumUS) / 1e6 / float64(r.repairN)
@@ -314,7 +322,7 @@ func (r *Recorder) closeWindow(w *Window, start, end time.Duration) {
 		r.peakCkptWindow = v
 	}
 	r.degradedTotal += degraded
-	r.prev = cur
+	r.win, r.fabricStart = tally{}, fabric
 	r.repairSumUS, r.repairN = 0, 0
 }
 
@@ -366,28 +374,22 @@ func violatedWord(direction string) string {
 // finalAggregate computes the whole-run value of a series for final
 // objectives. ok=false means the series never had data (e.g. MTTR with no
 // failures), which skips the objective rather than violating it.
-func (r *Recorder) finalAggregate(series string, end scalars, now time.Duration) (float64, bool) {
+func (r *Recorder) finalAggregate(series string, now time.Duration) (float64, bool) {
 	switch series {
 	case "ckpt_window_bytes":
 		return r.peakCkptWindow, true
 	case "precopy_hit_rate":
-		if end.precopyBytes+end.ckptBytes <= 0 {
-			return 0, false
-		}
-		return end.precopyBytes / (end.precopyBytes + end.ckptBytes), true
+		return r.run.hitRate()
 	case "redirty_rate":
-		if end.precopied <= 0 {
-			return 0, false
-		}
-		return end.redirtied / end.precopied, true
+		return r.run.redirtyRate()
 	case "recovery_local":
-		return end.recovery[0], true
+		return float64(r.run.recovery[0]), true
 	case "recovery_remote":
-		return end.recovery[1], true
+		return float64(r.run.recovery[1]), true
 	case "recovery_bottom":
-		return end.recovery[2], true
+		return float64(r.run.recovery[2]), true
 	case "recovery_lost":
-		return end.recovery[3], true
+		return float64(r.run.recovery[3]), true
 	case "mttr_seconds":
 		if r.mttrN == 0 {
 			return 0, false
@@ -414,13 +416,12 @@ func (r *Recorder) Finalize(now time.Duration) {
 	if !r.fold.Finish(now, now) {
 		return
 	}
-	endScalars := r.snapScalars(now)
 	for i := range r.objs {
 		st := &r.objs[i]
 		if !st.obj.Final {
 			continue
 		}
-		v, ok := r.finalAggregate(st.obj.SeriesName(), endScalars, now)
+		v, ok := r.finalAggregate(st.obj.SeriesName(), now)
 		if !ok {
 			continue
 		}
@@ -535,15 +536,14 @@ func (r *Recorder) Summary() Summary {
 		s.Objectives = append(s.Objectives, r.objs[i].status())
 	}
 	now := r.fold.End()
-	end := r.snapScalars(now)
 	// The rollup is the final objectives' whole-run aggregates; a series
 	// with no data reads 0, except availability, which reads 1.
-	s.PrecopyHitRate, _ = r.finalAggregate("precopy_hit_rate", end, now)
-	s.RedirtyRate, _ = r.finalAggregate("redirty_rate", end, now)
-	s.MTTRSeconds, _ = r.finalAggregate("mttr_seconds", end, now)
-	s.DegradedSeconds, _ = r.finalAggregate("degraded_seconds", end, now)
+	s.PrecopyHitRate, _ = r.finalAggregate("precopy_hit_rate", now)
+	s.RedirtyRate, _ = r.finalAggregate("redirty_rate", now)
+	s.MTTRSeconds, _ = r.finalAggregate("mttr_seconds", now)
+	s.DegradedSeconds, _ = r.finalAggregate("degraded_seconds", now)
 	s.Availability = 1
-	if v, ok := r.finalAggregate("availability", end, now); ok {
+	if v, ok := r.finalAggregate("availability", now); ok {
 		s.Availability = v
 	}
 	return s

@@ -15,6 +15,19 @@ func tick(r *Recorder, at time.Duration) {
 	r.Observe(obs.Event{TUS: at.Microseconds(), Type: "tick"})
 }
 
+// publish folds n events of one type at virtual time at, each carrying
+// bytes and attrs.
+func publish(r *Recorder, at time.Duration, n int, t obs.Type, bytes int64, attrs ...obs.Attr) {
+	for i := 0; i < n; i++ {
+		r.Observe(obs.Event{TUS: at.Microseconds(), Type: t, Bytes: bytes, Attrs: attrs})
+	}
+}
+
+// lose folds one chunk the recovery cascade could not serve.
+func lose(r *Recorder, at time.Duration) {
+	publish(r, at, 1, obs.EvChunkRecovered, 64, obs.Str("tier", "lost"))
+}
+
 func newTestRecorder(spec *Spec) (*Recorder, *obs.Registry) {
 	reg := obs.NewRegistry()
 	return New(Config{Enabled: true, Spec: spec}, reg), reg
@@ -22,11 +35,14 @@ func newTestRecorder(spec *Spec) (*Recorder, *obs.Registry) {
 
 func TestWindowedSeriesFromCounters(t *testing.T) {
 	r, reg := newTestRecorder(nil)
-	reg.Counter("precopy_bytes", nil).Add(80)
-	reg.Counter("ckpt_bytes", nil).Add(20)
-	reg.Counter("chunks_precopied", nil).Add(10)
-	reg.Counter("redirtied_chunks", nil).Add(3)
-	reg.Counter("recovery_path", obs.Labels{"tier": "local"}).Add(2)
+	publish(r, time.Second, 10, obs.EvPrecopyCopy, 8)
+	publish(r, time.Second, 1, obs.EvCheckpointCommit, 20)
+	publish(r, 2*time.Second, 3, obs.EvChunkReDirtied, 8)
+	publish(r, 3*time.Second, 1, obs.EvRestore, 8, obs.Str("source", "local"))
+	publish(r, 3*time.Second, 1, obs.EvRestore, 8, obs.Str("source", "lazy"))
+	// An adopted copy's restore is not a local recovery; its verdict is.
+	publish(r, 3*time.Second, 1, obs.EvRestore, 8, obs.Str("source", "remote"))
+	publish(r, 3*time.Second, 1, obs.EvChunkRecovered, 8, obs.Str("tier", "remote"))
 	reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).Set(time.Second, 1000)
 	tick(r, 5*time.Second) // closes [0, 5s)
 
@@ -43,7 +59,7 @@ func TestWindowedSeriesFromCounters(t *testing.T) {
 		"precopy_hit_rate":  0.8,
 		"redirty_rate":      0.3,
 		"recovery_local":    2,
-		"recovery_remote":   0,
+		"recovery_remote":   1,
 		"recovery_bottom":   0,
 		"recovery_lost":     0,
 		"degraded_seconds":  0,
@@ -62,9 +78,9 @@ func TestWindowedSeriesFromCounters(t *testing.T) {
 		t.Error("mttr_seconds present with no repairs — no-data series must be absent")
 	}
 
-	// Second window sees only the delta, not the cumulative totals.
-	reg.Counter("precopy_bytes", nil).Add(20)
-	reg.Counter("ckpt_bytes", nil).Add(180)
+	// Second window sees only its own events, not the run's totals.
+	publish(r, 6*time.Second, 2, obs.EvPrecopyCopy, 10)
+	publish(r, 6*time.Second, 1, obs.EvCheckpointCommit, 180)
 	reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).Set(7*time.Second, 1500)
 	tick(r, 10*time.Second)
 	w2 := r.Windows()[1]
@@ -144,15 +160,14 @@ func TestBurnRateToleranceAndEpisodes(t *testing.T) {
 		Name: "no-loss", Series: "recovery_lost",
 		Direction: AtMost, Threshold: 0, Over: 2, Tolerance: 0.5,
 	}}}
-	r, reg := newTestRecorder(spec)
-	lost := reg.Counter("recovery_path", obs.Labels{"tier": "lost"})
+	r, _ := newTestRecorder(spec)
 
-	lost.Add(1)
+	lose(r, 4*time.Second)
 	tick(r, 5*time.Second)  // violating, 1/1 > 0.5 → breach episode 1
 	tick(r, 10*time.Second) // clean, ring [viol, clean] = 1/2 → compliant again
-	lost.Add(1)
+	lose(r, 14*time.Second)
 	tick(r, 15*time.Second) // ring [clean, viol] = 1/2 → still compliant
-	lost.Add(1)
+	lose(r, 19*time.Second)
 	tick(r, 20*time.Second) // ring [viol, viol] = 2/2 → breach episode 2
 
 	st := r.Objectives()[0]
@@ -187,9 +202,9 @@ func TestNoDataWindowLeavesBreachStateUnchanged(t *testing.T) {
 	spec := &Spec{Objectives: []Objective{{
 		Name: "hit", Series: "precopy_hit_rate", Direction: AtLeast, Threshold: 0.5,
 	}}}
-	r, reg := newTestRecorder(spec)
-	reg.Counter("precopy_bytes", nil).Add(10)
-	reg.Counter("ckpt_bytes", nil).Add(90)
+	r, _ := newTestRecorder(spec)
+	publish(r, time.Second, 1, obs.EvPrecopyCopy, 10)
+	publish(r, time.Second, 1, obs.EvCheckpointCommit, 90)
 	tick(r, 5*time.Second)  // hit rate 0.1 → breach
 	tick(r, 10*time.Second) // no traffic → no data → state unchanged
 	st := r.Objectives()[0]
@@ -210,8 +225,10 @@ func TestFinalObjectives(t *testing.T) {
 		{Name: "no-loss", Series: "recovery_lost", Direction: AtMost, Threshold: 0, Final: true},
 		{Name: "availability", Direction: AtLeast, Threshold: 0.99, Final: true},
 	}}
-	r, reg := newTestRecorder(spec)
-	reg.Counter("recovery_path", obs.Labels{"tier": "lost"}).Add(5)
+	r, _ := newTestRecorder(spec)
+	for i := 0; i < 5; i++ {
+		lose(r, time.Second)
+	}
 	r.Finalize(10 * time.Second)
 
 	byName := map[string]ObjectiveStatus{}
@@ -289,11 +306,9 @@ func TestViolationRetentionBound(t *testing.T) {
 	spec := &Spec{Objectives: []Objective{{
 		Name: "no-loss", Series: "recovery_lost", Direction: AtMost, Threshold: 0,
 	}}}
-	reg := obs.NewRegistry()
-	r := New(Config{Enabled: true, Spec: spec, MaxViolations: 1}, reg)
-	lost := reg.Counter("recovery_path", obs.Labels{"tier": "lost"})
+	r := New(Config{Enabled: true, Spec: spec, MaxViolations: 1}, obs.NewRegistry())
 	for i := 1; i <= 3; i++ {
-		lost.Add(1)
+		lose(r, time.Duration(i-1)*10*time.Second)
 		tick(r, time.Duration(i)*5*time.Second)
 		tick(r, time.Duration(i)*10*time.Second) // clean window re-arms the episode
 	}
@@ -306,14 +321,14 @@ func TestViolationRetentionBound(t *testing.T) {
 }
 
 func TestSummaryAggregates(t *testing.T) {
-	r, reg := newTestRecorder(nil)
-	reg.Counter("precopy_bytes", nil).Add(60)
-	reg.Counter("ckpt_bytes", nil).Add(40)
-	reg.Counter("chunks_precopied", nil).Add(10)
-	reg.Counter("redirtied_chunks", nil).Add(5)
+	r, _ := newTestRecorder(nil)
+	publish(r, time.Second, 10, obs.EvPrecopyCopy, 6)
 	r.Observe(obs.Event{TUS: 1_000_000, Type: obs.EvFailure, Node: 0})
 	r.Observe(obs.Event{TUS: 2_000_000, Type: obs.EvRepairDone, Node: 0,
 		Attrs: obs.Attrs{obs.Int("mttr_us", 1000000)}})
+	// The run aggregates span windows: these land in the second.
+	publish(r, 7*time.Second, 1, obs.EvCheckpointCommit, 40)
+	publish(r, 7*time.Second, 5, obs.EvChunkReDirtied, 6)
 	r.Finalize(10 * time.Second)
 	sum := r.Summary()
 	if sum.PrecopyHitRate != 0.6 {
