@@ -57,10 +57,9 @@ func (tr *ChromeTrace) WriteChrome(w io.Writer) error {
 // carries its start (obs.Recorder.LogSpan), so the span it closes is
 // [Start, At]; rank rows go in the rank's lane, helper ships in helperLane.
 type chromeTap struct {
-	ckptEvery  int // iterations per local checkpoint; 0 = no checkpoints
-	nodeOffset int // the shard's first global node; helpers log local ones
-	ranks      map[string]*rankTrack
-	rows       []obs.ChromeEvent
+	ckptEvery int // iterations per local checkpoint; 0 = no checkpoints
+	ranks     map[string]*rankTrack
+	rows      []obs.ChromeEvent
 }
 
 // rankTrack is a rank's lane and what its quiesce span needs. No event
@@ -77,7 +76,7 @@ type rankTrack struct {
 // newChromeTap builds the tap for one (sub-)cluster's ranks and names its
 // compute nodes' lanes in names.
 func newChromeTap(cfg Config, rankBase []int, names map[int]string) *chromeTap {
-	t := &chromeTap{ranks: make(map[string]*rankTrack), nodeOffset: cfg.nodeOffset}
+	t := &chromeTap{ranks: make(map[string]*rankTrack)}
 	if !cfg.NoCheckpoint {
 		t.ckptEvery = cfg.LocalEvery
 	}
@@ -109,7 +108,6 @@ func (t *chromeTap) observe(ev obs.Event) {
 			t.span("quiesce", "ckpt", ev, r.lane, r.iterEnd, nil)
 		}
 	case ev.Type == obs.EvChunkShipped:
-		ev.Node += t.nodeOffset
 		t.span("ship "+ev.Chunk, "remote", ev, helperLane, ev.Start,
 			map[string]string{"bytes": strconv.FormatInt(ev.Bytes, 10)})
 	case ev.Type == obs.EvRemoteTrigger && r != nil:

@@ -59,7 +59,9 @@ type RemoteRuntime struct {
 	// Topo carries the fleet's failure-domain coordinates, or nil when the
 	// scenario assigned none. Tiers use it for anti-affinity placement.
 	Topo *topo.Topology
-	// Recorder mints per-(node, actor) observability recorders.
+	// Recorder mints per-(node, actor) observability recorders. node is
+	// the tier's own numbering; the recorder carries the node as the bus
+	// numbers it, which on one shard of a partitioned cluster is offset.
 	Recorder func(node int, actor string) *obs.Recorder
 }
 

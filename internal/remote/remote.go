@@ -73,6 +73,8 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Rec publishes helper activity — ship events, wake/sleep edges and
 	// spans on the helper lane — onto the run's observability bus (nil-safe).
+	// It is scoped to the helper's node as the bus numbers it; the buddy
+	// nodes its events name are numbered alike.
 	Rec *obs.Recorder
 }
 
@@ -527,7 +529,7 @@ func (a *Agent) failover() bool {
 		}
 		a.Counters[cBuddyFailovers].Add(1)
 		a.cfg.Rec.Log(obs.EvBuddyFailover, "", 0,
-			obs.Int("from", int64(old)), obs.Int("to", int64(cand)))
+			obs.Int("from", a.busNode(old)), obs.Int("to", a.busNode(cand)))
 		return true
 	}
 	return false
@@ -666,7 +668,7 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 	shipStart := p.Now()
 	defer func() {
 		a.cfg.Rec.LogSpan(shipStart, obs.EvChunkShipped, rc.qname, st.Size,
-			obs.Int("buddy", int64(a.buddy)), obs.Int("seq", int64(st.CleanSeq)))
+			obs.Int("buddy", a.busNode(a.buddy)), obs.Int("seq", int64(st.CleanSeq)))
 	}()
 	a.Meter.Start(p.Now())
 	cpuStart := p.Now()
@@ -741,9 +743,16 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 	slices.SortFunc(flips, func(x, y flipped) int { return strings.Compare(x.name, y.name) })
 	for _, f := range flips {
 		a.cfg.Rec.Log(obs.EvRemoteChunkCommit, f.name, f.size,
-			obs.Int("seq", int64(f.seq)), obs.Int("buddy", int64(a.buddy)))
+			obs.Int("seq", int64(f.seq)), obs.Int("buddy", a.busNode(a.buddy)))
 	}
 	a.Counters[cCommits].Add(1)
 	m.Counters[cRemoteCommits].Add(1)
-	a.cfg.Rec.Log(obs.EvRemoteCommit, "", 0, obs.Int("buddy", int64(a.buddy)))
+	a.cfg.Rec.Log(obs.EvRemoteCommit, "", 0, obs.Int("buddy", a.busNode(a.buddy)))
+}
+
+// busNode is mesh node n as the bus numbers it. A mesh numbers its nodes
+// from 0; the agent's recorder carries the agent's own node in the bus's
+// numbering, which on one shard of a partitioned cluster is offset.
+func (a *Agent) busNode(n int) int64 {
+	return int64(n + a.cfg.Rec.Node() - a.node)
 }
