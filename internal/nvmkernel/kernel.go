@@ -1,13 +1,13 @@
 // Package nvmkernel emulates the paper's Linux NVM kernel manager: the
 // OS-level component that exposes NVM as virtual memory. It provides
 // per-process NVM containers mapped with an nvmmap-like call, page tables
-// with chunk-granularity write protection and fault delivery, per-page
-// 'nvdirty' bits (the paper's optimization that lets the remote-checkpoint
-// helper find dirty NVM pages without protection faults), cache-flush-before-
-// commit, and the per-process persistent metadata of Section V: a ChunkTable
-// of typed chunk records keyed by chunk ID (a commit record and two version
-// slots each), beside a few named values. Both survive process restarts and
-// node reboots (soft failures) but not hard node failures.
+// with chunk-granularity write protection and fault delivery,
+// cache-flush-before-commit, and the per-process persistent metadata of
+// Section V: a ChunkTable of typed chunk records keyed by chunk ID (a commit
+// record and two version slots each), beside a few named values. Both
+// survive process restarts and node reboots (soft failures) but not hard
+// node failures. The paper's per-page 'nvdirty' bits are not modelled: the
+// remote helper tracks what its buddy lacks per chunk (internal/remote).
 //
 // Cost accounting follows the paper's split: control-path costs (user↔kernel
 // transitions, protection faults, mprotect calls) are charged here in virtual

@@ -253,28 +253,6 @@ func TestTouchWriteWithoutHandlerFails(t *testing.T) {
 	e.Run()
 }
 
-func TestNVDirtyBitsCollectAndClear(t *testing.T) {
-	e := sim.NewEnv()
-	k := newTestKernel(e)
-	e.Go("app", func(p *sim.Proc) {
-		pr := k.Attach("rank0")
-		r, _, _ := pr.NVMMap(p, "c", 8*mem.PageSize, 64)
-		r.MarkNVDirty(0, mem.PageSize)                // page 0
-		r.MarkNVDirty(5*mem.PageSize, 2*mem.PageSize) // pages 5,6
-		if r.DirtyPages() != 3 {
-			t.Errorf("DirtyPages = %d, want 3", r.DirtyPages())
-		}
-		got := r.CollectNVDirty(p)
-		if len(got) != 3 || got[0] != 0 || got[1] != 5 || got[2] != 6 {
-			t.Errorf("CollectNVDirty = %v", got)
-		}
-		if r.DirtyPages() != 0 {
-			t.Error("dirty bits not cleared by collect")
-		}
-	})
-	e.Run()
-}
-
 func TestChunkTableSurvivesSoftResetSharedWithHelper(t *testing.T) {
 	e := sim.NewEnv()
 	k := newTestKernel(e)

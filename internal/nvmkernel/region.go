@@ -2,20 +2,20 @@ package nvmkernel
 
 import (
 	"fmt"
-	"math/bits"
 
 	"nvmcp/internal/mem"
 	"nvmcp/internal/sim"
 )
 
-// pageSet is a fixed-size bitset over page indices. Regions at paper scale
-// run to hundreds of thousands of pages, and the page tables are touched on
-// every simulated store, so the set is packed 64 pages per word: allocation
-// and clearing move 1/8th the memory of a []bool, and range scans
-// (anyProtected, CollectNVDirty) skip 64 clean pages per load.
+// pageSet is a fixed-size bitset over page indices: a region's
+// write-protection bits. Regions at paper scale run to hundreds of
+// thousands of pages, and the page table is touched on every simulated
+// store, so the set is packed 64 pages per word: allocation and clearing
+// move 1/8th the memory of a []bool, and range scans (anyProtected) skip 64
+// unprotected pages per load.
 //
-// Invariant: bits at and above the page count are always zero, so word-wise
-// "any bit set" and popcount need no tail masking.
+// Invariant: bits at and above the page count are always zero, so a
+// word-wise "any bit set" needs no tail masking.
 type pageSet []uint64
 
 func newPageSet(pages int) pageSet { return make(pageSet, (pages+63)/64) }
@@ -71,35 +71,8 @@ func (s pageSet) anyInRange(from, to int) bool {
 	return s[tw]&hiMask != 0
 }
 
-// setRange sets every bit in [from, to].
-func (s pageSet) setRange(from, to int) {
-	if from > to {
-		return
-	}
-	fw, tw := from>>6, to>>6
-	loMask := ^uint64(0) << (uint(from) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(to)&63)
-	if fw == tw {
-		s[fw] |= loMask & hiMask
-		return
-	}
-	s[fw] |= loMask
-	for w := fw + 1; w < tw; w++ {
-		s[w] = ^uint64(0)
-	}
-	s[tw] |= hiMask
-}
-
-func (s pageSet) count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Region is a contiguous mapped range: a page table with protection and
-// nvdirty bits, plus an optional real data payload. VirtualSize drives all
+// Region is a contiguous mapped range: a page table of write-protection
+// bits, plus an optional real data payload. VirtualSize drives all
 // timing and capacity accounting; Data holds payloadSize real bytes for
 // callers that store into the region directly. core's chunks keep their
 // payload as a Payload and map regions with payloadSize 0.
@@ -112,7 +85,6 @@ type Region struct {
 	owner          *Process
 	pages          int
 	prot           pageSet // write-protected pages
-	nvdirty        pageSet // kernel-maintained dirty bits (NVM regions)
 	handler        FaultHandler
 	pendingProtect bool
 }
@@ -130,7 +102,6 @@ func newRegion(pr *Process, id string, kind RegionKind, virtualSize int64, paylo
 		owner:       pr,
 		pages:       pages,
 		prot:        newPageSet(pages),
-		nvdirty:     newPageSet(pages),
 	}
 }
 
@@ -249,41 +220,6 @@ func (r *Region) DeferProtect() { r.pendingProtect = true }
 
 func (r *Region) anyProtected(from, to int) bool {
 	return r.prot.anyInRange(from, to)
-}
-
-// MarkNVDirty sets the kernel-maintained dirty bits for the page range
-// covering [off, off+n) — called by the checkpoint path after writing chunk
-// data into an NVM region, so the remote helper can find modified pages
-// without protection faults (the paper's 'nvdirty' bit).
-func (r *Region) MarkNVDirty(off, n int64) {
-	if n <= 0 {
-		return
-	}
-	first := int(off / mem.PageSize)
-	last := int((off + n - 1) / mem.PageSize)
-	if last >= r.pages {
-		last = r.pages - 1
-	}
-	r.nvdirty.setRange(first, last)
-}
-
-// DirtyPages returns the count of nvdirty pages.
-func (r *Region) DirtyPages() int { return r.nvdirty.count() }
-
-// CollectNVDirty returns and clears the nvdirty page indices — the syscall
-// the helper uses to identify dirty NVM pages of a chunk.
-func (r *Region) CollectNVDirty(p *sim.Proc) []int {
-	r.owner.k.syscall(p)
-	var out []int
-	for wi, w := range r.nvdirty {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*64+b)
-			w &^= 1 << uint(b)
-		}
-		r.nvdirty[wi] = 0
-	}
-	return out
 }
 
 // Flush charges the cacheline-flush cost for size bytes of the region's
