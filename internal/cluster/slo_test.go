@@ -30,11 +30,7 @@ func TestSLOTotalsMatchCounters(t *testing.T) {
 		name  string
 		build func() (Config, error)
 	}
-	runs := []run{{"cpc-every-2", func() (Config, error) {
-		cfg := smallCfg()
-		cfg.Local, cfg.LocalEvery, cfg.Iterations = "cpc", 2, 6
-		return cfg, nil
-	}}}
+	runs := []run{{"cpc-every-2", func() (Config, error) { return cpcEvery2Cfg(), nil }}}
 	for _, p := range scenario.Presets() {
 		if p.ClusterShaped() {
 			runs = append(runs, run{p.ID, func() (Config, error) {
