@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/fault"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/workload"
 )
@@ -34,13 +35,13 @@ func main() {
 
 	fmt.Println("--- run 1: soft failure at t=20s (node 0 reboots; NVM survives) ---")
 	soft := base
-	soft.Failures = []cluster.FailureEvent{{After: 20 * time.Second, Node: 0, Hard: false}}
+	soft.Failures = []fault.Event{{At: 20 * time.Second, Node: 0, Kind: fault.Soft}}
 	res, _ := cluster.MustRun(soft)
 	report(res)
 
 	fmt.Println("\n--- run 2: hard failure at t=20s (node 0 lost; NVM gone with it) ---")
 	hard := base
-	hard.Failures = []cluster.FailureEvent{{After: 20 * time.Second, Node: 0, Hard: true}}
+	hard.Failures = []fault.Event{{At: 20 * time.Second, Node: 0, Kind: fault.Hard}}
 	res, _ = cluster.MustRun(hard)
 	report(res)
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -41,71 +42,6 @@ import (
 	"nvmcp/internal/topo"
 	"nvmcp/internal/workload"
 )
-
-// FailureEvent schedules one injected failure.
-type FailureEvent struct {
-	// After is the absolute virtual time of the failure.
-	After time.Duration
-	// Node is the failing node (for buddy-loss: the node whose remote
-	// copies are lost — the fault strikes whichever node holds them).
-	Node int
-	// Hard marks an unrecoverable node failure (NVM lost); otherwise the
-	// failure is soft (processes die, NVM survives). Legacy shorthand for
-	// Kind == fault.Hard.
-	Hard bool
-	// Kind selects the failure class (soft/hard/nvm-corrupt/link-flap/
-	// buddy-loss); empty falls back to Hard's soft/hard split.
-	Kind fault.Kind
-	// Chunks bounds how many committed chunks an nvm-corrupt fault damages
-	// (0 means 1); Torn switches the damage from bit-flips to torn writes.
-	Chunks int
-	Torn   bool
-	// Duration and Factor shape a link-flap: outage length and residual
-	// bandwidth fraction (0 = fully down).
-	Duration time.Duration
-	Factor   float64
-	// Provider/Zone/Rack address the failure domain of a correlated kind
-	// (rack-outage, zone-outage, provider-outage); they need Config.Topo.
-	Provider int
-	Zone     int
-	Rack     int
-	// Soft makes a domain outage spare the victims' NVM.
-	Soft bool
-	// Waves and WaveDelay shape a link-storm's seeded rack-to-rack cascade.
-	Waves     int
-	WaveDelay time.Duration
-}
-
-// EffectiveKind resolves the event's failure class: an explicit Kind wins,
-// otherwise Hard selects fault.Hard and the default is fault.Soft.
-func (f FailureEvent) EffectiveKind() fault.Kind {
-	if f.Kind != "" {
-		return f.Kind
-	}
-	if f.Hard {
-		return fault.Hard
-	}
-	return fault.Soft
-}
-
-// toFault lowers the event into the injector's representation.
-func (f FailureEvent) toFault() fault.Event {
-	return fault.Event{
-		At:        f.After,
-		Node:      f.Node,
-		Kind:      f.EffectiveKind(),
-		Chunks:    f.Chunks,
-		Torn:      f.Torn,
-		Duration:  f.Duration,
-		Factor:    f.Factor,
-		Provider:  f.Provider,
-		Zone:      f.Zone,
-		Rack:      f.Rack,
-		Soft:      f.Soft,
-		Waves:     f.Waves,
-		WaveDelay: f.WaveDelay,
-	}
-}
 
 // NodeShape is one node's machine shape in a heterogeneous (generated)
 // fleet. Zero-valued fields fall back to the Config-level defaults.
@@ -177,10 +113,11 @@ type Config struct {
 	BottomAggregateBW float64
 	BottomStripeBW    float64
 
-	Failures []FailureEvent
+	// Failures are the scheduled faults, on the absolute virtual clock.
+	Failures []fault.Event
 	// FaultModel, when set, adds stochastic failures on top of Failures:
-	// exponential inter-arrival times per class, seeded and deterministic.
-	// Nodes defaults to the cluster's node count.
+	// exponential inter-arrival times per class, seeded and deterministic,
+	// drawn over all Nodes and, for the correlated classes, Topo.
 	FaultModel *fault.Model
 	// FaultSeed seeds the injector's corruption RNG (victim selection and
 	// bit positions for nvm-corrupt faults).
@@ -367,32 +304,14 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("cluster: stagger fields must be non-negative (max %d, slot %v)",
 			cfg.Stagger.MaxConcurrent, cfg.Stagger.Slot)
 	}
-	for i, f := range cfg.Failures {
-		// fault.Event.Validate checks the node range and the time; the
-		// hard/kind conflict is lost once toFault resolves the kind.
-		if f.Hard && f.Kind != "" && f.Kind != fault.Hard {
-			return fmt.Errorf("cluster: failure %d sets hard but kind %q", i, f.Kind)
-		}
-		if err := f.toFault().Validate(cfg.Nodes, cfg.Topo); err != nil {
+	for i, ev := range cfg.Failures {
+		if err := ev.Validate(cfg.Nodes, cfg.Topo); err != nil {
 			return fmt.Errorf("cluster: failure %d: %w", i, err)
 		}
 	}
 	if m := cfg.FaultModel; m != nil {
-		if m.Horizon <= 0 {
-			return fmt.Errorf("cluster: fault model horizon must be positive, got %v", m.Horizon)
-		}
-		if m.MTBFSoft < 0 || m.MTBFHard < 0 || m.MTBFRack < 0 || m.MTBFZone < 0 {
-			return fmt.Errorf("cluster: fault model MTBFs must be non-negative (soft %v, hard %v, rack %v, zone %v)",
-				m.MTBFSoft, m.MTBFHard, m.MTBFRack, m.MTBFZone)
-		}
-		if m.MTBFSoft == 0 && m.MTBFHard == 0 && m.MTBFRack == 0 && m.MTBFZone == 0 {
-			return fmt.Errorf("cluster: fault model needs at least one positive MTBF")
-		}
-		if (m.MTBFRack > 0 || m.MTBFZone > 0) && cfg.Topo == nil && m.Topo == nil {
-			return fmt.Errorf("cluster: fault model rack/zone MTBFs need a topology")
-		}
-		if m.Nodes < 0 || m.Nodes > cfg.Nodes {
-			return fmt.Errorf("cluster: fault model spans %d nodes, cluster has %d", m.Nodes, cfg.Nodes)
+		if err := m.Validate(cfg.Topo); err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
 	}
 	if _, err := policy.Parse(policy.KindLocal, cfg.Local); err != nil {
@@ -894,19 +813,9 @@ func (c *Cluster) Execute() (Result, error) {
 		}
 		return res, c.strictErr()
 	}
-	events := make([]fault.Event, 0, len(c.Cfg.Failures))
-	for _, f := range c.Cfg.Failures {
-		events = append(events, f.toFault())
-	}
+	events := c.Cfg.Failures
 	if m := c.Cfg.FaultModel; m != nil {
-		mm := *m
-		if mm.Nodes == 0 {
-			mm.Nodes = c.Cfg.Nodes
-		}
-		if mm.Topo == nil {
-			mm.Topo = c.Cfg.Topo
-		}
-		events = append(events, mm.Schedule()...)
+		events = slices.Concat(events, m.Schedule(c.Cfg.Nodes, c.Cfg.Topo))
 	}
 	// A Control-enabled run keeps the injector around even with no
 	// pre-scheduled events, so commands arriving over the API can inject

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmcp/internal/fault"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/workload"
@@ -141,7 +142,7 @@ func TestSoftFailureRecoversFromLocalNVM(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Iterations = 4
 	// Fail after the second checkpoint (~2 iterations of 2s + ckpt time).
-	cfg.Failures = []FailureEvent{{After: 5 * time.Second, Node: 0, Hard: false}}
+	cfg.Failures = []fault.Event{{At: 5 * time.Second, Node: 0, Kind: fault.Soft}}
 	res, _ := MustRun(cfg)
 	if res.FailuresInjected != 1 {
 		t.Fatalf("FailuresInjected = %d", res.FailuresInjected)
@@ -160,7 +161,7 @@ func TestHardFailureRecoversFromBuddy(t *testing.T) {
 	cfg.Iterations = 4
 	cfg.Remote = "buddy-burst"
 	cfg.RemoteEvery = 1 // remote checkpoint every iteration
-	cfg.Failures = []FailureEvent{{After: 7 * time.Second, Node: 0, Hard: true}}
+	cfg.Failures = []fault.Event{{At: 7 * time.Second, Node: 0, Kind: fault.Hard}}
 	res, _ := MustRun(cfg)
 	if res.FailuresInjected != 1 {
 		t.Fatalf("FailuresInjected = %d", res.FailuresInjected)
@@ -189,7 +190,7 @@ func TestLocalEveryRecoveryRollsBackToCheckpointBoundary(t *testing.T) {
 	cfg.Iterations = 6
 	cfg.LocalEvery = 2
 	// Fail mid-way: after the iter-1 checkpoint (~4s+ckpt), during iter 2/3.
-	cfg.Failures = []FailureEvent{{After: 7 * time.Second, Node: 0}}
+	cfg.Failures = []fault.Event{{At: 7 * time.Second, Node: 0, Kind: fault.Soft}}
 	res, _ := MustRun(cfg)
 	if res.FailuresInjected != 1 {
 		t.Fatalf("FailuresInjected = %d", res.FailuresInjected)
@@ -208,7 +209,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Remote = "buddy-burst"
 	cfg.RemoteEvery = 1
-	cfg.Failures = []FailureEvent{{After: 3 * time.Second, Node: 0}}
+	cfg.Failures = []fault.Event{{At: 3 * time.Second, Node: 0, Kind: fault.Soft}}
 	out := string(chromeTrace(t, cfg))
 	for _, want := range []string{`"iter 0"`, `"local ckpt"`, `"remote trigger"`, `"soft failure"`, `"ship `, `"node1"`} {
 		if !strings.Contains(out, want) {

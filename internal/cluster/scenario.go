@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"nvmcp/internal/drift"
-	"nvmcp/internal/fault"
 	"nvmcp/internal/policy"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/slo"
@@ -87,19 +86,15 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 		}
 	}
 	for _, f := range sc.Failures {
-		cfg.Failures = append(cfg.Failures, failureFromSpec(f))
-	}
-	if m := sc.FaultModel; m != nil {
-		cfg.FaultModel = &fault.Model{
-			MTBFSoft: time.Duration(m.MTBFSoftSecs * float64(time.Second)),
-			MTBFHard: time.Duration(m.MTBFHardSecs * float64(time.Second)),
-			MTBFRack: time.Duration(m.MTBFRackSecs * float64(time.Second)),
-			MTBFZone: time.Duration(m.MTBFZoneSecs * float64(time.Second)),
-			Horizon:  time.Duration(m.HorizonSecs * float64(time.Second)),
-			Seed:     m.Seed,
-			Nodes:    cfg.Nodes,
-			Topo:     cfg.Topo,
+		ev, err := f.Event()
+		if err != nil {
+			return Config{}, err
 		}
+		cfg.Failures = append(cfg.Failures, ev)
+	}
+	if sc.FaultModel != nil {
+		m := sc.FaultModel.Model()
+		cfg.FaultModel = &m
 	}
 	cfg.FaultSeed = sc.FaultSeed
 	if sc.SLO != nil {
@@ -113,29 +108,6 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 		cfg.Drift = &drift.Config{Enabled: true, Spec: *sc.Drift}
 	}
 	return cfg, nil
-}
-
-// failureFromSpec lowers one declarative failure into the cluster's event
-// form. The control plane's live injection lowers through
-// scenario.FailureSpec.Event instead, which refuses the same specs a
-// scenario file's Validate does.
-func failureFromSpec(f scenario.FailureSpec) FailureEvent {
-	return FailureEvent{
-		After:     time.Duration(f.AtSecs * float64(time.Second)),
-		Node:      f.Node,
-		Hard:      f.Hard,
-		Kind:      fault.Kind(f.Kind),
-		Chunks:    f.Chunks,
-		Torn:      f.Torn,
-		Duration:  time.Duration(f.DurationSecs * float64(time.Second)),
-		Factor:    f.Factor,
-		Provider:  f.Provider,
-		Zone:      f.Zone,
-		Rack:      f.Rack,
-		Soft:      f.Soft,
-		Waves:     f.Waves,
-		WaveDelay: time.Duration(f.WaveDelaySecs * float64(time.Second)),
-	}
 }
 
 // RunScenario builds and runs a scenario end to end.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/fault"
 	"nvmcp/internal/model"
 	"nvmcp/internal/report"
 )
@@ -54,13 +55,13 @@ func RunInterval(scale Scale) IntervalResult {
 	// One seeded failure schedule shared by every interval choice, so the
 	// sweep varies exactly one thing.
 	rng := rand.New(rand.NewSource(7))
-	var fails []cluster.FailureEvent
+	var fails []fault.Event
 	for t := time.Duration(0); ; {
 		t += time.Duration(rng.ExpFloat64() * float64(mtbf))
 		if t > 4*ideal {
 			break
 		}
-		fails = append(fails, cluster.FailureEvent{After: t, Node: 0})
+		fails = append(fails, fault.Event{At: t, Node: 0, Kind: fault.Soft})
 	}
 
 	intervals := []int{1, 2, 4, 8, 16}

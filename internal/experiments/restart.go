@@ -8,6 +8,7 @@ import (
 
 	"nvmcp/internal/cluster"
 	"nvmcp/internal/core"
+	"nvmcp/internal/fault"
 	"nvmcp/internal/interconnect"
 	"nvmcp/internal/mem"
 	"nvmcp/internal/model"
@@ -317,14 +318,14 @@ func failurePoint(mtbf time.Duration, scale Scale) FailureRow {
 	// restarting are dropped by the cluster (documented behaviour).
 	rng := rand.New(rand.NewSource(42))
 	horizon := 3 * ideal
-	var fails []cluster.FailureEvent
+	var fails []fault.Event
 	t := time.Duration(0)
 	for i := 0; ; i++ {
 		t += time.Duration(rng.ExpFloat64() * float64(mtbf))
 		if t > horizon {
 			break
 		}
-		fails = append(fails, cluster.FailureEvent{After: t, Node: i % base.Nodes})
+		fails = append(fails, fault.Event{At: t, Node: i % base.Nodes, Kind: fault.Soft})
 	}
 	cfg := base
 	cfg.Failures = fails

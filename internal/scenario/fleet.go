@@ -170,8 +170,7 @@ func (f *FleetSpec) Expand() (*Fleet, error) {
 		Start:  make([]time.Duration, f.Nodes),
 		Counts: make(map[string]int),
 	}
-	spread := time.Duration(f.Startup.SpreadSecs * float64(time.Second))
-	jitter := time.Duration(f.Startup.JitterSecs * float64(time.Second))
+	spread, jitter := secs(f.Startup.SpreadSecs), secs(f.Startup.JitterSecs)
 	waves := f.Startup.Waves
 	if waves < 1 {
 		waves = 4

@@ -253,9 +253,9 @@ func TestFleetScenarioValidateErrors(t *testing.T) {
 	}{
 		{"fleet plus nodes", func(sc *scenario.Scenario) { sc.Nodes = 4 }, "drop nodes/cores_per_node"},
 		{"bad placement", func(sc *scenario.Scenario) { sc.Remote.Placement = "everywhere" }, "unknown placement"},
-		{"empty domain", func(sc *scenario.Scenario) { sc.Failures[0].Zone = 9 }, "targets empty domain"},
-		{"domain with node", func(sc *scenario.Scenario) { sc.Failures[0].Node = 3 }, "targets a domain, not a node"},
-		{"storm origin off-fleet", func(sc *scenario.Scenario) { sc.Failures[2].Node = 99 }, "cluster has nodes 0..47"},
+		{"empty domain", func(sc *scenario.Scenario) { sc.Failures[0].Zone = 9 }, "failure 0: fault: zone-outage targets empty domain"},
+		{"domain with node", func(sc *scenario.Scenario) { sc.Failures[0].Node = 3 }, "failure 0: fault: zone-outage targets a domain, not a node"},
+		{"storm origin off-fleet", func(sc *scenario.Scenario) { sc.Failures[2].Node = 99 }, "failure 2: fault: node 99 outside cluster (nodes 0..47)"},
 		{"bad fleet", func(sc *scenario.Scenario) { sc.Fleet.Templates = nil }, "at least one node template"},
 	}
 	for _, tc := range cases {
@@ -270,12 +270,12 @@ func TestFleetScenarioValidateErrors(t *testing.T) {
 	// Domain kinds and correlated MTBFs need a fleet topology.
 	sc := fullScenario()
 	sc.Failures = []scenario.FailureSpec{{AtSecs: 3, Kind: "zone-outage", Zone: 1}}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "needs a fleet topology") {
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "failure 0: fault: zone-outage needs a fleet topology") {
 		t.Errorf("zone outage without fleet: %v", err)
 	}
 	sc = fullScenario()
 	sc.FaultModel = &scenario.FaultModelSpec{MTBFRackSecs: 30, HorizonSecs: 10}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "need a fleet topology") {
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "fault: model rack/zone MTBFs need a fleet topology") {
 		t.Errorf("rack MTBF without fleet: %v", err)
 	}
 }
