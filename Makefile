@@ -39,7 +39,9 @@ fmt:
 # 2654435761 may appear in exactly one non-test file. core keeps its commit
 # records and version slots in the kernel's typed chunk table, keyed by chunk
 # ID: a named-metadata call or a "cmeta/"/"cdata/" key in its non-test code
-# fails the lint.
+# fails the lint. The sim kernel and the resource layer dispatch and transfer
+# without allocating, and sort.Slice/sort.SliceStable allocate a reflect
+# swapper on every call: their non-test code sorts with slices.SortFunc.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -69,6 +71,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'GetMeta|SetMeta|QueryMeta|UpdateMeta|MetaKeys|"c(meta|data)/' internal/core || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "string-keyed metadata in core (use the kernel's typed chunk table, Process.Chunks):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'sort\.Slice(Stable)?\(' internal/sim internal/resource || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "sort.Slice in the sim kernel or resource layer (its reflect swapper allocates per call; use slices.SortFunc):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -8,8 +8,10 @@
 package resource
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,9 +80,13 @@ type Pipe struct {
 	// (binary-search insert on join, memmove delete on leave) means
 	// recompute never allocates or sorts on the transfer hot path. The
 	// fixed order also makes every float accumulation deterministic.
-	flows     []*flow
+	flows []*flow
+	// spare holds retired flows for reuse and finished is onDeadline's
+	// scratch batch, so steady-state transfers allocate nothing.
+	spare     []*flow
+	finished  []*flow
 	lastT     time.Duration
-	doneEv    *sim.Event
+	deadline  sim.Timer // the earliest flow's completion, re-armed by recompute
 	listeners []RateListener
 
 	// Bytes is the cumulative volume moved through the pipe.
@@ -99,7 +105,7 @@ type flow struct {
 	remaining float64
 	rate      float64 // current allocation, bytes/sec
 	cap       float64 // per-flow rate cap (Inf if none)
-	done      *sim.Completion
+	done      sim.Completion
 }
 
 // NewPipe creates a pipe where a lone flow moves singleRate bytes/sec and
@@ -112,13 +118,15 @@ func NewPipe(env *sim.Env, name string, singleRate float64, scale ScalingFunc) *
 	if scale == nil {
 		scale = FlatScaling()
 	}
-	return &Pipe{
+	pp := &Pipe{
 		env:        env,
 		name:       name,
 		singleRate: singleRate,
 		scale:      scale,
 		lastT:      env.Now(),
 	}
+	pp.deadline.Init(env, pp.onDeadline)
+	return pp
 }
 
 // Name returns the pipe's name.
@@ -196,8 +204,16 @@ func (pp *Pipe) TransferCapped(p *sim.Proc, size int64, maxRate float64) {
 	if maxRate <= 0 {
 		panic("resource: non-positive rate cap on " + pp.name)
 	}
+	var f *flow
+	if n := len(pp.spare); n > 0 {
+		f = pp.spare[n-1]
+		pp.spare = pp.spare[:n-1]
+	} else {
+		f = new(flow)
+	}
 	pp.nextFlowID++
-	f := &flow{id: pp.nextFlowID, remaining: float64(size), cap: maxRate, done: sim.NewCompletion(pp.env)}
+	f.id, f.remaining, f.rate, f.cap = pp.nextFlowID, float64(size), 0, maxRate
+	f.done.Reset(pp.env)
 	pp.advance()
 	pp.addFlow(f)
 	pp.recompute()
@@ -209,6 +225,7 @@ func (pp *Pipe) TransferCapped(p *sim.Proc, size int64, maxRate float64) {
 			pp.removeFlow(f)
 			pp.recompute()
 		}
+		pp.spare = append(pp.spare, f)
 	}()
 	f.done.Await(p)
 	pp.Transfers++
@@ -249,14 +266,11 @@ func (pp *Pipe) advance() {
 }
 
 // recompute performs max-min fair allocation with per-flow caps and
-// reschedules the next completion event.
+// re-arms the completion deadline for the earliest finishing flow.
 func (pp *Pipe) recompute() {
-	if pp.doneEv != nil {
-		pp.doneEv.Cancel()
-		pp.doneEv = nil
-	}
 	n := len(pp.flows)
 	if n == 0 {
+		pp.deadline.Stop()
 		pp.notify(0)
 		return
 	}
@@ -293,22 +307,22 @@ func (pp *Pipe) recompute() {
 	}
 	pp.notify(total)
 	if math.IsInf(earliest, 1) {
+		pp.deadline.Stop()
 		return
 	}
 	d := time.Duration(math.Ceil(earliest * float64(time.Second)))
 	if d < 1 {
 		d = 1
 	}
-	pp.doneEv = pp.env.Schedule(d, pp.onDeadline)
+	pp.deadline.Arm(d)
 }
 
 // onDeadline fires when the earliest flow should have finished: apply
 // progress, retire finished flows, reallocate.
 func (pp *Pipe) onDeadline() {
-	pp.doneEv = nil
 	pp.advance()
 	const eps = 1e-3 // bytes; transfers are whole bytes, rates are floats
-	var finished []*flow
+	finished := pp.finished[:0]
 	for _, f := range pp.flows {
 		if f.remaining <= eps {
 			finished = append(finished, f)
@@ -317,11 +331,13 @@ func (pp *Pipe) onDeadline() {
 	// Complete in creation order so the wake sequence (and therefore the
 	// whole simulation) is reproducible; the flow set is sorted by cap
 	// first, so re-sort the (usually tiny) finished batch by id.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
+	slices.SortFunc(finished, func(a, b *flow) int { return cmp.Compare(a.id, b.id) })
 	for _, f := range finished {
 		pp.removeFlow(f)
 		f.done.Complete()
 	}
+	clear(finished)
+	pp.finished = finished[:0]
 	pp.recompute()
 }
 

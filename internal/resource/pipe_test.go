@@ -407,3 +407,26 @@ func BenchmarkPipeChurn(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkPipeTransfer measures Pipe.Transfer with 12 concurrent flows
+// sharing one pipe, so every arrival and departure re-shares the bandwidth.
+// One op is one transfer; the flows run warm, so pools are grown.
+func BenchmarkPipeTransfer(b *testing.B) {
+	const flows = 12
+	e := sim.NewEnv()
+	pp := NewPipe(e, "nvm", 1e9, FlatScaling())
+	done, target := 0, -1 // target < 0: run until told
+	for i := 0; i < flows; i++ {
+		e.Go("flow", func(p *sim.Proc) {
+			for target < 0 || done < target {
+				pp.Transfer(p, 64*kb+int64(i)*kb)
+				done++
+			}
+		})
+	}
+	e.RunUntil(10 * time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	target = done + b.N
+	e.Run()
+}

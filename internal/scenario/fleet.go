@@ -98,8 +98,18 @@ func max1(v int) int {
 	return v
 }
 
+// MaxFleetNodes is the largest fleet a spec may ask for: ten times the
+// paper matrix's largest (10,000-node) cell. Validation builds the fleet's
+// topology, one coordinate per node, so an unbounded count would let one
+// scenario file or control-plane job ask for gigabytes before any check
+// could refuse it; FleetSpec.Validate checks this bound first.
+const MaxFleetNodes = 100_000
+
 // Validate checks the fleet spec with actionable errors.
 func (f *FleetSpec) Validate() error {
+	if f.Nodes > MaxFleetNodes {
+		return fmt.Errorf("fleet: nodes must be <= %d (scenario.MaxFleetNodes), got %d", MaxFleetNodes, f.Nodes)
+	}
 	if f.Nodes < 1 {
 		return fmt.Errorf("fleet: nodes must be >= 1, got %d", f.Nodes)
 	}

@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,7 @@ func TestFleetValidateErrors(t *testing.T) {
 		want string
 	}{
 		{"no nodes", func(f *scenario.FleetSpec) { f.Nodes = 0 }, "nodes must be >= 1"},
+		{"too many nodes", func(f *scenario.FleetSpec) { f.Nodes = scenario.MaxFleetNodes + 1 }, "nodes must be <= 100000"},
 		{"no templates", func(f *scenario.FleetSpec) { f.Templates = nil }, "at least one node template"},
 		{"zero weight", func(f *scenario.FleetSpec) { f.Templates[0].Weight = 0 }, "weight must be > 0"},
 		{"zero cores", func(f *scenario.FleetSpec) { f.Templates[0].Cores = 0 }, "cores must be >= 1"},
@@ -218,6 +220,28 @@ func fleetScenario() *scenario.Scenario {
 		},
 		FaultModel: &scenario.FaultModelSpec{MTBFRackSecs: 30, MTBFZoneSecs: 90, HorizonSecs: 6, Seed: 3},
 		PayloadCap: 1024,
+	}
+}
+
+// TestLoadRefusesOversizedFleetBeforeBuildingIt: a two-billion-node fleet
+// is refused by the ceiling before validation builds its topology, so the
+// load allocates next to nothing.
+func TestLoadRefusesOversizedFleetBeforeBuildingIt(t *testing.T) {
+	sc := fleetScenario() // its failures make Validate consult the topology
+	sc.Fleet.Nodes = 2_000_000_000
+	buf, err := sc.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = scenario.Load(bytes.NewReader(buf))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "100000") {
+		t.Fatalf("Load error = %v, want the %d-node ceiling", err, scenario.MaxFleetNodes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refused load allocated %d bytes, want < 1 MiB", got)
 	}
 }
 

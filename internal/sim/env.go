@@ -24,31 +24,35 @@ import (
 // Run or RunUntil. An Env must not be shared across host goroutines except
 // through the Proc mechanism itself.
 //
-// Events due at the current instant live in a FIFO ring (nowq) instead of
-// the time-ordered ladder queue: the dominant scheduling pattern is an
-// immediate wake (Sleep(0), wakeLater, handoffs), and a ring append/pop is
-// O(1). Dispatch order is still strictly (time, seq) — the ring only ever
-// holds events stamped at the current time with monotonically increasing
-// sequence numbers, so comparing the ring head against the ladder's front
-// reproduces the exact total order a single priority queue would produce.
+// Future events wait in an indexed 4-ary min-heap on (time, seq); recycled
+// events due at the current instant live in a FIFO ring (nowq) instead: the
+// dominant scheduling pattern is an immediate wake (wakeLater, handoffs),
+// and a ring append/pop is O(1). Dispatch order is still strictly (time,
+// seq) — the ring only ever holds events stamped at the current time with
+// monotonically increasing sequence numbers, so comparing the ring head
+// against the heap's root reproduces the exact total order a single
+// priority queue would produce.
+//
+// Events come in two lifetimes. A fire-and-forget event (Schedule, At, a
+// deferred wake) returns to the Env's free list as it dispatches, so steady
+// state allocates nothing; nothing outside the Env holds it. A Timer (a
+// process's wait timeout, a Pipe's completion deadline) owns its event for
+// life: it re-arms in place and stops by leaving the heap, and is never
+// recycled, so a stale Stop cannot touch another event.
 type Env struct {
 	now    time.Duration
-	queue  ladder
+	queue  eventHeap
 	seq    uint64 // tie-breaker for events scheduled at the same instant
 	cur    *Proc  // process currently executing, nil in scheduler context
 	fatal  any    // panic value captured from a process, re-raised by Run
 	nprocs int    // live (started, not yet finished) processes
 	brk    bool   // Break() requested: pause the run loop after this dispatch
 
-	nowq     []*Event // FIFO of events due at the current instant
+	nowq     []*event // FIFO of recycled events due at the current instant
 	nowqHead int
-	free     []*Event // recycled internal (direct-wake) events
+	free     []*event // dispatched fire-and-forget events, ready for reuse
+	block    []event  // unused tail of the newest event block (see alloc)
 	nfired   uint64   // events dispatched over the Env's lifetime
-
-	// arena chunk-allocates events (see alloc); arenaUsed indexes the
-	// current block's next free slot.
-	arena     []Event
-	arenaUsed int
 
 	// warnFn receives rare, deduplicated engine warnings (the obs layer
 	// attaches the run's event bus here); negWarned latches the one-shot
@@ -69,9 +73,9 @@ func (e *Env) Now() time.Duration { return e.now }
 // denominator of the perf harness's events/sec throughput figure.
 func (e *Env) EventsFired() uint64 { return e.nfired }
 
-// Schedule registers fn to run at Now()+delay in scheduler context and
-// returns a handle that may be used to cancel it. Events at equal times fire
-// in scheduling order.
+// Schedule registers fn to run at Now()+delay in scheduler context. Events
+// at equal times fire in scheduling order. To cancel or move a deadline,
+// use a Timer.
 //
 // Contract: delay must be non-negative — virtual time never runs backwards.
 // A negative delay is clamped to zero (the event fires at the current
@@ -79,19 +83,24 @@ func (e *Env) EventsFired() uint64 { return e.nfired }
 // raises a "negative-delay" engine warning through the warn hook so the
 // modeling bug that produced it is visible on the run's event bus rather
 // than silently absorbed.
-func (e *Env) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		if !e.negWarned {
-			e.negWarned = true
-			if e.warnFn != nil {
-				e.warnFn("negative-delay", fmt.Sprintf(
-					"Schedule called with negative delay %v at t=%v; clamped to 0 (reported once)",
-					delay, e.now))
-			}
-		}
-		delay = 0
+func (e *Env) Schedule(delay time.Duration, fn func()) {
+	e.At(e.now+e.clamp(delay), fn)
+}
+
+// clamp enforces Schedule's non-negative delay contract.
+func (e *Env) clamp(delay time.Duration) time.Duration {
+	if delay >= 0 {
+		return delay
 	}
-	return e.At(e.now+delay, fn)
+	if !e.negWarned {
+		e.negWarned = true
+		if e.warnFn != nil {
+			e.warnFn("negative-delay", fmt.Sprintf(
+				"Schedule called with negative delay %v at t=%v; clamped to 0 (reported once)",
+				delay, e.now))
+		}
+	}
+	return 0
 }
 
 // SetWarnFunc installs the engine's warning sink: rare, deduplicated
@@ -102,93 +111,71 @@ func (e *Env) SetWarnFunc(fn func(code, msg string)) { e.warnFn = fn }
 
 // At registers fn to run at absolute virtual time t. If t is in the past it
 // fires at the current time (but never before events already due).
-func (e *Env) At(t time.Duration, fn func()) *Event {
+func (e *Env) At(t time.Duration, fn func()) {
 	ev := e.alloc()
 	ev.fn = fn
 	e.enqueue(ev, t)
+}
+
+// eventBlock is how many events one allocation adds to the free list.
+const eventBlock = 256
+
+// alloc hands out a fire-and-forget event: a recycled one when the free
+// list has one, else the next slot of a block allocated eventBlock at a
+// time. Dispatched events return through release, so a run allocates
+// blocks only until the free list covers its peak queue.
+func (e *Env) alloc() *event {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free = e.free[:n-1]
+		return ev
+	}
+	if len(e.block) == 0 {
+		e.block = make([]event, eventBlock)
+	}
+	ev := &e.block[0]
+	e.block = e.block[1:]
 	return ev
 }
 
-// arenaBlock is how many events one arena chunk holds.
-const arenaBlock = 256
-
-// alloc hands out events from a chunked arena: a pointer bump in the common
-// case, one block allocation per arenaBlock events — the zero-alloc dispatch
-// path's counterpart to the direct-wake free list. Arena events are never
-// recycled: callers may hold Cancel handles indefinitely, and reuse would
-// let a stale handle cancel an unrelated occupant. (Pooled direct-wake
-// events cycle through the generation-guarded free list instead.)
-func (e *Env) alloc() *Event {
-	if e.arenaUsed == len(e.arena) {
-		e.arena = make([]Event, arenaBlock)
-		e.arenaUsed = 0
-	}
-	ev := &e.arena[e.arenaUsed]
-	e.arenaUsed++
-	return ev
+// release returns a dispatched fire-and-forget event to the free list.
+func (e *Env) release(ev *event) {
+	ev.fn, ev.p = nil, nil
+	e.free = append(e.free, ev)
 }
 
-// enqueue stamps ev with (t, next seq) and routes it to the now-ring or the
-// ladder. Events created through the public API come from the arena and are
-// never recycled (callers may hold Cancel handles indefinitely); internal
-// direct-wake events cycle through the free list.
-func (e *Env) enqueue(ev *Event, t time.Duration) {
-	if t < e.now {
-		t = e.now
-	}
+// enqueue stamps a fire-and-forget event with (t, next seq) and routes it
+// to the now-ring or the heap.
+func (e *Env) enqueue(ev *event, t time.Duration) {
 	e.seq++
-	ev.t = t
-	ev.seq = e.seq
-	if t == e.now {
+	ev.t, ev.seq = max(t, e.now), e.seq
+	if ev.t == e.now {
 		e.nowq = append(e.nowq, ev)
 		return
 	}
 	e.queue.push(ev)
 }
 
-// scheduleWake schedules a direct wake of p's wait seq with kind k at
-// Now()+delay, using a recycled event when one is free. The returned
-// generation pairs with cancelWake: once the event fires or is collected,
-// its generation advances and stale cancels become no-ops, which is what
-// makes recycling safe.
-func (e *Env) scheduleWake(delay time.Duration, p *Proc, seq uint64, k wakeKind) (*Event, uint64) {
-	if delay < 0 {
-		delay = 0
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.cancelled = false
-	} else {
-		ev = e.alloc()
-		ev.pooled = true
-	}
-	ev.wakeP = p
-	ev.wakeSeq = seq
-	ev.wakeK = k
-	e.enqueue(ev, e.now+delay)
-	return ev, ev.gen
-}
-
-// cancelWake cancels a scheduleWake event if it has not already fired.
-func (e *Env) cancelWake(ev *Event, gen uint64) {
-	if ev.gen == gen {
-		ev.cancelled = true
-	}
-}
-
-// release returns a fired or cancelled internal event to the free list,
-// advancing its generation so outstanding cancelWake handles expire.
-func (e *Env) release(ev *Event) {
-	if !ev.pooled {
+// arm stamps an owned event with (t, next seq) — the same seq a Schedule
+// at this point would take — and files it in the heap, re-keying it in
+// place if it is already queued. Owned events never enter the ring, which
+// cannot remove an entry; the heap orders them among same-instant ring
+// events by seq all the same.
+func (e *Env) arm(ev *event, t time.Duration) {
+	e.seq++
+	ev.t, ev.seq = max(t, e.now), e.seq
+	if ev.pos == 0 {
+		e.queue.push(ev)
 		return
 	}
-	ev.gen++
-	ev.wakeP = nil
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	e.queue.fix(int(ev.pos-1), ev)
+}
+
+// stop takes an owned event out of the heap if it is queued.
+func (e *Env) stop(ev *event) {
+	if ev.pos > 0 {
+		e.queue.remove(int(ev.pos - 1))
+	}
 }
 
 // Run executes events until the queue is empty, advancing the virtual clock.
@@ -200,7 +187,7 @@ func (e *Env) Run() {
 
 // pending returns the total number of queued events.
 func (e *Env) pending() int {
-	return e.queue.len() + len(e.nowq) - e.nowqHead
+	return len(e.queue) + len(e.nowq) - e.nowqHead
 }
 
 // Break pauses the run loop after the event currently dispatching completes,
@@ -215,17 +202,13 @@ func (e *Env) Break() { e.brk = true }
 // a later RunUntil or Run picks them up.
 func (e *Env) RunUntil(horizon time.Duration) {
 	for {
-		var next *Event
-		fromRing := false
-		if e.nowqHead < len(e.nowq) {
+		var next *event
+		ring := e.nowqHead < len(e.nowq)
+		if ring {
 			next = e.nowq[e.nowqHead]
-			fromRing = true
 		}
-		if top := e.queue.peek(); top != nil {
-			if next == nil || top.t < next.t || (top.t == next.t && top.seq < next.seq) {
-				next = top
-				fromRing = false
-			}
+		if len(e.queue) > 0 && (next == nil || before(e.queue[0], next)) {
+			next, ring = e.queue[0], false
 		}
 		if next == nil {
 			break
@@ -236,7 +219,7 @@ func (e *Env) RunUntil(horizon time.Duration) {
 			}
 			return
 		}
-		if fromRing {
+		if ring {
 			e.nowq[e.nowqHead] = nil
 			e.nowqHead++
 			if e.nowqHead == len(e.nowq) {
@@ -244,21 +227,17 @@ func (e *Env) RunUntil(horizon time.Duration) {
 				e.nowqHead = 0
 			}
 		} else {
-			e.queue.pop()
-		}
-		if next.cancelled {
-			e.release(next)
-			continue
+			e.queue.remove(0)
 		}
 		e.now = next.t
 		e.nfired++
-		if next.wakeP != nil {
-			p, seq, k := next.wakeP, next.wakeSeq, next.wakeK
+		fn, p, seq, k := next.fn, next.p, next.pseq, next.k
+		if !next.owned {
 			e.release(next)
+		}
+		if p != nil {
 			e.wake(p, seq, k)
 		} else {
-			fn := next.fn
-			e.release(next)
 			fn()
 		}
 		if e.fatal != nil {
@@ -308,32 +287,54 @@ func (e *Env) wake(p *Proc, seq uint64, k wakeKind) {
 // this from process context, where a direct switchTo would run p nested
 // inside the calling process, out of event-queue order.
 func (e *Env) wakeLater(p *Proc, seq uint64, k wakeKind) {
-	e.scheduleWake(0, p, seq, k)
+	ev := e.alloc()
+	ev.p, ev.pseq, ev.k = p, seq, k
+	e.enqueue(ev, e.now)
 }
 
-// Event is a cancellable scheduled callback.
-type Event struct {
-	t         time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-
-	// Direct-wake payload: internal events (Sleep timers, deferred wakes)
-	// dispatch a wake without allocating a closure, and recycle through the
-	// Env's free list guarded by the generation counter.
-	wakeP   *Proc
-	wakeSeq uint64
-	wakeK   wakeKind
-	pooled  bool
-	gen     uint64
+// event is one queue entry: a callback, or — when p is set — a direct wake
+// of p's wait pseq with kind k, which dispatches without a closure.
+type event struct {
+	t    time.Duration
+	seq  uint64
+	fn   func()
+	p    *Proc
+	pseq uint64
+	pos  int32 // heap slot + 1; 0 when not in the heap
+	k    wakeKind
+	// owned marks a Timer's event: never recycled, so its owner may keep
+	// re-arming and stopping it.
+	owned bool
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (ev *Event) Cancel() { ev.cancelled = true }
+// Timer is an owned, re-armable deadline: one queue entry that its owner
+// arms, re-arms and stops for as long as it lives. Re-arming moves the
+// entry in place and stopping removes it from the heap, both O(log n),
+// leaving no tombstone; because the entry is never recycled, a Stop after
+// the timer fired, or with nothing armed, changes nothing. Bind it once with
+// Init; the zero Timer is not usable.
+type Timer struct {
+	env *Env
+	ev  event
+}
 
-// Time returns the virtual time at which the event is due.
-func (ev *Event) Time() time.Duration { return ev.t }
+// Init binds the timer to e and to fn, which runs in scheduler context each
+// time the timer fires.
+func (t *Timer) Init(e *Env, fn func()) {
+	t.env, t.ev = e, event{fn: fn, owned: true}
+}
+
+// Arm schedules the timer to fire once at Now()+delay, replacing any
+// pending deadline. It takes the next sequence number exactly as a Schedule
+// at this point would, so it orders among same-instant events the same way;
+// a negative delay is clamped as in Schedule.
+func (t *Timer) Arm(delay time.Duration) { t.env.arm(&t.ev, t.env.now+t.env.clamp(delay)) }
+
+// Stop cancels the pending deadline, if any.
+func (t *Timer) Stop() { t.env.stop(&t.ev) }
+
+// Pending reports whether the timer is armed and has not fired yet.
+func (t *Timer) Pending() bool { return t.ev.pos > 0 }
 
 // String implements fmt.Stringer for debugging.
 func (e *Env) String() string {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -52,11 +53,51 @@ func TestAtInThePastFiresNow(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEnv()
 	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
-	ev.Cancel()
+	var deadline Timer
+	deadline.Init(e, func() { fired = true })
+	deadline.Arm(time.Second)
+	deadline.Stop()
 	e.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped deadline fired")
+	}
+}
+
+// TestTimerStaleStop: stopping a timer after it fired, or after the queue
+// recycled every event around it, touches nothing else; a re-armed timer
+// fires once, at its last deadline, and a stopped one leaves no tombstone
+// to carry the clock forward.
+func TestTimerStaleStop(t *testing.T) {
+	e := NewEnv()
+	var got []string
+	var tm Timer
+	tm.Init(e, func() { got = append(got, "timer@"+e.Now().String()) })
+	tm.Arm(time.Millisecond)
+	e.Run()
+	tm.Stop() // fired: a no-op
+	// Fire-and-forget events now reuse the free list's slots; a stale Stop
+	// must not cancel any of them.
+	for i := 0; i < 3; i++ {
+		e.Schedule(time.Millisecond, func() { got = append(got, fmt.Sprint("ev", i)) })
+	}
+	tm.Stop()
+	e.Run()
+	tm.Stop()
+	tm.Arm(5 * time.Millisecond)
+	tm.Arm(2 * time.Millisecond) // re-arm replaces the pending deadline
+	e.Run()
+	tm.Arm(time.Hour)
+	tm.Stop()
+	if tm.Pending() {
+		t.Fatal("stopped timer still pending")
+	}
+	e.Run()
+	want := []string{"timer@1ms", "ev0", "ev1", "ev2", "timer@4ms"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if e.Now() != 4*time.Millisecond || e.EventsFired() != 5 {
+		t.Fatalf("now=%v fired=%d, want 4ms and 5: a stopped timer left a trace", e.Now(), e.EventsFired())
 	}
 }
 

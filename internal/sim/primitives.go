@@ -7,7 +7,8 @@ import "time"
 
 // Completion is a one-shot latch: processes Await it, and a single Complete
 // (from process or scheduler context) releases all current and future
-// awaiters. The zero value is not usable; create with NewCompletion.
+// awaiters. The zero value is not usable; create one with NewCompletion, or
+// bind an embedded one with Reset.
 type Completion struct {
 	env  *Env
 	done bool
@@ -16,6 +17,11 @@ type Completion struct {
 
 // NewCompletion returns an incomplete latch bound to e.
 func NewCompletion(e *Env) *Completion { return &Completion{env: e} }
+
+// Reset binds c to e and makes it incomplete again, keeping its waiter
+// list's storage: an owner that pools latches calls it before each reuse.
+// c must have no waiters.
+func (c *Completion) Reset(e *Env) { c.env, c.done, c.ws = e, false, c.ws[:0] }
 
 // Completed reports whether Complete has been called.
 func (c *Completion) Completed() bool { return c.done }

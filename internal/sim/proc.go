@@ -10,7 +10,7 @@ import (
 )
 
 // wakeKind tells a parked process why it is being resumed.
-type wakeKind int
+type wakeKind uint8
 
 const (
 	wakeRun    wakeKind = iota // initial dispatch
@@ -54,6 +54,7 @@ type Proc struct {
 	waitSeq uint64
 	killed  bool
 	exitWs  waitq // processes joined on this one
+	timer   event // owned wait timeout: wakes this process with wakeTimer
 }
 
 // waiter pairs a parked process with the wait sequence that identifies the
@@ -68,13 +69,14 @@ type waiter struct {
 type waitq []waiter
 
 // wakeAll wakes every listed process at the current instant, in arrival
-// order, and empties the list.
+// order, and empties the list, keeping its storage for the next waiters.
 func (q *waitq) wakeAll(e *Env) {
 	ws := *q
-	*q = nil
 	for _, w := range ws {
 		e.wakeLater(w.p, w.seq, wakeSignal)
 	}
+	clear(ws)
+	*q = ws[:0]
 }
 
 // wakeOne wakes the longest-listed process at the current instant and
@@ -84,7 +86,9 @@ func (q *waitq) wakeOne(e *Env) *Proc {
 		return nil
 	}
 	w := (*q)[0]
-	*q = (*q)[1:]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = waiter{}
+	*q = (*q)[:n]
 	e.wakeLater(w.p, w.seq, wakeSignal)
 	return w.p
 }
@@ -104,6 +108,7 @@ func (q *waitq) remove(p *Proc) {
 // be called from scheduler or process context.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{env: e, name: name}
+	p.timer = event{p: p, k: wakeTimer, owned: true}
 	e.nprocs++
 	e.Schedule(0, func() { e.startProc(p, fn) })
 	return p
@@ -171,17 +176,14 @@ func (p *Proc) wait(q *waitq, timeout time.Duration) wakeKind {
 	if q != nil {
 		*q = append(*q, waiter{p, p.waitSeq})
 	}
-	var timer *Event
-	var gen uint64
 	if timeout >= 0 {
-		timer, gen = p.env.scheduleWake(timeout, p, p.waitSeq, wakeTimer)
+		p.timer.pseq = p.waitSeq
+		p.env.arm(&p.timer, p.env.now+timeout)
 	}
 	p.state = procParked
 	p.yield(struct{}{})
 	k := p.wakeK
-	if timer != nil {
-		p.env.cancelWake(timer, gen)
-	}
+	p.env.stop(&p.timer)
 	if q != nil && k != wakeSignal {
 		q.remove(p)
 	}
