@@ -93,7 +93,7 @@ type Engine struct {
 
 	quiesced bool
 	copying  bool
-	copyDone *sim.Completion
+	copyDone sim.Completion // reset per copy: a quiescer waits on the one in flight
 	stopped  bool
 
 	// Meter tracks worker busy time (pre-copy CPU usage).
@@ -130,12 +130,12 @@ func New(store *core.Store, cfg Config) *Engine {
 		store:     store,
 		env:       env,
 		wake:      sim.NewSignal(env),
-		copyDone:  sim.NewCompletion(env),
 		predicted: make(map[uint64]int64),
 		modsNow:   make(map[uint64]int64),
 		Counters:  engineCounters.New(),
 	}
 	e.Counters.SetRecorder(cfg.Rec)
+	e.copyDone.Reset(env)
 	e.copyDone.Complete() // not copying initially
 	store.OnModify(e.onModify)
 	if cfg.Scheme != NoPreCopy {
@@ -258,7 +258,7 @@ func (e *Engine) run(p *sim.Proc) {
 			continue
 		}
 		e.copying = true
-		e.copyDone = sim.NewCompletion(e.env)
+		e.copyDone.Reset(e.env)
 		start := p.Now()
 		e.Meter.Start(start)
 		seqBefore := c.ModSeq()

@@ -203,13 +203,11 @@ func (m *Mesh) AddAgent(node, buddy int, cfg Config) *Agent {
 		wake:    sim.NewSignal(m.env),
 		shipped: make(map[chunkKey]uint64),
 		procs:   make(map[string]bool),
-		idle:    sim.NewCompletion(m.env),
 
 		burstTarget: make(map[chunkKey]uint64),
 		Counters:    agentCounters.New(),
 	}
 	a.Counters.SetRecorder(cfg.Rec)
-	a.idle.Complete()
 	a.intervalStart = m.env.Now()
 	a.proc = m.env.Go(fmt.Sprintf("helper/node%d", node), a.run)
 	m.agents[node] = a
@@ -331,7 +329,6 @@ type Agent struct {
 	bursting      bool
 	burstTarget   map[chunkKey]uint64 // staged seqs captured at trigger
 	burstDone     *sim.Completion
-	idle          *sim.Completion
 	stopped       bool
 
 	// Meter tracks helper busy time — Table V's helper-core utilization.
@@ -452,9 +449,7 @@ func (a *Agent) run(p *sim.Proc) {
 			busy = true
 			a.cfg.Rec.Log(obs.EvHelperWake, "", 0)
 		}
-		a.idle = sim.NewCompletion(a.mesh.env)
 		a.shipWithRetry(p, st, store)
-		a.idle.Complete()
 	}
 }
 
