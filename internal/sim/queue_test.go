@@ -166,36 +166,60 @@ const (
 	opArm             // (re)arm timer arg%4 after arg/4%8 µs
 	opStop            // stop timer arg%4
 	opStep            // RunUntil(now + arg%8 µs)
+	opRun             // Schedule arg*40 events after 15 µs: an equal-time run (12k per input)
 	numOps
 )
 
-// equalTimeRun is a fuzz input of n events scheduled at one future instant,
-// followed by inserts at every earlier offset and a timer armed and re-armed
-// inside the run.
-func equalTimeRun(n int) []byte {
-	var in []byte
-	for i := 0; i < n; i++ {
-		in = append(in, opSchedule, 15)
-	}
-	for d := byte(14); d > 0; d-- {
-		in = append(in, opSchedule, d, opNow, 0)
-	}
-	return append(in, opArm, 4*7+1, opArm, 4*3+1, opStep, 5, opSchedule, 2, opStop, 1)
-}
-
 // FuzzQueueOrder drives an Env with random schedules, same-instant
-// schedules, timer re-arms and timer stops, interleaved with partial runs,
-// and checks every dispatch against an oracle that sorts the live entries
-// by (t, seq): the order a single priority queue would produce, with
-// stopped or re-armed deadlines gone without a trace.
+// schedules, equal-time runs, timer re-arms and timer stops, interleaved
+// with partial runs, and checks every dispatch against an oracle that keeps
+// the live entries sorted by (t, seq): the order a single priority queue
+// would produce, with stopped or re-armed deadlines gone without a trace.
+// An input replays thousands of events, so bound minimization by count:
+//
+//	go test ./internal/sim -run '^$' -fuzz FuzzQueueOrder -fuzztime 60s -fuzzminimizetime 100x -parallel 2
 func FuzzQueueOrder(f *testing.F) {
-	f.Add(equalTimeRun(10_000))
+	// A 10k-event run at one instant, then inserts at every earlier offset
+	// and a timer armed and re-armed inside the run.
+	run := []byte{opRun, 250}
+	for d := byte(14); d > 0; d-- {
+		run = append(run, opSchedule, d, opNow, 0)
+	}
+	f.Add(append(run, opArm, 4*7+1, opArm, 4*3+1, opStep, 5, opSchedule, 2, opStop, 1, opRun, 3))
 	f.Add([]byte{opSchedule, 3, opNow, 0, opArm, 1, opStep, 2, opArm, 5, opStop, 1, opNow, 0})
 	f.Add([]byte{opArm, 0, opArm, 1, opArm, 2, opArm, 3, opStop, 2, opStep, 7, opArm, 2, opNow, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		e := NewEnv()
 		var fired []uint64 // seqs in dispatch order
-		var live []*event  // the oracle's pending set (t, seq only)
+		// The oracle: every entry ever filed and still live, sorted by
+		// (t, seq); those before head have been dispatched.
+		var live []*event
+		head := 0
+		// add files the entry the last call stamped at Now()+d.
+		add := func(d time.Duration) *event {
+			o := &event{t: e.now + d, seq: e.seq}
+			i, _ := slices.BinarySearchFunc(live[head:], o, byTimeSeq)
+			live = slices.Insert(live, head+i, o)
+			return o
+		}
+		drop := func(o *event) {
+			if i, ok := slices.BinarySearchFunc(live[head:], o, byTimeSeq); ok {
+				live = slices.Delete(live, head+i, head+i+1)
+			}
+		}
+		// expect appends the entries due by horizon to want.
+		var want []uint64
+		expect := func(horizon time.Duration) {
+			for ; head < len(live) && live[head].t <= horizon; head++ {
+				want = append(want, live[head].seq)
+			}
+		}
+		schedule := func(d time.Duration) {
+			seq := e.seq + 1
+			e.Schedule(d, func() { fired = append(fired, seq) })
+			add(d)
+		}
+		runs := 0 // opRun events so far, bounded to keep executions fast
 		var timers [4]Timer
 		var armed [4]*event // each timer's oracle entry, nil when idle
 		for i := range timers {
@@ -204,40 +228,18 @@ func FuzzQueueOrder(f *testing.F) {
 				armed[i] = nil
 			})
 		}
-		// add files the entry the last call stamped at Now()+d.
-		add := func(d time.Duration) *event {
-			o := &event{t: e.now + d, seq: e.seq}
-			live = append(live, o)
-			return o
-		}
-		drop := func(o *event) {
-			if i := slices.Index(live, o); i >= 0 {
-				live = slices.Delete(live, i, i+1)
-			}
-		}
-		// expect moves the oracle's entries due by horizon into want.
-		var want []uint64
-		expect := func(horizon time.Duration) {
-			slices.SortFunc(live, byTimeSeq)
-			n := 0
-			for n < len(live) && live[n].t <= horizon {
-				want = append(want, live[n].seq)
-				n++
-			}
-			live = slices.Delete(live, 0, n)
-		}
 		for i := 0; i+1 < len(in); i += 2 {
 			arg := in[i+1]
 			switch in[i] % numOps {
 			case opSchedule:
-				d := time.Duration(arg%16) * time.Microsecond
-				seq := e.seq + 1
-				e.Schedule(d, func() { fired = append(fired, seq) })
-				add(d)
+				schedule(time.Duration(arg%16) * time.Microsecond)
 			case opNow:
-				seq := e.seq + 1
-				e.Schedule(0, func() { fired = append(fired, seq) })
-				add(0)
+				schedule(0)
+			case opRun:
+				for n := 0; n < int(arg)*40 && runs < 12_000; n++ {
+					schedule(15 * time.Microsecond)
+					runs++
+				}
 			case opArm:
 				k := arg % 4
 				if armed[k] != nil {
@@ -268,7 +270,7 @@ func FuzzQueueOrder(f *testing.F) {
 		expect(1 << 62)
 		e.Run()
 		if !slices.Equal(fired, want) {
-			t.Fatalf("dispatch order diverges from the (t, seq) oracle:\n got %v\nwant %v", head(fired), head(want))
+			t.Fatalf("dispatch order diverges from the (t, seq) oracle:\n got %v\nwant %v", head40(fired), head40(want))
 		}
 		if !e.Idle() {
 			t.Fatal("queue not empty after Run")
@@ -276,5 +278,5 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 }
 
-// head trims a long sequence for a failure message.
-func head(s []uint64) []uint64 { return s[:min(len(s), 40)] }
+// head40 trims a long sequence for a failure message.
+func head40(s []uint64) []uint64 { return s[:min(len(s), 40)] }
