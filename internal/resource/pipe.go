@@ -80,13 +80,9 @@ type Pipe struct {
 	// (binary-search insert on join, memmove delete on leave) means
 	// recompute never allocates or sorts on the transfer hot path. The
 	// fixed order also makes every float accumulation deterministic.
-	flows []*flow
-	// spare holds retired flows for reuse and finished is onDeadline's
-	// scratch batch, so steady-state transfers allocate nothing.
-	spare     []*flow
-	finished  []*flow
+	flows     []*flow
 	lastT     time.Duration
-	deadline  sim.Timer // the earliest flow's completion, re-armed by recompute
+	xfer      *transfers // built by the first transfer
 	listeners []RateListener
 
 	// Bytes is the cumulative volume moved through the pipe.
@@ -98,6 +94,17 @@ type Pipe struct {
 	Transfers int64
 
 	nextFlowID uint64
+}
+
+// transfers is a pipe's machinery for moving bytes, built on its first
+// transfer so that an idle pipe (a fleet has thousands) costs only its
+// shape. It is what keeps steady-state transfers allocation-free: one
+// re-armed completion deadline, retired flows kept for reuse, and
+// onDeadline's scratch batch.
+type transfers struct {
+	deadline sim.Timer // the earliest flow's completion, re-armed by recompute
+	spare    []*flow
+	finished []*flow
 }
 
 type flow struct {
@@ -118,15 +125,13 @@ func NewPipe(env *sim.Env, name string, singleRate float64, scale ScalingFunc) *
 	if scale == nil {
 		scale = FlatScaling()
 	}
-	pp := &Pipe{
+	return &Pipe{
 		env:        env,
 		name:       name,
 		singleRate: singleRate,
 		scale:      scale,
 		lastT:      env.Now(),
 	}
-	pp.deadline.Init(env, pp.onDeadline)
-	return pp
 }
 
 // Name returns the pipe's name.
@@ -204,10 +209,15 @@ func (pp *Pipe) TransferCapped(p *sim.Proc, size int64, maxRate float64) {
 	if maxRate <= 0 {
 		panic("resource: non-positive rate cap on " + pp.name)
 	}
+	if pp.xfer == nil {
+		pp.xfer = new(transfers)
+		pp.xfer.deadline.Init(pp.env, pp.onDeadline)
+	}
+	x := pp.xfer
 	var f *flow
-	if n := len(pp.spare); n > 0 {
-		f = pp.spare[n-1]
-		pp.spare = pp.spare[:n-1]
+	if n := len(x.spare); n > 0 {
+		f = x.spare[n-1]
+		x.spare = x.spare[:n-1]
 	} else {
 		f = new(flow)
 	}
@@ -225,7 +235,7 @@ func (pp *Pipe) TransferCapped(p *sim.Proc, size int64, maxRate float64) {
 			pp.removeFlow(f)
 			pp.recompute()
 		}
-		pp.spare = append(pp.spare, f)
+		x.spare = append(x.spare, f)
 	}()
 	f.done.Await(p)
 	pp.Transfers++
@@ -270,7 +280,7 @@ func (pp *Pipe) advance() {
 func (pp *Pipe) recompute() {
 	n := len(pp.flows)
 	if n == 0 {
-		pp.deadline.Stop()
+		pp.xfer.deadline.Stop()
 		pp.notify(0)
 		return
 	}
@@ -307,14 +317,14 @@ func (pp *Pipe) recompute() {
 	}
 	pp.notify(total)
 	if math.IsInf(earliest, 1) {
-		pp.deadline.Stop()
+		pp.xfer.deadline.Stop()
 		return
 	}
 	d := time.Duration(math.Ceil(earliest * float64(time.Second)))
 	if d < 1 {
 		d = 1
 	}
-	pp.deadline.Arm(d)
+	pp.xfer.deadline.Arm(d)
 }
 
 // onDeadline fires when the earliest flow should have finished: apply
@@ -322,7 +332,7 @@ func (pp *Pipe) recompute() {
 func (pp *Pipe) onDeadline() {
 	pp.advance()
 	const eps = 1e-3 // bytes; transfers are whole bytes, rates are floats
-	finished := pp.finished[:0]
+	finished := pp.xfer.finished[:0]
 	for _, f := range pp.flows {
 		if f.remaining <= eps {
 			finished = append(finished, f)
@@ -337,7 +347,7 @@ func (pp *Pipe) onDeadline() {
 		f.done.Complete()
 	}
 	clear(finished)
-	pp.finished = finished[:0]
+	pp.xfer.finished = finished[:0]
 	pp.recompute()
 }
 

@@ -333,9 +333,6 @@ func (t *Timer) Arm(delay time.Duration) { t.env.arm(&t.ev, t.env.now+t.env.clam
 // Stop cancels the pending deadline, if any.
 func (t *Timer) Stop() { t.env.stop(&t.ev) }
 
-// Pending reports whether the timer is armed and has not fired yet.
-func (t *Timer) Pending() bool { return t.ev.pos > 0 }
-
 // String implements fmt.Stringer for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now=%v queued=%d procs=%d}", e.now, e.pending(), e.nprocs)

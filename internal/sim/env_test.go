@@ -88,7 +88,7 @@ func TestTimerStaleStop(t *testing.T) {
 	e.Run()
 	tm.Arm(time.Hour)
 	tm.Stop()
-	if tm.Pending() {
+	if tm.ev.pos > 0 {
 		t.Fatal("stopped timer still pending")
 	}
 	e.Run()

@@ -6,6 +6,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 )
 
@@ -86,9 +87,7 @@ func (q *waitq) wakeOne(e *Env) *Proc {
 		return nil
 	}
 	w := (*q)[0]
-	n := copy(*q, (*q)[1:])
-	(*q)[n] = waiter{}
-	*q = (*q)[:n]
+	*q = slices.Delete(*q, 0, 1) // shift down: the list keeps its storage
 	e.wakeLater(w.p, w.seq, wakeSignal)
 	return w.p
 }
@@ -97,7 +96,7 @@ func (q *waitq) wakeOne(e *Env) *Proc {
 func (q *waitq) remove(p *Proc) {
 	for i, w := range *q {
 		if w.p == p {
-			*q = append((*q)[:i], (*q)[i+1:]...)
+			*q = slices.Delete(*q, i, i+1)
 			return
 		}
 	}
