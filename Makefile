@@ -42,6 +42,12 @@ fmt:
 # fails the lint. The sim kernel and the resource layer dispatch and transfer
 # without allocating, and sort.Slice/sort.SliceStable allocate a reflect
 # swapper on every call: their non-test code sorts with slices.SortFunc.
+# Every function declared in a non-test file of a library package must be
+# linked into some binary (a command, an example or bench/e2e):
+# TestEveryFunctionIsLinked (linked_test.go) builds them all and fails with
+# file:line for each one that is not, unless its linkAllowlist map names it
+# with a reason. A test-only helper belongs in a _test.go file. -count=1,
+# because the test result cache does not see the binaries' sources.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -78,6 +84,7 @@ lint: fmt vet
 		echo "sort.Slice in the sim kernel or resource layer (its reflect swapper allocates per call; use slices.SortFunc):"; \
 		echo "$$out"; exit 1; \
 	fi
+	$(GO) test -count=1 -run TestEveryFunctionIsLinked .
 
 check: lint test
 
@@ -190,9 +197,9 @@ drift:
 		echo "drift-breach scenario passed strict mode — the gate is not gating"; exit 1; \
 	else echo "drift-breach correctly fails strict mode"; fi
 
-# ci is the gate the workflow runs: lint (fmt + vet + grep idioms), the full
-# test suite under the race detector (obs publication crosses host
-# goroutines), the preset and fault-cascade smoke sweeps, the lineage
+# ci is the gate the workflow runs: lint (fmt + vet + grep idioms + the link
+# check), the full test suite under the race detector (obs publication
+# crosses host goroutines), the preset and fault-cascade smoke sweeps, the lineage
 # invariant gate, the SLO gate, the model-drift gate, the fleet-scale chaos
 # gate, the control-plane serve gate, the benchmark harness module, and the
 # perf regression check against the checked-in baseline.

@@ -3,6 +3,8 @@
 // One simulated process allocates checkpoint variables through the Table III
 // interface, computes, checkpoints to local NVM, crashes, and restarts with
 // its data verified against the stored checksums — all on one emulated node.
+// It makes every Table III call: nvalloc, nv2dalloc, nvattach, nvrealloc,
+// nvchkptall, nvchkptid, genid and nvdelete.
 //
 // Run with:
 //
@@ -62,6 +64,21 @@ func main() {
 		fmt.Printf("checkpoint #2: copied %s in %v (%d copied, %d skipped)\n",
 			fmtMB(st.BytesCopied), st.Duration.Round(time.Millisecond),
 			st.ChunksCopied, st.ChunksSkipped)
+
+		// nvattach shadows memory the application manages itself (the
+		// LAMMPS path); nvrealloc resizes it once its real size is known.
+		atoms, err := store.NVAttach(p, "atoms", 8*mem.MB)
+		check(err)
+		check(store.NVRealloc(p, atoms, 24*mem.MB))
+		check(atoms.WriteAll(p))
+
+		// nvchkptid checkpoints one variable, named by its genid.
+		st, err = store.ChkptID(p, core.GenID("atoms"))
+		check(err)
+		fmt.Printf("checkpoint of %s alone: copied %s\n", atoms.Name, fmtMB(st.BytesCopied))
+
+		// nvdelete drops a variable and releases its NVM state.
+		check(store.NVDelete(p, atoms))
 
 		// The process now "crashes": DRAM contents are lost, NVM survives.
 		fmt.Println("simulating a crash (soft failure: node survives, process dies)")

@@ -35,7 +35,6 @@ import (
 	"nvmcp/internal/pfs"
 	"nvmcp/internal/policy"
 	"nvmcp/internal/precopy"
-	"nvmcp/internal/remote"
 	"nvmcp/internal/scenario"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/slo"
@@ -743,16 +742,6 @@ func (c *Cluster) Kernel(n int) *nvmkernel.Kernel {
 		return sub.kernels[n-sub.Cfg.nodeOffset]
 	}
 	return c.kernels[n]
-}
-
-// Mesh returns the buddy tier's remote mesh, or nil when the remote policy is
-// not buddy-based (lower-level surface for tests and drain experiments). A
-// sharded cluster has one mesh per shard; this returns shard 0's.
-func (c *Cluster) Mesh() *remote.Mesh {
-	if c.sharded != nil {
-		return c.sharded.subs[0].Mesh()
-	}
-	return policy.BuddyMesh(c.remoteTier)
 }
 
 // RemoteTier returns the composed remote tier (nil when disabled). A sharded

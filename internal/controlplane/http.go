@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"nvmcp/internal/scenario"
 )
@@ -28,6 +28,11 @@ type SubmitRequest struct {
 	StaggerSlotSecs float64 `json:"stagger_slot_secs,omitempty"`
 	Replan          bool    `json:"replan_on_failure,omitempty"`
 }
+
+// maxBody caps every request body the API decodes. The largest checked-in
+// scenario is under 1 KiB, so 1 MiB leaves room for any inline scenario
+// without letting one request pin the server's memory.
+const maxBody = 1 << 20
 
 // CancelRequest is the optional DELETE /api/jobs/{id} body.
 type CancelRequest struct {
@@ -69,12 +74,12 @@ func (pl *Plane) Handler() http.Handler {
 		if !ok {
 			return
 		}
+		// The body is optional, so an empty one (io.EOF) is no reason; a
+		// chunked body has no ContentLength and is decoded all the same.
 		var req CancelRequest
-		if r.ContentLength > 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeJSON(w, http.StatusBadRequest, apiError{Error: "bad cancel body: " + err.Error()})
-				return
-			}
+		if err := decodeBody(w, r, &req); err != nil && err != io.EOF {
+			writeBodyErr(w, "cancel body", err)
+			return
 		}
 		if err := pl.Cancel(id, req.Reason); err != nil {
 			writeErr(w, err)
@@ -93,10 +98,8 @@ func (pl *Plane) Handler() http.Handler {
 			return
 		}
 		var spec scenario.FailureSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad failure spec: " + err.Error()})
+		if err := decodeBody(w, r, &spec); err != nil {
+			writeBodyErr(w, "failure spec", err)
 			return
 		}
 		if err := pl.Inject(id, spec); err != nil {
@@ -124,15 +127,11 @@ func (pl *Plane) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit resolves the request into a scenario and submits it. The
-// decode is strict — a misspelled knob ("replan" for "replan_on_failure")
-// must fail the request, not silently submit without it.
+// handleSubmit resolves the request into a scenario and submits it.
 func (pl *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad submit body: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeBodyErr(w, "submit body", err)
 		return
 	}
 	sc, err := resolveSubmit(&req)
@@ -185,6 +184,30 @@ func resolveSubmit(req *SubmitRequest) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
+// decodeBody decodes one JSON value of r's body, at most maxBody bytes, into
+// v. The decode is strict: a misspelled field ("replan" for
+// "replan_on_failure", "reasn" for "reason") fails the request rather than
+// being silently dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeBodyErr answers a failed decodeBody: 413 for a body over maxBody,
+// 400 for anything else.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, apiError{
+			Error:  fmt.Sprintf("%s is over %d bytes", what, tooBig.Limit),
+			Reason: "body-too-large",
+		})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, apiError{Error: "bad " + what + ": " + err.Error()})
+}
+
 // jobID parses the {id} path segment, answering 400 itself on failure.
 func jobID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -223,22 +246,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status line is already out; nothing to salvage
-}
-
-// PollDone blocks until the job finishes or the deadline passes — a
-// convenience for in-process embedders (tests, the serve gate).
-func (pl *Plane) PollDone(id int, timeout time.Duration) (JobStatus, error) {
-	pl.mu.Lock()
-	j, ok := pl.jobs[id]
-	pl.mu.Unlock()
-	if !ok {
-		return JobStatus{}, ErrUnknownJob
-	}
-	select {
-	case <-j.done:
-		return pl.Status(id)
-	case <-time.After(timeout):
-		st, _ := pl.Status(id)
-		return JobStatus{}, fmt.Errorf("controlplane: job %d still %s after %v", id, st.State, timeout)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -26,17 +27,20 @@ func apiRig(t *testing.T, cfg Config) (*Plane, *httptest.Server) {
 
 func doJSON(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
-	var rd *bytes.Reader
+	var b []byte
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, url, rd)
+	return doRaw(t, method, url, bytes.NewReader(b), out)
+}
+
+// doRaw sends body as is: a reader of unknown length goes out chunked.
+func doRaw(t *testing.T, method, url string, body io.Reader, out any) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -237,5 +241,41 @@ func TestAPIConcurrentSubmitQueryCancel(t *testing.T) {
 		if !st.State.Terminal() {
 			t.Errorf("job %d (%s) ended non-terminal: %s", st.ID, st.Label, st.State)
 		}
+	}
+}
+
+// TestAPIBodiesAreCappedAndStrict holds every decoded body to maxBody and to
+// its declared fields: an oversized submit is refused with 413 before any job
+// exists, a misspelled cancel field is a 400, and a cancel body sent chunked
+// (no Content-Length) is still read.
+func TestAPIBodiesAreCappedAndStrict(t *testing.T) {
+	pl, srv := apiRig(t, Config{})
+
+	huge := `{"preset":"quick","scale":"tiny","hold":true,"label":"` + strings.Repeat("x", maxBody) + `"}`
+	var apiErr apiError
+	if code := doRaw(t, "POST", srv.URL+"/api/jobs", strings.NewReader(huge), &apiErr); code != http.StatusRequestEntityTooLarge || apiErr.Reason != "body-too-large" {
+		t.Fatalf("oversized submit: code=%d body=%+v, want 413 body-too-large", code, apiErr)
+	}
+	var jobs []JobStatus
+	if code := doJSON(t, "GET", srv.URL+"/api/jobs", nil, &jobs); code != 200 || len(jobs) != 0 {
+		t.Fatalf("after an oversized submit: code=%d jobs=%+v, want none", code, jobs)
+	}
+
+	var st JobStatus
+	doJSON(t, "POST", srv.URL+"/api/jobs", SubmitRequest{Preset: "quick", Scale: "tiny", Hold: true}, &st)
+	base := fmt.Sprintf("%s/api/jobs/%d", srv.URL, st.ID)
+	if code := doRaw(t, "DELETE", base, strings.NewReader(`{"reasn":"x"}`), &apiErr); code != http.StatusBadRequest {
+		t.Fatalf("misspelled cancel field: code=%d body=%+v, want 400", code, apiErr)
+	}
+	if doJSON(t, "GET", base, nil, &st); st.State != StateHeld {
+		t.Fatalf("a refused cancel moved the job to %s", st.State)
+	}
+
+	chunked := io.MultiReader(strings.NewReader(`{"reason":`), strings.NewReader(`"chunked"}`))
+	if code := doRaw(t, "DELETE", base, chunked, nil); code != 200 {
+		t.Fatalf("chunked cancel code = %d, want 200", code)
+	}
+	if st := mustDone(t, pl, st.ID); st.State != StateCanceled || st.Reason != "chunked" {
+		t.Fatalf("after a chunked cancel: state=%s reason=%q, want canceled \"chunked\"", st.State, st.Reason)
 	}
 }

@@ -193,9 +193,6 @@ func (j *Job) releaseStart() {
 	j.startOnce.Do(func() { close(j.started) })
 }
 
-// Done exposes the job's completion channel (closed at a terminal state).
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // SubmitOptions tune one submission.
 type SubmitOptions struct {
 	// Label is a free-form client tag echoed in status.

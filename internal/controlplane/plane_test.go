@@ -26,11 +26,25 @@ func tinyScenario(t *testing.T) *scenario.Scenario {
 
 const pollTimeout = 30 * time.Second
 
+// mustDone blocks until job id reaches a terminal state and returns its
+// status, failing the test after pollTimeout.
 func mustDone(t *testing.T, pl *Plane, id int) JobStatus {
 	t.Helper()
-	st, err := pl.PollDone(id, pollTimeout)
+	pl.mu.Lock()
+	j, ok := pl.jobs[id]
+	pl.mu.Unlock()
+	if !ok {
+		t.Fatalf("job %d: %v", id, ErrUnknownJob)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(pollTimeout):
+		st, _ := pl.Status(id)
+		t.Fatalf("job %d still %s after %v", id, st.State, pollTimeout)
+	}
+	st, err := pl.Status(id)
 	if err != nil {
-		t.Fatalf("job %d did not finish: %v", id, err)
+		t.Fatalf("job %d: %v", id, err)
 	}
 	return st
 }

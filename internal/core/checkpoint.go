@@ -321,17 +321,6 @@ func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data nvmkernel.Payload, versi
 	return s.adopt(p, c, data, version, "bottom", cBottomRestores)
 }
 
-// HasCommitted reports whether a committed local checkpoint exists for the
-// named variable without allocating a chunk — used by restart logic to
-// decide between local recovery and remote fetch.
-func (s *Store) HasCommitted(p *sim.Proc, name string) bool {
-	k := s.kproc.Kernel()
-	k.MetaLock.Lock(p)
-	_, ok := s.kproc.Chunks().Commit(p, GenID(name))
-	k.MetaLock.Unlock(p)
-	return ok
-}
-
 // ChunkState is a helper-visible snapshot of one chunk's checkpoint state.
 type ChunkState struct {
 	ID       uint64

@@ -99,9 +99,6 @@ func (c *Chunk) needsStage() bool { return c.modSeq != c.cleanSeq }
 // Dirty is the exported view of needsStage.
 func (c *Chunk) Dirty() bool { return c.needsStage() }
 
-// Committed reports whether any checkpoint version has been committed.
-func (c *Chunk) Committed() bool { return c.committed >= 0 }
-
 // Payload returns the DRAM working payload (possibly smaller than Size
 // under payload scaling). It is immutable: a later write replaces it.
 func (c *Chunk) Payload() nvmkernel.Payload { return c.payload }
@@ -181,22 +178,6 @@ func (c *Chunk) WriteAll(p *sim.Proc) error { return c.Write(p, 0, c.Size) }
 // was recovered from.
 func (c *Chunk) SeedWrites(seq uint64) { c.writeSeq = seq }
 
-// Read models the application reading the chunk's contents. Reads cost
-// nothing (data is in DRAM) except when a lazy restore is pending, in which
-// case the deferred NVM→DRAM fetch happens now.
-func (c *Chunk) Read(p *sim.Proc, off, n int64) error {
-	if off < 0 || n < 0 || off+n > c.Size {
-		return fmt.Errorf("core: read [%d,%d) out of chunk %s size %d", off, off+n, c.Name, c.Size)
-	}
-	if c.pending != nil {
-		return c.store.materialize(p, c, false)
-	}
-	return nil
-}
-
-// RestorePending reports whether a lazy restore has not yet materialized.
-func (c *Chunk) RestorePending() bool { return c.pending != nil }
-
 // Protect re-arms write protection over the chunk so the next modification
 // is observed. Pre-copy engines call this after copying a chunk; the
 // prediction learning phase calls it after each fault to count episodes.
@@ -209,9 +190,6 @@ func (c *Chunk) DeferProtect() { c.dram.DeferProtect() }
 
 // Protected reports whether modification tracking is armed.
 func (c *Chunk) Protected() bool { return c.dram.Protected() }
-
-// Region exposes the DRAM working region (for the page-level ablation).
-func (c *Chunk) Region() *nvmkernel.Region { return c.dram }
 
 // ModSeq returns the current modification sequence number.
 func (c *Chunk) ModSeq() uint64 { return c.modSeq }

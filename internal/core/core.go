@@ -180,9 +180,6 @@ func (s *Store) Kernel() *nvmkernel.Kernel { return s.kproc.Kernel() }
 // Proc returns the kernel process identity.
 func (s *Store) Proc() *nvmkernel.Process { return s.kproc }
 
-// Alloc returns the underlying NVM heap allocator (for inspection).
-func (s *Store) Alloc() *nvmalloc.Allocator { return s.alloc }
-
 // OnModify registers a callback fired on the first modification of a clean
 // chunk (i.e. on each chunk-level protection fault). Pre-copy engines use it
 // to maintain dirty sets and prediction counters.
@@ -209,21 +206,6 @@ func (s *Store) ChunkAt(i int) *Chunk { return s.order[i] }
 
 // Chunk returns the chunk with the given id, or nil.
 func (s *Store) Chunk(id uint64) *Chunk { return s.chunks[id] }
-
-// ChunkByName returns the chunk allocated under name, or nil.
-func (s *Store) ChunkByName(name string) *Chunk { return s.chunks[GenID(name)] }
-
-// DirtyLocal returns persistent chunks modified since their last staging
-// (pre-copy or checkpoint), in allocation order.
-func (s *Store) DirtyLocal() []*Chunk {
-	var out []*Chunk
-	for _, c := range s.order {
-		if c.Persistent && c.needsStage() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // CheckpointSize returns the total virtual size of persistent chunks — the
 // per-process checkpoint data size D of the performance model.

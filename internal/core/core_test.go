@@ -63,7 +63,7 @@ func TestNVAllocBasics(t *testing.T) {
 		if _, err := s.NVAlloc(p, "bad", 0, true); !errors.Is(err, ErrBadDims) {
 			t.Fatalf("zero-size alloc err = %v", err)
 		}
-		if s.ChunkByName("field") != c || s.Chunk(c.ID) != c {
+		if s.Chunk(GenID("field")) != c || s.Chunk(c.ID) != c {
 			t.Fatal("lookup mismatch")
 		}
 	})
@@ -245,7 +245,7 @@ func TestStoreDuringStageRedirtiesChunk(t *testing.T) {
 		c, _ := s.NVAlloc(p, "hot", 400*mem.MB, true)
 		c.WriteAll(p)
 		// Background pre-copy takes ~0.2s; write into the chunk mid-copy.
-		copier := p.Env().Go("copier", func(q *sim.Proc) {
+		copier := s.Kernel().Env().Go("copier", func(q *sim.Proc) {
 			s.PreCopyChunk(q, c, 0)
 		})
 		p.Sleep(50 * time.Millisecond)
@@ -351,7 +351,6 @@ func TestRestartRestoresCommittedData(t *testing.T) {
 			t.Error("no staged data")
 		}
 		want = data.AppendTo(nil)
-		s.Proc().Exit()
 		r.k.SoftReset()
 	})
 	r.env.Run()
@@ -473,7 +472,7 @@ func TestSingleVersionCrashMidStageLosesLocalCopy(t *testing.T) {
 		s.ChkptAll(p)
 		c.WriteAll(p)
 		// Begin restaging over the only copy, then crash mid-operation.
-		p.Env().Go("crasher", func(q *sim.Proc) {
+		s.Kernel().Env().Go("crasher", func(q *sim.Proc) {
 			q.Sleep(time.Millisecond)
 			p.Kill()
 		})
@@ -650,13 +649,13 @@ func TestNVDeleteReleasesEverything(t *testing.T) {
 		if err := s.NVDelete(p, c); err != nil {
 			t.Fatal(err)
 		}
-		if s.ChunkByName("tmp") != nil {
+		if s.Chunk(GenID("tmp")) != nil {
 			t.Fatal("chunk still listed")
 		}
 		if err := s.NVDelete(p, c); !errors.Is(err, ErrNoChunk) {
 			t.Fatalf("double delete err = %v", err)
 		}
-		if st := s.Alloc().Stats(); st.Allocated != 0 {
+		if st := s.alloc.Stats(); st.Allocated != 0 {
 			t.Fatalf("NVM heap leak: %+v", st)
 		}
 		// Deleted chunks must not restore after restart.
@@ -785,7 +784,6 @@ func TestOnStageAndAllocSeq(t *testing.T) {
 			t.Errorf("after delete and re-alloc: old AllocSeq %d, new %d; want 0 and 3",
 				a.AllocSeq(), c.AllocSeq())
 		}
-		s.Proc().Exit()
 		r.k.SoftReset()
 	})
 	r.env.Run()

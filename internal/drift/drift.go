@@ -36,13 +36,6 @@ const (
 // quantities is the sorted catalog of valid limit targets.
 var quantities = []string{QtyCkptTime, QtyEfficiency, QtyPrecopyTp, QtyWindowBytes}
 
-// Quantities lists the valid drift quantities, sorted.
-func Quantities() []string {
-	out := make([]string, len(quantities))
-	copy(out, quantities)
-	return out
-}
-
 func knownQuantity(q string) bool {
 	i := sort.SearchStrings(quantities, q)
 	return i < len(quantities) && quantities[i] == q

@@ -89,7 +89,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestQuantitiesSorted(t *testing.T) {
-	qs := Quantities()
+	qs := quantities
 	if len(qs) != 4 {
 		t.Fatalf("Quantities() = %v, want 4 entries", qs)
 	}

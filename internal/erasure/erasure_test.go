@@ -202,8 +202,8 @@ func TestStaleSurvivorDetected(t *testing.T) {
 		}
 		// Survivor 1 moves on past the parity round.
 		s := r.stores[1]
-		s.ChunkByName("a").WriteAll(p)
-		s.ChunkByName("b").WriteAll(p)
+		s.Chunk(core.GenID("a")).WriteAll(p)
+		s.Chunk(core.GenID("b")).WriteAll(p)
 		s.ChkptAll(p)
 	})
 	r.env.Run()
@@ -229,7 +229,7 @@ func TestParityRoundRefreshesWithNewData(t *testing.T) {
 		}
 		// Both members advance one round, then re-parity.
 		for _, s := range r.stores {
-			s.ChunkByName("a").WriteAll(p)
+			s.Chunk(core.GenID("a")).WriteAll(p)
 			s.ChkptAll(p)
 		}
 		if err := r.group.CommitParity(p); err != nil {

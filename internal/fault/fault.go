@@ -94,12 +94,6 @@ func (k Kind) check() error {
 	return fmt.Errorf("fault: unknown kind %q (want one of %v)", k, Kinds())
 }
 
-// Process reports whether the kind kills rank processes (and therefore
-// triggers a restart), as opposed to a latent or fabric-only perturbation.
-func (k Kind) Process() bool {
-	return k == Soft || k == Hard || k == BuddyLoss || k.Correlated()
-}
-
 // Correlated reports whether the kind targets a whole failure domain
 // rather than a single node.
 func (k Kind) Correlated() bool {

@@ -142,13 +142,6 @@ func New(env *sim.Env, n int, linkBW float64) *Fabric {
 // Nodes returns the node count.
 func (f *Fabric) Nodes() int { return len(f.egress) }
 
-// Egress returns node i's egress pipe (for utilization inspection).
-func (f *Fabric) Egress(node int) *resource.Pipe { return f.egress[node] }
-
-// Series returns the cumulative-bytes timeline for a traffic class; use
-// DiffBuckets on it for per-window transferred volume (Figure 10).
-func (f *Fabric) Series(c Class) *obs.Timeline { return f.series[c] }
-
 // SetLinkFactor sets a node's residual link-bandwidth fraction: 1 restores
 // full health, a value in (0,1) degrades both directions, 0 takes the node's
 // links fully down. Restoring (factor > 0) wakes transfers stalled on it.

@@ -241,7 +241,7 @@ func TestCongestionPenaltyCapBounds(t *testing.T) {
 		appTook = p.Now() - start
 	})
 	e.Run()
-	ideal := f.Egress(0).EstimateTime(mb) + f.Latency
+	ideal := f.egress[0].EstimateTime(mb) + f.Latency
 	// Stretch factor: 17 flows share + capped penalty: bound generously.
 	maxAllowed := time.Duration(float64(ideal) * (hogs + 1 + congestionPenaltyCap + 2))
 	if appTook > maxAllowed {
@@ -261,7 +261,7 @@ func TestAppSeriesTimeline(t *testing.T) {
 		f.Send(p, 0, 1, 10*mb)
 	})
 	e.Run()
-	series := f.Series(ClassApp)
+	series := f.series[ClassApp]
 	if series.Len() == 0 {
 		t.Fatal("no app series recorded")
 	}
@@ -316,10 +316,10 @@ func TestRecorderBooksBytesOnly(t *testing.T) {
 	if got := reg.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry = %v, want %v", got, want)
 	}
-	if f.Series(ClassCkpt) != reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}) {
+	if f.series[ClassCkpt] != reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}) {
 		t.Fatal("ckpt series is not the registry's fabric_bytes timeline")
 	}
-	if got := f.Series(ClassCkpt).At(e.Now()); got != 20*mb {
+	if got := f.series[ClassCkpt].At(e.Now()); got != 20*mb {
 		t.Fatalf("cumulative ckpt bytes = %v, want 20MB", got)
 	}
 	if f.Counters.Get("transfers") != 2 || f.Counters.Get("segments") != 3 || f.Counters.Get("bytes_app") != 10*mb {

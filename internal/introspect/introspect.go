@@ -109,12 +109,6 @@ func newServer() *Server {
 	return &Server{now: time.Now, drain: drainTimeout}
 }
 
-// NewMux builds the introspection routing table (exported separately so
-// tests drive handlers without a listener).
-func NewMux(src Source) *http.ServeMux {
-	return newServer().mux(src)
-}
-
 func (s *Server) mux(src Source) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

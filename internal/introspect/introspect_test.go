@@ -41,7 +41,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) *httptest.ResponseRecord
 
 func TestHealthzAndMetrics(t *testing.T) {
 	o, tr := rig(t)
-	mux := NewMux(Source{Obs: o, Lineage: tr, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Lineage: tr, Tool: "test"})
 	if rec := get(t, mux, "/healthz"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "ok") {
 		t.Fatalf("/healthz = %d %q", rec.Code, rec.Body.String())
 	}
@@ -56,7 +56,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestProgressReportsVirtualTimeAndRate(t *testing.T) {
 	o, tr := rig(t)
-	mux := NewMux(Source{Obs: o, Lineage: tr, Tool: "test", Status: func() string { return "done" }})
+	mux := newServer().mux(Source{Obs: o, Lineage: tr, Tool: "test", Status: func() string { return "done" }})
 	var p Progress
 	if rec := get(t, mux, "/progress"); json.Unmarshal(rec.Body.Bytes(), &p) != nil {
 		t.Fatalf("bad /progress body: %s", rec.Body.String())
@@ -78,7 +78,7 @@ func TestProgressReportsVirtualTimeAndRate(t *testing.T) {
 
 func TestLineageEndpointsServeSlashKeys(t *testing.T) {
 	o, tr := rig(t)
-	mux := NewMux(Source{Obs: o, Lineage: tr, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Lineage: tr, Tool: "test"})
 	var index struct {
 		Chunks []string `json:"chunks"`
 	}
@@ -107,7 +107,7 @@ func TestLineageEndpointsServeSlashKeys(t *testing.T) {
 
 func TestLineageDisabledIs404WithHint(t *testing.T) {
 	o, _ := rig(t)
-	mux := NewMux(Source{Obs: o, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Tool: "test"})
 	rec := get(t, mux, "/lineage/rank0/field")
 	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "-lineage") {
 		t.Fatalf("disabled lineage = %d %q", rec.Code, rec.Body.String())
@@ -118,7 +118,7 @@ func TestLineageDisabledIs404WithHint(t *testing.T) {
 // mount the server with no observer: health, status, and pprof must still
 // work, and /metrics must 404 rather than panic.
 func TestNilObserverDegradesGracefully(t *testing.T) {
-	mux := NewMux(Source{Tool: "bench", Status: func() string { return "fig9" }})
+	mux := newServer().mux(Source{Tool: "bench", Status: func() string { return "fig9" }})
 	if rec := get(t, mux, "/healthz"); rec.Code != 200 {
 		t.Fatalf("/healthz = %d", rec.Code)
 	}
@@ -136,7 +136,7 @@ func TestNilObserverDegradesGracefully(t *testing.T) {
 
 func TestPprofIndexIsMounted(t *testing.T) {
 	o, _ := rig(t)
-	mux := NewMux(Source{Obs: o, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Tool: "test"})
 	if rec := get(t, mux, "/debug/pprof/"); rec.Code != 200 {
 		t.Fatalf("/debug/pprof/ = %d", rec.Code)
 	}
@@ -149,7 +149,7 @@ func TestConcurrentPollsWhilePublishing(t *testing.T) {
 	env := sim.NewEnv()
 	o := obs.New(env)
 	tr := lineage.Attach(o, lineage.Config{Enabled: true})
-	mux := NewMux(Source{Obs: o, Lineage: tr, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Lineage: tr, Tool: "test"})
 	r := o.Recorder(0, "rank0")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -183,7 +183,7 @@ func TestConcurrentPollsWhilePublishing(t *testing.T) {
 
 func TestDriftDisabledIs404WithHint(t *testing.T) {
 	o, _ := rig(t)
-	mux := NewMux(Source{Obs: o, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Tool: "test"})
 	for _, path := range []string{"/drift", "/drift/timeseries"} {
 		rec := get(t, mux, path)
 		if rec.Code != 404 || !strings.Contains(rec.Body.String(), "-drift") {
@@ -213,7 +213,7 @@ func TestDriftEndpoints(t *testing.T) {
 	env.Run()
 	d.Finalize(7 * time.Second)
 
-	mux := NewMux(Source{Obs: o, Drift: d, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Drift: d, Tool: "test"})
 	rec := get(t, mux, "/drift")
 	if rec.Code != 200 {
 		t.Fatalf("/drift = %d: %s", rec.Code, rec.Body.String())
@@ -274,7 +274,7 @@ func TestAllRoutesContentType(t *testing.T) {
 	env.Run()
 	sr.Finalize(2 * time.Second)
 	d.Finalize(2 * time.Second)
-	mux := NewMux(Source{Obs: o, Lineage: tr, SLO: sr, Drift: d, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Lineage: tr, SLO: sr, Drift: d, Tool: "test"})
 
 	jsonRoutes := []string{
 		"/progress",
@@ -312,7 +312,7 @@ func TestAllRoutesContentType(t *testing.T) {
 
 func TestSLODisabledIs404WithHint(t *testing.T) {
 	o, _ := rig(t)
-	mux := NewMux(Source{Obs: o, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, Tool: "test"})
 	for _, path := range []string{"/slo", "/slo/timeseries"} {
 		rec := get(t, mux, path)
 		if rec.Code != 404 || !strings.Contains(rec.Body.String(), "-slo") {
@@ -336,7 +336,7 @@ func TestSLOEndpoints(t *testing.T) {
 	env.Run()
 	sr.Finalize(7 * time.Second)
 
-	mux := NewMux(Source{Obs: o, SLO: sr, Tool: "test"})
+	mux := newServer().mux(Source{Obs: o, SLO: sr, Tool: "test"})
 	rec := get(t, mux, "/slo")
 	if rec.Code != 200 {
 		t.Fatalf("/slo = %d: %s", rec.Code, rec.Body.String())

@@ -147,11 +147,11 @@ func TestAPIHandlerMount(t *testing.T) {
 	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
-	mux := NewMux(Source{Tool: "test", API: api})
+	mux := newServer().mux(Source{Tool: "test", API: api})
 	if rec := get(t, mux, "/api/jobs"); rec.Code != http.StatusTeapot {
 		t.Fatalf("/api/jobs = %d, want handler's %d", rec.Code, http.StatusTeapot)
 	}
-	bare := NewMux(Source{Tool: "test"})
+	bare := newServer().mux(Source{Tool: "test"})
 	if rec := get(t, bare, "/api/jobs"); rec.Code != 404 {
 		t.Fatalf("/api/jobs without API = %d, want 404", rec.Code)
 	}

@@ -177,9 +177,6 @@ func (d *Device) Release(size int64) {
 	}
 }
 
-// Free returns the unreserved capacity.
-func (d *Device) Free() int64 { return d.Capacity - d.Used }
-
 // WriteBytes blocks p while size bytes are written to the device, sharing
 // write bandwidth with all concurrent writers, and accounts the traffic for
 // wear and energy projections.
@@ -188,11 +185,6 @@ func (d *Device) WriteBytes(p *sim.Proc, size int64) {
 		d.BytesWritten += size
 	}
 	d.Write.Transfer(p, size)
-}
-
-// WriteEnergy returns the energy spent on writes so far, in joules.
-func (d *Device) WriteEnergy() float64 {
-	return float64(d.BytesWritten) * 8 * d.WriteEnergyPerBit
 }
 
 // LifetimeYearsAt projects how many years the device lasts under a sustained

@@ -53,11 +53,6 @@ func (p Params) NLocal() float64 {
 	return float64(p.TCompute) / float64(p.IntervalLocal)
 }
 
-// NRemote returns the number of remote checkpoints, T_compute/T_seg.
-func (p Params) NRemote() float64 {
-	return float64(p.TCompute) / float64(p.IntervalRemote)
-}
-
 // K returns the number of local checkpoints per remote checkpoint interval.
 func (p Params) K() float64 {
 	return float64(p.IntervalRemote) / float64(p.IntervalLocal)
@@ -151,41 +146,6 @@ func PreCopyThreshold(interval time.Duration, ckptSize int64, bwPerCore float64)
 // sqrt(2 * t_ckpt * MTBF), used to pick sensible defaults for experiments.
 func OptimalInterval(ckptTime, mtbf time.Duration) time.Duration {
 	return durFromSeconds(math.Sqrt(2 * ckptTime.Seconds() * mtbf.Seconds()))
-}
-
-// UnrecoverableProbability estimates the probability that a buddy-pair
-// remote checkpoint scheme hits an unrecoverable failure — both a node and
-// its buddy failing within the same checkpoint interval, before the data
-// could be re-replicated. This is the computation behind the Zheng et al.
-// result the paper quotes in Section IV: with per-node MTBF of 20 years,
-// 5000 nodes, a 6-minute checkpoint interval and 1200 hours of application
-// time, the probability is about 0.000977%.
-//
-// Derivation: a node fails within an interval with probability p ≈ T/MTBF;
-// the pair is lost only if the buddy also fails in that same interval and
-// *after* the first failure (hence the factor 1/2); with N nodes and
-// T_app/T intervals the expected number of pair losses is
-// N · p² / 2 · (T_app/T), which for small values is the probability itself.
-func UnrecoverableProbability(mtbfNode time.Duration, nodes int, interval, appTime time.Duration) float64 {
-	p := interval.Seconds() / mtbfNode.Seconds()
-	intervals := appTime.Seconds() / interval.Seconds()
-	return float64(nodes) * p * p / 2 * intervals
-}
-
-// SoftErrorShare is the fraction of failures recoverable locally, per the
-// LANL ASCI Q observation the paper cites (about 64% of failures are soft).
-const SoftErrorShare = 0.64
-
-// SplitMTBF splits a machine MTBF into local (soft) and remote (hard)
-// components given the soft-error share s: failures arrive at rate 1/mtbf,
-// a fraction s of them soft.
-func SplitMTBF(mtbf time.Duration, softShare float64) (local, remote time.Duration) {
-	if softShare <= 0 || softShare >= 1 {
-		panic("model: soft share must be in (0,1)")
-	}
-	local = time.Duration(float64(mtbf) / softShare)
-	remote = time.Duration(float64(mtbf) / (1 - softShare))
-	return local, remote
 }
 
 func durFromSeconds(s float64) time.Duration {

@@ -44,16 +44,15 @@ type Allocator struct {
 	prefix  string
 	classes []int64
 	// bins[i] holds slabs of class i that still have free slots.
-	bins         [][]*slab
-	slabs        map[int64]*slab  // by base address
-	slabRegionID map[int64]string // slab base -> kernel region id (for Trim)
-	free         []Extent         // free large extents, sorted by Addr
-	chunkIDs     int
-	slabIDs      int
-	hugeIDs      int
-	next         int64 // next virtual base address for a new kernel region
-	live         map[int64]liveAlloc
-	stats        Stats
+	bins     [][]*slab
+	slabs    map[int64]*slab // by base address
+	free     []Extent        // free large extents, sorted by Addr
+	chunkIDs int
+	slabIDs  int
+	hugeIDs  int
+	next     int64 // next virtual base address for a new kernel region
+	live     map[int64]liveAlloc
+	stats    Stats
 }
 
 type liveAlloc struct {
@@ -76,13 +75,12 @@ type slab struct {
 func New(proc *nvmkernel.Process, prefix string) *Allocator {
 	classes := smallClasses()
 	return &Allocator{
-		proc:         proc,
-		prefix:       prefix,
-		classes:      classes,
-		bins:         make([][]*slab, len(classes)),
-		slabs:        make(map[int64]*slab),
-		slabRegionID: make(map[int64]string),
-		live:         make(map[int64]liveAlloc),
+		proc:    proc,
+		prefix:  prefix,
+		classes: classes,
+		bins:    make([][]*slab, len(classes)),
+		slabs:   make(map[int64]*slab),
+		live:    make(map[int64]liveAlloc),
 	}
 }
 
@@ -147,18 +145,6 @@ func (a *Allocator) Free(p *sim.Proc, addr int64) error {
 	return nil
 }
 
-// Owns reports whether addr is a live allocation.
-func (a *Allocator) Owns(addr int64) bool {
-	_, ok := a.live[addr]
-	return ok
-}
-
-// SizeOf returns the requested size of the live allocation at addr.
-func (a *Allocator) SizeOf(addr int64) (int64, bool) {
-	la, ok := a.live[addr]
-	return la.size, ok
-}
-
 // --- small tier -------------------------------------------------------------
 
 func (a *Allocator) allocSmall(p *sim.Proc, class int) (int64, error) {
@@ -179,7 +165,6 @@ func (a *Allocator) allocSmall(p *sim.Proc, class int) (int64, error) {
 	s := &slab{base: base, class: class, slot: slot, used: make([]bool, n), free: n}
 	a.bins[class] = append(a.bins[class], s)
 	a.slabs[base] = s
-	a.slabRegionID[base] = id
 	a.stats.Slabs++
 	a.stats.Mapped += SlabSize
 	return a.takeSlot(s), nil
@@ -296,65 +281,4 @@ func (a *Allocator) growAligned(size, align int64) int64 {
 	base := (a.next + align - 1) / align * align
 	a.next = base + size
 	return base
-}
-
-// Trim returns fully-free slabs to the kernel (jemalloc's purge of empty
-// runs), reclaiming their NVM capacity. Large-extent chunks and partially
-// used slabs are retained. It returns the number of bytes released.
-func (a *Allocator) Trim(p *sim.Proc) (int64, error) {
-	var released int64
-	for ci := range a.bins {
-		kept := a.bins[ci][:0]
-		for _, s := range a.bins[ci] {
-			if s.free < len(s.used) {
-				kept = append(kept, s)
-				continue
-			}
-			if err := a.proc.NVMUnmap(p, a.slabRegionID[s.base]); err != nil {
-				return released, err
-			}
-			delete(a.slabs, s.base)
-			delete(a.slabRegionID, s.base)
-			a.stats.Slabs--
-			a.stats.Mapped -= SlabSize
-			released += SlabSize
-		}
-		a.bins[ci] = kept
-	}
-	return released, nil
-}
-
-// CheckInvariants validates internal consistency: live allocations are
-// disjoint, free extents are sorted/disjoint/coalesced, and stats match the
-// live set. Used by property tests.
-func (a *Allocator) CheckInvariants() error {
-	type rng struct{ lo, hi int64 }
-	var rs []rng
-	var allocated, active int64
-	for addr, la := range a.live {
-		rs = append(rs, rng{addr, addr + la.rounded})
-		allocated += la.size
-		active += la.rounded
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
-	for i := 1; i < len(rs); i++ {
-		if rs[i].lo < rs[i-1].hi {
-			return fmt.Errorf("live extents overlap: [%#x,%#x) and [%#x,%#x)",
-				rs[i-1].lo, rs[i-1].hi, rs[i].lo, rs[i].hi)
-		}
-	}
-	for i := 1; i < len(a.free); i++ {
-		prev, cur := a.free[i-1], a.free[i]
-		if cur.Addr < prev.End() {
-			return fmt.Errorf("free extents overlap at %#x", cur.Addr)
-		}
-		if prev.End() == cur.Addr && sameChunk(prev.Addr, cur.Addr) {
-			return fmt.Errorf("uncoalesced free extents at %#x", cur.Addr)
-		}
-	}
-	if allocated != a.stats.Allocated || active != a.stats.Active {
-		return fmt.Errorf("stats drift: allocated %d/%d active %d/%d",
-			allocated, a.stats.Allocated, active, a.stats.Active)
-	}
-	return nil
 }

@@ -285,53 +285,6 @@ func TestRandomAllocFreeInvariants(t *testing.T) {
 	})
 }
 
-func TestTrimReleasesEmptySlabs(t *testing.T) {
-	withAllocator(t, mem.GB, func(p *sim.Proc, a *Allocator, k *nvmkernel.Kernel) {
-		e1, _ := a.Alloc(p, 64)
-		e2, _ := a.Alloc(p, 4096) // distinct class, second slab
-		a.Free(p, e1.Addr)
-		// Slab 1 fully free, slab 2 still holds e2.
-		released, err := a.Trim(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if released != SlabSize {
-			t.Fatalf("released = %d, want one slab", released)
-		}
-		st := a.Stats()
-		if st.Slabs != 1 || st.Mapped != SlabSize {
-			t.Fatalf("stats after trim: %+v", st)
-		}
-		if k.NVM.Used != SlabSize {
-			t.Fatalf("kernel NVM used = %d, want one slab", k.NVM.Used)
-		}
-		if err := a.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		// The surviving allocation still works and new allocations in the
-		// trimmed class get a fresh slab.
-		a.Free(p, e2.Addr)
-		if _, err := a.Alloc(p, 64); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestTrimKeepsPartiallyUsedSlabs(t *testing.T) {
-	withAllocator(t, mem.GB, func(p *sim.Proc, a *Allocator, k *nvmkernel.Kernel) {
-		e1, _ := a.Alloc(p, 64)
-		a.Alloc(p, 64) // same slab stays half-used
-		a.Free(p, e1.Addr)
-		released, err := a.Trim(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if released != 0 {
-			t.Fatalf("released = %d, want 0 (slab still in use)", released)
-		}
-	})
-}
-
 func TestManyDistinctClassesDistinctSlabs(t *testing.T) {
 	withAllocator(t, mem.GB, func(p *sim.Proc, a *Allocator, k *nvmkernel.Kernel) {
 		if _, err := a.Alloc(p, 16); err != nil {

@@ -1,13 +1,13 @@
 // Package nvmkernel emulates the paper's Linux NVM kernel manager: the
 // OS-level component that exposes NVM as virtual memory. It provides
 // per-process NVM containers mapped with an nvmmap-like call, page tables
-// with chunk-granularity write protection and fault delivery,
-// cache-flush-before-commit, and the per-process persistent metadata of
-// Section V: a ChunkTable of typed chunk records keyed by chunk ID (a commit
-// record and two version slots each), beside a few named values. Both
-// survive process restarts and node reboots (soft failures) but not hard
-// node failures. The paper's per-page 'nvdirty' bits are not modelled: the
-// remote helper tracks what its buddy lacks per chunk (internal/remote).
+// with chunk-granularity write protection and fault delivery, and the
+// per-process persistent metadata of Section V: a ChunkTable of typed chunk
+// records keyed by chunk ID (a commit record and two version slots each),
+// beside a few named values. Both survive process restarts and node reboots
+// (soft failures) but not hard node failures. The paper's per-page 'nvdirty'
+// bits are not modelled: the remote helper tracks what its buddy lacks per
+// chunk (internal/remote).
 //
 // Cost accounting follows the paper's split: control-path costs (user↔kernel
 // transitions, protection faults, mprotect calls) are charged here in virtual
@@ -78,9 +78,8 @@ type Kernel struct {
 	SyscallCost time.Duration
 	ProtectCost time.Duration
 
-	// Counts of system calls, protection faults, cache flushes and hard
-	// failures.
-	Syscalls, ProtectionFaults, CacheFlushes, HardFailures int64
+	// Counts of system calls, protection faults and hard failures.
+	Syscalls, ProtectionFaults, HardFailures int64
 
 	store map[string]*procStore // persistent per-process state, by name
 	procs map[string]*Process   // currently attached processes
@@ -180,12 +179,6 @@ func (pr *Process) Name() string { return pr.name }
 // Kernel returns the owning kernel.
 func (pr *Process) Kernel() *Kernel { return pr.k }
 
-// Exit detaches the process, releasing DRAM but keeping NVM state.
-func (pr *Process) Exit() {
-	pr.releaseDRAM()
-	delete(pr.k.procs, pr.name)
-}
-
 func (pr *Process) releaseDRAM() {
 	for id, r := range pr.dram {
 		pr.k.DRAM.Release(r.VirtualSize)
@@ -221,9 +214,6 @@ func (pr *Process) NVMUnmap(p *sim.Proc, id string) error {
 	pr.k.NVM.Release(r.VirtualSize)
 	return nil
 }
-
-// NVMRegion returns a mapped region without side effects, or nil.
-func (pr *Process) NVMRegion(id string) *Region { return pr.store.regions[id] }
 
 // NVMRegions returns the ids of all mapped NVM regions (restart discovery).
 func (pr *Process) NVMRegions() []string {

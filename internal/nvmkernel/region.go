@@ -21,7 +21,6 @@ type pageSet []uint64
 func newPageSet(pages int) pageSet { return make(pageSet, (pages+63)/64) }
 
 func (s pageSet) get(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (s pageSet) set(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
 func (s pageSet) clear(i int)    { s[i>>6] &^= 1 << (uint(i) & 63) }
 
 // setAll sets the first n bits.
@@ -108,9 +107,6 @@ func newRegion(pr *Process, id string, kind RegionKind, virtualSize int64, paylo
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() int { return r.pages }
 
-// Owner returns the owning process.
-func (r *Region) Owner() *Process { return r.owner }
-
 // SetFaultHandler installs the chunk-level protection-fault handler.
 func (r *Region) SetFaultHandler(h FaultHandler) { r.handler = h }
 
@@ -139,29 +135,19 @@ func (r *Region) UnprotectPage(p *sim.Proc, page int) {
 	r.prot.clear(page)
 }
 
-// ProtectPage write-protects a single page (page-level pre-copy ablation).
-func (r *Region) ProtectPage(p *sim.Proc, page int) {
-	if p != nil {
-		p.Sleep(r.owner.k.ProtectCost)
-	}
-	r.prot.set(page)
-}
-
 // Protected reports whether any page of the region is write-protected.
 func (r *Region) Protected() bool { return r.prot.any() }
-
-// PageProtected reports whether one page is write-protected.
-func (r *Region) PageProtected(page int) bool { return r.prot.get(page) }
 
 // TouchWrite models the application storing to [off, off+n). If any touched
 // page is write-protected, a protection fault is charged (FaultCost) and the
 // installed handler runs before the store retires; with no handler the write
 // fails, as a real segfault would. It returns whether a fault occurred.
 //
-// Only the first faulting page raises a fault: the paper's chunk-level
-// handler unprotects the whole chunk, so one fault per modified chunk is the
-// intended behaviour; the page-level ablation re-protects page by page and
-// therefore faults once per page.
+// Each protected page in the range faults once, in order, until the handler
+// has cleared the rest of the range. The paper's chunk-level handler
+// unprotects the whole chunk, so a write faults once per modified chunk. The
+// page-level ablation Protects the whole region and its handler clears only
+// the faulting page (UnprotectPage), so a write faults once per page.
 func (r *Region) TouchWrite(p *sim.Proc, off, n int64) (bool, error) {
 	if n <= 0 {
 		return false, nil
@@ -220,19 +206,6 @@ func (r *Region) DeferProtect() { r.pendingProtect = true }
 
 func (r *Region) anyProtected(from, to int) bool {
 	return r.prot.anyInRange(from, to)
-}
-
-// Flush charges the cacheline-flush cost for size bytes of the region's
-// device — the paper flushes processor caches before marking data consistent.
-func (r *Region) Flush(p *sim.Proc, size int64) {
-	dev := r.owner.k.DRAM
-	if r.Kind == NVMRegion {
-		dev = r.owner.k.NVM
-	}
-	r.owner.k.CacheFlushes++
-	if p != nil {
-		p.Sleep(dev.FlushCost(size))
-	}
 }
 
 // String implements fmt.Stringer.

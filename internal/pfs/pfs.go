@@ -109,18 +109,6 @@ func (f *FS) Stat(name string) (int64, uint64, bool) {
 	return obj.size, obj.version, true
 }
 
-// Objects returns the number of stored objects.
-func (f *FS) Objects() int { return len(f.objects) }
-
-// Bytes returns total stored bytes.
-func (f *FS) Bytes() int64 {
-	var total int64
-	for _, o := range f.objects {
-		total += o.size
-	}
-	return total
-}
-
 // DrainStats summarizes one drain pass.
 type DrainStats struct {
 	Objects  int

@@ -33,8 +33,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 	})
 	e.Run()
-	if fs.Objects() != 1 || fs.Bytes() != 100*mem.MB {
-		t.Fatalf("objects=%d bytes=%d", fs.Objects(), fs.Bytes())
+	if len(fs.objects) != 1 || fs.objects["ckpt/rank0"].size != 100*mem.MB {
+		t.Fatalf("objects = %+v", fs.objects)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestOverwriteKeepsSingleObject(t *testing.T) {
 		fs.Write(p, "x", mem.MB, 2, nvmkernel.Bytes([]byte{2}))
 	})
 	e.Run()
-	if fs.Objects() != 1 {
-		t.Fatalf("objects = %d", fs.Objects())
+	if len(fs.objects) != 1 {
+		t.Fatalf("objects = %d", len(fs.objects))
 	}
 	if _, v, ok := fs.Stat("x"); !ok || v != 2 {
 		t.Fatalf("stat = v%d ok=%v", v, ok)

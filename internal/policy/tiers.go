@@ -48,16 +48,6 @@ type buddyTier struct {
 	warned    bool
 }
 
-// BuddyMesh unwraps a buddy tier's remote.Mesh for callers that need the
-// lower-level surface (counters, drains, restart experiments); nil for
-// any other tier.
-func BuddyMesh(t RemoteTier) *remote.Mesh {
-	if bt, ok := t.(*buddyTier); ok {
-		return bt.mesh
-	}
-	return nil
-}
-
 func (t *buddyTier) BeginEpoch() {
 	if !t.honored && !t.warned {
 		t.warned = true

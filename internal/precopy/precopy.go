@@ -144,15 +144,6 @@ func New(store *core.Store, cfg Config) *Engine {
 	return e
 }
 
-// Scheme returns the engine's policy.
-func (e *Engine) Scheme() Scheme { return e.cfg.Scheme }
-
-// Threshold returns the current DCPC threshold T_p (0 until learned).
-func (e *Engine) Threshold() time.Duration { return e.threshold }
-
-// Predicted returns the learned modification count for a chunk (0 if none).
-func (e *Engine) Predicted(id uint64) int64 { return e.predicted[id] }
-
 // onModify runs inside the faulting application process whenever a clean
 // chunk is first modified: it updates per-interval episode counters, re-arms
 // protection when more episodes must be counted, and nudges the worker.

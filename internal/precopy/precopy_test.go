@@ -109,9 +109,9 @@ func TestDCPCWaitsForLearningThenThreshold(t *testing.T) {
 		// the threshold.
 		eng.BeginInterval(p)
 		c.WriteAll(p)
-		p.Sleep(eng.Threshold() / 2)
+		p.Sleep(eng.threshold / 2)
 		secondIntervalEarlyCopies = eng.Counters.Get("precopy_copies")
-		p.Sleep(2*time.Second - eng.Threshold()/2)
+		p.Sleep(2*time.Second - eng.threshold/2)
 		eng.Quiesce(p)
 		st := r.store.ChkptAll(p)
 		if st.BytesCopied != 0 {
@@ -124,10 +124,10 @@ func TestDCPCWaitsForLearningThenThreshold(t *testing.T) {
 		t.Fatalf("learning interval did %d pre-copies, want 0", firstIntervalCopies)
 	}
 	if secondIntervalEarlyCopies != 0 {
-		t.Fatalf("pre-copy ran before the threshold (%v)", eng.Threshold())
+		t.Fatalf("pre-copy ran before the threshold (%v)", eng.threshold)
 	}
-	if eng.Threshold() <= time.Second {
-		t.Fatalf("threshold = %v, want ~1.9s", eng.Threshold())
+	if eng.threshold <= time.Second {
+		t.Fatalf("threshold = %v, want ~1.9s", eng.threshold)
 	}
 }
 
@@ -149,10 +149,10 @@ func TestDCPCPLearnsPredictionTable(t *testing.T) {
 		ckStart := p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ckStart)
-		if got := eng.Predicted(c3.ID); got != 3 {
+		if got := eng.predicted[c3.ID]; got != 3 {
 			t.Errorf("predicted(c3) = %d, want 3", got)
 		}
-		if got := eng.Predicted(c1.ID); got != 1 {
+		if got := eng.predicted[c1.ID]; got != 1 {
 			t.Errorf("predicted(c1) = %d, want 1", got)
 		}
 		eng.Stop()
@@ -212,7 +212,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 		ck := p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ck)
-		if got := eng.Predicted(c.ID); got != 1 {
+		if got := eng.predicted[c.ID]; got != 1 {
 			t.Errorf("predicted after learning = %d, want 1", got)
 		}
 		// Drifted interval: one early episode, the engine pre-copies at
@@ -227,7 +227,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 		ck = p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ck)
-		if got := eng.Predicted(c.ID); got != 2 {
+		if got := eng.predicted[c.ID]; got != 2 {
 			t.Errorf("predicted after drift = %d, want 2", got)
 		}
 		eng.Stop()
@@ -251,12 +251,12 @@ func TestEngineThresholdAdaptsToBandwidth(t *testing.T) {
 			ck := p.Now()
 			r.store.ChkptAll(p)
 			eng.OnCheckpoint(ck)
-			return eng.Threshold()
+			return eng.threshold
 		}
 		t1 := run()
 		// Grow the checkpoint: threshold must move earlier (smaller T_p).
 		r.store.NVAlloc(p, "b", 900*mem.MB, true)
-		r.store.ChunkByName("b").WriteAll(p)
+		r.store.Chunk(core.GenID("b")).WriteAll(p)
 		t2 := run()
 		if t2 >= t1 {
 			t.Errorf("threshold did not shrink with more data: %v -> %v", t1, t2)

@@ -10,7 +10,6 @@ package ramdisk
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"nvmcp/internal/mem"
@@ -42,12 +41,8 @@ const (
 	serGrowthScale = 150 << 20
 )
 
-// Errors.
-var (
-	ErrClosed    = errors.New("ramdisk: file closed")
-	ErrNoFile    = errors.New("ramdisk: no such file")
-	ErrShortRead = errors.New("ramdisk: read past end of file")
-)
+// ErrClosed is returned by a write to a closed file.
+var ErrClosed = errors.New("ramdisk: file closed")
 
 // FS is one node's ramdisk file system.
 type FS struct {
@@ -123,8 +118,8 @@ func (fs *FS) syscall(p *sim.Proc) {
 	p.Sleep(fs.SyscallCost)
 }
 
-// Open opens (creating if necessary) a file. Truncation is the caller's
-// choice via Truncate.
+// Open opens a file, creating it if absent. An existing file keeps its
+// contents.
 func (fs *FS) Open(p *sim.Proc, name string) *File {
 	fs.syscall(p)
 	ino, ok := fs.files[name]
@@ -133,24 +128,6 @@ func (fs *FS) Open(p *sim.Proc, name string) *File {
 		fs.files[name] = ino
 	}
 	return &File{fs: fs, ino: ino, ownLock: sim.NewMutex(fs.env)}
-}
-
-// Exists reports whether a file exists.
-func (fs *FS) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
-// Remove deletes a file, releasing its DRAM backing.
-func (fs *FS) Remove(p *sim.Proc, name string) error {
-	fs.syscall(p)
-	ino, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoFile, name)
-	}
-	fs.dram.Release(ino.size)
-	delete(fs.files, name)
-	return nil
 }
 
 // Write appends-or-overwrites n bytes at the cursor, charging the full VFS
@@ -208,25 +185,6 @@ func (f *File) Write(p *sim.Proc, n int64) error {
 	return nil
 }
 
-// Read fetches n bytes at the cursor: syscall plus a copy_to_user through
-// DRAM read bandwidth.
-func (f *File) Read(p *sim.Proc, n int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if n <= 0 {
-		return nil
-	}
-	if f.pos+n > f.ino.size {
-		return fmt.Errorf("%w: at %d+%d of %d", ErrShortRead, f.pos, n, f.ino.size)
-	}
-	fs := f.fs
-	fs.syscall(p)
-	fs.dram.ReadBytes(p, n)
-	f.pos += n
-	return nil
-}
-
 // Seek moves the cursor to an absolute offset.
 func (f *File) Seek(p *sim.Proc, off int64) error {
 	if f.closed {
@@ -234,18 +192,6 @@ func (f *File) Seek(p *sim.Proc, off int64) error {
 	}
 	f.fs.syscall(p)
 	f.pos = off
-	return nil
-}
-
-// Truncate resets the file to zero length, releasing its backing pages.
-func (f *File) Truncate(p *sim.Proc) error {
-	if f.closed {
-		return ErrClosed
-	}
-	f.fs.syscall(p)
-	f.fs.dram.Release(f.ino.size)
-	f.ino.size = 0
-	f.pos = 0
 	return nil
 }
 
@@ -257,6 +203,3 @@ func (f *File) Close(p *sim.Proc) {
 	f.fs.syscall(p)
 	f.closed = true
 }
-
-// Size returns the file's current size.
-func (f *File) Size() int64 { return f.ino.size }

@@ -14,7 +14,7 @@ func newFS(e *sim.Env) (*FS, *mem.Device) {
 	return New(e, dram), dram
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
+func TestWriteGrowsFileUntilClose(t *testing.T) {
 	e := sim.NewEnv()
 	fs, dram := newFS(e)
 	e.Go("w", func(p *sim.Proc) {
@@ -22,17 +22,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err := f.Write(p, 10*mem.MB); err != nil {
 			t.Error(err)
 		}
-		if f.Size() != 10*mem.MB {
-			t.Errorf("size = %d", f.Size())
-		}
-		if err := f.Seek(p, 0); err != nil {
-			t.Error(err)
-		}
-		if err := f.Read(p, 10*mem.MB); err != nil {
-			t.Error(err)
-		}
-		if err := f.Read(p, 1); !errors.Is(err, ErrShortRead) {
-			t.Errorf("read past EOF err = %v", err)
+		if f.ino.size != 10*mem.MB {
+			t.Errorf("size = %d", f.ino.size)
 		}
 		f.Close(p)
 		if err := f.Write(p, 1); !errors.Is(err, ErrClosed) {
@@ -74,8 +65,8 @@ func TestOverwriteDoesNotGrow(t *testing.T) {
 		f.Write(p, mem.MB)
 		f.Seek(p, 0)
 		f.Write(p, mem.MB)
-		if f.Size() != mem.MB {
-			t.Errorf("size = %d after overwrite", f.Size())
+		if f.ino.size != mem.MB {
+			t.Errorf("size = %d after overwrite", f.ino.size)
 		}
 	})
 	e.Run()
@@ -145,47 +136,6 @@ func TestRamdiskSlowerThanPlainMemcpy(t *testing.T) {
 	}
 }
 
-func TestTruncateReleasesBacking(t *testing.T) {
-	e := sim.NewEnv()
-	fs, dram := newFS(e)
-	e.Go("w", func(p *sim.Proc) {
-		f := fs.Open(p, "x")
-		f.Write(p, 5*mem.MB)
-		if err := f.Truncate(p); err != nil {
-			t.Error(err)
-		}
-		if f.Size() != 0 {
-			t.Errorf("size = %d after truncate", f.Size())
-		}
-	})
-	e.Run()
-	if dram.Used != 0 {
-		t.Fatalf("DRAM used = %d after truncate", dram.Used)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	e := sim.NewEnv()
-	fs, dram := newFS(e)
-	e.Go("w", func(p *sim.Proc) {
-		f := fs.Open(p, "x")
-		f.Write(p, mem.MB)
-		if err := fs.Remove(p, "x"); err != nil {
-			t.Error(err)
-		}
-		if fs.Exists("x") {
-			t.Error("file exists after remove")
-		}
-		if err := fs.Remove(p, "x"); !errors.Is(err, ErrNoFile) {
-			t.Errorf("double remove err = %v", err)
-		}
-	})
-	e.Run()
-	if dram.Used != 0 {
-		t.Fatalf("DRAM used = %d after remove", dram.Used)
-	}
-}
-
 func TestOpenExistingKeepsContents(t *testing.T) {
 	e := sim.NewEnv()
 	fs, _ := newFS(e)
@@ -194,8 +144,8 @@ func TestOpenExistingKeepsContents(t *testing.T) {
 		f.Write(p, mem.MB)
 		f.Close(p)
 		g := fs.Open(p, "x")
-		if g.Size() != mem.MB {
-			t.Errorf("reopened size = %d", g.Size())
+		if g.ino.size != mem.MB {
+			t.Errorf("reopened size = %d", g.ino.size)
 		}
 	})
 	e.Run()

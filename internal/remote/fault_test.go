@@ -101,7 +101,7 @@ func TestBuddyFailoverAfterRetriesExhausted(t *testing.T) {
 		store.ChkptAll(p)
 		mesh.SetNodeDown(1, true)
 		agent.TriggerRemote(p).Await(p)
-		if got := agent.Buddy(); got != 2 {
+		if got := agent.buddy; got != 2 {
 			t.Errorf("buddy after failover = %d, want 2", got)
 		}
 		if got := agent.Counters.Get("ship_retries"); got < 2 {
@@ -136,7 +136,7 @@ func TestTransientBuddyOutageSelfHealsWithoutFailover(t *testing.T) {
 		p.Sleep(120 * time.Millisecond) // within the backoff budget
 		r.mesh.SetNodeDown(1, false)
 		done.Await(p)
-		if got := agent.Buddy(); got != 1 {
+		if got := agent.buddy; got != 1 {
 			t.Errorf("buddy = %d after transient outage, want 1 (no failover)", got)
 		}
 		if agent.Counters.Get("ship_retries") == 0 {

@@ -103,7 +103,7 @@ func newOracle(t *testing.T, e *sim.Env, seed int64) *oracle {
 func (o *oracle) start(p *sim.Proc) {
 	o.mesh.RemoveAgent(0)
 	buddy := 1
-	if o.mesh.NodeDown(1) {
+	if o.mesh.down[1] {
 		buddy = 2
 	}
 	o.agent = o.mesh.AddAgent(0, buddy, o.cfg)
@@ -130,7 +130,7 @@ func (o *oracle) start(p *sim.Proc) {
 }
 
 func (o *oracle) alloc(p *sim.Proc, s *core.Store, name string) {
-	if s.ChunkByName(name) != nil {
+	if s.Chunk(core.GenID(name)) != nil {
 		return
 	}
 	persist := name[len(name)-1] != '7' // a few non-persistent chunks

@@ -229,9 +229,6 @@ func (m *Mesh) RemoveAgent(node int) {
 // node as unreachable.
 func (m *Mesh) SetNodeDown(node int, down bool) { m.down[node] = down }
 
-// NodeDown reports a node's liveness flag.
-func (m *Mesh) NodeDown(node int) bool { return m.down[node] }
-
 // DropNode discards every remote copy held at a node — a hard failure took
 // its NVM. Copies OF the node's own data, held at its buddy, survive.
 func (m *Mesh) DropNode(node int) {
@@ -369,9 +366,6 @@ func (a *Agent) Register(s *core.Store) {
 	a.queues = append(a.queues, q)
 	a.procs[q.proc] = true
 }
-
-// Buddy returns the destination node.
-func (a *Agent) Buddy() int { return a.buddy }
 
 // BeginRemoteInterval marks the start of a remote checkpoint interval,
 // re-arming the pre-copy delay.

@@ -30,17 +30,6 @@ func FlatScaling() ScalingFunc {
 	return func(n int) float64 { return 1 }
 }
 
-// LinearScaling models perfect parallel scaling up to maxFlows concurrent
-// flows, flat afterwards.
-func LinearScaling(maxFlows int) ScalingFunc {
-	return func(n int) float64 {
-		if n > maxFlows {
-			n = maxFlows
-		}
-		return float64(n)
-	}
-}
-
 // SaturatingScaling models sub-linear scaling: scale(n) = n / (1 + beta*(n-1)).
 // beta = 0 is linear; beta = 1 is flat. The per-flow share relative to a lone
 // flow is 1/(1+beta*(n-1)), so beta can be calibrated directly from a
@@ -64,11 +53,6 @@ func BetaForPerFlowDrop(n int, retain float64) float64 {
 	return (1/retain - 1) / float64(n-1)
 }
 
-// RateListener observes every aggregate-rate change on a pipe. It is called
-// with the virtual time of the change and the new total rate in bytes/sec;
-// the rate holds until the next call.
-type RateListener func(t time.Duration, totalRate float64)
-
 // Pipe is a fair-shared bandwidth resource.
 type Pipe struct {
 	env        *sim.Env
@@ -80,10 +64,9 @@ type Pipe struct {
 	// (binary-search insert on join, memmove delete on leave) means
 	// recompute never allocates or sorts on the transfer hot path. The
 	// fixed order also makes every float accumulation deterministic.
-	flows     []*flow
-	lastT     time.Duration
-	xfer      *transfers // built by the first transfer
-	listeners []RateListener
+	flows []*flow
+	lastT time.Duration
+	xfer  *transfers // built by the first transfer
 
 	// Bytes is the cumulative volume moved through the pipe.
 	Bytes float64
@@ -156,18 +139,6 @@ func (pp *Pipe) PerFlowRate(n int) float64 {
 	return pp.Capacity(n) / float64(n)
 }
 
-// ActiveFlows returns the number of in-flight transfers.
-func (pp *Pipe) ActiveFlows() int { return len(pp.flows) }
-
-// CurrentRate returns the present aggregate transfer rate in bytes/sec.
-func (pp *Pipe) CurrentRate() float64 {
-	total := 0.0
-	for _, f := range pp.flows {
-		total += f.rate
-	}
-	return total
-}
-
 // addFlow inserts f keeping flows sorted by (cap, id). New flows carry the
 // largest id, so inserting after every flow with cap <= f.cap is stable.
 func (pp *Pipe) addFlow(f *flow) {
@@ -185,13 +156,6 @@ func (pp *Pipe) removeFlow(f *flow) {
 			return
 		}
 	}
-}
-
-// OnRateChange registers a listener for aggregate-rate changes. The listener
-// fires immediately with the current rate so timelines start grounded.
-func (pp *Pipe) OnRateChange(l RateListener) {
-	pp.listeners = append(pp.listeners, l)
-	l(pp.env.Now(), pp.CurrentRate())
 }
 
 // Transfer moves size bytes through the pipe, blocking p in virtual time
@@ -281,7 +245,6 @@ func (pp *Pipe) recompute() {
 	n := len(pp.flows)
 	if n == 0 {
 		pp.xfer.deadline.Stop()
-		pp.notify(0)
 		return
 	}
 	// Water-filling: satisfy capped flows whose cap is below the equal
@@ -311,11 +274,6 @@ func (pp *Pipe) recompute() {
 			earliest = t
 		}
 	}
-	total := 0.0
-	for _, f := range pp.flows {
-		total += f.rate
-	}
-	pp.notify(total)
 	if math.IsInf(earliest, 1) {
 		pp.xfer.deadline.Stop()
 		return
@@ -349,12 +307,6 @@ func (pp *Pipe) onDeadline() {
 	clear(finished)
 	pp.xfer.finished = finished[:0]
 	pp.recompute()
-}
-
-func (pp *Pipe) notify(total float64) {
-	for _, l := range pp.listeners {
-		l(pp.env.Now(), total)
-	}
 }
 
 // String implements fmt.Stringer.

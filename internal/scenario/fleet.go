@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
 	"time"
 
 	"nvmcp/internal/topo"
@@ -237,37 +235,4 @@ func (f *FleetSpec) Expand() (*Fleet, error) {
 		fleet.Start[i] = delay
 	}
 	return fleet, nil
-}
-
-// Summary renders the fleet spec for tables, e.g. "1000 nodes 1p/4z/32r wave".
-func (f *FleetSpec) Summary() string {
-	pattern := f.Startup.Pattern
-	if pattern == "" {
-		pattern = StartupInstant
-	}
-	return fmt.Sprintf("%d nodes %dp/%dz/%dr %s", f.Nodes,
-		f.providers(), f.providers()*f.zones(), f.providers()*f.zones()*f.racks(), pattern)
-}
-
-// TemplateMix renders the expanded fleet's template tally, sorted by name.
-func (fl *Fleet) TemplateMix() string {
-	names := make([]string, 0, len(fl.Counts))
-	for n := range fl.Counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s×%d", n, fl.Counts[n]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// Ranks is the fleet's total rank (core) count.
-func (fl *Fleet) Ranks() int {
-	total := 0
-	for _, s := range fl.Shapes {
-		total += s.Cores
-	}
-	return total
 }

@@ -229,8 +229,8 @@ func TestKillUnwindsParkedProc(t *testing.T) {
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run on kill")
 	}
-	if !victim.Done() || !victim.Killed() {
-		t.Fatalf("victim state: done=%v killed=%v", victim.Done(), victim.Killed())
+	if !victim.Done() || !victim.killed {
+		t.Fatalf("victim state: done=%v killed=%v", victim.Done(), victim.killed)
 	}
 	if e.Now() >= time.Hour {
 		t.Fatalf("kill did not cancel the sleep; Now()=%v", e.Now())
@@ -262,7 +262,7 @@ func TestKillSelf(t *testing.T) {
 	if after {
 		t.Fatal("code after KillSelf ran")
 	}
-	if !p.Done() || !p.Killed() {
+	if !p.Done() || !p.killed {
 		t.Fatal("KillSelf did not finish the process")
 	}
 }
@@ -421,9 +421,9 @@ func TestNestedSpawn(t *testing.T) {
 	var depth3 time.Duration
 	e.Go("outer", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		p.Env().Go("mid", func(p *Proc) {
+		p.env.Go("mid", func(p *Proc) {
 			p.Sleep(time.Millisecond)
-			p.Env().Go("inner", func(p *Proc) {
+			p.env.Go("inner", func(p *Proc) {
 				p.Sleep(time.Millisecond)
 				depth3 = p.Now()
 			})

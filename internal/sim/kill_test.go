@@ -216,8 +216,8 @@ func TestKillAtEveryWait(t *testing.T) {
 			if e.Now() != 5*ms {
 				t.Errorf("run ended at %v, want 5ms: a stale wake was dispatched", e.Now())
 			}
-			if !victim.Done() || !victim.Killed() {
-				t.Errorf("victim done=%v killed=%v", victim.Done(), victim.Killed())
+			if !victim.Done() || !victim.killed {
+				t.Errorf("victim done=%v killed=%v", victim.Done(), victim.killed)
 			}
 		})
 	}

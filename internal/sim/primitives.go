@@ -57,9 +57,6 @@ type Signal struct {
 // NewSignal returns a Signal bound to e.
 func NewSignal(e *Env) *Signal { return &Signal{env: e} }
 
-// Waiters returns the number of processes currently parked on the signal.
-func (s *Signal) Waiters() int { return len(s.ws) }
-
 // Broadcast wakes every process currently waiting.
 func (s *Signal) Broadcast() { s.ws.wakeAll(s.env) }
 
@@ -94,9 +91,6 @@ type Mutex struct {
 
 // NewMutex returns an unlocked mutex bound to e.
 func NewMutex(e *Env) *Mutex { return &Mutex{env: e} }
-
-// Locked reports whether some process holds the mutex.
-func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Lock blocks p until it owns the mutex.
 func (m *Mutex) Lock(p *Proc) {

@@ -84,8 +84,8 @@ func TestSignalWaitTimeout(t *testing.T) {
 	if at != 5*time.Millisecond {
 		t.Fatalf("timeout at %v, want 5ms", at)
 	}
-	if s.Waiters() != 0 {
-		t.Fatalf("stale waiter left on signal: %d", s.Waiters())
+	if len(s.ws) != 0 {
+		t.Fatalf("stale waiter left on signal: %d", len(s.ws))
 	}
 }
 
@@ -131,7 +131,7 @@ func TestMutexMutualExclusionAndFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want FIFO %v", order, want)
 		}
 	}
-	if m.Locked() {
+	if m.owner != nil {
 		t.Fatal("mutex still locked after Run")
 	}
 	if m.Holds != 3 {
@@ -186,7 +186,7 @@ func TestMutexKilledWaiterReleases(t *testing.T) {
 	if !gotLock {
 		t.Fatal("survivor never got the lock after victim was killed")
 	}
-	if m.Locked() {
+	if m.owner != nil {
 		t.Fatal("mutex leaked")
 	}
 }

@@ -148,18 +148,12 @@ func (p *Proc) finish() {
 	p.exitWs.wakeAll(p.env)
 }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Name returns the name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
 // Done reports whether the process has finished (normally or by kill).
 // Callable from any simulation context.
 func (p *Proc) Done() bool { return p.state == procDone }
-
-// Killed reports whether Kill has been requested or delivered.
-func (p *Proc) Killed() bool { return p.killed }
 
 // Now returns the current virtual time (shorthand for p.Env().Now()).
 func (p *Proc) Now() time.Duration { return p.env.now }

@@ -278,7 +278,7 @@ func FuzzQueueOrder(f *testing.F) {
 			t.Fatalf("dispatch %d diverges from the (t, seq) oracle (%d vs %d dispatches):\n got %v\nwant %v",
 				i, len(fired), len(want), fired[i:min(i+8, len(fired))], want[i:min(i+8, len(want))])
 		}
-		if !e.Idle() {
+		if e.pending() != 0 {
 			t.Fatal("queue not empty after Run")
 		}
 	})

@@ -24,9 +24,6 @@ func NewShardGroup(envs ...*Env) *ShardGroup { return &ShardGroup{envs: envs} }
 // Shards returns the shard count.
 func (g *ShardGroup) Shards() int { return len(g.envs) }
 
-// Env returns shard i's environment.
-func (g *ShardGroup) Env(i int) *Env { return g.envs[i] }
-
 // EventsFired sums events dispatched across every shard.
 func (g *ShardGroup) EventsFired() uint64 {
 	var n uint64

@@ -27,9 +27,6 @@ const (
 	LevelProvider
 )
 
-// Levels returns all levels, coarsest last.
-func Levels() []Level { return []Level{LevelRack, LevelZone, LevelProvider} }
-
 func (l Level) String() string {
 	switch l {
 	case LevelRack:

@@ -12,7 +12,6 @@
 package transparent
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -30,19 +29,6 @@ const (
 	// Incremental write-protects the image and copies only pages dirtied
 	// since the previous checkpoint, paying one protection fault per page.
 	Incremental
-)
-
-func (m Mode) String() string {
-	if m == Incremental {
-		return "incremental"
-	}
-	return "full"
-}
-
-// Errors.
-var (
-	ErrNoCheckpoint = errors.New("transparent: no committed checkpoint")
-	ErrChecksum     = errors.New("transparent: image checksum mismatch")
 )
 
 // Stats summarizes one transparent checkpoint.
@@ -105,16 +91,6 @@ func (c *Checkpointer) metaKey() string        { return "tmeta" }
 // arms page-level protection from the next checkpoint onward.
 func (c *Checkpointer) SetMode(m Mode) { c.mode = m }
 
-// Mode returns the current mode.
-func (c *Checkpointer) Mode() Mode { return c.mode }
-
-// Size returns the image size.
-func (c *Checkpointer) Size() int64 { return c.size }
-
-// DirtyPages returns how many pages are dirty since the last checkpoint
-// (meaningful in Incremental mode after the first checkpoint).
-func (c *Checkpointer) DirtyPages() int { return len(c.dirty) }
-
 // Touch models the application storing to [off, off+n) of its address
 // space. In incremental mode, stores to protected pages fault (charged per
 // page) and mark those pages dirty.
@@ -168,25 +144,3 @@ func (c *Checkpointer) Checkpoint(p *sim.Proc) Stats {
 	}
 	return Stats{BytesCopied: bytes, PagesCopied: pages, Duration: p.Now() - start}
 }
-
-// Restore loads the committed image back into DRAM after a restart.
-func (c *Checkpointer) Restore(p *sim.Proc) error {
-	k := c.kproc.Kernel()
-	k.MetaLock.Lock(p)
-	v, ok := c.kproc.GetMeta(p, c.metaKey())
-	k.MetaLock.Unlock(p)
-	if !ok || v == nil {
-		return ErrNoCheckpoint
-	}
-	rec, isRec := v.(imageRecord)
-	if !isRec || rec.Size != c.size {
-		return ErrNoCheckpoint
-	}
-	mem.Copy(p, k.NVM, k.DRAM, c.size)
-	c.committed = rec.Slot
-	c.version = rec.Version
-	return nil
-}
-
-// Version returns the committed checkpoint version.
-func (c *Checkpointer) Version() uint64 { return c.version }

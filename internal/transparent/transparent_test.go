@@ -1,7 +1,6 @@
 package transparent
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -56,14 +55,14 @@ func TestIncrementalCopiesOnlyDirtyPages(t *testing.T) {
 		if err := c.Touch(p, 0, 16*mem.PageSize); err != nil {
 			t.Error(err)
 		}
-		if c.DirtyPages() != 16 {
-			t.Errorf("DirtyPages = %d, want 16", c.DirtyPages())
+		if len(c.dirty) != 16 {
+			t.Errorf("DirtyPages = %d, want 16", len(c.dirty))
 		}
 		st = c.Checkpoint(p)
 		if st.PagesCopied != 16 || st.BytesCopied != 16*mem.PageSize {
 			t.Errorf("incremental stats = %+v", st)
 		}
-		if c.DirtyPages() != 0 {
+		if len(c.dirty) != 0 {
 			t.Error("dirty set not reset after checkpoint")
 		}
 	})
@@ -86,49 +85,6 @@ func TestIncrementalPaysPerPageFaults(t *testing.T) {
 		faults := k.ProtectionFaults - before
 		if faults != 64*mem.MB/mem.PageSize {
 			t.Errorf("faults = %d, want one per page (%d)", faults, 64*mem.MB/mem.PageSize)
-		}
-	})
-	e.Run()
-}
-
-func TestRestoreAfterRestart(t *testing.T) {
-	e := sim.NewEnv()
-	k := newRig(e)
-	e.Go("life1", func(p *sim.Proc) {
-		c, _ := New(p, k.Attach("proc"), 128*mem.MB)
-		c.Touch(p, 0, mem.MB)
-		c.Checkpoint(p)
-	})
-	e.Run()
-	k.SoftReset()
-	e.Go("life2", func(p *sim.Proc) {
-		c, err := New(p, k.Attach("proc"), 128*mem.MB)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		start := p.Now()
-		if err := c.Restore(p); err != nil {
-			t.Error(err)
-			return
-		}
-		if took := p.Now() - start; took <= 0 {
-			t.Error("restore was free")
-		}
-		if c.Version() != 1 {
-			t.Errorf("restored version = %d", c.Version())
-		}
-	})
-	e.Run()
-}
-
-func TestRestoreWithoutCheckpointFails(t *testing.T) {
-	e := sim.NewEnv()
-	k := newRig(e)
-	e.Go("app", func(p *sim.Proc) {
-		c, _ := New(p, k.Attach("proc"), 64*mem.MB)
-		if err := c.Restore(p); !errors.Is(err, ErrNoCheckpoint) {
-			t.Errorf("err = %v, want ErrNoCheckpoint", err)
 		}
 	})
 	e.Run()

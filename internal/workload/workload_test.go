@@ -96,8 +96,14 @@ func TestSetupAllocatesAndInitializes(t *testing.T) {
 			t.Errorf("store checkpoint size = %d", got)
 		}
 		// All chunks are dirty after init: first checkpoint moves everything.
-		if n := len(s.DirtyLocal()); n != len(app.Chunks) {
-			t.Errorf("dirty after init = %d", n)
+		dirty := 0
+		for _, c := range s.Chunks() {
+			if c.Persistent && c.Dirty() {
+				dirty++
+			}
+		}
+		if dirty != len(app.Chunks) {
+			t.Errorf("dirty after init = %d", dirty)
 		}
 	})
 	e.Run()
@@ -125,10 +131,10 @@ func TestIterateTakesIterTimeAndModifies(t *testing.T) {
 			t.Errorf("iteration took %v, want ~%v", elapsed, spec.IterTime)
 		}
 		// Init-only chunk must stay clean; the rest are dirty again.
-		if s.ChunkByName("grid-static").Dirty() {
+		if s.Chunk(core.GenID("grid-static")).Dirty() {
 			t.Error("init-only chunk dirtied by iteration")
 		}
-		if s.ChunkByName("electrons").Dirty() == false {
+		if s.Chunk(core.GenID("electrons")).Dirty() == false {
 			t.Error("per-iteration chunk not dirtied")
 		}
 		if app.Iterations != 1 {
@@ -175,7 +181,7 @@ func TestHotChunkModifiedThreeTimesPerIteration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		hot := s.ChunkByName("x-positions")
+		hot := s.Chunk(core.GenID("x-positions"))
 		before := hot.ModCount
 		// Keep protection armed so each episode is observable.
 		s.OnModify(func(c *core.Chunk) { c.DeferProtect() })
@@ -216,13 +222,13 @@ func TestAMRChunksGrowAcrossIterations(t *testing.T) {
 		if after <= before {
 			t.Fatalf("checkpoint size did not grow: %d -> %d", before, after)
 		}
-		patch := s.ChunkByName("patch-0")
+		patch := s.Chunk(core.GenID("patch-0"))
 		growth := 1.15 * 1.15 * 1.15 * 0.99
 		wantMin := int64(float64(24*mem.MB) * growth)
 		if patch.Size < wantMin {
 			t.Fatalf("patch-0 size = %d, want >= %d after 3 refinements", patch.Size, wantMin)
 		}
-		if s.ChunkByName("grid-topology").Size != 48*mem.MB {
+		if s.Chunk(core.GenID("grid-topology")).Size != 48*mem.MB {
 			t.Fatal("static chunk size changed")
 		}
 	})
