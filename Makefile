@@ -42,6 +42,10 @@ fmt:
 # fails the lint. The sim kernel and the resource layer dispatch and transfer
 # without allocating, and sort.Slice/sort.SliceStable allocate a reflect
 # swapper on every call: their non-test code sorts with slices.SortFunc.
+# A run's totals have one home, the registry: the cluster reads them from
+# the (merged) registry, never from a component's own counters, so a dead
+# recovery epoch's stores need not be kept; a Counters.Get( in its non-test
+# code fails the lint.
 # Every function declared in a non-test file of a library package must be
 # linked into some binary (a command, an example or bench/e2e):
 # TestEveryFunctionIsLinked (linked_test.go) builds them all and fails with
@@ -82,6 +86,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'sort\.Slice(Stable)?\(' internal/sim internal/resource || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "sort.Slice in the sim kernel or resource layer (its reflect swapper allocates per call; use slices.SortFunc):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'Counters.Get(' internal/cluster || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "component counter read in the cluster (read run totals from the registry, Registry.Total):"; \
 		echo "$$out"; exit 1; \
 	fi
 	$(GO) test -count=1 -run TestEveryFunctionIsLinked .

@@ -18,7 +18,7 @@
 //	nvmcp-sim -preset fig7 -scale quick
 //	nvmcp-sim -scenario docs/scenarios/erasure-remote.json
 //	nvmcp-sim -app gtc -nodes 4 -cores 12 -iters 4 -local dcpcp
-//	nvmcp-sim -app cm1 -remote buddy-precopy -remote-every 2 -fail-at 30s -fail-hard
+//	nvmcp-sim -app cm1 -remote buddy-precopy -remote-every 2 -fail-at 30s -fail-kind hard
 //	nvmcp-sim -app lammps-rhodo -remote buddy-precopy -trace-out trace.json
 //	nvmcp-sim -preset faults -scale tiny -why rank2/scalar-5@1 -chunk rank0/field3d-0 -violations
 package main
@@ -75,7 +75,6 @@ func main() {
 		bottomName   = flag.String("bottom", "none", "bottom storage policy: "+strings.Join(policy.Names(policy.KindBottom), ", "))
 		failAt       = flag.Duration("fail-at", 0, "inject a failure at this virtual time (0 = none)")
 		failNode     = flag.Int("fail-node", 0, "node that fails")
-		failHard     = flag.Bool("fail-hard", false, "hard failure: the node's NVM is lost")
 		failKind     = flag.String("fail-kind", "", "failure kind: soft, hard, nvm-corrupt, link-flap, buddy-loss")
 		failChunks   = flag.Int("fail-chunks", 0, "nvm-corrupt: committed chunks to damage (0 = 1)")
 		failTorn     = flag.Bool("fail-torn", false, "nvm-corrupt: torn writes instead of bit-flips")
@@ -170,7 +169,7 @@ func main() {
 		}
 		if *failAt > 0 {
 			sc.Failures = []scenario.FailureSpec{{
-				AtSecs: failAt.Seconds(), Node: *failNode, Hard: *failHard,
+				AtSecs: failAt.Seconds(), Node: *failNode,
 				Kind: *failKind, Chunks: *failChunks, Torn: *failTorn,
 				DurationSecs: failDuration.Seconds(), Factor: *failFactor,
 			}}
@@ -180,20 +179,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
 		os.Exit(2)
-	}
-
-	// Flags override the scenario's own observability outputs.
-	if *eventsOut == "" {
-		*eventsOut = sc.Obs.EventsOut
-	}
-	if *metricsOut == "" {
-		*metricsOut = sc.Obs.MetricsOut
-	}
-	if *traceOut == "" {
-		*traceOut = sc.Obs.TraceOut
-	}
-	if *reportOut == "" {
-		*reportOut = sc.Obs.ReportOut
 	}
 
 	cfg, err := cluster.FromScenario(sc)

@@ -455,9 +455,9 @@ type Cluster struct {
 	// epoch state
 	rankProcs []*sim.Proc
 	engines   []*precopy.Engine
-	allStores []*core.Store
-	// epochStores holds only the live epoch's stores (allStores accumulates
-	// across recovery epochs) — the set the final content checksum walks.
+	// epochStores holds the live epoch's stores — the set the final content
+	// checksum walks. A recovery epoch replaces them, and the run's totals
+	// live in the registry, so a dead epoch's stores are not kept.
 	epochStores []*core.Store
 	lastRemote  map[int]*sim.Completion
 	// lastDrain chains mid-run bottom drains per holder node so drains of
@@ -489,8 +489,6 @@ type Cluster struct {
 	replanCount int
 
 	// degraded-mode bookkeeping
-	skipCount     int
-	corruptCount  int
 	flapCount     int
 	failureAt     time.Duration
 	recoverWait   int
@@ -967,7 +965,6 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 	})
 	// Attach before workload setup so restore events are captured too.
 	store.SetRecorder(rec)
-	c.allStores = append(c.allStores, store)
 	c.epochStores = append(c.epochStores, store)
 
 	// Stagger each rank's communication phases so co-located ranks do not
@@ -1126,7 +1123,6 @@ func (c *Cluster) injectFailure(ev fault.Event) {
 		if c.pendingFailure != nil {
 			reason = "failure-pending"
 		}
-		c.skipCount++
 		srec := c.Obs.Recorder(ev.Node, "cluster")
 		srec.Add("failures_skipped", 1)
 		srec.Log(obs.EvFailureSkipped, "", 0,
@@ -1202,7 +1198,6 @@ func (c *Cluster) corruptNVM(rng *rand.Rand, ev fault.Event) int {
 		return 0
 	}
 	victims := core.CorruptCommitted(c.kernels[ev.Node], rng, ev.Chunks, ev.Torn)
-	c.corruptCount += len(victims)
 	rec := c.Obs.Recorder(ev.Node, "cluster")
 	rec.Add("nvm_corruptions", int64(len(victims)))
 	rec.Log(obs.EvNVMCorrupt, fmt.Sprintf("%d chunks", len(victims)), 0, obs.Bool("torn", ev.Torn))
@@ -1348,13 +1343,6 @@ func (c *Cluster) collect() Result {
 		ckptTotal += d
 	}
 	res.CkptTimePerRank = ckptTotal / time.Duration(ranks)
-	for _, s := range c.allStores {
-		res.PreCopyBytes += s.Counters.Get("precopy_bytes")
-		res.CkptBytes += s.Counters.Get("ckpt_bytes")
-		res.Restores += s.Counters.Get("restores")
-		res.RemoteRestores += s.Counters.Get("remote_restores")
-	}
-	res.DataToNVMPerRank = float64(res.PreCopyBytes+res.CkptBytes) / float64(ranks)
 	res.HelperUtil = c.helperUtil
 	res.BottomObjects = c.bottomStats.Objects
 	res.BottomBytes = c.bottomStats.Bytes
@@ -1365,8 +1353,6 @@ func (c *Cluster) collect() Result {
 
 	// Degraded-mode accounting: which cascade tier served each recovered
 	// chunk, and repair-time gauges.
-	res.FailuresSkipped = c.skipCount
-	res.Corruptions = c.corruptCount
 	res.LinkFlaps = c.flapCount
 	res.RecoveryLocal = reg.Counter("recovery_path", obs.Labels{"tier": "local"}).Get()
 	res.RecoveryRemote = reg.Counter("recovery_path", obs.Labels{"tier": "remote"}).Get()
@@ -1389,14 +1375,25 @@ func (c *Cluster) collect() Result {
 }
 
 // deriveFromRegistry fills the figures both engines derive from the
-// cluster-scope rollups of c's registry — the Figure 9 pre-copy hit and
-// re-dirty rates, the Figure 10 peak per-window checkpoint traffic, and the
-// helper ship-retry and buddy-failover counts — and publishes the three
-// rates back as gauges so the report sinks pick them up.
+// cluster-scope rollups of c's registry — the run's byte, restore, skipped
+// failure and corruption totals, the Figure 9 pre-copy hit and re-dirty
+// rates, the Figure 10 peak per-window checkpoint traffic, and the helper
+// ship-retry and buddy-failover counts — and publishes the three rates back
+// as gauges so the report sinks pick them up. The registry is each total's
+// one home: a sharded run reads the merged registry, and a recovered run
+// reads what every epoch's stores booked.
 func (c *Cluster) deriveFromRegistry(res *Result) {
 	reg := c.Obs.Registry()
-	pre := float64(reg.Counter("precopy_bytes", nil).Get())
-	ck := float64(reg.Counter("ckpt_bytes", nil).Get())
+	// Total never creates a series; these two reads do, so every report
+	// carries the hit rate's operands even when a run books neither.
+	res.PreCopyBytes = reg.Counter("precopy_bytes", nil).Get()
+	res.CkptBytes = reg.Counter("ckpt_bytes", nil).Get()
+	res.Restores = reg.Total("restores")
+	res.RemoteRestores = reg.Total("remote_restores")
+	res.FailuresSkipped = int(reg.Total("failures_skipped"))
+	res.Corruptions = int(reg.Total("nvm_corruptions"))
+	res.DataToNVMPerRank = float64(res.PreCopyBytes+res.CkptBytes) / float64(res.Ranks)
+	pre, ck := float64(res.PreCopyBytes), float64(res.CkptBytes)
 	if pre+ck > 0 {
 		res.PreCopyHitRate = pre / (pre + ck)
 	}

@@ -199,10 +199,6 @@ func (c *Cluster) collectSharded() Result {
 		for _, d := range sub.ckptTime {
 			ckptTotal += d
 		}
-		res.PreCopyBytes += sr.PreCopyBytes
-		res.CkptBytes += sr.CkptBytes
-		res.Restores += sr.Restores
-		res.RemoteRestores += sr.RemoteRestores
 		res.HelperUtil = append(res.HelperUtil, sr.HelperUtil...)
 		if sr.BottomDrainTime > res.BottomDrainTime {
 			res.BottomDrainTime = sr.BottomDrainTime
@@ -217,12 +213,12 @@ func (c *Cluster) collectSharded() Result {
 		h.Write(buf[:])
 	}
 	res.CkptTimePerRank = ckptTotal / time.Duration(ranks)
-	res.DataToNVMPerRank = float64(res.PreCopyBytes+res.CkptBytes) / float64(ranks)
 	res.WorkloadChecksum = h.Sum64()
 
-	// Cluster-level figures re-derive from the merged registry (the
-	// per-shard gauge values absorbed by the merge are only the last
-	// shard's; overwrite them with the global figures).
+	// The run's totals are read from the merged registry, and the
+	// cluster-level figures re-derive from it (the per-shard gauge values
+	// absorbed by the merge are only the last shard's; overwrite them with
+	// the global figures).
 	c.deriveFromRegistry(&res)
 	reg := c.Obs.Registry()
 	reg.Gauge("mttr_seconds", nil).Set(0)

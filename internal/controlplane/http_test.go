@@ -157,19 +157,20 @@ func TestAPIHeldInjectionThenStart(t *testing.T) {
 	}
 }
 
-// TestAPIInjectRejectsHardKindConflict holds live injection to the rule a
-// scenario file obeys: a failure that sets hard but names another kind is
-// refused, not run as that other kind.
-func TestAPIInjectRejectsHardKindConflict(t *testing.T) {
+// TestAPIInjectRejectsUnknownField holds live injection to the decoding a
+// scenario file obeys: a failure with a field the spec does not declare (the
+// retired "hard" flag; kind "hard" is the one spelling) is refused, not run
+// as a soft failure.
+func TestAPIInjectRejectsUnknownField(t *testing.T) {
 	_, srv := apiRig(t, Config{})
 
 	var st JobStatus
 	doJSON(t, "POST", srv.URL+"/api/jobs", SubmitRequest{Preset: "quick", Scale: "tiny", Hold: true}, &st)
 	var apiErr apiError
 	code := doJSON(t, "POST", fmt.Sprintf("%s/api/jobs/%d/events", srv.URL, st.ID),
-		map[string]any{"at_secs": 1, "node": 0, "hard": true, "kind": "soft"}, &apiErr)
-	if code != http.StatusBadRequest || !strings.Contains(apiErr.Error, "sets hard but kind") {
-		t.Fatalf("hard+soft inject: code=%d body=%+v, want 400 naming the conflict", code, apiErr)
+		map[string]any{"at_secs": 1, "node": 0, "hard": true}, &apiErr)
+	if code != http.StatusBadRequest || !strings.Contains(apiErr.Error, `unknown field "hard"`) {
+		t.Fatalf("hard inject: code=%d body=%+v, want 400 naming the unknown field", code, apiErr)
 	}
 }
 

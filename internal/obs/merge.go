@@ -64,7 +64,8 @@ func MergeShards(dst *Observer, shards []*Observer) {
 
 // mergeFrom absorbs the source registries into dst, iterating every metric
 // map in sorted-key order so the merged registry's creation order — and
-// with it every downstream rendering — is deterministic.
+// with it every downstream rendering — is deterministic. A metric is its
+// name and canonical label string, so the merge copies keys, never labels.
 func (dst *Registry) mergeFrom(srcs []*Registry) {
 	for _, src := range srcs {
 		src.mu.Lock()
@@ -76,40 +77,26 @@ func (dst *Registry) mergeFrom(srcs []*Registry) {
 		for k, v := range src.gauges {
 			gauges[k] = v
 		}
-		labels := make(map[metricKey]Labels, len(src.labels))
-		for k, v := range src.labels {
-			labels[k] = v
-		}
 		src.mu.Unlock()
 		for _, k := range sortedKeys(counters) {
-			dst.counterCanon(k.name, k.labels, labels[k]).Add(counters[k].Get())
+			dst.counterCanon(k.name, k.canon).Add(counters[k].Get())
 		}
 		for _, k := range sortedKeys(gauges) {
-			dst.gaugeCanon(k.name, k.labels, labels[k]).Set(gauges[k].Get())
+			dst.gaugeCanon(k.name, k.canon).Set(gauges[k].Get())
 		}
 	}
 
 	// Timelines need every source at once: the merged series is the sum of
 	// step functions, rebuilt monotonically (Timeline.Set only appends).
-	seen := make(map[metricKey]Labels)
-	var keys []metricKey
+	seen := make(map[metricKey]bool)
 	for _, src := range srcs {
 		src.mu.Lock()
 		for k := range src.timelines {
-			if _, ok := seen[k]; !ok {
-				seen[k] = src.labels[k].clone()
-				keys = append(keys, k)
-			}
+			seen[k] = true
 		}
 		src.mu.Unlock()
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].labels < keys[j].labels
-	})
-	for _, k := range keys {
+	for _, k := range sortedKeys(seen) {
 		var parts []*Timeline
 		for _, src := range srcs {
 			src.mu.Lock()
@@ -119,7 +106,7 @@ func (dst *Registry) mergeFrom(srcs []*Registry) {
 				parts = append(parts, tl)
 			}
 		}
-		sumStepFunctions(dst.Timeline(k.name, seen[k]), parts)
+		sumStepFunctions(dst.timelineCanon(k.name, k.canon), parts)
 	}
 }
 

@@ -123,8 +123,14 @@ func TestMergeShardsSumsTimelines(t *testing.T) {
 	// shard B moves 40 at 2s.
 	a := mk(map[time.Duration]float64{1 * time.Second: 100, 3 * time.Second: 250})
 	b := mk(map[time.Duration]float64{2 * time.Second: 40})
+	// A second label set of the same name stays its own series: the merge
+	// keys timelines by name and canonical labels.
+	a.Registry().Timeline("bytes", Labels{"class": "app"}).Set(5*time.Second, 7)
 	dst := New(sim.NewEnv())
 	MergeShards(dst, []*Observer{a, b})
+	if app := dst.Registry().Timeline("bytes", Labels{"class": "app"}); app.At(4*time.Second) != 0 || app.At(5*time.Second) != 7 {
+		t.Fatalf("merged app timeline = %g at 4s, %g at 5s; want 0, 7", app.At(4*time.Second), app.At(5*time.Second))
+	}
 	tl := dst.Registry().Timeline("bytes", Labels{"class": "ckpt"})
 	checks := map[time.Duration]float64{
 		500 * time.Millisecond: 0,

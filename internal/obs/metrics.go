@@ -10,8 +10,8 @@ import (
 )
 
 // Labels is a metric's label set. The empty (or nil) set is the cluster
-// scope; per-node and per-rank metrics add "node"/"actor" labels. Labels are
-// copied on first use, so callers may reuse maps.
+// scope; per-node and per-rank metrics add "node"/"actor" labels. The
+// registry keeps only the canonical form, so callers may reuse maps.
 type Labels map[string]string
 
 // canon renders labels in canonical (sorted) Prometheus form, which also
@@ -39,17 +39,6 @@ func (l Labels) canon() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func (l Labels) clone() Labels {
-	if len(l) == 0 {
-		return nil
-	}
-	out := make(Labels, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
 }
 
 // Counter is a monotonically increasing int64 metric.
@@ -92,13 +81,14 @@ func (g *Gauge) Get() float64 {
 	return g.v
 }
 
-// metricKey identifies one metric instance.
+// metricKey identifies one metric instance: its name and the canonical
+// form of its labels, which is also how every sink renders them.
 type metricKey struct {
-	name   string
-	labels string
+	name  string
+	canon string
 }
 
-// Registry holds a run's named metrics. All accessor methods create the
+// Registry holds a run's named metrics. Every accessor but Total creates the
 // metric on first use, so publishing and reading sites need no registration
 // step and never observe nil.
 type Registry struct {
@@ -106,7 +96,6 @@ type Registry struct {
 	counters  map[metricKey]*Counter
 	gauges    map[metricKey]*Gauge
 	timelines map[metricKey]*Timeline
-	labels    map[metricKey]Labels
 }
 
 // NewRegistry returns an empty registry.
@@ -115,18 +104,17 @@ func NewRegistry() *Registry {
 		counters:  make(map[metricKey]*Counter),
 		gauges:    make(map[metricKey]*Gauge),
 		timelines: make(map[metricKey]*Timeline),
-		labels:    make(map[metricKey]Labels),
 	}
 }
 
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
-	return r.counterCanon(name, labels.canon(), labels)
+	return r.counterCanon(name, labels.canon())
 }
 
 // counterCanon is Counter with the labels' canonical form precomputed —
 // the allocation-free path Recorders use on every Add.
-func (r *Registry) counterCanon(name, canon string, labels Labels) *Counter {
+func (r *Registry) counterCanon(name, canon string) *Counter {
 	key := metricKey{name, canon}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -134,17 +122,29 @@ func (r *Registry) counterCanon(name, canon string, labels Labels) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[key] = c
-		r.labels[key] = labels.clone()
 	}
 	return c
 }
 
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string, labels Labels) *Gauge {
-	return r.gaugeCanon(name, labels.canon(), labels)
+// Total returns the cluster-scope (unlabelled) counter's value, 0 when no
+// component has booked it. Unlike Counter it never creates the series, so
+// reading a run's totals leaves every sink as the run left it.
+func (r *Registry) Total(name string) int64 {
+	r.mu.Lock()
+	c := r.counters[metricKey{name, ""}]
+	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return c.Get()
 }
 
-func (r *Registry) gaugeCanon(name, canon string, labels Labels) *Gauge {
+// Gauge returns the named gauge, creating it if needed.
+func (r *Registry) Gauge(name string, labels Labels) *Gauge {
+	return r.gaugeCanon(name, labels.canon())
+}
+
+func (r *Registry) gaugeCanon(name, canon string) *Gauge {
 	key := metricKey{name, canon}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -152,7 +152,6 @@ func (r *Registry) gaugeCanon(name, canon string, labels Labels) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[key] = g
-		r.labels[key] = labels.clone()
 	}
 	return g
 }
@@ -161,14 +160,17 @@ func (r *Registry) gaugeCanon(name, canon string, labels Labels) *Gauge {
 // should hold on to the returned handle rather than re-resolving it per
 // step — resolving canonicalizes the labels every time.
 func (r *Registry) Timeline(name string, labels Labels) *Timeline {
-	key := metricKey{name, labels.canon()}
+	return r.timelineCanon(name, labels.canon())
+}
+
+func (r *Registry) timelineCanon(name, canon string) *Timeline {
+	key := metricKey{name, canon}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, ok := r.timelines[key]
 	if !ok {
 		t = &Timeline{}
 		r.timelines[key] = t
-		r.labels[key] = labels.clone()
 	}
 	return t
 }
@@ -183,7 +185,7 @@ func sortedKeys[V any](m map[metricKey]V) []metricKey {
 		if keys[i].name != keys[j].name {
 			return keys[i].name < keys[j].name
 		}
-		return keys[i].labels < keys[j].labels
+		return keys[i].canon < keys[j].canon
 	})
 	return keys
 }
@@ -218,20 +220,20 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for _, key := range sortedKeys(counters) {
 		name := key.name + "_total"
 		header(name, "counter")
-		fmt.Fprintf(w, "%s%s %d\n", name, key.labels, counters[key].Get())
+		fmt.Fprintf(w, "%s%s %d\n", name, key.canon, counters[key].Get())
 	}
 	for _, key := range sortedKeys(gauges) {
 		header(key.name, "gauge")
-		fmt.Fprintf(w, "%s%s %g\n", key.name, key.labels, gauges[key].Get())
+		fmt.Fprintf(w, "%s%s %g\n", key.name, key.canon, gauges[key].Get())
 	}
 	for _, key := range sortedKeys(timelines) {
 		tl := timelines[key]
 		cumName := key.name + "_cum"
 		header(cumName, "gauge")
-		fmt.Fprintf(w, "%s%s %g\n", cumName, key.labels, tl.Last())
+		fmt.Fprintf(w, "%s%s %g\n", cumName, key.canon, tl.Last())
 		stepsName := key.name + "_steps"
 		header(stepsName, "gauge")
-		fmt.Fprintf(w, "%s%s %d\n", stepsName, key.labels, tl.Len())
+		fmt.Fprintf(w, "%s%s %d\n", stepsName, key.canon, tl.Len())
 	}
 	return nil
 }
@@ -251,10 +253,10 @@ func (r *Registry) Flatten() map[string]float64 {
 	r.mu.Unlock()
 	out := make(map[string]float64, len(counters)+len(gauges))
 	for key, c := range counters {
-		out[key.name+key.labels] = float64(c.Get())
+		out[key.name+key.canon] = float64(c.Get())
 	}
 	for key, g := range gauges {
-		out[key.name+key.labels] = g.Get()
+		out[key.name+key.canon] = g.Get()
 	}
 	return out
 }

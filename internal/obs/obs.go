@@ -143,8 +143,7 @@ func (o *Observer) Recorder(node int, actor string) *Recorder {
 	// Precompute the scope's canonical label form once: metric publication
 	// is the instrumentation hot path, and canonicalizing two labels per
 	// counter bump (sort + quote + join) dwarfs the map lookup it keys.
-	r.scopeLabels = Labels{"node": itoa(node), "actor": actor}
-	r.scopeCanon = r.scopeLabels.canon()
+	r.scopeCanon = Labels{"node": itoa(node), "actor": actor}.canon()
 	return r
 }
 
@@ -155,8 +154,7 @@ type Recorder struct {
 	node  int
 	actor string
 
-	scopeLabels Labels
-	scopeCanon  string
+	scopeCanon string
 
 	childMu  sync.Mutex
 	children map[string]*Recorder
@@ -177,8 +175,7 @@ func (r *Recorder) Child(scope string) *Recorder {
 		return c
 	}
 	c := &Recorder{o: r.o, node: r.node, actor: r.actor}
-	c.scopeLabels = Labels{"node": itoa(r.node), "actor": r.actor, "scope": scope}
-	c.scopeCanon = c.scopeLabels.canon()
+	c.scopeCanon = Labels{"node": itoa(r.node), "actor": r.actor, "scope": scope}.canon()
 	if r.children == nil {
 		r.children = make(map[string]*Recorder)
 	}
@@ -252,7 +249,7 @@ func (r *Recorder) Add(name string, delta int64) {
 // series resolves the two counters Add books name into: the recorder's
 // (node, actor) series and the cluster rollup. Both are created here.
 func (r *Recorder) series(name string) (scoped, total *Counter) {
-	return r.o.reg.counterCanon(name, r.scopeCanon, r.scopeLabels), r.o.reg.counterCanon(name, "", nil)
+	return r.o.reg.counterCanon(name, r.scopeCanon), r.o.reg.counterCanon(name, "")
 }
 
 // itoa avoids strconv for the tiny node numbers in scope labels.

@@ -172,6 +172,23 @@ func TestFlatten(t *testing.T) {
 	}
 }
 
+// TestTotalReadsWithoutCreating: Total reads the cluster rollup and, for a
+// name nothing booked, returns 0 without adding a series to any sink.
+func TestTotalReadsWithoutCreating(t *testing.T) {
+	o := New(sim.NewEnv())
+	o.Recorder(1, "rank1").Add("restores", 3)
+	reg := o.Registry()
+	if got := reg.Total("restores"); got != 3 {
+		t.Fatalf("Total(restores) = %d, want 3", got)
+	}
+	if got := reg.Total("failures_skipped"); got != 0 {
+		t.Fatalf("Total(failures_skipped) = %d, want 0", got)
+	}
+	if _, ok := reg.Flatten()["failures_skipped"]; ok {
+		t.Fatal("Total created the series it read")
+	}
+}
+
 func TestCheckpointRounds(t *testing.T) {
 	events := []Event{
 		{TUS: 50, Type: EvCheckpointCommit, Node: 0, Actor: "rank0", Bytes: 100,

@@ -1,11 +1,12 @@
 // Package scenario is the declarative configuration surface of the
 // simulator: one serializable spec describing machine shape, workload,
-// checkpoint policies (local, remote, bottom), failure schedule and
-// observability outputs. Scenarios round-trip through JSON, validate with
-// actionable errors, come as named presets for every experiment in
-// DESIGN.md §4, and expand into cartesian sweeps. The cluster builds runs
-// from scenarios (cluster.FromScenario); new schemes appear here for free
-// once registered in internal/policy.
+// checkpoint policies (local, remote, bottom), failure schedule, SLOs and
+// drift limits; where a run writes its artifacts is the runner's business
+// (nvmcp-sim's -events-out and kin). Scenarios round-trip through JSON,
+// validate with actionable errors, come as named presets for every
+// experiment in DESIGN.md §4, and expand into cartesian sweeps. The cluster
+// builds runs from scenarios (cluster.FromScenario); policy names are
+// checked against internal/policy's name tables.
 package scenario
 
 import (
@@ -169,10 +170,9 @@ type FailureSpec struct {
 	AtSecs float64 `json:"at_secs"`
 	// Node is the failing node (for buddy-loss: the node whose remote
 	// copies are lost — the fault strikes whichever node holds them).
-	Node int  `json:"node"`
-	Hard bool `json:"hard,omitempty"`
+	Node int `json:"node"`
 	// Kind selects the failure class: soft, hard, nvm-corrupt, link-flap,
-	// buddy-loss. Empty falls back to Hard's soft/hard split.
+	// buddy-loss. Empty is soft.
 	Kind string `json:"kind,omitempty"`
 	// Chunks bounds how many committed chunks an nvm-corrupt fault damages
 	// (0 means 1); Torn switches from bit-flips to torn writes.
@@ -199,17 +199,11 @@ type FailureSpec struct {
 
 // Event lowers the spec to a fault.Event. Validation, FromScenario and live
 // injection all lower through it, so they refuse the same specs: an empty
-// kind is soft, or hard when Hard is set.
+// kind is soft.
 func (f FailureSpec) Event() (fault.Event, error) {
 	kind, err := fault.ParseKind(f.Kind)
 	if err != nil {
 		return fault.Event{}, err
-	}
-	if f.Hard && f.Kind != "" && kind != fault.Hard {
-		return fault.Event{}, fmt.Errorf("sets hard but kind %q", f.Kind)
-	}
-	if f.Kind == "" && f.Hard {
-		kind = fault.Hard
 	}
 	return fault.Event{
 		At:        secs(f.AtSecs),
@@ -257,14 +251,6 @@ func (m FaultModelSpec) Model() fault.Model {
 // secs converts a scenario's float seconds to a duration.
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// ObsSpec names observability artifact outputs a runner should write.
-type ObsSpec struct {
-	EventsOut  string `json:"events_out,omitempty"`
-	MetricsOut string `json:"metrics_out,omitempty"`
-	TraceOut   string `json:"trace_out,omitempty"`
-	ReportOut  string `json:"report_out,omitempty"`
-}
-
 // Scenario is one declarative run description.
 type Scenario struct {
 	Name string `json:"name,omitempty"`
@@ -301,8 +287,6 @@ type Scenario struct {
 	// engine). Requests the topology or configuration cannot honor are
 	// capped or fall back.
 	Shards int `json:"shards,omitempty"`
-
-	Obs ObsSpec `json:"obs,omitempty"`
 
 	// SLO declares the run's service-level objectives, evaluated online by
 	// the flight recorder over fixed virtual-time windows.

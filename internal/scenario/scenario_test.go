@@ -36,9 +36,8 @@ func fullScenario() *scenario.Scenario {
 		Local:      scenario.LocalSpec{Policy: "dcpcp", RateCap: 100e6},
 		Remote:     scenario.RemoteSpec{Policy: "buddy-precopy", AutoRateCap: true, Every: 2},
 		Bottom:     scenario.BottomSpec{Policy: "pfs-drain", AggregateBW: 2e9},
-		Failures:   []scenario.FailureSpec{{AtSecs: 10, Node: 1, Hard: true}},
+		Failures:   []scenario.FailureSpec{{AtSecs: 10, Node: 1, Kind: "hard"}},
 		PayloadCap: 2048,
-		Obs:        scenario.ObsSpec{ReportOut: "report.json"},
 	}
 }
 
@@ -85,10 +84,20 @@ func TestGoldenScenarioFile(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownFields: a typo, and the retired spellings of
+// artifact outputs (the nvmcp-sim -events-out/-metrics-out/-trace-out/
+// -report-out flags) and of a hard failure (kind "hard"), are refused.
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, err := scenario.Load(strings.NewReader(`{"nodes": 2, "cores_per_node": 2, "iterations": 1, "workload": {"app": "gtc"}, "remotee": {}}`))
-	if err == nil || !strings.Contains(err.Error(), "remotee") {
-		t.Fatalf("unknown field not rejected: %v", err)
+	const base = `{"nodes": 2, "cores_per_node": 2, "iterations": 1, "workload": {"app": "gtc"}, `
+	for _, tc := range []struct{ extra, field string }{
+		{`"remotee": {}`, "remotee"},
+		{`"obs": {"report_out": "report.json"}`, "obs"},
+		{`"failures": [{"at_secs": 1, "node": 0, "hard": true}]`, "hard"},
+	} {
+		_, err := scenario.Load(strings.NewReader(base + tc.extra + "}"))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: unknown field not rejected: %v", tc.field, err)
+		}
 	}
 }
 
@@ -120,7 +129,6 @@ func TestValidateErrors(t *testing.T) {
 		{"negative group", mod(func(sc *scenario.Scenario) { sc.Remote = scenario.RemoteSpec{Policy: "erasure", Group: -3} }),
 			"remote.group must be >= 0, got -3"},
 		{"bad failure kind", mod(func(sc *scenario.Scenario) { sc.Failures[0].Kind = "meteor" }), `failure 0: fault: unknown kind "meteor"`},
-		{"hard vs kind conflict", mod(func(sc *scenario.Scenario) { sc.Failures[0].Kind = "soft" }), "sets hard but kind"},
 		{"negative chunks", mod(func(sc *scenario.Scenario) { sc.Failures[0].Chunks = -1 }), "failure 0: fault: negative chunk count -1"},
 		{"factor out of range", mod(func(sc *scenario.Scenario) {
 			sc.Failures[0] = scenario.FailureSpec{AtSecs: 10, Node: 1, Kind: "link-flap", DurationSecs: 1, Factor: 1}
@@ -168,26 +176,20 @@ func TestValidateErrors(t *testing.T) {
 }
 
 // TestFailureSpecEvent pins the one lowering from a scenario failure to a
-// fault.Event: an empty kind is soft, hard selects hard, an explicit kind
-// wins, and hard beside any other kind is refused.
+// fault.Event: an empty kind is soft and an explicit kind is taken as named.
 func TestFailureSpecEvent(t *testing.T) {
 	for _, tc := range []struct {
 		spec scenario.FailureSpec
 		want fault.Kind
 	}{
 		{scenario.FailureSpec{AtSecs: 1}, fault.Soft},
-		{scenario.FailureSpec{AtSecs: 1, Hard: true}, fault.Hard},
+		{scenario.FailureSpec{AtSecs: 1, Kind: "hard"}, fault.Hard},
 		{scenario.FailureSpec{AtSecs: 1, Kind: "buddy-loss"}, fault.BuddyLoss},
-		{scenario.FailureSpec{AtSecs: 1, Hard: true, Kind: "hard"}, fault.Hard},
 	} {
 		ev, err := tc.spec.Event()
 		if err != nil || ev.Kind != tc.want {
 			t.Errorf("%+v: Event() = %q, %v; want %q", tc.spec, ev.Kind, err, tc.want)
 		}
-	}
-	if _, err := (scenario.FailureSpec{AtSecs: 1, Hard: true, Kind: "soft"}).Event(); err == nil ||
-		!strings.Contains(err.Error(), `sets hard but kind "soft"`) {
-		t.Errorf("hard with kind soft: err = %v", err)
 	}
 	ev, err := scenario.FailureSpec{AtSecs: 1.5, Node: 3, Kind: "link-storm", DurationSecs: 0.25,
 		Factor: 0.1, Waves: 2, WaveDelaySecs: 0.5}.Event()
