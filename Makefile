@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check ci e2e presets faults invariants slo fleet serve clean bench bench-check bench-shards
+.PHONY: all build test race vet fmt lint check ci e2e fuzz presets faults invariants slo fleet serve clean bench bench-check bench-shards
 
 all: build
 
@@ -103,6 +103,19 @@ check: lint test
 e2e:
 	$(GO) -C bench/e2e vet ./...
 	$(GO) -C bench/e2e test ./...
+
+# fuzz runs every fuzz target in the module for 10 s each, one target at a
+# time (go test -fuzz takes one target per run). Targets are found by name,
+# so a new Fuzz function joins the gate without an edit here. Minimizing a
+# new input is capped at 100 runs: uncapped, minimizing one of
+# FuzzQueueOrder's 10k-event inputs outlasts the fuzz time.
+fuzz:
+	@for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "== $$name ($$(dirname "$$f")) =="; \
+			$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s -fuzzminimizetime 100x "./$$(dirname "$$f")" || exit 1; \
+		done; \
+	done
 
 # presets smoke-runs every cluster-shaped preset at tiny scale under the
 # race detector — the fast end-to-end gate that the scenario layer, policy
@@ -210,9 +223,10 @@ drift:
 # check), the full test suite under the race detector (obs publication
 # crosses host goroutines), the preset and fault-cascade smoke sweeps, the lineage
 # invariant gate, the SLO gate, the model-drift gate, the fleet-scale chaos
-# gate, the control-plane serve gate, the benchmark harness module, and the
-# perf regression check against the checked-in baseline.
-ci: lint race presets faults invariants slo drift fleet serve e2e bench-check
+# gate, the control-plane serve gate, the benchmark harness module, every fuzz
+# target for 10 s, and the perf regression check against the checked-in
+# baseline.
+ci: lint race presets faults invariants slo drift fleet serve e2e fuzz bench-check
 
 # bench refreshes the perf records: the testing.B suites (sim kernel,
 # resource layer, paper end-to-end) plus the nvmcp-perf probes, which write

@@ -126,8 +126,8 @@ const (
 // Event is one structured occurrence on the bus. Times are virtual
 // (microseconds since simulation start), matching the Chrome trace
 // timestamps so the JSONL stream and the Perfetto view line up. The bus
-// keeps events as columns (see log.go); an Event is the view that taps,
-// Events and the sinks read.
+// keeps events as varint-encoded rows (see log.go); an Event is the view
+// that taps, Events and the sinks read.
 type Event struct {
 	TUS   int64  `json:"t_us"`
 	Type  Type   `json:"type"`

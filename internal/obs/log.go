@@ -1,66 +1,37 @@
 package obs
 
-// The event log keeps every published event as integer columns in
-// append-only blocks. Strings (types, actors, chunk names, attribute keys and
-// string values) are interned once per observer, so no column holds a
-// pointer: the collector has nothing to scan, and since a full block is
-// never copied, the log grows without doubling copies. The first block is
-// small, so a run of a few hundred events pays for a few hundred rows;
-// later blocks double up to maxBlockRows.
+import "encoding/binary"
+
+// The event log keeps every published event as one varint-encoded row in
+// append-only byte blocks. Strings (types, actors, chunk names, attribute
+// keys and string values) are interned once per observer, so a row holds
+// only small integers and the collector has nothing to scan in it. A row is
+//
+//	uvarint(type id) varint(t_us − previous row's t_us) varint(node)
+//	uvarint(actor id) uvarint(chunk id) varint(bytes) uvarint(#attrs)
+//
+// then per attribute uvarint(key id<<1 | isStr) followed by varint(int) or
+// uvarint(string id). The time delta is signed: nothing orders an Emit or a
+// merge. A row never straddles two blocks, and a full block is never
+// copied, so the log grows without doubling copies. The first block is
+// small, so a run of a few hundred events pays for a few kilobytes; later
+// blocks double up to maxBlockBytes, and a row larger than the next block's
+// size opens a block of its own size.
 const (
-	firstBlockRows = 256
-	maxBlockRows   = 1 << 16
-	// attrsPerRow sizes a block's attribute cells; a block whose cells run
-	// out closes early.
-	attrsPerRow = 2
-	// strValue flags an attribute cell whose value is a string id.
-	strValue = 1 << 31
+	firstBlockBytes = 16 << 10
+	maxBlockBytes   = 1 << 20
 )
 
 // eventLog is the observer's retained event stream. It is guarded by the
 // observer's mutex; a logView reads a snapshot of it without the lock.
 type eventLog struct {
-	blocks []*logBlock
-	n      int
-	strs   []string // intern id → string; id 0 is ""
-	ids    map[string]uint32
-}
-
-// logBlock holds up to len(tus) rows. Row i's attributes are the cells
-// [attrEnd[i-1], attrEnd[i]) (from 0 for row 0). Rows below n never change.
-type logBlock struct {
-	n                 int
-	tus, bytes        []int64
-	node              []int32
-	typ, actor, chunk []uint32
-	attrEnd           []uint32
-	attrKey           []uint32 // key id, | strValue for a string value
-	attrVal           []int64  // the integer, or the string's id
-}
-
-func newBlock(rows, cells int) *logBlock {
-	return &logBlock{
-		tus: make([]int64, rows), bytes: make([]int64, rows),
-		node: make([]int32, rows),
-		typ:  make([]uint32, rows), actor: make([]uint32, rows), chunk: make([]uint32, rows),
-		attrEnd: make([]uint32, rows),
-		attrKey: make([]uint32, cells), attrVal: make([]int64, cells),
-	}
-}
-
-// span returns row i's attribute cells.
-func (b *logBlock) span(i int) (start, end int) {
-	if i > 0 {
-		start = int(b.attrEnd[i-1])
-	}
-	return start, int(b.attrEnd[i])
-}
-
-func (b *logBlock) cellsUsed() int {
-	if b.n == 0 {
-		return 0
-	}
-	return int(b.attrEnd[b.n-1])
+	blocks  [][]byte // bytes below each block's length never change
+	n       int
+	lastTUS int64             // the last row's t_us, which the next row's delta is taken from
+	counts  []int             // rows per type id
+	row     []byte            // the row being encoded, reused for every append
+	strs    []string          // intern id → string; id 0 is ""
+	ids     map[string]uint32 // intern id of every string in strs but ""
 }
 
 func (l *eventLog) intern(s string) uint32 {
@@ -71,53 +42,49 @@ func (l *eventLog) intern(s string) uint32 {
 		return id
 	}
 	id := uint32(len(l.strs))
-	if id >= strValue {
-		panic("obs: event log string table full")
-	}
 	l.strs = append(l.strs, s)
 	l.ids[s] = id
 	return id
 }
 
-// tail returns the block the next row goes into, opening a new one when the
-// last is out of rows or of cells for nattrs attributes.
-func (l *eventLog) tail(nattrs int) *logBlock {
-	rows := firstBlockRows
-	if k := len(l.blocks); k > 0 {
-		b := l.blocks[k-1]
-		if b.n < len(b.tus) && b.cellsUsed()+nattrs <= len(b.attrKey) {
-			return b
-		}
-		rows = min(2*len(b.tus), maxBlockRows)
-	}
-	b := newBlock(rows, max(attrsPerRow*rows, nattrs))
-	l.blocks = append(l.blocks, b)
-	return b
-}
-
 func (l *eventLog) append(tus int64, t Type, node int, actor, chunk string, bytes int64, attrs []Attr) {
-	if int(int32(node)) != node {
-		panic("obs: event node out of int32 range")
-	}
 	if l.ids == nil {
 		l.ids, l.strs = make(map[string]uint32), []string{""}
 	}
-	b := l.tail(len(attrs))
-	i := b.n
-	b.tus[i], b.bytes[i], b.node[i] = tus, bytes, int32(node)
-	b.typ[i], b.actor[i], b.chunk[i] = l.intern(string(t)), l.intern(actor), l.intern(chunk)
-	c := b.cellsUsed()
+	typ := l.intern(string(t))
+	r := binary.AppendUvarint(l.row[:0], uint64(typ))
+	r = binary.AppendVarint(r, tus-l.lastTUS)
+	r = binary.AppendVarint(r, int64(node))
+	r = binary.AppendUvarint(r, uint64(l.intern(actor)))
+	r = binary.AppendUvarint(r, uint64(l.intern(chunk)))
+	r = binary.AppendVarint(r, bytes)
+	r = binary.AppendUvarint(r, uint64(len(attrs)))
 	for _, a := range attrs {
+		key := uint64(l.intern(a.Key)) << 1
 		if a.isInt {
-			b.attrKey[c], b.attrVal[c] = l.intern(a.Key), a.num
+			r = binary.AppendVarint(binary.AppendUvarint(r, key), a.num)
 		} else {
-			b.attrKey[c], b.attrVal[c] = l.intern(a.Key)|strValue, int64(l.intern(a.str))
+			r = binary.AppendUvarint(binary.AppendUvarint(r, key|1), uint64(l.intern(a.str)))
 		}
-		c++
 	}
-	b.attrEnd[i] = uint32(c)
-	b.n++
+	l.row = r
+
+	k := len(l.blocks) - 1
+	if k < 0 || len(l.blocks[k])+len(r) > cap(l.blocks[k]) {
+		size := firstBlockBytes
+		if k >= 0 {
+			size = min(2*cap(l.blocks[k]), maxBlockBytes)
+		}
+		l.blocks = append(l.blocks, make([]byte, 0, max(size, len(r))))
+		k++
+	}
+	l.blocks[k] = append(l.blocks[k], r...)
+	for int(typ) >= len(l.counts) {
+		l.counts = append(l.counts, 0)
+	}
+	l.counts[typ]++
 	l.n++
+	l.lastTUS = tus
 }
 
 // count returns how many rows have type t ("" = all).
@@ -125,122 +92,156 @@ func (l *eventLog) count(t Type) int {
 	if t == "" {
 		return l.n
 	}
-	id, ok := l.ids[string(t)]
-	if !ok {
-		return 0
+	if id, ok := l.ids[string(t)]; ok && int(id) < len(l.counts) {
+		return l.counts[id]
 	}
-	n := 0
-	for _, b := range l.blocks {
-		for _, typ := range b.typ[:b.n] {
-			if typ == id {
-				n++
-			}
-		}
-	}
-	return n
+	return 0
 }
 
 // logView is a read-only snapshot of an eventLog: it copies the block
-// headers with their row counts, and shares the columns and the string
+// headers with their lengths, and shares the block bytes and the string
 // table, whose entries below the snapshot's lengths never change.
 type logView struct {
-	blocks []logBlock
-	n      int
+	blocks [][]byte
 	strs   []string
+	n      int    // rows
+	typ    uint64 // the type id events selects (0 = every row)
+	sel    int    // rows of that type
 }
 
-func (l *eventLog) view() logView {
-	v := logView{blocks: make([]logBlock, len(l.blocks)), n: l.n, strs: l.strs}
-	for i, b := range l.blocks {
-		v.blocks[i] = *b
-	}
-	return v
+// view snapshots the log, selecting the rows of type t for events. A type
+// never published reads id 0, but selects no rows.
+func (l *eventLog) view(t Type) logView {
+	return logView{blocks: append([][]byte(nil), l.blocks...), strs: l.strs, n: l.n,
+		typ: uint64(l.ids[string(t)]), sel: l.count(t)}
 }
 
-// read appends row i of b's attributes to dst and returns the row as an
-// Event whose Attrs are those appended cells.
-func (v *logView) read(b *logBlock, i int, dst Attrs) (Event, Attrs) {
-	ev := Event{
-		TUS: b.tus[i], Type: Type(v.strs[b.typ[i]]), Node: int(b.node[i]),
-		Actor: v.strs[b.actor[i]], Chunk: v.strs[b.chunk[i]], Bytes: b.bytes[i],
+// rowReader decodes a view's rows in order.
+type rowReader struct {
+	rest [][]byte // blocks not yet started
+	b    []byte   // the current block's unread bytes
+	strs []string
+	tus  int64
+}
+
+func (v *logView) rows() rowReader { return rowReader{rest: v.blocks, strs: v.strs} }
+
+// more reports whether a row is left to read, moving on to the next block
+// when the current one is read.
+func (r *rowReader) more() bool {
+	for len(r.b) == 0 {
+		if len(r.rest) == 0 {
+			return false
+		}
+		r.b, r.rest = r.rest[0], r.rest[1:]
 	}
-	start, end := b.span(i)
-	if start == end {
-		return ev, dst
+	return true
+}
+
+// uvarint and varint decode what binary.AppendUvarint and AppendVarint
+// wrote; the log wrote every row itself, so they trust it.
+func (r *rowReader) uvarint() uint64 {
+	var x uint64
+	for s := uint(0); ; s += 7 {
+		c := r.b[0]
+		r.b = r.b[1:]
+		if c < 0x80 {
+			return x | uint64(c)<<s
+		}
+		x |= uint64(c&0x7f) << s
+	}
+}
+
+func (r *rowReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// skip passes over n varints.
+func (r *rowReader) skip(n int) {
+	i := 0
+	for ; n > 0; i++ {
+		if r.b[i] < 0x80 {
+			n--
+		}
+	}
+	r.b = r.b[i:]
+}
+
+// head decodes the row's fields up to its attributes into ev, and returns
+// its type id and attribute count.
+func (r *rowReader) head(ev *Event) (typ uint64, nattrs int) {
+	typ = r.uvarint()
+	r.tus += r.varint()
+	*ev = Event{TUS: r.tus, Type: Type(r.strs[typ])}
+	ev.Node = int(r.varint())
+	ev.Actor = r.strs[r.uvarint()]
+	ev.Chunk = r.strs[r.uvarint()]
+	ev.Bytes = r.varint()
+	return typ, int(r.uvarint())
+}
+
+// attrs decodes the row's n attributes onto dst and sets them as ev's.
+func (r *rowReader) attrs(ev *Event, n int, dst Attrs) Attrs {
+	if n == 0 {
+		return dst
 	}
 	first := len(dst)
-	for c := start; c < end; c++ {
-		if k := b.attrKey[c]; k&strValue != 0 {
-			dst = append(dst, Str(v.strs[k&^strValue], v.strs[b.attrVal[c]]))
+	for ; n > 0; n-- {
+		key := r.uvarint()
+		if k := r.strs[key>>1]; key&1 != 0 {
+			dst = append(dst, Str(k, r.strs[r.uvarint()]))
 		} else {
-			dst = append(dst, Int(v.strs[k], b.attrVal[c]))
+			dst = append(dst, Int(k, r.varint()))
 		}
 	}
 	ev.Attrs = dst[first:len(dst):len(dst)]
-	return ev, dst
+	return dst
 }
 
 // each calls fn with every event in order. The Attrs of the event fn gets
 // are reused for the next: fn must copy what it keeps.
 func (v *logView) each(fn func(Event) error) error {
+	var ev Event
 	var scratch Attrs
-	for bi := range v.blocks {
-		b := &v.blocks[bi]
-		for i := 0; i < b.n; i++ {
-			var ev Event
-			ev, scratch = v.read(b, i, scratch[:0])
-			if err := fn(ev); err != nil {
-				return err
-			}
+	for r := v.rows(); r.more(); {
+		_, n := r.head(&ev)
+		scratch = r.attrs(&ev, n, scratch[:0])
+		if err := fn(ev); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// events materializes the events of type t ("" = all) in two allocations:
-// one for the events, one shared by their attributes.
-func (v *logView) events(t Type) []Event {
-	var id uint32
-	if t != "" {
-		id = v.id(string(t))
-		if id == 0 {
-			return nil
-		}
-	}
-	n, cells := 0, 0
-	for bi := range v.blocks {
-		b := &v.blocks[bi]
-		for i := 0; i < b.n; i++ {
-			if t == "" || b.typ[i] == id {
-				start, end := b.span(i)
-				n, cells = n+1, cells+end-start
-			}
-		}
-	}
-	if n == 0 {
+// events materializes the view's selected events in two allocations: one
+// for the events, one shared by their attributes, which a first pass
+// counts.
+func (v *logView) events() []Event {
+	if v.sel == 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
-	attrs := make(Attrs, 0, cells)
-	for bi := range v.blocks {
-		b := &v.blocks[bi]
-		for i := 0; i < b.n; i++ {
-			if t == "" || b.typ[i] == id {
-				var ev Event
-				ev, attrs = v.read(b, i, attrs)
-				out = append(out, ev)
-			}
+	cells := 0
+	for r := v.rows(); r.more(); {
+		typ := r.uvarint()
+		r.skip(5) // t_us, node, actor, chunk, bytes
+		k := int(r.uvarint())
+		r.skip(2 * k)
+		if v.typ == 0 || typ == v.typ {
+			cells += k
 		}
+	}
+	out := make([]Event, 0, v.sel)
+	attrs := make(Attrs, 0, cells)
+	for r := v.rows(); r.more(); {
+		var ev Event
+		typ, k := r.head(&ev)
+		if v.typ != 0 && typ != v.typ {
+			r.skip(2 * k)
+			continue
+		}
+		attrs = r.attrs(&ev, k, attrs)
+		out = append(out, ev)
 	}
 	return out
-}
-
-// id returns s's intern id, 0 when s was never interned.
-func (v *logView) id(s string) uint32 {
-	for id := 1; id < len(v.strs); id++ {
-		if v.strs[id] == s {
-			return uint32(id)
-		}
-	}
-	return 0
 }

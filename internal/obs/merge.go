@@ -19,7 +19,9 @@ import (
 //   - events: a k-way merge ordered by (virtual time, shard index,
 //     per-shard publication order) — the cross-shard total order the
 //     determinism contract names. Within one shard the stream is already
-//     time-ordered, so the merge is linear.
+//     time-ordered, so the merge is linear; it reads each shard's log
+//     through a row cursor, so only one event per shard is decoded at a
+//     time.
 //
 // The registries merge first; then every merged event goes onto dst's bus
 // as if published at its own virtual time, so dst's taps (the lineage
@@ -36,29 +38,43 @@ func MergeShards(dst *Observer, shards []*Observer) {
 	}
 	dst.reg.mergeFrom(regs)
 
-	streams := make([][]Event, len(shards))
+	heads := make([]mergeHead, len(shards))
 	for i, s := range shards {
-		streams[i] = s.Events()
+		v := s.view("")
+		heads[i].r = v.rows()
+		heads[i].advance()
 	}
-	idx := make([]int, len(streams))
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	for {
 		best := -1
-		for i := range streams {
-			if idx[i] >= len(streams[i]) {
-				continue
-			}
-			if best < 0 || streams[i][idx[i]].TUS < streams[best][idx[best]].TUS {
+		for i := range heads {
+			if heads[i].ok && (best < 0 || heads[i].ev.TUS < heads[best].ev.TUS) {
 				best = i
 			}
 		}
 		if best < 0 {
 			return
 		}
-		ev := streams[best][idx[best]]
+		ev := &heads[best].ev
 		dst.record(ev.Time(), ev.Node, ev.Actor, ev.Type, ev.Chunk, ev.Bytes, 0, ev.Attrs)
-		idx[best]++
+		heads[best].advance()
+	}
+}
+
+// mergeHead is one shard's next unmerged event; its attributes live in a
+// buffer reused for every event of the shard.
+type mergeHead struct {
+	r     rowReader
+	ev    Event
+	attrs Attrs
+	ok    bool
+}
+
+func (h *mergeHead) advance() {
+	if h.ok = h.r.more(); h.ok {
+		_, n := h.r.head(&h.ev)
+		h.attrs = h.r.attrs(&h.ev, n, h.attrs[:0])
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -160,5 +161,43 @@ func TestEngineWarnReachesBus(t *testing.T) {
 	last := evs[len(evs)-1]
 	if code := last.Attrs.Str("code"); code != "negative-delay" {
 		t.Fatalf("warn code = %q", code)
+	}
+}
+
+// TestMergeShardsStreams holds the merge to one decoded event per shard:
+// folding two shards of 20,000 events each allocates the destination log's
+// blocks and a fixed few kilobytes besides, not a copy of either stream.
+func TestMergeShardsStreams(t *testing.T) {
+	const perShard = 20_000
+	shards := make([]*Observer, 2)
+	for s := range shards {
+		o := New(sim.NewEnv())
+		for i := 0; i < perShard; i++ {
+			o.events.append(int64(2*i+s), EvChunkShipped, s, "helper", "rank0/scalar-0", 14818,
+				[]Attr{Int("buddy", int64(1-s)), Int("seq", int64(i))})
+		}
+		shards[s] = o
+	}
+	dst := New(sim.NewEnv())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MergeShards(dst, shards)
+	runtime.ReadMemStats(&after)
+
+	if n := dst.EventCount(EvChunkShipped); n != 2*perShard {
+		t.Fatalf("merged %d events, want %d", n, 2*perShard)
+	}
+	logBytes := uint64(0)
+	for _, b := range dst.events.blocks {
+		logBytes += uint64(cap(b))
+	}
+	if extra := after.TotalAlloc - before.TotalAlloc - logBytes; extra > 64<<10 {
+		t.Fatalf("merging %d events allocated %d bytes beyond the destination log's %d: the merge copies its input",
+			2*perShard, extra, logBytes)
+	}
+	for i, ev := range dst.Events() {
+		if seq, _ := ev.Attrs.Int("seq"); ev.TUS != int64(i) || ev.Node != i%2 || seq != int64(i/2) {
+			t.Fatalf("merged event %d = %+v, want shard %d's event %d at %dus", i, ev, i%2, i/2, i)
+		}
 	}
 }

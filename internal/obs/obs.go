@@ -23,7 +23,6 @@ type Observer struct {
 	events  eventLog
 	tapView Attrs // the attributes taps see, reused for every event
 	taps    []func(Event)
-	lastTUS int64
 }
 
 // New builds an Observer over a simulation environment and attaches the
@@ -79,7 +78,6 @@ func (o *Observer) publish(node int, actor string, t Type, chunk string, bytes i
 func (o *Observer) record(at time.Duration, node int, actor string, t Type, chunk string, bytes int64, start time.Duration, attrs []Attr) {
 	tus := at.Microseconds()
 	o.events.append(tus, t, node, actor, chunk, bytes, attrs)
-	o.lastTUS = tus
 	if len(o.taps) > 0 {
 		ev := Event{TUS: tus, Type: t, Node: node, Actor: actor, Chunk: chunk, Bytes: bytes, At: at, Start: start}
 		if len(attrs) > 0 {
@@ -99,18 +97,20 @@ func (o *Observer) record(at time.Duration, node int, actor string, t Type, chun
 func (o *Observer) Progress() (virtualUS int64, events int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lastTUS, o.events.n
+	return o.events.lastTUS, o.events.n
 }
 
 // Events returns a copy of every event published so far, in publication
 // order (which is virtual-time order, since the bus stamps on arrival). The
 // copy costs two allocations however many events there are.
 func (o *Observer) Events() []Event {
-	v := o.view()
-	return v.events("")
+	v := o.view("")
+	return v.events()
 }
 
 // EventCount returns how many events of a type were published ("" = all).
+// The log counts each type as it appends, so this neither scans nor
+// allocates.
 func (o *Observer) EventCount(t Type) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -119,7 +119,7 @@ func (o *Observer) EventCount(t Type) int {
 
 // WriteEventsJSONL streams the event log, one JSON object per line.
 func (o *Observer) WriteEventsJSONL(w io.Writer) error {
-	v := o.view()
+	v := o.view("")
 	enc := json.NewEncoder(w)
 	return v.each(func(ev Event) error {
 		if err := enc.Encode(ev); err != nil {
@@ -129,11 +129,12 @@ func (o *Observer) WriteEventsJSONL(w io.Writer) error {
 	})
 }
 
-// view snapshots the event log for reading outside the lock.
-func (o *Observer) view() logView {
+// view snapshots the event log for reading outside the lock, selecting the
+// events of type t ("" = all) for logView.events.
+func (o *Observer) view(t Type) logView {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.events.view()
+	return o.events.view(t)
 }
 
 // Recorder returns a publication handle scoped to (node, actor). Recorders

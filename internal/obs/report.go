@@ -104,8 +104,8 @@ type RunReport struct {
 // BuildReport assembles the RunReport for this observer. config and result
 // are echoed verbatim (pass nil to omit).
 func (o *Observer) BuildReport(tool string, config, result any) RunReport {
-	v := o.view()
-	rounds := CheckpointRounds(v.events(EvCheckpointCommit))
+	v := o.view(EvCheckpointCommit)
+	rounds := CheckpointRounds(v.events())
 	bytesPerRound := make([]float64, len(rounds))
 	durMeanPerRound := make([]float64, len(rounds))
 	for i, r := range rounds {
