@@ -50,8 +50,14 @@ fmt:
 # linked into some binary (a command, an example or bench/e2e):
 # TestEveryFunctionIsLinked (linked_test.go) builds them all and fails with
 # file:line for each one that is not, unless its linkAllowlist map names it
-# with a reason. A test-only helper belongs in a _test.go file. -count=1,
-# because the test result cache does not see the binaries' sources.
+# with a reason. A test-only helper belongs in a _test.go file. Every
+# exported field of an exported Config, Options or Control struct under
+# internal/ must be set by some non-test code outside its own defaulting:
+# TestEveryOptionIsSet (options_test.go) type-checks the module and
+# bench/e2e and fails with file:line for each field one value serves (make
+# it a constant), unless its optionAllowlist map names it with a reason.
+# -count=1, because the test result cache does not see the sources either
+# test reads.
 lint: fmt vet
 	@out="$$(grep -rn --include='*.go' -E '^[[:space:]]*([a-zA-Z_][a-zA-Z0-9_]*) := \1$$' . || true)"; \
 	if [ -n "$$out" ]; then \
@@ -93,7 +99,7 @@ lint: fmt vet
 		echo "component counter read in the cluster (read run totals from the registry, Registry.Total):"; \
 		echo "$$out"; exit 1; \
 	fi
-	$(GO) test -count=1 -run TestEveryFunctionIsLinked .
+	$(GO) test -count=1 -run 'TestEveryFunctionIsLinked|TestEveryOptionIsSet' .
 
 check: lint test
 

@@ -644,7 +644,7 @@ func build(cfg Config) (*Cluster, error) {
 func (c *Cluster) attachConsumers() {
 	cfg := &c.Cfg
 	if cfg.Lineage != nil && cfg.Lineage.Enabled {
-		c.Lineage = lineage.Attach(c.Obs, *cfg.Lineage)
+		c.Lineage = lineage.Attach(c.Obs)
 	}
 	if cfg.SLO != nil && cfg.SLO.Enabled {
 		c.SLO = slo.Attach(c.Obs, *cfg.SLO)
@@ -1009,7 +1009,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 				var fetchSeq uint64
 				if c.remoteTier != nil {
 					if data, _, seq, ok := c.remoteTier.Fetch(p, node, lane, name, ch.ID); ok {
-						if err := store.AdoptRemote(p, ch, data, 0); err != nil {
+						if err := store.AdoptRemote(p, ch, data); err != nil {
 							panic(err)
 						}
 						tier, fetchSeq = "remote", seq
@@ -1017,7 +1017,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 				}
 				if tier == "lost" && c.bottom != nil {
 					if data, _, seq, err := c.bottom.Read(p, name+"/"+ch.Name); err == nil {
-						if err := store.AdoptBottom(p, ch, data, 0); err != nil {
+						if err := store.AdoptBottom(p, ch, data); err != nil {
 							panic(err)
 						}
 						tier, fetchSeq = "bottom", seq

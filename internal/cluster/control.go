@@ -17,16 +17,16 @@ import (
 // couple the whole cluster to one controller, a Config carrying a Control
 // always runs on the serial engine.
 type Control struct {
-	// Tick is the virtual-time interval between OnTick callbacks
-	// (default 1s).
-	Tick time.Duration
 	// OnStart fires once at virtual t=0, before the driver spawns the
 	// first epoch — the deterministic point to apply commands queued
 	// before the run began.
 	OnStart func(c *Cluster)
-	// OnTick fires every Tick while the run is live.
+	// OnTick fires every controlTick of virtual time while the run is live.
 	OnTick func(c *Cluster, now time.Duration)
 }
+
+// controlTick is the virtual-time interval between OnTick callbacks.
+const controlTick = time.Second
 
 // startControl arms the Control callbacks on the event queue. The recurring
 // tick re-arms itself only while the driver is live, so the event queue can
@@ -35,10 +35,6 @@ func (c *Cluster) startControl() {
 	ctl := c.Cfg.Control
 	if ctl == nil {
 		return
-	}
-	tick := ctl.Tick
-	if tick <= 0 {
-		tick = time.Second
 	}
 	if ctl.OnStart != nil {
 		c.Env.Schedule(0, func() { ctl.OnStart(c) })
@@ -50,9 +46,9 @@ func (c *Cluster) startControl() {
 				return
 			}
 			ctl.OnTick(c, c.Env.Now())
-			c.Env.Schedule(tick, arm)
+			c.Env.Schedule(controlTick, arm)
 		}
-		c.Env.Schedule(tick, arm)
+		c.Env.Schedule(controlTick, arm)
 	}
 }
 

@@ -115,7 +115,6 @@ func TestControlTickLiveInjection(t *testing.T) {
 	}
 	injected := false
 	cfg.Control = &Control{
-		Tick: 500 * time.Millisecond,
 		OnTick: func(c *Cluster, now time.Duration) {
 			if injected {
 				return
@@ -151,7 +150,6 @@ func TestControlAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Control = &Control{
-		Tick:   time.Second,
 		OnTick: func(c *Cluster, now time.Duration) { c.Abort("test-stop") },
 	}
 	c, err := New(cfg)

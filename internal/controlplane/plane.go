@@ -46,10 +46,6 @@ type Config struct {
 	// window volume would breach it, and admit as the running jobs'
 	// checkpoint bursts drain.
 	WindowBudget float64
-	// Tick is the host-side re-admission poll interval (default 25ms) —
-	// how often the scheduler re-reads live window load for jobs parked
-	// on "window-slo" or "fabric-budget".
-	Tick time.Duration
 	// Admission selects what the window check charges: AdmissionDeclared
 	// (default) projects each candidate's declared demand against the live
 	// window load; AdmissionBurnRate consults running jobs' live SLO
@@ -103,12 +99,10 @@ func (c Config) queueDepth() int {
 	return c.QueueDepth
 }
 
-func (c Config) tick() time.Duration {
-	if c.Tick <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.Tick
-}
+// readmitTick is the host-side re-admission poll interval: how often the
+// scheduler re-reads live window load for jobs parked on "window-slo" or
+// "fabric-budget".
+const readmitTick = 25 * time.Millisecond
 
 // State is a job's lifecycle phase.
 type State string
@@ -227,7 +221,7 @@ func New(cfg Config) *Plane {
 	pl := &Plane{
 		cfg:      cfg,
 		jobs:     make(map[int]*Job),
-		ticker:   time.NewTicker(cfg.tick()),
+		ticker:   time.NewTicker(readmitTick),
 		tickStop: make(chan struct{}),
 		tickDone: make(chan struct{}),
 	}

@@ -291,9 +291,9 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 }
 
 // adopt installs externally fetched checkpoint data as the chunk's working
-// contents. The chunk is left dirty so the next local checkpoint
-// re-establishes a local NVM copy.
-func (s *Store) adopt(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64, source string, counter int) error {
+// contents at version 0. The chunk is left dirty so the next local
+// checkpoint re-establishes a local NVM copy.
+func (s *Store) adopt(p *sim.Proc, c *Chunk, data nvmkernel.Payload, source string, counter int) error {
 	if int64(data.Len()) > c.Size {
 		return fmt.Errorf("core: adopt %s: %d payload bytes exceed chunk size %d",
 			c.Name, data.Len(), c.Size)
@@ -301,7 +301,7 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uin
 	c.payload = c.payload.Overlay(data)
 	c.pending = nil
 	c.Restored = true
-	c.Version = version
+	c.Version = 0
 	c.markDirty(p)
 	s.Counters[counter].Add(1)
 	s.rec.Log(obs.EvRestore, c.Name, c.Size, obs.Str("source", source))
@@ -310,15 +310,15 @@ func (s *Store) adopt(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uin
 
 // AdoptRemote installs checkpoint data fetched from a remote node — the
 // hard-failure recovery path, when the local NVM was lost with the node.
-func (s *Store) AdoptRemote(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64) error {
-	return s.adopt(p, c, data, version, "remote", cRemoteRestores)
+func (s *Store) AdoptRemote(p *sim.Proc, c *Chunk, data nvmkernel.Payload) error {
+	return s.adopt(p, c, data, "remote", cRemoteRestores)
 }
 
 // AdoptBottom installs checkpoint data read back from the bottom (PFS)
 // tier — the cascade's last rung, when both the local version and the
 // remote copy of a chunk are gone.
-func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data nvmkernel.Payload, version uint64) error {
-	return s.adopt(p, c, data, version, "bottom", cBottomRestores)
+func (s *Store) AdoptBottom(p *sim.Proc, c *Chunk, data nvmkernel.Payload) error {
+	return s.adopt(p, c, data, "bottom", cBottomRestores)
 }
 
 // ChunkState is a helper-visible snapshot of one chunk's checkpoint state.

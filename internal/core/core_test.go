@@ -281,21 +281,26 @@ func TestForceFullCopiesCleanChunks(t *testing.T) {
 func TestAdoptRemoteInstallsDataAndRedirties(t *testing.T) {
 	newRig().run(t, func(p *sim.Proc, s *Store) {
 		c, _ := s.NVAlloc(p, "a", mem.MB, true)
+		c.WriteAll(p)
+		s.ChkptAll(p)
+		if c.Version == 0 {
+			t.Fatal("checkpoint left version 0")
+		}
 		data := make([]byte, c.Payload().Len())
 		for i := range data {
 			data[i] = 0x5A
 		}
-		if err := s.AdoptRemote(p, c, nvmkernel.Bytes(data), 7); err != nil {
+		if err := s.AdoptRemote(p, c, nvmkernel.Bytes(data)); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Restored || c.Version != 7 || !c.Dirty() {
+		if !c.Restored || c.Version != 0 || !c.Dirty() {
 			t.Fatalf("adopt state: restored=%v v=%d dirty=%v", c.Restored, c.Version, c.Dirty())
 		}
 		if working(c)[0] != 0x5A {
 			t.Fatal("adopted data not installed")
 		}
 		oversize := nvmkernel.Bytes(make([]byte, c.Size+1))
-		if err := s.AdoptRemote(p, c, oversize, 8); err == nil {
+		if err := s.AdoptRemote(p, c, oversize); err == nil {
 			t.Fatal("oversized adoption succeeded")
 		}
 	})

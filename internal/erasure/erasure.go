@@ -229,7 +229,7 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 				g.fabric.RDMARead(p, member, failed, pc.size)
 				acc = g.xorInto(acc, data)
 			}
-			if err := s.AdoptRemote(p, c, nvmkernel.Bytes(acc), 0); err != nil {
+			if err := s.AdoptRemote(p, c, nvmkernel.Bytes(acc)); err != nil {
 				return err
 			}
 		}

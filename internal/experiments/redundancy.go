@@ -86,7 +86,7 @@ func RunRedundancy() RedundancyResult {
 				if !ok {
 					panic("buddy copy missing")
 				}
-				if err := s.AdoptRemote(p, c, data, 0); err != nil {
+				if err := s.AdoptRemote(p, c, data); err != nil {
 					panic(err)
 				}
 			}

@@ -135,7 +135,7 @@ func restartPoint(size int64) RestartRow {
 				if !ok {
 					panic("remote copy missing for " + c.Name)
 				}
-				if err := s.AdoptRemote(p, c, data, 0); err != nil {
+				if err := s.AdoptRemote(p, c, data); err != nil {
 					panic(err)
 				}
 			}

@@ -192,17 +192,17 @@ func (f *Fabric) EstimateTransfer(from, to int, size int64, rateCap float64) (ti
 	return time.Duration(segs)*f.Latency + time.Duration(float64(wire)/phi), true
 }
 
-// CongestionAmp scales the queueing penalty applied to application messages
+// congestionAmp scales the queueing penalty applied to application messages
 // that experience bandwidth contention. Fluid fair sharing alone understates
 // the damage of saturated links — credit stalls, head-of-line blocking and
 // retry windows grow superlinearly as a message is squeezed — so application
 // transfers pay an extra Amp·(delay²/ideal) term. This is what makes *peak*
 // interconnect usage, not just total bytes, hurt the application, the effect
-// the paper's remote pre-copy exists to avoid. The default is calibrated so
+// the paper's remote pre-copy exists to avoid. The value is calibrated so
 // that a full-rate checkpoint burst sharing a link with application traffic
 // produces interference of the magnitude prior work reports (~22% slowdown
 // for communication-intensive phases, G. Zheng et al. as cited in the paper).
-var CongestionAmp = 4.0
+const congestionAmp = 4.0
 
 // congestionPenaltyCap bounds the quadratic term to a multiple of the ideal
 // transfer time so pathological contention cannot run away.
@@ -286,12 +286,12 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64, class Class, ra
 		rxQueue.Put(-1)
 		rxDone.Await(p)
 	}
-	if class == ClassApp && CongestionAmp > 0 {
+	if class == ClassApp {
 		ideal := time.Duration(segments)*f.Latency + pipe.EstimateTime(size)
 		actual := p.Now() - start
 		if actual > ideal && ideal > 0 {
 			delay := (actual - ideal).Seconds()
-			penalty := CongestionAmp * delay * delay / ideal.Seconds()
+			penalty := congestionAmp * delay * delay / ideal.Seconds()
 			if max := congestionPenaltyCap * ideal.Seconds(); penalty > max {
 				penalty = max
 			}

@@ -21,7 +21,7 @@ func rig(t *testing.T) (*obs.Observer, *lineage.Tracer) {
 	t.Helper()
 	env := sim.NewEnv()
 	o := obs.New(env)
-	tr := lineage.Attach(o, lineage.Config{Enabled: true})
+	tr := lineage.Attach(o)
 	r := o.Recorder(0, "rank0")
 	env.Go("emitter", func(p *sim.Proc) {
 		p.Sleep(2 * time.Second)
@@ -148,7 +148,7 @@ func TestPprofIndexIsMounted(t *testing.T) {
 func TestConcurrentPollsWhilePublishing(t *testing.T) {
 	env := sim.NewEnv()
 	o := obs.New(env)
-	tr := lineage.Attach(o, lineage.Config{Enabled: true})
+	tr := lineage.Attach(o)
 	mux := newServer().mux(Source{Obs: o, Lineage: tr, Tool: "test"})
 	r := o.Recorder(0, "rank0")
 	var wg sync.WaitGroup
@@ -260,7 +260,7 @@ func TestDriftEndpoints(t *testing.T) {
 func TestAllRoutesContentType(t *testing.T) {
 	env := sim.NewEnv()
 	o := obs.New(env)
-	tr := lineage.Attach(o, lineage.Config{Enabled: true})
+	tr := lineage.Attach(o)
 	sr := slo.Attach(o, slo.Config{Enabled: true, Spec: &slo.Spec{Objectives: []slo.Objective{
 		{Name: "availability", Direction: slo.AtLeast, Threshold: 0},
 	}}})

@@ -122,18 +122,15 @@ type Config struct {
 	// Strict makes cluster.Run fail loudly on the first violation, dumping
 	// the offending chunk's full lineage.
 	Strict bool `json:"strict,omitempty"`
-	// RingSize bounds per-chunk in-memory records (default 128); older
-	// records compact into per-op counts.
-	RingSize int `json:"ring_size,omitempty"`
-	// MaxViolations bounds retained violation details (default 64); the
-	// total count keeps counting past it.
-	MaxViolations int `json:"max_violations,omitempty"`
 }
 
+// ringSize bounds per-chunk in-memory records; older records compact into
+// per-op counts. maxViolations bounds retained violation details; the total
+// count keeps counting past it.
 const (
-	defaultRingSize      = 128
-	defaultMaxViolations = 64
-	faultLogCap          = 512
+	ringSize      = 128
+	maxViolations = 64
+	faultLogCap   = 512
 )
 
 // ring is the columnar per-chunk record store: parallel arrays, fixed
@@ -152,8 +149,8 @@ type ring struct {
 	n     int
 }
 
-func (r *ring) push(cap int, rec encRecord) (evicted encRecord, wasFull bool) {
-	if r.n < cap {
+func (r *ring) push(rec encRecord) (evicted encRecord, wasFull bool) {
+	if r.n < ringSize {
 		r.tus = append(r.tus, rec.tus)
 		r.seq = append(r.seq, rec.seq)
 		r.bytes = append(r.bytes, rec.bytes)
@@ -270,8 +267,7 @@ type chunkState struct {
 // online invariant checker. All methods are safe for concurrent use; the
 // live introspection server reads while the simulation publishes.
 type Tracer struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
 	epoch  int
 	chunks map[string]*chunkState
@@ -300,23 +296,16 @@ type Tracer struct {
 // (additive, so the SLO flight recorder can listen on the same bus). The
 // returned tracer also publishes per-tier transition counters
 // ("lineage_transitions" scoped by tier) through the observer's registry.
-func Attach(o *obs.Observer, cfg Config) *Tracer {
-	t := New(cfg)
+func Attach(o *obs.Observer) *Tracer {
+	t := New()
 	t.rec = o.Recorder(0, "lineage")
 	o.AddEventTap(t.Observe)
 	return t
 }
 
 // New builds a detached tracer (tests feed it synthetic event streams).
-func New(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = defaultRingSize
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = defaultMaxViolations
-	}
+func New() *Tracer {
 	return &Tracer{
-		cfg:      cfg,
 		chunks:   make(map[string]*chunkState),
 		causes:   []string{""},
 		causeIdx: map[string]uint32{"": 0},
@@ -622,7 +611,7 @@ func (t *Tracer) record(st *chunkState, ev obs.Event, op Op, tier Tier, seq uint
 		epoch: uint16(t.epoch), node: int16(ev.Node),
 		cause: t.intern(cause),
 	}
-	if evicted, full := st.ring.push(t.cfg.RingSize, rec); full {
+	if evicted, full := st.ring.push(rec); full {
 		st.fold(evicted)
 		t.compacted++
 	}
@@ -650,7 +639,7 @@ func (t *Tracer) logFault(ev obs.Event, detail string) {
 
 func (t *Tracer) violate(ev obs.Event, chunk, rule, detail string) {
 	t.totalViols++
-	if len(t.violations) < t.cfg.MaxViolations {
+	if len(t.violations) < maxViolations {
 		t.violations = append(t.violations, Violation{
 			TUS: ev.TUS, Epoch: t.epoch, Chunk: chunk, Rule: rule, Detail: detail,
 		})

@@ -28,7 +28,7 @@ func feedHealthyCycle(t *Tracer, g int64) {
 }
 
 func TestHealthyStreamHasNoViolations(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	feedHealthyCycle(tr, 1)
 	feedHealthyCycle(tr, 2)
 	if n := tr.ViolationCount(); n != 0 {
@@ -46,20 +46,20 @@ func TestHealthyStreamHasNoViolations(t *testing.T) {
 // A corrupted stream — a commit for a generation the local tier never
 // staged — must be flagged, not absorbed.
 func TestCommitWithoutStageIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(3)))
 	mustViolate(t, tr, "commit-without-stage")
 }
 
 func TestCommitOfWrongGenerationIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(2)))
 	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(3)))
 	mustViolate(t, tr, "commit-without-stage")
 }
 
 func TestShipOfUnstagedGenerationIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(2)))
 	tr.Observe(sev(obs.EvChunkShipped, "", "rank0/field", 0,
 		seq(5), obs.Int("buddy", 1)))
@@ -67,7 +67,7 @@ func TestShipOfUnstagedGenerationIsFlagged(t *testing.T) {
 }
 
 func TestRemoteCommitWithoutShipIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvRemoteChunkCommit, "", "rank0/field", 1,
 		seq(2), obs.Int("buddy", 1)))
 	mustViolate(t, tr, "remote-commit-without-ship")
@@ -76,7 +76,7 @@ func TestRemoteCommitWithoutShipIsFlagged(t *testing.T) {
 // A chunk redirtied after its pre-copy must be recopied before the commit
 // flips; committing the pre-copied (older) generation loses writes.
 func TestRedirtyAfterPrecopyWithoutRecopyIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(5)))
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(5)))
 	tr.Observe(sev(obs.EvPrecopyCopy, "rank0", "field", 0,
@@ -89,7 +89,7 @@ func TestRedirtyAfterPrecopyWithoutRecopyIsFlagged(t *testing.T) {
 // Recovery must read the newest surviving copy: falling through to the
 // bottom tier while a live remote copy exists is a stale recovery.
 func TestBottomRecoveryDespiteLiveRemoteCopyIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	feedHealthyCycle(tr, 1)
 	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
@@ -98,7 +98,7 @@ func TestBottomRecoveryDespiteLiveRemoteCopyIsFlagged(t *testing.T) {
 }
 
 func TestLostDespiteSurvivingCopyIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	feedHealthyCycle(tr, 1)
 	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvChunkRecovered, "", "rank0/field", 0,
@@ -107,7 +107,7 @@ func TestLostDespiteSurvivingCopyIsFlagged(t *testing.T) {
 }
 
 func TestRecoveredFromTierThatNeverReceivedIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "hard")))
@@ -119,7 +119,7 @@ func TestRecoveredFromTierThatNeverReceivedIsFlagged(t *testing.T) {
 }
 
 func TestRestoreOfDamagedGenerationIsFlagged(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
@@ -134,7 +134,7 @@ func TestRestoreOfDamagedGenerationIsFlagged(t *testing.T) {
 // Erasure-style recoveries report seq 0 (provenance unknown); the checker
 // must skip, not misfire, its remote-tier validity comparisons.
 func TestUnknownSeqRecoverySkipsComparisons(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	tr.Observe(sev(obs.EvChunkStaged, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(1)))
 	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "hard")))
@@ -170,27 +170,27 @@ func mustViolate(t *testing.T, tr *Tracer, rule string) {
 }
 
 func TestRingEvictsOldestIntoCompactedCounts(t *testing.T) {
-	tr := New(Config{Enabled: true, RingSize: 4})
-	for i := 0; i < 10; i++ {
+	tr := New()
+	for i := 0; i < ringSize+6; i++ {
 		tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(1)))
 	}
 	h, ok := tr.History("rank0/field")
 	if !ok {
 		t.Fatal("chunk untracked")
 	}
-	if len(h.Records) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(h.Records))
+	if len(h.Records) != ringSize {
+		t.Fatalf("ring holds %d records, want %d", len(h.Records), ringSize)
 	}
 	if h.Compacted["dirty"] != 6 {
 		t.Fatalf("compacted = %v, want dirty=6", h.Compacted)
 	}
-	if s := tr.Summary(); s.Records != 10 || s.CompactedRecords != 6 {
-		t.Fatalf("summary records=%d compacted=%d, want 10/6", s.Records, s.CompactedRecords)
+	if s := tr.Summary(); s.Records != ringSize+6 || s.CompactedRecords != 6 {
+		t.Fatalf("summary records=%d compacted=%d, want %d/6", s.Records, s.CompactedRecords, ringSize+6)
 	}
 }
 
 func TestEpochRolloverCompactsPrePreviousEpoch(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	feedHealthyCycle(tr, 1) // epoch 0: 5 records
 	tr.Observe(sev(obs.EvRecovery, "", "", 0, obs.Str("kind", "soft")))
 	tr.Observe(sev(obs.EvRestore, "rank0", "field", 0,
@@ -216,20 +216,20 @@ func TestEpochRolloverCompactsPrePreviousEpoch(t *testing.T) {
 }
 
 func TestViolationDetailIsBoundedButCountIsNot(t *testing.T) {
-	tr := New(Config{Enabled: true, MaxViolations: 2})
-	for i := 0; i < 5; i++ {
+	tr := New()
+	for i := 0; i < maxViolations+3; i++ {
 		tr.Observe(sev(obs.EvChunkCommit, "rank0", "field", 0, seq(9)))
 	}
-	if got := len(tr.Violations()); got != 2 {
-		t.Fatalf("retained %d violation details, want 2", got)
+	if got := len(tr.Violations()); got != maxViolations {
+		t.Fatalf("retained %d violation details, want %d", got, maxViolations)
 	}
-	if got := tr.ViolationCount(); got != 5 {
-		t.Fatalf("total count = %d, want 5", got)
+	if got := tr.ViolationCount(); got != maxViolations+3 {
+		t.Fatalf("total count = %d, want %d", got, maxViolations+3)
 	}
 }
 
 func TestTierRecordsFiltersAcrossChunks(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New()
 	feedHealthyCycle(tr, 1)
 	tr.Observe(sev(obs.EvChunkStaged, "rank1", "grid", 1, seq(1)))
 	hs := tr.TierRecords("remote")

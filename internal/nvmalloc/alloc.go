@@ -156,7 +156,7 @@ func (a *Allocator) allocSmall(p *sim.Proc, class int) (int64, error) {
 	// Grow: map a fresh slab region from the kernel.
 	a.slabIDs++
 	id := fmt.Sprintf("%s/slab/%d", a.prefix, a.slabIDs)
-	if _, _, err := a.proc.NVMMap(p, id, SlabSize, 0); err != nil {
+	if _, _, err := a.proc.NVMMap(p, id, SlabSize); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrExhaust, err)
 	}
 	base := a.grow(SlabSize)
@@ -210,7 +210,7 @@ func (a *Allocator) allocLarge(p *sim.Proc, size int64) (int64, error) {
 	if best < 0 {
 		a.chunkIDs++
 		id := fmt.Sprintf("%s/chunk/%d", a.prefix, a.chunkIDs)
-		if _, _, err := a.proc.NVMMap(p, id, ChunkSize, 0); err != nil {
+		if _, _, err := a.proc.NVMMap(p, id, ChunkSize); err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrExhaust, err)
 		}
 		base := a.grow(ChunkSize)
@@ -262,7 +262,7 @@ func sameChunk(x, y int64) bool {
 func (a *Allocator) allocHuge(p *sim.Proc, size int64) (int64, string, error) {
 	a.hugeIDs++
 	id := fmt.Sprintf("%s/huge/%d", a.prefix, a.hugeIDs)
-	if _, _, err := a.proc.NVMMap(p, id, size, 0); err != nil {
+	if _, _, err := a.proc.NVMMap(p, id, size); err != nil {
 		return 0, "", fmt.Errorf("%w: %v", ErrExhaust, err)
 	}
 	// Huge regions are aligned to ChunkSize so they never share a chunk

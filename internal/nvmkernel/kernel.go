@@ -187,10 +187,10 @@ func (pr *Process) releaseDRAM() {
 }
 
 // NVMMap maps (creating if absent) a persistent NVM region of virtualSize
-// bytes whose real payload is payloadSize bytes. It reports whether the
-// region already existed — after a restart this is how checkpoint data is
-// found again. Charged as one syscall (the paper's 'nvmmap').
-func (pr *Process) NVMMap(p *sim.Proc, id string, virtualSize int64, payloadSize int) (*Region, bool, error) {
+// bytes. It reports whether the region already existed — after a restart
+// this is how checkpoint data is found again. Charged as one syscall (the
+// paper's 'nvmmap').
+func (pr *Process) NVMMap(p *sim.Proc, id string, virtualSize int64) (*Region, bool, error) {
 	pr.k.syscall(p)
 	if r, ok := pr.store.regions[id]; ok {
 		return r, true, nil
@@ -198,7 +198,7 @@ func (pr *Process) NVMMap(p *sim.Proc, id string, virtualSize int64, payloadSize
 	if err := pr.k.NVM.Reserve(virtualSize); err != nil {
 		return nil, false, err
 	}
-	r := newRegion(pr, id, NVMRegion, virtualSize, payloadSize)
+	r := newRegion(pr, id, NVMRegion, virtualSize, 0)
 	pr.store.regions[id] = r
 	return r, false, nil
 }

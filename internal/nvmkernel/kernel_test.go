@@ -21,21 +21,20 @@ func TestNVMMapCreateAndReattach(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
-		r, existed, err := pr.NVMMap(p, "chunk1", 10*mem.MB, 64)
+		r, existed, err := pr.NVMMap(p, "chunk1", 10*mem.MB)
 		if err != nil || existed {
 			t.Errorf("first map: existed=%v err=%v", existed, err)
 		}
-		r.Data[0] = 0xAB
 		k.SoftReset()
 
 		// Simulated restart: same persistent name finds the region.
 		pr2 := k.Attach("rank0")
-		r2, existed, err := pr2.NVMMap(p, "chunk1", 10*mem.MB, 64)
+		r2, existed, err := pr2.NVMMap(p, "chunk1", 10*mem.MB)
 		if err != nil || !existed {
 			t.Errorf("re-map: existed=%v err=%v", existed, err)
 		}
-		if r2.Data[0] != 0xAB {
-			t.Error("NVM contents did not survive process restart")
+		if r2 != r {
+			t.Error("NVM region did not survive process restart")
 		}
 	})
 	e.Run()
@@ -51,7 +50,7 @@ func TestNVMMapChargesSyscall(t *testing.T) {
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
 		start := p.Now()
-		if _, _, err := pr.NVMMap(p, "c", mem.MB, 16); err != nil {
+		if _, _, err := pr.NVMMap(p, "c", mem.MB); err != nil {
 			t.Error(err)
 		}
 		took = p.Now() - start
@@ -70,7 +69,7 @@ func TestNVMMapOutOfSpace(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
-		if _, _, err := pr.NVMMap(p, "big", 3*mem.GB, 16); err == nil {
+		if _, _, err := pr.NVMMap(p, "big", 3*mem.GB); err == nil {
 			t.Error("oversized nvmmap succeeded")
 		}
 	})
@@ -85,7 +84,7 @@ func TestNVMUnmapReleasesSpace(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
-		pr.NVMMap(p, "c", 100*mem.MB, 16)
+		pr.NVMMap(p, "c", 100*mem.MB)
 		if err := pr.NVMUnmap(p, "c"); err != nil {
 			t.Error(err)
 		}
@@ -123,11 +122,11 @@ func TestSoftResetKeepsNVMDropsDRAM(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
-		pr.NVMMap(p, "ckpt", 10*mem.MB, 32)
+		pr.NVMMap(p, "ckpt", 10*mem.MB)
 		pr.DRAMAlloc("work", 10*mem.MB, 32)
 		k.SoftReset()
 		pr2 := k.Attach("rank0")
-		if _, existed, _ := pr2.NVMMap(p, "ckpt", 10*mem.MB, 32); !existed {
+		if _, existed, _ := pr2.NVMMap(p, "ckpt", 10*mem.MB); !existed {
 			t.Error("NVM region lost across soft reset")
 		}
 	})
@@ -145,11 +144,11 @@ func TestHardFailWipesNVM(t *testing.T) {
 	k := newTestKernel(e)
 	e.Go("app", func(p *sim.Proc) {
 		pr := k.Attach("rank0")
-		pr.NVMMap(p, "ckpt", 10*mem.MB, 32)
+		pr.NVMMap(p, "ckpt", 10*mem.MB)
 		pr.Chunks().SetCommit(p, 7, CommitRecord{Version: 1})
 		k.HardFail()
 		pr2 := k.Attach("rank0")
-		if _, existed, _ := pr2.NVMMap(p, "ckpt", 10*mem.MB, 32); existed {
+		if _, existed, _ := pr2.NVMMap(p, "ckpt", 10*mem.MB); existed {
 			t.Error("NVM region survived hard failure")
 		}
 		if _, ok := pr2.Chunks().Commit(p, 7); ok || len(pr2.Chunks().IDs()) != 0 {
@@ -365,7 +364,7 @@ func TestAccessorsAndPageLevelHelpers(t *testing.T) {
 		if pr.Name() != "rank0" || pr.Kernel() != k || k.Env() != e {
 			t.Error("accessor mismatch")
 		}
-		r, _, _ := pr.NVMMap(p, "c", 4*mem.PageSize, 16)
+		r, _, _ := pr.NVMMap(p, "c", 4*mem.PageSize)
 		if ids := pr.NVMRegions(); len(ids) != 1 || ids[0] != "c" {
 			t.Errorf("NVMRegions = %v", ids)
 		}

@@ -72,9 +72,9 @@ func (s pageSet) anyInRange(from, to int) bool {
 
 // Region is a contiguous mapped range: a page table of write-protection
 // bits, plus an optional real data payload. VirtualSize drives all
-// timing and capacity accounting; Data holds payloadSize real bytes for
-// callers that store into the region directly. core's chunks keep their
-// payload as a Payload and map regions with payloadSize 0.
+// timing and capacity accounting; Data holds the payloadSize real bytes
+// DRAMAlloc was asked for, for callers that store into the region directly.
+// An NVM region has no Data: core's chunks keep their payload as a Payload.
 type Region struct {
 	ID          string
 	Kind        RegionKind

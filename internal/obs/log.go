@@ -3,9 +3,10 @@ package obs
 import "encoding/binary"
 
 // The event log keeps every published event as one varint-encoded row in
-// append-only byte blocks. Strings (types, actors, chunk names, attribute
-// keys and string values) are interned once per observer, so a row holds
-// only small integers and the collector has nothing to scan in it. A row is
+// append-only byte blocks. Types are numbered in a table of their own, and
+// the other strings (actors, chunk names, attribute keys and string values)
+// are interned once per observer, so a row holds only small integers and
+// the collector has nothing to scan in it. A row is
 //
 //	uvarint(type id) varint(t_us − previous row's t_us) varint(node)
 //	uvarint(actor id) uvarint(chunk id) varint(bytes) uvarint(#attrs)
@@ -28,10 +29,23 @@ type eventLog struct {
 	blocks  [][]byte // bytes below each block's length never change
 	n       int
 	lastTUS int64             // the last row's t_us, which the next row's delta is taken from
+	types   []Type            // type id → type; id 0 is ""
+	typeIDs map[Type]uint32   // type id of every type in types
 	counts  []int             // rows per type id
 	row     []byte            // the row being encoded, reused for every append
 	strs    []string          // intern id → string; id 0 is ""
 	ids     map[string]uint32 // intern id of every string in strs but ""
+}
+
+func (l *eventLog) typeID(t Type) uint32 {
+	id, ok := l.typeIDs[t]
+	if !ok {
+		id = uint32(len(l.types))
+		l.types = append(l.types, t)
+		l.counts = append(l.counts, 0)
+		l.typeIDs[t] = id
+	}
+	return id
 }
 
 func (l *eventLog) intern(s string) uint32 {
@@ -50,8 +64,9 @@ func (l *eventLog) intern(s string) uint32 {
 func (l *eventLog) append(tus int64, t Type, node int, actor, chunk string, bytes int64, attrs []Attr) {
 	if l.ids == nil {
 		l.ids, l.strs = make(map[string]uint32), []string{""}
+		l.typeIDs, l.types, l.counts = map[Type]uint32{"": 0}, []Type{""}, []int{0}
 	}
-	typ := l.intern(string(t))
+	typ := l.typeID(t)
 	r := binary.AppendUvarint(l.row[:0], uint64(typ))
 	r = binary.AppendVarint(r, tus-l.lastTUS)
 	r = binary.AppendVarint(r, int64(node))
@@ -79,9 +94,6 @@ func (l *eventLog) append(tus int64, t Type, node int, actor, chunk string, byte
 		k++
 	}
 	l.blocks[k] = append(l.blocks[k], r...)
-	for int(typ) >= len(l.counts) {
-		l.counts = append(l.counts, 0)
-	}
 	l.counts[typ]++
 	l.n++
 	l.lastTUS = tus
@@ -92,17 +104,18 @@ func (l *eventLog) count(t Type) int {
 	if t == "" {
 		return l.n
 	}
-	if id, ok := l.ids[string(t)]; ok && int(id) < len(l.counts) {
+	if id, ok := l.typeIDs[t]; ok {
 		return l.counts[id]
 	}
 	return 0
 }
 
 // logView is a read-only snapshot of an eventLog: it copies the block
-// headers with their lengths, and shares the block bytes and the string
-// table, whose entries below the snapshot's lengths never change.
+// headers with their lengths, and shares the block bytes, the type table and
+// the string table, whose entries below the snapshot's lengths never change.
 type logView struct {
 	blocks [][]byte
+	types  []Type
 	strs   []string
 	n      int    // rows
 	typ    uint64 // the type id events selects (0 = every row)
@@ -112,19 +125,20 @@ type logView struct {
 // view snapshots the log, selecting the rows of type t for events. A type
 // never published reads id 0, but selects no rows.
 func (l *eventLog) view(t Type) logView {
-	return logView{blocks: append([][]byte(nil), l.blocks...), strs: l.strs, n: l.n,
-		typ: uint64(l.ids[string(t)]), sel: l.count(t)}
+	return logView{blocks: append([][]byte(nil), l.blocks...), types: l.types, strs: l.strs, n: l.n,
+		typ: uint64(l.typeIDs[t]), sel: l.count(t)}
 }
 
 // rowReader decodes a view's rows in order.
 type rowReader struct {
-	rest [][]byte // blocks not yet started
-	b    []byte   // the current block's unread bytes
-	strs []string
-	tus  int64
+	rest  [][]byte // blocks not yet started
+	b     []byte   // the current block's unread bytes
+	types []Type
+	strs  []string
+	tus   int64
 }
 
-func (v *logView) rows() rowReader { return rowReader{rest: v.blocks, strs: v.strs} }
+func (v *logView) rows() rowReader { return rowReader{rest: v.blocks, types: v.types, strs: v.strs} }
 
 // more reports whether a row is left to read, moving on to the next block
 // when the current one is read.
@@ -173,7 +187,7 @@ func (r *rowReader) skip(n int) {
 func (r *rowReader) head(ev *Event) (typ uint64, nattrs int) {
 	typ = r.uvarint()
 	r.tus += r.varint()
-	*ev = Event{TUS: r.tus, Type: Type(r.strs[typ])}
+	*ev = Event{TUS: r.tus, Type: r.types[typ]}
 	ev.Node = int(r.varint())
 	ev.Actor = r.strs[r.uvarint()]
 	ev.Chunk = r.strs[r.uvarint()]

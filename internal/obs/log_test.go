@@ -116,6 +116,28 @@ func TestLogBlocksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTypeCountsSizedByTypes publishes many distinct chunk names before a
+// new event type: the per-type counts grow with the types published, not
+// with the string table.
+func TestTypeCountsSizedByTypes(t *testing.T) {
+	o := New(sim.NewEnv())
+	r := o.Recorder(0, "rank0")
+	for _, name := range chunkNames(10_000) {
+		r.Log(EvChunkDirty, name, 1)
+	}
+	r.Log(EvRestore, "", 0)
+	types := len(o.events.types) // "" and the two published
+	if types != 3 || len(o.events.counts) != types {
+		t.Fatalf("%d per-type counts for %d types (want 3 types)", len(o.events.counts), types)
+	}
+	if n := o.EventCount(EvRestore); n != 1 {
+		t.Fatalf("EventCount(restore) = %d, want 1", n)
+	}
+	if n := o.EventCount(EvChunkDirty); n != 10_000 {
+		t.Fatalf("EventCount(chunk_dirty) = %d, want 10000", n)
+	}
+}
+
 // TestSnapshotReadsWhilePublishing reads the log from other goroutines
 // while it grows: every snapshot is a prefix of the publication order with
 // intact attributes (run with -race).

@@ -67,12 +67,13 @@ type Config struct {
 	// BWPerCore is the effective NVM write bandwidth per core used by the
 	// threshold calculation (NVMBW_core).
 	BWPerCore float64
-	// PollTick bounds how long the worker sleeps with no work (default 50ms).
-	PollTick time.Duration
 	// Rec publishes engine activity onto the run's observability bus
 	// (nil-safe; nil disables instrumentation).
 	Rec *obs.Recorder
 }
+
+// pollTick bounds how long the worker sleeps with no work.
+const pollTick = 50 * time.Millisecond
 
 // Engine is one rank's background pre-copy worker.
 type Engine struct {
@@ -121,9 +122,6 @@ var engineCounters = obs.NewCounterSet("", []string{
 
 // New attaches an engine to a store and starts its background worker.
 func New(store *core.Store, cfg Config) *Engine {
-	if cfg.PollTick == 0 {
-		cfg.PollTick = 50 * time.Millisecond
-	}
 	env := store.Kernel().Env()
 	e := &Engine{
 		cfg:       cfg,
@@ -245,7 +243,7 @@ func (e *Engine) run(p *sim.Proc) {
 	for !e.stopped {
 		c := e.nextCandidate()
 		if c == nil {
-			e.wake.WaitTimeout(p, e.cfg.PollTick)
+			e.wake.WaitTimeout(p, pollTick)
 			continue
 		}
 		e.copying = true

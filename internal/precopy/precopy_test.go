@@ -163,7 +163,7 @@ func TestDCPCPLearnsPredictionTable(t *testing.T) {
 func TestDCPCPHoldsHotChunkUntilPredictedCount(t *testing.T) {
 	e := sim.NewEnv()
 	r := newRig(e)
-	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9, PollTick: 10 * time.Millisecond})
+	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9})
 	e.Go("app", func(p *sim.Proc) {
 		hot, _ := r.store.NVAlloc(p, "hot", 100*mem.MB, true)
 		iterate := func() {
@@ -201,7 +201,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 	// observable exactly when they cost a re-copy.
 	e := sim.NewEnv()
 	r := newRig(e)
-	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9, PollTick: 10 * time.Millisecond})
+	eng := New(r.store, Config{Scheme: DCPCP, BWPerCore: 1e9})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "drifter", 10*mem.MB, true)
 		// Learning interval: one episode.

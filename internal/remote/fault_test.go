@@ -77,7 +77,7 @@ func TestHardLossMidShipPreservesPriorCommittedVersion(t *testing.T) {
 	e.Run()
 }
 
-// With the buddy down, the helper backs off MaxShipRetries times and then
+// With the buddy down, the helper backs off maxShipRetries times and then
 // fails over to the nearest live node; the burst completes against the new
 // buddy and the data is fetchable from it.
 func TestBuddyFailoverAfterRetriesExhausted(t *testing.T) {
@@ -88,11 +88,7 @@ func TestBuddyFailoverAfterRetriesExhausted(t *testing.T) {
 	}
 	k0 := nvmkernel.New(e, mem.NewDRAM(e, 16*mem.GB), nvms[0])
 	mesh := NewMesh(e, fabric, nvms)
-	agent := mesh.AddAgent(0, 1, Config{
-		Scheme:         AsyncBurst,
-		MaxShipRetries: 2,
-		RetryBackoff:   10 * time.Millisecond,
-	})
+	agent := mesh.AddAgent(0, 1, Config{Scheme: AsyncBurst})
 	store := core.NewStore(k0.Attach("rank0"), core.Options{})
 	agent.Register(store)
 	e.Go("app", func(p *sim.Proc) {
@@ -104,8 +100,8 @@ func TestBuddyFailoverAfterRetriesExhausted(t *testing.T) {
 		if got := agent.buddy; got != 2 {
 			t.Errorf("buddy after failover = %d, want 2", got)
 		}
-		if got := agent.Counters.Get("ship_retries"); got < 2 {
-			t.Errorf("ship_retries = %d, want >= 2 before failover", got)
+		if got := agent.Counters.Get("ship_retries"); got < maxShipRetries {
+			t.Errorf("ship_retries = %d, want >= %d before failover", got, maxShipRetries)
 		}
 		if got := agent.Counters.Get("buddy_failovers"); got != 1 {
 			t.Errorf("buddy_failovers = %d, want 1", got)
@@ -122,11 +118,7 @@ func TestBuddyFailoverAfterRetriesExhausted(t *testing.T) {
 // failover: the retries ride it out and the original buddy keeps the data.
 func TestTransientBuddyOutageSelfHealsWithoutFailover(t *testing.T) {
 	e := sim.NewEnv()
-	r, agent := newRig(e, Config{
-		Scheme:         AsyncBurst,
-		MaxShipRetries: 6,
-		RetryBackoff:   50 * time.Millisecond,
-	})
+	r, agent := newRig(e, Config{Scheme: AsyncBurst})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "field", 20*mem.MB, true)
 		c.WriteAll(p)

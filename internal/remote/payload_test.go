@@ -149,7 +149,7 @@ func corruptionStaysLocal(t *testing.T, write func(*sim.Proc, *core.Chunk) error
 				t.Errorf("torn=%v: no replica to adopt", torn)
 				return
 			}
-			if err := s.AdoptRemote(p, c, data, 0); err != nil {
+			if err := s.AdoptRemote(p, c, data); err != nil {
 				t.Errorf("torn=%v: AdoptRemote: %v", torn, err)
 			}
 			if !bytes.Equal(c.Payload().AppendTo(nil), tr.want) {

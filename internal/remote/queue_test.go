@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"nvmcp/internal/core"
 	"nvmcp/internal/interconnect"
@@ -83,7 +82,7 @@ func newOracle(t *testing.T, e *sim.Env, seed int64) *oracle {
 		rng:  rand.New(rand.NewSource(seed)),
 		mesh: NewMesh(e, fabric, nvms),
 		k0:   nvmkernel.New(e, mem.NewDRAM(e, 64*mem.GB), nvms[0]),
-		cfg:  Config{Scheme: PreCopy, MaxShipRetries: 1, RetryBackoff: time.Millisecond},
+		cfg:  Config{Scheme: PreCopy},
 	}
 	if seed%3 == 0 {
 		o.cfg.Scheme = AsyncBurst

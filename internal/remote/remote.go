@@ -57,20 +57,6 @@ type Config struct {
 	// each remote interval (the paper's remote DCPCP delay; 0 ships as
 	// soon as data is staged).
 	Delay time.Duration
-	// ScanTick is the helper's idle poll period (default 200ms).
-	ScanTick time.Duration
-	// ShipTimeout bounds one ship attempt's estimated wire time under the
-	// current link state; an attempt whose estimate exceeds it (a degraded
-	// link) or whose buddy is down counts as failed and is retried with
-	// exponential backoff (default DefaultShipTimeout).
-	ShipTimeout time.Duration
-	// MaxShipRetries bounds the backoff retries per chunk pass before the
-	// helper fails over to a live buddy — or gives the pass up, degrading
-	// to whatever the bottom tier holds (default DefaultMaxShipRetries).
-	MaxShipRetries int
-	// RetryBackoff seeds the exponential backoff between retries, doubling
-	// each attempt up to a 5s cap (default DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// Rec publishes helper activity — ship events, wake/sleep edges and
 	// spans on the helper lane — onto the run's observability bus (nil-safe).
 	// It is scoped to the helper's node as the bus numbers it; the buddy
@@ -78,14 +64,21 @@ type Config struct {
 	Rec *obs.Recorder
 }
 
-// Degraded-mode retry defaults. The timeout is generous — rate-capped
-// pre-copy legitimately ships large chunks over seconds — and trips only
+// The helper's fixed protocol. It polls every scanTick while idle. A ship
+// attempt whose estimated wire time under the current link state exceeds
+// shipTimeout (a degraded link), or whose buddy is down, counts as failed
+// and is retried after a backoff that starts at retryBackoff and doubles up
+// to maxRetryBackoff. After maxShipRetries retries of one chunk pass the
+// helper fails over to a live buddy, or gives the pass up and degrades to
+// whatever the bottom tier holds. The timeout is generous (rate-capped
+// pre-copy legitimately ships large chunks over seconds) and trips only
 // when fault injection degrades a link by an order of magnitude.
 const (
-	DefaultShipTimeout    = 60 * time.Second
-	DefaultMaxShipRetries = 6
-	DefaultRetryBackoff   = 100 * time.Millisecond
-	maxRetryBackoff       = 5 * time.Second
+	scanTick        = 200 * time.Millisecond
+	shipTimeout     = 60 * time.Second
+	maxShipRetries  = 6
+	retryBackoff    = 100 * time.Millisecond
+	maxRetryBackoff = 5 * time.Second
 )
 
 // chunkKey identifies a chunk across the mesh.
@@ -182,18 +175,6 @@ func (m *Mesh) Agent(node int) *Agent { return m.agents[node] }
 func (m *Mesh) AddAgent(node, buddy int, cfg Config) *Agent {
 	if m.agents[node] != nil {
 		panic(fmt.Sprintf("remote: node %d already has an agent", node))
-	}
-	if cfg.ScanTick == 0 {
-		cfg.ScanTick = 200 * time.Millisecond
-	}
-	if cfg.ShipTimeout == 0 {
-		cfg.ShipTimeout = DefaultShipTimeout
-	}
-	if cfg.MaxShipRetries == 0 {
-		cfg.MaxShipRetries = DefaultMaxShipRetries
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	a := &Agent{
 		mesh:    m,
@@ -436,7 +417,7 @@ func (a *Agent) run(p *sim.Proc) {
 				busy = false
 				a.cfg.Rec.Log(obs.EvHelperSleep, "", 0)
 			}
-			a.wake.WaitTimeout(p, a.cfg.ScanTick)
+			a.wake.WaitTimeout(p, scanTick)
 			continue
 		}
 		if !busy {
@@ -459,7 +440,7 @@ func (a *Agent) shipBlocked(size int64) string {
 	if !ok {
 		return "link-down"
 	}
-	if eta > a.cfg.ShipTimeout {
+	if eta > shipTimeout {
 		return "ship-timeout"
 	}
 	return ""
@@ -478,11 +459,11 @@ func (a *Agent) shipWithRetry(p *sim.Proc, st core.ChunkState, store *core.Store
 			a.ship(p, st, store)
 			return
 		}
-		if attempt < a.cfg.MaxShipRetries {
+		if attempt < maxShipRetries {
 			a.Counters[cShipRetries].Add(1)
 			a.cfg.Rec.Log(obs.EvShipRetry, store.Proc().Name()+"/"+st.Name, st.Size,
 				obs.Str("reason", reason), obs.Int("attempt", int64(attempt)))
-			backoff := a.cfg.RetryBackoff << uint(attempt)
+			backoff := retryBackoff << uint(attempt)
 			if backoff > maxRetryBackoff {
 				backoff = maxRetryBackoff
 			}

@@ -62,7 +62,7 @@ func TestBurstShipsEverythingAtTrigger(t *testing.T) {
 
 func TestPreCopyShipsIncrementally(t *testing.T) {
 	e := sim.NewEnv()
-	r, agent := newRig(e, Config{Scheme: PreCopy, ScanTick: 50 * time.Millisecond})
+	r, agent := newRig(e, Config{Scheme: PreCopy})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "field", 100*mem.MB, true)
 		agent.BeginRemoteInterval()
@@ -85,11 +85,7 @@ func TestPreCopyShipsIncrementally(t *testing.T) {
 
 func TestPreCopyRespectsDelay(t *testing.T) {
 	e := sim.NewEnv()
-	r, agent := newRig(e, Config{
-		Scheme:   PreCopy,
-		Delay:    2 * time.Second,
-		ScanTick: 50 * time.Millisecond,
-	})
+	r, agent := newRig(e, Config{Scheme: PreCopy, Delay: 2 * time.Second})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "field", 50*mem.MB, true)
 		agent.BeginRemoteInterval()
@@ -110,7 +106,7 @@ func TestPreCopyRespectsDelay(t *testing.T) {
 
 func TestUnstagedChunkIsNotShipped(t *testing.T) {
 	e := sim.NewEnv()
-	r, agent := newRig(e, Config{Scheme: PreCopy, ScanTick: 20 * time.Millisecond})
+	r, agent := newRig(e, Config{Scheme: PreCopy})
 	e.Go("app", func(p *sim.Proc) {
 		c, _ := r.store.NVAlloc(p, "field", 50*mem.MB, true)
 		agent.BeginRemoteInterval()
@@ -337,11 +333,7 @@ func TestPreCopyReducesPeakInterconnectVsBurst(t *testing.T) {
 		return peak
 	}
 	burstPeak := run(Config{Scheme: AsyncBurst})
-	precopyPeak := run(Config{
-		Scheme:   PreCopy,
-		RateCap:  40 * 1e6,
-		ScanTick: 100 * time.Millisecond,
-	})
+	precopyPeak := run(Config{Scheme: PreCopy, RateCap: 40 * 1e6})
 	if precopyPeak >= burstPeak {
 		t.Fatalf("pre-copy peak (%v) not below burst peak (%v)", precopyPeak, burstPeak)
 	}

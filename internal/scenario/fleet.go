@@ -114,6 +114,16 @@ func (f *FleetSpec) Validate() error {
 	if f.Providers < 0 || f.ZonesPerProvider < 0 || f.RacksPerZone < 0 {
 		return fmt.Errorf("fleet: domain counts must be >= 0 (0 = 1)")
 	}
+	// The topology numbers racks in int: bound their count, multiplying
+	// only while the product stays within the bound, so it cannot overflow.
+	racks := 1
+	for _, n := range []int{f.providers(), f.zones(), f.racks()} {
+		if n > MaxFleetNodes/racks {
+			return fmt.Errorf("fleet: providers × zones_per_provider × racks_per_zone must be <= %d (scenario.MaxFleetNodes), got %d × %d × %d",
+				MaxFleetNodes, f.providers(), f.zones(), f.racks())
+		}
+		racks *= n
+	}
 	if len(f.Templates) == 0 {
 		return fmt.Errorf("fleet: at least one node template is required")
 	}

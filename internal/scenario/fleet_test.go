@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -181,6 +182,10 @@ func TestFleetValidateErrors(t *testing.T) {
 	}{
 		{"no nodes", func(f *scenario.FleetSpec) { f.Nodes = 0 }, "nodes must be >= 1"},
 		{"too many nodes", func(f *scenario.FleetSpec) { f.Nodes = scenario.MaxFleetNodes + 1 }, "nodes must be <= 100000"},
+		{"domain count overflow", func(f *scenario.FleetSpec) { // the product overflows a 64-bit int
+			f.Nodes, f.Providers, f.ZonesPerProvider, f.RacksPerZone = 4, 3, math.MaxInt32, math.MaxInt32
+		}, "racks_per_zone must be <= 100000"},
+		{"too many racks", func(f *scenario.FleetSpec) { f.ZonesPerProvider, f.RacksPerZone = 500, 101 }, "got 2 × 500 × 101"},
 		{"no templates", func(f *scenario.FleetSpec) { f.Templates = nil }, "at least one node template"},
 		{"zero weight", func(f *scenario.FleetSpec) { f.Templates[0].Weight = 0 }, "weight must be > 0"},
 		{"zero cores", func(f *scenario.FleetSpec) { f.Templates[0].Cores = 0 }, "cores must be >= 1"},

@@ -188,7 +188,7 @@ func New(cfg Config, reg *obs.Registry) *Recorder {
 		fabric: reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}),
 		open:   make(map[string]time.Duration),
 	}
-	r.fold = obs.NewWindowFold[Violation](cfg.Spec.Window(), cfg.MaxWindows, cfg.MaxViolations, r.closeWindow)
+	r.fold = obs.NewWindowFold[Violation](cfg.Spec.Window(), maxWindows, maxViolations, r.closeWindow)
 	if cfg.Spec != nil {
 		for _, o := range cfg.Spec.Objectives {
 			r.objs = append(r.objs, objState{

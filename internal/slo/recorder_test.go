@@ -278,22 +278,23 @@ func TestFinalizeClosesPartialTail(t *testing.T) {
 
 func TestWindowRingEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := New(Config{Enabled: true, MaxWindows: 2}, reg)
+	r := New(Config{Enabled: true}, reg)
 	fabric := reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"})
-	for i := 1; i <= 5; i++ {
+	const total = maxWindows + 3
+	for i := 1; i <= total; i++ {
 		fabric.Set(time.Duration(i)*5*time.Second-time.Second, float64(i)*100)
 		tick(r, time.Duration(i)*5*time.Second)
 	}
 	wins := r.Windows()
-	if len(wins) != 2 {
-		t.Fatalf("stored windows = %d, want ring cap 2", len(wins))
+	if len(wins) != maxWindows {
+		t.Fatalf("stored windows = %d, want ring cap %d", len(wins), maxWindows)
 	}
-	if wins[0].Index != 3 || wins[1].Index != 4 {
-		t.Fatalf("ring kept windows %d,%d; want the newest 3,4", wins[0].Index, wins[1].Index)
+	if wins[0].Index != 3 || wins[maxWindows-1].Index != total-1 {
+		t.Fatalf("ring kept windows %d..%d; want the newest 3..%d", wins[0].Index, wins[maxWindows-1].Index, total-1)
 	}
 	sum := r.Summary()
-	if sum.Windows != 5 || sum.WindowsStored != 2 {
-		t.Fatalf("summary = %d total / %d stored, want 5/2", sum.Windows, sum.WindowsStored)
+	if sum.Windows != total || sum.WindowsStored != maxWindows {
+		t.Fatalf("summary = %d total / %d stored, want %d/%d", sum.Windows, sum.WindowsStored, total, maxWindows)
 	}
 	// The first window's 100-byte burst fell off the ring but the whole-run
 	// peak survives eviction.
@@ -306,17 +307,18 @@ func TestViolationRetentionBound(t *testing.T) {
 	spec := &Spec{Objectives: []Objective{{
 		Name: "no-loss", Series: "recovery_lost", Direction: AtMost, Threshold: 0,
 	}}}
-	r := New(Config{Enabled: true, Spec: spec, MaxViolations: 1}, obs.NewRegistry())
-	for i := 1; i <= 3; i++ {
+	r := New(Config{Enabled: true, Spec: spec}, obs.NewRegistry())
+	const episodes = maxViolations + 2
+	for i := 1; i <= episodes; i++ {
 		lose(r, time.Duration(i-1)*10*time.Second)
 		tick(r, time.Duration(i)*5*time.Second)
 		tick(r, time.Duration(i)*10*time.Second) // clean window re-arms the episode
 	}
-	if got := r.ViolationCount(); got != 3 {
-		t.Fatalf("violation count = %d, want 3 (counts past retention)", got)
+	if got := r.ViolationCount(); got != episodes {
+		t.Fatalf("violation count = %d, want %d (counts past retention)", got, episodes)
 	}
-	if got := len(r.Violations()); got != 1 {
-		t.Fatalf("retained violations = %d, want bound 1", got)
+	if got := len(r.Violations()); got != maxViolations {
+		t.Fatalf("retained violations = %d, want bound %d", got, maxViolations)
 	}
 }
 

@@ -179,13 +179,15 @@ type Config struct {
 	Strict bool `json:"strict,omitempty"`
 	// Spec carries the objectives; nil records the flight series only.
 	Spec *Spec `json:"spec,omitempty"`
-	// MaxWindows bounds the in-memory window ring (default 512); older
-	// windows fall off but the running aggregates keep counting.
-	MaxWindows int `json:"max_windows,omitempty"`
-	// MaxViolations bounds retained violation details (default 64); the
-	// total count keeps counting past it.
-	MaxViolations int `json:"max_violations,omitempty"`
 }
+
+// maxWindows bounds the in-memory window ring; older windows fall off but
+// the running aggregates keep counting. maxViolations bounds retained
+// violation details; the total count keeps counting past it.
+const (
+	maxWindows    = 512
+	maxViolations = 64
+)
 
 // DefaultWindow is the flight-recorder window width when the spec does not
 // set one — the Figure 10 peak-traffic bucket.

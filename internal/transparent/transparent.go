@@ -73,7 +73,7 @@ func New(p *sim.Proc, kproc *nvmkernel.Process, size int64) (*Checkpointer, erro
 	}
 	c.image = img
 	for slot := 0; slot < 2; slot++ {
-		if _, _, err := kproc.NVMMap(p, c.slotID(slot), size, 0); err != nil {
+		if _, _, err := kproc.NVMMap(p, c.slotID(slot), size); err != nil {
 			return nil, fmt.Errorf("transparent: reserving image slot: %w", err)
 		}
 	}
