@@ -2,6 +2,7 @@ package main
 
 import (
 	"compress/gzip"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"nvmcp/internal/experiments"
+	"nvmcp/internal/introspect"
 )
 
 // TestUsageNamesEveryRunner keeps -help in step with the experiment table:
@@ -27,7 +29,8 @@ func TestUsageNamesEveryRunner(t *testing.T) {
 }
 
 // TestProfileFlags holds -cpuprofile and -memprofile to their promise: each
-// writes a non-empty gzip-compressed pprof profile of the experiment runs.
+// writes a non-empty gzip-compressed pprof profile of the experiment runs,
+// and the heap profile is sampled at introspect.HeapProfileRate.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "nvmcp-bench")
@@ -52,5 +55,12 @@ func TestProfileFlags(t *testing.T) {
 		if err != nil || len(body) == 0 {
 			t.Fatalf("%s: %d bytes after gunzip, err %v", filepath.Base(path), len(body), err)
 		}
+	}
+	out, err := exec.Command("go", "tool", "pprof", "-raw", mem).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v\n%s", err, out)
+	}
+	if want := fmt.Sprintf("Period: %d\n", introspect.HeapProfileRate); !strings.Contains(string(out), want) {
+		t.Errorf("heap profile does not record %q:\n%.300s", want, out)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nvmcp/internal/cluster"
+	"nvmcp/internal/introspect"
 	"nvmcp/internal/scenario"
 )
 
@@ -147,7 +148,8 @@ func TestReportIndependentOfTrace(t *testing.T) {
 }
 
 // TestProfileFlags holds -cpuprofile and -memprofile to their promise: each
-// writes a non-empty gzip-compressed pprof profile of the run.
+// writes a non-empty gzip-compressed pprof profile of the run, and the heap
+// profile is sampled at introspect.HeapProfileRate.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
@@ -158,6 +160,21 @@ func TestProfileFlags(t *testing.T) {
 	}
 	for _, path := range []string{cpu, mem} {
 		checkGzipProfile(t, path)
+	}
+	checkHeapPeriod(t, mem)
+}
+
+// checkHeapPeriod holds a heap profile's sampling period, as go tool pprof
+// reads it, to introspect.HeapProfileRate.
+func checkHeapPeriod(t *testing.T, path string) {
+	t.Helper()
+	out, err := exec.Command("go", "tool", "pprof", "-raw", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw %s: %v\n%s", filepath.Base(path), err, out)
+	}
+	want := fmt.Sprintf("Period: %d\n", introspect.HeapProfileRate)
+	if !strings.Contains(string(out), want) {
+		t.Errorf("%s does not record %q:\n%.300s", filepath.Base(path), want, out)
 	}
 }
 

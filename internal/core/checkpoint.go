@@ -195,7 +195,7 @@ func (s *Store) commitChunk(p *sim.Proc, c *Chunk) int {
 		Name:     c.Name,
 	})
 	k.MetaLock.Unlock(p)
-	c.committed = target
+	c.committed = int8(target)
 	c.stagePending = false
 	s.rec.Log(obs.EvChunkCommit, c.Name, c.Size,
 		obs.Int("seq", int64(c.cleanSeq)), obs.Int("version", int64(c.Version)))
@@ -244,7 +244,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 			return fmt.Errorf("%w: %s", ErrChecksum, c.Name)
 		}
 	}
-	c.committed = rec.Slot
+	c.committed = int8(rec.Slot)
 	c.Version = rec.Version
 	c.Restored = true
 	c.cleanSeq = c.modSeq
@@ -361,7 +361,7 @@ func (s *Store) StagedData(p *sim.Proc, id uint64) (nvmkernel.Payload, bool) {
 	if !ok {
 		return nvmkernel.Payload{}, false
 	}
-	slot := c.committed
+	slot := int(c.committed)
 	if c.stagePending {
 		slot = c.targetSlot()
 	}

@@ -16,14 +16,9 @@ import (
 // chunk is staged to NVM or restored; the chunk needs (re)staging whenever
 // they differ.
 type Chunk struct {
-	ID         uint64
-	Name       string
-	Size       int64
-	Persistent bool
-	Attached   bool
-	// Restored is true when this chunk's contents were recovered from a
-	// committed NVM version at allocation time.
-	Restored bool
+	ID   uint64
+	Name string
+	Size int64
 	// Version counts committed checkpoints of this chunk.
 	Version uint64
 	// ModCount counts observed modification episodes (protection faults),
@@ -35,20 +30,29 @@ type Chunk struct {
 	// payload is the working copy's real bytes (possibly smaller than
 	// Size under payload scaling): a recipe after a whole-chunk write,
 	// materialized bytes otherwise. dram carries no payload of its own.
-	payload   nvmkernel.Payload
-	nvmExtent [2]nvmalloc.Extent
-	committed int // committed slot index, -1 before first commit
+	payload nvmkernel.Payload
+	// nvmAddr is each version slot's NVM heap extent, of Size bytes, when
+	// bit i of nvmHeld is set.
+	nvmAddr [2]int64
+
+	modSeq    uint64
+	cleanSeq  uint64
+	stagedSum uint64 // checksum of staged payload
+	writeSeq  uint64 // content pattern generator
+	pending   *pendingRestore
 
 	// allocSeq is the chunk's place in its store's allocation order (see
 	// AllocSeq).
-	allocSeq int
+	allocSeq  int32
+	committed int8 // committed slot index, -1 before first commit
+	nvmHeld   uint8
 
-	modSeq       uint64
-	cleanSeq     uint64
-	stagePending bool   // staged data awaiting the next commit flip
-	stagedSum    uint64 // checksum of staged payload
-	writeSeq     uint64 // content pattern generator
-	pending      *pendingRestore
+	Persistent bool
+	Attached   bool
+	// Restored is true when this chunk's contents were recovered from a
+	// committed NVM version at allocation time.
+	Restored     bool
+	stagePending bool // staged data awaiting the next commit flip
 }
 
 // slots returns how many NVM version slots the chunk keeps.
@@ -70,12 +74,16 @@ func (c *Chunk) targetSlot() int {
 	return 0
 }
 
-func (c *Chunk) dramID() string { return fmt.Sprintf("work/%d", c.ID) }
+// setNVM records ext as version slot i's NVM heap extent.
+func (c *Chunk) setNVM(i int, ext nvmalloc.Extent) {
+	c.nvmAddr[i] = ext.Addr
+	c.nvmHeld |= 1 << i
+}
 
 // AllocSeq returns the chunk's place in its store's allocation order: 1 for
 // the first chunk the store ever held, rising with each allocation and never
 // reused. It is 0 before the chunk joins the store and after NVDelete.
-func (c *Chunk) AllocSeq() int { return c.allocSeq }
+func (c *Chunk) AllocSeq() int { return int(c.allocSeq) }
 
 // State returns the chunk's helper-visible checkpoint state. Callers that
 // race the checkpoint path read it under the node's metadata lock.

@@ -253,7 +253,7 @@ func (s *Store) NVAlloc(p *sim.Proc, name string, size int64, persist bool) (*Ch
 // insert appends a chunk to the store's allocation order.
 func (s *Store) insert(c *Chunk) {
 	s.allocs++
-	c.allocSeq = s.allocs
+	c.allocSeq = int32(s.allocs)
 	s.chunks[c.ID] = c
 	s.order = append(s.order, c)
 }
@@ -294,22 +294,20 @@ func (s *Store) NVRealloc(p *sim.Proc, c *Chunk, newSize int64) error {
 		return nil
 	}
 	for i := 0; i < c.slots(); i++ {
-		if c.nvmExtent[i].Size != 0 {
-			if err := s.alloc.Free(p, c.nvmExtent[i].Addr); err != nil {
-				return err
-			}
+		if err := s.freeNVM(p, c, i); err != nil {
+			return err
 		}
 		ext, err := s.alloc.Alloc(p, newSize)
 		if err != nil {
 			return err
 		}
-		c.nvmExtent[i] = ext
+		c.setNVM(i, ext)
 	}
-	if err := s.kproc.DRAMFree(c.dramID()); err != nil {
+	if err := s.kproc.DRAMFree(c.Name); err != nil {
 		return err
 	}
 	c.Size = newSize
-	dram, err := s.kproc.DRAMAlloc(c.dramID(), newSize, 0)
+	dram, err := s.kproc.DRAMAlloc(c.Name, newSize, 0)
 	if err != nil {
 		return err
 	}
@@ -334,14 +332,12 @@ func (s *Store) NVDelete(p *sim.Proc, c *Chunk) error {
 		}
 	}
 	c.allocSeq = 0
-	if err := s.kproc.DRAMFree(c.dramID()); err != nil {
+	if err := s.kproc.DRAMFree(c.Name); err != nil {
 		return err
 	}
 	for i := 0; i < c.slots(); i++ {
-		if c.nvmExtent[i].Size != 0 {
-			if err := s.alloc.Free(p, c.nvmExtent[i].Addr); err != nil {
-				return err
-			}
+		if err := s.freeNVM(p, c, i); err != nil {
+			return err
 		}
 	}
 	k := s.kproc.Kernel()
@@ -356,7 +352,9 @@ func (s *Store) NVDelete(p *sim.Proc, c *Chunk) error {
 
 // newChunk builds a chunk: DRAM working region plus NVM heap extents for its
 // version slots. The region carries no payload bytes; the chunk's all-zero
-// working payload is a shared read-only page until the first write.
+// working payload is a shared read-only page until the first write. The
+// region is named by the chunk's name, unique in the store because the
+// chunk ID is its hash, so naming it costs no allocation.
 func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persist, attached bool) (*Chunk, error) {
 	c := &Chunk{
 		ID:         id,
@@ -368,7 +366,7 @@ func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persis
 		committed:  -1,
 		payload:    nvmkernel.Zeros(s.payloadLen(size)),
 	}
-	dram, err := s.kproc.DRAMAlloc(c.dramID(), size, 0)
+	dram, err := s.kproc.DRAMAlloc(c.Name, size, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -378,17 +376,26 @@ func (s *Store) newChunk(p *sim.Proc, id uint64, name string, size int64, persis
 			ext, err := s.alloc.Alloc(p, size)
 			if err != nil {
 				// Roll back so a failed alloc leaks nothing.
-				_ = s.kproc.DRAMFree(c.dramID())
+				_ = s.kproc.DRAMFree(c.Name)
 				for j := 0; j < i; j++ {
-					_ = s.alloc.Free(p, c.nvmExtent[j].Addr)
+					_ = s.freeNVM(p, c, j)
 				}
 				return nil, err
 			}
-			c.nvmExtent[i] = ext
+			c.setNVM(i, ext)
 		}
 	}
 	c.installFaultHandler()
 	return c, nil
+}
+
+// freeNVM releases version slot i's NVM heap extent, if it holds one.
+func (s *Store) freeNVM(p *sim.Proc, c *Chunk, i int) error {
+	if c.nvmHeld&(1<<i) == 0 {
+		return nil
+	}
+	c.nvmHeld &^= 1 << i
+	return s.alloc.Free(p, c.nvmAddr[i])
 }
 
 // payloadLen returns the real payload length for a chunk of the given

@@ -17,24 +17,37 @@ import (
 type Profiles struct {
 	cpu     *os.File
 	memPath string
+	memRate int // runtime.MemProfileRate before StartProfiles
 }
 
+// HeapProfileRate is the heap sampling rate, one sample per this many bytes
+// allocated, while a heap profile is being taken. At the runtime's default
+// of 512 KiB a retained row moves by about 1 MB between runs, more than one
+// layer's per-chunk state in a paper-scale fleet run; at 4 KiB such a row
+// holds still.
+const HeapProfileRate = 4 << 10
+
 // StartProfiles starts CPU profiling into cpuPath and arranges for Stop to
-// write a heap profile to memPath. An empty path skips that profile.
+// write a heap profile to memPath. An empty path skips that profile. With a
+// heap profile asked for, allocations from here on are sampled at
+// HeapProfileRate until Stop restores the previous rate.
 func StartProfiles(cpuPath, memPath string) (*Profiles, error) {
 	p := &Profiles{memPath: memPath}
-	if cpuPath == "" {
-		return p, nil
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		p.cpu = f
 	}
-	f, err := os.Create(cpuPath)
-	if err != nil {
-		return nil, fmt.Errorf("cpu profile: %w", err)
+	if memPath != "" {
+		p.memRate = runtime.MemProfileRate
+		runtime.MemProfileRate = HeapProfileRate
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cpu profile: %w", err)
-	}
-	p.cpu = f
 	return p, nil
 }
 
@@ -58,6 +71,7 @@ func (p *Profiles) Stop(keep ...any) error {
 		if err != nil {
 			errs = append(errs, fmt.Errorf("heap profile: %w", err))
 		}
+		runtime.MemProfileRate = p.memRate
 	}
 	runtime.KeepAlive(keep)
 	return errors.Join(errs...)

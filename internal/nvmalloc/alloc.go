@@ -40,10 +40,10 @@ type Stats struct {
 
 // Allocator is one process's NVM heap allocator.
 type Allocator struct {
-	proc    *nvmkernel.Process
-	prefix  string
-	classes []int64
-	// bins[i] holds slabs of class i that still have free slots.
+	proc   *nvmkernel.Process
+	prefix string
+	// bins[i] holds slabs of sizeClasses[i] that still have free slots;
+	// it is nil until the first small allocation.
 	bins     [][]*slab
 	slabs    map[int64]*slab // by base address
 	free     []Extent        // free large extents, sorted by Addr
@@ -51,15 +51,12 @@ type Allocator struct {
 	slabIDs  int
 	hugeIDs  int
 	next     int64 // next virtual base address for a new kernel region
-	live     map[int64]liveAlloc
-	stats    Stats
-}
-
-type liveAlloc struct {
-	size    int64 // requested
-	rounded int64 // reserved
-	class   int   // small class index, or -1
-	hugeID  string
+	// live maps each allocated address to its requested size, from which
+	// the tier, the class and the reserved size follow; huge maps a huge
+	// extent's address to the number in its kernel region's id.
+	live  map[int64]int64
+	huge  map[int64]int
+	stats Stats
 }
 
 type slab struct {
@@ -73,14 +70,12 @@ type slab struct {
 // New creates an allocator drawing slabs and chunks from proc's NVM
 // container under kernel region ids prefixed by prefix.
 func New(proc *nvmkernel.Process, prefix string) *Allocator {
-	classes := smallClasses()
 	return &Allocator{
-		proc:    proc,
-		prefix:  prefix,
-		classes: classes,
-		bins:    make([][]*slab, len(classes)),
-		slabs:   make(map[int64]*slab),
-		live:    make(map[int64]liveAlloc),
+		proc:   proc,
+		prefix: prefix,
+		slabs:  make(map[int64]*slab),
+		live:   make(map[int64]int64),
+		huge:   make(map[int64]int),
 	}
 }
 
@@ -95,27 +90,21 @@ func (a *Allocator) Alloc(p *sim.Proc, size int64) (Extent, error) {
 	}
 	var (
 		addr    int64
-		rounded int64
-		class   = -1
-		hugeID  string
+		rounded = reserved(size)
 		err     error
 	)
 	switch {
 	case size <= SmallMax:
-		class = classIndex(a.classes, size)
-		rounded = a.classes[class]
-		addr, err = a.allocSmall(p, class)
+		addr, err = a.allocSmall(p, classIndex(sizeClasses, size))
 	case size <= LargeMax:
-		rounded = roundPage(size)
 		addr, err = a.allocLarge(p, rounded)
 	default:
-		rounded = roundPage(size)
-		addr, hugeID, err = a.allocHuge(p, rounded)
+		addr, err = a.allocHuge(p, rounded)
 	}
 	if err != nil {
 		return Extent{}, err
 	}
-	a.live[addr] = liveAlloc{size: size, rounded: rounded, class: class, hugeID: hugeID}
+	a.live[addr] = size
 	a.stats.Allocated += size
 	a.stats.Active += rounded
 	a.stats.Allocs++
@@ -124,23 +113,26 @@ func (a *Allocator) Alloc(p *sim.Proc, size int64) (Extent, error) {
 
 // Free releases a previously allocated address.
 func (a *Allocator) Free(p *sim.Proc, addr int64) error {
-	la, ok := a.live[addr]
+	size, ok := a.live[addr]
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadFree, addr)
 	}
 	delete(a.live, addr)
-	a.stats.Allocated -= la.size
-	a.stats.Active -= la.rounded
+	rounded := reserved(size)
+	a.stats.Allocated -= size
+	a.stats.Active -= rounded
 	a.stats.Frees++
 	switch {
-	case la.class >= 0:
+	case size <= SmallMax:
 		a.freeSmall(addr)
-	case la.hugeID != "":
-		a.stats.Huge--
-		a.stats.Mapped -= la.rounded
-		return a.proc.NVMUnmap(p, la.hugeID)
+	case size <= LargeMax:
+		a.freeLarge(Extent{Addr: addr, Size: rounded})
 	default:
-		a.freeLarge(Extent{Addr: addr, Size: la.rounded})
+		n := a.huge[addr]
+		delete(a.huge, addr)
+		a.stats.Huge--
+		a.stats.Mapped -= rounded
+		return a.proc.NVMUnmap(p, a.hugeID(n))
 	}
 	return nil
 }
@@ -148,6 +140,9 @@ func (a *Allocator) Free(p *sim.Proc, addr int64) error {
 // --- small tier -------------------------------------------------------------
 
 func (a *Allocator) allocSmall(p *sim.Proc, class int) (int64, error) {
+	if a.bins == nil {
+		a.bins = make([][]*slab, len(sizeClasses))
+	}
 	for _, s := range a.bins[class] {
 		if s.free > 0 {
 			return a.takeSlot(s), nil
@@ -160,7 +155,7 @@ func (a *Allocator) allocSmall(p *sim.Proc, class int) (int64, error) {
 		return 0, fmt.Errorf("%w: %v", ErrExhaust, err)
 	}
 	base := a.grow(SlabSize)
-	slot := a.classes[class]
+	slot := sizeClasses[class]
 	n := int(SlabSize / slot)
 	s := &slab{base: base, class: class, slot: slot, used: make([]bool, n), free: n}
 	a.bins[class] = append(a.bins[class], s)
@@ -259,19 +254,22 @@ func sameChunk(x, y int64) bool {
 
 // --- huge tier --------------------------------------------------------------
 
-func (a *Allocator) allocHuge(p *sim.Proc, size int64) (int64, string, error) {
+func (a *Allocator) allocHuge(p *sim.Proc, size int64) (int64, error) {
 	a.hugeIDs++
-	id := fmt.Sprintf("%s/huge/%d", a.prefix, a.hugeIDs)
-	if _, _, err := a.proc.NVMMap(p, id, size); err != nil {
-		return 0, "", fmt.Errorf("%w: %v", ErrExhaust, err)
+	if _, _, err := a.proc.NVMMap(p, a.hugeID(a.hugeIDs), size); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrExhaust, err)
 	}
 	// Huge regions are aligned to ChunkSize so they never share a chunk
 	// with large extents.
 	base := a.growAligned(size, ChunkSize)
+	a.huge[base] = a.hugeIDs
 	a.stats.Huge++
 	a.stats.Mapped += size
-	return base, id, nil
+	return base, nil
 }
+
+// hugeID is the kernel region id of the n-th huge extent.
+func (a *Allocator) hugeID(n int) string { return fmt.Sprintf("%s/huge/%d", a.prefix, n) }
 
 // grow claims size bytes of fresh virtual address space aligned to size's
 // natural region boundary.

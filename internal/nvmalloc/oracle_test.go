@@ -13,21 +13,33 @@ func (a *Allocator) Owns(addr int64) bool {
 
 // SizeOf returns the requested size of the live allocation at addr.
 func (a *Allocator) SizeOf(addr int64) (int64, bool) {
-	la, ok := a.live[addr]
-	return la.size, ok
+	size, ok := a.live[addr]
+	return size, ok
 }
 
 // CheckInvariants validates internal consistency: live allocations are
 // disjoint, free extents are sorted/disjoint/coalesced, and stats match the
-// live set.
+// live set, and every live huge extent, and nothing else, has its region
+// number recorded.
 func (a *Allocator) CheckInvariants() error {
 	type rng struct{ lo, hi int64 }
 	var rs []rng
 	var allocated, active int64
-	for addr, la := range a.live {
-		rs = append(rs, rng{addr, addr + la.rounded})
-		allocated += la.size
-		active += la.rounded
+	huge := 0
+	for addr, size := range a.live {
+		rounded := reserved(size)
+		rs = append(rs, rng{addr, addr + rounded})
+		allocated += size
+		active += rounded
+		if size > LargeMax {
+			if _, ok := a.huge[addr]; !ok {
+				return fmt.Errorf("huge extent %#x has no region number", addr)
+			}
+			huge++
+		}
+	}
+	if huge != len(a.huge) || huge != a.stats.Huge {
+		return fmt.Errorf("%d live huge extents, %d region numbers, stats %d", huge, len(a.huge), a.stats.Huge)
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].lo < rs[j].lo })
 	for i := 1; i < len(rs); i++ {

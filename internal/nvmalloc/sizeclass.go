@@ -31,6 +31,9 @@ const (
 	LargeMax = ChunkSize / 2
 )
 
+// sizeClasses is the small size-class table every allocator shares.
+var sizeClasses = smallClasses()
+
 // smallClasses returns the small size-class table: quantum-spaced up to 128,
 // then power-of-two spaced groups of four (jemalloc's spacing), up to
 // SmallMax.
@@ -65,6 +68,15 @@ func classIndex(classes []int64, size int64) int {
 		}
 	}
 	return lo
+}
+
+// reserved returns the bytes an allocation of size reserves: its small
+// class, or whole pages.
+func reserved(size int64) int64 {
+	if size <= SmallMax {
+		return sizeClasses[classIndex(sizeClasses, size)]
+	}
+	return roundPage(size)
 }
 
 // roundPage rounds size up to a whole number of pages.

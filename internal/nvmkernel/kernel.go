@@ -41,7 +41,7 @@ var (
 )
 
 // RegionKind says which device backs a region.
-type RegionKind int
+type RegionKind uint8
 
 const (
 	// DRAMRegion backs the working copy the application computes on.
@@ -126,7 +126,7 @@ func (k *Kernel) Attach(name string) *Process {
 	}
 	ps, ok := k.store[name]
 	if !ok {
-		chunks := &ChunkTable{k: k, recs: make(map[uint64]chunkRecord)}
+		chunks := &ChunkTable{k: k, index: make(map[uint64]int32)}
 		ps = &procStore{regions: make(map[string]*Region), meta: make(map[string]any), chunks: chunks}
 		k.store[name] = ps
 	}
@@ -306,66 +306,118 @@ type CommitRecord struct {
 // ChunkTable is a process's persistent per-chunk metadata, keyed by chunk ID
 // (Section V's metadata structure). Every access but IDs is one syscall;
 // callers hold MetaLock when the helper may be reading concurrently.
+//
+// Records are never removed (a cleared commit record stays listed by IDs),
+// so they are numbered in order of creation and stored, packed, in blocks
+// of recBlock; a map from chunk ID to record number finds them. Blocks
+// grow a table without copying it and leave less than one block unused.
 type ChunkTable struct {
-	k    *Kernel
-	recs map[uint64]chunkRecord
+	k      *Kernel
+	index  map[uint64]int32
+	blocks []*[recBlock]chunkRecord
 }
 
+const recBlock = 8
+
+// chunkRecord is one chunk's commit record and version slots. The commit
+// record's slot index and the live and written bits share flags.
 type chunkRecord struct {
-	commit CommitRecord
-	// live is false before the first commit and after a clear; written
-	// stays true once the commit record was written or cleared at all.
-	live, written bool
-	slots         [2]Payload // version payloads; the zero Payload is an empty slot
+	version, checksum, seq uint64
+	size                   int64
+	name                   string
+	slots                  [2]Payload // version payloads; the zero Payload is an empty slot
+	flags                  uint8
+}
+
+// chunkRecord flags. recLive is clear before the first commit and after a
+// clear; recWritten stays set once the commit record was written or
+// cleared at all; recSlot1 is the commit record's Slot.
+const (
+	recLive uint8 = 1 << iota
+	recWritten
+	recSlot1
+)
+
+// rec returns chunk id's record, creating it when create is set; without
+// create it is nil for a chunk the table has never seen.
+func (t *ChunkTable) rec(id uint64, create bool) *chunkRecord {
+	i, ok := t.index[id]
+	if !ok {
+		if !create {
+			return nil
+		}
+		i = int32(len(t.index))
+		if i%recBlock == 0 {
+			t.blocks = append(t.blocks, new([recBlock]chunkRecord))
+		}
+		t.index[id] = i
+	}
+	return &t.blocks[i/recBlock][i%recBlock]
 }
 
 // Commit loads chunk id's commit record; ok is false if none is live.
 func (t *ChunkTable) Commit(p *sim.Proc, id uint64) (CommitRecord, bool) {
 	t.k.syscall(p)
-	r := t.recs[id]
-	return r.commit, r.live
+	r := t.rec(id, false)
+	if r == nil || r.flags&recWritten == 0 {
+		return CommitRecord{}, false
+	}
+	rec := CommitRecord{Version: r.version, Checksum: r.checksum, Size: r.size, Seq: r.seq, Name: r.name}
+	if r.flags&recSlot1 != 0 {
+		rec.Slot = 1
+	}
+	return rec, r.flags&recLive != 0
 }
 
 // SetCommit writes chunk id's commit record: the atomic commit flip.
 func (t *ChunkTable) SetCommit(p *sim.Proc, id uint64, rec CommitRecord) {
-	t.setCommit(p, id, rec, true)
+	t.setCommit(p, id, rec, recLive)
 }
 
 // ClearCommit invalidates chunk id's commit record: no version of the chunk
 // restores until the next SetCommit.
 func (t *ChunkTable) ClearCommit(p *sim.Proc, id uint64) {
-	t.setCommit(p, id, CommitRecord{}, false)
+	t.setCommit(p, id, CommitRecord{}, 0)
 }
 
-func (t *ChunkTable) setCommit(p *sim.Proc, id uint64, rec CommitRecord, live bool) {
+func (t *ChunkTable) setCommit(p *sim.Proc, id uint64, rec CommitRecord, live uint8) {
 	t.k.syscall(p)
-	r := t.recs[id]
-	r.commit, r.live, r.written = rec, live, true
-	t.recs[id] = r
+	flags := recWritten | live
+	switch rec.Slot {
+	case 0:
+	case 1:
+		flags |= recSlot1
+	default:
+		panic(fmt.Sprintf("nvmkernel: commit record slot %d out of range", rec.Slot))
+	}
+	r := t.rec(id, true)
+	r.version, r.checksum, r.size, r.seq, r.name = rec.Version, rec.Checksum, rec.Size, rec.Seq, rec.Name
+	r.flags = flags
 }
 
 // Slot loads the payload in a version slot of chunk id, the zero Payload if
 // it is empty.
 func (t *ChunkTable) Slot(p *sim.Proc, id uint64, slot int) Payload {
 	t.k.syscall(p)
-	return t.recs[id].slots[slot]
+	if r := t.rec(id, false); r != nil {
+		return r.slots[slot]
+	}
+	return Payload{}
 }
 
 // SetSlot stores data as the payload in a version slot of chunk id; the zero
 // Payload empties the slot.
 func (t *ChunkTable) SetSlot(p *sim.Proc, id uint64, slot int, data Payload) {
 	t.k.syscall(p)
-	r := t.recs[id]
-	r.slots[slot] = data
-	t.recs[id] = r
+	t.rec(id, true).slots[slot] = data
 }
 
 // IDs lists, in no particular order, the chunks whose commit record was
 // ever written, live or cleared.
 func (t *ChunkTable) IDs() []uint64 {
-	ids := make([]uint64, 0, len(t.recs))
-	for id, r := range t.recs {
-		if r.written {
+	ids := make([]uint64, 0, len(t.index))
+	for id, i := range t.index {
+		if t.blocks[i/recBlock][i%recBlock].flags&recWritten != 0 {
 			ids = append(ids, id)
 		}
 	}

@@ -77,35 +77,32 @@ func (s pageSet) anyInRange(from, to int) bool {
 // An NVM region has no Data: core's chunks keep their payload as a Payload.
 type Region struct {
 	ID          string
-	Kind        RegionKind
 	VirtualSize int64
 	Data        []byte
 
 	owner          *Process
-	pages          int
 	prot           pageSet // write-protected pages
 	handler        FaultHandler
+	Kind           RegionKind
 	pendingProtect bool
 }
 
 func newRegion(pr *Process, id string, kind RegionKind, virtualSize int64, payloadSize int) *Region {
-	pages := int((virtualSize + mem.PageSize - 1) / mem.PageSize)
-	if pages == 0 {
-		pages = 1
-	}
-	return &Region{
+	r := &Region{
 		ID:          id,
 		Kind:        kind,
 		VirtualSize: virtualSize,
 		Data:        make([]byte, payloadSize),
 		owner:       pr,
-		pages:       pages,
-		prot:        newPageSet(pages),
 	}
+	r.prot = newPageSet(r.Pages())
+	return r
 }
 
-// Pages returns the number of pages in the region.
-func (r *Region) Pages() int { return r.pages }
+// Pages returns the number of pages in the region, at least one.
+func (r *Region) Pages() int {
+	return max(1, int((r.VirtualSize+mem.PageSize-1)/mem.PageSize))
+}
 
 // SetFaultHandler installs the chunk-level protection-fault handler.
 func (r *Region) SetFaultHandler(h FaultHandler) { r.handler = h }
@@ -115,7 +112,7 @@ func (r *Region) Protect(p *sim.Proc) {
 	if p != nil {
 		p.Sleep(r.owner.k.ProtectCost)
 	}
-	r.prot.setAll(r.pages)
+	r.prot.setAll(r.Pages())
 }
 
 // Unprotect clears write protection on every page (one mprotect call).
@@ -154,8 +151,8 @@ func (r *Region) TouchWrite(p *sim.Proc, off, n int64) (bool, error) {
 	}
 	first := int(off / mem.PageSize)
 	last := int((off + n - 1) / mem.PageSize)
-	if last >= r.pages {
-		last = r.pages - 1
+	if pages := r.Pages(); last >= pages {
+		last = pages - 1
 	}
 	if !r.prot.anyInRange(first, last) {
 		// Clean fast path: most stores land on already-unprotected pages,

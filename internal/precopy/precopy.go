@@ -88,9 +88,10 @@ type Engine struct {
 	threshold     time.Duration // learned T_p
 	learned       bool          // first checkpoint seen
 
-	// prediction table (DCPCP)
-	predicted map[uint64]int64 // learned modification episodes per interval
-	modsNow   map[uint64]int64 // episodes observed this interval
+	// prediction table (DCPCP), indexed by the chunks' AllocSeq: a chunk
+	// deleted and allocated again under its name starts a fresh entry.
+	predicted []int32 // learned modification episodes per interval
+	modsNow   []int32 // episodes observed this interval
 
 	quiesced bool
 	copying  bool
@@ -124,13 +125,11 @@ var engineCounters = obs.NewCounterSet("", []string{
 func New(store *core.Store, cfg Config) *Engine {
 	env := store.Kernel().Env()
 	e := &Engine{
-		cfg:       cfg,
-		store:     store,
-		env:       env,
-		wake:      sim.NewSignal(env),
-		predicted: make(map[uint64]int64),
-		modsNow:   make(map[uint64]int64),
-		Counters:  engineCounters.New(),
+		cfg:      cfg,
+		store:    store,
+		env:      env,
+		wake:     sim.NewSignal(env),
+		Counters: engineCounters.New(),
 	}
 	e.Counters.SetRecorder(cfg.Rec)
 	e.copyDone.Reset(env)
@@ -149,7 +148,11 @@ func (e *Engine) onModify(c *core.Chunk) {
 	if e.cfg.Scheme == NoPreCopy {
 		return
 	}
-	e.modsNow[c.ID]++
+	i := c.AllocSeq()
+	for len(e.modsNow) <= i {
+		e.modsNow = append(e.modsNow, 0)
+	}
+	e.modsNow[i]++
 	e.Counters[cModEvents].Add(1)
 	switch e.cfg.Scheme {
 	case DCPCP:
@@ -157,7 +160,7 @@ func (e *Engine) onModify(c *core.Chunk) {
 		// learning); each re-protect costs the app one mprotect and the
 		// next touch one fault — the dirt-tracking cost the paper notes.
 		// The re-protect is deferred to the end of the faulting write.
-		if !e.learned || e.modsNow[c.ID] < e.predicted[c.ID] {
+		if !e.learned || e.modsNow[i] < at(e.predicted, i) {
 			c.DeferProtect()
 		}
 	case CPC, DCPC:
@@ -172,9 +175,7 @@ func (e *Engine) onModify(c *core.Chunk) {
 func (e *Engine) BeginInterval(p *sim.Proc) {
 	e.intervalStart = e.env.Now()
 	e.quiesced = false
-	for id := range e.modsNow {
-		delete(e.modsNow, id)
-	}
+	clear(e.modsNow)
 	if e.cfg.Scheme != NoPreCopy {
 		// Arm modification tracking on chunks that are not yet protected
 		// (fresh allocations; staged chunks are already protected).
@@ -209,16 +210,15 @@ func (e *Engine) OnCheckpoint(ckptStart time.Duration) {
 	}
 	if !e.learned {
 		// End of the learning phase: freeze the prediction table.
-		for id, n := range e.modsNow {
-			e.predicted[id] = n
-		}
+		e.predicted = append(e.predicted[:0], e.modsNow...)
 		e.learned = true
 	} else if e.cfg.Scheme == DCPCP {
 		// Continuous adaptation: follow drift in modification behaviour.
-		for id, n := range e.modsNow {
-			if n > e.predicted[id] {
-				e.predicted[id] = n
-			}
+		for len(e.predicted) < len(e.modsNow) {
+			e.predicted = append(e.predicted, 0)
+		}
+		for i, n := range e.modsNow {
+			e.predicted[i] = max(e.predicted[i], n)
 		}
 	}
 }
@@ -292,11 +292,19 @@ func (e *Engine) nextCandidate() *core.Chunk {
 			continue
 		}
 		if e.cfg.Scheme == DCPCP {
-			if e.modsNow[c.ID] < e.predicted[c.ID] {
+			if i := c.AllocSeq(); at(e.modsNow, i) < at(e.predicted, i) {
 				continue // still expected to change; leave it alone
 			}
 		}
 		return c
 	}
 	return nil
+}
+
+// at returns s[i], or 0 past the end of s.
+func at(s []int32, i int) int32 {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
 }

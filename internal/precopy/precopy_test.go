@@ -149,10 +149,10 @@ func TestDCPCPLearnsPredictionTable(t *testing.T) {
 		ckStart := p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ckStart)
-		if got := eng.predicted[c3.ID]; got != 3 {
+		if got := eng.predicted[c3.AllocSeq()]; got != 3 {
 			t.Errorf("predicted(c3) = %d, want 3", got)
 		}
-		if got := eng.predicted[c1.ID]; got != 1 {
+		if got := eng.predicted[c1.AllocSeq()]; got != 1 {
 			t.Errorf("predicted(c1) = %d, want 1", got)
 		}
 		eng.Stop()
@@ -212,7 +212,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 		ck := p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ck)
-		if got := eng.predicted[c.ID]; got != 1 {
+		if got := eng.predicted[c.AllocSeq()]; got != 1 {
 			t.Errorf("predicted after learning = %d, want 1", got)
 		}
 		// Drifted interval: one early episode, the engine pre-copies at
@@ -227,7 +227,7 @@ func TestDCPCPAdaptsWhenChunkTurnsHot(t *testing.T) {
 		ck = p.Now()
 		r.store.ChkptAll(p)
 		eng.OnCheckpoint(ck)
-		if got := eng.predicted[c.ID]; got != 2 {
+		if got := eng.predicted[c.AllocSeq()]; got != 2 {
 			t.Errorf("predicted after drift = %d, want 2", got)
 		}
 		eng.Stop()

@@ -172,7 +172,7 @@ func storeName(s *core.Store) string {
 func (o *oracle) finishBurst(p *sim.Proc, a *Agent) {
 	o.t.Helper()
 	held := o.mesh.data[a.buddy]
-	flip := map[chunkKey]int{}
+	flip := map[chunkKey]int8{}
 	stay := map[chunkKey]bool{}
 	for key, rc := range held {
 		if rc.inflight && a.procs[key.proc] {

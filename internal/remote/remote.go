@@ -95,10 +95,13 @@ type remoteChunk struct {
 	size      int64
 	versions  [2]nvmkernel.Payload
 	seqs      [2]uint64
-	sums      [2]uint64
-	committed int // -1 before first remote commit
+	plen      int32 // qname[:plen] is the source process's name
+	committed int8  // -1 before first remote commit
 	inflight  bool
 }
+
+// proc returns the name of the process the copy belongs to.
+func (rc *remoteChunk) proc() string { return rc.qname[:rc.plen] }
 
 // objName renders the cluster-wide object name, "<proc>/<chunk>", preferring
 // the variable name and falling back to the numeric id for unnamed chunks.
@@ -119,10 +122,10 @@ type Mesh struct {
 	agents []*Agent
 	data   []map[chunkKey]*remoteChunk // indexed by holding (buddy) node
 	down   []bool                      // per-node liveness, set by fault injection
-	// inflight lists, per holding node, the keys shipped there since their
+	// inflight lists, per holding node, the copies shipped there since their
 	// last remote commit, so a commit visits only those instead of every
 	// copy the holder keeps.
-	inflight [][]chunkKey
+	inflight [][]*remoteChunk
 
 	// Counters are the mesh's counts (meshCounters), readable by short name
 	// and booked into the registry with a remote_ prefix. Ships are counted
@@ -159,7 +162,7 @@ func NewMesh(env *sim.Env, fabric *interconnect.Fabric, nvm []*mem.Device) *Mesh
 		data:   make([]map[chunkKey]*remoteChunk, fabric.Nodes()),
 		down:   make([]bool, fabric.Nodes()),
 
-		inflight: make([][]chunkKey, fabric.Nodes()),
+		inflight: make([][]*remoteChunk, fabric.Nodes()),
 		Counters: meshCounters.New(),
 	}
 	for i := range m.data {
@@ -632,7 +635,7 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 			panic(fmt.Sprintf("remote: buddy node %d NVM exhausted shipping %s/%d: %v",
 				a.buddy, key.proc, key.id, err))
 		}
-		rc = &remoteChunk{qname: objName(key, st.Name), size: st.Size, committed: -1}
+		rc = &remoteChunk{qname: objName(key, st.Name), size: st.Size, plen: int32(len(key.proc)), committed: -1}
 		m.data[a.buddy][key] = rc
 	}
 	shipStart := p.Now()
@@ -664,10 +667,11 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 	}
 	rc.versions[slot] = data
 	rc.seqs[slot] = st.CleanSeq
-	rc.sums[slot] = st.Checksum
-	if !rc.inflight {
+	// A holder that lost its NVM during the transfer (DropNode) no longer
+	// keeps rc, and no commit may flip it.
+	if !rc.inflight && m.data[a.buddy][key] == rc {
 		rc.inflight = true
-		m.inflight[a.buddy] = append(m.inflight[a.buddy], key)
+		m.inflight[a.buddy] = append(m.inflight[a.buddy], rc)
 	}
 	a.shipped[key] = st.CleanSeq
 
@@ -681,7 +685,6 @@ func (a *Agent) ship(p *sim.Proc, st core.ChunkState, store *core.Store) {
 // that happen to share the same buddy are left alone, still in flight.
 func (a *Agent) commitRemote(p *sim.Proc) {
 	m := a.mesh
-	held := m.data[a.buddy]
 	pending := m.inflight[a.buddy]
 	others := pending[:0]
 	type flipped struct {
@@ -690,13 +693,9 @@ func (a *Agent) commitRemote(p *sim.Proc) {
 		seq  uint64
 	}
 	var flips []flipped
-	for _, key := range pending {
-		rc, ok := held[key]
-		if !ok || !rc.inflight {
-			continue // committed already, or the holder lost it
-		}
-		if !a.procs[key.proc] {
-			others = append(others, key)
+	for _, rc := range pending {
+		if !a.procs[rc.proc()] {
+			others = append(others, rc)
 			continue
 		}
 		if rc.committed == 0 {
