@@ -46,6 +46,9 @@ fmt:
 # the (merged) registry, never from a component's own counters, so a dead
 # recovery epoch's stores need not be kept; a Counters.Get( in its non-test
 # code fails the lint.
+# Daemons wake for work, not on a clock: a non-test Signal.WaitTimeout call
+# outside internal/remote (whose helper still scans on a tick) fails the
+# lint, so no worker goes back to polling.
 # Every function declared in a non-test file of a library package must be
 # linked into some binary (a command, an example or bench/e2e):
 # TestEveryFunctionIsLinked (linked_test.go) builds them all and fails with
@@ -97,6 +100,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'Counters.Get(' internal/cluster || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "component counter read in the cluster (read run totals from the registry, Registry.Total):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\.WaitTimeout\(' . | grep -v '^\./internal/remote/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "timed wait outside the remote helper (park on Signal.Wait and broadcast on every change, or arm a sim.Timer):"; \
 		echo "$$out"; exit 1; \
 	fi
 	$(GO) test -count=1 -run 'TestEveryFunctionIsLinked|TestEveryOptionIsSet' .

@@ -433,6 +433,9 @@ type Cluster struct {
 	Drift *drift.Observatory
 
 	kernels []*nvmkernel.Kernel
+	// sums is this event engine's recipe checksum memo, shared by its
+	// kernels and dropped when Execute returns.
+	sums *nvmkernel.SumMemo
 	// rankBase is the prefix-sum rank numbering over this instance's nodes
 	// (rankBase[n] = node n's first rank; rankBase[Nodes] = total ranks).
 	rankBase []int
@@ -558,6 +561,7 @@ func build(cfg Config) (*Cluster, error) {
 	totalNodes := cfg.Nodes + extra
 	fabric := interconnect.New(env, totalNodes, cfg.LinkBW)
 	kernels := make([]*nvmkernel.Kernel, cfg.Nodes)
+	sums := nvmkernel.NewSumMemo()
 	nvms := make([]*mem.Device, totalNodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		dramCap, nvmCap := cfg.DRAMPerNode, cfg.NVMPerNode
@@ -582,6 +586,7 @@ func build(cfg Config) (*Cluster, error) {
 			nvm = mem.NewPCM(env, nvmCap)
 		}
 		kernels[n] = nvmkernel.New(env, dram, nvm)
+		kernels[n].ShareSums(sums)
 		nvms[n] = nvm
 	}
 	for n := cfg.Nodes; n < totalNodes; n++ {
@@ -625,6 +630,7 @@ func build(cfg Config) (*Cluster, error) {
 		Fabric:      fabric,
 		Obs:         o,
 		kernels:     kernels,
+		sums:        sums,
 		rankBase:    rankBase,
 		localScheme: localEntry.Scheme,
 		remoteTier:  remoteTier,
@@ -793,6 +799,7 @@ func Run(cfg Config) (Result, *Cluster, error) {
 // Run.
 func (c *Cluster) Execute() (Result, error) {
 	c.executed = true
+	defer c.dropSums()
 	if c.sharded != nil {
 		res, err := c.executeSharded()
 		if err != nil {
@@ -823,6 +830,17 @@ func (c *Cluster) Execute() (Result, error) {
 		return res, fmt.Errorf("cluster: run aborted: %s", c.aborted)
 	}
 	return res, c.strictErr()
+}
+
+// dropSums releases the run's recipe checksum memos, one per event engine,
+// so a finished cluster retains none of them.
+func (c *Cluster) dropSums() {
+	c.sums.Drop()
+	if c.sharded != nil {
+		for _, sub := range c.sharded.subs {
+			sub.sums.Drop()
+		}
+	}
 }
 
 // RelaunchDelay is the job relaunch latency charged on every restart

@@ -72,7 +72,7 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 	k.MetaLock.Unlock(p)
 	// Flush processor caches before the data may be marked consistent.
 	p.Sleep(s.nvmDevice().FlushCost(c.Size))
-	c.stagedSum = data.Checksum(c.Size)
+	c.stagedSum = k.Checksum(data, c.Size)
 	c.cleanSeq = seqAtStart
 	c.stagePending = true
 	s.notifyStage(c)
@@ -229,7 +229,7 @@ func (s *Store) tryRestore(p *sim.Proc, c *Chunk) error {
 		// Timed NVM→DRAM fetch (reads run near DRAM speed, Table I).
 		mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
 		c.payload = c.payload.Overlay(data)
-		if data.Checksum(c.Size) != rec.Checksum {
+		if k.Checksum(data, c.Size) != rec.Checksum {
 			if s.opts.SalvageCorrupt {
 				// Clear the damaged version's commit record and leave the
 				// chunk un-restored; the caller's cascade takes it from here.
@@ -283,7 +283,7 @@ func (s *Store) materialize(p *sim.Proc, c *Chunk, overwrite bool) error {
 	}
 	mem.Copy(p, s.nvmDevice(), s.dramDevice(), c.Size)
 	c.payload = c.payload.Overlay(pr.data)
-	if pr.data.Checksum(c.Size) != pr.sum {
+	if s.kproc.Kernel().Checksum(pr.data, c.Size) != pr.sum {
 		return fmt.Errorf("%w: %s (lazy)", ErrChecksum, c.Name)
 	}
 	s.Counters[cLazyRestores].Add(1)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nvmcp/internal/mem"
+	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/sim"
 )
 
@@ -53,6 +54,40 @@ func TestCorruptionSurfacesAsChecksumErrorOnEagerRestore(t *testing.T) {
 		}
 	})
 	r.env.Run()
+}
+
+// A kernel sharing a run's checksum memo memoizes the committed recipe's
+// sum when the chunk is staged. Corruption installs materialized bytes, which
+// restore hashes in full, so the damage still surfaces on both restore paths;
+// an intact copy restores through the memo.
+func TestCorruptionSurfacesThroughTheSumMemo(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		corrupt, lazy bool
+	}{{"intact", false, false}, {"eager", true, false}, {"lazy", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig()
+			r.k.ShareSums(nvmkernel.NewSumMemo())
+			ckptOneChunk(r)
+			if tc.corrupt {
+				CorruptCommitted(r.k, rand.New(rand.NewSource(1)), 1, tc.lazy)
+			}
+			r.env.Go("life2", func(p *sim.Proc) {
+				s := NewStore(r.k.Attach("rank0"), Options{LazyRestore: tc.lazy})
+				c, err := s.NVAlloc(p, "field", 10*mem.MB, true)
+				if tc.lazy && err == nil {
+					err = c.Read(p, 0, 4096)
+				}
+				switch {
+				case tc.corrupt && !errors.Is(err, ErrChecksum):
+					t.Errorf("restore err = %v, want ErrChecksum", err)
+				case !tc.corrupt && (err != nil || !c.Restored):
+					t.Errorf("intact restore err = %v, restored %v", err, c != nil && c.Restored)
+				}
+			})
+			r.env.Run()
+		})
+	}
 }
 
 // Satellite: the lazy-restore path must also catch corruption — deferred to

@@ -129,59 +129,39 @@ type Config struct {
 // count keeps counting past it.
 const (
 	ringSize      = 128
+	ringFirstCap  = 8 // a ring's first allocation, in records
 	maxViolations = 64
 	faultLogCap   = 512
 )
 
-// ring is the columnar per-chunk record store: parallel arrays, fixed
-// capacity, oldest-evicted. Struct-of-arrays keeps a record at ~40 bytes
-// with causes interned once per distinct string.
+// ring is the per-chunk record store: a fixed-capacity, oldest-evicted
+// circular buffer of packed 40-byte records, with causes interned once per
+// distinct string. A record costs one append, and the ring grows by one
+// allocation at a time.
 type ring struct {
-	tus   []int64
-	seq   []uint64
-	bytes []int64
-	op    []uint8
-	tier  []uint8
-	epoch []uint16
-	node  []int16
-	cause []uint32 // interned cause id; 0 = none
+	recs  []encRecord
 	start int
 	n     int
 }
 
 func (r *ring) push(rec encRecord) (evicted encRecord, wasFull bool) {
 	if r.n < ringSize {
-		r.tus = append(r.tus, rec.tus)
-		r.seq = append(r.seq, rec.seq)
-		r.bytes = append(r.bytes, rec.bytes)
-		r.op = append(r.op, rec.op)
-		r.tier = append(r.tier, rec.tier)
-		r.epoch = append(r.epoch, rec.epoch)
-		r.node = append(r.node, rec.node)
-		r.cause = append(r.cause, rec.cause)
+		if r.recs == nil {
+			r.recs = make([]encRecord, 0, ringFirstCap)
+		}
+		r.recs = append(r.recs, rec)
 		r.n++
 		return encRecord{}, false
 	}
-	i := r.start
-	evicted = r.at(0)
-	r.tus[i], r.seq[i], r.bytes[i] = rec.tus, rec.seq, rec.bytes
-	r.op[i], r.tier[i] = rec.op, rec.tier
-	r.epoch[i], r.node[i], r.cause[i] = rec.epoch, rec.node, rec.cause
-	r.start = (r.start + 1) % len(r.tus)
+	evicted = r.recs[r.start]
+	r.recs[r.start] = rec
+	r.start = (r.start + 1) % len(r.recs)
 	return evicted, true
 }
 
 // at returns the logical i-th oldest record.
 func (r *ring) at(i int) encRecord {
-	j := i
-	if len(r.tus) > 0 {
-		j = (r.start + i) % len(r.tus)
-	}
-	return encRecord{
-		tus: r.tus[j], seq: r.seq[j], bytes: r.bytes[j],
-		op: r.op[j], tier: r.tier[j],
-		epoch: r.epoch[j], node: r.node[j], cause: r.cause[j],
-	}
+	return r.recs[(r.start+i)%len(r.recs)]
 }
 
 // dropOldest removes the n oldest records in place (epoch compaction).
@@ -190,11 +170,7 @@ func (r *ring) dropOldest(n int) {
 		return
 	}
 	if n >= r.n {
-		r.start, r.n = 0, 0
-		r.tus = r.tus[:0]
-		r.seq, r.bytes = r.seq[:0], r.bytes[:0]
-		r.op, r.tier = r.op[:0], r.tier[:0]
-		r.epoch, r.node, r.cause = r.epoch[:0], r.node[:0], r.cause[:0]
+		r.recs, r.start, r.n = r.recs[:0], 0, 0
 		return
 	}
 	// Re-pack survivors to the front so capacity stays append-driven.
@@ -202,22 +178,7 @@ func (r *ring) dropOldest(n int) {
 	for i := n; i < r.n; i++ {
 		keep = append(keep, r.at(i))
 	}
-	r.start, r.n = 0, 0
-	r.tus = r.tus[:0]
-	r.seq, r.bytes = r.seq[:0], r.bytes[:0]
-	r.op, r.tier = r.op[:0], r.tier[:0]
-	r.epoch, r.node, r.cause = r.epoch[:0], r.node[:0], r.cause[:0]
-	for _, rec := range keep {
-		r.tus = append(r.tus, rec.tus)
-		r.seq = append(r.seq, rec.seq)
-		r.bytes = append(r.bytes, rec.bytes)
-		r.op = append(r.op, rec.op)
-		r.tier = append(r.tier, rec.tier)
-		r.epoch = append(r.epoch, rec.epoch)
-		r.node = append(r.node, rec.node)
-		r.cause = append(r.cause, rec.cause)
-		r.n++
-	}
+	r.recs, r.start, r.n = append(r.recs[:0], keep...), 0, len(keep)
 }
 
 type encRecord struct {
@@ -274,6 +235,7 @@ type Tracer struct {
 
 	causes   []string
 	causeIdx map[string]uint32
+	scratch  []byte // chunk keys and causes assembled for a lookup
 
 	faultLog []Record
 
@@ -289,8 +251,19 @@ type Tracer struct {
 	deepestChunk string
 	hasRecovery  bool
 
-	rec *obs.Recorder
+	// transitions and violCount book "lineage_transitions" (one handle per
+	// tier, scoped by the tier's name) and "lineage_violations" (scope
+	// "checker") into the observer's registry; detached, they count
+	// privately.
+	transitions [tierCount]obs.Counters
+	violCount   obs.Counters
 }
+
+// The tracer's registry counters: one set per scope it books under.
+var (
+	transitionCounter = obs.NewCounterSet("", "lineage_transitions")
+	violationCounter  = obs.NewCounterSet("", "lineage_violations")
+)
 
 // Attach builds a tracer over an observer and installs it as an event tap
 // (additive, so the SLO flight recorder can listen on the same bus). The
@@ -298,18 +271,27 @@ type Tracer struct {
 // ("lineage_transitions" scoped by tier) through the observer's registry.
 func Attach(o *obs.Observer) *Tracer {
 	t := New()
-	t.rec = o.Recorder(0, "lineage")
+	rec := o.Recorder(0, "lineage")
+	for tier := range t.transitions {
+		t.transitions[tier].SetRecorder(rec.Child(Tier(tier).String()))
+	}
+	t.violCount.SetRecorder(rec.Child("checker"))
 	o.AddEventTap(t.Observe)
 	return t
 }
 
 // New builds a detached tracer (tests feed it synthetic event streams).
 func New() *Tracer {
-	return &Tracer{
-		chunks:   make(map[string]*chunkState),
-		causes:   []string{""},
-		causeIdx: map[string]uint32{"": 0},
+	t := &Tracer{
+		chunks:    make(map[string]*chunkState),
+		causes:    []string{""},
+		causeIdx:  map[string]uint32{"": 0},
+		violCount: violationCounter.New(),
 	}
+	for tier := range t.transitions {
+		t.transitions[tier] = transitionCounter.New()
+	}
+	return t
 }
 
 // Observe consumes one bus event. When installed via Attach it runs under
@@ -319,26 +301,25 @@ func (t *Tracer) Observe(ev obs.Event) {
 	defer t.mu.Unlock()
 	switch ev.Type {
 	case obs.EvChunkDirty:
-		st := t.state(coreKey(ev))
-		seq := attrU64(ev, "seq")
+		st := t.coreState(&ev)
+		seq := attrU64(&ev, "seq")
 		st.lastDirtyGen = seq
-		t.record(st, ev, OpDirty, TierDRAM, seq, "")
+		t.record(st, &ev, OpDirty, TierDRAM, seq, 0)
 	case obs.EvChunkReDirtied:
-		st := t.state(coreKey(ev))
-		seq := attrU64(ev, "seq")
+		st := t.coreState(&ev)
+		seq := attrU64(&ev, "seq")
 		st.lastDirtyGen = seq
-		t.record(st, ev, OpRedirty, TierDRAM, seq, "")
+		t.record(st, &ev, OpRedirty, TierDRAM, seq, 0)
 	case obs.EvPrecopyCopy:
-		st := t.state(coreKey(ev))
+		st := t.coreState(&ev)
 		cause := ""
 		if ev.Attrs.Str("raced") == "true" {
 			cause = "raced"
 		}
-		t.record(st, ev, OpPrecopy, TierLocal, attrU64(ev, "seq"), cause)
+		t.record(st, &ev, OpPrecopy, TierLocal, attrU64(&ev, "seq"), t.intern(cause))
 	case obs.EvChunkStaged:
-		key := coreKey(ev)
-		st := t.state(key)
-		seq := attrU64(ev, "seq")
+		st := t.coreState(&ev)
+		seq := attrU64(&ev, "seq")
 		st.stagedSeq = seq
 		st.node = ev.Node
 		cause := ""
@@ -348,18 +329,17 @@ func (t *Tracer) Observe(ev obs.Event) {
 			st.localValid = false
 			cause = "single-version overwrite"
 		}
-		t.record(st, ev, OpStage, TierLocal, seq, cause)
+		t.record(st, &ev, OpStage, TierLocal, seq, t.intern(cause))
 	case obs.EvChunkCommit:
-		key := coreKey(ev)
-		st := t.state(key)
-		seq := attrU64(ev, "seq")
+		st := t.coreState(&ev)
+		seq := attrU64(&ev, "seq")
 		if seq == 0 || st.stagedSeq == 0 || seq != st.stagedSeq {
-			t.violate(ev, key, "commit-without-stage", fmt.Sprintf(
+			t.violate(ev, coreKey(ev), "commit-without-stage", fmt.Sprintf(
 				"commit flipped seq %d but local NVM staged seq %d this epoch",
 				seq, st.stagedSeq))
 		}
 		if st.lastDirtyGen > seq {
-			t.violate(ev, key, "redirty-not-recopied", fmt.Sprintf(
+			t.violate(ev, coreKey(ev), "redirty-not-recopied", fmt.Sprintf(
 				"commit flipped seq %d after generation %d went dirty — redirty must force a recopy",
 				seq, st.lastDirtyGen))
 		}
@@ -367,10 +347,10 @@ func (t *Tracer) Observe(ev obs.Event) {
 		st.localSeq = seq
 		st.localValid = true
 		st.localDamaged = false
-		t.record(st, ev, OpCommit, TierLocal, seq, "")
+		t.record(st, &ev, OpCommit, TierLocal, seq, 0)
 	case obs.EvChunkShipped:
 		st := t.state(ev.Chunk)
-		seq := attrU64(ev, "seq")
+		seq := attrU64(&ev, "seq")
 		if seq == 0 || (st.stagedSeq > 0 && seq > st.stagedSeq) {
 			t.violate(ev, ev.Chunk, "ship-unstaged", fmt.Sprintf(
 				"helper shipped seq %d but local NVM staged seq %d — a tier cannot forward data it never received",
@@ -381,14 +361,14 @@ func (t *Tracer) Observe(ev obs.Event) {
 		if h, ok := ev.Attrs.Int("buddy"); ok {
 			st.remoteHolder = int(h)
 		}
-		t.record(st, ev, OpShip, TierRemote, seq, "buddy "+ev.Attrs.Str("buddy"))
+		t.record(st, &ev, OpShip, TierRemote, seq, t.internJoin("buddy ", ev.Attrs.Str("buddy")))
 	case obs.EvShipRetry:
 		st := t.state(ev.Chunk)
-		t.record(st, ev, OpShipRetry, TierRemote, 0,
-			ev.Attrs.Str("reason")+" attempt "+ev.Attrs.Str("attempt"))
+		t.record(st, &ev, OpShipRetry, TierRemote, 0,
+			t.intern(ev.Attrs.Str("reason")+" attempt "+ev.Attrs.Str("attempt")))
 	case obs.EvRemoteChunkCommit:
 		st := t.state(ev.Chunk)
-		seq := attrU64(ev, "seq")
+		seq := attrU64(&ev, "seq")
 		if !st.everShipped || (seq != st.shipLast && seq != st.shipPrev) {
 			t.violate(ev, ev.Chunk, "remote-commit-without-ship", fmt.Sprintf(
 				"remote commit flipped seq %d but last shipped generations are %d/%d",
@@ -399,26 +379,26 @@ func (t *Tracer) Observe(ev obs.Event) {
 		if h, ok := ev.Attrs.Int("buddy"); ok {
 			st.remoteHolder = int(h)
 		}
-		t.record(st, ev, OpRemoteCommit, TierRemote, seq, "")
+		t.record(st, &ev, OpRemoteCommit, TierRemote, seq, 0)
 	case obs.EvPFSDrain:
 		st := t.state(ev.Chunk)
-		seq := attrU64(ev, "seq")
+		seq := attrU64(&ev, "seq")
 		st.bottomSeq = seq
 		st.hasBottom = true
-		t.record(st, ev, OpDrain, TierBottom, seq, "")
+		t.record(st, &ev, OpDrain, TierBottom, seq, 0)
 	case obs.EvChunkCorrupt:
 		st := t.state(ev.Chunk)
-		seq := attrU64(ev, "seq")
+		seq := attrU64(&ev, "seq")
 		if st.localSeq == seq || st.localSeq == 0 {
 			st.localDamaged = true
 		}
-		t.record(st, ev, OpCorrupt, TierLocal, seq, ev.Attrs.Str("cause"))
+		t.record(st, &ev, OpCorrupt, TierLocal, seq, t.intern(ev.Attrs.Str("cause")))
 	case obs.EvChecksumError:
-		st := t.state(coreKey(ev))
+		st := t.coreState(&ev)
 		// Salvage clears the damaged commit record: the local copy is gone
 		// from the cascade's point of view.
 		st.localValid = false
-		t.record(st, ev, OpSalvage, TierLocal, attrU64(ev, "seq"), ev.Attrs.Str("action"))
+		t.record(st, &ev, OpSalvage, TierLocal, attrU64(&ev, "seq"), t.intern(ev.Attrs.Str("action")))
 	case obs.EvRestore:
 		t.observeRestore(ev)
 	case obs.EvChunkRecovered:
@@ -443,7 +423,7 @@ func (t *Tracer) Observe(ev obs.Event) {
 func (t *Tracer) observeRestore(ev obs.Event) {
 	key := coreKey(ev)
 	st := t.state(key)
-	seq := attrU64(ev, "seq")
+	seq := attrU64(&ev, "seq")
 	source := ev.Attrs.Str("source")
 	switch source {
 	case "local", "lazy":
@@ -455,22 +435,22 @@ func (t *Tracer) observeRestore(ev obs.Event) {
 		// The restored payload is generation `seq` in the previous
 		// incarnation's domain; `reseq` renumbers it in this incarnation's,
 		// so later ships of the same bytes check out against it.
-		st.stagedSeq = attrU64(ev, "reseq")
+		st.stagedSeq = attrU64(&ev, "reseq")
 		st.node = ev.Node
-		t.record(st, ev, OpRestore, TierLocal, seq, source)
+		t.record(st, &ev, OpRestore, TierLocal, seq, t.intern(source))
 	case "remote":
-		t.record(st, ev, OpRestore, TierRemote, seq, source)
+		t.record(st, &ev, OpRestore, TierRemote, seq, t.intern(source))
 	case "bottom":
-		t.record(st, ev, OpRestore, TierBottom, seq, source)
+		t.record(st, &ev, OpRestore, TierBottom, seq, t.intern(source))
 	default:
-		t.record(st, ev, OpRestore, TierLocal, seq, source)
+		t.record(st, &ev, OpRestore, TierLocal, seq, t.intern(source))
 	}
 }
 
 func (t *Tracer) observeRecovered(ev obs.Event) {
 	key := ev.Chunk
 	st := t.state(key)
-	seq := attrU64(ev, "seq")
+	seq := attrU64(&ev, "seq")
 	tierName := ev.Attrs.Str("tier")
 	tier, depth := TierLocal, 0
 	switch tierName {
@@ -515,7 +495,7 @@ func (t *Tracer) observeRecovered(ev obs.Event) {
 			t.deepestChunk = key
 		}
 	}
-	t.record(st, ev, OpRecovered, tier, seq, "tier "+tierName)
+	t.record(st, &ev, OpRecovered, tier, seq, t.intern("tier "+tierName))
 }
 
 // observeFailure invalidates every copy a hard node loss takes with it: the
@@ -604,12 +584,12 @@ func (t *Tracer) state(key string) *chunkState {
 }
 
 // record appends one lineage record and bumps the tier transition counters.
-func (t *Tracer) record(st *chunkState, ev obs.Event, op Op, tier Tier, seq uint64, cause string) {
+func (t *Tracer) record(st *chunkState, ev *obs.Event, op Op, tier Tier, seq uint64, cause uint32) {
 	rec := encRecord{
 		tus: ev.TUS, seq: seq, bytes: ev.Bytes,
 		op: uint8(op), tier: uint8(tier),
 		epoch: uint16(t.epoch), node: int16(ev.Node),
-		cause: t.intern(cause),
+		cause: cause,
 	}
 	if evicted, full := st.ring.push(rec); full {
 		st.fold(evicted)
@@ -618,9 +598,7 @@ func (t *Tracer) record(st *chunkState, ev obs.Event, op Op, tier Tier, seq uint
 	t.records++
 	t.opCount[op]++
 	t.tierCount[tier]++
-	// Child recorders are cached per scope, so this per-record counter bump
-	// costs one map hit, not a label canonicalization.
-	t.rec.Child(tier.String()).Add("lineage_transitions", 1)
+	t.transitions[tier][0].Add(1)
 }
 
 // logFault appends to the bounded cluster-wide fault log.
@@ -644,7 +622,17 @@ func (t *Tracer) violate(ev obs.Event, chunk, rule, detail string) {
 			TUS: ev.TUS, Epoch: t.epoch, Chunk: chunk, Rule: rule, Detail: detail,
 		})
 	}
-	t.rec.Child("checker").Add("lineage_violations", 1)
+	t.violCount[0].Add(1)
+}
+
+// internJoin is intern(a+b), assembling the cause in a reused buffer so a
+// cause already interned costs no allocation.
+func (t *Tracer) internJoin(a, b string) uint32 {
+	t.scratch = append(append(t.scratch[:0], a...), b...)
+	if id, ok := t.causeIdx[string(t.scratch)]; ok {
+		return id
+	}
+	return t.intern(string(t.scratch))
 }
 
 func (t *Tracer) intern(cause string) uint32 {
@@ -660,6 +648,20 @@ func (t *Tracer) intern(cause string) uint32 {
 	return id
 }
 
+// coreState is state(coreKey(ev)) without building the key string for a
+// chunk already tracked: the key is assembled in a reused buffer, and the
+// map lookup by its bytes does not allocate.
+func (t *Tracer) coreState(ev *obs.Event) *chunkState {
+	if ev.Actor == "" {
+		return t.state(ev.Chunk)
+	}
+	t.scratch = append(append(append(t.scratch[:0], ev.Actor...), '/'), ev.Chunk...)
+	if st, ok := t.chunks[string(t.scratch)]; ok {
+		return st
+	}
+	return t.state(string(t.scratch))
+}
+
 // coreKey derives the cluster-wide chunk key for core-side events, whose
 // Chunk field is the bare variable name scoped by the emitting process
 // (the recorder's actor).
@@ -671,7 +673,7 @@ func coreKey(ev obs.Event) string {
 }
 
 // attrU64 reads a sequence attribute, 0 when absent.
-func attrU64(ev obs.Event, key string) uint64 {
+func attrU64(ev *obs.Event, key string) uint64 {
 	v, _ := ev.Attrs.Int(key)
 	return uint64(v)
 }

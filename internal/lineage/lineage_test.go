@@ -172,7 +172,7 @@ func mustViolate(t *testing.T, tr *Tracer, rule string) {
 func TestRingEvictsOldestIntoCompactedCounts(t *testing.T) {
 	tr := New()
 	for i := 0; i < ringSize+6; i++ {
-		tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(1)))
+		tr.Observe(sev(obs.EvChunkDirty, "rank0", "field", 0, seq(int64(i+1))))
 	}
 	h, ok := tr.History("rank0/field")
 	if !ok {
@@ -180,6 +180,11 @@ func TestRingEvictsOldestIntoCompactedCounts(t *testing.T) {
 	}
 	if len(h.Records) != ringSize {
 		t.Fatalf("ring holds %d records, want %d", len(h.Records), ringSize)
+	}
+	for i, r := range h.Records {
+		if want := uint64(i + 7); r.Seq != want {
+			t.Fatalf("record %d after wrapping has seq %d, want %d (oldest first)", i, r.Seq, want)
+		}
 	}
 	if h.Compacted["dirty"] != 6 {
 		t.Fatalf("compacted = %v, want dirty=6", h.Compacted)

@@ -83,6 +83,8 @@ type Kernel struct {
 
 	store map[string]*procStore // persistent per-process state, by name
 	procs map[string]*Process   // currently attached processes
+
+	sums *SumMemo // the run's recipe checksum memo (nil: hash in full)
 }
 
 // procStore is what NVM remembers about a process across restarts.
@@ -109,6 +111,14 @@ func New(env *sim.Env, dram, nvm *mem.Device) *Kernel {
 
 // Env returns the simulation environment.
 func (k *Kernel) Env() *sim.Env { return k.env }
+
+// ShareSums makes the kernel read recipe checksums from m, the memo its
+// run's other kernels on the same event engine share.
+func (k *Kernel) ShareSums(m *SumMemo) { k.sums = m }
+
+// Checksum returns data.Checksum(size), memoized for a recipe when the
+// kernel shares a run's memo (ShareSums).
+func (k *Kernel) Checksum(data Payload, size int64) uint64 { return k.sums.Checksum(data, size) }
 
 func (k *Kernel) syscall(p *sim.Proc) {
 	k.Syscalls++

@@ -111,6 +111,49 @@ func (p Payload) Checksum(size int64) uint64 {
 	return uint64(NewDigest().Uint64(uint64(size)).Payload(p))
 }
 
+// SumMemo remembers recipe checksums for one run. A recipe's checksum
+// depends only on the chunk's size, the recipe's length and its base byte,
+// and a run's ranks stage and restore the same few recipes over and over,
+// so the memo hashes each once. A materialized payload (a partial write, a
+// prefix copy, injected corruption) is always hashed in full. A nil memo,
+// or one whose run ended (Drop), hashes every payload. One event engine
+// owns a memo: it is not safe for concurrent use.
+type SumMemo struct {
+	sums map[sumKey]uint64
+}
+
+// sumKey is everything a recipe's checksum depends on.
+type sumKey struct {
+	size int64
+	n    uint32
+	base uint8
+}
+
+// NewSumMemo returns an empty memo.
+func NewSumMemo() *SumMemo { return &SumMemo{sums: make(map[sumKey]uint64)} }
+
+// Checksum returns p.Checksum(size), from the memo when p is a recipe.
+func (m *SumMemo) Checksum(p Payload, size int64) uint64 {
+	if m == nil || m.sums == nil || p.p != nil {
+		return p.Checksum(size)
+	}
+	k := sumKey{size: size, n: p.n, base: p.base}
+	sum, ok := m.sums[k]
+	if !ok {
+		sum = p.Checksum(size)
+		m.sums[k] = sum
+	}
+	return sum
+}
+
+// Drop releases the memo's entries at the end of its run; later Checksum
+// calls hash in full.
+func (m *SumMemo) Drop() {
+	if m != nil {
+		m.sums = nil
+	}
+}
+
 // Digest is a running FNV-64a hash, the one hash/fnv's New64a computes.
 // Payload checksums and store fingerprints stream through it: a recipe's
 // bytes are generated inside the hash loop, never stored.

@@ -27,8 +27,9 @@ func refChecksum(data []byte, size int64) uint64 {
 	return h.Sum64()
 }
 
-// checkPayload holds p to the oracle's bytes ref.
-func checkPayload(t *testing.T, step string, p Payload, ref []byte, size int64) {
+// checkPayload holds p to the oracle's bytes ref, through memo as well as
+// directly.
+func checkPayload(t *testing.T, step string, memo *SumMemo, p Payload, ref []byte, size int64) {
 	t.Helper()
 	if !p.Valid() {
 		t.Fatalf("%s: payload reads as empty", step)
@@ -43,15 +44,28 @@ func checkPayload(t *testing.T, step string, p Payload, ref []byte, size int64) 
 	if got := p.AppendTo(prefix); !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], ref) {
 		t.Fatalf("%s: AppendTo to a non-empty dst", step)
 	}
-	if got, want := p.Checksum(size), refChecksum(ref, size); got != want {
+	want := refChecksum(ref, size)
+	if got := p.Checksum(size); got != want {
 		t.Fatalf("%s: Checksum = %#x, want %#x", step, got, want)
+	}
+	// The first memo read may miss and the second hits; the same bytes
+	// materialized are hashed in full and must agree.
+	for _, read := range []string{"first", "second"} {
+		if got := memo.Checksum(p, size); got != want {
+			t.Fatalf("%s: %s memo read = %#x, want %#x", step, read, got, want)
+		}
+	}
+	if got := memo.Checksum(Bytes(p.AppendTo(nil)), size); got != want {
+		t.Fatalf("%s: memo read of the materialized bytes = %#x, want %#x", step, got, want)
 	}
 }
 
 // FuzzPayload drives a payload and a plain byte slice through the same
 // history (a recipe, then whole and partial writes, a prefix overlay, and
 // one torn or bit-flip damage step) and holds every step's bytes and
-// checksum to the reference path.
+// checksum to the reference path, read directly and through one checksum
+// memo that sees the whole history, so damaged bytes must never read a
+// recipe's memoized sum.
 func FuzzPayload(f *testing.F) {
 	// writes is a list of 5-byte ops: kind, then two little-endian uint16s.
 	// kind%4: 0 writes [a, a+b), 1 writes the suffix from a, 2 writes the
@@ -70,9 +84,10 @@ func FuzzPayload(f *testing.F) {
 		l := int(n % (64<<10 + 1))
 		size := int64(l)*3 + 1
 		p := Recipe(id, seq, l)
+		memo := NewSumMemo()
 		ref := make([]byte, l)
 		refGen(ref, 0, id, seq)
-		checkPayload(t, "recipe", p, ref, size)
+		checkPayload(t, "recipe", memo, p, ref, size)
 
 		for i := 0; i+5 <= len(writes) && i < 5*16; i += 5 {
 			seq++
@@ -94,13 +109,13 @@ func FuzzPayload(f *testing.F) {
 				copy(w, ref)
 				p, ref = Zeros(len(w)).Overlay(p), w
 				l = len(ref)
-				checkPayload(t, "overlay", p, ref, size)
+				checkPayload(t, "overlay", memo, p, ref, size)
 				continue
 			}
 			before := p.AppendTo(nil)
 			q := p.Write(id, seq, lo, ln)
 			refGen(ref[lo:lo+ln], lo, id, seq)
-			checkPayload(t, "write", q, ref, size)
+			checkPayload(t, "write", memo, q, ref, size)
 			if !bytes.Equal(p.AppendTo(nil), before) {
 				t.Fatalf("write [%d,%d) changed the payload it was built from", lo, lo+ln)
 			}
@@ -123,7 +138,7 @@ func FuzzPayload(f *testing.F) {
 			data[k] ^= bit
 			ref[k] ^= bit
 		}
-		checkPayload(t, "damage", Bytes(data), ref, size)
+		checkPayload(t, "damage", memo, Bytes(data), ref, size)
 		if !bytes.Equal(p.AppendTo(nil), before) {
 			t.Fatal("damaging a materialized copy changed the original payload")
 		}
@@ -142,6 +157,53 @@ func TestZeroPayloadIsEmpty(t *testing.T) {
 		if q.Checksum(5) != refChecksum(nil, 5) {
 			t.Errorf("empty payload %+v: checksum differs from the reference", q)
 		}
+	}
+}
+
+// A memo answers with the full FNV on a miss and on a hit, keeps recipe
+// sums only, tells sizes, lengths and bases apart, and once dropped (or
+// when nil) hashes everything in full.
+func TestSumMemo(t *testing.T) {
+	m := NewSumMemo()
+	r := Recipe(5, 11, 4096)
+	want := refChecksum(r.AppendTo(nil), 4096)
+	for _, read := range []string{"miss", "hit"} {
+		if got := m.Checksum(r, 4096); got != want {
+			t.Fatalf("%s: memo = %#x, want %#x", read, got, want)
+		}
+	}
+	if got := m.Checksum(Bytes(r.AppendTo(nil)), 4096); got != want {
+		t.Fatalf("the recipe's bytes materialized = %#x, want %#x", got, want)
+	}
+	if len(m.sums) != 1 {
+		t.Fatalf("memo holds %d sums after one recipe and its bytes, want 1", len(m.sums))
+	}
+	// A bit-flipped copy of a memoized recipe is hashed in full.
+	b := r.AppendTo(nil)
+	b[7] ^= 1
+	if got := m.Checksum(Bytes(b), 4096); got != refChecksum(b, 4096) || got == want {
+		t.Fatalf("damaged bytes read %#x, want the full hash %#x (recipe %#x)", got, refChecksum(b, 4096), want)
+	}
+	for _, q := range []struct {
+		p    Payload
+		size int64
+	}{{r, 8192}, {Recipe(5, 11, 4095), 4096}, {Recipe(5, 12, 4096), 4096}} {
+		if got, ref := m.Checksum(q.p, q.size), refChecksum(q.p.AppendTo(nil), q.size); got != ref {
+			t.Fatalf("memo(%+v, %d) = %#x, want %#x", q.p, q.size, got, ref)
+		}
+	}
+	if len(m.sums) != 4 {
+		t.Fatalf("memo holds %d sums for four distinct recipes, want 4", len(m.sums))
+	}
+	m.Drop()
+	var none *SumMemo
+	for _, mm := range []*SumMemo{m, none} {
+		if got := mm.Checksum(r, 4096); got != want {
+			t.Fatalf("dropped or nil memo = %#x, want %#x", got, want)
+		}
+	}
+	if m.sums != nil {
+		t.Fatal("a dropped memo stored a sum")
 	}
 }
 

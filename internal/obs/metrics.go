@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Labels is a metric's label set. The empty (or nil) set is the cluster
@@ -41,25 +42,18 @@ func (l Labels) canon() string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing int64 metric.
+// Counter is a monotonically increasing int64 metric. It is one atomic
+// word: every component's count lands here on its hot path, and the live
+// introspection server reads it from another goroutine.
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Add increments the counter.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.v += delta
-	c.mu.Unlock()
-}
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Get returns the current value.
-func (c *Counter) Get() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Get() int64 { return c.v.Load() }
 
 // Gauge is a settable float64 metric.
 type Gauge struct {

@@ -72,9 +72,6 @@ type Config struct {
 	Rec *obs.Recorder
 }
 
-// pollTick bounds how long the worker sleeps with no work.
-const pollTick = 50 * time.Millisecond
-
 // Engine is one rank's background pre-copy worker.
 type Engine struct {
 	cfg   Config
@@ -82,6 +79,9 @@ type Engine struct {
 	env   *sim.Env
 	proc  *sim.Proc
 	wake  *sim.Signal
+	// thresholdWake broadcasts wake at the current interval's threshold;
+	// BeginInterval re-arms it, dropping a shorter interval's stale wake.
+	thresholdWake sim.Timer
 
 	intervalStart time.Duration
 	interval      time.Duration // learned checkpoint interval I
@@ -132,6 +132,7 @@ func New(store *core.Store, cfg Config) *Engine {
 		Counters: engineCounters.New(),
 	}
 	e.Counters.SetRecorder(cfg.Rec)
+	e.thresholdWake.Init(env, e.wake.Broadcast)
 	e.copyDone.Reset(env)
 	e.copyDone.Complete() // not copying initially
 	store.OnModify(e.onModify)
@@ -170,7 +171,7 @@ func (e *Engine) onModify(c *core.Chunk) {
 }
 
 // BeginInterval marks the start of a compute interval (right after a
-// coordinated checkpoint). For delayed schemes it schedules the threshold
+// coordinated checkpoint). For delayed schemes it arms the threshold
 // wakeup.
 func (e *Engine) BeginInterval(p *sim.Proc) {
 	e.intervalStart = e.env.Now()
@@ -187,7 +188,7 @@ func (e *Engine) BeginInterval(p *sim.Proc) {
 	}
 	if e.cfg.Scheme == DCPC || e.cfg.Scheme == DCPCP {
 		if e.learned {
-			e.env.Schedule(e.threshold, e.wake.Broadcast)
+			e.thresholdWake.Arm(e.threshold)
 		}
 	}
 	e.wake.Broadcast()
@@ -238,12 +239,16 @@ func (e *Engine) Stop() {
 	}
 }
 
-// run is the background worker loop.
+// run is the background worker loop. With no candidate it parks on wake
+// with no timeout: every change that can make nextCandidate return a chunk
+// broadcasts wake — onModify on each clean→dirty edge and counted episode,
+// BeginInterval after lifting the quiesce and re-arming protection, and the
+// threshold timer for the delayed schemes — so no clock ever needs to.
 func (e *Engine) run(p *sim.Proc) {
 	for !e.stopped {
 		c := e.nextCandidate()
 		if c == nil {
-			e.wake.WaitTimeout(p, pollTick)
+			e.wake.Wait(p)
 			continue
 		}
 		e.copying = true

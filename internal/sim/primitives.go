@@ -64,7 +64,9 @@ func (s *Signal) Broadcast() { s.ws.wakeAll(s.env) }
 func (s *Signal) Wait(p *Proc) { p.wait(&s.ws, -1) }
 
 // WaitTimeout parks p until the next Broadcast or until d elapses, reporting
-// whether a Broadcast arrived.
+// whether a Broadcast arrived. Its one caller is the remote helper, whose
+// scan tick still polls; a daemon that waits for work parks on Wait and is
+// broadcast to on every change, and make lint fails on a new caller.
 func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d <= 0 {
 		return false
