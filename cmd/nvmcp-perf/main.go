@@ -66,13 +66,34 @@ type perfRecord struct {
 // dispatched (0 when the probe spans many environments). reps > 1 re-runs
 // the probe and keeps the fastest repetition, damping host-scheduler noise
 // on the short microbenchmarks. extra, when set, runs after the timed reps
-// to derive additional record fields.
+// to derive additional record fields. on, when set, makes an overhead
+// probe: each timed rep is followed by a timed run with on applied to the
+// config, and OverheadFrac compares the fastest of each (measure).
 type probe struct {
 	id     string
 	reps   int
 	shards int
 	run    func() uint64
 	extra  func(rec *perfRecord)
+	on     func(cfg *cluster.Config)
+}
+
+// overheadProbe times the paper-scale run with an optional subsystem off
+// (the record's headline wall time, held to the usual baseline threshold)
+// and switched on by on (the overhead fraction, gated at overheadLimit).
+func overheadProbe(id string, on func(cfg *cluster.Config)) probe {
+	return probe{id: id, reps: 3, run: func() uint64 { return paperRun(nil) }, on: on}
+}
+
+// paperRun is one paper-scale run of paperClusterCfg with on, if set,
+// applied to its config.
+func paperRun(on func(cfg *cluster.Config)) uint64 {
+	cfg := paperClusterCfg()
+	if on != nil {
+		on(&cfg)
+	}
+	_, c := cluster.MustRun(cfg)
+	return c.EventsFired()
 }
 
 var probes = []probe{
@@ -116,86 +137,22 @@ var probes = []probe{
 		// One paper-scale GTC cluster run with the full policy stack —
 		// the single-simulation end-to-end cost, with an events/sec rate.
 		id: "cluster-paper", reps: 2,
-		run: func() uint64 {
-			_, c := cluster.MustRun(paperClusterCfg())
-			return c.EventsFired()
-		},
+		run: func() uint64 { return paperRun(nil) },
 	},
-	{
-		// The same paper-scale run with lineage tracing off (the record's
-		// headline wall time, held to the usual baseline threshold) and on
-		// (the overhead fraction, gated at overheadLimit): tracing must be
-		// free when disabled and cheap when enabled.
-		id: "lineage-overhead", reps: 3,
-		run: func() uint64 {
-			_, c := cluster.MustRun(paperClusterCfg())
-			return c.EventsFired()
-		},
-		extra: func(rec *perfRecord) {
-			onMS := 0.0
-			for r := 0; r < 3; r++ {
-				cfg := paperClusterCfg()
-				cfg.Lineage = &lineage.Config{Enabled: true, Strict: true}
-				start := time.Now()
-				cluster.MustRun(cfg)
-				ms := float64(time.Since(start).Microseconds()) / 1e3
-				if r == 0 || ms < onMS {
-					onMS = ms
-				}
-			}
-			rec.OverheadFrac = onMS/rec.WallMS - 1
-		},
-	},
-	{
-		// The same paper-scale run with the SLO flight recorder off (the
-		// headline wall time) and on (the overhead fraction, gated at
-		// overheadLimit): windowed aggregation plus online objective
-		// evaluation must cost no more than 10% of the plain run.
-		id: "slo-overhead", reps: 3,
-		run: func() uint64 {
-			_, c := cluster.MustRun(paperClusterCfg())
-			return c.EventsFired()
-		},
-		extra: func(rec *perfRecord) {
-			onMS := 0.0
-			for r := 0; r < 3; r++ {
-				cfg := paperClusterCfg()
-				cfg.SLO = &slo.Config{Enabled: true, Spec: sloProbeSpec()}
-				start := time.Now()
-				cluster.MustRun(cfg)
-				ms := float64(time.Since(start).Microseconds()) / 1e3
-				if r == 0 || ms < onMS {
-					onMS = ms
-				}
-			}
-			rec.OverheadFrac = onMS/rec.WallMS - 1
-		},
-	},
-	{
-		// The same paper-scale run with the drift observatory off (the
-		// headline wall time) and on (the overhead fraction, gated at
-		// overheadLimit): the windowed estimators and per-window model
-		// re-evaluation must cost no more than 10% of the plain run.
-		id: "drift-overhead", reps: 3,
-		run: func() uint64 {
-			_, c := cluster.MustRun(paperClusterCfg())
-			return c.EventsFired()
-		},
-		extra: func(rec *perfRecord) {
-			onMS := 0.0
-			for r := 0; r < 3; r++ {
-				cfg := paperClusterCfg()
-				cfg.Drift = &drift.Config{Enabled: true, Spec: driftProbeSpec()}
-				start := time.Now()
-				cluster.MustRun(cfg)
-				ms := float64(time.Since(start).Microseconds()) / 1e3
-				if r == 0 || ms < onMS {
-					onMS = ms
-				}
-			}
-			rec.OverheadFrac = onMS/rec.WallMS - 1
-		},
-	},
+	// The paper-scale run with one observability subsystem on must stay
+	// within overheadLimit of the plain run: lineage tracing with the strict
+	// invariant checker, the SLO flight recorder (windowed aggregation plus
+	// online objective evaluation), and the drift observatory (windowed
+	// estimators plus per-window model re-evaluation).
+	overheadProbe("lineage-overhead", func(cfg *cluster.Config) {
+		cfg.Lineage = &lineage.Config{Enabled: true, Strict: true}
+	}),
+	overheadProbe("slo-overhead", func(cfg *cluster.Config) {
+		cfg.SLO = &slo.Config{Enabled: true, Spec: sloProbeSpec()}
+	}),
+	overheadProbe("drift-overhead", func(cfg *cluster.Config) {
+		cfg.Drift = &drift.Config{Enabled: true, Spec: driftProbeSpec()}
+	}),
 	{
 		// Shard-count sweep over a 16-node buddy fleet: the same policy
 		// stack as cluster-paper, four times the nodes, run on the serial
@@ -444,9 +401,13 @@ func bestOf(a, b perfRecord) perfRecord {
 }
 
 // measure runs one probe, keeping the fastest repetition's wall time and
-// that repetition's allocation counts.
+// that repetition's allocation counts. An overhead probe's reps alternate
+// the plain run with the run with its subsystem on, each timed after a
+// collection, so neither side pays for the other's garbage or runs only in
+// a quieter stretch of a shared host.
 func measure(pb probe) perfRecord {
 	rec := perfRecord{ID: pb.id, Reps: pb.reps, GoMaxProcs: runtime.GOMAXPROCS(0), Shards: pb.shards}
+	onMS := 0.0
 	for r := 0; r < pb.reps; r++ {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -465,6 +426,17 @@ func measure(pb probe) perfRecord {
 				rec.EventsPerSec = float64(events) / wall.Seconds()
 			}
 		}
+		if pb.on != nil {
+			runtime.GC()
+			start := time.Now()
+			paperRun(pb.on)
+			if ms := float64(time.Since(start).Microseconds()) / 1e3; r == 0 || ms < onMS {
+				onMS = ms
+			}
+		}
+	}
+	if pb.on != nil {
+		rec.OverheadFrac = onMS/rec.WallMS - 1
 	}
 	if pb.extra != nil {
 		pb.extra(&rec)

@@ -495,7 +495,8 @@ func runServe(addr string, cfg controlplane.Config) int {
 }
 
 // resolveScenario picks the run's scenario: an explicit file, a named preset,
-// or the flag-composed fallback.
+// or the flag-composed fallback. Lowering it (cluster.FromScenario) checks
+// it.
 func resolveScenario(path, preset, scaleName string, fromFlags func() *scenario.Scenario) (*scenario.Scenario, error) {
 	switch {
 	case path != "" && preset != "":
@@ -509,11 +510,7 @@ func resolveScenario(path, preset, scaleName string, fromFlags func() *scenario.
 		}
 		return scenario.BuildPreset(preset, scale)
 	}
-	sc := fromFlags()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return fromFlags(), nil
 }
 
 // printPresets lists every preset id with its fleet/fault-domain shape at
@@ -533,7 +530,7 @@ func printPresets(w io.Writer, scaleName string) {
 		if !p.ClusterShaped() {
 			via = "nvmcp-bench " + p.ID
 		} else if sc := p.Build(scale); sc.Fleet != nil {
-			if tp := sc.Topology(); tp != nil {
+			if tp, err := sc.Fleet.Topology(); err == nil {
 				fleet = fmt.Sprintf("%dn %s", tp.Nodes(), tp.Summary())
 			}
 		}
@@ -622,11 +619,12 @@ func writeStressReport(path string, sc *scenario.Scenario, c *cluster.Cluster, r
 	writeReportPair(path, "stress report", "stress", rep, func(w io.Writer) error { return stress.WriteHTML(w, rep) })
 }
 
-// runSweep expands a sweep file and runs every cell sequentially, printing a
-// one-line summary per cell. When -slo-report-out is set, each cell writes
-// its own report pair under a sanitized cell suffix. The exit code is
-// non-zero if any cell fails (including -slo-strict and -drift-strict
-// breaches).
+// runSweep expands a sweep file, lowers every cell, and then runs the cells
+// sequentially, printing a one-line summary per cell. A cell that does not
+// lower refuses the whole sweep (exit 2) before any cell runs. When
+// -slo-report-out is set, each cell writes its own report pair under a
+// sanitized cell suffix. The exit code is 1 if any cell fails (including
+// -slo-strict and -drift-strict breaches).
 func runSweep(path string, sloStrict, driftStrict bool, sloReportOut string) int {
 	f, err := os.Open(path)
 	if err != nil {
@@ -648,15 +646,17 @@ func runSweep(path string, sloStrict, driftStrict bool, sloReportOut string) int
 		fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
 		return 2
 	}
+	cfgs := make([]cluster.Config, len(cells))
+	for i, sc := range cells {
+		if cfgs[i], err = cluster.FromScenario(sc); err != nil {
+			fmt.Fprintf(os.Stderr, "nvmcp-sim: %v\n", err)
+			return 2
+		}
+	}
 	fmt.Printf("nvmcp-sim: sweep %s, %d cells\n", path, len(cells))
 	failed := 0
-	for _, sc := range cells {
-		cfg, err := cluster.FromScenario(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmcp-sim: cell %s: %v\n", sc.Name, err)
-			failed++
-			continue
-		}
+	for i, sc := range cells {
+		cfg := cfgs[i]
 		if cfg.SLO != nil && sloStrict {
 			cfg.SLO.Strict = true
 		}

@@ -123,6 +123,33 @@ func TestSweepHonoursDriftStrict(t *testing.T) {
 	}
 }
 
+// TestSweepRefusedWhole: a sweep whose second cell breaks a rule only the
+// lowering checks (remote.group -1) exits 2 before its valid first cell
+// runs, so no cell prints a result line.
+func TestSweepRefusedWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	sweep := `{"base": {"name": "refused", "nodes": 2, "cores_per_node": 2, "iterations": 1,
+		"workload": {"app": "gtc", "ckpt_mb": 24, "iter_secs": 2}, "remote": {"policy": "erasure"}},
+		"axes": [{"field": "remote.group", "values": [0, -1]}]}`
+	if err := os.WriteFile(path, []byte(sweep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(simBinary(t), "-sweep", path)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("sweep with a bad cell: err = %v, want exit 2\n%s%s", err, out, stderr.String())
+	}
+	if len(out) != 0 {
+		t.Errorf("refused sweep printed to stdout:\n%s", out)
+	}
+	if want := `scenario "refused/remote.group=-1": cluster: remote group must be >= 0, got -1`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q missing %q", stderr.String(), want)
+	}
+}
+
 // TestReportIndependentOfTrace: rendering the Chrome timeline is a sink,
 // not a setting, so -report-out writes the same bytes with and without
 // -trace-out.

@@ -10,18 +10,19 @@ import (
 	"nvmcp/internal/scenario"
 )
 
-// maxFuzzFleet bounds the fleets FuzzLoadLowers loads: scenario.Load builds
-// the fleet topology, one coordinate per node.
+// maxFuzzFleet bounds the fleets FuzzLoadLowers lowers: FromScenario
+// expands the fleet, one shape, start time and coordinate per node.
 const maxFuzzFleet = 4096
 
-// FuzzLoadLowers holds scenario validation to the cluster's own rules:
-// every spec scenario.Load accepts must lower through FromScenario and pass
-// setDefaults + Config.Validate, so a bad file cannot get past sweep
-// expansion or the control plane only to fail in New. The target never
-// builds a machine (New, Execute), because fuzzed node counts are
-// unbounded. The corpus starts from the checked-in scenario files, every
-// cluster-shaped preset at tiny scale, and a tiny spec with each of
-// payload_cap, dram_per_node and nvm_per_node negative.
+// FuzzLoadLowers holds FromScenario to its promise: lowering any spec
+// scenario.Load accepts returns an error or a config New accepts (it passes
+// setDefaults + Config.Validate), and never panics, so a bad file cannot
+// get past FromScenario, and so past sweep lowering or the control plane,
+// only to fail in New. The target never builds a machine (New, Execute),
+// because fuzzed node counts are unbounded. The corpus starts from the
+// checked-in scenario files, every cluster-shaped preset at tiny scale, and
+// a tiny spec with each of payload_cap, dram_per_node and nvm_per_node
+// negative.
 //
 //	go test ./internal/cluster -run '^$' -fuzz FuzzLoadLowers -fuzztime 60s -parallel 2
 func FuzzLoadLowers(f *testing.F) {
@@ -69,11 +70,11 @@ func FuzzLoadLowers(f *testing.F) {
 		}
 		cfg, err := FromScenario(sc)
 		if err != nil {
-			t.Fatalf("Load accepted a spec FromScenario refuses: %v\n%s", err, data)
+			return
 		}
 		cfg.setDefaults()
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Load accepted a spec the cluster refuses: %v\n%s", err, data)
+			t.Fatalf("FromScenario returned a config New refuses: %v\n%s", err, data)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"nvmcp/internal/drift"
@@ -9,13 +11,36 @@ import (
 	"nvmcp/internal/slo"
 )
 
-// FromScenario lowers a declarative scenario into a runnable Config. The
-// scenario is validated; policy names pass through untouched and resolve
-// against the internal/policy name tables when the cluster is built.
+// FromScenario is the one validating lowering of a scenario into a runnable
+// Config. It checks the scenario's own rules (Scenario.Validate), lowers the
+// spec once, expanding a fleet into its one topology, and holds a defaulted
+// copy of the result to Config.Validate, so a spec that New would refuse is
+// refused here, with the scenario's name. The returned config is not
+// defaulted, which keeps the RunReport's config echo as written; policy
+// names resolve against the internal/policy name tables when the cluster is
+// built.
 func FromScenario(sc *scenario.Scenario) (Config, error) {
 	if err := sc.Validate(); err != nil {
 		return Config{}, err
 	}
+	cfg, err := lower(sc)
+	if err == nil {
+		check := cfg
+		check.setDefaults()
+		err = check.Validate()
+	}
+	if err != nil {
+		name := "(unnamed)"
+		if sc.Name != "" {
+			name = fmt.Sprintf("%q", sc.Name)
+		}
+		return Config{}, fmt.Errorf("scenario %s: %w", name, err)
+	}
+	return cfg, nil
+}
+
+// lower translates a scenario that passed Scenario.Validate into a Config.
+func lower(sc *scenario.Scenario) (Config, error) {
 	app, err := sc.AppSpec()
 	if err != nil {
 		return Config{}, err
@@ -49,7 +74,9 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 		RemoteGroup:   sc.Remote.Group,
 		Stagger: policy.StaggerSpec{
 			MaxConcurrent: sc.Remote.StaggerMax,
-			Slot:          time.Duration(sc.Remote.StaggerSlotSecs * float64(time.Second)),
+			// Rounded down, so a slot under a nanosecond below zero stays
+			// negative for Config.Validate to refuse.
+			Slot: time.Duration(math.Floor(sc.Remote.StaggerSlotSecs * float64(time.Second))),
 		},
 		ReplanOnFailure: sc.Remote.Replan,
 
@@ -85,10 +112,10 @@ func FromScenario(sc *scenario.Scenario) (Config, error) {
 			}
 		}
 	}
-	for _, f := range sc.Failures {
+	for i, f := range sc.Failures {
 		ev, err := f.Event()
 		if err != nil {
-			return Config{}, err
+			return Config{}, fmt.Errorf("failure %d: %w", i, err)
 		}
 		cfg.Failures = append(cfg.Failures, ev)
 	}

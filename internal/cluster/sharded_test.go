@@ -548,7 +548,7 @@ func TestShardCountRespectsTopology(t *testing.T) {
 }
 
 // TestScenarioShardsLowered checks the scenario spec's shards field reaches
-// the cluster config and survives validation.
+// the cluster config, and that lowering refuses a negative one.
 func TestScenarioShardsLowered(t *testing.T) {
 	p, _ := scenario.PresetByID("fig8")
 	sc := p.Build(scenario.ScaleQuick)
@@ -561,7 +561,7 @@ func TestScenarioShardsLowered(t *testing.T) {
 		t.Fatalf("scenario shards not lowered: got %d", cfg.Shards)
 	}
 	sc.Shards = -1
-	if err := sc.Validate(); err == nil {
-		t.Fatal("negative scenario shards validated")
+	if _, err := FromScenario(sc); err == nil {
+		t.Fatal("negative scenario shards lowered")
 	}
 }

@@ -97,10 +97,11 @@ func max1(v int) int {
 }
 
 // MaxFleetNodes is the largest fleet a spec may ask for: ten times the
-// paper matrix's largest (10,000-node) cell. Validation builds the fleet's
-// topology, one coordinate per node, so an unbounded count would let one
-// scenario file or control-plane job ask for gigabytes before any check
-// could refuse it; FleetSpec.Validate checks this bound first.
+// paper matrix's largest (10,000-node) cell. Lowering a scenario
+// (cluster.FromScenario) expands its fleet, one shape, start time and
+// coordinate per node, so an unbounded count would let one scenario file or
+// control-plane job ask for gigabytes; FleetSpec.Validate checks this bound
+// first, and Scenario.Validate runs it before anything is built.
 const MaxFleetNodes = 100_000
 
 // Validate checks the fleet spec with actionable errors.
@@ -160,7 +161,7 @@ func (f *FleetSpec) Validate() error {
 }
 
 // Topology builds the fleet's failure-domain layout without expanding the
-// node shapes (cheap enough for validation paths).
+// node shapes.
 func (f *FleetSpec) Topology() (*topo.Topology, error) {
 	return topo.Uniform(f.Nodes, f.providers(), f.zones(), f.racks())
 }

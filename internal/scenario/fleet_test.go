@@ -228,10 +228,9 @@ func fleetScenario() *scenario.Scenario {
 }
 
 // TestLoadRefusesOversizedFleetBeforeBuildingIt: a two-billion-node fleet
-// is refused by the ceiling before validation builds its topology, so the
-// load allocates next to nothing.
+// is refused by the ceiling, so the load allocates next to nothing.
 func TestLoadRefusesOversizedFleetBeforeBuildingIt(t *testing.T) {
-	sc := fleetScenario() // its failures make Validate consult the topology
+	sc := fleetScenario()
 	sc.Fleet.Nodes = 2_000_000_000
 	buf, err := sc.Marshal()
 	if err != nil {
@@ -249,16 +248,44 @@ func TestLoadRefusesOversizedFleetBeforeBuildingIt(t *testing.T) {
 	}
 }
 
+// maxFleetSpec is a MaxFleetNodes-node fleet with a zone outage: the
+// largest spec Load accepts, and one whose failure names a fleet domain.
+func maxFleetSpec() *scenario.Scenario {
+	sc := fleetScenario()
+	sc.Fleet.Nodes = scenario.MaxFleetNodes
+	sc.Failures = sc.Failures[:1]
+	return sc
+}
+
+// TestLoadBuildsNoFleet: validating a spec allocates in the size of the
+// spec, not of the fleet it describes. Loading the largest fleet Load
+// accepts, with a zone outage, builds neither its topology nor its nodes;
+// the lowering (cluster.FromScenario) builds them once.
+func TestLoadBuildsNoFleet(t *testing.T) {
+	buf, err := maxFleetSpec().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = scenario.Load(bytes.NewReader(buf))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Load of a %d-node fleet: %v", scenario.MaxFleetNodes, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("Load of a %d-node fleet allocated %d bytes, want < 64 KiB", scenario.MaxFleetNodes, got)
+	}
+}
+
 func TestFleetScenarioValidatesAndRoundTrips(t *testing.T) {
 	sc := fleetScenario()
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("fleet scenario rejected: %v", err)
 	}
-	if sc.EffectiveNodes() != 48 {
-		t.Fatalf("EffectiveNodes = %d", sc.EffectiveNodes())
-	}
-	if tp := sc.Topology(); tp == nil || tp.Summary() != "1p/2z/6r" {
-		t.Fatalf("Topology = %v", sc.Topology())
+	if tp, err := sc.Fleet.Topology(); err != nil || tp.Nodes() != 48 || tp.Summary() != "1p/2z/6r" {
+		t.Fatalf("Topology = %v, %v", tp, err)
 	}
 	buf, err := sc.Marshal()
 	if err != nil {
@@ -273,6 +300,9 @@ func TestFleetScenarioValidatesAndRoundTrips(t *testing.T) {
 	}
 }
 
+// TestFleetScenarioValidateErrors covers the fleet rules Scenario.Validate
+// keeps; failures against the fleet's domains are the lowering's (cluster
+// TestFromScenarioErrors).
 func TestFleetScenarioValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -280,10 +310,6 @@ func TestFleetScenarioValidateErrors(t *testing.T) {
 		want string
 	}{
 		{"fleet plus nodes", func(sc *scenario.Scenario) { sc.Nodes = 4 }, "drop nodes/cores_per_node"},
-		{"bad placement", func(sc *scenario.Scenario) { sc.Remote.Placement = "everywhere" }, "unknown placement"},
-		{"empty domain", func(sc *scenario.Scenario) { sc.Failures[0].Zone = 9 }, "failure 0: fault: zone-outage targets empty domain"},
-		{"domain with node", func(sc *scenario.Scenario) { sc.Failures[0].Node = 3 }, "failure 0: fault: zone-outage targets a domain, not a node"},
-		{"storm origin off-fleet", func(sc *scenario.Scenario) { sc.Failures[2].Node = 99 }, "failure 2: fault: node 99 outside cluster (nodes 0..47)"},
 		{"bad fleet", func(sc *scenario.Scenario) { sc.Fleet.Templates = nil }, "at least one node template"},
 	}
 	for _, tc := range cases {
@@ -293,18 +319,6 @@ func TestFleetScenarioValidateErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v missing %q", tc.name, err, tc.want)
 		}
-	}
-
-	// Domain kinds and correlated MTBFs need a fleet topology.
-	sc := fullScenario()
-	sc.Failures = []scenario.FailureSpec{{AtSecs: 3, Kind: "zone-outage", Zone: 1}}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "failure 0: fault: zone-outage needs a fleet topology") {
-		t.Errorf("zone outage without fleet: %v", err)
-	}
-	sc = fullScenario()
-	sc.FaultModel = &scenario.FaultModelSpec{MTBFRackSecs: 30, HorizonSecs: 10}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "fault: model rack/zone MTBFs need a fleet topology") {
-		t.Errorf("rack MTBF without fleet: %v", err)
 	}
 }
 
@@ -316,14 +330,19 @@ func TestFleetPresetsDeclareDomains(t *testing.T) {
 				t.Errorf("BuildPreset(%q, %s): %v", id, s, err)
 				continue
 			}
-			if sc.Fleet == nil || sc.Topology() == nil {
+			if sc.Fleet == nil {
 				t.Errorf("%s@%s is not fleet-shaped", id, s)
+				continue
+			}
+			tp, err := sc.Fleet.Topology()
+			if err != nil {
+				t.Errorf("%s@%s: %v", id, s, err)
 				continue
 			}
 			if s == scenario.ScalePaper && sc.Fleet.Nodes < 1000 {
 				t.Errorf("%s@paper has %d nodes, want >= 1000", id, sc.Fleet.Nodes)
 			}
-			if zones := len(sc.Topology().Domains(topo.LevelZone)); zones < 2 && id != "fleet-chaos" {
+			if zones := len(tp.Domains(topo.LevelZone)); zones < 2 && id != "fleet-chaos" {
 				t.Errorf("%s@%s has %d zones; domain presets need at least 2", id, s, zones)
 			}
 		}

@@ -13,8 +13,10 @@ import (
 // FuzzLoad feeds arbitrary bytes to Load. Load must never panic, and every
 // spec it accepts must Marshal and Load again: a scenario that validates
 // once but not after its own round trip could not be saved and re-run. The
-// corpus starts from the checked-in scenario files and every cluster-shaped
-// preset at tiny scale.
+// corpus starts from the checked-in scenario files, every cluster-shaped
+// preset at tiny scale, and the largest fleet Load accepts (maxFleetSpec):
+// Load builds no fleet, so a fuzzed node count up to MaxFleetNodes costs
+// no more than a small one.
 //
 //	go test ./internal/scenario -run '^$' -fuzz FuzzLoad -fuzztime 60s
 func FuzzLoad(f *testing.F) {
@@ -40,6 +42,11 @@ func FuzzLoad(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+	buf, err := maxFleetSpec().Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := scenario.Load(bytes.NewReader(data))
 		if err != nil {

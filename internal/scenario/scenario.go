@@ -3,10 +3,11 @@
 // checkpoint policies (local, remote, bottom), failure schedule, SLOs and
 // drift limits; where a run writes its artifacts is the runner's business
 // (nvmcp-sim's -events-out and kin). Scenarios round-trip through JSON,
-// validate with actionable errors, come as named presets for every
-// experiment in DESIGN.md §4, and expand into cartesian sweeps. The cluster
-// builds runs from scenarios (cluster.FromScenario); policy names are
-// checked against internal/policy's name tables.
+// check their own rules with actionable errors, come as named presets for
+// every experiment in DESIGN.md §4, and expand into cartesian sweeps. The
+// cluster lowers a scenario into a run (cluster.FromScenario) and checks the
+// run's rules there, once: policy names against internal/policy's name
+// tables, failures against the fleet it built.
 package scenario
 
 import (
@@ -20,9 +21,7 @@ import (
 	"nvmcp/internal/drift"
 	"nvmcp/internal/fault"
 	"nvmcp/internal/mem"
-	"nvmcp/internal/policy"
 	"nvmcp/internal/slo"
-	"nvmcp/internal/topo"
 	"nvmcp/internal/workload"
 )
 
@@ -197,9 +196,9 @@ type FailureSpec struct {
 	WaveDelaySecs float64 `json:"wave_delay_secs,omitempty"`
 }
 
-// Event lowers the spec to a fault.Event. Validation, FromScenario and live
-// injection all lower through it, so they refuse the same specs: an empty
-// kind is soft.
+// Event lowers the spec to a fault.Event. FromScenario and live injection
+// both lower through it, so they refuse the same specs: an empty kind is
+// soft.
 func (f FailureSpec) Event() (fault.Event, error) {
 	kind, err := fault.ParseKind(f.Kind)
 	if err != nil {
@@ -299,7 +298,9 @@ type Scenario struct {
 }
 
 // Load parses a scenario from JSON, rejecting unknown fields so typos
-// surface instead of silently configuring nothing.
+// surface instead of silently configuring nothing, and checks the
+// scenario's own rules (Validate). The run's rules are checked when it is
+// lowered (cluster.FromScenario).
 func Load(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -313,7 +314,7 @@ func Load(r io.Reader) (*Scenario, error) {
 	return &sc, nil
 }
 
-// LoadFile reads and validates a scenario file.
+// LoadFile reads a scenario file and checks its own rules, as Load does.
 func LoadFile(path string) (*Scenario, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -332,8 +333,14 @@ func (sc *Scenario) Marshal() ([]byte, error) {
 	return json.MarshalIndent(sc, "", "  ")
 }
 
-// Validate checks the scenario, returning actionable errors: unknown names
-// list the valid alternatives, out-of-range numbers say the range.
+// Validate checks the rules of a scenario that its lowered cluster config
+// cannot state or would default away: the machine shape (a fleet, or nodes
+// and cores_per_node of at least 1), iterations, the workload, and an
+// explicit remote rate cap that auto_rate_cap would replace. Every other
+// rule of a run is checked once, on the lowered config, by
+// cluster.FromScenario. Validate builds nothing, so it allocates in the size
+// of the spec, not of the fleet. Errors are actionable: unknown names list
+// the valid alternatives, out-of-range numbers say the range.
 func (sc *Scenario) Validate() error {
 	if sc.Fleet != nil {
 		if sc.Nodes != 0 || sc.CoresPerNode != 0 {
@@ -354,17 +361,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Iterations < 1 {
 		return fmt.Errorf("scenario %s: iterations must be >= 1, got %d", sc.label(), sc.Iterations)
 	}
-	if sc.NVMPerCoreBW < 0 || sc.LinkBW < 0 {
-		return fmt.Errorf("scenario %s: bandwidths must be non-negative (nvm_per_core_bw %g, link_bw %g)",
-			sc.label(), sc.NVMPerCoreBW, sc.LinkBW)
-	}
-	if sc.Shards < 0 {
-		return fmt.Errorf("scenario %s: shards must be >= 0, got %d", sc.label(), sc.Shards)
-	}
-	if sc.PayloadCap < 0 || sc.DRAMPerNode < 0 || sc.NVMPerNode < 0 {
-		return fmt.Errorf("scenario %s: payload_cap, dram_per_node and nvm_per_node must be >= 0 (0 = default), got %d, %d, %d",
-			sc.label(), sc.PayloadCap, sc.DRAMPerNode, sc.NVMPerNode)
-	}
 	if _, ok := workload.SpecByName(sc.Workload.App); !ok {
 		var names []string
 		for _, s := range workload.Specs() {
@@ -381,84 +377,14 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: workload.comm_mb must be >= -1 (-1 disables communication), got %g",
 			sc.label(), sc.Workload.CommMB)
 	}
-	if _, err := policy.Parse(policy.KindLocal, sc.Local.Policy); err != nil {
-		return fmt.Errorf("scenario %s: local: %w", sc.label(), err)
-	}
-	if _, err := policy.Parse(policy.KindRemote, sc.Remote.Policy); err != nil {
-		return fmt.Errorf("scenario %s: remote: %w", sc.label(), err)
-	}
-	if _, err := policy.Parse(policy.KindBottom, sc.Bottom.Policy); err != nil {
-		return fmt.Errorf("scenario %s: bottom: %w", sc.label(), err)
-	}
-	if sc.Local.Every < 0 || sc.Remote.Every < 0 {
-		return fmt.Errorf("scenario %s: checkpoint intervals must be >= 0 (local %d, remote %d)",
-			sc.label(), sc.Local.Every, sc.Remote.Every)
-	}
-	if sc.Remote.Group < 0 {
-		return fmt.Errorf("scenario %s: remote.group must be >= 0, got %d", sc.label(), sc.Remote.Group)
-	}
-	if sc.Local.RateCap < 0 || sc.Remote.RateCap < 0 {
-		return fmt.Errorf("scenario %s: rate caps must be >= 0 (local %g, remote %g)",
-			sc.label(), sc.Local.RateCap, sc.Remote.RateCap)
-	}
-	if _, err := policy.ParsePlacement(sc.Remote.Placement); err != nil {
-		return fmt.Errorf("scenario %s: remote: %w", sc.label(), err)
-	}
-	if sc.Remote.StaggerMax < 0 || sc.Remote.StaggerSlotSecs < 0 {
-		return fmt.Errorf("scenario %s: remote stagger fields must be >= 0 (max %d, slot %gs)",
-			sc.label(), sc.Remote.StaggerMax, sc.Remote.StaggerSlotSecs)
-	}
-	nodes, tp := sc.EffectiveNodes(), sc.Topology()
-	for i, f := range sc.Failures {
-		ev, err := f.Event()
-		if err == nil {
-			err = ev.Validate(nodes, tp)
-		}
-		if err != nil {
-			return fmt.Errorf("scenario %s: failure %d: %w", sc.label(), i, err)
-		}
-	}
-	if m := sc.FaultModel; m != nil {
-		if err := m.Model().Validate(tp); err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.label(), err)
-		}
-	}
-	if sc.SLO != nil {
-		if err := sc.SLO.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.label(), err)
-		}
-	}
-	if sc.Drift != nil {
-		if err := sc.Drift.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.label(), err)
-		}
-	}
 	if sc.Workload.PhaseShiftIter < 0 || sc.Workload.PhaseShiftMods < 0 {
 		return fmt.Errorf("scenario %s: workload phase-shift fields must be >= 0 (iter %d, mods %d)",
 			sc.label(), sc.Workload.PhaseShiftIter, sc.Workload.PhaseShiftMods)
 	}
+	if sc.Remote.RateCap < 0 {
+		return fmt.Errorf("scenario %s: remote.rate_cap must be >= 0, got %g", sc.label(), sc.Remote.RateCap)
+	}
 	return nil
-}
-
-// EffectiveNodes is the compute-node count, fleet-aware.
-func (sc *Scenario) EffectiveNodes() int {
-	if sc.Fleet != nil {
-		return sc.Fleet.Nodes
-	}
-	return sc.Nodes
-}
-
-// Topology is the fleet's failure-domain layout, or nil for fixed-shape
-// scenarios (which have no provider/zone/rack coordinates).
-func (sc *Scenario) Topology() *topo.Topology {
-	if sc.Fleet == nil {
-		return nil
-	}
-	tp, err := sc.Fleet.Topology()
-	if err != nil {
-		return nil
-	}
-	return tp
 }
 
 func (sc *Scenario) label() string {

@@ -101,6 +101,10 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestValidateErrors covers the rules Scenario.Validate keeps: those the
+// lowered cluster config cannot state or would default away. The run's
+// other rules are refused by cluster.FromScenario (cluster
+// TestFromScenarioErrors).
 func TestValidateErrors(t *testing.T) {
 	mod := func(f func(*scenario.Scenario)) *scenario.Scenario {
 		sc := fullScenario()
@@ -115,36 +119,15 @@ func TestValidateErrors(t *testing.T) {
 		{"no nodes", mod(func(sc *scenario.Scenario) { sc.Nodes = 0 }), "nodes must be >= 1"},
 		{"no cores", mod(func(sc *scenario.Scenario) { sc.CoresPerNode = 0 }), "cores_per_node must be >= 1"},
 		{"no iterations", mod(func(sc *scenario.Scenario) { sc.Iterations = 0 }), "iterations must be >= 1"},
-		{"negative bw", mod(func(sc *scenario.Scenario) { sc.LinkBW = -1 }), "bandwidths must be non-negative"},
-		{"negative payload cap", mod(func(sc *scenario.Scenario) { sc.PayloadCap = -1 }), "must be >= 0 (0 = default), got -1, 0, 0"},
-		{"negative dram", mod(func(sc *scenario.Scenario) { sc.DRAMPerNode = -1 }), "must be >= 0 (0 = default), got 2048, -1, 0"},
-		{"negative nvm", mod(func(sc *scenario.Scenario) { sc.NVMPerNode = -1 }), "must be >= 0 (0 = default), got 2048, 0, -1"},
 		{"bad app", mod(func(sc *scenario.Scenario) { sc.Workload.App = "nope" }), `unknown workload "nope" (valid:`},
-		{"bad local", mod(func(sc *scenario.Scenario) { sc.Local.Policy = "xyz" }), `local: unknown local policy "xyz"`},
-		{"bad remote", mod(func(sc *scenario.Scenario) { sc.Remote.Policy = "xyz" }), `remote: unknown remote policy "xyz"`},
-		{"bad bottom", mod(func(sc *scenario.Scenario) { sc.Bottom.Policy = "xyz" }), `bottom: unknown bottom policy "xyz"`},
-		{"failure off-cluster", mod(func(sc *scenario.Scenario) { sc.Failures[0].Node = 4 }), "failure 0: fault: node 4 outside cluster (nodes 0..3)"},
-		{"failure at t=0", mod(func(sc *scenario.Scenario) { sc.Failures[0].AtSecs = 0 }), "failure 0: fault: event time 0s not positive"},
-		{"negative rate cap", mod(func(sc *scenario.Scenario) { sc.Local.RateCap = -5 }), "rate caps must be >= 0"},
-		{"negative group", mod(func(sc *scenario.Scenario) { sc.Remote = scenario.RemoteSpec{Policy: "erasure", Group: -3} }),
-			"remote.group must be >= 0, got -3"},
-		{"bad failure kind", mod(func(sc *scenario.Scenario) { sc.Failures[0].Kind = "meteor" }), `failure 0: fault: unknown kind "meteor"`},
-		{"negative chunks", mod(func(sc *scenario.Scenario) { sc.Failures[0].Chunks = -1 }), "failure 0: fault: negative chunk count -1"},
-		{"factor out of range", mod(func(sc *scenario.Scenario) {
-			sc.Failures[0] = scenario.FailureSpec{AtSecs: 10, Node: 1, Kind: "link-flap", DurationSecs: 1, Factor: 1}
-		}), "failure 0: fault: link factor 1 outside [0,1)"},
-		{"flap without duration", mod(func(sc *scenario.Scenario) {
-			sc.Failures[0] = scenario.FailureSpec{AtSecs: 10, Node: 1, Kind: "link-flap"}
-		}), "failure 0: fault: link-flap needs a positive duration"},
-		{"model without horizon", mod(func(sc *scenario.Scenario) {
-			sc.FaultModel = &scenario.FaultModelSpec{MTBFSoftSecs: 30}
-		}), `scenario "golden": fault: model horizon 0s not positive`},
-		{"model negative mtbf", mod(func(sc *scenario.Scenario) {
-			sc.FaultModel = &scenario.FaultModelSpec{MTBFSoftSecs: -1, HorizonSecs: 60}
-		}), `scenario "golden": fault: negative model MTBF (soft -1s`},
-		{"model all classes off", mod(func(sc *scenario.Scenario) {
-			sc.FaultModel = &scenario.FaultModelSpec{HorizonSecs: 60}
-		}), `scenario "golden": fault: model needs at least one positive MTBF`},
+		{"negative ckpt", mod(func(sc *scenario.Scenario) { sc.Workload.CkptMB = -1 }), "workload.ckpt_mb must be >= 0, got -1"},
+		{"comm below -1", mod(func(sc *scenario.Scenario) { sc.Workload.CommMB = -2 }), "workload.comm_mb must be >= -1"},
+		{"negative phase shift", mod(func(sc *scenario.Scenario) { sc.Workload.PhaseShiftMods = -1 }),
+			"phase-shift fields must be >= 0 (iter 0, mods -1)"},
+		// auto_rate_cap replaces the explicit cap, so the lowered config
+		// could not refuse it.
+		{"negative remote rate cap", mod(func(sc *scenario.Scenario) { sc.Remote.RateCap = -5 }),
+			"remote.rate_cap must be >= 0, got -5"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
@@ -158,20 +141,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := fullScenario().Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
-	}
-	// Every kind plus a stochastic model, together, validates.
-	sc := fullScenario()
-	sc.Failures = []scenario.FailureSpec{
-		{AtSecs: 5, Node: 0, Kind: "soft"},
-		{AtSecs: 6, Node: 1, Kind: "hard"},
-		{AtSecs: 7, Node: 2, Kind: "nvm-corrupt", Chunks: 3, Torn: true},
-		{AtSecs: 8, Node: 3, Kind: "link-flap", DurationSecs: 2, Factor: 0.1},
-		{AtSecs: 9, Node: 0, Kind: "buddy-loss"},
-	}
-	sc.FaultModel = &scenario.FaultModelSpec{MTBFSoftSecs: 120, MTBFHardSecs: 600, HorizonSecs: 300, Seed: 1}
-	sc.FaultSeed = 7
-	if err := sc.Validate(); err != nil {
-		t.Errorf("full fault taxonomy rejected: %v", err)
 	}
 }
 

@@ -87,8 +87,8 @@ func TestSweepRejectsUnknownField(t *testing.T) {
 
 func TestSweepRejectsInvalidPoint(t *testing.T) {
 	sw := baseSweep()
-	sw.Axes = []scenario.Axis{{Field: "local.policy", Values: []interface{}{"dcpcp", "bogus"}}}
-	if _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), `unknown local policy "bogus"`) {
+	sw.Axes = []scenario.Axis{{Field: "workload.app", Values: []interface{}{"gtc", "bogus"}}}
+	if _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
 		t.Fatalf("invalid point not rejected: %v", err)
 	}
 }
