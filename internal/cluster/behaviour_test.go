@@ -17,8 +17,9 @@ import (
 var updateBehaviour = flag.Bool("update", false, "rewrite the testdata golden files of the tests that run")
 
 // behaviourGolden is the checked-in fingerprint of what the simulator does,
-// one entry per preset run at tiny scale plus the flag-built CPC run that
-// re-dirties pre-copied chunks (no preset does).
+// one entry per preset run at tiny scale plus two flag-built runs no preset
+// makes: the CPC run that re-dirties pre-copied chunks, and the erasure run
+// that recovers a hard failure through parity.
 const behaviourGolden = "testdata/behaviour.golden.json"
 
 // behaviourRun pins one run: how many engine events fired, the digest of the
@@ -55,6 +56,34 @@ func behaviourPresets() []string {
 func cpcEvery2Cfg() Config {
 	cfg := smallCfg()
 	cfg.Local, cfg.LocalEvery, cfg.Iterations = "cpc", 2, 6
+	return cfg
+}
+
+// erasureHardCfg is `nvmcp-sim -nodes 4 -cores 2 -ckpt-mb 24 -iter-secs 2
+// -iters 4 -remote erasure -remote-every 1`, hard-failing node 1 at 30 s:
+// the lost node's chunks come back from parity plus the survivors. With
+// failures false it is the fault-free twin.
+func erasureHardCfg(t *testing.T, failures bool) Config {
+	t.Helper()
+	sc := &scenario.Scenario{
+		Name:         "erasure-hard",
+		Nodes:        4,
+		CoresPerNode: 2,
+		NVMPerCoreBW: 400e6,
+		LinkBW:       250e6,
+		Workload:     scenario.WorkloadSpec{App: "gtc", CkptMB: 24, IterSecs: 2},
+		Iterations:   4,
+		Local:        scenario.LocalSpec{Policy: "dcpcp", Every: 1},
+		Remote:       scenario.RemoteSpec{Policy: "erasure", Every: 1, AutoRateCap: true},
+		PayloadCap:   2048,
+	}
+	if failures {
+		sc.Failures = []scenario.FailureSpec{{AtSecs: 30, Node: 1, Kind: "hard"}}
+	}
+	cfg, err := FromScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cfg
 }
 
@@ -108,7 +137,7 @@ func sha256Hex(b []byte) string {
 //	go test ./internal/cluster -run TestBehaviourGolden -update
 func TestBehaviourGolden(t *testing.T) {
 	ids := behaviourPresets()
-	got := make([]behaviourRun, len(ids)+1)
+	got := make([]behaviourRun, len(ids)+2)
 	t.Run("presets", func(t *testing.T) {
 		for i, id := range ids {
 			t.Run(id, func(t *testing.T) {
@@ -122,6 +151,22 @@ func TestBehaviourGolden(t *testing.T) {
 		got[len(ids)], res = runBehaviour(t, "cpc-every-2", cpcEvery2Cfg())
 		if res.ReDirtyRate == 0 {
 			t.Error("cpc-every-2 re-dirtied no pre-copied chunk")
+		}
+	})
+	t.Run("erasure-hard", func(t *testing.T) {
+		var res Result
+		got[len(ids)+1], res = runBehaviour(t, "erasure-hard", erasureHardCfg(t, true))
+		if res.RecoveryRemote == 0 || res.RecoveryLost != 0 {
+			t.Errorf("erasure-hard recovered %d chunks through parity and lost %d, want > 0 and 0",
+				res.RecoveryRemote, res.RecoveryLost)
+		}
+		twin, _, err := Run(erasureHardCfg(t, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WorkloadChecksum != twin.WorkloadChecksum {
+			t.Errorf("erasure-hard checksum %016x, fault-free twin %016x",
+				res.WorkloadChecksum, twin.WorkloadChecksum)
 		}
 	})
 	if t.Failed() {

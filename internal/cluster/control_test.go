@@ -101,6 +101,31 @@ func TestReplanOnZoneOutage(t *testing.T) {
 	}
 }
 
+// TestReplanUnderErasureIsNoop: the erasure tier has no holder ring to
+// re-home, so a replan-armed zone outage under it re-plans nothing.
+func TestReplanUnderErasureIsNoop(t *testing.T) {
+	p, ok := scenario.PresetByID("fleet-zone")
+	if !ok {
+		t.Fatal("fleet-zone preset missing")
+	}
+	sc := p.Build(scenario.ScaleTiny)
+	sc.Remote.Policy = "erasure"
+	sc.Remote.Replan = true
+	res, c, err := RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailuresInjected != 1 {
+		t.Fatalf("injected %d failures, want 1", res.FailuresInjected)
+	}
+	if res.Replans != 0 {
+		t.Fatalf("replans = %d, want 0", res.Replans)
+	}
+	if got := c.Obs.EventCount(obs.EvReplan); got != 0 {
+		t.Fatalf("EvReplan count = %d, want 0", got)
+	}
+}
+
 // TestControlTickLiveInjection drives the in-run command path the control
 // plane uses: an OnTick hook injects a failure into the live run, and the
 // injector treats it exactly like a pre-scheduled fault.

@@ -316,3 +316,136 @@ func TestGroupValidation(t *testing.T) {
 		NewGroup(e, fabric, nvms, []int{0, 1}, 1)
 	}()
 }
+
+// TestFetchChunkMatchesReconstruct holds the cluster's per-chunk parity
+// fetch to the whole-member reconstruction: for every chunk FetchChunk
+// returns the bytes Reconstruct adopts, and it costs the same virtual time
+// but for the failed node's NVM write, which FetchChunk pays in place of the
+// adoption. It also returns each error class Reconstruct does.
+func TestFetchChunkMatchesReconstruct(t *testing.T) {
+	const failed = 1
+	names := []string{"a", "b"}
+	ids := []uint64{core.GenID("a"), core.GenID("b")}
+	sizes := []int64{20 * mem.MB, 5 * mem.MB}
+	committed := func() *rig {
+		r := newRig(t, 3)
+		r.seedStores(t)
+		r.env.Go("parity", func(p *sim.Proc) {
+			if err := r.group.CommitParity(p); err != nil {
+				t.Error(err)
+			}
+		})
+		r.env.Run()
+		r.kernels[failed].HardFail()
+		return r
+	}
+	replacement := func(p *sim.Proc, r *rig) *core.Store {
+		s := core.NewStore(r.kernels[failed].Attach("rank1"), core.Options{})
+		for i, name := range names {
+			if _, err := s.NVAlloc(p, name, sizes[i], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+
+	// Reconstruct the whole member.
+	whole := committed()
+	var wholeTime time.Duration
+	want := make([][]byte, len(ids))
+	whole.env.Go("reconstruct", func(p *sim.Proc) {
+		s := replacement(p, whole)
+		start := p.Now()
+		if err := whole.group.Reconstruct(p, failed, []*core.Store{s}); err != nil {
+			t.Error(err)
+			return
+		}
+		wholeTime = p.Now() - start
+		for i, id := range ids {
+			want[i] = s.Chunk(id).Payload().AppendTo(nil)
+		}
+	})
+	whole.env.Run()
+
+	// Fetch chunk by chunk, then adopt what was fetched.
+	each := committed()
+	var fetchTime, adoptTime, writeTime time.Duration
+	each.env.Go("fetch", func(p *sim.Proc) {
+		s := replacement(p, each)
+		for i, id := range ids {
+			start := p.Now()
+			data, size, err := each.group.FetchChunk(p, failed, 0, id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fetchTime += p.Now() - start
+			if size != sizes[i] {
+				t.Errorf("chunk %d: size %d, want %d", i, size, sizes[i])
+			}
+			if !bytes.Equal(data.AppendTo(nil), want[i]) {
+				t.Errorf("chunk %d: FetchChunk bytes differ from what Reconstruct adopts", i)
+			}
+			start = p.Now()
+			if err := s.AdoptRemote(p, s.Chunk(id), data); err != nil {
+				t.Error(err)
+				return
+			}
+			adoptTime += p.Now() - start
+			start = p.Now()
+			each.nvms[failed].WriteBytes(p, size)
+			writeTime += p.Now() - start
+		}
+	})
+	each.env.Run()
+	if writeTime <= 0 {
+		t.Fatal("the failed node's NVM write took no time")
+	}
+	if got := fetchTime - writeTime + adoptTime; got != wholeTime {
+		t.Errorf("fetch %v - write %v + adopt %v = %v, want Reconstruct's %v",
+			fetchTime, writeTime, adoptTime, got, wholeTime)
+	}
+
+	t.Run("no-parity", func(t *testing.T) {
+		r := newRig(t, 2)
+		r.seedStores(t)
+		r.env.Go("fetch", func(p *sim.Proc) {
+			if _, _, err := r.group.FetchChunk(p, 0, 0, ids[0]); !errors.Is(err, ErrNoParity) {
+				t.Errorf("err = %v, want ErrNoParity", err)
+			}
+		})
+		r.env.Run()
+	})
+	t.Run("stale", func(t *testing.T) {
+		r := newRig(t, 2)
+		r.seedStores(t)
+		r.env.Go("fetch", func(p *sim.Proc) {
+			if err := r.group.CommitParity(p); err != nil {
+				t.Error(err)
+				return
+			}
+			s := r.stores[1]
+			s.Chunk(ids[0]).WriteAll(p)
+			s.ChkptAll(p)
+			if _, _, err := r.group.FetchChunk(p, 0, 0, ids[0]); !errors.Is(err, ErrStale) {
+				t.Errorf("err = %v, want ErrStale (survivor re-staged past the parity round)", err)
+			}
+		})
+		r.env.Run()
+	})
+	t.Run("missing-slot", func(t *testing.T) {
+		r := newRig(t, 3)
+		r.seedStores(t)
+		r.env.Go("fetch", func(p *sim.Proc) {
+			if err := r.group.CommitParity(p); err != nil {
+				t.Error(err)
+				return
+			}
+			r.group.SetStores(2, nil) // survivor 2 lost its rank slot 0
+			if _, _, err := r.group.FetchChunk(p, 0, 0, ids[0]); !errors.Is(err, ErrShape) {
+				t.Errorf("err = %v, want ErrShape", err)
+			}
+		})
+		r.env.Run()
+	})
+}
