@@ -46,6 +46,10 @@ fmt:
 # the (merged) registry, never from a component's own counters, so a dead
 # recovery epoch's stores need not be kept; a Counters.Get( in its non-test
 # code fails the lint.
+# The policy tables stay data: the cluster builds the remote tier from a
+# resolved row, so a non-test file of internal/policy that imports the
+# remote, erasure, core or nvmkernel package (a tier constructor moving back
+# into a row) fails the lint.
 # Daemons wake for work, not on a clock: a non-test Signal.WaitTimeout call
 # outside internal/remote (whose helper still scans on a tick) fails the
 # lint, so no worker goes back to polling.
@@ -100,6 +104,11 @@ lint: fmt vet
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -F 'Counters.Get(' internal/cluster || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "component counter read in the cluster (read run totals from the registry, Registry.Total):"; \
+		echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '"nvmcp/internal/(remote|erasure|core|nvmkernel)"' internal/policy || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "policy imports a tier package (the name tables are data; the cluster builds the remote tier):"; \
 		echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\.WaitTimeout\(' . | grep -v '^\./internal/remote/' || true)"; \

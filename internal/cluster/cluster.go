@@ -152,8 +152,8 @@ type Config struct {
 	// engine.
 	Stagger policy.StaggerSpec
 	// ReplanOnFailure re-homes remote replica placement away from the
-	// victims of a hard or correlated failure during recovery (needs a
-	// Replanner-capable remote tier, i.e. the buddy policies).
+	// victims of a hard or correlated failure during recovery (a no-op
+	// under erasure, whose parity nodes sit outside the fleet).
 	ReplanOnFailure bool
 	// Control, when set, hooks an external controller (the checkpoint
 	// control plane) into the run: live injection, cancellation, ticks.
@@ -246,24 +246,32 @@ func (cfg *Config) Validate() error {
 	if cfg.CoresPerNode < 1 {
 		return fmt.Errorf("cluster: cores per node must be >= 1, got %d", cfg.CoresPerNode)
 	}
-	if cfg.DRAMPerNode <= 0 || cfg.NVMPerNode <= 0 {
-		return fmt.Errorf("cluster: device capacities must be positive (dram %d, nvm %d)",
-			cfg.DRAMPerNode, cfg.NVMPerNode)
+	if cfg.DRAMPerNode <= 0 {
+		return fmt.Errorf("cluster: dram per node must be positive, got %d", cfg.DRAMPerNode)
 	}
-	if cfg.NVMPerCoreBW < 0 || cfg.LinkBW < 0 {
-		return fmt.Errorf("cluster: bandwidths must be non-negative (nvm/core %g, link %g)",
-			cfg.NVMPerCoreBW, cfg.LinkBW)
+	if cfg.NVMPerNode <= 0 {
+		return fmt.Errorf("cluster: nvm per node must be positive, got %d", cfg.NVMPerNode)
 	}
-	if cfg.LocalRateCap < 0 || cfg.RemoteRateCap < 0 {
-		return fmt.Errorf("cluster: rate caps must be non-negative (local %g, remote %g)",
-			cfg.LocalRateCap, cfg.RemoteRateCap)
+	if cfg.NVMPerCoreBW < 0 {
+		return fmt.Errorf("cluster: nvm bandwidth per core must be non-negative, got %g", cfg.NVMPerCoreBW)
+	}
+	if cfg.LinkBW < 0 {
+		return fmt.Errorf("cluster: link bandwidth must be non-negative, got %g", cfg.LinkBW)
+	}
+	if cfg.LocalRateCap < 0 {
+		return fmt.Errorf("cluster: local rate cap must be non-negative, got %g", cfg.LocalRateCap)
+	}
+	if cfg.RemoteRateCap < 0 {
+		return fmt.Errorf("cluster: remote rate cap must be non-negative, got %g", cfg.RemoteRateCap)
 	}
 	if cfg.Iterations < 1 {
 		return fmt.Errorf("cluster: iterations must be >= 1, got %d", cfg.Iterations)
 	}
-	if cfg.LocalEvery < 1 || cfg.RemoteEvery < 1 {
-		return fmt.Errorf("cluster: checkpoint intervals must be >= 1 (local %d, remote %d)",
-			cfg.LocalEvery, cfg.RemoteEvery)
+	if cfg.LocalEvery < 1 {
+		return fmt.Errorf("cluster: local checkpoint interval must be >= 1, got %d", cfg.LocalEvery)
+	}
+	if cfg.RemoteEvery < 1 {
+		return fmt.Errorf("cluster: remote checkpoint interval must be >= 1, got %d", cfg.RemoteEvery)
 	}
 	if cfg.RemoteGroup < 0 {
 		return fmt.Errorf("cluster: remote group must be >= 0, got %d", cfg.RemoteGroup)
@@ -452,7 +460,7 @@ type Cluster struct {
 	chrome   *ChromeTrace
 
 	localScheme precopy.Scheme
-	remoteTier  policy.RemoteTier
+	remoteTier  RemoteTier
 	bottom      *pfs.FS
 
 	// epoch state
@@ -546,19 +554,8 @@ func build(cfg Config) (*Cluster, error) {
 	remoteEntry, _ := policy.Parse(policy.KindRemote, cfg.Remote)
 	bottomEntry, _ := policy.Parse(policy.KindBottom, cfg.Bottom)
 
-	remoteOpts := policy.RemoteOptions{
-		RateCap:   cfg.RemoteRateCap,
-		Delay:     cfg.RemoteDelay,
-		Group:     cfg.RemoteGroup,
-		Placement: cfg.Placement,
-	}
-
 	env := sim.NewEnv()
-	// The remote tier may ask for extra non-compute fabric nodes (e.g.
-	// erasure parity holders); those get NVM but no kernel or ranks, and —
-	// being provisioned outside the fleet — no failure-domain coordinate.
-	extra := remoteEntry.ExtraNodes(cfg.Nodes, remoteOpts)
-	totalNodes := cfg.Nodes + extra
+	totalNodes := cfg.Nodes + parityNodes(remoteEntry.Name, &cfg)
 	fabric := interconnect.New(env, totalNodes, cfg.LinkBW)
 	kernels := make([]*nvmkernel.Kernel, cfg.Nodes)
 	sums := nvmkernel.NewSumMemo()
@@ -599,32 +596,8 @@ func build(cfg Config) (*Cluster, error) {
 	}
 	fabric.SetRecorder(o.Recorder(cfg.nodeOffset, "fabric"))
 
-	remoteTier, err := remoteEntry.NewTier(policy.RemoteRuntime{
-		Env:          env,
-		Fabric:       fabric,
-		NVMs:         nvms,
-		ComputeNodes: cfg.Nodes,
-		Recorder: func(n int, actor string) *obs.Recorder {
-			return o.Recorder(n+cfg.nodeOffset, actor)
-		},
-		Topo: cfg.Topo,
-	}, remoteOpts)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: remote policy %q: %w", remoteEntry.Name, err)
-	}
-	var bottom *pfs.FS
-	if bottomEntry.Name != "none" {
-		if remoteTier == nil {
-			return nil, fmt.Errorf("cluster: bottom policy %q needs a remote tier to drain from", bottomEntry.Name)
-		}
-		bottom = pfs.New(env, cfg.BottomAggregateBW, cfg.BottomStripeBW)
-		// The PFS mirrors its drain writes onto the event bus so the lineage
-		// tracer (and trace sinks) see bottom-tier copies land.
-		bottom.SetRecorder(o.Recorder(0, "pfs"))
-	}
-
 	rankBase := cfg.rankBases()
-	return &Cluster{
+	c := &Cluster{
 		Cfg:         cfg,
 		Env:         env,
 		Fabric:      fabric,
@@ -633,13 +606,25 @@ func build(cfg Config) (*Cluster, error) {
 		sums:        sums,
 		rankBase:    rankBase,
 		localScheme: localEntry.Scheme,
-		remoteTier:  remoteTier,
-		bottom:      bottom,
 		lastRemote:  make(map[int]*sim.Completion),
 		lastDrain:   make(map[int]*sim.Completion),
 		ckptTime:    make([]time.Duration, rankBase[cfg.Nodes]),
 		drainGate:   policy.NewDrainGate(env, cfg.Stagger),
-	}, nil
+	}
+	var err error
+	if c.remoteTier, err = newRemoteTier(c, remoteEntry.Name, nvms); err != nil {
+		return nil, fmt.Errorf("cluster: remote policy %q: %w", remoteEntry.Name, err)
+	}
+	if bottomEntry.Name != "none" {
+		if c.remoteTier == nil {
+			return nil, fmt.Errorf("cluster: bottom policy %q needs a remote tier to drain from", bottomEntry.Name)
+		}
+		c.bottom = pfs.New(env, cfg.BottomAggregateBW, cfg.BottomStripeBW)
+		// The PFS mirrors its drain writes onto the event bus so the lineage
+		// tracer (and trace sinks) see bottom-tier copies land.
+		c.bottom.SetRecorder(o.Recorder(0, "pfs"))
+	}
+	return c, nil
 }
 
 // attachConsumers attaches the configured whole-run bus consumers — the
@@ -751,7 +736,7 @@ func (c *Cluster) Kernel(n int) *nvmkernel.Kernel {
 // RemoteTier returns the composed remote tier (nil when disabled). A sharded
 // cluster has one tier instance per shard; this returns shard 0's, which is
 // enough for "is the remote level on" checks.
-func (c *Cluster) RemoteTier() policy.RemoteTier {
+func (c *Cluster) RemoteTier() RemoteTier {
 	if c.sharded != nil {
 		return c.sharded.subs[0].remoteTier
 	}
@@ -972,7 +957,7 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 	// observability streams of a partitioned run number ranks and nodes
 	// globally; all engine-side indexing stays shard-local.
 	name := fmt.Sprintf("rank%d", rank+cfg.rankOffset)
-	rec := c.Obs.Recorder(node+cfg.nodeOffset, name)
+	rec := c.recorder(node, name)
 
 	store := core.NewStore(kernel.Attach(name), core.Options{
 		PayloadCap:    cfg.PayloadCap,
@@ -1317,7 +1302,7 @@ func (c *Cluster) recover(p *sim.Proc, f fault.Event) {
 	// loss took (or will keep taking) the copies those nodes held, so the
 	// re-rung plan stops routing anyone's remote copies at them.
 	if c.Cfg.ReplanOnFailure && c.remoteTier != nil && (hard || f.Kind.Correlated()) {
-		if rp, ok := c.remoteTier.(policy.Replanner); ok && rp.Replan(victims) {
+		if c.remoteTier.Replan(victims) {
 			c.replanCount++
 			c.Obs.Recorder(f.Node, "cluster").Log(obs.EvReplan, "", 0,
 				obs.Str("kind", string(f.Kind)), obs.Str("avoid", joinNodes(victims)))

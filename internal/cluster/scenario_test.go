@@ -44,9 +44,10 @@ func TestPresetsRunAtTinyScale(t *testing.T) {
 	}
 }
 
-// TestErasureScenarioFromFile is the acceptance check that a new remote tier
-// composes purely from a JSON file: the shipped erasure scenario must run with
-// no cluster code knowing anything erasure-specific.
+// TestErasureScenarioFromFile is the acceptance check that the shipped
+// erasure scenario file selects the parity tier by name alone: it loads,
+// lowers and runs, and the cluster builds an erasure tier that commits
+// parity rounds.
 func TestErasureScenarioFromFile(t *testing.T) {
 	sc, err := scenario.LoadFile(filepath.Join("..", "..", "docs", "scenarios", "erasure-remote.json"))
 	if err != nil {
@@ -133,18 +134,18 @@ func TestFromScenarioErrors(t *testing.T) {
 		sc   *scenario.Scenario
 		want string
 	}{
-		{"negative bw", golden(func(sc *scenario.Scenario) { sc.LinkBW = -1 }), "bandwidths must be non-negative"},
+		{"negative bw", golden(func(sc *scenario.Scenario) { sc.LinkBW = -1 }), "link bandwidth must be non-negative, got -1"},
 		{"negative shards", golden(func(sc *scenario.Scenario) { sc.Shards = -1 }), "shards must be >= 0, got -1"},
 		{"negative payload cap", golden(func(sc *scenario.Scenario) { sc.PayloadCap = -1 }), "payload cap must be >= 1, got -1"},
-		{"negative dram", golden(func(sc *scenario.Scenario) { sc.DRAMPerNode = -1 }), "device capacities must be positive (dram -1"},
-		{"negative nvm", golden(func(sc *scenario.Scenario) { sc.NVMPerNode = -1 }), "device capacities must be positive (dram 51539607552, nvm -1)"},
+		{"negative dram", golden(func(sc *scenario.Scenario) { sc.DRAMPerNode = -1 }), "dram per node must be positive, got -1"},
+		{"negative nvm", golden(func(sc *scenario.Scenario) { sc.NVMPerNode = -1 }), "nvm per node must be positive, got -1"},
 		{"bad local", golden(func(sc *scenario.Scenario) { sc.Local.Policy = "xyz" }), `unknown local policy "xyz"`},
 		{"bad remote", golden(func(sc *scenario.Scenario) { sc.Remote.Policy = "xyz" }), `unknown remote policy "xyz"`},
 		{"bad bottom", golden(func(sc *scenario.Scenario) { sc.Bottom.Policy = "xyz" }), `unknown bottom policy "xyz"`},
-		{"negative every", golden(func(sc *scenario.Scenario) { sc.Local.Every = -1 }), "checkpoint intervals must be >= 1 (local -1, remote 2)"},
+		{"negative every", golden(func(sc *scenario.Scenario) { sc.Local.Every = -1 }), "local checkpoint interval must be >= 1, got -1"},
 		{"failure off-cluster", golden(func(sc *scenario.Scenario) { sc.Failures[0].Node = 4 }), "failure 0: fault: node 4 outside cluster (nodes 0..3)"},
 		{"failure at t=0", golden(func(sc *scenario.Scenario) { sc.Failures[0].AtSecs = 0 }), "failure 0: fault: event time 0s not positive"},
-		{"negative rate cap", golden(func(sc *scenario.Scenario) { sc.Local.RateCap = -5 }), "rate caps must be non-negative (local -5"},
+		{"negative rate cap", golden(func(sc *scenario.Scenario) { sc.Local.RateCap = -5 }), "local rate cap must be non-negative, got -5"},
 		{"negative group", golden(func(sc *scenario.Scenario) { sc.Remote = scenario.RemoteSpec{Policy: "erasure", Group: -3} }),
 			"remote group must be >= 0, got -3"},
 		{"negative stagger", golden(func(sc *scenario.Scenario) { sc.Remote.StaggerMax = -1 }), "stagger fields must be non-negative (max -1"},
@@ -182,6 +183,9 @@ func TestFromScenarioErrors(t *testing.T) {
 		{"domain with node", fleet(func(sc *scenario.Scenario) { sc.Failures[0].Node = 3 }), "failure 0: fault: zone-outage targets a domain, not a node"},
 		{"storm origin off-fleet", fleet(func(sc *scenario.Scenario) { sc.Failures[2].Node = 99 }), "failure 2: fault: node 99 outside cluster (nodes 0..47)"},
 	}
+	// A refusal names only the offending field: not the default DRAM size
+	// beside a bad NVM size, nor the remote interval beside a bad local one.
+	otherField := map[string]string{"negative nvm": "51539607552", "negative every": "remote"}
 	for _, tc := range cases {
 		if err := tc.sc.Validate(); err != nil {
 			t.Errorf("%s: Scenario.Validate checks a rule of the lowering: %v", tc.name, err)
@@ -193,6 +197,9 @@ func TestFromScenarioErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "scenario ") {
 			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
+		}
+		if other := otherField[tc.name]; other != "" && strings.Contains(err.Error(), other) {
+			t.Errorf("%s: error %q names the valid %q too", tc.name, err, other)
 		}
 	}
 

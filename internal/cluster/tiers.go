@@ -1,4 +1,4 @@
-package policy
+package cluster
 
 import (
 	"fmt"
@@ -6,39 +6,124 @@ import (
 
 	"nvmcp/internal/core"
 	"nvmcp/internal/erasure"
+	"nvmcp/internal/mem"
 	"nvmcp/internal/nvmkernel"
 	"nvmcp/internal/obs"
+	"nvmcp/internal/policy"
 	"nvmcp/internal/remote"
 	"nvmcp/internal/sim"
 	"nvmcp/internal/topo"
 )
 
+// RemoteTier is the cluster's view of a running remote checkpoint level.
+type RemoteTier interface {
+	// BeginEpoch resets per-epoch machinery (helper agents, trigger state)
+	// before ranks spawn; called again after every failure recovery.
+	BeginEpoch()
+	// Register adds a freshly attached rank store on a node, in rank order.
+	Register(node int, s *core.Store)
+	// BeginInterval marks the start of a remote checkpoint interval on a node.
+	BeginInterval(node int)
+	// Trigger starts a remote checkpoint for a node's data; the returned
+	// completion fires at remote commit. The application does not block on it.
+	Trigger(p *sim.Proc, node int) *sim.Completion
+	// Fetch recovers one chunk of a hard-failed node (slot is the rank's
+	// position within its node). seq is the served copy's staged generation
+	// for lineage tracing — 0 when the tier cannot know it (erasure
+	// reconstruction). ok is false when the tier cannot serve the chunk.
+	Fetch(p *sim.Proc, node, slot int, procName string, id uint64) (data nvmkernel.Payload, size int64, seq uint64, ok bool)
+	// Utilization reports the tier's helper busy fractions (Table V).
+	Utilization(now time.Duration) []float64
+	// DrainMesh is the mesh whose committed copies node holder keeps for
+	// the bottom tier to drain, or nil when that node holds nothing
+	// drainable.
+	DrainMesh(holder int) *remote.Mesh
+	// HolderOf reports which fabric node physically holds a node's remote
+	// copies, or -1 when the tier has no single holder (erasure spreads
+	// data across the group).
+	HolderOf(node int) int
+	// NodeFailed tells the tier a node just died; hard means its NVM — and
+	// any remote copies it held for others — are gone. Helpers shipping
+	// toward it back off, retry, and fail over until NodeRecovered.
+	NodeFailed(node int, hard bool)
+	// NodeRecovered marks the node's replacement hardware live again.
+	NodeRecovered(node int)
+	// Replan re-homes the tier's placement after a correlated failure so
+	// that none of the avoided nodes holds anyone's remote copies, and
+	// reports whether the plan changed. The new plan takes effect at the
+	// next BeginEpoch (the epoch respawn that follows recovery rebuilds the
+	// helper agents from it); per-holder residency tracking means re-homed
+	// copies fully re-ship on the next trigger.
+	Replan(avoid []int) bool
+	// Shutdown stops tier processes so the event queue can drain.
+	Shutdown()
+
+	// SupportSets returns, per compute node, the fabric nodes its remote
+	// recovery depends on: the buddy for replication, the other group
+	// members plus the parity holder for erasure. Nodes at or beyond the
+	// topology size (parity holders, the PFS) belong to no failure domain.
+	// It describes the *planned* placement (failover may re-home copies
+	// mid-run; the survivability analysis is about the design point).
+	SupportSets() [][]int
+	// PlacementHonored reports whether the anti-affinity goal (every
+	// support node outside the primary's zone) was satisfiable.
+	PlacementHonored() bool
+	// PlacementDesc names the effective placement, e.g. "buddy/spread".
+	PlacementDesc() string
+}
+
+// parityNodes is how many non-compute fabric nodes the named remote policy
+// needs: one parity holder per erasure group, none otherwise. Those nodes
+// get NVM but no kernel or ranks, and — being provisioned outside the
+// fleet — no failure-domain coordinate.
+func parityNodes(remoteName string, cfg *Config) int {
+	if remoteName != "erasure" {
+		return 0
+	}
+	return policy.ErasureGroupCount(cfg.Nodes, cfg.RemoteGroup)
+}
+
+// newRemoteTier builds c's remote level for the named remote policy over
+// the fabric nodes' NVM devices (compute nodes first, parity nodes after);
+// "none" builds no tier.
+func newRemoteTier(c *Cluster, remoteName string, nvms []*mem.Device) (RemoteTier, error) {
+	switch remoteName {
+	case "buddy-burst":
+		return newBuddyTier(c, remote.AsyncBurst, nvms)
+	case "buddy-precopy":
+		return newBuddyTier(c, remote.PreCopy, nvms)
+	case "erasure":
+		return newErasureTier(c, nvms)
+	}
+	return nil, nil
+}
+
+// recorder mints the observability recorder of one of c's nodes. node is
+// c's own numbering; the recorder carries the node as the bus numbers it,
+// which on one shard of a partitioned cluster is offset.
+func (c *Cluster) recorder(node int, actor string) *obs.Recorder {
+	return c.Obs.Recorder(node+c.Cfg.nodeOffset, actor)
+}
+
 // newBuddyTier builds the paper's remote level: each node's helper ships
 // chunks to a buddy node holding a two-version copy (remote.Mesh + per-node
-// Agents). The buddy ring is rung over whatever node set the tier is built
-// with (spread placement rings over the group's own sub-topology), so a
-// partitioned cluster that builds one tier per node group keeps every ship
-// intra-group.
-func newBuddyTier(scheme remote.Scheme) func(RemoteRuntime, RemoteOptions) (RemoteTier, error) {
-	return func(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
-		if o.Group != 0 {
-			return nil, fmt.Errorf("buddy policies take no redundancy group size (got %d)", o.Group)
-		}
-		placement, err := ParsePlacement(o.Placement)
-		if err != nil {
-			return nil, err
-		}
-		plan, honored := BuddyPlan(rt.Topo, rt.ComputeNodes, placement)
-		mesh := remote.NewMesh(rt.Env, rt.Fabric, rt.NVMs)
-		mesh.SetRecorder(rt.Recorder(0, "mesh"))
-		return &buddyTier{rt: rt, o: o, scheme: scheme, mesh: mesh,
-			placement: placement, plan: plan, honored: honored}, nil
+// Agents). The buddy ring is rung over c's own node set (spread placement
+// rings over its sub-topology), so a partitioned cluster, which builds one
+// tier per node group, keeps every ship intra-group.
+func newBuddyTier(c *Cluster, scheme remote.Scheme, nvms []*mem.Device) (RemoteTier, error) {
+	if c.Cfg.RemoteGroup != 0 {
+		return nil, fmt.Errorf("buddy policies take no redundancy group size (got %d)", c.Cfg.RemoteGroup)
 	}
+	placement, _ := policy.ParsePlacement(c.Cfg.Placement)
+	plan, honored := policy.BuddyPlan(c.Cfg.Topo, c.Cfg.Nodes, placement)
+	mesh := remote.NewMesh(c.Env, c.Fabric, nvms)
+	mesh.SetRecorder(c.recorder(0, "mesh"))
+	return &buddyTier{c: c, scheme: scheme, mesh: mesh,
+		placement: placement, plan: plan, honored: honored}, nil
 }
 
 type buddyTier struct {
-	rt     RemoteRuntime
-	o      RemoteOptions
+	c      *Cluster
 	scheme remote.Scheme
 	mesh   *remote.Mesh
 
@@ -51,24 +136,24 @@ type buddyTier struct {
 func (t *buddyTier) BeginEpoch() {
 	if !t.honored && !t.warned {
 		t.warned = true
-		t.rt.Recorder(0, "placement").Log(obs.EvEngineWarn,
+		t.c.recorder(0, "placement").Log(obs.EvEngineWarn,
 			"zone anti-affinity not satisfiable for buddy ring; replicas spread at best effort", 0,
 			obs.Str("placement", "buddy/"+t.placement), obs.Bool("fallback", true))
 	}
-	for n := 0; n < t.rt.ComputeNodes; n++ {
+	for n := 0; n < t.c.Cfg.Nodes; n++ {
 		t.mesh.RemoveAgent(n)
 		t.mesh.AddAgent(n, t.plan[n], remote.Config{
 			Scheme:  t.scheme,
-			RateCap: t.o.RateCap,
-			Delay:   t.o.Delay,
-			Rec:     t.rt.Recorder(n, "helper"),
+			RateCap: t.c.Cfg.RemoteRateCap,
+			Delay:   t.c.Cfg.RemoteDelay,
+			Rec:     t.c.recorder(n, "helper"),
 		})
 	}
 }
 
 // SupportSets: node n's remote recovery depends on its planned buddy.
 func (t *buddyTier) SupportSets() [][]int {
-	out := make([][]int, t.rt.ComputeNodes)
+	out := make([][]int, t.c.Cfg.Nodes)
 	for n := range out {
 		out[n] = []int{t.plan[n]}
 	}
@@ -82,7 +167,8 @@ func (t *buddyTier) PlacementDesc() string  { return "buddy/" + t.placement }
 // copies; the next BeginEpoch rebuilds the agents from the new plan and the
 // mesh's per-holder residency makes re-homed copies re-ship in full.
 func (t *buddyTier) Replan(avoid []int) bool {
-	plan := BuddyReplan(t.rt.Topo, t.rt.ComputeNodes, t.placement, avoid)
+	nodes, tp := t.c.Cfg.Nodes, t.c.Cfg.Topo
+	plan := policy.BuddyReplan(tp, nodes, t.placement, avoid)
 	if plan == nil {
 		return false
 	}
@@ -97,10 +183,10 @@ func (t *buddyTier) Replan(avoid []int) bool {
 		return false
 	}
 	t.plan = plan
-	if t.rt.Topo != nil {
+	if tp != nil {
 		t.honored = true
-		for n := 0; n < t.rt.ComputeNodes; n++ {
-			if t.rt.Topo.SameDomain(topo.LevelZone, n, t.plan[n]) {
+		for n := 0; n < nodes; n++ {
+			if tp.SameDomain(topo.LevelZone, n, t.plan[n]) {
 				t.honored = false
 			}
 		}
@@ -121,7 +207,7 @@ func (t *buddyTier) Fetch(p *sim.Proc, node, slot int, procName string, id uint6
 
 func (t *buddyTier) Utilization(now time.Duration) []float64 {
 	var out []float64
-	for n := 0; n < t.rt.ComputeNodes; n++ {
+	for n := 0; n < t.c.Cfg.Nodes; n++ {
 		if a := t.mesh.Agent(n); a != nil {
 			out = append(out, a.Meter.Utilization(now))
 		}
@@ -130,7 +216,7 @@ func (t *buddyTier) Utilization(now time.Duration) []float64 {
 }
 
 func (t *buddyTier) DrainMesh(holder int) *remote.Mesh {
-	if holder < 0 || holder >= t.rt.ComputeNodes {
+	if holder < 0 || holder >= t.c.Cfg.Nodes {
 		return nil
 	}
 	return t.mesh
@@ -154,41 +240,34 @@ func (t *buddyTier) NodeFailed(node int, hard bool) {
 func (t *buddyTier) NodeRecovered(node int) { t.mesh.SetNodeDown(node, false) }
 
 func (t *buddyTier) Shutdown() {
-	for n := 0; n < t.rt.ComputeNodes; n++ {
+	for n := 0; n < t.c.Cfg.Nodes; n++ {
 		t.mesh.RemoveAgent(n)
 	}
 }
 
-// erasureExtraNodes requests one parity-holder fabric node per group.
-func erasureExtraNodes(computeNodes int, o RemoteOptions) int {
-	return ErasureGroupCount(computeNodes, o.Group)
-}
-
 // newErasureTier composes the erasure package as a remote tier: XOR parity
-// groups over the compute nodes, each group's parity held on its own extra
-// fabric node. Group 0 keeps the legacy single group over everything;
-// spread placement deals group members across zones so a zone loss costs
-// at most one member per group — the single loss XOR parity tolerates.
-func newErasureTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
-	placement, err := ParsePlacement(o.Placement)
-	if err != nil {
-		return nil, err
-	}
-	plan, honored, err := ErasureGroupsPlan(rt.Topo, rt.ComputeNodes, o.Group, placement)
+// groups over the compute nodes, each group's parity held on its own parity
+// node. Group 0 keeps the legacy single group over everything; spread
+// placement deals group members across zones so a zone loss costs at most
+// one member per group — the single loss XOR parity tolerates.
+func newErasureTier(c *Cluster, nvms []*mem.Device) (RemoteTier, error) {
+	nodes := c.Cfg.Nodes
+	placement, _ := policy.ParsePlacement(c.Cfg.Placement)
+	plan, honored, err := policy.ErasureGroupsPlan(c.Cfg.Topo, nodes, c.Cfg.RemoteGroup, placement)
 	if err != nil {
 		return nil, err
 	}
 	t := &erasureTier{
-		rt:        rt,
+		c:         c,
 		cur:       make(map[int][]*core.Store),
-		groupOf:   make([]int, rt.ComputeNodes),
-		rec:       rt.Recorder(rt.ComputeNodes, "parity"),
+		groupOf:   make([]int, nodes),
+		rec:       c.recorder(nodes, "parity"),
 		placement: placement,
 		honored:   honored,
 	}
 	for gi, members := range plan {
-		parityNode := rt.ComputeNodes + gi // the tier-requested extra fabric nodes
-		t.groups = append(t.groups, erasure.NewGroup(rt.Env, rt.Fabric, rt.NVMs, members, parityNode))
+		parityNode := nodes + gi // the parity nodes follow the compute nodes
+		t.groups = append(t.groups, erasure.NewGroup(c.Env, c.Fabric, nvms, members, parityNode))
 		for _, m := range members {
 			t.groupOf[m] = gi
 		}
@@ -199,7 +278,7 @@ func newErasureTier(rt RemoteRuntime, o RemoteOptions) (RemoteTier, error) {
 }
 
 type erasureTier struct {
-	rt      RemoteRuntime
+	c       *Cluster
 	groups  []*erasure.Group
 	groupOf []int // compute node -> index into groups
 	rec     *obs.Recorder
@@ -225,7 +304,7 @@ type erasureTier struct {
 func (t *erasureTier) BeginEpoch() {
 	if !t.honored && !t.warned {
 		t.warned = true
-		t.rt.Recorder(0, "placement").Log(obs.EvEngineWarn,
+		t.c.recorder(0, "placement").Log(obs.EvEngineWarn,
 			"zone anti-affinity not satisfiable for erasure groups; members spread at best effort", 0,
 			obs.Str("placement", "erasure/"+t.placement), obs.Bool("fallback", true))
 	}
@@ -260,10 +339,11 @@ func (t *erasureTier) Trigger(p *sim.Proc, node int) *sim.Completion {
 		// joins it (all leaders trigger at the same coordinated checkpoint).
 		return t.active[gi]
 	}
-	done := sim.NewCompletion(t.rt.Env)
+	env := t.c.Env
+	done := sim.NewCompletion(env)
 	t.active[gi] = done
 	g := t.groups[gi]
-	t.rt.Env.Go(fmt.Sprintf("parity%d/commit", gi), func(pp *sim.Proc) {
+	env.Go(fmt.Sprintf("parity%d/commit", gi), func(pp *sim.Proc) {
 		t.meters[gi].Start(pp.Now())
 		err := g.CommitParity(pp)
 		t.meters[gi].Stop(pp.Now())
@@ -309,6 +389,10 @@ func (t *erasureTier) HolderOf(int) int { return -1 }
 func (t *erasureTier) NodeFailed(int, bool) {}
 func (t *erasureTier) NodeRecovered(int)    {}
 
+// Replan returns false: a group's parity lives on its own parity node,
+// outside the fleet, so no compute node's loss leaves a holder to re-home.
+func (t *erasureTier) Replan([]int) bool { return false }
+
 func (t *erasureTier) Shutdown() {
 	for _, done := range t.active {
 		if done != nil {
@@ -320,10 +404,11 @@ func (t *erasureTier) Shutdown() {
 // SupportSets: reconstructing node n needs every other member of its group
 // plus the group's parity holder (which lives outside the failure domains).
 func (t *erasureTier) SupportSets() [][]int {
-	out := make([][]int, t.rt.ComputeNodes)
+	nodes := t.c.Cfg.Nodes
+	out := make([][]int, nodes)
 	for n := range out {
 		g := t.groups[t.groupOf[n]]
-		set := []int{t.rt.ComputeNodes + t.groupOf[n]}
+		set := []int{nodes + t.groupOf[n]}
 		for _, m := range g.Members() {
 			if m != n {
 				set = append(set, m)

@@ -15,6 +15,7 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nvmcp/internal/core"
 	"nvmcp/internal/interconnect"
@@ -178,58 +179,20 @@ func (g *Group) CommitParity(p *sim.Proc) error {
 // (re-attached) stores of the failed node via AdoptRemote. Every survivor's
 // chunk must still hold the exact data of the committed parity round.
 func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) error {
-	if g.round == 0 {
-		return ErrNoParity
-	}
-	fi := -1
-	for i, m := range g.members {
-		if m == failed {
-			fi = i
-		}
-	}
-	if fi < 0 {
-		return fmt.Errorf("erasure: node %d is not a group member", failed)
+	if err := g.canRebuild(failed); err != nil {
+		return err
 	}
 	if len(replacement) != len(g.stores[failed]) {
 		return fmt.Errorf("%w: replacement has %d stores, member had %d",
 			ErrShape, len(replacement), len(g.stores[failed]))
 	}
-
 	for slot, s := range replacement {
 		for _, c := range s.Chunks() {
-			key := chunkKey{slot, c.ID}
-			pc, ok := g.parity[key]
-			if !ok {
-				return fmt.Errorf("erasure: no parity for slot %d chunk %s", slot, c.Name)
+			data, _, err := g.rebuild(p, failed, slot, c.ID)
+			if err != nil {
+				return err
 			}
-			// Start from the parity, shipped from the parity node.
-			g.nvm[g.parityNode].ReadBytes(p, pc.size)
-			g.fabric.RDMARead(p, g.parityNode, failed, pc.size)
-			acc := append([]byte(nil), pc.data...)
-
-			// Fold in every survivor's committed contribution.
-			for mi, member := range g.members {
-				if member == failed {
-					continue
-				}
-				ss := g.stores[member][slot]
-				snap := findState(ss, c.ID)
-				if snap == nil {
-					return fmt.Errorf("erasure: survivor %d missing chunk %s", member, c.Name)
-				}
-				if snap.CleanSeq != pc.seqs[mi] {
-					return fmt.Errorf("%w: survivor %d chunk %s at seq %d, parity at %d",
-						ErrStale, member, c.Name, snap.CleanSeq, pc.seqs[mi])
-				}
-				data, ok := ss.StagedData(p, c.ID)
-				if !ok {
-					return fmt.Errorf("erasure: survivor %d has no data for %s", member, c.Name)
-				}
-				ss.Kernel().NVM.ReadBytes(p, pc.size)
-				g.fabric.RDMARead(p, member, failed, pc.size)
-				acc = g.xorInto(acc, data)
-			}
-			if err := s.AdoptRemote(p, c, nvmkernel.Bytes(acc)); err != nil {
+			if err := s.AdoptRemote(p, c, nvmkernel.Bytes(data)); err != nil {
 				return err
 			}
 		}
@@ -246,56 +209,70 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 // node's NVM. Survivors must still hold the committed round's data, else
 // ErrStale.
 func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) (nvmkernel.Payload, int64, error) {
+	if err := g.canRebuild(failed); err != nil {
+		return nvmkernel.Payload{}, 0, err
+	}
+	data, size, err := g.rebuild(p, failed, slot, id)
+	if err != nil {
+		return nvmkernel.Payload{}, 0, err
+	}
+	g.nvm[failed].WriteBytes(p, size)
+	g.Reconstructions++
+	return nvmkernel.Bytes(data), size, nil
+}
+
+// canRebuild reports why the group cannot rebuild a failed member's data:
+// no committed parity round, or the node is not a member.
+func (g *Group) canRebuild(failed int) error {
 	if g.round == 0 {
-		return nvmkernel.Payload{}, 0, ErrNoParity
+		return ErrNoParity
 	}
-	fi := -1
-	for i, m := range g.members {
-		if m == failed {
-			fi = i
-		}
+	if !slices.Contains(g.members, failed) {
+		return fmt.Errorf("erasure: node %d is not a group member", failed)
 	}
-	if fi < 0 {
-		return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: node %d is not a group member", failed)
-	}
-	key := chunkKey{slot, id}
-	pc, ok := g.parity[key]
+	return nil
+}
+
+// rebuild XORs one (slot, chunk)'s committed parity with every survivor's
+// staged contribution, charging each NVM read and each transfer toward the
+// failed node, and returns the failed member's bytes and the chunk size.
+func (g *Group) rebuild(p *sim.Proc, failed, slot int, id uint64) ([]byte, int64, error) {
+	pc, ok := g.parity[chunkKey{slot, id}]
 	if !ok {
-		return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: no parity for slot %d chunk %d", slot, id)
+		return nil, 0, fmt.Errorf("erasure: no parity for slot %d chunk %d", slot, id)
 	}
 	// Start from the parity, shipped from the parity node.
 	g.nvm[g.parityNode].ReadBytes(p, pc.size)
 	g.fabric.RDMARead(p, g.parityNode, failed, pc.size)
 	acc := append([]byte(nil), pc.data...)
 
+	// Fold in every survivor's committed contribution.
 	for mi, member := range g.members {
 		if member == failed {
 			continue
 		}
 		stores := g.stores[member]
 		if slot >= len(stores) {
-			return nvmkernel.Payload{}, 0, fmt.Errorf("%w: survivor %d has no rank slot %d", ErrShape, member, slot)
+			return nil, 0, fmt.Errorf("%w: survivor %d has no rank slot %d", ErrShape, member, slot)
 		}
 		ss := stores[slot]
-		snap := findState(ss, id)
-		if snap == nil {
-			return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: survivor %d missing chunk %d", member, id)
+		c := ss.Chunk(id)
+		if c == nil {
+			return nil, 0, fmt.Errorf("erasure: survivor %d missing chunk %d", member, id)
 		}
-		if snap.CleanSeq != pc.seqs[mi] {
-			return nvmkernel.Payload{}, 0, fmt.Errorf("%w: survivor %d chunk %d at seq %d, parity at %d",
-				ErrStale, member, id, snap.CleanSeq, pc.seqs[mi])
+		if seq := c.StagedSeq(); seq != pc.seqs[mi] {
+			return nil, 0, fmt.Errorf("%w: survivor %d chunk %s at seq %d, parity at %d",
+				ErrStale, member, c.Name, seq, pc.seqs[mi])
 		}
 		data, ok := ss.StagedData(p, id)
 		if !ok {
-			return nvmkernel.Payload{}, 0, fmt.Errorf("erasure: survivor %d has no data for chunk %d", member, id)
+			return nil, 0, fmt.Errorf("erasure: survivor %d has no data for chunk %s", member, c.Name)
 		}
 		ss.Kernel().NVM.ReadBytes(p, pc.size)
 		g.fabric.RDMARead(p, member, failed, pc.size)
 		acc = g.xorInto(acc, data)
 	}
-	g.nvm[failed].WriteBytes(p, pc.size)
-	g.Reconstructions++
-	return nvmkernel.Bytes(acc), pc.size, nil
+	return acc, pc.size, nil
 }
 
 // shape validates rank alignment across members and returns the (slot,
@@ -325,19 +302,6 @@ func (g *Group) shape(p *sim.Proc) (map[chunkKey]int64, error) {
 		}
 	}
 	return shape, nil
-}
-
-// findState returns the snapshot entry for a chunk id, or nil.
-func findState(s *core.Store, id uint64) *core.ChunkState {
-	c := s.Chunk(id)
-	if c == nil {
-		return nil
-	}
-	return &core.ChunkState{
-		ID:       c.ID,
-		Size:     c.Size,
-		CleanSeq: c.StagedSeq(),
-	}
 }
 
 // xorInto returns dst ^= src, growing dst to cover src. src is

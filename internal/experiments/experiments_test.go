@@ -313,3 +313,18 @@ func TestAllFollowsPresetOrder(t *testing.T) {
 		t.Errorf("All order\n got: %v\nwant: %v", got, want)
 	}
 }
+
+// TestValidateBuildsNoProfile: validating a 1,000-node fleet scenario checks
+// its workload name against the profile list and builds nothing, so it makes
+// no allocation at all. The heap is collected first so a GC cycle's own
+// start-up allocations fall outside the measured calls.
+func TestValidateBuildsNoProfile(t *testing.T) {
+	sc := FleetChaosScenario(1000, Paper, "spread", "zone")
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if n := testing.AllocsPerRun(100, func() { _ = sc.Validate() }); n != 0 {
+		t.Errorf("Scenario.Validate: %.0f allocations per call, want 0", n)
+	}
+}

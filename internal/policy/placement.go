@@ -6,7 +6,7 @@ import (
 	"nvmcp/internal/topo"
 )
 
-// Placement names for RemoteOptions.Placement.
+// Placement names for a scenario's remote placement.
 const (
 	// PlacementSpread rings replicas over the topology's zone-interleaved
 	// order, so every node's remote copy lands outside its own fault
@@ -28,19 +28,6 @@ func ParsePlacement(s string) (string, error) {
 		return s, nil
 	}
 	return "", fmt.Errorf("policy: unknown placement %q (want %s or %s)", s, PlacementSpread, PlacementNaive)
-}
-
-// Replanner is an optional capability a RemoteTier implements so the
-// cluster (or a control plane) can re-home replica placement after a
-// correlated failure: Replan recomputes the tier's plan so that none of the
-// avoided nodes holds anyone's remote copies. The new plan takes effect at
-// the next BeginEpoch (the epoch respawn that follows recovery rebuilds the
-// helper agents from it); per-holder residency tracking means re-homed
-// copies fully re-ship on the next trigger.
-type Replanner interface {
-	// Replan reports whether the plan changed. It returns false when the
-	// avoid set leaves too few candidate holders to re-ring.
-	Replan(avoid []int) bool
 }
 
 // BuddyPlan computes the buddy ring over nodes compute nodes. Under

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -361,14 +362,9 @@ func (sc *Scenario) Validate() error {
 	if sc.Iterations < 1 {
 		return fmt.Errorf("scenario %s: iterations must be >= 1, got %d", sc.label(), sc.Iterations)
 	}
-	if _, ok := workload.SpecByName(sc.Workload.App); !ok {
-		var names []string
-		for _, s := range workload.Specs() {
-			names = append(names, s.Name)
-		}
-		names = append(names, "amr")
+	if !slices.Contains(workload.Names[:], sc.Workload.App) {
 		return fmt.Errorf("scenario %s: unknown workload %q (valid: %s)",
-			sc.label(), sc.Workload.App, strings.Join(names, ", "))
+			sc.label(), sc.Workload.App, strings.Join(workload.Names[:], ", "))
 	}
 	if sc.Workload.CkptMB < 0 {
 		return fmt.Errorf("scenario %s: workload.ckpt_mb must be >= 0, got %g", sc.label(), sc.Workload.CkptMB)

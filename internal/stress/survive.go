@@ -57,7 +57,7 @@ type Survivability struct {
 
 // Analyze computes survivability from the fleet topology and the remote
 // tier's support sets (per compute node, the fabric nodes its remote
-// recovery depends on — see policy.RemoteTier.SupportSets). A node's data is
+// recovery depends on — see cluster.RemoteTier.SupportSets). A node's data is
 // unrecoverable under the loss of domain D iff the node is in D and any of
 // its support nodes is too: local NVM and every needed remote copy die
 // together. Support nodes outside the topology (erasure parity holders,

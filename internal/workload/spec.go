@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -215,12 +216,17 @@ func AMR() AppSpec {
 // retrievable by name).
 func Specs() []AppSpec { return []AppSpec{GTC(), LAMMPSRhodo(), CM1()} }
 
-// SpecByName returns the named profile, or false.
+// Names lists every workload profile by name: the three paper applications,
+// then AMR, an extension.
+var Names = [...]string{"gtc", "lammps-rhodo", "cm1", "amr"}
+
+// profiles builds the profile named at the same index of Names.
+var profiles = [len(Names)]func() AppSpec{GTC, LAMMPSRhodo, CM1, AMR}
+
+// SpecByName builds the named profile, or returns false.
 func SpecByName(name string) (AppSpec, bool) {
-	for _, s := range append(Specs(), AMR()) {
-		if s.Name == name {
-			return s, true
-		}
+	if i := slices.Index(Names[:], name); i >= 0 {
+		return profiles[i](), true
 	}
 	return AppSpec{}, false
 }

@@ -65,9 +65,9 @@ func TestScaledTo(t *testing.T) {
 }
 
 func TestSpecByName(t *testing.T) {
-	for _, name := range []string{"gtc", "lammps-rhodo", "cm1"} {
-		if _, ok := SpecByName(name); !ok {
-			t.Errorf("SpecByName(%q) not found", name)
+	for _, name := range Names {
+		if s, ok := SpecByName(name); !ok || s.Name != name {
+			t.Errorf("SpecByName(%q) = %q, %v", name, s.Name, ok)
 		}
 	}
 	if _, ok := SpecByName("nope"); ok {
