@@ -723,6 +723,13 @@ func (c *Cluster) nodeOfRank(rank int) int {
 	return sort.Search(c.Cfg.Nodes, func(n int) bool { return c.rankBase[n+1] > rank })
 }
 
+// recorder mints the observability recorder of one of c's nodes. node is
+// c's own numbering; the recorder carries the node as the bus numbers it,
+// which on one shard of a partitioned cluster is offset.
+func (c *Cluster) recorder(node int, actor string) *obs.Recorder {
+	return c.Obs.Recorder(node+c.Cfg.nodeOffset, actor)
+}
+
 // Kernel returns node n's kernel (for tests). Nodes are numbered globally;
 // on a sharded cluster the lookup resolves into the owning shard.
 func (c *Cluster) Kernel(n int) *nvmkernel.Kernel {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nvmcp/internal/core"
@@ -98,13 +99,6 @@ func newRemoteTier(c *Cluster, remoteName string, nvms []*mem.Device) (RemoteTie
 	return nil, nil
 }
 
-// recorder mints the observability recorder of one of c's nodes. node is
-// c's own numbering; the recorder carries the node as the bus numbers it,
-// which on one shard of a partitioned cluster is offset.
-func (c *Cluster) recorder(node int, actor string) *obs.Recorder {
-	return c.Obs.Recorder(node+c.Cfg.nodeOffset, actor)
-}
-
 // newBuddyTier builds the paper's remote level: each node's helper ships
 // chunks to a buddy node holding a two-version copy (remote.Mesh + per-node
 // Agents). The buddy ring is rung over c's own node set (spread placement
@@ -114,7 +108,7 @@ func newBuddyTier(c *Cluster, scheme remote.Scheme, nvms []*mem.Device) (RemoteT
 	if c.Cfg.RemoteGroup != 0 {
 		return nil, fmt.Errorf("buddy policies take no redundancy group size (got %d)", c.Cfg.RemoteGroup)
 	}
-	placement, _ := policy.ParsePlacement(c.Cfg.Placement)
+	placement, _ := policy.ParsePlacement(c.Cfg.Placement) // Config.Validate parsed it
 	plan, honored := policy.BuddyPlan(c.Cfg.Topo, c.Cfg.Nodes, placement)
 	mesh := remote.NewMesh(c.Env, c.Fabric, nvms)
 	mesh.SetRecorder(c.recorder(0, "mesh"))
@@ -169,17 +163,7 @@ func (t *buddyTier) PlacementDesc() string  { return "buddy/" + t.placement }
 func (t *buddyTier) Replan(avoid []int) bool {
 	nodes, tp := t.c.Cfg.Nodes, t.c.Cfg.Topo
 	plan := policy.BuddyReplan(tp, nodes, t.placement, avoid)
-	if plan == nil {
-		return false
-	}
-	changed := false
-	for n := range plan {
-		if plan[n] != t.plan[n] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
+	if plan == nil || slices.Equal(plan, t.plan) {
 		return false
 	}
 	t.plan = plan
@@ -252,7 +236,7 @@ func (t *buddyTier) Shutdown() {
 // one member per group — the single loss XOR parity tolerates.
 func newErasureTier(c *Cluster, nvms []*mem.Device) (RemoteTier, error) {
 	nodes := c.Cfg.Nodes
-	placement, _ := policy.ParsePlacement(c.Cfg.Placement)
+	placement, _ := policy.ParsePlacement(c.Cfg.Placement) // Config.Validate parsed it
 	plan, honored, err := policy.ErasureGroupsPlan(c.Cfg.Topo, nodes, c.Cfg.RemoteGroup, placement)
 	if err != nil {
 		return nil, err
