@@ -284,7 +284,7 @@ func main() {
 	tb.AddRow("re-dirty rate", report.FmtPctFixed(res.ReDirtyRate))
 	if remoteOn {
 		tb.AddRow("ckpt bytes on fabric", report.FmtBytes(c.CkptFabricBytes()))
-		tb.AddRow(fmt.Sprintf("peak fabric ckpt/%v", cluster.PeakWindow),
+		tb.AddRow(fmt.Sprintf("peak fabric ckpt/%v", obs.WindowWidth),
 			report.FmtBytes(res.PeakCkptWindowBytes))
 		for i, u := range res.HelperUtil {
 			tb.AddRow(fmt.Sprintf("helper util %d", i), report.FmtPctFixed(u))
@@ -353,7 +353,7 @@ func main() {
 	}
 	if c.Drift != nil {
 		sum := c.Drift.Summary()
-		tb.AddRow("drift windows", fmt.Sprintf("%d x %v", sum.Windows, c.Drift.WindowDuration()))
+		tb.AddRow("drift windows", fmt.Sprintf("%d x %v", sum.Windows, obs.WindowWidth))
 		worst := 0.0
 		for _, q := range sum.Quantities {
 			if q.Evaluated > 0 && q.MaxRelErr > worst {

@@ -43,12 +43,10 @@ import (
 )
 
 // NodeShape is one node's machine shape in a heterogeneous (generated)
-// fleet. Zero-valued fields fall back to the Config-level defaults.
+// fleet: its core count (0 = CoresPerNode). Memories and NVM bandwidth come
+// from the Config level.
 type NodeShape struct {
-	Cores        int
-	DRAM         int64
-	NVM          int64
-	NVMPerCoreBW float64
+	Cores int
 }
 
 // Config describes one cluster run.
@@ -63,8 +61,7 @@ type Config struct {
 	LinkBW       float64
 
 	// Shapes gives each node its own machine shape (heterogeneous fleets);
-	// when set its length must equal Nodes, and the Config-level fields
-	// above become the defaults for a shape's zero-valued fields.
+	// when set its length must equal Nodes.
 	Shapes []NodeShape
 	// Topo assigns every node a (provider, zone, rack) failure-domain
 	// coordinate, enabling correlated fault kinds and topology-aware
@@ -83,8 +80,7 @@ type Config struct {
 
 	// Local names the local pre-copy policy ("" or "none", "cpc", "dcpc",
 	// "dcpcp" — see policy.Names(policy.KindLocal)).
-	Local        string
-	LocalRateCap float64
+	Local string
 	// LocalEvery takes a coordinated local checkpoint every N-th iteration
 	// (default 1): the knob for checkpoint-interval studies — recovery
 	// rolls back to the last *checkpointed* iteration.
@@ -101,16 +97,13 @@ type Config struct {
 	// checkpoint.
 	Remote        string
 	RemoteRateCap float64
-	RemoteDelay   time.Duration
 	RemoteEvery   int
 	// RemoteGroup hints the tier's redundancy group size (0 = tier default).
 	RemoteGroup int
 
 	// Bottom names the bottom storage tier ("" or "none", "pfs-drain"),
 	// drained once after the remote level settles.
-	Bottom            string
-	BottomAggregateBW float64
-	BottomStripeBW    float64
+	Bottom string
 
 	// Failures are the scheduled faults, on the absolute virtual clock.
 	Failures []fault.Event
@@ -258,9 +251,6 @@ func (cfg *Config) Validate() error {
 	if cfg.LinkBW < 0 {
 		return fmt.Errorf("cluster: link bandwidth must be non-negative, got %g", cfg.LinkBW)
 	}
-	if cfg.LocalRateCap < 0 {
-		return fmt.Errorf("cluster: local rate cap must be non-negative, got %g", cfg.LocalRateCap)
-	}
 	if cfg.RemoteRateCap < 0 {
 		return fmt.Errorf("cluster: remote rate cap must be non-negative, got %g", cfg.RemoteRateCap)
 	}
@@ -289,8 +279,8 @@ func (cfg *Config) Validate() error {
 		return fmt.Errorf("cluster: %d node shapes for %d nodes", len(cfg.Shapes), cfg.Nodes)
 	}
 	for n, s := range cfg.Shapes {
-		if s.Cores < 0 || s.DRAM < 0 || s.NVM < 0 || s.NVMPerCoreBW < 0 {
-			return fmt.Errorf("cluster: node %d shape has negative fields: %+v", n, s)
+		if s.Cores < 0 {
+			return fmt.Errorf("cluster: node %d shape has negative cores: %d", n, s.Cores)
 		}
 	}
 	if cfg.Topo != nil && cfg.Topo.Nodes() != cfg.Nodes {
@@ -372,7 +362,7 @@ type Result struct {
 	// ReDirtyRate is re-dirtied (wasted) pre-copies per pre-copied chunk.
 	ReDirtyRate float64
 	// PeakCkptWindowBytes is the largest checkpoint volume the fabric moved
-	// in any PeakWindow-wide window (Figure 10).
+	// in any obs.WindowWidth-wide window (Figure 10).
 	PeakCkptWindowBytes float64
 	// BottomObjects / BottomBytes / BottomDrainTime summarize the bottom
 	// tier's end-of-run drain (zero when no bottom tier is configured).
@@ -561,26 +551,12 @@ func build(cfg Config) (*Cluster, error) {
 	sums := nvmkernel.NewSumMemo()
 	nvms := make([]*mem.Device, totalNodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		dramCap, nvmCap := cfg.DRAMPerNode, cfg.NVMPerNode
-		bw, cores := cfg.NVMPerCoreBW, cfg.coresOf(n)
-		if n < len(cfg.Shapes) {
-			s := cfg.Shapes[n]
-			if s.DRAM > 0 {
-				dramCap = s.DRAM
-			}
-			if s.NVM > 0 {
-				nvmCap = s.NVM
-			}
-			if s.NVMPerCoreBW > 0 {
-				bw = s.NVMPerCoreBW
-			}
-		}
-		dram := mem.NewDRAM(env, dramCap)
+		dram := mem.NewDRAM(env, cfg.DRAMPerNode)
 		var nvm *mem.Device
-		if bw > 0 {
-			nvm = mem.NewPCMWithPerCoreBW(env, nvmCap, bw, cores)
+		if cfg.NVMPerCoreBW > 0 {
+			nvm = mem.NewPCMWithPerCoreBW(env, cfg.NVMPerNode, cfg.NVMPerCoreBW, cfg.coresOf(n))
 		} else {
-			nvm = mem.NewPCM(env, nvmCap)
+			nvm = mem.NewPCM(env, cfg.NVMPerNode)
 		}
 		kernels[n] = nvmkernel.New(env, dram, nvm)
 		kernels[n].ShareSums(sums)
@@ -619,7 +595,7 @@ func build(cfg Config) (*Cluster, error) {
 		if c.remoteTier == nil {
 			return nil, fmt.Errorf("cluster: bottom policy %q needs a remote tier to drain from", bottomEntry.Name)
 		}
-		c.bottom = pfs.New(env, cfg.BottomAggregateBW, cfg.BottomStripeBW)
+		c.bottom = pfs.New(env)
 		// The PFS mirrors its drain writes onto the event bus so the lineage
 		// tracer (and trace sinks) see bottom-tier copies land.
 		c.bottom.SetRecorder(o.Recorder(0, "pfs"))
@@ -1058,7 +1034,6 @@ func (c *Cluster) rankBody(p *sim.Proc, rank, startIter int) {
 	if !cfg.NoCheckpoint {
 		engine = precopy.New(store, precopy.Config{
 			Scheme:    c.localScheme,
-			RateCap:   cfg.LocalRateCap,
 			BWPerCore: kernel.NVM.PerCoreWriteBW(cores),
 			Rec:       rec,
 		})
@@ -1412,14 +1387,10 @@ func (c *Cluster) deriveFromRegistry(res *Result) {
 		res.ReDirtyRate = float64(reg.Counter("redirtied_chunks", nil).Get()) / precopied
 	}
 	res.PeakCkptWindowBytes, _ = reg.Timeline("fabric_bytes", obs.Labels{"class": "ckpt"}).
-		PeakDiffBucket(c.Env.Now(), PeakWindow)
+		PeakDiffBucket(c.Env.Now(), obs.WindowWidth)
 	reg.Gauge("precopy_hit_rate", nil).Set(res.PreCopyHitRate)
 	reg.Gauge("redirty_rate", nil).Set(res.ReDirtyRate)
 	reg.Gauge("peak_ckpt_window_bytes", nil).Set(res.PeakCkptWindowBytes)
 	res.ShipRetries = reg.Counter("helper_ship_retries", nil).Get()
 	res.BuddyFailovers = reg.Counter("helper_buddy_failovers", nil).Get()
 }
-
-// PeakWindow is the window width used for the peak-interconnect-usage figure
-// (Figure 10 samples checkpoint traffic in 5-second buckets).
-const PeakWindow = 5 * time.Second

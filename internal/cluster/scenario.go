@@ -62,14 +62,12 @@ func lower(sc *scenario.Scenario) (Config, error) {
 		Iterations: sc.Iterations,
 
 		Local:        sc.Local.Policy,
-		LocalRateCap: sc.Local.RateCap,
 		LocalEvery:   sc.Local.Every,
 		ForceFull:    sc.Local.ForceFull,
 		NoCheckpoint: sc.NoCheckpoint,
 
 		Remote:        sc.Remote.Policy,
 		RemoteRateCap: remoteRate,
-		RemoteDelay:   time.Duration(sc.Remote.DelaySecs * float64(time.Second)),
 		RemoteEvery:   sc.Remote.Every,
 		RemoteGroup:   sc.Remote.Group,
 		Stagger: policy.StaggerSpec{
@@ -80,9 +78,7 @@ func lower(sc *scenario.Scenario) (Config, error) {
 		},
 		ReplanOnFailure: sc.Remote.Replan,
 
-		Bottom:            sc.Bottom.Policy,
-		BottomAggregateBW: sc.Bottom.AggregateBW,
-		BottomStripeBW:    sc.Bottom.StripeBW,
+		Bottom: sc.Bottom.Policy,
 
 		PayloadCap:    sc.PayloadCap,
 		SingleVersion: sc.SingleVersion,
@@ -90,7 +86,7 @@ func lower(sc *scenario.Scenario) (Config, error) {
 		Shards: sc.Shards,
 	}
 	if sc.Fleet != nil {
-		// A fleet spec generates the machine shape: per-node cores/memory/BW,
+		// A fleet spec generates the machine shape: per-node core counts,
 		// the failure-domain topology, and the staggered start times. Ranks
 		// are heterogeneous, so CoresPerNode stays 1 and the per-node shape
 		// carries the real core count.
@@ -104,12 +100,7 @@ func lower(sc *scenario.Scenario) (Config, error) {
 		cfg.NodeStart = fl.Start
 		cfg.Shapes = make([]NodeShape, len(fl.Shapes))
 		for i, s := range fl.Shapes {
-			cfg.Shapes[i] = NodeShape{
-				Cores:        s.Cores,
-				DRAM:         s.DRAM,
-				NVM:          s.NVM,
-				NVMPerCoreBW: s.NVMPerCoreBW,
-			}
+			cfg.Shapes[i] = NodeShape{Cores: s.Cores}
 		}
 	}
 	for i, f := range sc.Failures {

@@ -85,9 +85,9 @@ func goldenScenario() *scenario.Scenario {
 		LinkBW:       250e6,
 		Workload:     scenario.WorkloadSpec{App: "gtc", CkptMB: 48, ScaleComm: true, IterSecs: 4},
 		Iterations:   4,
-		Local:        scenario.LocalSpec{Policy: "dcpcp", RateCap: 100e6},
+		Local:        scenario.LocalSpec{Policy: "dcpcp"},
 		Remote:       scenario.RemoteSpec{Policy: "buddy-precopy", AutoRateCap: true, Every: 2},
-		Bottom:       scenario.BottomSpec{Policy: "pfs-drain", AggregateBW: 2e9},
+		Bottom:       scenario.BottomSpec{Policy: "pfs-drain"},
 		Failures:     []scenario.FailureSpec{{AtSecs: 10, Node: 1, Kind: "hard"}},
 		PayloadCap:   2048,
 	}
@@ -145,7 +145,6 @@ func TestFromScenarioErrors(t *testing.T) {
 		{"negative every", golden(func(sc *scenario.Scenario) { sc.Local.Every = -1 }), "local checkpoint interval must be >= 1, got -1"},
 		{"failure off-cluster", golden(func(sc *scenario.Scenario) { sc.Failures[0].Node = 4 }), "failure 0: fault: node 4 outside cluster (nodes 0..3)"},
 		{"failure at t=0", golden(func(sc *scenario.Scenario) { sc.Failures[0].AtSecs = 0 }), "failure 0: fault: event time 0s not positive"},
-		{"negative rate cap", golden(func(sc *scenario.Scenario) { sc.Local.RateCap = -5 }), "local rate cap must be non-negative, got -5"},
 		{"negative group", golden(func(sc *scenario.Scenario) { sc.Remote = scenario.RemoteSpec{Policy: "erasure", Group: -3} }),
 			"remote group must be >= 0, got -3"},
 		{"negative stagger", golden(func(sc *scenario.Scenario) { sc.Remote.StaggerMax = -1 }), "stagger fields must be non-negative (max -1"},
@@ -176,8 +175,12 @@ func TestFromScenarioErrors(t *testing.T) {
 		{"rack mtbf without fleet", golden(func(sc *scenario.Scenario) {
 			sc.FaultModel = &scenario.FaultModelSpec{MTBFRackSecs: 30, HorizonSecs: 10}
 		}), "fault: model rack/zone MTBFs need a fleet topology"},
-		{"bad slo", golden(func(sc *scenario.Scenario) { sc.SLO = &slo.Spec{WindowSecs: -1} }), "slo: window_secs must be >= 0"},
-		{"bad drift", golden(func(sc *scenario.Scenario) { sc.Drift = &drift.Spec{WindowSecs: -1} }), "drift: window_secs must be >= 0"},
+		{"bad slo", golden(func(sc *scenario.Scenario) {
+			sc.SLO = &slo.Spec{Objectives: []slo.Objective{{Name: "x", Series: "no_such", Direction: slo.AtMost}}}
+		}), `slo: objective "x" targets unknown series "no_such"`},
+		{"bad drift", golden(func(sc *scenario.Scenario) {
+			sc.Drift = &drift.Spec{Limits: []drift.Limit{{Quantity: "no_such", MaxRelErr: 0.5}}}
+		}), `drift: limits[0]: unknown quantity "no_such"`},
 		{"bad placement", fleet(func(sc *scenario.Scenario) { sc.Remote.Placement = "everywhere" }), "unknown placement"},
 		{"empty domain", fleet(func(sc *scenario.Scenario) { sc.Failures[0].Zone = 9 }), "failure 0: fault: zone-outage targets empty domain"},
 		{"domain with node", fleet(func(sc *scenario.Scenario) { sc.Failures[0].Node = 3 }), "failure 0: fault: zone-outage targets a domain, not a node"},

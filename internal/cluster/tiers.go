@@ -139,7 +139,6 @@ func (t *buddyTier) BeginEpoch() {
 		t.mesh.AddAgent(n, t.plan[n], remote.Config{
 			Scheme:  t.scheme,
 			RateCap: t.c.Cfg.RemoteRateCap,
-			Delay:   t.c.Cfg.RemoteDelay,
 			Rec:     t.c.recorder(n, "helper"),
 		})
 	}

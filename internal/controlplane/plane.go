@@ -40,7 +40,7 @@ type Config struct {
 	// no amount of waiting would admit it.
 	FabricBudget float64
 	// WindowBudget caps the live checkpoint fabric volume (bytes moved in
-	// the last cluster.PeakWindow across all running jobs) that admission
+	// the last obs.WindowWidth across all running jobs) that admission
 	// tolerates; 0 means unlimited. Queued jobs wait with reason
 	// "window-slo" while the live load plus the candidate's projected
 	// window volume would breach it, and admit as the running jobs'
@@ -356,7 +356,7 @@ func (pl *Plane) pump() {
 			j.waitReason = "slo-burn"
 			return
 		case pl.cfg.WindowBudget > 0 && pl.running > 0 &&
-			windowLoad()+j.Demand*cluster.PeakWindow.Seconds() > pl.cfg.WindowBudget:
+			windowLoad()+j.Demand*obs.WindowWidth.Seconds() > pl.cfg.WindowBudget:
 			j.waitReason = "window-slo"
 			return
 		}
@@ -375,7 +375,7 @@ func (pl *Plane) pump() {
 }
 
 // liveWindowLoadLocked sums, over every running job, the checkpoint bytes
-// its fabric moved in the trailing cluster.PeakWindow of *its* virtual
+// its fabric moved in the trailing obs.WindowWidth of *its* virtual
 // clock — the live quantity the ckpt_window_bytes SLO watches. Reads go
 // through the observer's mutex-guarded progress timestamp, never a
 // simulation clock, so this is safe from the host side of a live run.
@@ -434,8 +434,8 @@ func liveWindowBytes(c *cluster.Cluster) float64 {
 	tl := c.Obs.Registry().Timeline("fabric_bytes", obs.Labels{"class": "ckpt"})
 	cur := tl.At(now)
 	var prev float64
-	if now > cluster.PeakWindow {
-		prev = tl.At(now - cluster.PeakWindow)
+	if now > obs.WindowWidth {
+		prev = tl.At(now - obs.WindowWidth)
 	}
 	return cur - prev
 }

@@ -28,10 +28,10 @@ type CkptStats struct {
 // stageChunk copies one chunk's DRAM working data into its in-progress NVM
 // slot: a bandwidth-charged DRAM→NVM copy of the full virtual size, the real
 // payload stored durably, a cache flush, and re-arming of write protection.
-// rateCap > 0 throttles the copy (background pre-copy streams). The slot
+// The slot
 // takes the working payload itself: a Payload is immutable, so the working
 // copy, the slot, the buddy replica and the PFS share one value.
-func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
+func (s *Store) stageChunk(p *sim.Proc, c *Chunk) int64 {
 	target := c.targetSlot()
 	k := s.kproc.Kernel()
 	// Capture the modification sequence and re-arm write protection BEFORE
@@ -61,11 +61,7 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 		c.committed = -1
 		invalidated = true
 	}
-	if rateCap > 0 {
-		mem.CopyCapped(p, s.dramDevice(), s.nvmDevice(), c.Size, rateCap)
-	} else {
-		mem.Copy(p, s.dramDevice(), s.nvmDevice(), c.Size)
-	}
+	mem.Copy(p, s.dramDevice(), s.nvmDevice(), c.Size)
 	data := c.payload
 	k.MetaLock.Lock(p)
 	s.kproc.Chunks().SetSlot(p, c.ID, target, data)
@@ -93,12 +89,12 @@ func (s *Store) stageChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
 
 // PreCopyChunk stages a chunk ahead of the coordinated checkpoint if it is
 // dirty, returning the bytes copied (0 if it was clean). This is the copy
-// that pre-copy engines run in the background, optionally rate-capped.
-func (s *Store) PreCopyChunk(p *sim.Proc, c *Chunk, rateCap float64) int64 {
+// that pre-copy engines run in the background.
+func (s *Store) PreCopyChunk(p *sim.Proc, c *Chunk) int64 {
 	if !c.Persistent || !c.needsStage() {
 		return 0
 	}
-	n := s.stageChunk(p, c, rateCap)
+	n := s.stageChunk(p, c)
 	s.Counters[cPrecopyBytes].Add(n)
 	s.Counters[cChunksPrecopied].Add(1)
 	return n
@@ -128,7 +124,7 @@ func (s *Store) chkptAll(p *sim.Proc, force bool) CkptStats {
 			continue
 		}
 		if force || c.needsStage() {
-			st.BytesCopied += s.stageChunk(p, c, 0)
+			st.BytesCopied += s.stageChunk(p, c)
 			st.ChunksCopied++
 		} else {
 			st.ChunksSkipped++
@@ -157,7 +153,7 @@ func (s *Store) ChkptID(p *sim.Proc, id uint64) (CkptStats, error) {
 	start := p.Now()
 	var st CkptStats
 	if c.needsStage() {
-		st.BytesCopied = s.stageChunk(p, c, 0)
+		st.BytesCopied = s.stageChunk(p, c)
 		st.ChunksCopied = 1
 	} else {
 		st.ChunksSkipped = 1

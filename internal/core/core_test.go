@@ -193,7 +193,7 @@ func TestPreCopyShrinksCheckpointWork(t *testing.T) {
 		a.WriteAll(p)
 		b.WriteAll(p)
 		// Background pre-copy stages chunk a.
-		if n := s.PreCopyChunk(p, a, 0); n != 50*mem.MB {
+		if n := s.PreCopyChunk(p, a); n != 50*mem.MB {
 			t.Fatalf("precopy moved %d", n)
 		}
 		st := s.ChkptAll(p)
@@ -215,7 +215,7 @@ func TestPreCopyCleanChunkIsNoop(t *testing.T) {
 		c, _ := s.NVAlloc(p, "a", 10*mem.MB, true)
 		c.WriteAll(p)
 		s.ChkptAll(p)
-		if n := s.PreCopyChunk(p, c, 0); n != 0 {
+		if n := s.PreCopyChunk(p, c); n != 0 {
 			t.Fatalf("precopy of clean chunk moved %d bytes", n)
 		}
 	})
@@ -225,7 +225,7 @@ func TestPreCopiedThenModifiedChunkRecopied(t *testing.T) {
 	newRig().run(t, func(p *sim.Proc, s *Store) {
 		c, _ := s.NVAlloc(p, "hot", 20*mem.MB, true)
 		c.WriteAll(p)
-		s.PreCopyChunk(p, c, 0)
+		s.PreCopyChunk(p, c)
 		c.Write(p, 0, 4096) // hot chunk: modified after pre-copy
 		st := s.ChkptAll(p)
 		if st.ChunksCopied != 1 {
@@ -246,7 +246,7 @@ func TestStoreDuringStageRedirtiesChunk(t *testing.T) {
 		c.WriteAll(p)
 		// Background pre-copy takes ~0.2s; write into the chunk mid-copy.
 		copier := s.Kernel().Env().Go("copier", func(q *sim.Proc) {
-			s.PreCopyChunk(q, c, 0)
+			s.PreCopyChunk(q, c)
 		})
 		p.Sleep(50 * time.Millisecond)
 		if err := c.Write(p, 0, 4096); err != nil {
@@ -440,7 +440,7 @@ func TestCrashMidCheckpointRevertsToPreviousVersion(t *testing.T) {
 		// Second checkpoint: stage the new data but crash before commit —
 		// PreCopyChunk stages without flipping the commit record.
 		c.WriteAll(p)
-		s.PreCopyChunk(p, c, 0)
+		s.PreCopyChunk(p, c)
 		p.KillSelf() // crash before ChkptAll could commit
 	})
 	r.env.Run()
@@ -723,7 +723,7 @@ func TestSnapshotReflectsState(t *testing.T) {
 		a, _ := s.NVAlloc(p, "a", mem.MB, true)
 		s.NVAlloc(p, "scratch", mem.MB, false)
 		a.WriteAll(p)
-		s.PreCopyChunk(p, a, 0)
+		s.PreCopyChunk(p, a)
 		snap := s.Snapshot(p)
 		if len(snap) != 1 {
 			t.Fatalf("snapshot has %d entries, want 1 (persistent only)", len(snap))
@@ -776,7 +776,7 @@ func TestOnStageAndAllocSeq(t *testing.T) {
 		}
 		a.WriteAll(p)
 		b.WriteAll(p)
-		s.PreCopyChunk(p, b, 0)
+		s.PreCopyChunk(p, b)
 		s.ChkptAll(p)
 		if got := strings.Join(staged, ","); got != "b,a" {
 			t.Errorf("stage hook order %q, want b,a", got)

@@ -46,7 +46,7 @@ func ExampleStore_PreCopyChunk() {
 		c, _ := store.NVAlloc(p, "field", 32*mem.MB, true)
 		c.WriteAll(p)
 
-		moved := store.PreCopyChunk(p, c, 0)
+		moved := store.PreCopyChunk(p, c)
 		fmt.Printf("pre-copied %d MB\n", moved/mem.MB)
 
 		st := store.ChkptAll(p)

@@ -95,7 +95,7 @@ func scriptLifetimes(t *testing.T, single bool) []pinStep {
 			c.WriteAll(p)
 		}
 		mark(p, "WriteAll")
-		s.PreCopyChunk(p, cs[0], 0)
+		s.PreCopyChunk(p, cs[0])
 		mark(p, "PreCopyChunk")
 		s.ChkptAll(p)
 		mark(p, "ChkptAll")
@@ -114,7 +114,7 @@ func scriptLifetimes(t *testing.T, single bool) []pinStep {
 		mark(p, "HasCommitted")
 		// Under SingleVersion the re-stage first clears the commit record.
 		cs[0].WriteAll(p)
-		s.PreCopyChunk(p, cs[0], 0)
+		s.PreCopyChunk(p, cs[0])
 		mark(p, "re-stage")
 		if err := s.NVDelete(p, cs[2]); err != nil {
 			t.Error(err)

@@ -99,7 +99,7 @@ func runRandomOps(t *testing.T, seed int64) {
 						return
 					}
 				case 6: // background pre-copy
-					s.PreCopyChunk(p, c, 0)
+					s.PreCopyChunk(p, c)
 				case 7, 8: // coordinated checkpoint
 					before := make(map[string]bool, len(chunks))
 					for n2, c2 := range chunks {

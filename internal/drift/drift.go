@@ -62,70 +62,30 @@ func (l Limit) horizon() int {
 	return l.Over
 }
 
-// Spec is the scenario-declared drift configuration.
+// Spec is the scenario-declared drift configuration. The observatory
+// estimates over obs.WindowWidth windows, the SLO recorder's and the
+// Figure 10 bucket's width.
 type Spec struct {
-	// WindowSecs sets the estimator window in virtual seconds (default 5,
-	// matching the SLO engine and the Fig 10 peak-window probe).
-	WindowSecs float64 `json:"window_secs,omitempty"`
 	// Limits are the drift thresholds; empty means observe-only (the
 	// observatory still estimates, predicts and detects phase changes).
 	Limits []Limit `json:"limits,omitempty"`
-	// PhaseFactor is the regime-shift sensitivity: a window's re-dirty
-	// rate more than PhaseFactor times the trailing regime mean (or less
-	// than mean/PhaseFactor), with an absolute change of at least 0.05,
-	// registers a phase shift and resets the regime. Default 2.
-	PhaseFactor float64 `json:"phase_factor,omitempty"`
-	// PhaseWarmup is how many active windows establish a regime before
-	// shifts can fire (default 3).
-	PhaseWarmup int `json:"phase_warmup,omitempty"`
 }
 
-// Defaults mirror the SLO engine's bounds.
+// The phase detector's rule: a window's re-dirty rate more than phaseFactor
+// times the trailing regime mean (or less than mean/phaseFactor), with an
+// absolute change of at least phaseAbsGuard, registers a phase shift and
+// resets the regime, once phaseWarmup active windows have established it.
+// The guard keeps near-zero regimes from firing on noise.
 const (
-	DefaultWindow      = 5 * time.Second
-	DefaultPhaseFactor = 2.0
-	DefaultPhaseWarmup = 3
-
-	// phaseAbsGuard is the minimum absolute re-dirty-rate change that can
-	// register as a regime shift, so near-zero regimes don't fire on noise.
+	phaseFactor   = 2.0
+	phaseWarmup   = 3
 	phaseAbsGuard = 0.05
 )
-
-// Window returns the effective estimator window.
-func (s *Spec) Window() time.Duration {
-	if s == nil || s.WindowSecs <= 0 {
-		return DefaultWindow
-	}
-	return time.Duration(s.WindowSecs * float64(time.Second))
-}
-
-func (s *Spec) phaseFactor() float64 {
-	if s == nil || s.PhaseFactor <= 0 {
-		return DefaultPhaseFactor
-	}
-	return s.PhaseFactor
-}
-
-func (s *Spec) phaseWarmup() int {
-	if s == nil || s.PhaseWarmup <= 0 {
-		return DefaultPhaseWarmup
-	}
-	return s.PhaseWarmup
-}
 
 // Validate rejects malformed specs with actionable errors.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
-	}
-	if s.WindowSecs < 0 {
-		return fmt.Errorf("drift: window_secs must be >= 0, got %g", s.WindowSecs)
-	}
-	if s.PhaseFactor != 0 && s.PhaseFactor <= 1 {
-		return fmt.Errorf("drift: phase_factor must be > 1 (got %g): a shift multiplies the regime mean", s.PhaseFactor)
-	}
-	if s.PhaseWarmup < 0 {
-		return fmt.Errorf("drift: phase_warmup must be >= 0, got %d", s.PhaseWarmup)
 	}
 	for i, l := range s.Limits {
 		if !knownQuantity(l.Quantity) {
@@ -147,17 +107,14 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Config enables and bounds the observatory on a cluster run.
+// Config enables the observatory on a cluster run. It keeps the newest 512
+// windows (older ones drop from reports but stay in the aggregates) and the
+// first 64 violations, obs.WindowFold's bounds.
 type Config struct {
 	Enabled bool
 	// Strict makes the run fail loudly when any limit is violated.
 	Strict bool
 	Spec   Spec
-	// MaxWindows bounds the retained window ring (default 512; older
-	// windows are dropped from reports but stay in the aggregates).
-	MaxWindows int
-	// MaxViolations bounds the retained violation log (default 64).
-	MaxViolations int
 }
 
 // Violation records one drift-limit breach episode.

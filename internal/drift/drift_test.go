@@ -56,11 +56,7 @@ func TestRelErr(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	good := &Spec{
-		WindowSecs:  2,
-		Limits:      []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.5, Over: 2}},
-		PhaseFactor: 3,
-	}
+	good := &Spec{Limits: []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.5, Over: 2}}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
@@ -69,9 +65,6 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("nil spec rejected: %v", err)
 	}
 	bad := []Spec{
-		{WindowSecs: -1},
-		{PhaseFactor: 0.5},
-		{PhaseWarmup: -1},
 		{Limits: []Limit{{Quantity: "bogus", MaxRelErr: 0.5}}},
 		{Limits: []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0}}},
 		{Limits: []Limit{{Quantity: QtyCkptTime, MaxRelErr: 1.5}}},
@@ -111,7 +104,7 @@ func TestQuantitiesSorted(t *testing.T) {
 // TestEstimators drives one window of synthetic telemetry through Observe
 // and checks every measured estimator and drift gauge that closes with it.
 func TestEstimators(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	sec := func(s float64) int64 { return int64(s * 1e6) }
 	// 8 chunks staged, 2 re-dirtied -> redirty_rate 0.25.
 	for i := 0; i < 8; i++ {
@@ -126,7 +119,7 @@ func TestEstimators(t *testing.T) {
 	// Iterations for the efficiency estimator.
 	d.Observe(obs.Event{TUS: sec(4), Type: obs.EvIteration})
 	// Close window 0.
-	d.Finalize(10 * time.Second)
+	d.Finalize(5 * time.Second)
 
 	ws := d.Windows()
 	if len(ws) != 1 {
@@ -164,10 +157,10 @@ func TestEstimators(t *testing.T) {
 // pre-copy pass already moved every byte measures only fixed overhead the
 // model does not predict, so it must not score as drift.
 func TestZeroCopyCommitSkipsCkptTime(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	d.Observe(obs.Event{TUS: 1e6, Type: obs.EvCheckpointCommit, Bytes: 0,
 		Attrs: obs.Attrs{obs.Int("dur_us", 1500), obs.Int("copied", 0), obs.Int("skipped", 8)}})
-	d.Finalize(10 * time.Second)
+	d.Finalize(5 * time.Second)
 	v := d.Windows()[0].Values
 	for _, key := range []string{"err_" + QtyCkptTime, "err_" + QtyPrecopyTp, "nvm_bw"} {
 		if _, ok := v[key]; ok {
@@ -187,14 +180,14 @@ func TestWindowBytesSteadyState(t *testing.T) {
 	in.RemoteOn = true
 	in.Params.IntervalRemote = 20 * time.Second
 	in.Params.RemoteBWPerCore = 50e6
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, in, nil)
+	d := New(Config{Enabled: true}, in, nil)
 
-	// Steady state: D*ranks / I_rmt * window = 100MB*4/20s*10s = 200 MB.
-	want := float64(in.Params.CkptSize) * 4 / 20 * 10
+	// Steady state: D*ranks / I_rmt * window = 100MB*4/20s*5s = 100 MB.
+	want := float64(in.Params.CkptSize) * 4 / 20 * 5
 	d.Observe(obs.Event{TUS: 1e6, Type: obs.EvChunkShipped, Bytes: int64(want)})
 	// Window 1 has no remote traffic at all -> skipped, not 100% drift.
-	d.Observe(obs.Event{TUS: 11e6, Type: obs.EvIteration})
-	d.Finalize(20 * time.Second)
+	d.Observe(obs.Event{TUS: 6e6, Type: obs.EvIteration})
+	d.Finalize(10 * time.Second)
 
 	ws := d.Windows()
 	if len(ws) != 2 {
@@ -229,22 +222,22 @@ func TestForecastWindowBytesNotReady(t *testing.T) {
 func TestLimitEpisodes(t *testing.T) {
 	in := testInputs()
 	cfg := Config{Enabled: true, Spec: Spec{
-		WindowSecs: 10,
-		Limits:     []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.3, Over: 2}},
+		Limits: []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.3, Over: 2}},
 	}}
 	d := New(cfg, in, nil)
 	// Predicted t_lcl is 1.049 s (100 MB at 100 MB/s). durUS sets measured.
-	commit := func(sec int64, durUS int64) {
-		d.Observe(obs.Event{TUS: sec * 1e6, Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
+	// Each commit lands mid-window: 2.5 s into window w.
+	commit := func(w int64, durUS int64) {
+		d.Observe(obs.Event{TUS: w*5e6 + 2.5e6, Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
 			Attrs: obs.Attrs{obs.Int("dur_us", durUS), obs.Int("copied", 8)}})
 	}
-	commit(5, 5000000)  // w0 breach (err ~0.79), streak 1: no fire
-	commit(15, 5000000) // w1 breach, streak 2: fire
-	commit(25, 5000000) // w2 breach, streak 3: already fired, no refire
-	commit(35, 1100000) // w3 clean (err ~0.05): reset
-	commit(45, 5000000) // w4 breach, streak 1
-	commit(55, 5000000) // w5 breach, streak 2: second episode fires
-	d.Finalize(60 * time.Second)
+	commit(0, 5000000) // w0 breach (err ~0.79), streak 1: no fire
+	commit(1, 5000000) // w1 breach, streak 2: fire
+	commit(2, 5000000) // w2 breach, streak 3: already fired, no refire
+	commit(3, 1100000) // w3 clean (err ~0.05): reset
+	commit(4, 5000000) // w4 breach, streak 1
+	commit(5, 5000000) // w5 breach, streak 2: second episode fires
+	d.Finalize(30 * time.Second)
 
 	vs := d.Violations()
 	if len(vs) != 2 {
@@ -278,9 +271,9 @@ func TestLimitEpisodes(t *testing.T) {
 // and holds the detector to exactly one firing: the shift window itself,
 // not the settled post-shift windows.
 func TestPhaseShiftFiresOnce(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	window := func(idx int64, staged, redirtied int) {
-		base := idx * 10e6
+		base := idx * 5e6
 		for i := 0; i < staged; i++ {
 			d.Observe(obs.Event{TUS: base + 1e6, Type: obs.EvChunkStaged, Bytes: 1 << 20})
 		}
@@ -297,7 +290,7 @@ func TestPhaseShiftFiresOnce(t *testing.T) {
 	// Post-shift: the new regime stays at 0.5; no further firing.
 	window(5, 10, 5)
 	window(6, 10, 5)
-	d.Finalize(70 * time.Second)
+	d.Finalize(35 * time.Second)
 
 	shifts := d.PhaseShifts()
 	if len(shifts) != 1 {
@@ -318,9 +311,9 @@ func TestPhaseShiftFiresOnce(t *testing.T) {
 // TestPhaseShiftAbsGuard: a tiny regime doubling (0.01 -> 0.02) satisfies
 // the factor but not the absolute guard, so it must not fire.
 func TestPhaseShiftAbsGuard(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	window := func(idx int64, staged, redirtied int) {
-		base := idx * 10e6
+		base := idx * 5e6
 		for i := 0; i < staged; i++ {
 			d.Observe(obs.Event{TUS: base + 1e6, Type: obs.EvChunkStaged})
 		}
@@ -332,14 +325,14 @@ func TestPhaseShiftAbsGuard(t *testing.T) {
 		window(i, 100, 1) // rate 0.01
 	}
 	window(4, 100, 2) // rate 0.02: x2 but abs change 0.01 < 0.05
-	d.Finalize(50 * time.Second)
+	d.Finalize(25 * time.Second)
 	if shifts := d.PhaseShifts(); len(shifts) != 0 {
 		t.Fatalf("abs guard failed, fired on noise: %+v", shifts)
 	}
 }
 
 func TestMeasuredMTBF(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	// Two soft failures at 20 s and 40 s -> measured local MTBF 20 s.
 	d.Observe(obs.Event{TUS: 20e6, Type: obs.EvFailure, Attrs: obs.Attrs{obs.Str("kind", "soft")}})
 	d.Observe(obs.Event{TUS: 40e6, Type: obs.EvFailure, Attrs: obs.Attrs{obs.Str("kind", "soft")}})
@@ -374,8 +367,7 @@ func TestMergedStreamMatchesLiveTap(t *testing.T) {
 	in.RemoteOn = true
 	in.Params.IntervalRemote = 20 * time.Second
 	cfg := Config{Enabled: true, Spec: Spec{
-		WindowSecs: 5,
-		Limits:     []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.3}},
+		Limits: []Limit{{Quantity: QtyCkptTime, MaxRelErr: 0.3}},
 	}}
 	type pub struct {
 		at    time.Duration
@@ -452,11 +444,11 @@ func TestMergedStreamMatchesLiveTap(t *testing.T) {
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	d := New(Config{Enabled: true, Spec: Spec{WindowSecs: 10}}, testInputs(), nil)
+	d := New(Config{Enabled: true}, testInputs(), nil)
 	d.Observe(obs.Event{TUS: 1e6, Type: obs.EvCheckpointCommit, Bytes: 100 << 20,
 		Attrs: obs.Attrs{obs.Int("dur_us", 1200000), obs.Int("copied", 8)}})
 	d.Observe(obs.Event{TUS: 2e6, Type: obs.EvIteration})
-	d.Finalize(10 * time.Second)
+	d.Finalize(5 * time.Second)
 	rep := BuildReport(d, report.Meta{Tool: "test", Scenario: "roundtrip", Seed: 3})
 
 	path := filepath.Join(t.TempDir(), "drift.json")
@@ -518,7 +510,7 @@ func TestBaselineMatchesModel(t *testing.T) {
 // and a window opened exactly at the finish time closes one microsecond
 // wide, which then sets the report's virtual end.
 func TestFinalizeTailOnlyWhenActive(t *testing.T) {
-	cfg := Config{Enabled: true, Spec: Spec{WindowSecs: 5}}
+	cfg := Config{Enabled: true}
 	for _, tc := range []struct {
 		name       string
 		events     []obs.Event

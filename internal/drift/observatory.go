@@ -212,9 +212,7 @@ func New(cfg Config, in Inputs, reg *obs.Registry) *Observatory {
 		trigUS: map[int]int64{},
 		quants: map[string]*qAcc{},
 	}
-	// Windows are whole microseconds, the event stream's resolution.
-	width := time.Duration(cfg.Spec.Window().Microseconds()) * time.Microsecond
-	d.fold = obs.NewWindowFold[Violation](width, cfg.MaxWindows, cfg.MaxViolations, d.closeWindow)
+	d.fold = obs.NewWindowFold[Violation](obs.WindowWidth, d.closeWindow)
 	for _, q := range quantities {
 		d.quants[q] = &qAcc{}
 	}
@@ -319,7 +317,7 @@ func (d *Observatory) measuredMTBF(local bool) int64 {
 // the phase detector and the limit evaluator. Callers hold d.mu.
 func (d *Observatory) closeWindow(row *Window, _, _ time.Duration) {
 	idx, endUS := row.Index, row.EndUS
-	winSecs := float64(d.fold.Width().Microseconds()) / 1e6
+	winSecs := obs.WindowWidth.Seconds()
 	w := d.cur
 	d.cur = winAcc{}
 	v := map[string]float64{}
@@ -411,14 +409,13 @@ func (d *Observatory) closeWindow(row *Window, _, _ time.Duration) {
 	}
 
 	// Phase detection: a window's re-dirty rate jumping past the trailing
-	// regime mean by the configured factor (and the absolute guard) marks
-	// a workload phase change and resets the regime.
+	// regime mean by phaseFactor (and the absolute guard) marks a workload
+	// phase change and resets the regime.
 	if r, ok := v["redirty_rate"]; ok {
-		factor := d.cfg.Spec.phaseFactor()
-		if d.regimeN >= d.cfg.Spec.phaseWarmup() {
+		if d.regimeN >= phaseWarmup {
 			mean := d.regimeSum / float64(d.regimeN)
-			up := r >= mean*factor && r-mean >= phaseAbsGuard
-			down := r <= mean/factor && mean-r >= phaseAbsGuard
+			up := r >= mean*phaseFactor && r-mean >= phaseAbsGuard
+			down := r <= mean/phaseFactor && mean-r >= phaseAbsGuard
 			if up || down {
 				d.shifts = append(d.shifts, PhaseShift{TUS: endUS, Window: idx, From: mean, To: r})
 				d.regimeSum, d.regimeN = 0, 0
@@ -601,9 +598,4 @@ func (d *Observatory) ForecastWindowBytes() (bytes float64, ok bool) {
 		return 0, false
 	}
 	return math.Max(d.lastPredWB, d.lastMeasWB), true
-}
-
-// WindowDuration returns the estimator window length.
-func (d *Observatory) WindowDuration() time.Duration {
-	return d.fold.Width()
 }

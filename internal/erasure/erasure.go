@@ -62,9 +62,8 @@ type Group struct {
 	// folds it into an accumulator.
 	scratch []byte
 
-	// ShipBytes counts bytes shipped to the parity node; Reconstructions
-	// counts rebuilt members.
-	ShipBytes, Reconstructions int64
+	// ShipBytes counts bytes shipped to the parity node.
+	ShipBytes int64
 }
 
 // NewGroup builds a parity group. members and parityNode index into the
@@ -199,7 +198,6 @@ func (g *Group) Reconstruct(p *sim.Proc, failed int, replacement []*core.Store) 
 	}
 	// The replacement stores take the failed member's place.
 	g.stores[failed] = replacement
-	g.Reconstructions++
 	return nil
 }
 
@@ -217,7 +215,6 @@ func (g *Group) FetchChunk(p *sim.Proc, failed, slot int, id uint64) (nvmkernel.
 		return nvmkernel.Payload{}, 0, err
 	}
 	g.nvm[failed].WriteBytes(p, size)
-	g.Reconstructions++
 	return nvmkernel.Bytes(data), size, nil
 }
 

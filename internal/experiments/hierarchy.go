@@ -72,7 +72,7 @@ func RunHierarchy(scale Scale) HierarchyResult {
 // checkpoint synchronously to the shared PFS.
 func pfsDirect(cfg cluster.Config) time.Duration {
 	env := sim.NewEnv()
-	fs := pfs.New(env, 0, 0)
+	fs := pfs.New(env)
 	ranks := cfg.Nodes * cfg.CoresPerNode
 	barrier := sim.NewBarrier(env, ranks)
 	ckptSize := cfg.App.CheckpointSize()

@@ -194,7 +194,7 @@ func (s *Server) mux(src Source) *http.ServeMux {
 			return
 		}
 		writeJSON(w, map[string]any{
-			"window_us": src.Drift.WindowDuration().Microseconds(),
+			"window_us": obs.WindowWidth.Microseconds(),
 			"windows":   src.Drift.Windows(),
 		})
 	})

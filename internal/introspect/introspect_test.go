@@ -245,9 +245,9 @@ func TestDriftEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ts); err != nil {
 		t.Fatalf("bad timeseries body: %v", err)
 	}
-	if ts.WindowUS != drift.DefaultWindow.Microseconds() || len(ts.Windows) != 2 {
+	if ts.WindowUS != obs.WindowWidth.Microseconds() || len(ts.Windows) != 2 {
 		t.Fatalf("timeseries = window_us %d, %d windows; want %d, 2",
-			ts.WindowUS, len(ts.Windows), drift.DefaultWindow.Microseconds())
+			ts.WindowUS, len(ts.Windows), obs.WindowWidth.Microseconds())
 	}
 	if _, ok := ts.Windows[0].Values["err_"+drift.QtyCkptTime]; !ok {
 		t.Fatalf("window 0 lacks the ckpt_time gauge: %v", ts.Windows[0].Values)

@@ -230,16 +230,6 @@ func Copy(p *sim.Proc, src, dst *Device, size int64) {
 	bottleneck(src, dst).Transfer(p, size)
 }
 
-// CopyCapped is Copy with a per-stream rate ceiling (a throttled background
-// pre-copy stream).
-func CopyCapped(p *sim.Proc, src, dst *Device, size int64, maxRate float64) {
-	if size <= 0 {
-		return
-	}
-	dst.BytesWritten += size
-	bottleneck(src, dst).TransferCapped(p, size, maxRate)
-}
-
 func bottleneck(src, dst *Device) *resource.Pipe {
 	if src.Read.SingleRate() < dst.Write.SingleRate() {
 		return src.Read

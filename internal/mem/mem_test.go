@@ -205,7 +205,7 @@ func TestCopyZeroAndStringers(t *testing.T) {
 	pcm := NewPCM(e, GB)
 	e.Go("w", func(p *sim.Proc) {
 		Copy(p, dram, pcm, 0)
-		CopyCapped(p, dram, pcm, -1, 100)
+		Copy(p, dram, pcm, -1)
 	})
 	e.Run()
 	if pcm.BytesWritten != 0 {
@@ -257,21 +257,5 @@ func TestLifetimeProjection(t *testing.T) {
 	dram := NewDRAM(e, GB)
 	if dram.LifetimeYearsAt(float64(GB)) < 1e6 {
 		t.Fatal("DRAM lifetime implausibly short")
-	}
-}
-
-func TestCopyCappedThrottles(t *testing.T) {
-	e := sim.NewEnv()
-	dram := NewDRAM(e, GB)
-	pcm := NewPCM(e, GB)
-	var dur time.Duration
-	e.Go("w", func(p *sim.Proc) {
-		start := p.Now()
-		CopyCapped(p, dram, pcm, 100*1000*1000, 100*1000*1000) // 100MB at 100MB/s cap
-		dur = p.Now() - start
-	})
-	e.Run()
-	if diff := (dur - time.Second).Abs(); diff > 5*time.Millisecond {
-		t.Fatalf("capped copy took %v, want ~1s", dur)
 	}
 }

@@ -14,10 +14,18 @@ type Window struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// Retention bounds a WindowFold applies when its consumer sets none.
+// WindowWidth is the width of every fixed virtual-time window a run is
+// judged by: the Figure 10 peak-traffic bucket (the RunReport's
+// peak_ckpt_window_bytes), the SLO flight recorder's windows and the drift
+// observatory's. One width keeps a window byte budget, the drift forecast
+// added to it and a ckpt_window_bytes threshold in the same unit.
+const WindowWidth = 5 * time.Second
+
+// A WindowFold's retention bounds: the newest maxWindows closed windows and
+// the first maxViolations violations.
 const (
-	defaultMaxWindows    = 512
-	defaultMaxViolations = 64
+	maxWindows    = 512
+	maxViolations = 64
 )
 
 // WindowFold is the fixed-width virtual-time window machinery of the bus
@@ -42,13 +50,11 @@ type WindowFold[V any] struct {
 	open  time.Duration // start of the open window
 	total int           // windows closed ever
 
-	ring    []Window // retained windows: ring[(head+i)%len(ring)], oldest first
-	head    int
-	maxWins int
+	ring []Window // retained windows: ring[(head+i)%len(ring)], oldest first
+	head int
 
 	violations []V
 	violCount  int
-	maxViols   int
 
 	finished bool
 	end      time.Duration
@@ -56,16 +62,9 @@ type WindowFold[V any] struct {
 
 // NewWindowFold builds a fold of width-wide windows starting at virtual
 // time 0. close fills w.Values for the window [start, end); w's Index,
-// StartUS and EndUS are already set. Bounds <= 0 take the defaults.
-func NewWindowFold[V any](width time.Duration, maxWindows, maxViolations int,
-	close func(w *Window, start, end time.Duration)) *WindowFold[V] {
-	if maxWindows <= 0 {
-		maxWindows = defaultMaxWindows
-	}
-	if maxViolations <= 0 {
-		maxViolations = defaultMaxViolations
-	}
-	return &WindowFold[V]{width: width, close: close, maxWins: maxWindows, maxViols: maxViolations}
+// StartUS and EndUS are already set.
+func NewWindowFold[V any](width time.Duration, close func(w *Window, start, end time.Duration)) *WindowFold[V] {
+	return &WindowFold[V]{width: width, close: close}
 }
 
 // Advance closes every window that ends at or before t. It reports false
@@ -102,7 +101,7 @@ func (f *WindowFold[V]) closeAt(end time.Duration) {
 	f.close(&w, f.open, end)
 	f.total++
 	f.open = end
-	if len(f.ring) < f.maxWins {
+	if len(f.ring) < maxWindows {
 		f.ring = append(f.ring, w)
 		return
 	}
@@ -114,7 +113,7 @@ func (f *WindowFold[V]) closeAt(end time.Duration) {
 // one is counted.
 func (f *WindowFold[V]) Violate(v V) {
 	f.violCount++
-	if len(f.violations) < f.maxViols {
+	if len(f.violations) < maxViolations {
 		f.violations = append(f.violations, v)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,9 +10,9 @@ import (
 
 // spanFold is a fold over 5s windows whose close function records each
 // window's span and sets one value, the window's width in seconds.
-func spanFold(maxWindows, maxViolations int) (*WindowFold[string], *[][2]time.Duration) {
+func spanFold() (*WindowFold[string], *[][2]time.Duration) {
 	var spans [][2]time.Duration
-	f := NewWindowFold[string](5*time.Second, maxWindows, maxViolations, func(w *Window, start, end time.Duration) {
+	f := NewWindowFold[string](WindowWidth, func(w *Window, start, end time.Duration) {
 		spans = append(spans, [2]time.Duration{start, end})
 		w.Values = map[string]float64{"width": (end - start).Seconds()}
 	})
@@ -19,7 +20,7 @@ func spanFold(maxWindows, maxViolations int) (*WindowFold[string], *[][2]time.Du
 }
 
 func TestWindowFoldBoundaryClosesAtEnd(t *testing.T) {
-	f, spans := spanFold(0, 0)
+	f, spans := spanFold()
 	f.Advance(4999 * time.Millisecond)
 	if len(*spans) != 0 {
 		t.Fatalf("closed %v before the first boundary", *spans)
@@ -43,7 +44,7 @@ func TestWindowFoldBoundaryClosesAtEnd(t *testing.T) {
 }
 
 func TestWindowFoldFinish(t *testing.T) {
-	f, spans := spanFold(0, 0)
+	f, spans := spanFold()
 	f.Advance(6 * time.Second)
 	if !f.Finish(12*time.Second, 12*time.Second) {
 		t.Fatal("first Finish reported already finished")
@@ -61,14 +62,14 @@ func TestWindowFoldFinish(t *testing.T) {
 	}
 
 	// No tail: the end still reaches the finish time.
-	g, spans := spanFold(0, 0)
+	g, spans := spanFold()
 	g.Finish(12*time.Second, 0)
 	if len(*spans) != 2 || g.End() != 12*time.Second {
 		t.Fatalf("closed %v end %v, want two windows and end 12s", *spans, g.End())
 	}
 
 	// A tail past the finish time moves the end with it.
-	h, _ := spanFold(0, 0)
+	h, _ := spanFold()
 	h.Finish(5*time.Second, 5*time.Second+time.Microsecond)
 	if h.End() != 5*time.Second+time.Microsecond {
 		t.Fatalf("end %v, want the tail's end 5.000001s", h.End())
@@ -76,37 +77,45 @@ func TestWindowFoldFinish(t *testing.T) {
 }
 
 func TestWindowFoldRingKeepsNewest(t *testing.T) {
-	f, _ := spanFold(2, 0)
-	f.Advance(25 * time.Second)
+	f, _ := spanFold()
+	const total = maxWindows + 2
+	f.Advance(total * WindowWidth)
 	wins := f.Windows()
-	if len(wins) != 2 || wins[0].Index != 3 || wins[1].Index != 4 {
-		t.Fatalf("ring kept %+v, want windows 3 and 4 oldest first", wins)
+	if len(wins) != maxWindows || wins[0].Index != 2 || wins[maxWindows-1].Index != total-1 {
+		t.Fatalf("ring kept windows %d..%d, want %d..%d oldest first", wins[0].Index, wins[len(wins)-1].Index, 2, total-1)
 	}
-	if f.Closed() != 5 || f.Stored() != 2 {
-		t.Fatalf("closed %d stored %d, want 5 and 2", f.Closed(), f.Stored())
+	if f.Closed() != total || f.Stored() != maxWindows {
+		t.Fatalf("closed %d stored %d, want %d and %d", f.Closed(), f.Stored(), total, maxWindows)
 	}
 }
 
 func TestWindowFoldViolationBound(t *testing.T) {
-	f, _ := spanFold(0, 2)
+	f, _ := spanFold()
 	if got := f.Violations(); got == nil || len(got) != 0 {
 		t.Fatalf("empty violations = %#v, want non-nil and empty", got)
 	}
-	for _, v := range []string{"a", "b", "c"} {
+	var want []string
+	for i := 0; i <= maxViolations; i++ {
+		v := fmt.Sprint(i)
 		f.Violate(v)
+		if i < maxViolations {
+			want = append(want, v)
+		}
 	}
-	if got := f.Violations(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("kept %v, want the first two", got)
+	if got := f.Violations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v, want the first %d", got, maxViolations)
 	}
-	if f.ViolationCount() != 3 {
-		t.Fatalf("count = %d, want 3 (counts past retention)", f.ViolationCount())
+	if f.ViolationCount() != maxViolations+1 {
+		t.Fatalf("count = %d, want %d (counts past retention)", f.ViolationCount(), maxViolations+1)
 	}
 }
 
+// TestWindowFoldDefaults pins the fold's constants: the SLO and drift
+// reports and their goldens are written with these retention bounds and
+// this window width.
 func TestWindowFoldDefaults(t *testing.T) {
-	f, _ := spanFold(0, 0)
-	if f.maxWins != defaultMaxWindows || f.maxViols != defaultMaxViolations {
-		t.Fatalf("bounds %d/%d, want defaults %d/%d", f.maxWins, f.maxViols, defaultMaxWindows, defaultMaxViolations)
+	if maxWindows != 512 || maxViolations != 64 || WindowWidth != 5*time.Second {
+		t.Fatalf("bounds %d/%d width %v, want 512/64 and 5s", maxWindows, maxViolations, WindowWidth)
 	}
 }
 
@@ -230,7 +239,7 @@ func TestWindowFoldMatchesMicrosecondClock(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		widthUS := int64(1 + rng.Intn(5_000_000))
 		var got, want [][2]int64
-		f := NewWindowFold[struct{}](time.Duration(widthUS)*time.Microsecond, 0, 0, func(w *Window, _, _ time.Duration) {
+		f := NewWindowFold[struct{}](time.Duration(widthUS)*time.Microsecond, func(w *Window, _, _ time.Duration) {
 			got = append(got, [2]int64{w.StartUS, w.EndUS})
 		})
 		var startUS, tus int64

@@ -47,8 +47,7 @@ type FS struct {
 	ingest *resource.Pipe
 	egress *resource.Pipe
 
-	stripeBW float64
-	objects  map[string]*object
+	objects map[string]*object
 
 	rec *obs.Recorder
 }
@@ -58,21 +57,14 @@ type FS struct {
 // rewrites are skipped), so the event stream mirrors PFS contents.
 func (f *FS) SetRecorder(r *obs.Recorder) { f.rec = r }
 
-// New builds a PFS with the given aggregate ingest bandwidth (0 = default)
-// and per-client stripe cap (0 = default).
-func New(env *sim.Env, aggregateBW, stripeBW float64) *FS {
-	if aggregateBW == 0 {
-		aggregateBW = DefaultAggregateBW
-	}
-	if stripeBW == 0 {
-		stripeBW = DefaultStripeBW
-	}
+// New builds a PFS with DefaultAggregateBW of ingest and egress bandwidth
+// and a DefaultStripeBW cap per client.
+func New(env *sim.Env) *FS {
 	return &FS{
-		env:      env,
-		ingest:   resource.NewPipe(env, "pfs-ingest", aggregateBW, resource.FlatScaling()),
-		egress:   resource.NewPipe(env, "pfs-egress", aggregateBW, resource.FlatScaling()),
-		stripeBW: stripeBW,
-		objects:  make(map[string]*object),
+		env:     env,
+		ingest:  resource.NewPipe(env, "pfs-ingest", DefaultAggregateBW, resource.FlatScaling()),
+		egress:  resource.NewPipe(env, "pfs-egress", DefaultAggregateBW, resource.FlatScaling()),
+		objects: make(map[string]*object),
 	}
 }
 
@@ -81,7 +73,7 @@ func New(env *sim.Env, aggregateBW, stripeBW float64) *FS {
 // shared ingest bandwidth under the per-client stripe cap. The object keeps
 // the payload itself: checkpoint payloads are immutable.
 func (f *FS) Write(p *sim.Proc, name string, size int64, version uint64, data nvmkernel.Payload) {
-	f.ingest.TransferCapped(p, size, f.stripeBW)
+	f.ingest.TransferCapped(p, size, DefaultStripeBW)
 	f.objects[name] = &object{
 		size:    size,
 		version: version,
@@ -96,7 +88,7 @@ func (f *FS) Read(p *sim.Proc, name string) (nvmkernel.Payload, int64, uint64, e
 	if !ok {
 		return nvmkernel.Payload{}, 0, 0, fmt.Errorf("%w: %s", ErrNoObject, name)
 	}
-	f.egress.TransferCapped(p, obj.size, f.stripeBW)
+	f.egress.TransferCapped(p, obj.size, DefaultStripeBW)
 	return obj.data, obj.size, obj.version, nil
 }
 

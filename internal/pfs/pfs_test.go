@@ -16,7 +16,7 @@ import (
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	e := sim.NewEnv()
-	fs := New(e, 0, 0)
+	fs := New(e)
 	e.Go("w", func(p *sim.Proc) {
 		fs.Write(p, "ckpt/rank0", 100*mem.MB, 7, nvmkernel.Bytes([]byte{1, 2, 3}))
 		got, size, version, err := fs.Read(p, "ckpt/rank0")
@@ -40,32 +40,32 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestStripeCapLimitsOneClient(t *testing.T) {
 	e := sim.NewEnv()
-	fs := New(e, 2e9, 500e6)
+	fs := New(e)
 	var took time.Duration
 	e.Go("w", func(p *sim.Proc) {
 		start := p.Now()
-		fs.Write(p, "x", int64(500e6), 1, nvmkernel.Payload{}) // 500 MB at the 500 MB/s stripe cap
+		fs.Write(p, "x", int64(DefaultStripeBW), 1, nvmkernel.Payload{}) // one second at the stripe cap
 		took = p.Now() - start
 	})
 	e.Run()
 	if diff := (took - time.Second).Abs(); diff > 10*time.Millisecond {
-		t.Fatalf("capped write took %v, want ~1s despite 2GB/s aggregate", took)
+		t.Fatalf("capped write took %v, want ~1s despite the %g B/s aggregate", took, DefaultAggregateBW)
 	}
 }
 
 func TestAggregateBandwidthShared(t *testing.T) {
 	e := sim.NewEnv()
-	fs := New(e, 2e9, 1e9)
+	fs := New(e)
 	const writers = 8
 	for i := 0; i < writers; i++ {
 		name := string(rune('a' + i))
 		e.Go("w", func(p *sim.Proc) {
-			fs.Write(p, name, int64(250e6), 1, nvmkernel.Payload{})
+			fs.Write(p, name, int64(DefaultAggregateBW/writers), 1, nvmkernel.Payload{})
 		})
 	}
 	e.Run()
-	// 8 x 250MB = 2GB through a 2GB/s aggregate: ~1s total, regardless of
-	// the generous per-client cap.
+	// 8 writers share the aggregate at 250 MB/s each, under the 500 MB/s
+	// per-client cap, so one aggregate-second of data takes ~1s in total.
 	if diff := (e.Now() - time.Second).Abs(); diff > 20*time.Millisecond {
 		t.Fatalf("8 writers finished at %v, want ~1s (aggregate-bound)", e.Now())
 	}
@@ -73,7 +73,7 @@ func TestAggregateBandwidthShared(t *testing.T) {
 
 func TestOverwriteKeepsSingleObject(t *testing.T) {
 	e := sim.NewEnv()
-	fs := New(e, 0, 0)
+	fs := New(e)
 	e.Go("w", func(p *sim.Proc) {
 		fs.Write(p, "x", mem.MB, 1, nvmkernel.Bytes([]byte{1}))
 		fs.Write(p, "x", mem.MB, 2, nvmkernel.Bytes([]byte{2}))
@@ -96,7 +96,7 @@ func drainRig(t *testing.T) (*sim.Env, *remote.Mesh, *FS, *core.Store) {
 	k := nvmkernel.New(e, mem.NewDRAM(e, 16*mem.GB), nvms[0])
 	mesh := remote.NewMesh(e, fabric, nvms)
 	agent := mesh.AddAgent(0, 1, remote.Config{Scheme: remote.AsyncBurst})
-	fs := New(e, 0, 0)
+	fs := New(e)
 	var store *core.Store
 	e.Go("app", func(p *sim.Proc) {
 		store = core.NewStore(k.Attach("rank0"), core.Options{})

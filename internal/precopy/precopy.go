@@ -60,10 +60,6 @@ func (s Scheme) String() string {
 // Config tunes an Engine.
 type Config struct {
 	Scheme Scheme
-	// RateCap throttles background copies in bytes/sec (0 = uncapped);
-	// the background stream then leaves NVM bandwidth headroom for any
-	// concurrent foreground work.
-	RateCap float64
 	// BWPerCore is the effective NVM write bandwidth per core used by the
 	// threshold calculation (NVMBW_core).
 	BWPerCore float64
@@ -256,7 +252,7 @@ func (e *Engine) run(p *sim.Proc) {
 		start := p.Now()
 		e.Meter.Start(start)
 		seqBefore := c.ModSeq()
-		n := e.store.PreCopyChunk(p, c, e.cfg.RateCap)
+		n := e.store.PreCopyChunk(p, c)
 		e.Meter.Stop(p.Now())
 		e.copying = false
 		e.copyDone.Complete()

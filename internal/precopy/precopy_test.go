@@ -289,32 +289,6 @@ func TestQuiesceBlocksUntilCopyDone(t *testing.T) {
 	e.Run()
 }
 
-func TestRateCapSlowsBackgroundStream(t *testing.T) {
-	run := func(cap float64) time.Duration {
-		e := sim.NewEnv()
-		r := newRig(e)
-		eng := New(r.store, Config{Scheme: CPC, RateCap: cap})
-		var took time.Duration
-		e.Go("app", func(p *sim.Proc) {
-			c, _ := r.store.NVAlloc(p, "a", 100*mem.MB, true)
-			eng.BeginInterval(p)
-			c.WriteAll(p)
-			p.Sleep(time.Millisecond)
-			start := p.Now()
-			eng.Quiesce(p)
-			took = p.Now() - start
-			eng.Stop()
-		})
-		e.Run()
-		return took
-	}
-	capped := run(50 * 1e6)
-	uncapped := run(0)
-	if capped <= uncapped {
-		t.Fatalf("capped copy (%v) should take longer than uncapped (%v)", capped, uncapped)
-	}
-}
-
 func TestStopKillsWorker(t *testing.T) {
 	e := sim.NewEnv()
 	r := newRig(e)

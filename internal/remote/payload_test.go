@@ -47,7 +47,7 @@ func checkpointAllTiers(t *testing.T, write func(*sim.Proc, *core.Chunk) error) 
 	tr := &tiers{
 		env: e,
 		k0:  nvmkernel.New(e, mem.NewDRAM(e, 16*mem.GB), nvms[0]),
-		fs:  pfs.New(e, 0, 0),
+		fs:  pfs.New(e),
 	}
 	tr.mesh = remote.NewMesh(e, interconnect.New(e, 2, 0), nvms)
 	agent := tr.mesh.AddAgent(0, 1, remote.Config{Scheme: remote.AsyncBurst})

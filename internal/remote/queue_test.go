@@ -16,10 +16,8 @@ import (
 // the ship queue: every registered store's Snapshot in registration order,
 // and the first chunk in allocation order whose staged data the buddy lacks.
 func (a *Agent) referencePick(p *sim.Proc) (core.ChunkState, *core.Store) {
-	if !a.bursting {
-		if a.cfg.Scheme != PreCopy || a.mesh.env.Now() < a.intervalStart+a.cfg.Delay {
-			return core.ChunkState{}, nil
-		}
+	if !a.bursting && a.cfg.Scheme != PreCopy {
+		return core.ChunkState{}, nil
 	}
 	for _, q := range a.queues {
 		s := q.store
@@ -215,7 +213,7 @@ func (o *oracle) step(p *sim.Proc) {
 		}
 	case r < 60: // pre-copy stage
 		if s, c := o.randomChunk(); c != nil {
-			s.PreCopyChunk(p, c, 0)
+			s.PreCopyChunk(p, c)
 		}
 	case r < 65: // coordinated checkpoint: stage every dirty chunk, commit
 		o.stores[o.rng.Intn(len(o.stores))].ChkptAll(p)

@@ -8,10 +8,9 @@
 // sits idle until the remote checkpoint point, then ships every chunk at full
 // rate, overlapped with the application's next compute phase — producing the
 // interconnect bursts of Figure 10. PreCopy ships chunks incrementally as
-// soon as the local checkpoint path stages them (optionally after a
-// DCPC-style delay into the remote interval and rate-capped), so the remote
-// checkpoint point finds most data already resident and the peak interconnect
-// usage drops by roughly half.
+// soon as the local checkpoint path stages them (optionally rate-capped), so
+// the remote checkpoint point finds most data already resident and the peak
+// interconnect usage drops by roughly half.
 package remote
 
 import (
@@ -53,10 +52,6 @@ type Config struct {
 	// RateCap throttles pre-copy shipping in bytes/sec (0 = uncapped).
 	// Burst catch-up traffic at the checkpoint point is never capped.
 	RateCap float64
-	// Delay holds pre-copy shipping until this long after the start of
-	// each remote interval (the paper's remote DCPCP delay; 0 ships as
-	// soon as data is staged).
-	Delay time.Duration
 	// Rec publishes helper activity — ship events, wake/sleep edges and
 	// spans on the helper lane — onto the run's observability bus (nil-safe).
 	// It is scoped to the helper's node as the bus numbers it; the buddy
@@ -192,7 +187,6 @@ func (m *Mesh) AddAgent(node, buddy int, cfg Config) *Agent {
 		Counters:    agentCounters.New(),
 	}
 	a.Counters.SetRecorder(cfg.Rec)
-	a.intervalStart = m.env.Now()
 	a.proc = m.env.Go(fmt.Sprintf("helper/node%d", node), a.run)
 	m.agents[node] = a
 	return a
@@ -303,14 +297,13 @@ type Agent struct {
 	proc  *sim.Proc
 	wake  *sim.Signal
 
-	queues        []*shipQueue        // one per registered store, in registration order
-	procs         map[string]bool     // process names of the registered stores
-	shipped       map[chunkKey]uint64 // last shipped CleanSeq
-	intervalStart time.Duration
-	bursting      bool
-	burstTarget   map[chunkKey]uint64 // staged seqs captured at trigger
-	burstDone     *sim.Completion
-	stopped       bool
+	queues      []*shipQueue        // one per registered store, in registration order
+	procs       map[string]bool     // process names of the registered stores
+	shipped     map[chunkKey]uint64 // last shipped CleanSeq
+	bursting    bool
+	burstTarget map[chunkKey]uint64 // staged seqs captured at trigger
+	burstDone   *sim.Completion
+	stopped     bool
 
 	// Meter tracks helper busy time — Table V's helper-core utilization.
 	Meter obs.Meter
@@ -352,12 +345,8 @@ func (a *Agent) Register(s *core.Store) {
 }
 
 // BeginRemoteInterval marks the start of a remote checkpoint interval,
-// re-arming the pre-copy delay.
+// waking the helper.
 func (a *Agent) BeginRemoteInterval() {
-	a.intervalStart = a.mesh.env.Now()
-	if a.cfg.Scheme == PreCopy && a.cfg.Delay > 0 {
-		a.mesh.env.Schedule(a.cfg.Delay, a.wake.Broadcast)
-	}
 	a.wake.Broadcast()
 }
 
@@ -512,14 +501,12 @@ func (a *Agent) failover() bool {
 // whose staged data is newer than what the buddy holds. While a remote
 // checkpoint is draining, only the chunks belonging to its trigger-time cut
 // are shipped; between checkpoints, pre-copy mode ships anything freshly
-// staged once the interval delay has passed. Each store is examined under its
+// staged. Each store is examined under its
 // node's metadata lock, as the checkpoint path's own updates are, and the
 // chunk's state is copied before the lock is released.
 func (a *Agent) nextToShip(p *sim.Proc) (core.ChunkState, *core.Store) {
-	if !a.bursting {
-		if a.cfg.Scheme != PreCopy || a.mesh.env.Now() < a.intervalStart+a.cfg.Delay {
-			return core.ChunkState{}, nil
-		}
+	if !a.bursting && a.cfg.Scheme != PreCopy {
+		return core.ChunkState{}, nil
 	}
 	a.Counters[cScanRounds].Add(1)
 	for _, q := range a.queues {

@@ -67,8 +67,8 @@ func TestPreCopyShipsIncrementally(t *testing.T) {
 		c, _ := r.store.NVAlloc(p, "field", 100*mem.MB, true)
 		agent.BeginRemoteInterval()
 		c.WriteAll(p)
-		r.store.PreCopyChunk(p, c, 0) // local staging
-		p.Sleep(time.Second)          // compute; helper ships in background
+		r.store.PreCopyChunk(p, c) // local staging
+		p.Sleep(time.Second)       // compute; helper ships in background
 		if agent.Counters.Get("ships") != 1 {
 			t.Errorf("pre-copy ships = %d, want 1 before trigger", agent.Counters.Get("ships"))
 		}
@@ -77,27 +77,6 @@ func TestPreCopyShipsIncrementally(t *testing.T) {
 		// Nothing new to ship at the trigger: data already resident.
 		if agent.Counters.Get("ships") != 1 {
 			t.Errorf("ships = %d after trigger, want still 1", agent.Counters.Get("ships"))
-		}
-		agent.Stop()
-	})
-	e.Run()
-}
-
-func TestPreCopyRespectsDelay(t *testing.T) {
-	e := sim.NewEnv()
-	r, agent := newRig(e, Config{Scheme: PreCopy, Delay: 2 * time.Second})
-	e.Go("app", func(p *sim.Proc) {
-		c, _ := r.store.NVAlloc(p, "field", 50*mem.MB, true)
-		agent.BeginRemoteInterval()
-		c.WriteAll(p)
-		r.store.PreCopyChunk(p, c, 0)
-		p.Sleep(time.Second)
-		if agent.Counters.Get("ships") != 0 {
-			t.Errorf("shipped before the remote delay elapsed")
-		}
-		p.Sleep(1500 * time.Millisecond)
-		if agent.Counters.Get("ships") != 1 {
-			t.Errorf("ships = %d after delay, want 1", agent.Counters.Get("ships"))
 		}
 		agent.Stop()
 	})

@@ -17,18 +17,13 @@ const (
 	StartupWave        = "wave"
 )
 
-// NodeTemplate is one weighted machine shape a generated fleet draws from.
-// Zero-valued resource fields inherit the scenario-level defaults
-// (dram_per_node, nvm_per_node, nvm_per_core_bw).
+// NodeTemplate is one weighted machine shape a generated fleet draws from:
+// a core count. Every node takes its memories and NVM bandwidth from the
+// scenario level (dram_per_node, nvm_per_node, nvm_per_core_bw).
 type NodeTemplate struct {
 	Name   string  `json:"name"`
 	Weight float64 `json:"weight"`
 	Cores  int     `json:"cores"`
-	// DRAMMB / NVMMB size the node's memories in MB (0 = scenario default).
-	DRAMMB int64 `json:"dram_mb,omitempty"`
-	NVMMB  int64 `json:"nvm_mb,omitempty"`
-	// NVMPerCoreBW overrides the per-core NVM write bandwidth (bytes/sec).
-	NVMPerCoreBW float64 `json:"nvm_per_core_bw,omitempty"`
 }
 
 // StartupSpec shapes when the fleet's nodes come up. All patterns spread
@@ -65,13 +60,11 @@ type FleetSpec struct {
 	Startup   StartupSpec    `json:"startup,omitempty"`
 }
 
-// NodeShape is one generated node's machine shape.
+// NodeShape is one generated node's machine shape: its template and core
+// count.
 type NodeShape struct {
-	Template     string
-	Cores        int
-	DRAM         int64 // bytes; 0 = scenario default
-	NVM          int64 // bytes; 0 = scenario default
-	NVMPerCoreBW float64
+	Template string
+	Cores    int
 }
 
 // Fleet is an expanded FleetSpec: concrete per-node shapes, coordinates
@@ -135,9 +128,6 @@ func (f *FleetSpec) Validate() error {
 		}
 		if tm.Cores < 1 {
 			return fmt.Errorf("fleet: template %d (%s): cores must be >= 1, got %d", i, tm.Name, tm.Cores)
-		}
-		if tm.DRAMMB < 0 || tm.NVMMB < 0 || tm.NVMPerCoreBW < 0 {
-			return fmt.Errorf("fleet: template %d (%s): resources must be >= 0", i, tm.Name)
 		}
 		total += tm.Weight
 	}
@@ -211,13 +201,7 @@ func (f *FleetSpec) Expand() (*Fleet, error) {
 		if name == "" {
 			name = fmt.Sprintf("template-%d", ti)
 		}
-		fleet.Shapes[i] = NodeShape{
-			Template:     name,
-			Cores:        tm.Cores,
-			DRAM:         tm.DRAMMB * 1 << 20,
-			NVM:          tm.NVMMB * 1 << 20,
-			NVMPerCoreBW: tm.NVMPerCoreBW,
-		}
+		fleet.Shapes[i] = NodeShape{Template: name, Cores: tm.Cores}
 		fleet.Counts[name]++
 
 		// Startup delay: pattern fraction of the spread, plus jitter.

@@ -19,7 +19,7 @@ func sampleFleet() *scenario.FleetSpec {
 		Providers: 2, ZonesPerProvider: 4, RacksPerZone: 4,
 		Templates: []scenario.NodeTemplate{
 			{Name: "std", Weight: 3, Cores: 1},
-			{Name: "big", Weight: 1, Cores: 2, DRAMMB: 512, NVMMB: 2048},
+			{Name: "big", Weight: 1, Cores: 2},
 		},
 		Startup: scenario.StartupSpec{Pattern: scenario.StartupWave, SpreadSecs: 10, Waves: 4, JitterSecs: 1},
 	}
@@ -63,10 +63,10 @@ func TestFleetTemplateMixTracksWeights(t *testing.T) {
 	if fl.Topo.Nodes() != 1000 || fl.Topo.Summary() != "2p/8z/32r" {
 		t.Fatalf("topology %s over %d nodes", fl.Topo.Summary(), fl.Topo.Nodes())
 	}
-	// Big nodes got their template's resources; ranks sum the mixed cores.
+	// Big nodes got their template's cores; ranks sum the mixed cores.
 	ranks := 0
 	for _, s := range fl.Shapes {
-		if s.Template == "big" && (s.Cores != 2 || s.DRAM != 512<<20 || s.NVM != 2048<<20) {
+		if s.Template == "big" && s.Cores != 2 {
 			t.Fatalf("big node shape %+v", s)
 		}
 		ranks += s.Cores
@@ -189,7 +189,6 @@ func TestFleetValidateErrors(t *testing.T) {
 		{"no templates", func(f *scenario.FleetSpec) { f.Templates = nil }, "at least one node template"},
 		{"zero weight", func(f *scenario.FleetSpec) { f.Templates[0].Weight = 0 }, "weight must be > 0"},
 		{"zero cores", func(f *scenario.FleetSpec) { f.Templates[0].Cores = 0 }, "cores must be >= 1"},
-		{"negative dram", func(f *scenario.FleetSpec) { f.Templates[1].DRAMMB = -1 }, "resources must be >= 0"},
 		{"bad pattern", func(f *scenario.FleetSpec) { f.Startup.Pattern = "thunder" }, "unknown startup pattern"},
 		{"negative spread", func(f *scenario.FleetSpec) { f.Startup.SpreadSecs = -1 }, "spread/jitter must be >= 0"},
 		{"negative waves", func(f *scenario.FleetSpec) { f.Startup.Waves = -1 }, "waves must be >= 0"},

@@ -116,8 +116,6 @@ type WorkloadSpec struct {
 type LocalSpec struct {
 	// Policy names the local pre-copy policy: none, cpc, dcpc, dcpcp.
 	Policy string `json:"policy,omitempty"`
-	// RateCap throttles background pre-copy in bytes/sec (0 = uncapped).
-	RateCap float64 `json:"rate_cap,omitempty"`
 	// Every takes a coordinated local checkpoint every N-th iteration.
 	Every int `json:"every,omitempty"`
 	// ForceFull disables dirty tracking (the full-checkpoint baseline).
@@ -134,8 +132,6 @@ type RemoteSpec struct {
 	// AutoRateCap derives the paper's pre-copy shipping cap
 	// (2·D·cores / remote interval) from the workload; overrides RateCap.
 	AutoRateCap bool `json:"auto_rate_cap,omitempty"`
-	// DelaySecs holds shipping until this long into each remote interval.
-	DelaySecs float64 `json:"delay_secs,omitempty"`
 	// Every triggers a remote checkpoint every N-th local one.
 	Every int `json:"every,omitempty"`
 	// Group hints the redundancy group size (0 = tier default).
@@ -158,11 +154,9 @@ type RemoteSpec struct {
 
 // BottomSpec configures the bottom storage level.
 type BottomSpec struct {
-	// Policy names the bottom tier: none, pfs-drain.
+	// Policy names the bottom tier: none, pfs-drain. The PFS runs at its
+	// package bandwidths (pfs.DefaultAggregateBW, pfs.DefaultStripeBW).
 	Policy string `json:"policy,omitempty"`
-	// AggregateBW / StripeBW size the PFS (0 = package defaults).
-	AggregateBW float64 `json:"aggregate_bw,omitempty"`
-	StripeBW    float64 `json:"stripe_bw,omitempty"`
 }
 
 // FailureSpec schedules one injected failure.

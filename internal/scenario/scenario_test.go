@@ -33,9 +33,9 @@ func fullScenario() *scenario.Scenario {
 			IterSecs:  4,
 		},
 		Iterations: 4,
-		Local:      scenario.LocalSpec{Policy: "dcpcp", RateCap: 100e6},
+		Local:      scenario.LocalSpec{Policy: "dcpcp"},
 		Remote:     scenario.RemoteSpec{Policy: "buddy-precopy", AutoRateCap: true, Every: 2},
-		Bottom:     scenario.BottomSpec{Policy: "pfs-drain", AggregateBW: 2e9},
+		Bottom:     scenario.BottomSpec{Policy: "pfs-drain"},
 		Failures:   []scenario.FailureSpec{{AtSecs: 10, Node: 1, Kind: "hard"}},
 		PayloadCap: 2048,
 	}

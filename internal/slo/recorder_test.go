@@ -276,6 +276,13 @@ func TestFinalizeClosesPartialTail(t *testing.T) {
 	}
 }
 
+// The retention bounds of obs.WindowFold, which the recorder keeps: the
+// newest windows and the first violations.
+const (
+	maxWindows    = 512
+	maxViolations = 64
+)
+
 func TestWindowRingEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(Config{Enabled: true}, reg)

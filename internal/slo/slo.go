@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Directions an objective can point.
@@ -105,21 +104,11 @@ func (o *Objective) violated(v float64) bool {
 	return v > o.Threshold
 }
 
-// Spec is the declarative SLO block a scenario embeds.
+// Spec is the declarative SLO block a scenario embeds. The flight recorder
+// judges it over obs.WindowWidth windows, the Figure 10 bucket.
 type Spec struct {
-	// WindowSecs is the flight-recorder window width in virtual seconds
-	// (default 5 — the Figure 10 bucket).
-	WindowSecs float64 `json:"window_secs,omitempty"`
 	// Objectives are the run's targets.
 	Objectives []Objective `json:"objectives"`
-}
-
-// Window returns the spec's window width with the default applied.
-func (s *Spec) Window() time.Duration {
-	if s == nil || s.WindowSecs <= 0 {
-		return DefaultWindow
-	}
-	return time.Duration(s.WindowSecs * float64(time.Second))
 }
 
 // Validate checks the spec, returning actionable errors: unknown series
@@ -127,10 +116,6 @@ func (s *Spec) Window() time.Duration {
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
-	}
-	if s.WindowSecs < 0 {
-		return fmt.Errorf("slo: window_secs must be >= 0 (0 = default %gs), got %g",
-			DefaultWindow.Seconds(), s.WindowSecs)
 	}
 	if len(s.Objectives) == 0 {
 		return fmt.Errorf("slo: spec has no objectives (series: %s)", strings.Join(seriesNames, ", "))
@@ -180,18 +165,6 @@ type Config struct {
 	// Spec carries the objectives; nil records the flight series only.
 	Spec *Spec `json:"spec,omitempty"`
 }
-
-// maxWindows bounds the in-memory window ring; older windows fall off but
-// the running aggregates keep counting. maxViolations bounds retained
-// violation details; the total count keeps counting past it.
-const (
-	maxWindows    = 512
-	maxViolations = 64
-)
-
-// DefaultWindow is the flight-recorder window width when the spec does not
-// set one — the Figure 10 peak-traffic bucket.
-const DefaultWindow = 5 * time.Second
 
 // Violation is one objective breach episode.
 type Violation struct {

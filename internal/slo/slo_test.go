@@ -5,7 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
+
+	"nvmcp/internal/obs"
 )
 
 func TestSeriesNamesSortedAndCopied(t *testing.T) {
@@ -62,14 +63,15 @@ func TestObjectiveDefaults(t *testing.T) {
 	}
 }
 
+// TestSpecWindowDefault: with or without a spec, the recorder judges
+// obs.WindowWidth windows, the Figure 10 bucket.
 func TestSpecWindowDefault(t *testing.T) {
-	var nilSpec *Spec
-	if nilSpec.Window() != DefaultWindow {
-		t.Fatalf("nil spec window = %v, want %v", nilSpec.Window(), DefaultWindow)
-	}
-	s := &Spec{WindowSecs: 2.5}
-	if s.Window() != 2500*time.Millisecond {
-		t.Fatalf("window = %v, want 2.5s", s.Window())
+	spec := &Spec{Objectives: []Objective{{Name: "availability", Direction: AtLeast, Threshold: 0.99}}}
+	for _, s := range []*Spec{nil, spec} {
+		r := New(Config{Enabled: true, Spec: s}, obs.NewRegistry())
+		if got := r.Summary().WindowUS; got != obs.WindowWidth.Microseconds() {
+			t.Fatalf("spec %v: window %dus, want %dus", s, got, obs.WindowWidth.Microseconds())
+		}
 	}
 }
 
@@ -95,7 +97,6 @@ func TestSpecValidate(t *testing.T) {
 		wantSub string
 	}{
 		{"no objectives", func(s *Spec) { s.Objectives = nil }, "no objectives"},
-		{"negative window", func(s *Spec) { s.WindowSecs = -1 }, "window_secs"},
 		{"unnamed", func(s *Spec) { s.Objectives[0].Name = "" }, "no name"},
 		{"duplicate", func(s *Spec) { s.Objectives[1] = s.Objectives[0] }, "duplicate"},
 		{"unknown series", func(s *Spec) { s.Objectives[0].Name = "no_such" }, "valid:"},

@@ -20,10 +20,7 @@ import (
 // optionAllowlist names the options that no non-test code sets but that
 // stay, one line each, with the reason. An entry whose field is set again,
 // or no longer declared, fails TestEveryOptionIsSet.
-var optionAllowlist = map[string]string{
-	"nvmcp/internal/drift.Config.MaxWindows":    "echoed by Go field name in every drift run's RunReport config: it goes with the next report golden re-pin",
-	"nvmcp/internal/drift.Config.MaxViolations": "echoed by Go field name in every drift run's RunReport config: it goes with the next report golden re-pin",
-}
+var optionAllowlist = map[string]string{}
 
 // optionStructs are the names of the option structs TestEveryOptionIsSet
 // covers, in any package under internal/.
