@@ -63,6 +63,12 @@ fmt:
 # TestEveryOptionIsSet (options_test.go) type-checks the module and
 # bench/e2e and fails with file:line for each field one value serves (make
 # it a constant), unless its optionAllowlist map names it with a reason.
+# The same rule covers every scenario key, an exported field of a struct
+# scenario.Load decodes: a key that a checked-in docs/scenarios file sets
+# counts as set. A key that only sizes or tunes a mechanism is removed; the
+# allowlist keeps those that select a mode, a fault domain or a §III input
+# (remote.group, single_version, shards, dram_per_node, nvm_per_node,
+# fault_model.mtbf_soft_secs/mtbf_hard_secs, failures[].soft).
 # -count=1, because the test result cache does not see the sources either
 # test reads.
 lint: fmt vet

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,6 +98,41 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		_, err := scenario.Load(strings.NewReader(base + tc.extra + "}"))
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
 			t.Errorf("%s: unknown field not rejected: %v", tc.field, err)
+		}
+	}
+}
+
+// TestRemovedKeysFailLoudly holds the keys that no preset, experiment, flag
+// or checked-in scenario set, and that are now constants, to a loud
+// refusal: a scenario file written for the old surface must name the key it
+// can no longer set, not run silently on the constant. Each document loads
+// without its key, so the key alone is refused.
+func TestRemovedKeysFailLoudly(t *testing.T) {
+	const (
+		nodes = `{"nodes": 2, "cores_per_node": 2, "iterations": 1, "workload": {"app": "gtc"}, `
+		fleet = `{"fleet": {"nodes": 2, "templates": [{"name": "n", "weight": 1, "cores": 2%s}]}, ` +
+			`"iterations": 1, "workload": {"app": "gtc"}}`
+		objective = `"objectives": [{"name": "up", "series": "availability", "direction": "at_least", "threshold": 0.9}]`
+	)
+	for _, tc := range []struct{ doc, key, set string }{
+		{nodes + `"local": {"policy": "dcpc"%s}}`, "rate_cap", `, "rate_cap": 1e8`},
+		{nodes + `"remote": {"policy": "buddy-precopy"%s}}`, "delay_secs", `, "delay_secs": 2`},
+		{nodes + `"remote": {"policy": "buddy-burst"}, "bottom": {"policy": "pfs-drain"%s}}`, "aggregate_bw", `, "aggregate_bw": 2e9`},
+		{nodes + `"remote": {"policy": "buddy-burst"}, "bottom": {"policy": "pfs-drain"%s}}`, "stripe_bw", `, "stripe_bw": 5e8`},
+		{fleet, "dram_mb", `, "dram_mb": 512`},
+		{fleet, "nvm_mb", `, "nvm_mb": 2048`},
+		{fleet, "nvm_per_core_bw", `, "nvm_per_core_bw": 4e8`},
+		{nodes + `"slo": {` + objective + `%s}}`, "window_secs", `, "window_secs": 10`},
+		{nodes + `"drift": {"limits": []%s}}`, "window_secs", `, "window_secs": 10`},
+		{nodes + `"drift": {"limits": []%s}}`, "phase_factor", `, "phase_factor": 3`},
+		{nodes + `"drift": {"limits": []%s}}`, "phase_warmup", `, "phase_warmup": 4`},
+	} {
+		if _, err := scenario.Load(strings.NewReader(fmt.Sprintf(tc.doc, ""))); err != nil {
+			t.Errorf("%s: the document without the key does not load: %v", tc.key, err)
+		}
+		_, err := scenario.Load(strings.NewReader(fmt.Sprintf(tc.doc, tc.set)))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {
+			t.Errorf("%s: removed key not refused by name: %v", tc.key, err)
 		}
 	}
 }

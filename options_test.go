@@ -12,15 +12,27 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"nvmcp/internal/scenario"
 )
 
 // optionAllowlist names the options that no non-test code sets but that
 // stay, one line each, with the reason. An entry whose field is set again,
 // or no longer declared, fails TestEveryOptionIsSet.
-var optionAllowlist = map[string]string{}
+var optionAllowlist = map[string]string{
+	"nvmcp/internal/scenario.RemoteSpec.Group":            "selects the erasure tier's parity-group width over the fleet topology (DESIGN §13), a mode of the tier",
+	"nvmcp/internal/scenario.Scenario.SingleVersion":      "selects the paper's single-version local mode, whose crash loses the local copy",
+	"nvmcp/internal/scenario.Scenario.Shards":             "selects the serial or the partitioned event engine for a scenario file; -shards overrides it",
+	"nvmcp/internal/scenario.Scenario.DRAMPerNode":        "a §III machine input beside nodes and cores_per_node: the DRAM each node holds",
+	"nvmcp/internal/scenario.Scenario.NVMPerNode":         "a §III machine input beside nodes and cores_per_node: the NVM each node holds",
+	"nvmcp/internal/scenario.FaultModelSpec.MTBFSoftSecs": "a §III input: the soft-failure MTBF the model and the drift observatory predict from",
+	"nvmcp/internal/scenario.FaultModelSpec.MTBFHardSecs": "a §III input: the hard-failure MTBF the model and the drift observatory predict from",
+	"nvmcp/internal/scenario.FailureSpec.Soft":            "selects a domain outage's fault mode: a power-cycle that spares the victims' NVM",
+}
 
 // optionStructs are the names of the option structs TestEveryOptionIsSet
 // covers, in any package under internal/.
@@ -28,15 +40,18 @@ var optionStructs = map[string]bool{"Config": true, "Options": true, "Control": 
 
 // TestEveryOptionIsSet fails for each exported field of an exported struct
 // named Config, Options or Control under internal/ that no non-test code of
-// the module or of bench/e2e writes. A field one value serves is a constant,
-// not an option. A write is a keyed composite-literal element or an
-// assignment to a selector of the field; a write inside an if that compares
-// the same field with its zero value is the field's defaulting code and
-// does not count. The packages are type-checked from source in dependency
-// order, the standard library from the export data go list -export names,
-// so a field is known by its object, not its name: lineage.Config and
-// drift.Config both have a MaxViolations. A field that must stay unset goes
-// on optionAllowlist.
+// the module or of bench/e2e writes, and for each scenario key nothing sets:
+// an exported field of a struct scenario.Load decodes (the types reachable
+// from scenario.Scenario) that no such code writes and no checked-in
+// docs/scenarios file sets to a non-zero value. A field one value serves is
+// a constant, not an option. A write is a keyed composite-literal element or
+// an assignment to a selector of the field; a write inside an if that
+// compares the same field with its zero value is the field's defaulting
+// code and does not count. The packages are type-checked from source in
+// dependency order, the standard library from the export data go list
+// -export names, so a field is known by its object, not its name:
+// lineage.Config and drift.Config could both have a MaxViolations. A field
+// that must stay unset goes on optionAllowlist.
 func TestEveryOptionIsSet(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -109,6 +124,28 @@ func TestEveryOptionIsSet(t *testing.T) {
 	if len(decls) == 0 {
 		t.Fatal("found no option structs under internal/")
 	}
+	keys := scenarioKeys(fset, imp.checked["nvmcp/internal/scenario"])
+	if len(keys) == 0 {
+		t.Fatal("found no scenario keys")
+	}
+	files, err := filepath.Glob(filepath.Join("docs", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("found no docs/scenarios files (%v)", err)
+	}
+	set := map[string]bool{}
+	for _, f := range files {
+		sc, err := scenario.LoadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fieldsSet(reflect.ValueOf(sc), set)
+	}
+	for _, k := range keys {
+		if set[k.name] {
+			written[k.field] = true
+		}
+	}
+	decls = append(decls, keys...)
 	for _, msg := range unsetOptions(decls, written, optionAllowlist) {
 		t.Error(msg)
 	}
@@ -128,10 +165,11 @@ func (s sourceImporter) Import(path string) (*types.Package, error) {
 	return s.gc.Import(path)
 }
 
-// optionDecl is one option: its field object, name and file:line.
+// optionDecl is one option: its field object, name and file:line, and for a
+// scenario key its dotted JSON path.
 type optionDecl struct {
-	field     *types.Var
-	name, pos string
+	field          *types.Var
+	name, pos, key string
 }
 
 // declaredOptions lists the exported fields of pkg's exported structs named
@@ -157,6 +195,73 @@ func declaredOptions(fset *token.FileSet, pkg *types.Package) []optionDecl {
 		}
 	}
 	return out
+}
+
+// scenarioKeys lists the exported JSON fields of the struct types reachable
+// from pkg's Scenario through fields, pointers and slices, in the module's
+// packages. Each key is the dotted JSON path that first reaches the field.
+func scenarioKeys(fset *token.FileSet, pkg *types.Package) []optionDecl {
+	var out []optionDecl
+	seen := map[*types.Named]bool{}
+	var walk func(t types.Type, path string)
+	walk = func(t types.Type, path string) {
+		switch t := t.(type) {
+		case *types.Pointer:
+			walk(t.Elem(), path)
+		case *types.Slice:
+			walk(t.Elem(), path+"[]")
+		case *types.Named:
+			obj := t.Obj()
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok || seen[t] || !strings.HasPrefix(obj.Pkg().Path(), "nvmcp/") {
+				return
+			}
+			seen[t] = true
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				key, _, _ := strings.Cut(reflect.StructTag(st.Tag(i)).Get("json"), ",")
+				if !f.Exported() || key == "-" {
+					continue
+				}
+				if key == "" {
+					key = f.Name()
+				}
+				if path != "" {
+					key = path + "." + key
+				}
+				p := fset.Position(f.Pos())
+				out = append(out, optionDecl{field: f, name: obj.Pkg().Path() + "." + obj.Name() + "." + f.Name(),
+					pos: fmt.Sprintf("%s:%d", p.Filename, p.Line), key: key})
+				walk(f.Type(), key)
+			}
+		}
+	}
+	walk(pkg.Scope().Lookup("Scenario").Type(), "")
+	return out
+}
+
+// fieldsSet adds to set the pkg.Type.Field name of every exported field
+// that is not zero in v, a decoded scenario, descending through pointers,
+// slices and structs.
+func fieldsSet(v reflect.Value, set map[string]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			fieldsSet(v.Elem(), set)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			fieldsSet(v.Index(i), set)
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			if f := v.Field(i); t.Field(i).IsExported() && !f.IsZero() {
+				set[t.PkgPath()+"."+t.Name()+"."+t.Field(i).Name] = true
+				fieldsSet(f, set)
+			}
+		}
+	}
 }
 
 // optionWrites marks in written every struct field that file writes outside
@@ -261,6 +366,9 @@ func unsetOptions(decls []optionDecl, written map[*types.Var]bool, allow map[str
 		switch {
 		case written[d.field] && allowed:
 			bad = append(bad, fmt.Sprintf("%s %s is set: drop its optionAllowlist entry", d.pos, d.name))
+		case !written[d.field] && !allowed && d.key != "":
+			bad = append(bad, fmt.Sprintf("%s %s (key %s): no non-test code or docs/scenarios file sets it (make it a constant)",
+				d.pos, d.name, d.key))
 		case !written[d.field] && !allowed:
 			bad = append(bad, fmt.Sprintf("%s %s: no non-test code sets it (make it a constant)", d.pos, d.name))
 		}
