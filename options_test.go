@@ -50,7 +50,7 @@ var optionStructs = map[string]bool{"Config": true, "Options": true, "Control": 
 // code and does not count. The packages are type-checked from source in
 // dependency order, the standard library from the export data go list
 // -export names, so a field is known by its object, not its name:
-// lineage.Config and drift.Config could both have a MaxViolations. A field
+// scenario.LocalSpec and scenario.RemoteSpec both have a Policy. A field
 // that must stay unset goes on optionAllowlist.
 func TestEveryOptionIsSet(t *testing.T) {
 	goBin, err := exec.LookPath("go")
@@ -450,5 +450,72 @@ func set(c *Config) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("unsetOptions\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestScenarioKeysAndFieldsSet holds the two halves of the scenario-key
+// check: the walk lists every exported JSON field reachable from Scenario
+// under its dotted path, skipping json:"-" and unexported fields, and a
+// decoded scenario marks exactly its non-zero fields as set.
+func TestScenarioKeysAndFieldsSet(t *testing.T) {
+	const src = `package p
+
+type Scenario struct {
+	Name   string ` + "`json:\"name\"`" + `
+	Fleet  *Fleet ` + "`json:\"fleet,omitempty\"`" + `
+	Hidden int    ` + "`json:\"-\"`" + `
+	Plain  int
+	local  int
+}
+
+type Fleet struct {
+	Templates []Template ` + "`json:\"templates\"`" + `
+}
+
+type Template struct {
+	Cores int ` + "`json:\"cores\"`" + `
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := (&types.Config{}).Check("nvmcp/p", fset, []*ast.File{file}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := scenarioKeys(fset, pkg)
+	var got []string
+	for _, k := range keys {
+		got = append(got, k.pos+" "+k.name+" "+k.key)
+	}
+	want := []string{
+		"p.go:4 nvmcp/p.Scenario.Name name",
+		"p.go:5 nvmcp/p.Scenario.Fleet fleet",
+		"p.go:12 nvmcp/p.Fleet.Templates fleet.templates",
+		"p.go:16 nvmcp/p.Template.Cores fleet.templates[].cores",
+		"p.go:7 nvmcp/p.Scenario.Plain Plain",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("scenarioKeys\n got %q\nwant %q", got, want)
+	}
+	if bad := unsetOptions(keys[3:4], map[*types.Var]bool{}, nil); len(bad) != 1 ||
+		bad[0] != "p.go:16 nvmcp/p.Template.Cores (key fleet.templates[].cores): no non-test code or docs/scenarios file sets it (make it a constant)" {
+		t.Fatalf("unsetOptions on a key = %q", bad)
+	}
+
+	set := map[string]bool{}
+	fieldsSet(reflect.ValueOf(&scenario.Scenario{
+		Name:  "x",
+		Fleet: &scenario.FleetSpec{Templates: []scenario.NodeTemplate{{Cores: 2}}},
+	}), set)
+	var names []string
+	for n := range set {
+		names = append(names, strings.TrimPrefix(n, "nvmcp/internal/scenario."))
+	}
+	sort.Strings(names)
+	if w := "FleetSpec.Templates NodeTemplate.Cores Scenario.Fleet Scenario.Name"; strings.Join(names, " ") != w {
+		t.Fatalf("fieldsSet = %v, want %s", names, w)
 	}
 }
